@@ -21,6 +21,7 @@ from .ideals import (
     MonomialIdeal,
     PrimeDecomposition,
     open_neighborhood_ideal,
+    validate_decomposition,
 )
 from .unmixed import characterize_balanced_unmixed, interior_graphs, is_unmixed_fast
 
@@ -190,8 +191,9 @@ def parametric_decomposition(a: ArtinianReduction, t: Tree | None = None) -> Pri
     """Express the reduced ideal as an intersection over minimal V3-TD-sets.
 
     Components are the variable primes of the V3-TD-sets shifted by the
-    shared pure-power ideal; equality with the reduced ideal is verified
-    exactly, and a mismatch is surfaced as a theorem violation.
+    shared pure-power ideal; ``validate_decomposition`` checks irredundancy
+    and equality with the reduced ideal exactly, by duality, and surfaces a
+    mismatch as a theorem violation.
     """
     supports: tuple[VertexSet, ...]
     if a.height < 3:
@@ -207,8 +209,7 @@ def parametric_decomposition(a: ArtinianReduction, t: Tree | None = None) -> Pri
     dec = PrimeDecomposition(
         variables=a.variables, supports=tuple(sorted(supports)), pure_powers=a.pure_powers
     )
-    if dec.to_ideal() != a.ideal:
-        raise TheoremViolation("parametric decomposition does not re-expand to the ideal")
+    validate_decomposition(dec, a.ideal)
     return dec
 
 

@@ -392,11 +392,23 @@ def cmd_verify(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _int_at_least(low: int):
+    """argparse type for integers >= low; a smaller value exits with code 2."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _add_common(p, max_sets=True):
     p.add_argument("path", help="edge-list file, or - for stdin")
     p.add_argument("--json", action="store_true", help="emit the JSON report")
     if max_sets:
-        p.add_argument("--max-sets", type=int, default=None,
+        p.add_argument("--max-sets", type=_int_at_least(1), default=None,
                        help="cap on enumerated set families (error when exceeded)")
 
 
@@ -435,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write seeded generated trees + traces")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=5)
+    p.add_argument("--steps", type=_int_at_least(0), default=5)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--out", default="generated")
     p.add_argument("--json", action="store_true")

@@ -342,10 +342,6 @@ def classify_vertices(f: Forest, h: HeightMap | None = None) -> Classification:
     )
 
 
-def support_vertices(f: Forest) -> VertexSet:
-    return classify_vertices(f).supports
-
-
 # ---------------------------------------------------------------------------
 # 2-colorings
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Only the combinatorial layer is modeled: an ideal is its unique minimal
 monomial generating set over an ambient variable list. Coefficients never
 appear. Intersections go through pairwise lcms, membership through
 divisibility, and square-free decomposition through minimal transversals of
-the generator supports.
+the generator supports. A decomposition is checked by Berge duality on
+bitmasks: the minimal transversals of its prime supports must give back the
+generators, so the intersection is never re-expanded.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .domination import minimal_transversals
+from .domination import minimal_transversal_masks, minimal_transversals
 from .errors import AmbientMismatchError, NotSquareFreeError, TheoremViolation
 from .graphs import VertexSet, _graph_of, vset
 
@@ -250,12 +252,59 @@ class PrimeDecomposition:
         return ideal_intersection(parts)
 
 
+def validate_decomposition(dec: PrimeDecomposition, ideal: MonomialIdeal) -> None:
+    """Raise TheoremViolation unless ``dec`` is an irredundant decomposition
+    of ``ideal``.
+
+    The verdict is that of pairwise incomparable supports plus
+    ``dec.to_ideal() == ideal``, reached on bitmasks over ``dec.variables``.
+    The intersection of the primes P_S is generated by the square-free
+    monomials on the minimal transversals of the supports; by Berge duality
+    (tr(tr(H)) = H for a clutter H) that equals a square-free ideal exactly
+    when the transversals are its generator supports. Monomial ideals form a
+    distributive lattice, so with pure powers Q the intersection of the
+    P_S + Q is (intersection of the P_S) + Q. The transversals are
+    enumerated without a cap, so an enumeration cap never changes the
+    verdict.
+    """
+    parametric = dec.pure_powers is not None
+    pos = {v: k for k, v in enumerate(dec.variables)}
+    try:
+        masks = [sum(1 << pos[v] for v in sup) for sup in dec.supports]
+    except KeyError as exc:
+        raise AmbientMismatchError(f"support uses unknown variable {exc}") from None
+    if any(a & b == a for a in masks for b in masks if a != b):
+        label = "parametric decomposition" if parametric else "decomposition"
+        raise TheoremViolation(f"{label} is not irredundant")
+    duals = minimal_transversal_masks(masks)
+    if parametric:
+        gens = [
+            Monomial.of(*(v for k, v in enumerate(dec.variables) if m >> k & 1))
+            for m in duals
+        ]
+        gens += dec.pure_powers.gens
+        holds = MonomialIdeal.from_gens(dec.variables, gens) == ideal
+    else:
+        holds = (
+            ideal.variables == dec.variables
+            and ideal.is_squarefree
+            and duals == sorted(sum(1 << pos[v] for v in m.support) for m in ideal.gens)
+        )
+    if not holds:
+        if parametric:
+            raise TheoremViolation("parametric decomposition does not re-expand to the ideal")
+        raise TheoremViolation(
+            f"decomposition of {ideal.render()} does not re-expand to the input"
+        )
+
+
 def decompose_squarefree(i: MonomialIdeal, cap: int | None = None) -> PrimeDecomposition:
     """Irredundant decomposition of a square-free ideal into variable primes.
 
     The prime supports are the minimal transversals of the generator
-    supports; the re-expanded intersection is checked against the input. The
-    unit ideal yields the empty decomposition (flagged via is_unit_source).
+    supports; ``validate_decomposition`` checks the result against the input
+    by duality. The unit ideal yields the empty decomposition (flagged via
+    is_unit_source).
     """
     if not i.is_squarefree:
         raise NotSquareFreeError(f"not square-free: {i.render()}")
@@ -263,12 +312,5 @@ def decompose_squarefree(i: MonomialIdeal, cap: int | None = None) -> PrimeDecom
         return PrimeDecomposition(variables=i.variables, supports=(), is_unit_source=True)
     supports = minimal_transversals([m.support for m in i.gens], cap=cap)
     dec = PrimeDecomposition(variables=i.variables, supports=supports)
-    for a in supports:
-        for b in supports:
-            if a != b and set(a) <= set(b):
-                raise TheoremViolation("decomposition is not irredundant")
-    if dec.to_ideal() != i:
-        raise TheoremViolation(
-            f"decomposition of {i.render()} does not re-expand to the input"
-        )
+    validate_decomposition(dec, i)
     return dec

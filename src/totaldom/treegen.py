@@ -39,9 +39,6 @@ class Lcg64:
             raise ValueError("randrange needs a positive bound")
         return self.next_u32() % n
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
 
 def _parent_arrays(n: int):
     """Yield non-decreasing parent arrays p[1..n-1] with p[i] < i."""

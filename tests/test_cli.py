@@ -105,6 +105,13 @@ def test_analyze_cap(capsys, p6_file):
     assert report["minimal_td_sets"]["cap_exceeded"] is True
 
 
+def test_analyze_rejects_nonpositive_cap(capsys, p6_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", p6_file, "--json", "--max-sets", "0"])
+    assert exc.value.code == 2
+    assert "--max-sets: must be at least 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # ideal / shelling / type / deconstruct
 # ---------------------------------------------------------------------------
@@ -167,6 +174,14 @@ def test_generate_zero_steps_base(tmp_path, capsys):
     capsys.readouterr()
     tree = Tree(parse_graph((tmp_path / "g" / "tree_000.edges").read_text()))
     assert canonical_form(tree) == canonical_form(path_graph(6))
+
+
+def test_generate_rejects_negative_steps(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--steps", "-1", "--out", str(tmp_path / "g")])
+    assert exc.value.code == 2
+    assert "--steps: must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
 
 
 def test_generated_outputs_analyze_unmixed(tmp_path, capsys):

@@ -1,19 +1,25 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from oracles import minimal_td_sets_by_subsets
+from totaldom.algebra import artinian_reduction, parametric_decomposition
+from totaldom.construct import generate
 from totaldom.domination import minimal_td_sets
-from totaldom.errors import AmbientMismatchError, NotSquareFreeError
+from totaldom.errors import AmbientMismatchError, NotSquareFreeError, TheoremViolation
 from totaldom.graphs import Graph, path_graph, star_graph
 from totaldom.ideals import (
     Monomial,
     MonomialIdeal,
+    PrimeDecomposition,
     decompose_squarefree,
     edge_ideal,
     ideal_sum,
     minimalize,
     open_neighborhood_ideal,
+    validate_decomposition,
     variable_ideal,
 )
 from totaldom.treegen import Lcg64, random_tree
@@ -222,6 +228,99 @@ def test_decomposition_supports_are_minimal_td_sets(trees8):
         assert dec.supports == minimal_td_sets(t).sets
         assert dec.supports == minimal_td_sets_by_subsets(t.graph)
         assert dec.to_ideal() == ideal
+
+
+def _decomposition_cases(trees8):
+    """(decomposition, ideal) pairs: N(T) and an S-restricted N_S(T) for
+    every tree on at most 8 vertices, and the parametric decompositions of
+    the reductions of generated trees."""
+    rng = Lcg64(5)
+    for t in trees8:
+        labs = t.graph.labels
+        target = tuple(v for v in labs if rng.randrange(2)) or labs[:1]
+        for ideal in (open_neighborhood_ideal(t), open_neighborhood_ideal(t, target)):
+            if not ideal.is_unit:
+                yield decompose_squarefree(ideal), ideal
+    for seed in range(12):
+        t, _ = generate(seed, seed % 5)
+        red = artinian_reduction(t)
+        yield parametric_decomposition(red, t), red.ideal
+
+
+def _corruptions(dec: PrimeDecomposition, rng: Lcg64):
+    """``dec`` with one support dropped, one non-minimal superset added, and
+    one spurious support added."""
+    sups = dec.supports
+    out = [sups[1:]]
+    for s in sups:
+        extra = [v for v in dec.variables if v not in s]
+        if extra:
+            out.append(sups + (tuple(sorted(s + (extra[0],))),))
+            break
+    while True:
+        spurious = tuple(v for v in dec.variables if rng.randrange(2))
+        if spurious not in sups:
+            out.append(sups + (spurious,))
+            break
+    return [replace(dec, supports=tuple(sorted(c))) for c in out]
+
+
+def _oracle_holds(dec: PrimeDecomposition, ideal: MonomialIdeal) -> bool:
+    """Pairwise incomparable supports that re-expand to the ideal."""
+    redundant = any(a != b and set(a) <= set(b) for a in dec.supports for b in dec.supports)
+    return not redundant and dec.to_ideal() == ideal
+
+
+def _duality_holds(dec: PrimeDecomposition, ideal: MonomialIdeal) -> bool:
+    try:
+        validate_decomposition(dec, ideal)
+    except TheoremViolation:
+        return False
+    return True
+
+
+def test_duality_check_agrees_with_reexpansion(trees8):
+    rng = Lcg64(17)
+    cases = list(_decomposition_cases(trees8))
+    assert any(dec.pure_powers is not None for dec, _ in cases)
+    for dec, ideal in cases:
+        assert _oracle_holds(dec, ideal)
+        assert _duality_holds(dec, ideal)
+        for bad in _corruptions(dec, rng):
+            assert not _oracle_holds(bad, ideal), bad
+            assert not _duality_holds(bad, ideal), bad
+        # the true decomposition against a strictly larger ideal, and
+        # against the same generators over a larger ambient ring
+        others = [MonomialIdeal.from_gens(ideal.variables + ("zz",), ideal.gens)]
+        outside = [v for v in ideal.variables if not ideal.contains(Monomial.of(v))]
+        if outside:
+            others.append(ideal.sum_with(variable_ideal(ideal.variables, outside[:1])))
+        for other in others:
+            assert not _oracle_holds(dec, other)
+            assert not _duality_holds(dec, other)
+
+
+def test_duality_check_edge_cases():
+    dec = decompose_squarefree(MonomialIdeal.parse("x", ("x",)))
+    with pytest.raises(TheoremViolation):
+        validate_decomposition(dec, MonomialIdeal.parse("x^2", ("x",)))
+    stray = replace(dec, supports=(("y",),))
+    for check in (stray.to_ideal, lambda: validate_decomposition(stray, dec.to_ideal())):
+        with pytest.raises(AmbientMismatchError):
+            check()
+
+
+def test_decomposition_never_reexpands(monkeypatch):
+    # 37 vertices and 402 primes: re-expansion through pairwise lcms takes
+    # seconds, the duality check a small fraction of one
+    def refuse(self):
+        raise AssertionError("decomposition was checked by re-expansion")
+
+    t, _ = generate(7, 9)
+    monkeypatch.setattr(PrimeDecomposition, "to_ideal", refuse)
+    dec = decompose_squarefree(open_neighborhood_ideal(t))
+    assert (t.graph.n, len(dec)) == (37, 402)
+    assert len(parametric_decomposition(artinian_reduction(t), t)) >= 1
 
 
 def test_three_ideal_sum_on_unmixed_trees(fence_tree):
