@@ -15,6 +15,10 @@ verify       oracle cross-check suite; nonzero exit on any disagreement
 Edge-list files hold one edge per line ("labelA labelB"), '#' comments and
 blank lines ignored; "-" reads from stdin. All reports are integer-exact;
 --json emits the versioned wtd-report/1 schema with every set sorted.
+
+Exit codes: 0 success; 1 a failed verify check; 2 bad input (usage, an
+unreadable or non-UTF-8 file, an unknown vertex, a malformed edge list) or
+a theorem error, reported as "error: ..." on stderr.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .algebra import artinian_reduction, cm_type, parametric_decomposition
 from .complexes import stable_shelling
 from .construct import deconstruct, generate
 from .domination import minimal_td_sets
-from .errors import EnumerationCapExceeded, TotaldomError
+from .errors import EnumerationCapExceeded, InputError, TotaldomError
 from .graphs import (
     Forest,
     Graph,
@@ -49,7 +53,18 @@ SCHEMA = "wtd-report/1"
 
 
 def _read_graph(path: str) -> Graph:
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    name = "stdin" if path == "-" else path
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+            text.encode("utf-8")  # non-UTF-8 bytes arrive surrogate-escaped
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {name}: {exc.strerror or exc}") from exc
+    except UnicodeError as exc:
+        raise InputError(f"{name} is not UTF-8 text") from exc
     return parse_graph(text)
 
 
@@ -259,7 +274,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_ideal(args) -> int:
     g = _read_graph(args.path)
-    target = args.subset.split(",") if args.subset else None
+    target = args.subset
+    if target is not None:
+        unknown = sorted(set(target) - set(g.labels))
+        if unknown:
+            raise InputError(f"--subset names unknown vertices: {', '.join(map(repr, unknown))}")
     ideal = open_neighborhood_ideal(g, target)
     report: dict = {
         "schema": SCHEMA,
@@ -404,6 +423,14 @@ def _int_at_least(low: int):
     return integer
 
 
+def _vertex_list(text: str) -> list[str]:
+    """argparse type for a nonempty comma-separated list of vertex labels."""
+    labels = text.split(",")
+    if not all(labels):
+        raise argparse.ArgumentTypeError(f"expected comma-separated vertex labels, got {text!r}")
+    return labels
+
+
 def _add_common(p, max_sets=True):
     p.add_argument("path", help="edge-list file, or - for stdin")
     p.add_argument("--json", action="store_true", help="emit the JSON report")
@@ -427,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ideal", help="open-neighborhood ideal and decomposition")
     _add_common(p)
-    p.add_argument("--subset", default=None,
+    p.add_argument("--subset", type=_vertex_list, default=None,
                    help="comma-separated target S (default: all vertices)")
     p.set_defaults(func=cmd_ideal)
 
@@ -448,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write seeded generated trees + traces")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=_int_at_least(0), default=5)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_int_at_least(0), default=1)
     p.add_argument("--out", default="generated")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_generate)

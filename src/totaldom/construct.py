@@ -9,6 +9,8 @@ base path, and ``replay`` rebuilds a tree from the recorded trace.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import json
 from dataclasses import dataclass
 
@@ -17,7 +19,6 @@ from .graphs import (
     Graph,
     Tree,
     _graph_of,
-    branch,
     classify_vertices,
     heights,
     is_isomorphic,
@@ -31,7 +32,8 @@ KIND_WHISKER4 = "height2-whisker4"
 KIND_WHISKER3 = "height3-whisker3"
 
 _KIND_BY_HEIGHT = {1: KIND_LEAF, 2: KIND_WHISKER4, 3: KIND_WHISKER3}
-_NEW_VERTICES = {KIND_LEAF: 1, KIND_WHISKER4: 4, KIND_WHISKER3: 3}
+# heights of a whisker's new vertices, from the attachment point outward
+_WHISKER_HEIGHTS = {KIND_LEAF: (0,), KIND_WHISKER4: (3, 2, 1, 0), KIND_WHISKER3: (2, 1, 0)}
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class ConstructionTrace:
             for s in payload["steps"]
         )
         for s in steps:
-            if s.kind not in _NEW_VERTICES:
+            if s.kind not in _WHISKER_HEIGHTS:
                 raise ValueError(f"unknown step kind {s.kind!r}")
         return cls(steps=steps)
 
@@ -92,7 +94,7 @@ def apply_o(t: Tree, v: str) -> Tree:
     if h not in _KIND_BY_HEIGHT:
         raise ValueError(f"whisker attachment needs height 1..3, got height {h} at {v!r}")
     kind = _KIND_BY_HEIGHT[h]
-    fresh = fresh_labels(t.graph.labels, _NEW_VERTICES[kind])
+    fresh = fresh_labels(t.graph.labels, len(_WHISKER_HEIGHTS[kind]))
     edges = list(t.graph.edges())
     chain = [v] + fresh
     edges += [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
@@ -103,17 +105,54 @@ def base_tree() -> Tree:
     return path_graph(6)
 
 
+class _Growth:
+    """Whisker growth from the base path, one step at a time.
+
+    Keeps the edge list, every height, the sorted labels of height 1..3 (the
+    attachment points) and the "w<k>" counter up to date, and builds the tree
+    once at the end. This is exact: a whisker leaves every existing height
+    unchanged and gives its new vertices the fixed heights in
+    ``_WHISKER_HEIGHTS``, and the base labels are digits, so the counter
+    yields what ``fresh_labels`` would.
+    """
+
+    __slots__ = ("edges", "height", "eligible", "fresh")
+
+    def __init__(self):
+        base = base_tree()
+        self.edges = list(base.graph.edges())
+        self.height = heights(base).as_dict()
+        self.eligible = [v for v in base.graph.labels if self.height[v] in _KIND_BY_HEIGHT]
+        self.fresh = 0
+
+    def attach(self, v: str) -> TraceStep:
+        kind = _KIND_BY_HEIGHT[self.height[v]]
+        prev = v
+        for h in _WHISKER_HEIGHTS[kind]:
+            self.fresh += 1
+            w = f"w{self.fresh}"
+            self.edges.append((prev, w))
+            self.height[w] = h
+            if h in _KIND_BY_HEIGHT:
+                bisect.insort(self.eligible, w)
+            prev = w
+        return TraceStep(attach=v, kind=kind)
+
+    def tree(self) -> Tree:
+        return Tree.from_edges(self.edges)
+
+
 def replay(trace: ConstructionTrace) -> Tree:
     """Rebuild the tree from the base path, drawing fresh labels in order."""
-    t = base_tree()
+    growth = _Growth()
     for step in trace.steps:
-        h = heights(t)[step.attach]
+        h = growth.height[step.attach]
         if _KIND_BY_HEIGHT.get(h) != step.kind:
             raise ValueError(
                 f"step kind {step.kind} does not match height {h} of {step.attach!r}"
             )
-        t = apply_o(t, step.attach)
-    return t
+        growth.attach(step.attach)
+    return growth.tree()
 
 
 def generate(seed: int, steps: int) -> tuple[Tree, ConstructionTrace]:
@@ -126,15 +165,12 @@ def generate(seed: int, steps: int) -> tuple[Tree, ConstructionTrace]:
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     rng = Lcg64(seed)
-    t = base_tree()
+    growth = _Growth()
     recorded = []
     for _ in range(steps):
-        hmap = heights(t)
-        eligible = [v for v in t.graph.labels if hmap[v] in _KIND_BY_HEIGHT]
-        v = eligible[rng.randrange(len(eligible))]
-        recorded.append(TraceStep(attach=v, kind=_KIND_BY_HEIGHT[hmap[v]]))
-        t = apply_o(t, v)
-    return t, ConstructionTrace(steps=tuple(recorded))
+        eligible = growth.eligible
+        recorded.append(growth.attach(eligible[rng.randrange(len(eligible))]))
+    return growth.tree(), ConstructionTrace(steps=tuple(recorded))
 
 
 # ---------------------------------------------------------------------------
@@ -161,47 +197,93 @@ def leaf_normalize(t: Tree) -> tuple[Tree, dict[str, int]]:
     return Tree(g.induced(keep)), removed
 
 
-def _peel_once(current: Tree):
-    """One deconstruction round.
+def _branch(nbrs, r: int, x: int) -> dict[int, int]:
+    """The branch beyond x away from its neighbor r, with each vertex's
+    distance from x."""
+    depth = {x: 0}
+    order = [x]
+    for v in order:
+        for w in nbrs[v]:
+            if w != r and w not in depth:
+                depth[w] = depth[v] + 1
+                order.append(w)
+    return depth
 
-    Returns (attach, kind, chain, remainder) or None at the base path. The
-    chain lists the removed vertices from the attachment point outward.
+
+def _peel(core: Tree):
+    """Peel whiskers off a leaf-normalized tree down to the base path.
+
+    Returns the rounds (attach, kind, chain) in peel order, the chain listing
+    the removed vertices from the attachment point outward, and the tree that
+    remains. Works on one mutable adjacency with heights computed once. Each
+    round checks that they stay exact: the chain follows its whisker's
+    height pattern, and the attachment point keeps two neighbors, one of them
+    a level below it, so no leaf appears and the chain's leaf was never the
+    nearest one.
     """
-    hmap = heights(current)
-    v3 = set(hmap.level(3))
-    g = current.graph
-    pick = None
-    for u in hmap.level(2):
-        ups = [w for w in g.neighbors(u) if w in v3]
-        if len(ups) == 1:
-            pick = (u, ups[0])
-            break
-    if pick is None:
-        raise TheoremViolation(
-            "no height-2 vertex with a unique height-3 neighbor exists"
-        )
-    u, r = pick
-    if g.degree(r) > 2:
-        cut = branch(current, r, u)
-        attach, kind, want = r, KIND_WHISKER3, 3
-    elif len(v3) > 1:
-        u_other = next(w for w in g.neighbors(r) if w != u)
-        cut = branch(current, u_other, r)
-        attach, kind, want = u_other, KIND_WHISKER4, 4
-    else:
-        if not is_isomorphic(current, base_tree()):
+    g = core.graph
+    lab = g.labels
+    hmap = heights(core)
+    height = [hmap[v] for v in lab]
+    nbrs = [set(nb) for nb in g.adj]
+    alive = [True] * g.n
+    # per vertex: neighbors at height 3, and neighbors one level below it
+    up3 = [sum(1 for j in nb if height[j] == 3) for nb in g.adj]
+    down = [sum(1 for j in nb if height[j] == height[i] - 1) for i, nb in enumerate(g.adj)]
+    n3 = height.count(3)
+    # heap of height-2 vertices with a unique height-3 neighbor; indices
+    # follow label order, and entries gone stale are dropped from the top
+    cands = [i for i in range(g.n) if height[i] == 2 and up3[i] == 1]
+    peeled = []
+    while True:
+        while cands and not (alive[cands[0]] and up3[cands[0]] == 1):
+            heapq.heappop(cands)
+        if not cands:
             raise TheoremViolation(
-                "terminal deconstruction case reached away from the base path"
+                "no height-2 vertex with a unique height-3 neighbor exists"
             )
-        return None
-    if len(cut) != want:
-        raise TheoremViolation(
-            f"peeled branch has {len(cut)} vertices, expected {want}"
-        )
-    dist = g.distances_from(attach)
-    chain = tuple(sorted(cut, key=lambda v: dist[v]))
-    keep = [v for v in g.labels if v not in set(cut)]
-    return attach, kind, chain, Tree(g.induced(keep))
+        u = cands[0]
+        r = next(j for j in nbrs[u] if height[j] == 3)
+        if len(nbrs[r]) > 2:
+            attach, kind, cut = r, KIND_WHISKER3, _branch(nbrs, r, u)
+        elif n3 > 1:
+            u_other = next(w for w in nbrs[r] if w != u)
+            attach, kind, cut = u_other, KIND_WHISKER4, _branch(nbrs, u_other, r)
+        else:
+            rest = Tree(g.induced(lab[i] for i in range(g.n) if alive[i]))
+            if not is_isomorphic(rest, base_tree()):
+                raise TheoremViolation(
+                    "terminal deconstruction case reached away from the base path"
+                )
+            return peeled, rest
+        want = len(_WHISKER_HEIGHTS[kind])
+        if len(cut) != want:
+            raise TheoremViolation(
+                f"peeled branch has {len(cut)} vertices, expected {want}"
+            )
+        chain = sorted(sorted(cut), key=cut.__getitem__)  # ties in label order
+        lower_left = down[attach] - (height[chain[0]] == height[attach] - 1)
+        if (
+            tuple(height[v] for v in chain) != _WHISKER_HEIGHTS[kind]
+            or len(nbrs[attach]) < 3
+            or lower_left < 1
+        ):
+            raise TheoremViolation(
+                f"whisker peeled at {lab[attach]!r} would change the remaining heights"
+            )
+        for v in chain:
+            alive[v] = False
+            if height[v] == 3:
+                n3 -= 1
+            for w in nbrs[v]:
+                nbrs[w].discard(v)
+                if height[v] == 3:
+                    up3[w] -= 1
+                    if up3[w] == 1 and height[w] == 2:
+                        heapq.heappush(cands, w)
+                if height[v] == height[w] - 1:
+                    down[w] -= 1
+        peeled.append((lab[attach], kind, tuple(lab[v] for v in chain)))
 
 
 def deconstruct(t: Tree) -> ConstructionTrace:
@@ -222,19 +304,12 @@ def deconstruct(t: Tree) -> ConstructionTrace:
         raise ValueError("deconstruction requires height exactly 3")
 
     core, extra_leaves = leaf_normalize(t)
-    peeled = []  # (attach, kind, chain) in peel order, original labels
-    current = core
-    while True:
-        round_ = _peel_once(current)
-        if round_ is None:
-            break
-        attach, kind, chain, current = round_
-        peeled.append((attach, kind, chain))
+    peeled, base = _peel(core)  # (attach, kind, chain) in peel order
 
     # translate original labels into the replay namespace: base path becomes
     # "0".."6" (orientation with the lexicographically smaller label tuple),
     # re-attached chains take "w1", "w2", ... in replay order
-    base_order = _path_order(current)
+    base_order = _path_order(base)
     if tuple(reversed(base_order)) < base_order:
         base_order = tuple(reversed(base_order))
     rename = {orig: str(i) for i, orig in enumerate(base_order)}

@@ -120,10 +120,11 @@ def is_minimal_set(g, d) -> bool:
     if dmask == 0:
         return True
     nd = g.neighborhood_mask(dmask)
+    masks = g.masks
     witnessed = 0
     for i in range(g.n):
         if nd >> i & 1:
-            hit = g.masks[i] & dmask
+            hit = masks[i] & dmask
             if hit and hit & (hit - 1) == 0:
                 witnessed |= hit
     return witnessed == dmask
@@ -144,12 +145,13 @@ def domination_selector(g, d) -> DominationSelector | None:
     g = _graph_of(g)
     dmask = g.mask_of(d)
     nd = g.neighborhood_mask(dmask)
+    masks = g.masks
     chosen: dict[str, str] = {}
     for v in vset(d):
         vbit = 1 << g.index[v]
         pick = None
         for i in range(g.n):
-            if nd >> i & 1 and g.masks[i] & dmask == vbit:
+            if nd >> i & 1 and masks[i] & dmask == vbit:
                 pick = g.labels[i]
                 break
         if pick is None:
@@ -184,7 +186,8 @@ def minimal_s_td_sets(g, s, cap: int | None = None) -> MinimalSetFamily:
     """All minimal S-TD-sets, each re-verified against the definitions."""
     g = _graph_of(g)
     target = vset(s)
-    edges = [g.masks[g.index[v]] for v in target]
+    masks = g.masks
+    edges = [masks[g.index[v]] for v in target]
     sets = tuple(
         g.labels_of(m) for m in minimal_transversal_masks(edges, cap=cap)
     )

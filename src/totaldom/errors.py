@@ -5,6 +5,11 @@ class TotaldomError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InputError(TotaldomError):
+    """Command-line input that cannot be used: an unreadable or non-UTF-8
+    file, or a vertex label the graph does not have."""
+
+
 class EdgeListParseError(TotaldomError):
     """Malformed edge-list input (bad token count, self-loop, ...)."""
 

@@ -33,10 +33,12 @@ class Graph:
 
     Labels are stored sorted; ``adj[i]`` lists the neighbor indices of the
     i-th label in increasing order and ``masks[i]`` is the same set as a
-    bitmask. No self-loops, adjacency symmetric by construction.
+    bitmask. The masks take O(n^2) bits and only the domination engine reads
+    them, so they are built lazily on first use. No self-loops, adjacency
+    symmetric by construction.
     """
 
-    __slots__ = ("labels", "index", "adj", "masks")
+    __slots__ = ("labels", "index", "adj", "_masks")
 
     def __init__(self, labels, edges):
         labs = tuple(sorted(set(labels)))
@@ -48,10 +50,19 @@ class Graph:
             ia, ib = index[a], index[b]
             nbrs[ia].add(ib)
             nbrs[ib].add(ia)
-        self.labels = labs
+        self._set(labs, index, tuple(tuple(sorted(s)) for s in nbrs))
+
+    def _set(self, labels, index, adj) -> None:
+        self.labels = labels
         self.index = index
-        self.adj = tuple(tuple(sorted(s)) for s in nbrs)
-        self.masks = tuple(sum(1 << j for j in s) for s in self.adj)
+        self.adj = adj
+        self._masks = None
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        if self._masks is None:
+            self._masks = tuple(sum(1 << j for j in nb) for nb in self.adj)
+        return self._masks
 
     @classmethod
     def from_edges(cls, edges, extra_vertices=()) -> Graph:
@@ -101,11 +112,12 @@ class Graph:
 
     def neighborhood_mask(self, mask: int) -> int:
         """Open neighborhood N(S) of the subset given as a bitmask."""
+        masks = self.masks
         out = 0
         i = 0
         while mask:
             if mask & 1:
-                out |= self.masks[i]
+                out |= masks[i]
             mask >>= 1
             i += 1
         return out
@@ -136,9 +148,22 @@ class Graph:
         return sum(len(nb) for nb in self.adj) // 2
 
     def induced(self, labels) -> Graph:
-        keep = set(labels)
-        edges = [(a, b) for a, b in self.edges() if a in keep and b in keep]
-        return Graph(keep, edges)
+        """Induced subgraph, built from the kept vertices' own adjacency.
+
+        Labels unknown to this graph become isolated vertices. Relabeling
+        keeps the label order, so neighbor lists stay sorted.
+        """
+        labs = tuple(sorted(set(labels)))
+        old_index, old_adj = self.index, self.adj
+        new_of = {old_index[v]: k for k, v in enumerate(labs) if v in old_index}
+        adj = tuple(
+            tuple([new_of[j] for j in old_adj[old_index[v]] if j in new_of])
+            if v in old_index else ()
+            for v in labs
+        )
+        sub = Graph.__new__(Graph)
+        sub._set(labs, {v: i for i, v in enumerate(labs)}, adj)
+        return sub
 
     def distances_from(self, v: str) -> dict[str, int]:
         """BFS distances from ``v``; unreachable vertices are absent."""
@@ -167,9 +192,10 @@ class Graph:
 
 
 class Forest:
-    """A validated acyclic graph plus a component index per vertex."""
+    """A validated acyclic graph plus its components and a component index
+    per vertex."""
 
-    __slots__ = ("graph", "component_of", "ncomponents")
+    __slots__ = ("graph", "component_of", "ncomponents", "_components")
 
     def __init__(self, graph: Graph):
         comps = graph.component_labels()
@@ -182,13 +208,14 @@ class Forest:
         self.graph = graph
         self.component_of = comp_of
         self.ncomponents = len(comps)
+        self._components = comps
 
     @classmethod
     def from_edges(cls, edges, extra_vertices=()) -> Forest:
         return cls(Graph.from_edges(edges, extra_vertices))
 
     def components(self) -> tuple[VertexSet, ...]:
-        return self.graph.component_labels()
+        return self._components
 
     def component_trees(self) -> tuple[Tree, ...]:
         return tuple(Tree(self.graph.induced(c)) for c in self.components())
@@ -329,10 +356,8 @@ def classify_vertices(f: Forest, h: HeightMap | None = None) -> Classification:
     g = f.graph
     leaves = [i for i, nb in enumerate(g.adj) if len(nb) == 1]
     isolated = [i for i, nb in enumerate(g.adj) if len(nb) == 0]
-    leafset = set(leaves)
-    supports = [i for i, nb in enumerate(g.adj) if any(j in leafset for j in nb)]
-    supset = set(supports)
-    supported = [i for i, nb in enumerate(g.adj) if any(j in supset for j in nb)]
+    supports = {g.adj[i][0] for i in leaves}
+    supported = {j for i in supports for j in g.adj[i]}
     lab = g.labels
     return Classification(
         leaves=vset(lab[i] for i in leaves),
@@ -347,20 +372,18 @@ def classify_vertices(f: Forest, h: HeightMap | None = None) -> Classification:
 # ---------------------------------------------------------------------------
 
 class Coloring:
-    """A proper 2-coloring, stored as the two color classes."""
+    """A proper 2-coloring, stored as the two color classes plus a
+    label-to-color lookup (blue wins for a label listed in both)."""
 
-    __slots__ = ("blue", "red")
+    __slots__ = ("blue", "red", "_color")
 
     def __init__(self, blue, red):
         self.blue = vset(blue)
         self.red = vset(red)
+        self._color = dict.fromkeys(self.red, RED) | dict.fromkeys(self.blue, BLUE)
 
     def color_of(self, v: str) -> str:
-        if v in set(self.blue):
-            return BLUE
-        if v in set(self.red):
-            return RED
-        raise KeyError(v)
+        return self._color[v]
 
     def swapped(self) -> Coloring:
         return Coloring(self.red, self.blue)
@@ -382,16 +405,20 @@ def two_coloring(f: Forest, *, balanced_blue_even: bool = False, swap: bool = Fa
     """
     g = f.graph
     hmap = heights(f) if balanced_blue_even else None
+    adj, lab = g.adj, g.labels
     blue, red = [], []
     for comp in f.components():
-        side = {comp[0]: 0}
-        q = deque([comp[0]])
-        while q:
-            v = q.popleft()
-            for w in g.neighbors(v):
-                if w not in side:
-                    side[w] = 1 - side[v]
-                    q.append(w)
+        # side = distance parity from comp[0], by breadth-first search
+        root = g.index[comp[0]]
+        iside = {root: 0}
+        order = [root]
+        for i in order:
+            s = 1 - iside[i]
+            for j in adj[i]:
+                if j not in iside:
+                    iside[j] = s
+                    order.append(j)
+        side = {lab[i]: s for i, s in iside.items()}
         if balanced_blue_even:
             anchor = comp[0]
             # flip so that even heights land on blue; valid only if balanced
@@ -471,8 +498,30 @@ def _centers(adj: list[list[int]], comp: list[int]) -> list[int]:
 
 
 def _ahu(adj, root: int, parent: int) -> str:
-    kids = sorted(_ahu(adj, j, root) for j in adj[root] if j != parent)
-    return "(" + "".join(kids) + ")"
+    """AHU code of the subtree at ``root`` away from ``parent``: each vertex
+    is "(" + its children's codes, sorted, + ")".
+
+    Iterative, so depth is not bounded by the recursion limit: ``order``
+    grows while it is walked (breadth-first), and walking it backwards
+    finishes every child before its parent.
+    """
+    order = [root]
+    up = {root: parent}
+    kids = {root: []}
+    for v in order:
+        p = up[v]
+        for w in adj[v]:
+            if w != p:
+                up[w] = v
+                kids[w] = []
+                order.append(w)
+    for v in order[:0:-1]:
+        codes = kids[v]
+        codes.sort()
+        kids[up[v]].append("(" + "".join(codes) + ")")
+    codes = kids[root]
+    codes.sort()
+    return "(" + "".join(codes) + ")"
 
 
 def _component_code(adj, comp: list[int]) -> str:

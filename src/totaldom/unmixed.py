@@ -35,7 +35,8 @@ def is_balanced(f: Forest, coloring: Coloring | None = None) -> bool:
     col = coloring if coloring is not None else two_coloring(f)
     hmap = heights(f)
     g = f.graph
-    c1 = all(hmap[a] != hmap[b] for a, b in g.edges())
+    lab = g.labels
+    c1 = all(hmap[lab[i]] != hmap[lab[j]] for i, nb in enumerate(g.adj) for j in nb)
     c2 = True
     c3 = True
     for comp in f.components():

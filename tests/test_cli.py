@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import json
+import sys
 
 import pytest
 
@@ -112,6 +114,24 @@ def test_analyze_rejects_nonpositive_cap(capsys, p6_file):
     assert "--max-sets: must be at least 1" in capsys.readouterr().err
 
 
+def test_missing_file_is_an_input_error(capsys, tmp_path):
+    assert main(["analyze", str(tmp_path / "absent.edges")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot read ")
+    assert "absent.edges" in captured.err and captured.out == ""
+
+
+def test_non_utf8_file_is_an_input_error(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "latin1.edges"
+    path.write_bytes("caf\xe9 b\n".encode("latin-1"))
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path} is not UTF-8 text\n"
+    # standard input decodes undecodable bytes to lone surrogates
+    monkeypatch.setattr(sys, "stdin", io.StringIO("caf\udce9 b\n"))
+    assert main(["analyze", "-"]) == 2
+    assert capsys.readouterr().err == "error: stdin is not UTF-8 text\n"
+
+
 # ---------------------------------------------------------------------------
 # ideal / shelling / type / deconstruct
 # ---------------------------------------------------------------------------
@@ -128,6 +148,24 @@ def test_shelling_command(capsys, p6_file):
     report = run_json(capsys, ["shelling", p6_file, "--json"])
     assert report["check"]["ok"] is True
     assert len(report["facets"]) == 3
+
+
+def test_ideal_rejects_unknown_subset_vertex(capsys, p6_file):
+    assert main(["ideal", p6_file, "--subset", "0,zz"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --subset names unknown vertices: 'zz'\n"
+    assert captured.out == ""
+
+
+def test_ideal_rejects_empty_subset(capsys, p6_file):
+    # an empty --subset used to mean "all vertices"
+    for subset in ("", "0,,1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["ideal", p6_file, "--subset", subset])
+        assert exc.value.code == 2
+        assert "error: argument --subset: expected comma-separated vertex labels" in (
+            capsys.readouterr().err
+        )
 
 
 def test_shelling_rejects_mixed(capsys, p4_file):
@@ -181,6 +219,15 @@ def test_generate_rejects_negative_steps(tmp_path, capsys):
         main(["generate", "--steps", "-1", "--out", str(tmp_path / "g")])
     assert exc.value.code == 2
     assert "--steps: must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+def test_generate_rejects_negative_count(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--count", "-1", "--json", "--out", str(tmp_path / "g")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--count: must be at least 0" in captured.err and captured.out == ""
     assert not (tmp_path / "g").exists()
 
 

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import deconstruct_by_rebuilds, generate_by_apply_o, replay_by_apply_o
 from totaldom.construct import (
     KIND_LEAF,
     ConstructionTrace,
     TraceStep,
+    _peel,
     apply_o,
     base_tree,
     deconstruct,
@@ -16,7 +18,7 @@ from totaldom.construct import (
     suspension,
 )
 from totaldom.domination import is_unmixed_bruteforce
-from totaldom.errors import MixedTreeError
+from totaldom.errors import MixedTreeError, TheoremViolation
 from totaldom.graphs import (
     Tree,
     canonical_form,
@@ -26,7 +28,7 @@ from totaldom.graphs import (
     path_graph,
     star_graph,
 )
-from totaldom.treegen import Lcg64, random_tree
+from totaldom.treegen import Lcg64, random_tree, trees_up_to
 from totaldom.unmixed import characterize_balanced_unmixed, is_unmixed_fast
 
 
@@ -265,3 +267,94 @@ def test_fresh_labels_avoid_collisions():
     sigma = suspension(t)
     assert sigma.graph.n == 6
     assert len(set(sigma.graph.labels)) == 6
+
+
+# ---------------------------------------------------------------------------
+# incremental growth and peeling against whole-tree rebuilds
+# ---------------------------------------------------------------------------
+
+GRID_STEPS = (0, 1, 5, 30, 150)
+
+
+@pytest.fixture(scope="module")
+def grid():
+    """(seed, steps, reference tree, reference trace) over seeds 0..39."""
+    return [
+        (seed, steps, *generate_by_apply_o(seed, steps))
+        for seed in range(40)
+        for steps in GRID_STEPS
+    ]
+
+
+def test_generate_and_replay_match_apply_o_loop(grid):
+    for seed, steps, want, want_trace in grid:
+        t, trace = generate(seed, steps)
+        assert (t.graph.labels, t.graph.adj) == (want.graph.labels, want.graph.adj)
+        assert trace.to_json() == want_trace.to_json()
+        again = replay(trace).graph
+        assert (again.labels, again.adj) == (want.graph.labels, want.graph.adj)
+        if steps <= 30:
+            assert replay_by_apply_o(trace).graph == again
+
+
+def test_replay_errors_match_apply_o_loop():
+    # a kind that does not match the height, and a label not yet drawn
+    grown = generate(3, 6)[1].steps
+    for step in (TraceStep(attach="2", kind=KIND_LEAF), TraceStep(attach="w99", kind=KIND_LEAF)):
+        bad = ConstructionTrace(steps=grown + (step,))
+        with pytest.raises((ValueError, KeyError)) as want:
+            replay_by_apply_o(bad)
+        with pytest.raises(want.type) as got:
+            replay(bad)
+        assert str(got.value) == str(want.value)
+
+
+def test_deconstruct_matches_rebuild_peeling(grid):
+    rng = Lcg64(17)
+    for seed, steps, t, _ in grid:
+        assert deconstruct(t).to_json() == deconstruct_by_rebuilds(t).to_json()
+        if steps == 30 and seed % 4 == 0:
+            # shuffled labels and extra leaves at random supports
+            labels = list(t.graph.labels)
+            order = sorted(labels, key=lambda _: rng.next_u32())
+            rename = {v: f"x{rng.randrange(1000)}_{w}" for v, w in zip(labels, order)}
+            edges = [(rename[a], rename[b]) for a, b in t.graph.edges()]
+            supports = [rename[v] for v in classify_vertices(t).supports]
+            edges += [(supports[rng.randrange(len(supports))], f"e{k}") for k in range(3)]
+            other = Tree.from_edges(edges)
+            assert deconstruct(other).to_json() == deconstruct_by_rebuilds(other).to_json()
+
+
+def _outcome(fn, t):
+    try:
+        return fn(t).to_json()
+    except Exception as exc:  # the exception type and message are compared
+        return type(exc), str(exc)
+
+
+def test_deconstruct_outcomes_match_on_all_small_trees():
+    # every tree on at most 11 vertices: traces, and on the rest the same
+    # exception type and message
+    traced = 0
+    for t in trees_up_to(11):
+        got = _outcome(deconstruct, t)
+        assert got == _outcome(deconstruct_by_rebuilds, t)
+        traced += isinstance(got, str)
+    assert traced > 0
+
+
+def test_peel_checks_that_heights_stay_exact():
+    # neither tree is balanced, so deconstruct never peels them; the check
+    # must stop a peel that would leave the carried heights stale
+    p8 = path_graph(7)  # 4-vertex whisker at "4" would leave "4" a leaf
+    # "r" has height 3 through two 3-vertex whiskers and neighbors "x0",
+    # "y0" at height 4; after the first whisker, peeling the second would
+    # leave "r" no neighbor at height 2
+    spider = Tree.from_edges(
+        [(c, f"{c}2") for c in "ab"] + [(f"{c}2", f"{c}3") for c in "ab"]
+        + [(f"{x}{i}", f"{x}{i + 1}") for x in "xy" for i in range(5)]
+        + [("r", c) for c in ("a", "b", "x0", "y0")]
+    )
+    for t, attach in ((p8, "'4'"), (spider, "'r'")):
+        with pytest.raises(TheoremViolation, match=f"whisker peeled at {attach} would change"):
+            _peel(t)

@@ -5,12 +5,13 @@ import itertools
 import networkx as nx
 import pytest
 
-from oracles import heights_by_vertex_search, isomorphic_by_backtracking
+from oracles import ahu_recursive, heights_by_vertex_search, isomorphic_by_backtracking
 from totaldom.errors import EdgeListParseError, NotAForestError, NotATreeError
 from totaldom.graphs import (
     Forest,
     Graph,
     Tree,
+    _ahu,
     branch,
     canonical_form,
     classify_vertices,
@@ -23,6 +24,8 @@ from totaldom.graphs import (
     star_graph,
     two_coloring,
 )
+from totaldom.treegen import Lcg64, random_tree, trees_up_to
+from totaldom.unmixed import interior_graphs
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -244,3 +247,82 @@ def test_forest_canonical_component_order():
     f1 = Forest.from_edges([("a", "b"), ("x", "y"), ("y", "z")])
     f2 = Forest.from_edges([("p", "q"), ("q", "r"), ("m", "n")])
     assert canonical_form(f1) == canonical_form(f2)
+
+
+# ---------------------------------------------------------------------------
+# near-linear building blocks
+# ---------------------------------------------------------------------------
+
+def test_iterative_ahu_matches_recursive():
+    # every root, and every (root, excluded neighbor) split as at a central edge
+    count = 0
+    for t in trees_up_to(9):
+        adj = [list(nb) for nb in t.graph.adj]
+        for r in range(len(adj)):
+            assert _ahu(adj, r, -1) == ahu_recursive(adj, r, -1)
+            for p in adj[r]:
+                assert _ahu(adj, r, p) == ahu_recursive(adj, r, p)
+            count += 1
+    assert count == sum(t.graph.n for t in trees_up_to(9))
+
+
+def test_canonical_form_of_long_path():
+    # 10^4 vertices, far beyond the default recursion limit; bicentral, so
+    # the code is "E" plus the two equal halves (nested 5000 deep)
+    n = 10_000
+    half = "(" * (n // 2) + ")" * (n // 2)
+    assert canonical_form(path_graph(n - 1)) == "[E" + half + half + "]"
+    labels = [f"p{(i * 7919) % n}" for i in range(n)]
+    shuffled = Tree.from_edges(zip(labels, labels[1:]))
+    assert is_isomorphic(shuffled, path_graph(n - 1))
+
+
+def test_canonical_form_of_long_caterpillar():
+    # 9001-vertex spine in shuffled label order with a leg at every 9th
+    # spine vertex: 10^4 vertices
+    spine = [f"c{(i * 7919) % 9001}" for i in range(9001)]
+    legs = [(v, f"{v}x") for v in spine[9:-1:9]]
+    t = Tree.from_edges(list(zip(spine, spine[1:])) + legs)
+    assert t.graph.n == 10_000
+    rename = {v: f"r{i}" for i, v in enumerate(reversed(t.graph.labels))}
+    relabeled = Tree.from_edges((rename[a], rename[b]) for a, b in t.graph.edges())
+    assert canonical_form(relabeled) == canonical_form(t)
+    moved = Tree.from_edges(list(zip(spine, spine[1:])) + legs[1:] + [(spine[10], "extra")])
+    assert canonical_form(moved) != canonical_form(t)
+
+
+def test_component_trees_and_interiors_never_scan_all_edges(monkeypatch):
+    # induced subgraphs come from the kept vertices' own adjacency; a scan
+    # of the whole edge list per component made both quadratic
+    def refuse(self):
+        raise AssertionError("Graph.edges was called")
+
+    corpus = [random_tree(Lcg64(seed), 300) for seed in range(3)] + list(trees_up_to(7))
+    monkeypatch.setattr(Graph, "edges", refuse)
+    for t in corpus:
+        for side in (interior_graphs(t).blue, interior_graphs(t).red):
+            for comp in side.component_trees():
+                assert set(comp.graph.labels) <= set(side.labels)
+
+
+def test_induced_matches_edge_filter():
+    t = random_tree(Lcg64(5), 60)
+    g = t.graph
+    for k in range(0, 60, 7):
+        keep = g.labels[k:] + ("isolated",)
+        want = Graph(keep, [(a, b) for a, b in g.edges() if a in keep and b in keep])
+        got = g.induced(keep)
+        assert (got.labels, got.index, got.adj) == (want.labels, want.index, want.adj)
+
+
+def test_lazy_masks_match_eager_formula(trees8):
+    # fresh graphs: the session's shared trees may have built theirs already
+    graphs = [Graph(t.graph.labels, t.graph.edges()) for t in trees8]
+    graphs.append(random_tree(Lcg64(1), 50).graph)
+    graphs.append(graphs[-1].induced(graphs[-1].labels[::2]))
+    for g in graphs:
+        assert g._masks is None
+        assert g.masks == tuple(sum(1 << j for j in nb) for nb in g.adj)
+        assert g.masks is g.masks
+        for v in g.labels:
+            assert g.masks[g.index[v]] == g.mask_of(g.neighbors(v))

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import statistics
+import time
+
 import pytest
 
 from totaldom.domination import is_unmixed_bruteforce, minimal_s_td_sets
@@ -284,3 +287,25 @@ def test_rd_unmixedness_decides(trees10):
         col = two_coloring(t, balanced_blue_even=True)
         rd = minimal_rd_sets(t, col)
         assert rd.is_unmixed() == is_unmixed_fast(t).unmixed
+
+
+# ---------------------------------------------------------------------------
+# scaling of the polynomial test
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["prufer", "path"])
+def test_is_unmixed_fast_scales_near_linearly(kind):
+    # ten times the vertices: a linear test takes about ten times as long,
+    # one rescanning the whole graph per interior component about 100 times
+    def make(n):
+        return random_tree(Lcg64(2024), n) if kind == "prufer" else path_graph(n - 1)
+
+    trees = (make(2000), make(20000))
+    times = ([], [])
+    for _ in range(3):  # interleaved, so a drift in machine speed hits both
+        for t, runs in zip(trees, times):
+            start = time.perf_counter()
+            is_unmixed_fast(t)
+            runs.append(time.perf_counter() - start)
+    ratio = statistics.median(times[1]) / statistics.median(times[0])
+    assert ratio < 30, f"n=20000 took {ratio:.1f} times as long as n=2000"
