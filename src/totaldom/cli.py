@@ -24,6 +24,7 @@ a theorem error, reported as "error: ..." on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -46,7 +47,7 @@ from .graphs import (
     two_coloring,
 )
 from .ideals import decompose_squarefree, open_neighborhood_ideal
-from .unmixed import interior_graphs, is_balanced, is_unmixed_fast, mixedness_witness
+from .unmixed import interior_graphs, is_balanced, is_unmixed_fast
 from .verify import run_suite
 
 SCHEMA = "wtd-report/1"
@@ -122,11 +123,9 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
         }
 
     t1 = time.monotonic()
-    cap_hit = False
     try:
         family = minimal_td_sets(g, cap=cap)
     except EnumerationCapExceeded:
-        cap_hit = True
         family = None
     if family is None:
         report["minimal_td_sets"] = {"cap_exceeded": True}
@@ -173,8 +172,8 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
         }
         cert = is_unmixed_fast(tree)
         cert_dict = cert.to_json_dict()
-        if not cert.unmixed and with_witness and not cap_hit:
-            witness = mixedness_witness(tree, cap=cap)
+        if not cert.unmixed and with_witness and family is not None:
+            witness = family.witness()
             if witness is not None:
                 cert_dict["witness"] = [list(w) for w in witness]
         if family is not None:
@@ -402,8 +401,12 @@ def cmd_verify(args) -> int:
     results = run_suite(max_n=args.max_n, seed=args.seed, samples=args.samples)
     for r in results:
         print(r.line())
-    failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    failed = sum(not r.passed for r in results)
+    vacuous = sum(r.vacuous for r in results)
+    summary = f"{len(results) - failed - vacuous}/{len(results)} checks passed"
+    if vacuous:
+        summary += f", {vacuous} vacuous (0 cases)"
+    print(summary)
     return 1 if failed else 0
 
 
@@ -439,7 +442,9 @@ def _add_common(p, max_sets=True):
                        help="cap on enumerated set families (error when exceeded)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="totaldom", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -481,10 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("verify", help="run the oracle cross-check suite")
-    p.add_argument("--max-n", type=int, default=8,
+    p.add_argument("--max-n", type=_int_at_least(0), default=8,
                    help="exhaustive tree size bound (default 8)")
     p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--samples", type=int, default=150,
+    p.add_argument("--samples", type=_int_at_least(0), default=150,
                    help="random large-tree samples for the characterization check")
     p.set_defaults(func=cmd_verify)
 

@@ -3,8 +3,8 @@
 A set D totally dominates a target S when N(D) covers S, so the minimal
 S-TD-sets are exactly the minimal transversals of the open-neighborhood
 hypergraph {N(v) : v in S}. The transversal engine below (Berge
-multiplication with minimality pruning) is also reused by the ideal and
-complex modules.
+multiplication with exact private-hitter pruning) is also reused by the
+ideal and complex modules.
 """
 
 from __future__ import annotations
@@ -20,7 +20,11 @@ from .graphs import VertexSet, _graph_of, vset
 # ---------------------------------------------------------------------------
 
 def _minimalize_masks(masks) -> list[int]:
-    """Inclusion-minimal members, smallest-popcount first."""
+    """Inclusion-minimal members, smallest-popcount first.
+
+    The filter of the all-pairs reference Berge round in ``tests/oracles.py``;
+    ``perfbench/tracer.py`` also looks it up by name.
+    """
     uniq = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
     kept: list[int] = []
     for m in uniq:
@@ -35,6 +39,13 @@ def minimal_transversal_masks(edges: list[int], cap: int | None = None) -> list[
     An empty hyperedge kills every transversal; no hyperedges leaves only the
     empty set. ``cap`` bounds the working family size and raises
     EnumerationCapExceeded rather than truncating.
+
+    Each Berge round keeps the members of the family F that hit the new edge
+    e and extends each member t that misses it by every b in e. F is an
+    antichain, so no member that hits e is dominated, and no extension t|b
+    is dominated by another extension. An extension t|b is dominated exactly
+    by a member h with h & e == b and h - b inside t, so each extension is
+    tested only against the members that meet e in b alone.
     """
     if any(e == 0 for e in edges):
         return []
@@ -44,12 +55,25 @@ def minimal_transversal_masks(edges: list[int], cap: int | None = None) -> list[
         miss = []
         for t in family:
             (hit if t & e else miss).append(t)
-        cands = list(hit)
-        bits = [1 << i for i in range(e.bit_length()) if e >> i & 1]
-        for t in miss:
-            for b in bits:
-                cands.append(t | b)
-        family = _minimalize_masks(cands)
+        if not miss:
+            continue
+        private: dict[int, list[int]] = {}
+        for h in hit:
+            b = h & e
+            if b & (b - 1) == 0:
+                private.setdefault(b, []).append(h ^ b)
+        family = hit
+        for i in range(e.bit_length()):
+            if not e >> i & 1:
+                continue
+            b = 1 << i
+            rests = private.get(b)
+            if rests is None:
+                family.extend([t | b for t in miss])
+            else:
+                family.extend([
+                    t | b for t in miss if not any(r & t == r for r in rests)
+                ])
         if cap is not None and len(family) > cap:
             raise EnumerationCapExceeded(
                 f"transversal family grew past cap={cap}"
@@ -180,6 +204,15 @@ class MinimalSetFamily:
 
     def is_unmixed(self) -> bool:
         return len(self.sizes()) <= 1
+
+    def witness(self) -> tuple[VertexSet, VertexSet] | None:
+        """Two members of different sizes, or None when every member has one
+        size: the lexicographically first of the smallest size and the
+        lexicographically last of the largest size."""
+        if self.is_unmixed():
+            return None
+        by_size = sorted(self.sets, key=lambda s: (len(s), s))
+        return by_size[0], by_size[-1]
 
 
 def minimal_s_td_sets(g, s, cap: int | None = None) -> MinimalSetFamily:

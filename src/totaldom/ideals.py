@@ -98,7 +98,8 @@ class Monomial:
 
 
 def _grlex_key(m: Monomial, variables: tuple[str, ...]):
-    vec = tuple(-m.exponent(v) for v in variables)
+    exps = dict(m.exps)
+    vec = tuple(-exps.get(v, 0) for v in variables)
     return (m.degree, vec)
 
 

@@ -207,12 +207,7 @@ def mixedness_witness(t: Tree, cap: int | None = None):
     Found by enumeration, so this is the concrete refutation object backing a
     "mixed" verdict at desk scale.
     """
-    family = minimal_td_sets(t, cap=cap)
-    if family.is_unmixed():
-        return None
-    smallest = min(family.sets, key=lambda s: (len(s), s))
-    largest = max(family.sets, key=lambda s: (len(s), s))
-    return (smallest, largest)
+    return minimal_td_sets(t, cap=cap).witness()
 
 
 # ---------------------------------------------------------------------------

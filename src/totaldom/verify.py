@@ -46,8 +46,13 @@ class CheckResult:
     detail: str
     seconds: float
 
+    @property
+    def vacuous(self) -> bool:
+        """Passed without checking a single case."""
+        return self.passed and self.checked == 0
+
     def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
+        status = "FAIL" if not self.passed else "VACUOUS" if self.vacuous else "PASS"
         return f"[{status}] {self.name}: {self.detail} ({self.checked} cases, {self.seconds:.1f}s)"
 
 

@@ -7,7 +7,9 @@ frozen in the tests were computed with these.
 
 The last section keeps the earlier, straightforward versions of the
 near-linear polynomial paths (recursive AHU codes, whisker growth and
-peeling by whole-tree rebuilds) as references for differential tests.
+peeling by whole-tree rebuilds) and of the transversal engine (a Berge
+round that minimalizes every candidate against every other) as references
+for differential tests.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from totaldom.construct import (
     base_tree,
     leaf_normalize,
 )
-from totaldom.errors import MixedTreeError, TheoremViolation
+from totaldom.domination import _minimalize_masks
+from totaldom.errors import EnumerationCapExceeded, MixedTreeError, TheoremViolation
 from totaldom.graphs import Graph, Tree, branch, heights, is_isomorphic, vset
 from totaldom.treegen import Lcg64
 from totaldom.unmixed import characterize_balanced_unmixed
@@ -161,6 +164,46 @@ def ahu_recursive(adj, root: int, parent: int) -> str:
     """AHU code by plain recursion (depth bounded by the recursion limit)."""
     kids = sorted(ahu_recursive(adj, j, root) for j in adj[root] if j != parent)
     return "(" + "".join(kids) + ")"
+
+
+def berge_by_minimalize(edges: list[int], cap: int | None = None) -> list[int]:
+    """``domination.minimal_transversal_masks`` with each Berge round
+    filtered by ``_minimalize_masks`` over all candidates, members that hit
+    the new edge included; same edge order and cap checks."""
+    if any(e == 0 for e in edges):
+        return []
+    family = [0]
+    for e in sorted(set(edges), key=lambda m: (bin(m).count("1"), m)):
+        cands = [t for t in family if t & e]
+        bits = [1 << i for i in range(e.bit_length()) if e >> i & 1]
+        for t in family:
+            if not t & e:
+                cands.extend(t | b for b in bits)
+        family = _minimalize_masks(cands)
+        if cap is not None and len(family) > cap:
+            raise EnumerationCapExceeded(f"transversal family grew past cap={cap}")
+    return sorted(family)
+
+
+def minimal_transversals_by_subsets(edges: list[int]) -> list[int]:
+    """Minimal hitting sets of bitmask edges by checking every subset of
+    their union: a hitting set is minimal when no one-element-smaller
+    subset still hits every edge."""
+    union = 0
+    for e in edges:
+        union |= e
+    bits = [1 << i for i in range(union.bit_length()) if union >> i & 1]
+
+    def hits(m: int) -> bool:
+        return all(m & e for e in edges)
+
+    out = []
+    for k in range(len(bits) + 1):
+        for combo in combinations(bits, k):
+            m = sum(combo)
+            if hits(m) and not any(hits(m ^ b) for b in combo):
+                out.append(m)
+    return sorted(out)
 
 
 def generate_by_apply_o(seed: int, steps: int):

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from totaldom.cli import main
+import totaldom.cli as cli
+import totaldom.domination as domination
+from totaldom.cli import build_parser, main
 from totaldom.construct import ConstructionTrace, replay
 from totaldom.graphs import canonical_form, parse_graph, path_graph, render_edge_list
 
@@ -56,6 +58,37 @@ def test_analyze_p4_mixed(capsys, p4_file):
     assert report["unmixed"]["witness"] == [["s1", "s2", "u"], ["l1", "l2", "s1", "s2"]]
     assert report["shelling"] == {"applicable": False, "reason": "tree is mixed"}
     assert report["type"]["applicable"] is False
+
+
+def test_analyze_enumerates_td_sets_once_on_mixed_trees(capsys, p4_file, monkeypatch):
+    # the witness comes from the family already enumerated for the report
+    calls = []
+    original = domination.minimal_s_td_sets
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(domination, "minimal_s_td_sets", counted)
+    report = run_json(capsys, ["analyze", p4_file, "--json"])
+    assert report["unmixed"]["witness"] == [["s1", "s2", "u"], ["l1", "l2", "s1", "s2"]]
+    assert len(calls) == 1
+
+
+def test_analyze_witness_matches_mixedness_witness(capsys, monkeypatch, trees8):
+    from totaldom.unmixed import mixedness_witness
+
+    mixed = 0
+    for t in trees8:
+        witness = mixedness_witness(t)
+        monkeypatch.setattr("sys.stdin", io.StringIO(render_edge_list(t.graph)))
+        report = run_json(capsys, ["analyze", "-", "--json"])
+        if witness is None:
+            assert report["unmixed"].get("witness") is None
+        else:
+            mixed += 1
+            assert report["unmixed"]["witness"] == [list(w) for w in witness]
+    assert mixed > 10
 
 
 def test_analyze_empty_file(capsys, tmp_path):
@@ -249,6 +282,66 @@ def test_verify_quick_run(capsys):
     assert code == 0, out
     assert out.count("[PASS]") == 10
     assert "10/10 checks passed" in out
+
+
+def test_verify_marks_empty_checks_vacuous(capsys, monkeypatch):
+    from totaldom.verify import CheckResult
+
+    results = [
+        CheckResult("some", True, 3, "all agree", 0.04),
+        CheckResult("none", True, 0, "all agree", 0.0),
+    ]
+    monkeypatch.setattr(cli, "run_suite", lambda **kwargs: results)
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] some: all agree (3 cases, 0.0s)",
+        "[VACUOUS] none: all agree (0 cases, 0.0s)",
+        "1/2 checks passed, 1 vacuous (0 cases)",
+    ]
+
+    results.append(CheckResult("broken", False, 0, "boom", 0.0))
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "[FAIL] broken: boom (0 cases, 0.0s)",
+        "1/3 checks passed, 1 vacuous (0 cases)",
+    ]
+
+
+def test_verify_checks_without_cases_are_vacuous():
+    from totaldom.verify import check_characterization, check_decomposition, check_stanley_reisner
+
+    for result in (
+        check_characterization(max_n=0, samples=0),
+        check_decomposition(max_n=0),
+        check_stanley_reisner(max_n=0),
+    ):
+        assert result.passed and result.vacuous
+        assert result.line().startswith(f"[VACUOUS] {result.name}: ")
+
+
+@pytest.mark.parametrize("flag", ["--max-n", "--samples"])
+def test_verify_rejects_negative_sizes(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", flag, "-1"])
+    assert exc.value.code == 2
+    assert f"{flag}: must be at least 0" in capsys.readouterr().err
+
+
+def test_parser_is_built_once(capsys):
+    assert build_parser() is build_parser()
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and "Exit codes: 0 success" in helps[0]
+    # a usage error leaves the shared parser usable
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: path" in capsys.readouterr().err
+    assert build_parser().parse_args(["verify", "--max-n", "3"]).max_n == 3
 
 
 def test_verify_detects_injected_mutant(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from totaldom.domination import minimal_td_sets
 from totaldom.errors import AmbientMismatchError, NotSquareFreeError, TheoremViolation
 from totaldom.graphs import Graph, path_graph, star_graph
 from totaldom.ideals import (
+    _grlex_key,
     Monomial,
     MonomialIdeal,
     PrimeDecomposition,
@@ -372,3 +373,17 @@ def test_suspension_subdivision_edge_ideal_identity():
         lhs = edge_ideal(sigma)
         rhs = odd_open_neighborhood_ideal(subdivided)
         assert lhs == rhs
+
+
+def test_grlex_key_matches_per_variable_exponents(trees8):
+    # the key reads each exponent from one dict per monomial; it must equal
+    # the per-variable Monomial.exponent formula it replaced
+    ideals = [open_neighborhood_ideal(t.graph) for t in trees8]
+    for seed in range(12):
+        red = artinian_reduction(generate(seed, 4)[0])
+        ideals += [red.ideal, red.pure_powers]
+    assert any(m.degree > len(m.exps) for i in ideals for m in i.gens)
+    for ideal in ideals:
+        for m in ideal.gens:
+            want = (m.degree, tuple(-m.exponent(v) for v in ideal.variables))
+            assert _grlex_key(m, ideal.variables) == want
