@@ -11,11 +11,12 @@ forests to give the type of the full tree's open neighborhood ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import prod
 
 from .domination import MinimalSetFamily, minimal_s_td_sets
 from .errors import EnumerationCapExceeded, MixedTreeError, TheoremViolation
-from .graphs import Forest, Tree, VertexSet, heights, vset
+from .graphs import Forest, HeightMap, Tree, VertexSet, heights, vset
 from .ideals import (
     Monomial,
     MonomialIdeal,
@@ -23,7 +24,7 @@ from .ideals import (
     open_neighborhood_ideal,
     validate_decomposition,
 )
-from .unmixed import characterize_balanced_unmixed, interior_graphs, is_unmixed_fast
+from .unmixed import Analysis
 
 SOCLE_BOX_CAP = 10**7
 
@@ -53,17 +54,17 @@ class ArtinianReduction:
         return dict(self.substitution)
 
 
-def artinian_reduction(t: Tree) -> ArtinianReduction:
+def artinian_reduction(t: Tree | Analysis) -> ArtinianReduction:
     """Reduce the odd neighborhood ideal of an unmixed balanced tree."""
-    cert = characterize_balanced_unmixed(t)
-    if not cert.unmixed:
+    facts = Analysis.of(t)
+    if not facts.characterization.unmixed:
         raise MixedTreeError("reduction requires an unmixed balanced tree")
-    hmap = heights(t)
+    hmap = facts.heights
     h = hmap.graph_height()
-    g = t.graph
+    g = facts.forest.graph
 
     if h == 0:
-        v = t.graph.labels[0]
+        v = g.labels[0]
         ideal = MonomialIdeal.from_gens((v,), [Monomial.of(v)])
         return ArtinianReduction(
             height=0,
@@ -149,23 +150,10 @@ def socle_dimension(a) -> int:
     if box > SOCLE_BOX_CAP:
         raise EnumerationCapExceeded(f"socle box of size {box} exceeds {SOCLE_BOX_CAP}")
     count = 0
-    exps: list[int] = []
-
-    def rec(i: int):
-        nonlocal count
-        if i == len(variables):
-            m = Monomial.from_dict(dict(zip(variables, exps)))
-            if not ideal.contains(m) and all(
-                ideal.contains(m.times_var(v)) for v in variables
-            ):
-                count += 1
-            return
-        for e in range(bounds[variables[i]]):
-            exps.append(e)
-            rec(i + 1)
-            exps.pop()
-
-    rec(0)
+    for exps in product(*(range(bounds[v]) for v in variables)):
+        m = Monomial.from_dict(dict(zip(variables, exps)))
+        if not ideal.contains(m) and all(ideal.contains(m.times_var(v)) for v in variables):
+            count += 1
     return count
 
 
@@ -173,21 +161,21 @@ def socle_dimension(a) -> int:
 # Parametric decomposition
 # ---------------------------------------------------------------------------
 
-def minimal_v3_td_sets(f: Forest, cap: int | None = None) -> MinimalSetFamily:
+def minimal_v3_td_sets(f: Forest | Analysis, cap: int | None = None) -> MinimalSetFamily:
     """Minimal S-TD-sets with S the height-3 vertices of a balanced forest.
 
     With no height-3 vertices the empty set is the unique member; across
     components the family is the cross product of the component families.
     """
-    from .unmixed import is_balanced
-
-    if f.graph.n and not is_balanced(f):
+    facts = Analysis.of(f)
+    if facts.forest.graph.n and not facts.balanced:
         raise MixedTreeError("V3 domination targets are defined on balanced forests")
-    hmap = heights(f)
-    return minimal_s_td_sets(f, hmap.level(3), cap=cap)
+    return minimal_s_td_sets(facts.forest, facts.heights.level(3), cap=cap)
 
 
-def parametric_decomposition(a: ArtinianReduction, t: Tree | None = None) -> PrimeDecomposition:
+def parametric_decomposition(
+    a: ArtinianReduction, t: Tree | Analysis | None = None
+) -> PrimeDecomposition:
     """Express the reduced ideal as an intersection over minimal V3-TD-sets.
 
     Components are the variable primes of the V3-TD-sets shifted by the
@@ -199,8 +187,8 @@ def parametric_decomposition(a: ArtinianReduction, t: Tree | None = None) -> Pri
     if a.height < 3:
         supports = ((),)
     elif t is not None:
-        family = minimal_v3_td_sets(t)
-        supports = tuple(vset(a.substitution_map()[v] for v in d) for d in family)
+        subst = a.substitution_map()
+        supports = tuple(vset(subst[v] for v in d) for d in minimal_v3_td_sets(t))
     else:
         from .domination import minimal_transversals
 
@@ -217,8 +205,7 @@ def parametric_decomposition(a: ArtinianReduction, t: Tree | None = None) -> Pri
 # Type report
 # ---------------------------------------------------------------------------
 
-def _component_depth(t: Tree) -> int:
-    hmap = heights(t)
+def _component_depth(hmap: HeightMap) -> int:
     h = hmap.graph_height()
     n0 = len(hmap.level(0))
     if h == 0:
@@ -239,6 +226,9 @@ class TypeReport:
     red_family: MinimalSetFamily
     socle_blue: int
     socle_red: int
+    # the reduction of each interior component, in component order
+    blue_reductions: tuple[ArtinianReduction, ...] = ()
+    red_reductions: tuple[ArtinianReduction, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -254,30 +244,33 @@ class TypeReport:
         }
 
 
-def _forest_side(forest: Forest, cap: int | None):
-    """(V3 family, socle product, depth sum) for one interior forest."""
-    family = minimal_v3_td_sets(forest, cap=cap)
+def _forest_side(side: Analysis, cap: int | None):
+    """(V3 family, socle product, depth sum, reductions) for one interior forest."""
+    family = minimal_v3_td_sets(side, cap=cap)
     socle = 1
     depth = 0
-    for comp in forest.component_trees():
-        socle *= socle_dimension(artinian_reduction(comp))
-        depth += _component_depth(comp)
-    return family, socle, depth
+    reductions = []
+    for comp in side.components:
+        reduction = artinian_reduction(comp)
+        reductions.append(reduction)
+        socle *= socle_dimension(reduction)
+        depth += _component_depth(comp.heights)
+    return family, socle, depth, tuple(reductions)
 
 
-def cm_type(t: Tree, cap: int | None = None) -> TypeReport:
+def cm_type(t: Tree | Analysis, cap: int | None = None) -> TypeReport:
     """Cohen-Macaulay type of the open neighborhood ideal of an unmixed tree.
 
     The counting route (minimal V3-TD-sets of the interiors, multiplied) and
     the socle oracle (box enumeration per component, multiplied) must agree;
     disagreement is escalated rather than reported.
     """
-    cert = is_unmixed_fast(t)
-    if not cert.unmixed:
+    facts = Analysis.of(t)
+    if not facts.certificate.unmixed:
         raise MixedTreeError("type is defined for unmixed trees only")
-    interiors = interior_graphs(t)
-    blue_family, socle_blue, depth_blue = _forest_side(interiors.blue, cap)
-    red_family, socle_red, depth_red = _forest_side(interiors.red, cap)
+    blue, red = facts.sides
+    blue_family, socle_blue, depth_blue, blue_reductions = _forest_side(blue, cap)
+    red_family, socle_red, depth_red, red_reductions = _forest_side(red, cap)
     m_blue, m_red = len(blue_family), len(red_family)
     if (m_blue, m_red) != (socle_blue, socle_red):
         raise TheoremViolation(
@@ -295,4 +288,6 @@ def cm_type(t: Tree, cap: int | None = None) -> TypeReport:
         red_family=red_family,
         socle_blue=socle_blue,
         socle_red=socle_red,
+        blue_reductions=blue_reductions,
+        red_reductions=red_reductions,
     )

@@ -30,7 +30,7 @@ import json
 import sys
 import time
 
-from .algebra import artinian_reduction, cm_type, parametric_decomposition
+from .algebra import cm_type, parametric_decomposition
 from .complexes import stable_shelling
 from .construct import deconstruct, generate
 from .domination import minimal_td_sets
@@ -40,14 +40,11 @@ from .graphs import (
     Graph,
     Tree,
     canonical_form,
-    classify_vertices,
-    heights,
     parse_graph,
     render_edge_list,
-    two_coloring,
 )
 from .ideals import decompose_squarefree, open_neighborhood_ideal
-from .unmixed import interior_graphs, is_balanced, is_unmixed_fast
+from .unmixed import Analysis, interior_graphs, is_balanced, is_unmixed_fast
 from .verify import run_suite
 
 SCHEMA = "wtd-report/1"
@@ -107,13 +104,15 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
     report["tree"] = tree is not None
     clocks = {}
 
-    if forest is not None:
-        hmap = heights(forest)
-        cls = classify_vertices(forest)
-        col = two_coloring(forest)
+    # one analysis per request: each fact below is computed once and shared
+    facts = Analysis(forest) if forest is not None else None
+    if facts is not None:
+        hmap = facts.heights
+        cls = facts.classification
+        col = facts.coloring
         report["heights"] = {v: h for v, h in hmap.items()}
         report["height"] = hmap.graph_height()
-        report["balanced"] = is_balanced(forest, col)
+        report["balanced"] = is_balanced(facts)
         report["coloring"] = {"blue": list(col.blue), "red": list(col.red)}
         report["classification"] = {
             "leaves": list(cls.leaves),
@@ -124,7 +123,7 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
 
     t1 = time.monotonic()
     try:
-        family = minimal_td_sets(g, cap=cap)
+        family = facts.td_family(cap) if facts is not None else minimal_td_sets(g, cap=cap)
     except EnumerationCapExceeded:
         family = None
     if family is None:
@@ -157,7 +156,7 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
     clocks["ideal"] = time.monotonic() - t1
 
     if tree is not None:
-        interiors = interior_graphs(tree)
+        interiors = interior_graphs(facts)
         report["interiors"] = {
             "blue": {
                 "vertices": list(interiors.blue.labels),
@@ -170,7 +169,7 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
                 "deleted": list(interiors.deleted_for_red),
             },
         }
-        cert = is_unmixed_fast(tree)
+        cert = is_unmixed_fast(facts)
         cert_dict = cert.to_json_dict()
         if not cert.unmixed and with_witness and family is not None:
             witness = family.witness()
@@ -188,7 +187,7 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
         if cert.unmixed:
             t1 = time.monotonic()
             try:
-                order = stable_shelling(tree, cap=cap)
+                order = stable_shelling(facts, cap=cap)
                 report["shelling"] = {
                     "applicable": True,
                     "facets": [list(f) for f in order.facets],
@@ -199,7 +198,7 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
             clocks["shelling"] = time.monotonic() - t1
             t1 = time.monotonic()
             try:
-                report["type"] = {"applicable": True} | cm_type(tree, cap=cap).to_json_dict()
+                report["type"] = {"applicable": True} | cm_type(facts, cap=cap).to_json_dict()
             except EnumerationCapExceeded:
                 report["type"] = {"applicable": False, "reason": "enumeration cap exceeded"}
             clocks["type"] = time.monotonic() - t1
@@ -322,20 +321,20 @@ def cmd_shelling(args) -> int:
 
 def cmd_type(args) -> int:
     g = _read_graph(args.path)
-    tree = Tree(g)
-    report = {"schema": SCHEMA, "input": {"digest": _digest(g)}} | cm_type(
-        tree, cap=args.max_sets
-    ).to_json_dict()
+    facts = Analysis(Tree(g))
+    type_report = cm_type(facts, cap=args.max_sets)
+    report = {"schema": SCHEMA, "input": {"digest": _digest(g)}} | type_report.to_json_dict()
     if args.reduction:
-        interiors = interior_graphs(tree)
         sides = {}
-        for name, forest in (("blue", interiors.blue), ("red", interiors.red)):
+        for name, side, reductions in (
+            ("blue", facts.sides[0], type_report.blue_reductions),
+            ("red", facts.sides[1], type_report.red_reductions),
+        ):
             comps = []
-            for comp in forest.component_trees():
-                red = artinian_reduction(comp)
+            for comp, red in zip(side.components, reductions):
                 pdec = parametric_decomposition(red, comp)
                 comps.append({
-                    "vertices": list(comp.graph.labels),
+                    "vertices": list(comp.forest.labels),
                     "ideal": red.ideal.render(),
                     "pure_powers": red.pure_powers.render(),
                     "parametric_components": [list(s) for s in pdec.supports],

@@ -20,14 +20,9 @@ from .errors import (
     NotBalancedError,
     TheoremViolation,
 )
-from .graphs import Forest, Tree, VertexSet, _graph_of, heights, vset
+from .graphs import Forest, Tree, VertexSet, _graph_of, vset
 from .ideals import Monomial, MonomialIdeal
-from .unmixed import (
-    characterize_balanced_unmixed,
-    interior_graphs,
-    is_balanced,
-    is_unmixed_fast,
-)
+from .unmixed import Analysis
 
 
 @dataclass(frozen=True)
@@ -101,13 +96,14 @@ def stable_complex(g, cap: int | None = None) -> SimplicialComplex:
     return SimplicialComplex.from_facets(g.labels, facets)
 
 
-def even_stable_complex(t: Forest, cap: int | None = None) -> SimplicialComplex:
+def even_stable_complex(t: Forest | Analysis, cap: int | None = None) -> SimplicialComplex:
     """Complements of the minimal odd-TD-sets inside the even-height vertices."""
-    if not is_balanced(t):
+    facts = Analysis.of(t)
+    if not facts.balanced:
         raise NotBalancedError("even-stable complex requires a balanced tree/forest")
-    hmap = heights(t)
+    hmap = facts.heights
     even = hmap.even()
-    family = minimal_s_td_sets(t, hmap.odd(), cap=cap)
+    family = minimal_s_td_sets(facts.forest, hmap.odd(), cap=cap)
     facets = [vset(set(even) - set(d)) for d in family]
     return SimplicialComplex.from_facets(even, facets)
 
@@ -321,14 +317,14 @@ class FacetLabeling:
         return tuple(len(r) for r in self.rows)
 
 
-def facet_labeling(t: Tree) -> FacetLabeling:
-    cert = characterize_balanced_unmixed(t)
-    if not cert.unmixed:
+def facet_labeling(t: Tree | Analysis) -> FacetLabeling:
+    facts = Analysis.of(t)
+    if not facts.characterization.unmixed:
         raise MixedTreeError("facet vectors require an unmixed balanced tree")
-    hmap = heights(t)
+    hmap = facts.heights
     if hmap.graph_height() != 3:
         raise ValueError("facet vectors are defined for height-3 trees")
-    g = t.graph
+    g = facts.forest.graph
     v0 = set(hmap.level(0))
     v2 = set(hmap.level(2))
     supports = hmap.level(1)
@@ -390,10 +386,11 @@ class ShellingOrder:
         }
 
 
-def shelling_order(t: Tree, cap: int | None = None) -> ShellingOrder:
+def shelling_order(t: Tree | Analysis, cap: int | None = None) -> ShellingOrder:
     """The facet-vector order on the even-stable complex of a height-3 tree."""
-    labeling = facet_labeling(t)
-    complex_ = even_stable_complex(t, cap=cap)
+    facts = Analysis.of(t)
+    labeling = facet_labeling(facts)
+    complex_ = even_stable_complex(facts, cap=cap)
     even = complex_.ground
     tagged = sorted(
         ((facet_vector(labeling, even, f), f) for f in complex_.facets),
@@ -407,23 +404,23 @@ def shelling_order(t: Tree, cap: int | None = None) -> ShellingOrder:
     return ShellingOrder(ground=even, facets=facets, vectors=vectors, check=check)
 
 
-def _component_order(t: Tree, cap: int | None = None) -> tuple[tuple[str, ...], list[VertexSet]]:
+def _component_order(c: Analysis, cap: int | None = None) -> tuple[tuple[str, ...], list[VertexSet]]:
     """Ordered even-stable facets of one unmixed balanced component."""
-    h = heights(t).graph_height()
+    h = c.heights.graph_height()
     if h <= 1:
-        comp = even_stable_complex(t, cap=cap)
+        comp = even_stable_complex(c, cap=cap)
         return comp.ground, sorted(comp.facets)
     if h == 3:
-        order = shelling_order(t, cap=cap)
+        order = shelling_order(c, cap=cap)
         return order.ground, list(order.facets)
     raise MixedTreeError(f"balanced component of height {h} cannot be unmixed")
 
 
-def _composed_order(components, cap: int | None = None) -> ShellingOrder:
+def _composed_order(components: tuple[Analysis, ...], cap: int | None = None) -> ShellingOrder:
     grounds: list[str] = []
     orders = []
-    for t in components:
-        ground, facets = _component_order(t, cap=cap)
+    for c in components:
+        ground, facets = _component_order(c, cap=cap)
         grounds.extend(ground)
         orders.append(facets)
     facets = [vset(sum(parts, ())) for parts in product(*orders)]
@@ -436,31 +433,30 @@ def _composed_order(components, cap: int | None = None) -> ShellingOrder:
     )
 
 
-def even_stable_shelling(f: Forest, cap: int | None = None) -> ShellingOrder:
+def even_stable_shelling(f: Forest | Analysis, cap: int | None = None) -> ShellingOrder:
     """Shelling of the even-stable complex of an unmixed balanced forest."""
-    components = f.component_trees()
-    for t in components:
-        cert = characterize_balanced_unmixed(t)
-        if not cert.unmixed:
+    components = Analysis.of(f).components
+    for c in components:
+        if not c.characterization.unmixed:
             raise MixedTreeError("even-stable shelling requires an unmixed forest")
     return _composed_order(components, cap=cap)
 
 
-def stable_shelling(t: Tree, cap: int | None = None) -> ShellingOrder:
+def stable_shelling(t: Tree | Analysis, cap: int | None = None) -> ShellingOrder:
     """Shelling of the stable complex of an unmixed tree.
 
     Composes the interior forests' component orders across the join; the
-    resulting facet family equals the facets of the stable complex, which is
-    asserted before returning.
+    resulting facet family equals the facets of the stable complex, the
+    complements of the minimal TD-sets, which is asserted before returning.
     """
-    cert = is_unmixed_fast(t)
-    if not cert.unmixed:
+    facts = Analysis.of(t)
+    if not facts.certificate.unmixed:
         raise MixedTreeError("stable-complex shelling requires an unmixed tree")
-    interiors = interior_graphs(t)
-    components = interiors.blue.component_trees() + interiors.red.component_trees()
-    order = _composed_order(components, cap=cap)
-    direct = stable_complex(t, cap=cap)
-    if set(order.facets) != set(direct.facets):
+    blue, red = facts.sides
+    order = _composed_order(blue.components + red.components, cap=cap)
+    verts = set(facts.forest.labels)
+    direct = {vset(verts - set(d)) for d in facts.td_family(cap)}
+    if set(order.facets) != direct:
         raise TheoremViolation(
             "join of interior even-stable complexes does not match the stable complex"
         )

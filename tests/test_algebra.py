@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from totaldom.algebra import (
@@ -273,3 +275,18 @@ def test_dim_of_odd_quotient():
         odd_family = minimal_s_td_sets(t, hmap.odd())
         sizes = odd_family.sizes()
         assert sizes == (len(hmap.level(2)),)
+
+
+def test_socle_dimension_leaves_no_cyclic_garbage():
+    # the box walk must free its monomials by reference counting alone
+    red = artinian_reduction(paper_labeled_tree())
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert socle_dimension(red) == 2
+        found = gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert found == 0

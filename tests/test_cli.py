@@ -75,6 +75,44 @@ def test_analyze_enumerates_td_sets_once_on_mixed_trees(capsys, p4_file, monkeyp
     assert len(calls) == 1
 
 
+def test_analyze_shares_one_analysis_on_unmixed_trees(capsys, tmp_path, monkeypatch):
+    # shelling and type read the facts the report already computed: one
+    # fast test, one interior split, one component check per interior
+    # component and one enumeration of the full TD family
+    import totaldom.unmixed as unmixed
+    from totaldom.construct import generate
+
+    t, _ = generate(1, 5)
+    path = tmp_path / "whisker.edges"
+    path.write_text(render_edge_list(t.graph))
+    calls = {"is_unmixed_fast": 0, "interior_graphs": 0, "_check_component": 0}
+    for name in calls:
+        original = getattr(unmixed, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in [m for n, m in sys.modules.items() if n.startswith("totaldom")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    full_targets = []
+    original_s = domination.minimal_s_td_sets
+
+    def counted_s(g, s, *args, **kwargs):
+        if tuple(sorted(s)) == t.graph.labels:
+            full_targets.append(s)
+        return original_s(g, s, *args, **kwargs)
+
+    monkeypatch.setattr(domination, "minimal_s_td_sets", counted_s)
+    report = run_json(capsys, ["analyze", str(path), "--json"])
+    assert report["height"] == 3 and report["unmixed"]["unmixed"] is True
+    assert report["shelling"]["verified"] is True and report["type"]["applicable"]
+    assert calls["is_unmixed_fast"] <= 1 and calls["interior_graphs"] <= 1
+    assert calls["_check_component"] == len(report["unmixed"]["checks"]) == 5
+    assert len(full_targets) == 1
+
+
 def test_analyze_witness_matches_mixedness_witness(capsys, monkeypatch, trees8):
     from totaldom.unmixed import mixedness_witness
 
