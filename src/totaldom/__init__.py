@@ -14,7 +14,6 @@ from .algebra import (
     artinian_reduction,
     cm_type,
     minimal_v3_td_sets,
-    odd_open_neighborhood_ideal,
     parametric_decomposition,
     socle_dimension,
 )
@@ -22,9 +21,7 @@ from .complexes import (
     FacetLabeling,
     ShellingOrder,
     SimplicialComplex,
-    brute_force_shellable,
     even_stable_complex,
-    even_stable_shelling,
     facet_labeling,
     facet_vector,
     join,
@@ -47,19 +44,13 @@ from .construct import (
     suspension,
 )
 from .domination import (
-    DominationSelector,
     MinimalSetFamily,
-    NeighborhoodHypergraph,
-    domination_selector,
     is_minimal_set,
     is_s_td_set,
-    is_td_set,
     is_unmixed_bruteforce,
     minimal_s_td_sets,
     minimal_td_sets,
     minimal_transversals,
-    neighborhood_hypergraph,
-    open_neighborhood,
 )
 from .errors import (
     AmbientMismatchError,
@@ -87,7 +78,6 @@ from .graphs import (
     is_isomorphic,
     parse_graph,
     path_graph,
-    radar,
     render_edge_list,
     star_graph,
     two_coloring,
@@ -97,7 +87,6 @@ from .ideals import (
     MonomialIdeal,
     PrimeDecomposition,
     decompose_squarefree,
-    edge_ideal,
     minimalize,
     open_neighborhood_ideal,
 )
@@ -110,8 +99,6 @@ from .unmixed import (
     interior_graphs,
     is_balanced,
     is_unmixed_fast,
-    minimal_bd_sets,
-    minimal_rd_sets,
     mixedness_witness,
 )
 

@@ -16,28 +16,16 @@ from math import prod
 
 from .domination import MinimalSetFamily, minimal_s_td_sets
 from .errors import EnumerationCapExceeded, MixedTreeError, TheoremViolation
-from .graphs import Forest, HeightMap, Tree, VertexSet, heights, vset
+from .graphs import Forest, HeightMap, Tree, VertexSet, vset
 from .ideals import (
     Monomial,
     MonomialIdeal,
     PrimeDecomposition,
-    open_neighborhood_ideal,
     validate_decomposition,
 )
 from .unmixed import Analysis
 
 SOCLE_BOX_CAP = 10**7
-
-
-def odd_open_neighborhood_ideal(f: Forest, *, variables=None) -> MonomialIdeal:
-    """Neighborhood ideal targeted at the odd-height vertices.
-
-    Ambient defaults to the even-height vertices, matching the quotient ring
-    the reduction lives in; pass ``variables`` to embed elsewhere.
-    """
-    hmap = heights(f)
-    ambient = hmap.even() if variables is None else variables
-    return open_neighborhood_ideal(f.graph, hmap.odd(), variables=ambient)
 
 
 @dataclass(frozen=True)
@@ -173,10 +161,9 @@ def minimal_v3_td_sets(f: Forest | Analysis, cap: int | None = None) -> MinimalS
     return minimal_s_td_sets(facts.forest, facts.heights.level(3), cap=cap)
 
 
-def parametric_decomposition(
-    a: ArtinianReduction, t: Tree | Analysis | None = None
-) -> PrimeDecomposition:
-    """Express the reduced ideal as an intersection over minimal V3-TD-sets.
+def parametric_decomposition(a: ArtinianReduction, t: Tree | Analysis) -> PrimeDecomposition:
+    """Express the reduced ideal ``a`` of ``t`` as an intersection over the
+    minimal V3-TD-sets of ``t``.
 
     Components are the variable primes of the V3-TD-sets shifted by the
     shared pure-power ideal; ``validate_decomposition`` checks irredundancy
@@ -186,14 +173,9 @@ def parametric_decomposition(
     supports: tuple[VertexSet, ...]
     if a.height < 3:
         supports = ((),)
-    elif t is not None:
+    else:
         subst = a.substitution_map()
         supports = tuple(vset(subst[v] for v in d) for d in minimal_v3_td_sets(t))
-    else:
-        from .domination import minimal_transversals
-
-        non_pure = [m for m in a.ideal.gens if len(m.exps) > 1]
-        supports = minimal_transversals([m.support for m in non_pure])
     dec = PrimeDecomposition(
         variables=a.variables, supports=tuple(sorted(supports)), pure_powers=a.pure_powers
     )

@@ -17,8 +17,9 @@ blank lines ignored; "-" reads from stdin. All reports are integer-exact;
 --json emits the versioned wtd-report/1 schema with every set sorted.
 
 Exit codes: 0 success; 1 a failed verify check; 2 bad input (usage, an
-unreadable or non-UTF-8 file, an unknown vertex, a malformed edge list) or
-a theorem error, reported as "error: ..." on stderr.
+unreadable or non-UTF-8 file, an unknown vertex, a malformed edge list, an
+unwritable output directory) or a theorem error, reported as "error: ..."
+on stderr.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .graphs import (
     canonical_form,
     parse_graph,
     render_edge_list,
+    vset,
 )
 from .ideals import decompose_squarefree, open_neighborhood_ideal
 from .unmixed import Analysis, interior_graphs, is_balanced, is_unmixed_fast
@@ -281,7 +283,7 @@ def cmd_ideal(args) -> int:
     report: dict = {
         "schema": SCHEMA,
         "input": {"digest": _digest(g)},
-        "target": sorted(target) if target else list(g.labels),
+        "target": list(vset(target) if target else g.labels),
         "generators": [m.render() for m in ideal.gens],
     }
     if ideal.is_unit:
@@ -371,22 +373,25 @@ def cmd_generate(args) -> int:
     import pathlib
 
     outdir = pathlib.Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     manifest = []
-    for i in range(args.count):
-        t, trace = generate(args.seed + i, args.steps)
-        tree_path = outdir / f"tree_{i:03d}.edges"
-        trace_path = outdir / f"trace_{i:03d}.json"
-        tree_path.write_text(render_edge_list(t.graph), encoding="utf-8")
-        trace_path.write_text(trace.to_json(), encoding="utf-8")
-        manifest.append({
-            "seed": args.seed + i,
-            "steps": len(trace),
-            "vertices": t.graph.n,
-            "tree": tree_path.name,
-            "trace": trace_path.name,
-            "canonical": canonical_form(t),
-        })
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for i in range(args.count):
+            t, trace = generate(args.seed + i, args.steps)
+            tree_path = outdir / f"tree_{i:03d}.edges"
+            trace_path = outdir / f"trace_{i:03d}.json"
+            tree_path.write_text(render_edge_list(t.graph), encoding="utf-8")
+            trace_path.write_text(trace.to_json(), encoding="utf-8")
+            manifest.append({
+                "seed": args.seed + i,
+                "steps": len(trace),
+                "vertices": t.graph.n,
+                "tree": tree_path.name,
+                "trace": trace_path.name,
+                "canonical": canonical_form(t),
+            })
+    except OSError as exc:
+        raise InputError(f"cannot write {exc.filename or outdir}: {exc.strerror or exc}") from exc
     payload = {"schema": SCHEMA, "trees": manifest}
     if args.json:
         print(json.dumps(payload, indent=2))

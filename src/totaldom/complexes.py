@@ -4,8 +4,7 @@ Facets live over an explicit ground set. The stable complex of a graph has
 the complements of its minimal TD-sets as facets; for a balanced tree the
 even-stable complex plays the same role with the odd-height vertices as the
 domination target. Shellings are verified against both forms of the
-codimension-one condition, and a backtracking search provides the
-shellability oracle for small complexes.
+codimension-one condition.
 """
 
 from __future__ import annotations
@@ -14,12 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .domination import minimal_s_td_sets, minimal_td_sets, minimal_transversal_masks
-from .errors import (
-    EnumerationCapExceeded,
-    MixedTreeError,
-    NotBalancedError,
-    TheoremViolation,
-)
+from .errors import MixedTreeError, NotBalancedError, TheoremViolation
 from .graphs import Forest, Tree, VertexSet, _graph_of, vset
 from .ideals import Monomial, MonomialIdeal
 from .unmixed import Analysis
@@ -51,10 +45,6 @@ class SimplicialComplex:
         ]
         return cls(ground=ground, facets=tuple(maximal))
 
-    @classmethod
-    def void(cls, ground) -> SimplicialComplex:
-        return cls(ground=vset(ground), facets=())
-
     @property
     def is_void(self) -> bool:
         return not self.facets
@@ -70,18 +60,9 @@ class SimplicialComplex:
     def is_pure(self) -> bool:
         return len({len(f) for f in self.facets}) <= 1
 
-    def facet_masks(self) -> list[int]:
-        pos = {v: i for i, v in enumerate(self.ground)}
-        return [sum(1 << pos[v] for v in f) for f in self.facets]
-
     def has_face(self, face) -> bool:
         fs = set(face)
         return any(fs <= set(f) for f in self.facets)
-
-    def render(self) -> str:
-        lines = [" ".join(self.ground)]
-        lines += [" ".join(f) if f else "-" for f in self.facets]
-        return "\n".join(lines) + "\n"
 
     def __repr__(self):
         return f"SimplicialComplex({len(self.ground)} vertices, {len(self.facets)} facets)"
@@ -246,56 +227,6 @@ def verify_shelling(d: SimplicialComplex, order) -> ShellingCheck:
     )
 
 
-def brute_force_shellable(d: SimplicialComplex, max_facets: int = 12):
-    """Backtracking search for any shelling order; None when none exists.
-
-    Whether a facet can extend a prefix depends only on the prefix as a set,
-    so dead prefix sets are memoized.
-    """
-    if len(d.facets) > max_facets:
-        raise EnumerationCapExceeded(
-            f"{len(d.facets)} facets exceeds the search cap {max_facets}"
-        )
-    if not d.is_pure:
-        return None
-    m = len(d.facets)
-    if m <= 1:
-        return tuple(d.facets)
-    masks = d.facet_masks()
-    size = len(d.facets[0])
-    full = (1 << m) - 1
-    dead: set[int] = set()
-    order: list[int] = []
-
-    def can_append(used: list[int], f: int) -> bool:
-        good = [masks[k] for k in used if bin(masks[k] & f).count("1") == size - 1]
-        for i in used:
-            fi = masks[i]
-            if not any((f & ~gk) & ~fi for gk in good):
-                return False
-        return True
-
-    def dfs(used_bits: int) -> bool:
-        if used_bits == full:
-            return True
-        if used_bits in dead:
-            return False
-        for idx in range(m):
-            if used_bits >> idx & 1:
-                continue
-            if can_append(order, masks[idx]):
-                order.append(idx)
-                if dfs(used_bits | 1 << idx):
-                    return True
-                order.pop()
-        dead.add(used_bits)
-        return False
-
-    if dfs(0):
-        return tuple(d.facets[i] for i in order)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Facet vectors and the explicit shelling order
 # ---------------------------------------------------------------------------
@@ -311,10 +242,6 @@ class FacetLabeling:
 
     supports: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
-
-    @property
-    def bounds(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.rows)
 
 
 def facet_labeling(t: Tree | Analysis) -> FacetLabeling:
@@ -352,11 +279,6 @@ def facet_vector(labeling: FacetLabeling, even: VertexSet, facet) -> tuple[int, 
     return tuple(vec)
 
 
-def vector_facet(labeling: FacetLabeling, even: VertexSet, vec) -> VertexSet:
-    dropped = {labeling.rows[i][a - 1] for i, a in enumerate(vec)}
-    return vset(set(even) - dropped)
-
-
 def ones_count(vec) -> int:
     return sum(1 for a in vec if a == 1)
 
@@ -372,9 +294,6 @@ class ShellingOrder:
     facets: tuple[VertexSet, ...]
     vectors: tuple[tuple[int, ...], ...] | None
     check: ShellingCheck
-
-    def complex(self) -> SimplicialComplex:
-        return SimplicialComplex.from_facets(self.ground, self.facets)
 
     def to_json_dict(self) -> dict:
         return {
@@ -431,15 +350,6 @@ def _composed_order(components: tuple[Analysis, ...], cap: int | None = None) ->
     return ShellingOrder(
         ground=vset(grounds), facets=tuple(facets), vectors=None, check=check
     )
-
-
-def even_stable_shelling(f: Forest | Analysis, cap: int | None = None) -> ShellingOrder:
-    """Shelling of the even-stable complex of an unmixed balanced forest."""
-    components = Analysis.of(f).components
-    for c in components:
-        if not c.characterization.unmixed:
-            raise MixedTreeError("even-stable shelling requires an unmixed forest")
-    return _composed_order(components, cap=cap)
 
 
 def stable_shelling(t: Tree | Analysis, cap: int | None = None) -> ShellingOrder:

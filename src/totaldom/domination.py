@@ -1,4 +1,4 @@
-"""Total domination: S-TD-sets, minimality, selectors, and enumeration.
+"""Total domination: S-TD-sets, minimality, and enumeration.
 
 A set D totally dominates a target S when N(D) covers S, so the minimal
 S-TD-sets are exactly the minimal transversals of the open-neighborhood
@@ -93,44 +93,13 @@ def minimal_transversals(sets, cap: int | None = None) -> tuple[tuple, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Neighborhood hypergraphs and S-TD-sets
+# S-TD-sets
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NeighborhoodHypergraph:
-    """The deduplicated family {N(v) : v in S} with witness vertices."""
-
-    target: VertexSet
-    edges: tuple[VertexSet, ...]
-    witnesses: tuple[tuple[VertexSet, VertexSet], ...]  # edge -> the v's owning it
-
-
-def neighborhood_hypergraph(g, s) -> NeighborhoodHypergraph:
-    g = _graph_of(g)
-    target = vset(s)
-    by_edge: dict[VertexSet, list[str]] = {}
-    for v in target:
-        edge = g.neighbors(v)
-        by_edge.setdefault(edge, []).append(v)
-    edges = tuple(sorted(by_edge))
-    wit = tuple((e, vset(by_edge[e])) for e in edges)
-    return NeighborhoodHypergraph(target=target, edges=edges, witnesses=wit)
-
-
-def open_neighborhood(g, s) -> VertexSet:
-    g = _graph_of(g)
-    return g.labels_of(g.neighborhood_mask(g.mask_of(s)))
-
 
 def is_s_td_set(g, d, s) -> bool:
     g = _graph_of(g)
     nd = g.neighborhood_mask(g.mask_of(d))
     return g.mask_of(s) & ~nd == 0
-
-
-def is_td_set(g, d) -> bool:
-    g = _graph_of(g)
-    return is_s_td_set(g, d, g.labels)
 
 
 def is_minimal_set(g, d) -> bool:
@@ -152,36 +121,6 @@ def is_minimal_set(g, d) -> bool:
             if hit and hit & (hit - 1) == 0:
                 witnessed |= hit
     return witnessed == dmask
-
-
-@dataclass(frozen=True)
-class DominationSelector:
-    """Injective choice of a private witness for each member of a minimal set."""
-
-    assignment: tuple[tuple[str, str], ...]
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.assignment)
-
-
-def domination_selector(g, d) -> DominationSelector | None:
-    """The lexicographically smallest valid selector, or None if not minimal."""
-    g = _graph_of(g)
-    dmask = g.mask_of(d)
-    nd = g.neighborhood_mask(dmask)
-    masks = g.masks
-    chosen: dict[str, str] = {}
-    for v in vset(d):
-        vbit = 1 << g.index[v]
-        pick = None
-        for i in range(g.n):
-            if nd >> i & 1 and masks[i] & dmask == vbit:
-                pick = g.labels[i]
-                break
-        if pick is None:
-            return None
-        chosen[v] = pick
-    return DominationSelector(tuple(sorted(chosen.items())))
 
 
 # ---------------------------------------------------------------------------

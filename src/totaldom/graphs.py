@@ -14,7 +14,6 @@ from .errors import (
     EdgeListParseError,
     NotAForestError,
     NotATreeError,
-    NotBalancedError,
 )
 
 VertexSet = tuple[str, ...]
@@ -79,9 +78,6 @@ class Graph:
     def n(self) -> int:
         return len(self.labels)
 
-    def vertex_set(self) -> VertexSet:
-        return self.labels
-
     def edges(self) -> tuple[tuple[str, str], ...]:
         out = []
         for i, nb in enumerate(self.adj):
@@ -95,9 +91,6 @@ class Graph:
 
     def degree(self, v: str) -> int:
         return len(self.adj[self.index[v]])
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return self.index[b] in self.adj[self.index[a]]
 
     # -- bitmask helpers --------------------------------------------------
 
@@ -236,10 +229,6 @@ class Tree(Forest):
         if self.ncomponents != 1:
             raise NotATreeError(f"expected a tree, got {self.ncomponents} components")
 
-    @classmethod
-    def from_edges(cls, edges, extra_vertices=()) -> Tree:
-        return cls(Graph.from_edges(edges, extra_vertices))
-
     def __repr__(self):
         return f"Tree({self.graph.n} vertices)"
 
@@ -351,7 +340,7 @@ class Classification:
     isolated: VertexSet
 
 
-def classify_vertices(f: Forest, h: HeightMap | None = None) -> Classification:
+def classify_vertices(f: Forest) -> Classification:
     """Leaves by degree, supports by adjacency-to-leaf (not by height)."""
     g = f.graph
     leaves = [i for i, nb in enumerate(g.adj) if len(nb) == 1]
@@ -385,9 +374,6 @@ class Coloring:
     def color_of(self, v: str) -> str:
         return self._color[v]
 
-    def swapped(self) -> Coloring:
-        return Coloring(self.red, self.blue)
-
     def __eq__(self, other):
         return isinstance(other, Coloring) and (self.blue, self.red) == (other.blue, other.red)
 
@@ -395,16 +381,10 @@ class Coloring:
         return f"Coloring(blue={self.blue}, red={self.red})"
 
 
-def two_coloring(f: Forest, *, balanced_blue_even: bool = False, swap: bool = False) -> Coloring:
-    """Deterministic proper 2-coloring of a forest.
-
-    Default rule: in each component the lexicographically smallest label is
-    blue. With ``balanced_blue_even`` the even-height-is-blue convention is
-    applied instead (components must be balanced). ``swap`` inverts every
-    component's colors afterwards.
-    """
+def two_coloring(f: Forest) -> Coloring:
+    """Deterministic proper 2-coloring of a forest: in each component the
+    lexicographically smallest label is blue."""
     g = f.graph
-    hmap = heights(f) if balanced_blue_even else None
     adj, lab = g.adj, g.labels
     blue, red = [], []
     for comp in f.components():
@@ -418,36 +398,14 @@ def two_coloring(f: Forest, *, balanced_blue_even: bool = False, swap: bool = Fa
                 if j not in iside:
                     iside[j] = s
                     order.append(j)
-        side = {lab[i]: s for i, s in iside.items()}
-        if balanced_blue_even:
-            anchor = comp[0]
-            # flip so that even heights land on blue; valid only if balanced
-            want = 0 if hmap[anchor] % 2 == 0 else 1
-            if side[anchor] != want:
-                side = {v: 1 - s for v, s in side.items()}
-            for v in comp:
-                if (hmap[v] % 2 == 0) != (side[v] == 0):
-                    raise NotBalancedError(
-                        "even-height-blue convention requested on a "
-                        f"non-balanced component containing {v!r}"
-                    )
-        for v in comp:
-            (blue if side[v] == 0 else red).append(v)
-    col = Coloring(blue, red)
-    return col.swapped() if swap else col
+        for i, s in iside.items():
+            (blue if s == 0 else red).append(lab[i])
+    return Coloring(blue, red)
 
 
 # ---------------------------------------------------------------------------
-# Radar and branch
+# Branch
 # ---------------------------------------------------------------------------
-
-def radar(g, x: str, d: int) -> VertexSet:
-    """All vertices at distance exactly d from x."""
-    if d < 0:
-        raise ValueError("distance must be nonnegative")
-    dist = _graph_of(g).distances_from(x)
-    return vset(v for v, k in dist.items() if k == d)
-
 
 def branch(t: Forest, r: str, x: str) -> VertexSet:
     """Vertices y whose path to r passes through x (x included, r excluded

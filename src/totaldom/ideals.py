@@ -1,4 +1,4 @@
-"""Monomial ideals over named variables: open-neighborhood ideals and friends.
+"""Monomial ideals over named variables and open-neighborhood ideals.
 
 Only the combinatorial layer is modeled: an ideal is its unique minimal
 monomial generating set over an ambient variable list. Coefficients never
@@ -187,10 +187,6 @@ class MonomialIdeal:
         return f"MonomialIdeal<{self.render()}>"
 
 
-def ideal_sum(ideals) -> MonomialIdeal:
-    return reduce(lambda a, b: a.sum_with(b), ideals)
-
-
 def ideal_intersection(ideals) -> MonomialIdeal:
     return reduce(lambda a, b: a.intersect(b), ideals)
 
@@ -204,24 +200,17 @@ def variable_ideal(variables, subset) -> MonomialIdeal:
 # Graph-attached ideals
 # ---------------------------------------------------------------------------
 
-def open_neighborhood_ideal(g, s=None, *, variables=None) -> MonomialIdeal:
-    """The ideal generated by the neighborhood monomials of the vertices in S.
+def open_neighborhood_ideal(g, s=None) -> MonomialIdeal:
+    """The ideal generated by the neighborhood monomials of the vertices in S,
+    over all vertices of the graph.
 
     S defaults to all of V. An isolated vertex in S contributes the empty
-    product, i.e. the unit ideal. ``variables`` overrides the ambient set
-    (default: all vertices of the graph).
+    product, i.e. the unit ideal.
     """
     g = _graph_of(g)
     target = g.labels if s is None else vset(s)
-    ambient = g.labels if variables is None else vset(variables)
     gens = [Monomial.of(*g.neighbors(v)) for v in target]
-    return MonomialIdeal.from_gens(ambient, gens)
-
-
-def edge_ideal(g, *, variables=None) -> MonomialIdeal:
-    g = _graph_of(g)
-    ambient = g.labels if variables is None else vset(variables)
-    return MonomialIdeal.from_gens(ambient, [Monomial.of(a, b) for a, b in g.edges()])
+    return MonomialIdeal.from_gens(g.labels, gens)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domination import MinimalSetFamily, minimal_s_td_sets, minimal_td_sets
+from .domination import MinimalSetFamily, minimal_td_sets
 from .errors import EnumerationCapExceeded, NotBalancedError, TheoremViolation
 from .graphs import (
     Classification,
@@ -27,14 +27,14 @@ from .graphs import (
 )
 
 
-def is_balanced(f: Forest | Analysis, coloring: Coloring | None = None) -> bool:
+def is_balanced(f: Forest | Analysis) -> bool:
     """No two same-height vertices are adjacent, per component.
 
     The two equivalent criteria (same height implies same color, all leaves
     share one color) are evaluated as well and must agree; a disagreement
     would falsify the equivalence and is surfaced loudly.
     """
-    return Analysis.of(f, coloring).balanced
+    return Analysis.of(f).balanced
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,15 @@ class InteriorGraphs:
     coloring: Coloring
 
 
-def interior_graphs(t: Tree | Analysis, coloring: Coloring | None = None) -> InteriorGraphs:
-    """Both interior graphs of a tree under the given (default) 2-coloring.
+def interior_graphs(t: Tree | Analysis) -> InteriorGraphs:
+    """Both interior graphs of a tree under its analysis's 2-coloring (the
+    default one unless the Analysis was given another).
 
     "Support vertex" is read as adjacency-to-a-leaf, which differs from
     height 1 only on the 2-vertex tree. Every component of either side must
     come out balanced; anything else falsifies the interior lemma.
     """
-    return Analysis.of(t, coloring).interiors
+    return Analysis.of(t).interiors
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +98,6 @@ class UnmixedCertificate:
     unmixed: bool
     checks: tuple[ComponentCheck, ...]
     witness: tuple[VertexSet, VertexSet] | None = None
-
-    def failing(self) -> tuple[ComponentCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
 
     def to_json_dict(self) -> dict:
         return {
@@ -145,9 +143,9 @@ def characterize_balanced_unmixed(t: Tree | Analysis) -> UnmixedCertificate:
     return Analysis.of(t).characterization
 
 
-def is_unmixed_fast(t: Tree | Analysis, coloring: Coloring | None = None) -> UnmixedCertificate:
+def is_unmixed_fast(t: Tree | Analysis) -> UnmixedCertificate:
     """Polynomial-time unmixedness test for an arbitrary tree via interiors."""
-    return Analysis.of(t, coloring).certificate
+    return Analysis.of(t).certificate
 
 
 def mixedness_witness(t: Tree, cap: int | None = None):
@@ -194,8 +192,10 @@ class Analysis:
     they call take an Analysis wherever they take the tree (through
     ``Analysis.of``), so one request computes each fact once.
 
-    ``side`` is "blue" or "red" for an interior forest and its components
-    (it labels their component checks) and "self" otherwise.
+    ``coloring`` replaces the default ``two_coloring`` of the forest; this
+    is the one place a coloring enters. ``side`` is "blue" or "red" for an
+    interior forest and its components (it labels their component checks)
+    and "self" otherwise.
     """
 
     def __init__(self, forest: Forest, coloring: Coloring | None = None, side: str = "self"):
@@ -206,13 +206,9 @@ class Analysis:
         self._td_families: dict = {}
 
     @classmethod
-    def of(cls, t: Forest | Analysis, coloring: Coloring | None = None) -> Analysis:
+    def of(cls, t: Forest | Analysis) -> Analysis:
         """``t`` itself when it is an Analysis, else a new one of the forest ``t``."""
-        if not isinstance(t, Analysis):
-            return cls(t, coloring)
-        if coloring is not None:
-            raise ValueError("pass a coloring with a tree, not with its analysis")
-        return t
+        return t if isinstance(t, Analysis) else cls(t)
 
     @_fact
     def heights(self) -> HeightMap:
@@ -344,18 +340,3 @@ class Analysis:
         if isinstance(outcome, EnumerationCapExceeded):
             raise EnumerationCapExceeded(*outcome.args)
         return outcome
-
-
-# ---------------------------------------------------------------------------
-# RD/BD views (S-TD-sets targeted at one color class)
-# ---------------------------------------------------------------------------
-
-def minimal_rd_sets(t: Forest, coloring: Coloring | None = None, cap: int | None = None):
-    """Minimal sets dominating every red vertex (subsets of the blue class)."""
-    col = coloring if coloring is not None else two_coloring(t)
-    return minimal_s_td_sets(t, col.red, cap=cap)
-
-
-def minimal_bd_sets(t: Forest, coloring: Coloring | None = None, cap: int | None = None):
-    col = coloring if coloring is not None else two_coloring(t)
-    return minimal_s_td_sets(t, col.blue, cap=cap)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 from . import unmixed as unmixed_mod
 from .algebra import cm_type
@@ -21,7 +22,6 @@ from .complexes import (
     stable_shelling,
     stanley_reisner_complex,
     stanley_reisner_ideal,
-    verify_shelling,
 )
 from .construct import apply_o, deconstruct, edge_subdivision, generate, replay, suspension
 from .domination import is_unmixed_bruteforce, minimal_td_sets
@@ -92,7 +92,7 @@ def _double_star(a: int, b: int) -> Tree:
     return Tree.from_edges(edges)
 
 
-def unmixed_corpus(seed: int, count: int, facet_cap: int = 240):
+def unmixed_corpus(seed: int, count: int):
     """Seeded mix of unmixed trees: whisker-generated, stars, double stars,
     subdivided suspensions, and leaf-added variants."""
     rng = Lcg64(seed)
@@ -117,19 +117,11 @@ def unmixed_corpus(seed: int, count: int, facet_cap: int = 240):
                 supports = hmap.level(1)
                 t = apply_o(t, supports[rng.randrange(len(supports))])
         try:
-            family = minimal_td_sets(t, cap=facet_cap)
+            minimal_td_sets(t, cap=240)  # at most 240 sets, or it raises
         except EnumerationCapExceeded:
-            continue
-        if len(family) > facet_cap:
             continue
         out.append(t)
     return out[:count]
-
-
-def random_trees(seed: int, count: int, nmin: int, nmax: int):
-    rng = Lcg64(seed)
-    for _ in range(count):
-        yield random_tree(rng, nmin + rng.randrange(nmax - nmin + 1))
 
 
 def _spider(k: int) -> Tree:
@@ -189,20 +181,16 @@ def check_characterization(
     max_n: int = 10,
     seed: int = 20240,
     samples: int = 1000,
-    nmin: int = 11,
-    nmax: int = 16,
     extra_trees=(),
 ) -> CheckResult:
-    """Fast interior-graph test vs enumeration, exhaustive then sampled."""
+    """Fast interior-graph test vs enumeration, exhaustive then sampled
+    (random trees on 11 to 16 vertices)."""
     start = time.monotonic()
     failures = []
     checked = 0
-    corpus = list(trees_up_to(max_n)) + list(extra_trees)
-    for t in corpus:
-        checked += 1
-        if unmixed_mod.is_unmixed_fast(t).unmixed != is_unmixed_bruteforce(t):
-            failures.append(f"disagreement on {canonical_form(t)}")
-    for t in random_trees(seed, samples, nmin, nmax):
+    rng = Lcg64(seed)
+    sampled = (random_tree(rng, 11 + rng.randrange(6)) for _ in range(samples))
+    for t in chain(trees_up_to(max_n), extra_trees, sampled):
         checked += 1
         if unmixed_mod.is_unmixed_fast(t).unmixed != is_unmixed_bruteforce(t):
             failures.append(f"disagreement on {canonical_form(t)}")
@@ -245,14 +233,13 @@ def check_stanley_reisner(max_n: int = 9) -> CheckResult:
     return _result("stanley-reisner", start, failures, checked, "translation inverts")
 
 
-def check_vector_shelling(seed: int = 31337, count: int = 200, max_steps: int = 15) -> CheckResult:
+def check_vector_shelling(seed: int = 31337, count: int = 200) -> CheckResult:
     """The facet-vector order shells every generated balanced tree."""
     start = time.monotonic()
     failures = []
-    corpus = balanced_corpus(seed, count, max_steps=max_steps)
+    corpus = balanced_corpus(seed, count)
     for t, _ in corpus:
-        order = shelling_order(t)
-        check = verify_shelling(order.complex(), order.facets)
+        check = shelling_order(t).check
         if not (check.ok and check.reformulation_agrees):
             failures.append("vector order rejected")
     return _result("facet-vector-shelling", start, failures, len(corpus), "all orders shell")
@@ -264,8 +251,7 @@ def check_join_shelling(seed: int = 424242, count: int = 100) -> CheckResult:
     failures = []
     corpus = unmixed_corpus(seed, count)
     for t in corpus:
-        order = stable_shelling(t)
-        check = verify_shelling(order.complex(), order.facets)
+        check = stable_shelling(t).check
         if not (check.ok and check.reformulation_agrees):
             failures.append("join order rejected")
     return _result("join-shelling", start, failures, len(corpus), "all orders shell")
@@ -301,11 +287,11 @@ def check_type_agreement(seed: int = 99991, count: int = 100) -> CheckResult:
     return _result("cm-type-agreement", start, failures, len(corpus), "type == socle product")
 
 
-def check_roundtrip(seed: int = 777, count: int = 200, max_steps: int = 15) -> CheckResult:
+def check_roundtrip(seed: int = 777, count: int = 200) -> CheckResult:
     """replay(deconstruct(T)) is isomorphic to T on the generated corpus."""
     start = time.monotonic()
     failures = []
-    corpus = balanced_corpus(seed, count, max_steps=max_steps, facet_cap=10**6)
+    corpus = balanced_corpus(seed, count, facet_cap=10**6)
     for t, trace in corpus:
         rebuilt = replay(deconstruct(t))
         if canonical_form(rebuilt) != canonical_form(t):
@@ -328,11 +314,11 @@ def check_mixedness_theorems(seed: int = 5150, per_family: int = 25) -> CheckRes
     return _result("mixedness-theorems", start, failures, len(samples), "all mixed with witnesses")
 
 
-def check_generated_unmixed(seed: int = 31337, count: int = 60, max_steps: int = 12) -> CheckResult:
+def check_generated_unmixed(seed: int = 31337, count: int = 60) -> CheckResult:
     """Generated trees pass the characterization and (small ones) brute force."""
     start = time.monotonic()
     failures = []
-    corpus = balanced_corpus(seed, count, max_steps=max_steps)
+    corpus = balanced_corpus(seed, count, max_steps=12)
     for t, _ in corpus:
         cert = unmixed_mod.is_unmixed_fast(t)
         if not cert.unmixed:
@@ -342,24 +328,17 @@ def check_generated_unmixed(seed: int = 31337, count: int = 60, max_steps: int =
     return _result("generator-unmixedness", start, failures, len(corpus), "all generated trees unmixed")
 
 
-def run_suite(
-    max_n: int = 8,
-    seed: int = 12345,
-    samples: int = 150,
-    shelling_count: int = 50,
-    join_count: int = 30,
-    roundtrip_count: int = 50,
-) -> list[CheckResult]:
+def run_suite(max_n: int = 8, seed: int = 12345, samples: int = 150) -> list[CheckResult]:
     """The default verification sweep used by the CLI."""
     return [
         check_characterization(max_n=max_n, seed=seed, samples=samples),
         check_decomposition(max_n=max_n),
         check_stanley_reisner(max_n=min(max_n, 9)),
-        check_vector_shelling(seed=seed, count=shelling_count),
-        check_join_shelling(seed=seed, count=join_count),
-        check_join_theorem(seed=seed, count=join_count),
-        check_type_agreement(seed=seed, count=join_count),
-        check_roundtrip(seed=seed, count=roundtrip_count),
+        check_vector_shelling(seed=seed, count=50),
+        check_join_shelling(seed=seed, count=30),
+        check_join_theorem(seed=seed, count=30),
+        check_type_agreement(seed=seed, count=30),
+        check_roundtrip(seed=seed, count=50),
         check_mixedness_theorems(seed=seed, per_family=10),
         check_generated_unmixed(seed=seed, count=30),
     ]

@@ -5,6 +5,10 @@ forms: domination facts come from raw subset enumeration, isomorphism from
 permutation backtracking, heights from per-vertex searches. Expected values
 frozen in the tests were computed with these.
 
+The middle section holds second routes to objects the package computes
+(colorings, selectors, shellings, parametric supports, edge and odd
+neighborhood ideals) that the package itself does not need.
+
 The last section keeps the earlier, straightforward versions of the
 near-linear polynomial paths (recursive AHU codes, whisker growth and
 peeling by whole-tree rebuilds) and of the transversal engine (a Berge
@@ -14,8 +18,10 @@ for differential tests.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 
+from totaldom.complexes import SimplicialComplex, _composed_order
 from totaldom.construct import (
     _KIND_BY_HEIGHT,
     KIND_LEAF,
@@ -28,11 +34,12 @@ from totaldom.construct import (
     base_tree,
     leaf_normalize,
 )
-from totaldom.domination import _minimalize_masks
-from totaldom.errors import EnumerationCapExceeded, MixedTreeError, TheoremViolation
-from totaldom.graphs import Graph, Tree, branch, heights, is_isomorphic, vset
+from totaldom.domination import _minimalize_masks, minimal_transversals
+from totaldom.errors import EnumerationCapExceeded, MixedTreeError, NotBalancedError, TheoremViolation
+from totaldom.graphs import Coloring, Graph, Tree, _graph_of, branch, heights, is_isomorphic, vset
+from totaldom.ideals import Monomial, MonomialIdeal
 from totaldom.treegen import Lcg64
-from totaldom.unmixed import characterize_balanced_unmixed
+from totaldom.unmixed import Analysis, characterize_balanced_unmixed, is_balanced
 
 
 def neighborhood_by_scan(g: Graph, subset) -> tuple[str, ...]:
@@ -40,17 +47,6 @@ def neighborhood_by_scan(g: Graph, subset) -> tuple[str, ...]:
     for v in subset:
         out.update(g.neighbors(v))
     return vset(out)
-
-
-def td_sets_by_subsets(g: Graph, target=None) -> list[tuple[str, ...]]:
-    """All S-TD-sets by checking every one of the 2^n subsets."""
-    target = set(g.labels if target is None else target)
-    out = []
-    for k in range(g.n + 1):
-        for combo in combinations(g.labels, k):
-            if target <= set(neighborhood_by_scan(g, combo)):
-                out.append(vset(combo))
-    return out
 
 
 def minimal_td_sets_by_subsets(g: Graph, target=None) -> tuple[tuple[str, ...], ...]:
@@ -138,8 +134,6 @@ def isomorphic_by_backtracking(g1: Graph, g2: Graph) -> bool:
 def faces_by_divisibility(ideal) -> set[frozenset[str]]:
     """Stanley-Reisner faces of a square-free ideal, by definition."""
     ground = ideal.variables
-    from totaldom.ideals import Monomial
-
     out = set()
     for k in range(len(ground) + 1):
         for combo in combinations(ground, k):
@@ -154,6 +148,142 @@ def complex_faces(cx) -> set[frozenset[str]]:
         for k in range(len(f) + 1):
             out.update(frozenset(c) for c in combinations(f, k))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Second routes to the package's objects
+# ---------------------------------------------------------------------------
+
+def even_blue_coloring(f) -> Coloring:
+    """The 2-coloring with the even-height vertices blue.
+
+    On a balanced forest adjacent heights differ by exactly 1, so the height
+    parity classes are the color classes; other forests have no such coloring.
+    """
+    if not is_balanced(f):
+        raise NotBalancedError("even-height-blue convention requested on a non-balanced forest")
+    hmap = heights(f)
+    return Coloring(hmap.even(), hmap.odd())
+
+
+@dataclass(frozen=True)
+class DominationSelector:
+    """Injective choice of a private witness for each member of a minimal set."""
+
+    assignment: tuple[tuple[str, str], ...]
+
+    def as_dict(self) -> dict[str, str]:
+        return dict(self.assignment)
+
+
+def domination_selector(g, d) -> DominationSelector | None:
+    """The lexicographically smallest valid selector, or None if not minimal:
+    a second minimality test beside ``domination.is_minimal_set``."""
+    g = _graph_of(g)
+    dmask = g.mask_of(d)
+    nd = g.neighborhood_mask(dmask)
+    masks = g.masks
+    chosen: dict[str, str] = {}
+    for v in vset(d):
+        vbit = 1 << g.index[v]
+        pick = None
+        for i in range(g.n):
+            if nd >> i & 1 and masks[i] & dmask == vbit:
+                pick = g.labels[i]
+                break
+        if pick is None:
+            return None
+        chosen[v] = pick
+    return DominationSelector(tuple(sorted(chosen.items())))
+
+
+def brute_force_shellable(d: SimplicialComplex, max_facets: int = 12):
+    """Backtracking search for any shelling order; None when none exists.
+
+    Whether a facet can extend a prefix depends only on the prefix as a set,
+    so dead prefix sets are memoized.
+    """
+    if len(d.facets) > max_facets:
+        raise EnumerationCapExceeded(
+            f"{len(d.facets)} facets exceeds the search cap {max_facets}"
+        )
+    if not d.is_pure:
+        return None
+    m = len(d.facets)
+    if m <= 1:
+        return tuple(d.facets)
+    pos = {v: i for i, v in enumerate(d.ground)}
+    masks = [sum(1 << pos[v] for v in f) for f in d.facets]
+    size = len(d.facets[0])
+    full = (1 << m) - 1
+    dead: set[int] = set()
+    order: list[int] = []
+
+    def can_append(used: list[int], f: int) -> bool:
+        good = [masks[k] for k in used if bin(masks[k] & f).count("1") == size - 1]
+        for i in used:
+            fi = masks[i]
+            if not any((f & ~gk) & ~fi for gk in good):
+                return False
+        return True
+
+    def dfs(used_bits: int) -> bool:
+        if used_bits == full:
+            return True
+        if used_bits in dead:
+            return False
+        for idx in range(m):
+            if used_bits >> idx & 1:
+                continue
+            if can_append(order, masks[idx]):
+                order.append(idx)
+                if dfs(used_bits | 1 << idx):
+                    return True
+                order.pop()
+        dead.add(used_bits)
+        return False
+
+    if dfs(0):
+        return tuple(d.facets[i] for i in order)
+    return None
+
+
+def vector_facet(labeling, even, vec) -> tuple[str, ...]:
+    """Inverse of ``complexes.facet_vector``: the facet whose complement in
+    the even vertices picks entry a_i of row i."""
+    dropped = {labeling.rows[i][a - 1] for i, a in enumerate(vec)}
+    return vset(set(even) - dropped)
+
+
+def even_stable_shelling(f):
+    """Shelling of the even-stable complex of an unmixed balanced forest, by
+    the join composition ``stable_shelling`` applies to interior forests."""
+    components = Analysis(f).components
+    for c in components:
+        if not c.characterization.unmixed:
+            raise MixedTreeError("even-stable shelling requires an unmixed forest")
+    return _composed_order(components)
+
+
+def parametric_supports_from_ideal(a) -> tuple[tuple[str, ...], ...]:
+    """Supports of the parametric decomposition of a reduction, read off the
+    reduced ideal alone: the minimal transversals of the supports of its
+    generators that are not pure powers."""
+    non_pure = [m.support for m in a.ideal.gens if len(m.exps) > 1]
+    return tuple(sorted(minimal_transversals(non_pure)))
+
+
+def edge_ideal(g) -> MonomialIdeal:
+    """The ideal of the edge monomials x_a x_b, over all vertices."""
+    g = _graph_of(g)
+    return MonomialIdeal.from_gens(g.labels, [Monomial.of(a, b) for a, b in g.edges()])
+
+
+def odd_open_neighborhood_ideal(f, variables) -> MonomialIdeal:
+    """The neighborhood monomials of the odd-height vertices of a forest, over
+    ``variables``."""
+    gens = [Monomial.of(*f.graph.neighbors(v)) for v in heights(f).odd()]
+    return MonomialIdeal.from_gens(variables, gens)
 
 
 # ---------------------------------------------------------------------------

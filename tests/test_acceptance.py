@@ -73,7 +73,7 @@ def test_criterion_02_p4_mixedness(paper_p4):
 
 
 def test_criterion_03_characterization_oracle():
-    result = check_characterization(max_n=10, seed=20240, samples=1000, nmin=11, nmax=16)
+    result = check_characterization(max_n=10, seed=20240, samples=1000)
     ok = result.passed and result.seconds < 300 and result.checked >= 201 + 1000
     report(3, ok, f"{result.checked} trees, fast == brute force, {result.seconds:.1f}s (< 300s)")
 
@@ -108,7 +108,7 @@ def test_criterion_05_stanley_reisner():
 
 def test_criterion_06_shelling():
     start = time.monotonic()
-    vector = check_vector_shelling(seed=31337, count=200, max_steps=15)
+    vector = check_vector_shelling(seed=31337, count=200)
     joined = check_join_shelling(seed=424242, count=100)
     elapsed = time.monotonic() - start
     ok = (
@@ -155,7 +155,7 @@ def test_criterion_08_type_formula(fence_tree):
 
 
 def test_criterion_09_constructive_roundtrip():
-    result = check_roundtrip(seed=777, count=200, max_steps=15)
+    result = check_roundtrip(seed=777, count=200)
     seven, _ = generate(2026, 7)
     trace = deconstruct(seven)
     seven_ok = len(trace) == 7 and canonical_form(replay(trace)) == canonical_form(seven)

@@ -4,6 +4,7 @@ import gc
 
 import pytest
 
+from oracles import parametric_supports_from_ideal
 from totaldom.algebra import (
     artinian_reduction,
     cm_type,
@@ -16,8 +17,6 @@ from totaldom.domination import minimal_td_sets
 from totaldom.errors import EnumerationCapExceeded, MixedTreeError
 from totaldom.graphs import Forest, Tree, heights, path_graph, star_graph
 from totaldom.ideals import MonomialIdeal
-from totaldom.treegen import Lcg64
-from totaldom.unmixed import interior_graphs
 
 U123 = ("u1", "u2", "u3")
 PAPER_J = MonomialIdeal.parse("u1^4, u2^2, u3^3, u1*u2, u2*u3", U123)
@@ -141,14 +140,16 @@ def test_parametric_paper_example():
 
 
 def test_parametric_p6():
-    red = artinian_reduction(path_graph(6))
-    dec = parametric_decomposition(red)
+    t = path_graph(6)
+    red = artinian_reduction(t)
+    dec = parametric_decomposition(red, t)
     assert dec.supports == (("2",), ("4",))
 
 
 def test_parametric_height1_single_component():
-    red = artinian_reduction(star_graph(4))
-    dec = parametric_decomposition(red)
+    t = star_graph(4)
+    red = artinian_reduction(t)
+    dec = parametric_decomposition(red, t)
     assert dec.supports == ((),)
     assert dec.to_ideal() == red.ideal
 
@@ -157,7 +158,7 @@ def test_parametric_with_and_without_tree_agree():
     for seed in range(10):
         t, _ = generate(seed, 1 + seed % 6)
         red = artinian_reduction(t)
-        assert parametric_decomposition(red).supports == parametric_decomposition(red, t).supports
+        assert parametric_supports_from_ideal(red) == parametric_decomposition(red, t).supports
 
 
 # ---------------------------------------------------------------------------

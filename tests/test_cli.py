@@ -213,6 +213,8 @@ def test_ideal_subset(capsys, tmp_path):
     report = run_json(capsys, ["ideal", str(path), "--subset", "v2,v4,v6", "--json"])
     assert report["generators"] == ["v5", "v1*v3"]
     assert report["decomposition"]["components"] == [["v1", "v5"], ["v3", "v5"]]
+    # the target is reported as a sorted set, whatever order and repeats --subset has
+    assert run_json(capsys, ["ideal", str(path), "--subset", "v6,v2,v4,v2", "--json"]) == report
 
 
 def test_shelling_command(capsys, p6_file):
@@ -300,6 +302,17 @@ def test_generate_rejects_negative_count(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "--count: must be at least 0" in captured.err and captured.out == ""
     assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("under, reason", [("", "File exists"), ("sub", "Not a directory")])
+def test_generate_reports_unwritable_out(tmp_path, capsys, under, reason):
+    blocker = tmp_path / "f"
+    blocker.write_text("")
+    out = blocker / under if under else blocker
+    assert main(["generate", "--out", str(out), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: {reason}\n"
+    assert captured.out == ""
 
 
 def test_generated_outputs_analyze_unmixed(tmp_path, capsys):

@@ -4,12 +4,16 @@ from itertools import permutations
 
 import pytest
 
-from oracles import complex_faces, faces_by_divisibility
+from oracles import (
+    brute_force_shellable,
+    complex_faces,
+    even_stable_shelling,
+    faces_by_divisibility,
+    vector_facet,
+)
 from totaldom.complexes import (
     SimplicialComplex,
-    brute_force_shellable,
     even_stable_complex,
-    even_stable_shelling,
     facet_labeling,
     facet_vector,
     join,
@@ -20,7 +24,6 @@ from totaldom.complexes import (
     stable_shelling,
     stanley_reisner_complex,
     stanley_reisner_ideal,
-    vector_facet,
     verify_shelling,
 )
 from totaldom.construct import generate
@@ -273,7 +276,7 @@ def test_facet_vector_round_trip():
     sc = even_stable_complex(t)
     for f in sc.facets:
         vec = facet_vector(labeling, sc.ground, f)
-        assert all(1 <= a <= k for a, k in zip(vec, labeling.bounds))
+        assert all(1 <= a <= len(row) for a, row in zip(vec, labeling.rows))
         assert vector_facet(labeling, sc.ground, vec) == f
 
 
@@ -298,7 +301,7 @@ def test_entry_replacement_stays_facet():
         for i, a in enumerate(vec):
             if a == 1:
                 continue
-            for c in range(1, labeling.bounds[i] + 1):
+            for c in range(1, len(labeling.rows[i]) + 1):
                 replaced = vec.copy()
                 replaced[i] = c
                 assert vector_facet(labeling, sc.ground, tuple(replaced)) in facets

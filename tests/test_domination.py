@@ -5,21 +5,18 @@ from itertools import combinations
 import pytest
 
 from oracles import (
+    domination_selector,
     minimal_by_definition,
     minimal_td_sets_by_subsets,
     neighborhood_by_scan,
 )
 from totaldom.domination import (
-    domination_selector,
     is_minimal_set,
     is_s_td_set,
-    is_td_set,
     is_unmixed_bruteforce,
     minimal_s_td_sets,
     minimal_td_sets,
     minimal_transversals,
-    neighborhood_hypergraph,
-    open_neighborhood,
 )
 from totaldom.errors import EnumerationCapExceeded
 from totaldom.graphs import Graph, Tree, path_graph, star_graph, two_coloring
@@ -30,16 +27,20 @@ from totaldom.treegen import Lcg64, random_tree
 # open neighborhoods
 # ---------------------------------------------------------------------------
 
+def open_neighborhood(g, s):
+    return g.labels_of(g.neighborhood_mask(g.mask_of(s)))
+
+
 def test_open_neighborhood_paper_path(paper_p4):
-    assert open_neighborhood(paper_p4, ("s1", "s2", "u")) == ("l1", "l2", "s1", "s2", "u")
+    assert open_neighborhood(paper_p4.graph, ("s1", "s2", "u")) == ("l1", "l2", "s1", "s2", "u")
 
 
 def test_open_neighborhood_empty(paper_p4):
-    assert open_neighborhood(paper_p4, ()) == ()
+    assert open_neighborhood(paper_p4.graph, ()) == ()
 
 
 def test_open_neighborhood_p5(paper_p5):
-    assert open_neighborhood(paper_p5, ("v1", "v5")) == ("v2", "v4", "v6")
+    assert open_neighborhood(paper_p5.graph, ("v1", "v5")) == ("v2", "v4", "v6")
 
 
 def test_open_neighborhood_matches_scan(trees8):
@@ -47,7 +48,7 @@ def test_open_neighborhood_matches_scan(trees8):
         labs = t.graph.labels
         for size in (0, 1, len(labs) // 2):
             subset = labs[:size]
-            assert open_neighborhood(t, subset) == neighborhood_by_scan(t.graph, subset)
+            assert open_neighborhood(t.graph, subset) == neighborhood_by_scan(t.graph, subset)
 
 
 # ---------------------------------------------------------------------------
@@ -61,15 +62,15 @@ def test_is_s_td_set_p5(paper_p5):
 
 
 def test_is_td_set_paper_path(paper_p4):
-    assert is_td_set(paper_p4, ("s1", "s2", "u"))
-    assert not is_td_set(paper_p4, ("s1", "s2"))
+    assert is_s_td_set(paper_p4, ("s1", "s2", "u"), paper_p4.labels)
+    assert not is_s_td_set(paper_p4, ("s1", "s2"), paper_p4.labels)
 
 
 def test_isolated_vertex_blocks_td():
     g = Graph.from_edges([("a", "b")], extra_vertices=["w"])
     for k in range(4):
         for d in combinations(g.labels, k):
-            assert not is_td_set(g, d)
+            assert not is_s_td_set(g, d, g.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +214,9 @@ def test_s_family_matches_subset_oracle(trees8):
 
 
 def test_neighborhood_hypergraph_witnesses(paper_p4):
-    h = neighborhood_hypergraph(paper_p4, paper_p4.graph.labels)
-    assert ("s1",) in h.edges  # N(l1)
-    by_edge = dict(h.witnesses)
-    assert by_edge[("s1", "s2")] == ("u",)
+    g = paper_p4.graph
+    assert ("s1",) in {g.neighbors(v) for v in g.labels}  # N(l1)
+    assert tuple(v for v in g.labels if g.neighbors(v) == ("s1", "s2")) == ("u",)
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +229,10 @@ def test_superset_closure_of_td_sets():
         t = random_tree(rng, 4 + rng.randrange(9))
         labs = t.graph.labels
         d = tuple(v for v in labs if rng.randrange(2))
-        if not is_td_set(t, d):
+        if not is_s_td_set(t, d, t.labels):
             continue
         extra = tuple(set(d) | {labs[rng.randrange(len(labs))]})
-        assert is_td_set(t, extra)
+        assert is_s_td_set(t, extra, t.labels)
 
 
 def test_every_td_set_contains_a_minimal_one(trees8):
@@ -241,7 +241,7 @@ def test_every_td_set_contains_a_minimal_one(trees8):
         labs = t.graph.labels
         for k in range(len(labs) + 1):
             for d in combinations(labs, k):
-                if is_td_set(t, d):
+                if is_s_td_set(t, d, t.labels):
                     assert any(set(m) <= set(d) for m in family)
             if k > 4:
                 break

@@ -5,9 +5,15 @@ import itertools
 import networkx as nx
 import pytest
 
-from oracles import ahu_recursive, heights_by_vertex_search, isomorphic_by_backtracking
+from oracles import (
+    ahu_recursive,
+    even_blue_coloring,
+    heights_by_vertex_search,
+    isomorphic_by_backtracking,
+)
 from totaldom.errors import EdgeListParseError, NotAForestError, NotATreeError
 from totaldom.graphs import (
+    Coloring,
     Forest,
     Graph,
     Tree,
@@ -19,7 +25,6 @@ from totaldom.graphs import (
     is_isomorphic,
     parse_graph,
     path_graph,
-    radar,
     render_edge_list,
     star_graph,
     two_coloring,
@@ -162,26 +167,27 @@ def test_two_coloring_bipartition_of_path(paper_p4):
 
 
 def test_balanced_convention_p6():
-    col = two_coloring(path_graph(6), balanced_blue_even=True)
+    col = even_blue_coloring(path_graph(6))
     assert col.blue == ("0", "2", "4", "6")
     assert col.red == ("1", "3", "5")
 
 
 def test_swap_flag():
-    col = two_coloring(path_graph(6), balanced_blue_even=True, swap=True)
+    col = even_blue_coloring(path_graph(6))
+    col = Coloring(col.red, col.blue)
     assert col.red == ("0", "2", "4", "6")
 
 
 # ---------------------------------------------------------------------------
-# radar and branch
+# distances and branch
 # ---------------------------------------------------------------------------
 
 def test_radar_distance_zero():
-    assert radar(path_graph(6), "3", 0) == ("3",)
+    assert sorted(v for v, k in path_graph(6).graph.distances_from("3").items() if k == 0) == ["3"]
 
 
 def test_radar_p6():
-    assert radar(path_graph(6), "3", 2) == ("1", "5")
+    assert sorted(v for v, k in path_graph(6).graph.distances_from("3").items() if k == 2) == ["1", "5"]
 
 
 def test_branch_p6():

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import minimal_td_sets_by_subsets
+from oracles import edge_ideal, minimal_td_sets_by_subsets, odd_open_neighborhood_ideal
 from totaldom.algebra import artinian_reduction, parametric_decomposition
 from totaldom.construct import generate
 from totaldom.domination import minimal_td_sets
@@ -16,8 +16,6 @@ from totaldom.ideals import (
     MonomialIdeal,
     PrimeDecomposition,
     decompose_squarefree,
-    edge_ideal,
-    ideal_sum,
     minimalize,
     open_neighborhood_ideal,
     validate_decomposition,
@@ -326,7 +324,6 @@ def test_decomposition_never_reexpands(monkeypatch):
 
 def test_three_ideal_sum_on_unmixed_trees(fence_tree):
     # N(T) = N_odd(T_B) + N_odd(T_R) + <supports> for unmixed trees
-    from totaldom.algebra import odd_open_neighborhood_ideal
     from totaldom.graphs import classify_vertices
     from totaldom.unmixed import interior_graphs, is_unmixed_fast
 
@@ -340,12 +337,10 @@ def test_three_ideal_sum_on_unmixed_trees(fence_tree):
         assert is_unmixed_fast(t).unmixed
         ambient = t.graph.labels
         interiors = interior_graphs(t)
-        total = ideal_sum(
-            [
-                odd_open_neighborhood_ideal(interiors.blue, variables=ambient),
-                odd_open_neighborhood_ideal(interiors.red, variables=ambient),
-                variable_ideal(ambient, classify_vertices(t).supports),
-            ]
+        total = (
+            odd_open_neighborhood_ideal(interiors.blue, ambient)
+            .sum_with(odd_open_neighborhood_ideal(interiors.red, ambient))
+            .sum_with(variable_ideal(ambient, classify_vertices(t).supports))
         )
         assert total == open_neighborhood_ideal(t)
 
@@ -361,9 +356,8 @@ def test_fence_tree_generators_match_frozen(fence_tree):
 def test_suspension_subdivision_edge_ideal_identity():
     # the edge ideal of a suspended tree equals the odd-neighborhood ideal
     # of its complete edge subdivision, over the suspended tree's variables
-    from totaldom.algebra import odd_open_neighborhood_ideal
     from totaldom.construct import edge_subdivision, suspension
-    from totaldom.graphs import Forest
+    from totaldom.graphs import Forest, heights
 
     rng = Lcg64(99)
     for _ in range(25):
@@ -371,7 +365,7 @@ def test_suspension_subdivision_edge_ideal_identity():
         sigma = suspension(t)
         subdivided = Forest(edge_subdivision(sigma))
         lhs = edge_ideal(sigma)
-        rhs = odd_open_neighborhood_ideal(subdivided)
+        rhs = odd_open_neighborhood_ideal(subdivided, heights(subdivided).even())
         assert lhs == rhs
 
 

@@ -1,0 +1,55 @@
+"""The package's public surface, read from the source with ``ast``.
+
+Every public top-level function or class of ``src/totaldom`` is used in the
+package outside its own definition, so it sits on a ``totaldom`` subcommand
+or a ``verify`` check; what only the tests need lives in ``tests/oracles.py``.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+MODULES = {
+    p.stem: ast.parse(p.read_text(encoding="utf-8"))
+    for p in (Path(__file__).resolve().parents[1] / "src" / "totaldom").glob("*.py")
+}
+
+# Public names with no use in the package, each with the reason it stays.
+ALLOWED_UNUSED = {"branch": "perfbench/tracer.py looks it up by name to time it"}
+
+
+def _references(node: ast.AST) -> list[str]:
+    return [
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+    ]
+
+
+def _definitions(tree: ast.Module) -> list[ast.FunctionDef | ast.ClassDef]:
+    return [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+
+
+def test_every_public_definition_is_used_in_the_package():
+    refs = [r for name, tree in MODULES.items() if name != "__init__" for r in _references(tree)]
+    unused = [
+        f"{name}.{d.name}"
+        for name, tree in MODULES.items() for d in _definitions(tree)
+        if not d.name.startswith("_") and d.name not in ALLOWED_UNUSED
+        and refs.count(d.name) == _references(d).count(d.name)
+    ]
+    assert unused == []
+    defined = {d.name for tree in MODULES.values() for d in _definitions(tree)}
+    assert set(ALLOWED_UNUSED) <= defined
+
+
+def test_init_imports_only_defined_names():
+    missing = []
+    for node in MODULES["__init__"].body:
+        if isinstance(node, ast.ImportFrom):
+            tree = MODULES[node.module]
+            bound = {d.name for d in _definitions(tree)} | {
+                t.id for n in tree.body if isinstance(n, ast.Assign) for t in n.targets
+            }
+            missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in bound]
+    assert missing == []

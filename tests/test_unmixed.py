@@ -5,9 +5,11 @@ import time
 
 import pytest
 
+from oracles import even_blue_coloring
 from totaldom.domination import is_unmixed_bruteforce, minimal_s_td_sets
 from totaldom.errors import NotBalancedError
 from totaldom.graphs import (
+    Coloring,
     Tree,
     classify_vertices,
     heights,
@@ -17,12 +19,11 @@ from totaldom.graphs import (
 )
 from totaldom.treegen import Lcg64, random_tree
 from totaldom.unmixed import (
+    Analysis,
     characterize_balanced_unmixed,
     interior_graphs,
     is_balanced,
     is_unmixed_fast,
-    minimal_bd_sets,
-    minimal_rd_sets,
     mixedness_witness,
 )
 
@@ -94,7 +95,7 @@ def test_same_height_even_distance_same_color(trees10):
 
 def test_interiors_p6():
     t = path_graph(6)
-    ig = interior_graphs(t, two_coloring(t, balanced_blue_even=True))
+    ig = interior_graphs(Analysis(t, even_blue_coloring(t)))
     assert ig.blue.labels == t.graph.labels  # no blue supports
     assert ig.red.labels == ("3",)
 
@@ -106,7 +107,7 @@ def test_interiors_single_edge_both_empty():
 
 def test_interiors_star():
     t = star_graph(3)
-    ig = interior_graphs(t, two_coloring(t, balanced_blue_even=True))
+    ig = interior_graphs(Analysis(t, even_blue_coloring(t)))
     # the support is red, so the blue side keeps everything
     assert ig.blue.labels == t.graph.labels
     assert ig.red.labels == ()
@@ -143,13 +144,13 @@ def test_bd_sets_factor_through_red_interior(trees8):
         if t.graph.n < 2:
             continue
         col = two_coloring(t)
-        ig = interior_graphs(t, col)
+        ig = interior_graphs(Analysis(t, col))
         red_supports = set(classify_vertices(t).supports) & set(col.red)
         # BD-sets of the red interior, under the restriction of T's coloring
         restricted_blue = [v for v in col.blue if v in set(ig.red.labels)]
         inner_sets = set(minimal_s_td_sets(ig.red, restricted_blue).sets)
         expected = {tuple(sorted(red_supports | set(d))) for d in inner_sets}
-        assert set(minimal_bd_sets(t, col).sets) == expected
+        assert set(minimal_s_td_sets(t, col.blue).sets) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +176,7 @@ def test_characterize_star():
 def test_characterize_mixed_spider():
     cert = characterize_balanced_unmixed(spider(3))
     assert not cert.unmixed
-    bad = cert.failing()
+    bad = tuple(c for c in cert.checks if not c.ok)
     assert bad and not bad[0].v2_unique_v1_ok
     assert bad[0].offending_vertex == "c"
 
@@ -208,8 +209,8 @@ def test_fast_coloring_invariance(trees8):
         if t.graph.n < 2:
             continue
         col = two_coloring(t)
-        a = is_unmixed_fast(t, col).unmixed
-        b = is_unmixed_fast(t, col.swapped()).unmixed
+        a = is_unmixed_fast(Analysis(t, col)).unmixed
+        b = is_unmixed_fast(Analysis(t, Coloring(col.red, col.blue))).unmixed
         assert a == b
 
 
@@ -274,8 +275,8 @@ def test_unique_bd_set_for_unmixed_blue_leaf_trees(trees10):
             continue
         if not is_unmixed_fast(t).unmixed:
             continue
-        col = two_coloring(t, balanced_blue_even=True)
-        fam = minimal_bd_sets(t, col)
+        col = even_blue_coloring(t)
+        fam = minimal_s_td_sets(t, col.blue)
         assert fam.sets == (classify_vertices(t).supports,)
 
 
@@ -284,8 +285,8 @@ def test_rd_unmixedness_decides(trees10):
     for t in trees10[::3]:
         if t.graph.n < 2 or not is_balanced(t):
             continue
-        col = two_coloring(t, balanced_blue_even=True)
-        rd = minimal_rd_sets(t, col)
+        col = even_blue_coloring(t)
+        rd = minimal_s_td_sets(t, col.red)
         assert rd.is_unmixed() == is_unmixed_fast(t).unmixed
 
 
