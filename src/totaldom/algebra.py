@@ -129,7 +129,10 @@ def socle_dimension(a) -> int:
     """Count the monomials outside the ideal killed by every variable.
 
     Accepts an ArtinianReduction or a bare MonomialIdeal that contains a
-    pure power of each variable; enumerates the finite exponent box.
+    pure power of each variable; enumerates the finite exponent box. Box
+    points are exponent vectors over ``ideal.variables`` and each generator
+    is its list of (variable index, exponent) pairs, so membership is a
+    componentwise comparison.
     """
     ideal = a.ideal if isinstance(a, ArtinianReduction) else a
     bounds = _pure_power_bounds(ideal)
@@ -137,10 +140,17 @@ def socle_dimension(a) -> int:
     box = prod(bounds[v] for v in variables)
     if box > SOCLE_BOX_CAP:
         raise EnumerationCapExceeded(f"socle box of size {box} exceeds {SOCLE_BOX_CAP}")
+    pos = {v: k for k, v in enumerate(variables)}
+    gens = [tuple((pos[v], e) for v, e in m.exps) for m in ideal.gens]
+
+    def inside(x) -> bool:
+        return any(all(x[k] >= e for k, e in gen) for gen in gens)
+
     count = 0
-    for exps in product(*(range(bounds[v]) for v in variables)):
-        m = Monomial.from_dict(dict(zip(variables, exps)))
-        if not ideal.contains(m) and all(ideal.contains(m.times_var(v)) for v in variables):
+    for x in product(*(range(bounds[v]) for v in variables)):
+        if not inside(x) and all(
+            inside(x[:k] + (x[k] + 1,) + x[k + 1:]) for k in range(len(x))
+        ):
             count += 1
     return count
 

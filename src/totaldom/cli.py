@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 import time
 
@@ -45,7 +44,13 @@ from .graphs import (
     render_edge_list,
     vset,
 )
-from .ideals import decompose_squarefree, open_neighborhood_ideal
+from .ideals import (
+    PrimeDecomposition,
+    decompose_squarefree,
+    open_neighborhood_ideal,
+    validate_decomposition,
+)
+from .jsontext import dumps
 from .unmixed import Analysis, interior_graphs, is_balanced, is_unmixed_fast
 from .verify import run_suite
 
@@ -74,7 +79,7 @@ def _digest(g: Graph) -> str:
 
 def _emit(report: dict, as_json: bool, human) -> None:
     if as_json:
-        print(json.dumps(report, indent=2))
+        print(dumps(report))
     else:
         human(report)
 
@@ -145,15 +150,17 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
     entry = {"generators": [m.render() for m in ideal.gens]}
     if ideal.is_unit:
         entry["decomposition"] = {"unit": True, "components": []}
+    elif family is None:
+        entry["decomposition"] = {"unit": False, "cap_exceeded": True}
     else:
-        try:
-            dec = decompose_squarefree(ideal, cap=cap)
-            entry["decomposition"] = {
-                "unit": False,
-                "components": [list(s) for s in dec.supports],
-            }
-        except EnumerationCapExceeded:
-            entry["decomposition"] = {"unit": False, "cap_exceeded": True}
+        # the prime supports of N(G) are exactly the minimal TD-sets, and
+        # validate_decomposition checks them against N(G) by duality
+        dec = PrimeDecomposition(ideal.variables, family.sets)
+        validate_decomposition(dec, ideal)
+        entry["decomposition"] = {
+            "unit": False,
+            "components": [list(s) for s in dec.supports],
+        }
     report["ideal"] = entry
     clocks["ideal"] = time.monotonic() - t1
 
@@ -394,7 +401,7 @@ def cmd_generate(args) -> int:
         raise InputError(f"cannot write {exc.filename or outdir}: {exc.strerror or exc}") from exc
     payload = {"schema": SCHEMA, "trees": manifest}
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(dumps(payload))
     else:
         for row in manifest:
             print(f"{row['tree']}: {row['vertices']} vertices, {row['steps']} steps")

@@ -39,9 +39,11 @@ class SimplicialComplex:
             stray = [v for v in f if v not in gset]
             if stray:
                 raise ValueError(f"facet uses vertices outside the ground set: {stray}")
+        pos = {v: k for k, v in enumerate(ground)}
+        masks = [sum(1 << pos[v] for v in f) for f in cleaned]
         maximal = [
-            f for f in cleaned
-            if not any(f != g and set(f) <= set(g) for g in cleaned)
+            f for f, m in zip(cleaned, masks)
+            if not any(m != o and m & o == m for o in masks)
         ]
         return cls(ground=ground, facets=tuple(maximal))
 

@@ -24,6 +24,7 @@ from .graphs import (
     is_isomorphic,
     path_graph,
 )
+from .jsontext import dumps
 from .treegen import Lcg64
 from .unmixed import characterize_balanced_unmixed
 
@@ -56,7 +57,7 @@ class ConstructionTrace:
             "base": "P6",
             "steps": [{"attach_label": s.attach, "kind": s.kind} for s in self.steps],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return dumps(payload) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> ConstructionTrace:

@@ -70,9 +70,6 @@ class Monomial:
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.exps)
 
-    def exponent(self, v: str) -> int:
-        return dict(self.exps).get(v, 0)
-
     def divides(self, other: Monomial) -> bool:
         od = dict(other.exps)
         return all(od.get(v, 0) >= e for v, e in self.exps)
@@ -81,11 +78,6 @@ class Monomial:
         d = dict(self.exps)
         for v, e in other.exps:
             d[v] = max(d.get(v, 0), e)
-        return Monomial.from_dict(d)
-
-    def times_var(self, v: str) -> Monomial:
-        d = dict(self.exps)
-        d[v] = d.get(v, 0) + 1
         return Monomial.from_dict(d)
 
     def render(self) -> str:
@@ -206,11 +198,24 @@ def open_neighborhood_ideal(g, s=None) -> MonomialIdeal:
 
     S defaults to all of V. An isolated vertex in S contributes the empty
     product, i.e. the unit ideal.
+
+    The generators are kept as neighborhood bitmasks until the end. On
+    square-free monomials of one degree the grlex order of ``from_gens`` is
+    the lexicographic order of the sorted index tuples ``g.adj[i]``, and a
+    divisor of a generator comes before it in that order, so one pass in
+    grlex order both drops the non-minimal ones and orders the rest.
     """
     g = _graph_of(g)
-    target = g.labels if s is None else vset(s)
-    gens = [Monomial.of(*g.neighbors(v)) for v in target]
-    return MonomialIdeal.from_gens(g.labels, gens)
+    targets = range(g.n) if s is None else [g.index[v] for v in vset(s)]
+    masks = g.masks
+    supports = {masks[i]: g.adj[i] for i in targets}
+    kept: list[int] = []
+    gens = []
+    for mask, nbrs in sorted(supports.items(), key=lambda item: (len(item[1]), item[1])):
+        if not any(k & mask == k for k in kept):
+            kept.append(mask)
+            gens.append(Monomial(tuple((g.labels[j], 1) for j in nbrs)))
+    return MonomialIdeal(variables=g.labels, gens=tuple(gens))
 
 
 # ---------------------------------------------------------------------------

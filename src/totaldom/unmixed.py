@@ -107,10 +107,13 @@ class UnmixedCertificate:
         }
 
 
-def _check_component(comp_tree: Tree, side: str) -> ComponentCheck:
-    hmap = heights(comp_tree)
+def _check_component(comp: Tree | Analysis, side: str) -> ComponentCheck:
+    """The checklist of one component tree, read off its Analysis when given
+    one, so that the heights it reads are the ones the request shares."""
+    facts = Analysis.of(comp)
+    hmap = facts.heights
     height = hmap.graph_height()
-    g = comp_tree.graph
+    g = facts.forest.graph
     v1 = set(hmap.level(1))
     v2 = set(hmap.level(2))
     offending = None
@@ -129,7 +132,7 @@ def _check_component(comp_tree: Tree, side: str) -> ComponentCheck:
         offending = min(hmap.level(height))
     return ComponentCheck(
         side=side,
-        vertices=comp_tree.graph.labels,
+        vertices=g.labels,
         height=height,
         height_ok=height_ok,
         v2_unique_v1_ok=v2_ok,
@@ -256,17 +259,19 @@ class Analysis:
     @_fact
     def component_checks(self) -> tuple[ComponentCheck, ...]:
         """The checklist of each component tree, labelled with this side."""
-        return tuple(_check_component(t, side=self.side) for t in self.component_trees)
+        return tuple(c.check for c in self.components)
 
     @_fact
     def components(self) -> tuple[Analysis, ...]:
-        """Analyses of the component trees, carrying their checklists. The
-        criteria hold per component, so those of a balanced forest are
-        balanced."""
+        """Analyses of the component trees. A height is the distance to the
+        nearest leaf of the vertex's own component, so each component's
+        heights are the forest's restricted to it; the criteria hold per
+        component, so those of a balanced forest are balanced."""
+        height = self.heights.as_dict()
         comps = tuple(Analysis(t, side=self.side) for t in self.component_trees)
         balanced = bool(comps) and self.balanced
-        for c, check in zip(comps, self.component_checks):
-            c.check = check
+        for c in comps:
+            c.heights = HeightMap({v: height[v] for v in c.forest.graph.labels})
             if balanced:
                 c.balanced = True
         return comps
@@ -312,7 +317,7 @@ class Analysis:
     @_fact
     def check(self) -> ComponentCheck:
         """The height and matching checklist of this tree, labelled with its side."""
-        return _check_component(self.forest, side=self.side)
+        return _check_component(self, side=self.side)
 
     @_fact
     def certificate(self) -> UnmixedCertificate:

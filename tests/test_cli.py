@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import gc
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +77,65 @@ def test_analyze_enumerates_td_sets_once_on_mixed_trees(capsys, p4_file, monkeyp
     report = run_json(capsys, ["analyze", p4_file, "--json"])
     assert report["unmixed"]["witness"] == [["s1", "s2", "u"], ["l1", "l2", "s1", "s2"]]
     assert len(calls) == 1
+
+
+def test_analyze_reads_the_decomposition_off_the_td_family(capsys, p4_file, monkeypatch):
+    # the prime supports are the minimal TD-sets, so analyze does not
+    # enumerate them a second time; the duality check still runs
+    checked = []
+    original = cli.validate_decomposition
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose_squarefree called on the analyze path")
+
+    def counted(dec, ideal):
+        checked.append(dec.supports)
+        return original(dec, ideal)
+
+    monkeypatch.setattr(cli, "decompose_squarefree", refuse)
+    monkeypatch.setattr(cli, "validate_decomposition", counted)
+    report = run_json(capsys, ["analyze", p4_file, "--json"])
+    components = report["ideal"]["decomposition"]["components"]
+    assert components == report["minimal_td_sets"]["sets"]
+    assert checked == [tuple(map(tuple, components))]
+    capped = run_json(capsys, ["analyze", p4_file, "--json", "--max-sets", "1"])
+    assert capped["ideal"]["decomposition"] == {"unit": False, "cap_exceeded": True}
+    assert len(checked) == 1
+
+
+@pytest.mark.parametrize("extra", [[], ["--max-sets", "2"]])
+@pytest.mark.parametrize("text", [P4_TEXT, P6_TEXT, "a b\nc d\n", "a b\nb c\nc a\n"])
+def test_analyze_json_leaves_no_cyclic_garbage(capsys, monkeypatch, text, extra):
+    # json.dumps(indent=2) leaves 33 objects per call for the collector
+    argv = ["analyze", "-", "--json", *extra]
+    for _ in range(2):  # the first request also builds the cached parser
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            code = main(argv)
+            garbage = gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+    capsys.readouterr()
+    assert code == 0 and garbage == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    helped = subprocess.run(
+        [sys.executable, "-m", "totaldom", "--help"], capture_output=True, text=True, env=env
+    )
+    assert helped.returncode == 0 and helped.stdout.startswith("usage: totaldom")
+    analyzed = subprocess.run(
+        [sys.executable, "-m", "totaldom", "analyze", "-", "--json"],
+        input=P6_TEXT, capture_output=True, text=True, env=env,
+    )
+    assert analyzed.returncode == 0, analyzed.stderr
+    assert json.loads(analyzed.stdout)["minimal_td_sets"]["count"] == 3
 
 
 def test_analyze_shares_one_analysis_on_unmixed_trees(capsys, tmp_path, monkeypatch):
@@ -399,14 +462,14 @@ def test_verify_detects_injected_mutant(capsys, monkeypatch):
     # drop the "each support sees at most one height-2 vertex" condition and
     # the characterization check must flag the disagreement
     import totaldom.unmixed as unmixed_mod
-    from totaldom.unmixed import ComponentCheck
-    from totaldom.graphs import heights as _heights
+    from totaldom.unmixed import Analysis, ComponentCheck
     from totaldom.verify import check_characterization
 
-    def mutant(comp_tree, side):
-        hmap = _heights(comp_tree)
+    def mutant(comp, side):
+        facts = Analysis.of(comp)
+        hmap = facts.heights
         height = hmap.graph_height()
-        g = comp_tree.graph
+        g = facts.forest.graph
         v1 = set(hmap.level(1))
         v2 = set(hmap.level(2))
         v2_ok = all(
@@ -414,7 +477,7 @@ def test_verify_detects_injected_mutant(capsys, monkeypatch):
         )
         return ComponentCheck(
             side=side,
-            vertices=comp_tree.graph.labels,
+            vertices=g.labels,
             height=height,
             height_ok=height <= 3,
             v2_unique_v1_ok=v2_ok,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -8,7 +9,12 @@ from oracles import edge_ideal, minimal_td_sets_by_subsets, odd_open_neighborhoo
 from totaldom.algebra import artinian_reduction, parametric_decomposition
 from totaldom.construct import generate
 from totaldom.domination import minimal_td_sets
-from totaldom.errors import AmbientMismatchError, NotSquareFreeError, TheoremViolation
+from totaldom.errors import (
+    AmbientMismatchError,
+    EnumerationCapExceeded,
+    NotSquareFreeError,
+    TheoremViolation,
+)
 from totaldom.graphs import Graph, path_graph, star_graph
 from totaldom.ideals import (
     _grlex_key,
@@ -21,7 +27,7 @@ from totaldom.ideals import (
     validate_decomposition,
     variable_ideal,
 )
-from totaldom.treegen import Lcg64, random_tree
+from totaldom.treegen import Lcg64, random_tree, trees_up_to
 
 U123 = ("u1", "u2", "u3")
 
@@ -371,7 +377,7 @@ def test_suspension_subdivision_edge_ideal_identity():
 
 def test_grlex_key_matches_per_variable_exponents(trees8):
     # the key reads each exponent from one dict per monomial; it must equal
-    # the per-variable Monomial.exponent formula it replaced
+    # the per-variable exponent formula it replaced
     ideals = [open_neighborhood_ideal(t.graph) for t in trees8]
     for seed in range(12):
         red = artinian_reduction(generate(seed, 4)[0])
@@ -379,5 +385,60 @@ def test_grlex_key_matches_per_variable_exponents(trees8):
     assert any(m.degree > len(m.exps) for i in ideals for m in i.gens)
     for ideal in ideals:
         for m in ideal.gens:
-            want = (m.degree, tuple(-m.exponent(v) for v in ideal.variables))
+            want = (m.degree, tuple(-dict(m.exps).get(v, 0) for v in ideal.variables))
             assert _grlex_key(m, ideal.variables) == want
+
+
+# ---------------------------------------------------------------------------
+# the analyze path: N(G) from neighborhood masks, one TD family per request
+# ---------------------------------------------------------------------------
+
+def _random_graphs(seed: int, count: int) -> list[Graph]:
+    """Seeded simple graphs on 2 to 10 vertices, some with isolated vertices
+    and some with nested neighborhoods."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randrange(2, 11)
+        p = rng.choice((0.2, 0.35, 0.5, 0.7))
+        edges = [(f"v{a}", f"v{b}") for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        graphs.append(Graph.from_edges(edges, extra_vertices=[f"v{a}" for a in range(n)]))
+    return graphs
+
+
+def _outcome(enumerate_sets):
+    try:
+        return enumerate_sets()
+    except EnumerationCapExceeded:
+        return "cap exceeded"
+
+
+def test_td_family_is_the_decomposition_at_every_cap():
+    # analyze reads the prime supports off the minimal TD-set family, so the
+    # two enumerations must give the same sets and hit a cap together
+    graphs = [t.graph for t in trees_up_to(9)] + _random_graphs(2026, 200)
+    capped = 0
+    for g in graphs:
+        ideal = open_neighborhood_ideal(g)
+        for cap in [*range(1, 41), None]:
+            family = _outcome(lambda: minimal_td_sets(g, cap).sets)
+            primes = _outcome(lambda: decompose_squarefree(ideal, cap).supports)
+            assert family == primes, (g, cap)
+            capped += family == "cap exceeded"
+    assert capped > 1000  # of 12,095 cases
+
+
+def _ideal_by_monomials(g: Graph, s=None) -> MonomialIdeal:
+    target = g.labels if s is None else s
+    return MonomialIdeal.from_gens(g.labels, [Monomial.of(*g.neighbors(v)) for v in target])
+
+
+def test_mask_built_ideal_matches_monomial_route(trees8):
+    rng = random.Random(11)
+    graphs = [t.graph for t in trees8] + _random_graphs(7, 80)
+    for g in graphs:
+        assert open_neighborhood_ideal(g) == _ideal_by_monomials(g)
+        for _ in range(4):
+            s = rng.sample(g.labels, rng.randrange(len(g.labels) + 1))
+            assert open_neighborhood_ideal(g, s) == _ideal_by_monomials(g, s)
+    assert any(open_neighborhood_ideal(g).is_unit for g in graphs)

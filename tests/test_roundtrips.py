@@ -1,7 +1,10 @@
 """Property-based round trips: edge lists, monomials and monomial ideals
-parse back to what was rendered."""
+parse back to what was rendered, and the report emitter writes what
+``json.dumps(indent=2)`` writes."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from totaldom.graphs import Graph, parse_graph, render_edge_list
 from totaldom.ideals import Monomial, MonomialIdeal
+from totaldom.jsontext import dumps
 
 # Derandomized with a fixed example count, as in test_transversal_engine.py.
 TIER1 = settings(derandomize=True, max_examples=400, deadline=None, database=None)
@@ -60,3 +64,29 @@ def test_monomial_ideal_parse_inverts_render(vs_gens):
 def test_ideal_text_of_variables_named_like_reserved_words(name):
     ideal = MonomialIdeal.from_gens((name,), [Monomial.of(name)])
     assert MonomialIdeal.parse(ideal.render(), (name,)) == ideal
+
+
+# Text that reaches every escape: quotes, backslashes, control characters,
+# line and paragraph separators, non-ASCII letters and astral-plane emoji.
+json_text = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é😀'), max_size=6)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | json_text,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(json_text, inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@TIER1
+@given(json_values)
+def test_emitter_writes_json_dumps_indent_2(value):
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a": {None: 1}}, [set()], b"x"])
+def test_emitter_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        dumps(value)

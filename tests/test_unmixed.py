@@ -123,6 +123,17 @@ def test_interior_components_balanced(trees10):
                 assert is_balanced(comp)
 
 
+def test_interior_components_share_the_side_heights(trees10):
+    # each component's Analysis takes its heights from its interior forest;
+    # they must be the heights of the component tree on its own
+    rng = Lcg64(31)
+    trees = [t for t in trees10 if t.graph.n > 1] + [random_tree(rng, 60) for _ in range(20)]
+    for t in trees:
+        for side in Analysis(t).sides:
+            for comp in side.components:
+                assert comp.heights.as_dict() == heights(comp.forest).as_dict()
+
+
 def test_vertex_partition(trees10):
     # V(T) splits into the two even interiors and the supports
     for t in trees10[::2]:
