@@ -255,9 +255,11 @@ def cm_type(t: Tree | Analysis, cap: int | None = None) -> TypeReport:
 
     The counting route (minimal V3-TD-sets of the interiors, multiplied) and
     the socle oracle (box enumeration per component, multiplied) must agree;
-    disagreement is escalated rather than reported.
+    disagreement is escalated rather than reported. The one-vertex tree
+    raises InputError.
     """
     facts = Analysis.of(t)
+    facts.require_edge()
     if not facts.certificate.unmixed:
         raise MixedTreeError("type is defined for unmixed trees only")
     blue, red = facts.sides

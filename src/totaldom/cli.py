@@ -204,12 +204,16 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
                 }
             except EnumerationCapExceeded:
                 report["shelling"] = {"applicable": False, "reason": "enumeration cap exceeded"}
+            except InputError as exc:
+                report["shelling"] = {"applicable": False, "reason": str(exc)}
             clocks["shelling"] = time.monotonic() - t1
             t1 = time.monotonic()
             try:
                 report["type"] = {"applicable": True} | cm_type(facts, cap=cap).to_json_dict()
             except EnumerationCapExceeded:
                 report["type"] = {"applicable": False, "reason": "enumeration cap exceeded"}
+            except InputError as exc:
+                report["type"] = {"applicable": False, "reason": str(exc)}
             clocks["type"] = time.monotonic() - t1
         else:
             report["shelling"] = {"applicable": False, "reason": "tree is mixed"}

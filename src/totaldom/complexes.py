@@ -360,8 +360,10 @@ def stable_shelling(t: Tree | Analysis, cap: int | None = None) -> ShellingOrder
     Composes the interior forests' component orders across the join; the
     resulting facet family equals the facets of the stable complex, the
     complements of the minimal TD-sets, which is asserted before returning.
+    The one-vertex tree raises InputError.
     """
     facts = Analysis.of(t)
+    facts.require_edge()
     if not facts.certificate.unmixed:
         raise MixedTreeError("stable-complex shelling requires an unmixed tree")
     blue, red = facts.sides

@@ -6,8 +6,10 @@ class TotaldomError(Exception):
 
 
 class InputError(TotaldomError):
-    """Command-line input that cannot be used: an unreadable or non-UTF-8
-    file, or a vertex label the graph does not have."""
+    """Input that cannot be used: an unreadable or non-UTF-8 file, a vertex
+    label the graph does not have, or the one-vertex tree given to
+    ``stable_shelling`` or ``cm_type`` (it has no total dominating set, so
+    its N(G) is the unit ideal)."""
 
 
 class EdgeListParseError(TotaldomError):

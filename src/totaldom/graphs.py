@@ -207,11 +207,23 @@ class Forest:
     def from_edges(cls, edges, extra_vertices=()) -> Forest:
         return cls(Graph.from_edges(edges, extra_vertices))
 
+    @classmethod
+    def with_components(cls, graph: Graph, components: tuple[VertexSet, ...]) -> Forest:
+        """The forest (or tree) of an acyclic ``graph`` whose components are
+        known already, as sorted label tuples in sorted order: no search and
+        no cycle check."""
+        f = cls.__new__(cls)
+        f.graph = graph
+        f.component_of = {v: c for c, labs in enumerate(components) for v in labs}
+        f.ncomponents = len(components)
+        f._components = components
+        return f
+
     def components(self) -> tuple[VertexSet, ...]:
         return self._components
 
     def component_trees(self) -> tuple[Tree, ...]:
-        return tuple(Tree(self.graph.induced(c)) for c in self.components())
+        return tuple(Tree.with_components(self.graph.induced(c), (c,)) for c in self.components())
 
     @property
     def labels(self) -> VertexSet:
@@ -312,24 +324,27 @@ class HeightMap:
         return max(self._heights.values(), default=0)
 
 
+def leaf_distances(nbrs, kept) -> list[int]:
+    """Per vertex index, the distance to the nearest leaf of its component,
+    by multi-source BFS over the neighbor lists ``nbrs`` of the indices in
+    ``kept``; isolated vertices get 0 and indices not kept -1."""
+    dist = [-1] * len(nbrs)
+    order = [i for i in kept if len(nbrs[i]) <= 1]
+    for i in order:
+        dist[i] = 0
+    for i in order:  # grows while it is walked: breadth-first
+        d = dist[i] + 1
+        for j in nbrs[i]:
+            if dist[j] < 0:
+                dist[j] = d
+                order.append(j)
+    return dist
+
+
 def heights(f: Forest) -> HeightMap:
     """Multi-source BFS from all leaves; isolated vertices map to 0."""
     g = f.graph
-    h = {}
-    q = deque()
-    for i, nb in enumerate(g.adj):
-        if len(nb) == 1:
-            h[i] = 0
-            q.append(i)
-        elif len(nb) == 0:
-            h[i] = 0
-    while q:
-        i = q.popleft()
-        for j in g.adj[i]:
-            if j not in h:
-                h[j] = h[i] + 1
-                q.append(j)
-    return HeightMap({g.labels[i]: d for i, d in h.items()})
+    return HeightMap(dict(zip(g.labels, leaf_distances(g.adj, range(g.n)))))
 
 
 @dataclass(frozen=True)
@@ -385,22 +400,23 @@ def two_coloring(f: Forest) -> Coloring:
     """Deterministic proper 2-coloring of a forest: in each component the
     lexicographically smallest label is blue."""
     g = f.graph
-    adj, lab = g.adj, g.labels
-    blue, red = [], []
+    adj = g.adj
+    side = [-1] * g.n
     for comp in f.components():
         # side = distance parity from comp[0], by breadth-first search
         root = g.index[comp[0]]
-        iside = {root: 0}
+        side[root] = 0
         order = [root]
         for i in order:
-            s = 1 - iside[i]
+            s = 1 - side[i]
             for j in adj[i]:
-                if j not in iside:
-                    iside[j] = s
+                if side[j] < 0:
+                    side[j] = s
                     order.append(j)
-        for i, s in iside.items():
-            (blue if s == 0 else red).append(lab[i])
-    return Coloring(blue, red)
+    return Coloring(
+        [v for v, s in zip(g.labels, side) if s == 0],
+        [v for v, s in zip(g.labels, side) if s == 1],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -203,17 +203,24 @@ def open_neighborhood_ideal(g, s=None) -> MonomialIdeal:
     square-free monomials of one degree the grlex order of ``from_gens`` is
     the lexicographic order of the sorted index tuples ``g.adj[i]``, and a
     divisor of a generator comes before it in that order, so one pass in
-    grlex order both drops the non-minimal ones and orders the rest.
+    grlex order both drops the non-minimal ones and orders the rest. A kept
+    mask divides a later one only if its lowest bit is among the later
+    one's bits, so the kept masks are bucketed by their lowest bit and each
+    mask is tested against the buckets of its own bits only. The empty mask
+    of an isolated vertex comes first and divides every later one.
     """
     g = _graph_of(g)
     targets = range(g.n) if s is None else [g.index[v] for v in vset(s)]
     masks = g.masks
     supports = {masks[i]: g.adj[i] for i in targets}
-    kept: list[int] = []
+    by_low: dict[int, list[int]] = {}
     gens = []
     for mask, nbrs in sorted(supports.items(), key=lambda item: (len(item[1]), item[1])):
-        if not any(k & mask == k for k in kept):
-            kept.append(mask)
+        if not nbrs:
+            gens.append(Monomial(()))
+            break
+        if not any(k & mask == k for j in nbrs for k in by_low.get(j, ())):
+            by_low.setdefault(nbrs[0], []).append(mask)
             gens.append(Monomial(tuple((g.labels[j], 1) for j in nbrs)))
     return MonomialIdeal(variables=g.labels, gens=tuple(gens))
 

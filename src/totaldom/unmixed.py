@@ -10,20 +10,21 @@ verification suite. ``Analysis`` holds these facts for one request.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .domination import MinimalSetFamily, minimal_td_sets
-from .errors import EnumerationCapExceeded, NotBalancedError, TheoremViolation
+from .errors import EnumerationCapExceeded, InputError, NotBalancedError, TheoremViolation
 from .graphs import (
     Classification,
     Coloring,
     Forest,
+    Graph,
     HeightMap,
     Tree,
     VertexSet,
     classify_vertices,
-    heights,
+    leaf_distances,
     two_coloring,
-    vset,
 )
 
 
@@ -107,37 +108,35 @@ class UnmixedCertificate:
         }
 
 
-def _check_component(comp: Tree | Analysis, side: str) -> ComponentCheck:
-    """The checklist of one component tree, read off its Analysis when given
-    one, so that the heights it reads are the ones the request shares."""
-    facts = Analysis.of(comp)
-    hmap = facts.heights
-    height = hmap.graph_height()
-    g = facts.forest.graph
-    v1 = set(hmap.level(1))
-    v2 = set(hmap.level(2))
-    offending = None
-    height_ok = height <= 3
-    v2_ok = True
-    for v in sorted(v2):
-        if sum(1 for w in g.neighbors(v) if w in v1) != 1:
-            v2_ok = False
-            offending = offending or v
-    v1_ok = True
-    for v in sorted(v1):
-        if sum(1 for w in g.neighbors(v) if w in v2) > 1:
-            v1_ok = False
-            offending = offending or v
-    if not height_ok and offending is None:
-        offending = min(hmap.level(height))
+def _check_component(layer: _Layer, comp) -> ComponentCheck:
+    """The checklist of one component of a layer, given as the sorted indices
+    of its vertices, read off the layer's heights. The offending vertex is
+    the first height-2 vertex that fails, else the first height-1 vertex
+    that fails, else the first vertex of greatest height if that exceeds 3."""
+    nbrs, height, labels = layer.nbrs, layer.height, layer.graph.labels
+    top = 0
+    bad2 = bad1 = None
+    for i in comp:
+        h = height[i]
+        if h > top:
+            top = h
+        if h == 2:
+            if bad2 is None and sum(1 for j in nbrs[i] if height[j] == 1) != 1:
+                bad2 = i
+        elif h == 1:
+            if bad1 is None and sum(1 for j in nbrs[i] if height[j] == 2) > 1:
+                bad1 = i
+    offending = bad2 if bad2 is not None else bad1
+    if top > 3 and offending is None:
+        offending = next(i for i in comp if height[i] == top)
     return ComponentCheck(
-        side=side,
-        vertices=g.labels,
-        height=height,
-        height_ok=height_ok,
-        v2_unique_v1_ok=v2_ok,
-        v1_at_most_one_v2_ok=v1_ok,
-        offending_vertex=offending,
+        side=layer.side,
+        vertices=tuple(labels[i] for i in comp),
+        height=top,
+        height_ok=top <= 3,
+        v2_unique_v1_ok=bad2 is None,
+        v1_at_most_one_v2_ok=bad1 is None,
+        offending_vertex=None if offending is None else labels[offending],
     )
 
 
@@ -184,6 +183,120 @@ class _fact:
         return value
 
 
+def _balance_criteria(layer: _Layer, comp) -> tuple[bool, bool, bool]:
+    """The three balancedness criteria on one component of a layer: no two
+    adjacent vertices of the same height, same height implies same color,
+    all leaves of one color."""
+    nbrs, height, blue = layer.nbrs, layer.height, layer.blue
+    adjacency = colors = True
+    color_at: dict[int, bool] = {}
+    leaf_colors = set()
+    for i in comp:
+        h, c, nb = height[i], blue[i], nbrs[i]
+        if color_at.setdefault(h, c) != c:
+            colors = False
+        if len(nb) <= 1:
+            leaf_colors.add(c)
+        for j in nb:
+            if height[j] == h:
+                adjacency = False
+    return adjacency, colors, len(leaf_colors) <= 1
+
+
+class _Layer:
+    """The vertices of ``graph`` left after removing the indices ``dropped``
+    (none when it is None): one pass over the index arrays finds their heights,
+    their components as sorted index lists (index order is label order, so
+    these come in ``Forest.components()`` order) and the balanced verdict,
+    whose three criteria must agree. The checklists are built on first use.
+
+    ``blue`` flags the blue vertices of a 2-coloring of ``graph`` and
+    ``side`` labels the checks. Everything read off a layer is in labels,
+    so a layer of a tree also serves the Analysis of an interior forest.
+    """
+
+    __slots__ = ("graph", "side", "blue", "keep", "nbrs", "height", "components",
+                 "balanced", "_checks")
+
+    def __init__(self, graph: Graph, blue: list[bool], side: str, dropped: list[int] | None = None):
+        adj = graph.adj
+        if dropped is None:
+            keep = None
+            kept = range(graph.n)
+            nbrs = adj
+        else:
+            # only the neighbors of dropped vertices lose neighbors
+            keep = [True] * graph.n
+            for i in dropped:
+                keep[i] = False
+            kept = list(compress(range(graph.n), keep))
+            nbrs = list(adj)
+            for i in dropped:
+                nbrs[i] = ()
+            for i in dropped:
+                for j in adj[i]:
+                    if keep[j]:
+                        nbrs[j] = [k for k in adj[j] if keep[k]]
+        # a component is numbered when its smallest index is reached, and
+        # one more walk in index order lists each one sorted
+        comp_of = [-1] * graph.n
+        count = 0
+        for s in kept:
+            if comp_of[s] < 0:
+                comp_of[s] = count
+                reached = [s]
+                for i in reached:
+                    for j in nbrs[i]:
+                        if comp_of[j] < 0:
+                            comp_of[j] = count
+                            reached.append(j)
+                count += 1
+        components = [[] for _ in range(count)]
+        for i in kept:
+            components[comp_of[i]].append(i)
+        self.graph = graph
+        self.side = side
+        self.blue = blue
+        self.keep = keep
+        self.nbrs = nbrs
+        self.height = leaf_distances(nbrs, kept)
+        self.components = components
+        self._checks = None
+        c1 = c2 = c3 = True
+        for comp in components:
+            a, b, c = _balance_criteria(self, comp)
+            c1, c2, c3 = c1 and a, c2 and b, c3 and c
+        if not (c1 == c2 == c3):
+            raise TheoremViolation(
+                f"balancedness criteria disagree: adjacency={c1}, colors={c2}, leaves={c3}"
+            )
+        self.balanced = c1
+
+    def heightmap(self, comp=None) -> HeightMap:
+        """The heights of ``comp`` (an index list), or of every kept vertex."""
+        labels, height = self.graph.labels, self.height
+        if comp is None:
+            comp = (i for i, h in enumerate(height) if h >= 0)
+        return HeightMap({labels[i]: height[i] for i in comp})
+
+    def checks(self) -> tuple[ComponentCheck, ...]:
+        """The checklist of each component, built on the first call."""
+        if self._checks is None:
+            self._checks = tuple(_check_component(self, comp) for comp in self.components)
+        return self._checks
+
+    def dropped(self) -> VertexSet:
+        """The dropped vertices, as a sorted label tuple."""
+        return tuple(v for v, k in zip(self.graph.labels, self.keep) if not k)
+
+    def forest(self) -> Forest:
+        """The induced forest on the kept vertices."""
+        labels = self.graph.labels
+        kept = tuple(v for v, k in zip(labels, self.keep) if k)
+        components = tuple(tuple(labels[i] for i in comp) for comp in self.components)
+        return Forest.with_components(self.graph.induced(kept), components)
+
+
 class Analysis:
     """The facts one request reads about one tree or forest.
 
@@ -194,6 +307,12 @@ class Analysis:
     ``is_unmixed_fast``, ``stable_shelling``, ``cm_type`` and the functions
     they call take an Analysis wherever they take the tree (through
     ``Analysis.of``), so one request computes each fact once.
+
+    Heights, the balanced verdict and the checklists come from one ``_Layer``
+    of the whole forest, and the certificate from one layer per interior
+    side, all on the forest's index arrays. The interior forests, their
+    component trees and their Analyses are built from those layers only
+    when ``interiors``, ``sides`` or ``components`` is read.
 
     ``coloring`` replaces the default ``two_coloring`` of the forest; this
     is the one place a coloring enters. ``side`` is "blue" or "red" for an
@@ -214,115 +333,119 @@ class Analysis:
         return t if isinstance(t, Analysis) else cls(t)
 
     @_fact
-    def heights(self) -> HeightMap:
-        return heights(self.forest)
-
-    @_fact
     def coloring(self) -> Coloring:
         return two_coloring(self.forest)
+
+    @_fact
+    def _blue(self) -> list[bool]:
+        """Per vertex index, whether ``coloring`` makes it blue."""
+        g = self.forest.graph
+        blue = [False] * g.n
+        for v in self.coloring.blue:
+            blue[g.index[v]] = True
+        return blue
 
     @_fact
     def classification(self) -> Classification:
         return classify_vertices(self.forest)
 
     @_fact
-    def balanced(self) -> bool:
-        """The three balancedness criteria, which must agree (``is_balanced``)."""
-        col = self.coloring
-        hmap = self.heights
-        g = self.forest.graph
-        lab = g.labels
-        c1 = all(hmap[lab[i]] != hmap[lab[j]] for i, nb in enumerate(g.adj) for j in nb)
-        c2 = True
-        c3 = True
-        for comp in self.forest.components():
-            by_height: dict[int, set[str]] = {}
-            leaf_colors = set()
-            for v in comp:
-                by_height.setdefault(hmap[v], set()).add(col.color_of(v))
-                if g.degree(v) <= 1:
-                    leaf_colors.add(col.color_of(v))
-            if any(len(cols) > 1 for cols in by_height.values()):
-                c2 = False
-            if len(leaf_colors) > 1:
-                c3 = False
-        if not (c1 == c2 == c3):
-            raise TheoremViolation(
-                f"balancedness criteria disagree: adjacency={c1}, colors={c2}, leaves={c3}"
-            )
-        return c1
+    def _layer(self) -> _Layer:
+        return _Layer(self.forest.graph, self._blue, self.side)
 
     @_fact
-    def component_trees(self) -> tuple[Tree, ...]:
-        return self.forest.component_trees()
+    def heights(self) -> HeightMap:
+        return self._layer.heightmap()
+
+    @_fact
+    def balanced(self) -> bool:
+        """The three balancedness criteria, which must agree (``is_balanced``)."""
+        return self._layer.balanced
 
     @_fact
     def component_checks(self) -> tuple[ComponentCheck, ...]:
-        """The checklist of each component tree, labelled with this side."""
-        return tuple(c.check for c in self.components)
+        """The checklist of each component, labelled with this side."""
+        return self._layer.checks()
+
+    @_fact
+    def check(self) -> ComponentCheck:
+        """The height and matching checklist of this forest as a whole,
+        labelled with its side."""
+        layer = self._layer
+        if len(layer.components) == 1:
+            return self.component_checks[0]
+        return _check_component(layer, [i for i, h in enumerate(layer.height) if h >= 0])
 
     @_fact
     def components(self) -> tuple[Analysis, ...]:
         """Analyses of the component trees. A height is the distance to the
         nearest leaf of the vertex's own component, so each component's
-        heights are the forest's restricted to it; the criteria hold per
-        component, so those of a balanced forest are balanced."""
-        height = self.heights.as_dict()
-        comps = tuple(Analysis(t, side=self.side) for t in self.component_trees)
-        balanced = bool(comps) and self.balanced
-        for c in comps:
-            c.heights = HeightMap({v: height[v] for v in c.forest.graph.labels})
+        heights and checklist are the forest's restricted to it; the
+        criteria hold per component, so those of a balanced forest are
+        balanced."""
+        layer = self._layer
+        balanced = bool(layer.components) and self.balanced
+        comps = []
+        for tree, comp, check in zip(self.forest.component_trees(), layer.components, layer.checks()):
+            c = Analysis(tree, side=self.side)
+            c.heights = layer.heightmap(comp)
+            c.check = check
             if balanced:
                 c.balanced = True
-        return comps
+            comps.append(c)
+        return tuple(comps)
 
     @_fact
-    def _interior(self) -> tuple[InteriorGraphs, tuple[Analysis, Analysis]]:
-        col = self.coloring
+    def _interior_layers(self) -> tuple[_Layer, _Layer]:
+        """The blue and the red interior forest as layers of this forest:
+        each drops the support vertices of its color with their neighbors.
+        "Support vertex" is read as adjacency-to-a-leaf."""
         g = self.forest.graph
-        supports = set(self.classification.supports)
-
-        def one_side(side_labels, name: str) -> tuple[Analysis, VertexSet]:
-            side_supports = [v for v in side_labels if v in supports]
-            closed = set(side_supports)
-            for v in side_supports:
-                closed.update(g.neighbors(v))
-            keep = [v for v in g.labels if v not in closed]
-            return Analysis(Forest(g.induced(keep)), side=name), vset(closed)
-
-        blue, blue_deleted = one_side(col.blue, "blue")
-        red, red_deleted = one_side(col.red, "red")
-        for side in (blue, red):
-            if side.forest.graph.n and not side.balanced:
+        adj, blue = g.adj, self._blue
+        support = [False] * g.n
+        for nb in adj:
+            if len(nb) == 1:
+                support[nb[0]] = True
+        layers = []
+        for name, color in (("blue", True), ("red", False)):
+            dropped = []
+            for i in compress(range(g.n), support):
+                if blue[i] == color:
+                    dropped.append(i)
+                    dropped.extend(adj[i])
+            layer = _Layer(g, blue, name, dropped)
+            if layer.components and not layer.balanced:
                 raise TheoremViolation("interior component is not balanced")
-        interiors = InteriorGraphs(
-            blue=blue.forest,
-            red=red.forest,
-            deleted_for_blue=blue_deleted,
-            deleted_for_red=red_deleted,
-            coloring=col,
-        )
-        return interiors, (blue, red)
+            layers.append(layer)
+        return tuple(layers)
 
-    @property
+    @_fact
     def interiors(self) -> InteriorGraphs:
         """Both interior graphs (``interior_graphs``)."""
-        return self._interior[0]
-
-    @property
-    def sides(self) -> tuple[Analysis, Analysis]:
-        """Analyses of the blue and the red interior forest."""
-        return self._interior[1]
+        blue, red = self._interior_layers
+        return InteriorGraphs(
+            blue=blue.forest(),
+            red=red.forest(),
+            deleted_for_blue=blue.dropped(),
+            deleted_for_red=red.dropped(),
+            coloring=self.coloring,
+        )
 
     @_fact
-    def check(self) -> ComponentCheck:
-        """The height and matching checklist of this tree, labelled with its side."""
-        return _check_component(self, side=self.side)
+    def sides(self) -> tuple[Analysis, Analysis]:
+        """Analyses of the blue and the red interior forest."""
+        interiors = self.interiors
+        out = []
+        for forest, layer in zip((interiors.blue, interiors.red), self._interior_layers):
+            side = Analysis(forest, side=layer.side)
+            side._layer = layer
+            out.append(side)
+        return tuple(out)
 
     @_fact
     def certificate(self) -> UnmixedCertificate:
         """The interior-graph unmixedness test (``is_unmixed_fast``)."""
-        checks = tuple(check for side in self.sides for check in side.component_checks)
+        checks = tuple(check for layer in self._interior_layers for check in layer.checks())
         return UnmixedCertificate(unmixed=all(c.ok for c in checks), checks=checks)
 
     @_fact
@@ -331,6 +454,15 @@ class Analysis:
         if not self.balanced:
             raise NotBalancedError("characterization requires a balanced tree")
         return UnmixedCertificate(unmixed=self.check.ok, checks=(self.check,))
+
+    def require_edge(self) -> None:
+        """Raise InputError on the one-vertex tree, the one tree with no
+        total dominating set: its N(G) is the unit ideal, so it has neither
+        a stable complex to shell nor a Cohen-Macaulay type."""
+        if self.forest.graph.n == 1:
+            raise InputError(
+                "the one-vertex tree has no total dominating set (N(G) is the unit ideal)"
+            )
 
     def td_family(self, cap: int | None = None) -> MinimalSetFamily:
         """The minimal TD-sets at ``cap``: the same family, or the same

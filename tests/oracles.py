@@ -11,9 +11,10 @@ neighborhood ideals) that the package itself does not need.
 
 The last section keeps the earlier, straightforward versions of the
 near-linear polynomial paths (recursive AHU codes, whisker growth and
-peeling by whole-tree rebuilds) and of the transversal engine (a Berge
-round that minimalizes every candidate against every other) as references
-for differential tests.
+peeling by whole-tree rebuilds, N(G) minimalized against every kept
+generator, the interior-graph test through a Tree per component) and of the
+transversal engine (a Berge round that minimalizes every candidate against
+every other) as references for differential tests.
 """
 
 from __future__ import annotations
@@ -36,10 +37,29 @@ from totaldom.construct import (
 )
 from totaldom.domination import _minimalize_masks, minimal_transversals
 from totaldom.errors import EnumerationCapExceeded, MixedTreeError, NotBalancedError, TheoremViolation
-from totaldom.graphs import Coloring, Graph, Tree, _graph_of, branch, heights, is_isomorphic, vset
+from totaldom.graphs import (
+    Coloring,
+    Forest,
+    Graph,
+    Tree,
+    _graph_of,
+    branch,
+    classify_vertices,
+    heights,
+    is_isomorphic,
+    two_coloring,
+    vset,
+)
 from totaldom.ideals import Monomial, MonomialIdeal
 from totaldom.treegen import Lcg64
-from totaldom.unmixed import Analysis, characterize_balanced_unmixed, is_balanced
+from totaldom.unmixed import (
+    Analysis,
+    ComponentCheck,
+    InteriorGraphs,
+    UnmixedCertificate,
+    characterize_balanced_unmixed,
+    is_balanced,
+)
 
 
 def neighborhood_by_scan(g: Graph, subset) -> tuple[str, ...]:
@@ -424,3 +444,105 @@ def deconstruct_by_rebuilds(t):
     for s in sorted(extra_leaves):
         steps.extend(TraceStep(attach=rename[s], kind=KIND_LEAF) for _ in range(extra_leaves[s]))
     return ConstructionTrace(steps=tuple(steps))
+
+
+def open_neighborhood_ideal_by_scan(g, s=None) -> MonomialIdeal:
+    """``ideals.open_neighborhood_ideal`` with each neighborhood mask tested
+    against every kept mask, not only against those of its own bits."""
+    g = _graph_of(g)
+    targets = range(g.n) if s is None else [g.index[v] for v in vset(s)]
+    masks = g.masks
+    supports = {masks[i]: g.adj[i] for i in targets}
+    kept: list[int] = []
+    gens = []
+    for mask, nbrs in sorted(supports.items(), key=lambda item: (len(item[1]), item[1])):
+        if not any(k & mask == k for k in kept):
+            kept.append(mask)
+            gens.append(Monomial(tuple((g.labels[j], 1) for j in nbrs)))
+    return MonomialIdeal(variables=g.labels, gens=tuple(gens))
+
+
+# The interior-graph test by objects: a Forest per interior side, a Tree and
+# fresh heights per component, and the criteria read through label lookups.
+
+def balanced_by_criteria(f: Forest, coloring: Coloring | None = None) -> bool:
+    """The three balancedness criteria on a forest; they must agree."""
+    col = two_coloring(f) if coloring is None else coloring
+    hmap = heights(f)
+    g = f.graph
+    c1 = all(hmap[a] != hmap[b] for a, b in g.edges())
+    c2 = c3 = True
+    for comp in f.components():
+        by_height: dict[int, set[str]] = {}
+        leaf_colors = set()
+        for v in comp:
+            by_height.setdefault(hmap[v], set()).add(col.color_of(v))
+            if g.degree(v) <= 1:
+                leaf_colors.add(col.color_of(v))
+        c2 = c2 and all(len(cols) == 1 for cols in by_height.values())
+        c3 = c3 and len(leaf_colors) <= 1
+    if not (c1 == c2 == c3):
+        raise TheoremViolation(
+            f"balancedness criteria disagree: adjacency={c1}, colors={c2}, leaves={c3}"
+        )
+    return c1
+
+
+def check_component_by_tree(comp: Tree, side: str) -> ComponentCheck:
+    """The checklist of one component tree, from its own heights."""
+    hmap = heights(comp)
+    height = hmap.graph_height()
+    g = comp.graph
+    v1 = set(hmap.level(1))
+    v2 = set(hmap.level(2))
+    offending = None
+    v2_ok = True
+    for v in sorted(v2):
+        if sum(1 for w in g.neighbors(v) if w in v1) != 1:
+            v2_ok = False
+            offending = offending or v
+    v1_ok = True
+    for v in sorted(v1):
+        if sum(1 for w in g.neighbors(v) if w in v2) > 1:
+            v1_ok = False
+            offending = offending or v
+    if height > 3 and offending is None:
+        offending = min(hmap.level(height))
+    return ComponentCheck(
+        side=side,
+        vertices=g.labels,
+        height=height,
+        height_ok=height <= 3,
+        v2_unique_v1_ok=v2_ok,
+        v1_at_most_one_v2_ok=v1_ok,
+        offending_vertex=offending,
+    )
+
+
+def interiors_by_forests(t: Tree, coloring: Coloring | None = None) -> InteriorGraphs:
+    """Both interior graphs as induced forests, each checked to be balanced."""
+    col = two_coloring(t) if coloring is None else coloring
+    g = t.graph
+    supports = set(classify_vertices(t).supports)
+    sides = []
+    for side_labels in (col.blue, col.red):
+        closed = {v for v in side_labels if v in supports}
+        for v in list(closed):
+            closed.update(g.neighbors(v))
+        forest = Forest(g.induced([v for v in g.labels if v not in closed]))
+        if forest.graph.n and not balanced_by_criteria(forest):
+            raise TheoremViolation("interior component is not balanced")
+        sides.append((forest, vset(closed)))
+    (blue, blue_deleted), (red, red_deleted) = sides
+    return InteriorGraphs(blue, red, blue_deleted, red_deleted, col)
+
+
+def certificate_by_component_trees(t: Tree, coloring: Coloring | None = None) -> UnmixedCertificate:
+    """``is_unmixed_fast`` through a Tree and a checklist per interior component."""
+    interiors = interiors_by_forests(t, coloring)
+    checks = tuple(
+        check_component_by_tree(comp, side)
+        for side, forest in (("blue", interiors.blue), ("red", interiors.red))
+        for comp in forest.component_trees()
+    )
+    return UnmixedCertificate(unmixed=all(c.ok for c in checks), checks=checks)

@@ -241,6 +241,29 @@ def test_analyze_cap(capsys, p6_file):
     assert report["minimal_td_sets"]["cap_exceeded"] is True
 
 
+def test_analyze_long_path_at_a_cap(capsys, tmp_path):
+    # N(G), the interior-graph test and the report stay near-linear on a
+    # 10^4-vertex path; the cap only stops the TD-set enumeration
+    path = tmp_path / "path.edges"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(10**4 - 1)))
+    report = run_json(capsys, ["analyze", str(path), "--json", "--max-sets", "1"])
+    assert report["input"]["vertices"] == 10**4
+    assert report["minimal_td_sets"] == {"cap_exceeded": True}
+    assert len(report["ideal"]["generators"]) == 10**4 - 2
+    assert report["unmixed"]["unmixed"] is False
+    assert report["shelling"] == {"applicable": False, "reason": "tree is mixed"}
+
+
+def test_analyze_one_vertex_tree_has_no_shelling_or_type():
+    # an edge list cannot hold a lone vertex, so the report is built directly
+    report = cli._analyze_report(path_graph(0).graph, None, True, False)
+    assert report["ideal"]["decomposition"] == {"unit": True, "components": []}
+    assert report["unmixed"]["unmixed"] is True
+    for key in ("shelling", "type"):
+        assert report[key]["applicable"] is False
+        assert "one-vertex tree" in report[key]["reason"]
+
+
 def test_analyze_rejects_nonpositive_cap(capsys, p6_file):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", p6_file, "--json", "--max-sets", "0"])
@@ -462,24 +485,20 @@ def test_verify_detects_injected_mutant(capsys, monkeypatch):
     # drop the "each support sees at most one height-2 vertex" condition and
     # the characterization check must flag the disagreement
     import totaldom.unmixed as unmixed_mod
-    from totaldom.unmixed import Analysis, ComponentCheck
+    from totaldom.unmixed import ComponentCheck
     from totaldom.verify import check_characterization
 
-    def mutant(comp, side):
-        facts = Analysis.of(comp)
-        hmap = facts.heights
-        height = hmap.graph_height()
-        g = facts.forest.graph
-        v1 = set(hmap.level(1))
-        v2 = set(hmap.level(2))
+    def mutant(layer, comp):
+        height, nbrs = layer.height, layer.nbrs
+        top = max((height[i] for i in comp), default=0)
         v2_ok = all(
-            sum(1 for w in g.neighbors(v) if w in v1) == 1 for v in v2
+            sum(1 for j in nbrs[i] if height[j] == 1) == 1 for i in comp if height[i] == 2
         )
         return ComponentCheck(
-            side=side,
-            vertices=g.labels,
-            height=height,
-            height_ok=height <= 3,
+            side=layer.side,
+            vertices=tuple(layer.graph.labels[i] for i in comp),
+            height=top,
+            height_ok=top <= 3,
             v2_unique_v1_ok=v2_ok,
             v1_at_most_one_v2_ok=True,  # condition (3) skipped
             offending_vertex=None,

@@ -5,7 +5,12 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import edge_ideal, minimal_td_sets_by_subsets, odd_open_neighborhood_ideal
+from oracles import (
+    edge_ideal,
+    minimal_td_sets_by_subsets,
+    odd_open_neighborhood_ideal,
+    open_neighborhood_ideal_by_scan,
+)
 from totaldom.algebra import artinian_reduction, parametric_decomposition
 from totaldom.construct import generate
 from totaldom.domination import minimal_td_sets
@@ -146,6 +151,25 @@ def test_oni_paper_path(paper_p4):
 def test_oni_isolated_vertex_unit():
     g = Graph.from_edges([("a", "b")], extra_vertices=["w"])
     assert open_neighborhood_ideal(g).is_unit
+
+
+def test_oni_matches_scan_over_every_kept_generator():
+    # bucketing the kept masks by their lowest bit keeps the generators and
+    # their order; graphs with isolated vertices give the unit ideal
+    graphs = [t.graph for t in trees_up_to(9)]
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randrange(1, 12)
+        labels = [f"x{i}" for i in rng.sample(range(40), n)]
+        edges = [(a, b) for a in labels for b in labels if a < b and rng.random() < 0.3]
+        graphs.append(Graph(labels, edges))
+    for g in graphs:
+        targets = [None, [v for v in g.labels if rng.random() < 0.5]]
+        for s in targets:
+            got = open_neighborhood_ideal(g, s)
+            want = open_neighborhood_ideal_by_scan(g, s)
+            assert (got.variables, got.gens) == (want.variables, want.gens)
+    assert any(open_neighborhood_ideal(g).is_unit for g in graphs)
 
 
 def test_oni_paper_tree8(paper_tree8):

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import even_blue_coloring
 from totaldom.domination import is_unmixed_bruteforce, minimal_s_td_sets
-from totaldom.errors import NotBalancedError
+from totaldom.errors import InputError, MixedTreeError, NotBalancedError, TheoremViolation
 from totaldom.graphs import (
     Coloring,
     Tree,
@@ -201,6 +201,19 @@ def test_fast_trivial_trees():
     assert is_unmixed_fast(path_graph(0)).unmixed
     assert is_unmixed_fast(path_graph(1)).unmixed
     assert is_unmixed_fast(path_graph(3)).unmixed
+
+
+def test_one_vertex_tree_has_no_shelling_or_type():
+    # K1 has no total dominating set and N(K1) is the unit ideal: an input
+    # error, not a failed self-check
+    from totaldom.algebra import cm_type
+    from totaldom.complexes import stable_shelling
+
+    for run in (stable_shelling, cm_type):
+        with pytest.raises(InputError, match="one-vertex tree") as exc:
+            run(path_graph(0))
+        assert not isinstance(exc.value, TheoremViolation)
+        assert not isinstance(exc.value, MixedTreeError)
 
 
 def test_fast_agrees_with_bruteforce_small(trees10):
