@@ -62,10 +62,6 @@ class SimplicialComplex:
     def is_pure(self) -> bool:
         return len({len(f) for f in self.facets}) <= 1
 
-    def has_face(self, face) -> bool:
-        fs = set(face)
-        return any(fs <= set(f) for f in self.facets)
-
     def __repr__(self):
         return f"SimplicialComplex({len(self.ground)} vertices, {len(self.facets)} facets)"
 
@@ -104,17 +100,37 @@ def join(d1: SimplicialComplex, d2: SimplicialComplex) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 
 def stanley_reisner_ideal(d: SimplicialComplex) -> MonomialIdeal:
-    """Generated by the minimal non-faces (size at most dim+2)."""
+    """Generated by the minimal non-faces (size at most dim+2).
+
+    Subsets of the ground set are walked in ``combinations`` order as masks.
+    A mask is a face when it lies inside one of the facet masks, computed
+    once; a k-subset costs at most k+1 such tests of one AND per facet.
+    """
     if d.is_void:
         return MonomialIdeal.unit(d.ground)
+    ground = d.ground
+    pos = {v: k for k, v in enumerate(ground)}
+    facets = [sum(1 << pos[v] for v in f) for f in d.facets]
+
+    def is_face(m: int) -> bool:
+        for f in facets:
+            if m & f == m:
+                return True
+        return False
+
     gens = []
     for k in range(1, d.dim + 3):
-        for sub in combinations(d.ground, k):
-            if d.has_face(sub):
+        for sub in combinations(range(len(ground)), k):
+            bits = [1 << i for i in sub]
+            m = sum(bits)
+            if is_face(m):
                 continue
-            if all(d.has_face(sub[:i] + sub[i + 1:]) for i in range(k)):
-                gens.append(Monomial.of(*sub))
-    return MonomialIdeal.from_gens(d.ground, gens)
+            for b in bits:
+                if not is_face(m ^ b):
+                    break
+            else:
+                gens.append(Monomial.of(*(ground[i] for i in sub)))
+    return MonomialIdeal.from_gens(ground, gens)
 
 
 def stanley_reisner_complex(i: MonomialIdeal) -> SimplicialComplex:

@@ -45,7 +45,8 @@ def minimal_transversal_masks(edges: list[int], cap: int | None = None) -> list[
     antichain, so no member that hits e is dominated, and no extension t|b
     is dominated by another extension. An extension t|b is dominated exactly
     by a member h with h & e == b and h - b inside t, so each extension is
-    tested only against the members that meet e in b alone.
+    tested only against the members that meet e in b alone: one AND and one
+    compare per such member, stopping at the first that dominates it.
     """
     if any(e == 0 for e in edges):
         return []
@@ -70,10 +71,13 @@ def minimal_transversal_masks(edges: list[int], cap: int | None = None) -> list[
             rests = private.get(b)
             if rests is None:
                 family.extend([t | b for t in miss])
-            else:
-                family.extend([
-                    t | b for t in miss if not any(r & t == r for r in rests)
-                ])
+                continue
+            for t in miss:
+                for r in rests:
+                    if r & t == r:
+                        break
+                else:
+                    family.append(t | b)
         if cap is not None and len(family) > cap:
             raise EnumerationCapExceeded(
                 f"transversal family grew past cap={cap}"
@@ -96,31 +100,37 @@ def minimal_transversals(sets, cap: int | None = None) -> tuple[tuple, ...]:
 # S-TD-sets
 # ---------------------------------------------------------------------------
 
+def _is_minimal_s_td(g, dmask: int, smask: int) -> bool:
+    """D totally dominates S and is minimal, on masks in one pass.
+
+    S must lie inside N(D), and every v in D needs a private neighbor: some
+    u in N(D) with N(u) & D = {v}. The witnesses come from one walk over the
+    bits of N(D); every such u meets D, so its hit is never empty.
+    """
+    nd = g.neighborhood_mask(dmask)
+    if smask & ~nd:
+        return False
+    masks = g.masks
+    witnessed = 0
+    while nd:
+        low = nd & -nd
+        hit = masks[low.bit_length() - 1] & dmask
+        if hit & (hit - 1) == 0:
+            witnessed |= hit
+        nd ^= low
+    return witnessed == dmask
+
+
 def is_s_td_set(g, d, s) -> bool:
     g = _graph_of(g)
-    nd = g.neighborhood_mask(g.mask_of(d))
-    return g.mask_of(s) & ~nd == 0
+    return g.mask_of(s) & ~g.neighborhood_mask(g.mask_of(d)) == 0
 
 
 def is_minimal_set(g, d) -> bool:
-    """Minimality with respect to open neighborhoods.
-
-    Uses the private-neighbor criterion: every v in D needs a witness
-    u in N(D) with N(u) & D = {v}.
-    """
+    """Minimality with respect to open neighborhoods: the private-neighbor
+    criterion of ``_is_minimal_s_td`` with an empty target."""
     g = _graph_of(g)
-    dmask = g.mask_of(d)
-    if dmask == 0:
-        return True
-    nd = g.neighborhood_mask(dmask)
-    masks = g.masks
-    witnessed = 0
-    for i in range(g.n):
-        if nd >> i & 1:
-            hit = masks[i] & dmask
-            if hit and hit & (hit - 1) == 0:
-                witnessed |= hit
-    return witnessed == dmask
+    return _is_minimal_s_td(g, g.mask_of(d), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -155,19 +165,27 @@ class MinimalSetFamily:
 
 
 def minimal_s_td_sets(g, s, cap: int | None = None) -> MinimalSetFamily:
-    """All minimal S-TD-sets, each re-verified against the definitions."""
+    """All minimal S-TD-sets, each re-verified against the definitions.
+
+    The recheck of a transversal D is one pass on masks
+    (``_is_minimal_s_td``): N(D) is the OR of |D| neighbor masks, S inside
+    N(D) is one AND, and the private-neighbor witnesses take one walk over
+    the bits of N(D). The first set in mask order that fails raises
+    TheoremViolation; each set is converted to labels once.
+    """
     g = _graph_of(g)
     target = vset(s)
     masks = g.masks
     edges = [masks[g.index[v]] for v in target]
-    sets = tuple(
-        g.labels_of(m) for m in minimal_transversal_masks(edges, cap=cap)
-    )
-    for d in sets:
-        if not is_s_td_set(g, d, target) or not is_minimal_set(g, d):
+    smask = g.mask_of(target)
+    sets = []
+    for m in minimal_transversal_masks(edges, cap=cap):
+        d = g.labels_of(m)
+        if not _is_minimal_s_td(g, m, smask):
             raise TheoremViolation(
                 f"transversal {d} is not a verified minimal S-TD-set"
             )
+        sets.append(d)
     return MinimalSetFamily(target=target, sets=tuple(sorted(sets)))
 
 

@@ -12,9 +12,10 @@ neighborhood ideals) that the package itself does not need.
 The last section keeps the earlier, straightforward versions of the
 near-linear polynomial paths (recursive AHU codes, whisker growth and
 peeling by whole-tree rebuilds, N(G) minimalized against every kept
-generator, the interior-graph test through a Tree per component) and of the
+generator, the interior-graph test through a Tree per component), of the
 transversal engine (a Berge round that minimalizes every candidate against
-every other) as references for differential tests.
+every other) and of the Stanley-Reisner sweep (faces tested as label sets)
+as references for differential tests.
 """
 
 from __future__ import annotations
@@ -354,6 +355,27 @@ def minimal_transversals_by_subsets(edges: list[int]) -> list[int]:
             if hits(m) and not any(hits(m ^ b) for b in combo):
                 out.append(m)
     return sorted(out)
+
+
+def stanley_reisner_ideal_by_faces(d: SimplicialComplex) -> MonomialIdeal:
+    """``complexes.stanley_reisner_ideal`` on label tuples: each subset of the
+    ground set, in ``combinations`` order, is a face when its label set lies
+    inside some facet's label set."""
+    if d.is_void:
+        return MonomialIdeal.unit(d.ground)
+
+    def has_face(face) -> bool:
+        fs = set(face)
+        return any(fs <= set(f) for f in d.facets)
+
+    gens = []
+    for k in range(1, d.dim + 3):
+        for sub in combinations(d.ground, k):
+            if has_face(sub):
+                continue
+            if all(has_face(sub[:i] + sub[i + 1:]) for i in range(k)):
+                gens.append(Monomial.of(*sub))
+    return MonomialIdeal.from_gens(d.ground, gens)
 
 
 def generate_by_apply_o(seed: int, steps: int):

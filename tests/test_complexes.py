@@ -3,12 +3,15 @@ from __future__ import annotations
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     brute_force_shellable,
     complex_faces,
     even_stable_shelling,
     faces_by_divisibility,
+    stanley_reisner_ideal_by_faces,
     vector_facet,
 )
 from totaldom.complexes import (
@@ -30,9 +33,9 @@ from totaldom.construct import generate
 from totaldom.domination import minimal_td_sets
 from totaldom.errors import EnumerationCapExceeded, MixedTreeError, NotBalancedError
 from totaldom.graphs import Graph, path_graph, star_graph
-from totaldom.ideals import MonomialIdeal, open_neighborhood_ideal
+from totaldom.ideals import Monomial, MonomialIdeal, open_neighborhood_ideal
 from totaldom.treegen import Lcg64
-from totaldom.unmixed import interior_graphs, is_unmixed_fast
+from totaldom.unmixed import interior_graphs, is_balanced, is_unmixed_fast
 
 
 def cx(ground, facets) -> SimplicialComplex:
@@ -160,6 +163,40 @@ def test_sr_random_round_trips():
         assert stanley_reisner_ideal(back) == ideal
         # face sets agree with the divisibility definition
         assert complex_faces(d) == faces_by_divisibility(ideal)
+
+
+def test_sr_sweep_matches_label_oracle_on_tree_complexes(trees8):
+    for t in trees8:
+        complexes_ = [stable_complex(t)]
+        if is_balanced(t):
+            complexes_.append(even_stable_complex(t))
+        for d in complexes_:
+            assert stanley_reisner_ideal(d) == stanley_reisner_ideal_by_faces(d)
+
+
+def test_sr_sweep_matches_label_oracle_on_void_and_empty_face():
+    for ground in ((), ("a",), ("a", "b", "c")):
+        void = cx(ground, [])
+        empty_face = cx(ground, [()])
+        assert void.is_void and not empty_face.is_void
+        assert stanley_reisner_ideal(void) == stanley_reisner_ideal_by_faces(void)
+        assert stanley_reisner_ideal(void).is_unit
+        got = stanley_reisner_ideal(empty_face)
+        assert got == stanley_reisner_ideal_by_faces(empty_face)
+        assert got.gens == tuple(Monomial.of(v) for v in ground)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+))
+def test_sr_sweep_matches_label_oracle_on_facet_lists(case):
+    n, facet_masks = case
+    ground = tuple(f"x{i}" for i in range(n))
+    d = cx(ground, [
+        tuple(v for i, v in enumerate(ground) if m >> i & 1) for m in facet_masks
+    ])
+    assert stanley_reisner_ideal(d) == stanley_reisner_ideal_by_faces(d)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ from oracles import (
     minimal_td_sets_by_subsets,
     neighborhood_by_scan,
 )
+from totaldom import domination
 from totaldom.domination import (
+    _is_minimal_s_td,
     is_minimal_set,
     is_s_td_set,
     is_unmixed_bruteforce,
@@ -18,9 +20,9 @@ from totaldom.domination import (
     minimal_td_sets,
     minimal_transversals,
 )
-from totaldom.errors import EnumerationCapExceeded
-from totaldom.graphs import Graph, Tree, path_graph, star_graph, two_coloring
-from totaldom.treegen import Lcg64, random_tree
+from totaldom.errors import EnumerationCapExceeded, TheoremViolation
+from totaldom.graphs import Graph, Tree, heights, path_graph, star_graph, two_coloring
+from totaldom.treegen import Lcg64, random_tree, trees_up_to
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +219,48 @@ def test_neighborhood_hypergraph_witnesses(paper_p4):
     g = paper_p4.graph
     assert ("s1",) in {g.neighbors(v) for v in g.labels}  # N(l1)
     assert tuple(v for v in g.labels if g.neighbors(v) == ("s1", "s2")) == ("u",)
+
+
+# ---------------------------------------------------------------------------
+# the recheck of each transversal
+# ---------------------------------------------------------------------------
+
+# Masks over the sorted labels l1, l2, s1, s2, u of the paper path.
+P4_MINIMAL = 0b11100  # {s1, s2, u}: a minimal TD-set
+P4_MISSES = 0b01100  # {s1, s2}: N(D) misses s1 and s2
+P4_NOT_MINIMAL = 0b11101  # {l1, s1, s2, u}: TD, but l1 has no private neighbor
+
+
+# Each family is in mask order, as the engine returns it.
+@pytest.mark.parametrize(("family", "target", "reported"), [
+    ([P4_MISSES, P4_MINIMAL], None, "('s1', 's2')"),
+    ([P4_MINIMAL, P4_NOT_MINIMAL], None, "('l1', 's1', 's2', 'u')"),
+    ([0, P4_MINIMAL], None, "()"),
+    ([0], ("u",), "()"),
+    ([P4_MISSES, P4_MINIMAL, P4_NOT_MINIMAL], None, "('s1', 's2')"),
+    ([P4_MISSES, P4_NOT_MINIMAL], ("l1", "l2"), "('l1', 's1', 's2', 'u')"),
+])
+def test_recheck_reports_first_failing_transversal(monkeypatch, paper_p4, family, target, reported):
+    monkeypatch.setattr(domination, "minimal_transversal_masks", lambda edges, cap=None: family)
+    with pytest.raises(TheoremViolation) as exc:
+        minimal_s_td_sets(paper_p4, paper_p4.labels if target is None else target)
+    assert str(exc.value) == f"transversal {reported} is not a verified minimal S-TD-set"
+
+
+def test_mask_recheck_matches_definitions_on_every_subset():
+    for t in trees_up_to(7):
+        g = t.graph
+        odd = heights(t).odd()
+        for target in (g.labels, odd):
+            smask = g.mask_of(target)
+            covered = set(target)
+            for dmask in range(1 << g.n):
+                d = g.labels_of(dmask)
+                dominates = covered <= set(neighborhood_by_scan(g, d))
+                minimal = minimal_by_definition(g, d)
+                assert is_s_td_set(t, d, target) == dominates
+                assert is_minimal_set(t, d) == minimal
+                assert _is_minimal_s_td(g, dmask, smask) == (dominates and minimal)
 
 
 # ---------------------------------------------------------------------------
