@@ -43,55 +43,35 @@ class ArtinianReduction:
 
 
 def artinian_reduction(t: Tree | Analysis) -> ArtinianReduction:
-    """Reduce the odd neighborhood ideal of an unmixed balanced tree."""
+    """Reduce the odd neighborhood ideal of an unmixed balanced tree. At
+    height 3 each support row (``Analysis.support_rows``) collapses onto its
+    partner u, whose pure power is the row length |N(s)|."""
     facts = Analysis.of(t)
-    if not facts.characterization.unmixed:
-        raise MixedTreeError("reduction requires an unmixed balanced tree")
+    rows = facts.support_rows
     hmap = facts.heights
     h = hmap.graph_height()
     g = facts.forest.graph
 
-    if h == 0:
-        v = g.labels[0]
-        ideal = MonomialIdeal.from_gens((v,), [Monomial.of(v)])
-        return ArtinianReduction(
-            height=0,
-            variables=(v,),
-            ideal=ideal,
-            pure_powers=ideal,
-            substitution=((v, v),),
-        )
-
-    if h == 1:
+    if h <= 1:
+        # the leaves (at height 0, the one vertex) collapse onto the first
         leaves = hmap.level(0)
         rep = leaves[0]
-        n0 = len(leaves)
-        ideal = MonomialIdeal.from_gens((rep,), [Monomial.from_dict({rep: n0})])
+        ideal = MonomialIdeal.from_gens((rep,), [Monomial.from_dict({rep: len(leaves)})])
         return ArtinianReduction(
-            height=1,
+            height=h,
             variables=(rep,),
             ideal=ideal,
             pure_powers=ideal,
             substitution=tuple((v, rep) for v in leaves),
         )
 
-    if h != 3:
-        raise TheoremViolation(f"unmixed balanced tree of height {h} should not exist")
-
-    v0 = set(hmap.level(0))
-    v2 = set(hmap.level(2))
     subst: dict[str, str] = {}
     powers: dict[str, int] = {}
-    for s in hmap.level(1):
-        partners = [w for w in g.neighbors(s) if w in v2]
-        if len(partners) != 1:
-            raise TheoremViolation("support without a unique height-2 partner")
-        u = partners[0]
-        subst[u] = u
-        powers[u] = len(g.neighbors(s))
-        for leaf in g.neighbors(s):
-            if leaf in v0:
-                subst[leaf] = u
+    for row in rows:
+        u = row[0]
+        powers[u] = len(row)
+        for w in row:
+            subst[w] = u
     variables = vset(powers)
     gens = [Monomial.from_dict({u: k}) for u, k in powers.items()]
     pure = MonomialIdeal.from_gens(variables, gens)

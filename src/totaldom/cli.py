@@ -84,17 +84,6 @@ def _emit(report: dict, as_json: bool, human) -> None:
         human(report)
 
 
-def _forest_view(g: Graph):
-    try:
-        f = Forest(g)
-    except TotaldomError:
-        return None, None
-    try:
-        return f, Tree(g)
-    except TotaldomError:
-        return f, None
-
-
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -106,9 +95,13 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
         "input": {"digest": _digest(g), "vertices": g.n, "edges": g.num_edges()},
         "graph": {"vertices": list(g.labels), "edges": [list(e) for e in g.edges()]},
     }
-    forest, tree = _forest_view(g)
+    try:
+        forest = Forest(g)
+    except TotaldomError:
+        forest = None
+    is_tree = forest is not None and forest.ncomponents == 1
     report["forest"] = forest is not None
-    report["tree"] = tree is not None
+    report["tree"] = is_tree
     clocks = {}
 
     # one analysis per request: each fact below is computed once and shared
@@ -164,7 +157,7 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
     report["ideal"] = entry
     clocks["ideal"] = time.monotonic() - t1
 
-    if tree is not None:
+    if is_tree:
         interiors = interior_graphs(facts)
         report["interiors"] = {
             "blue": {

@@ -264,23 +264,11 @@ class FacetLabeling:
 
 def facet_labeling(t: Tree | Analysis) -> FacetLabeling:
     facts = Analysis.of(t)
-    if not facts.characterization.unmixed:
-        raise MixedTreeError("facet vectors require an unmixed balanced tree")
+    rows = facts.support_rows
     hmap = facts.heights
     if hmap.graph_height() != 3:
         raise ValueError("facet vectors are defined for height-3 trees")
-    g = facts.forest.graph
-    v0 = set(hmap.level(0))
-    v2 = set(hmap.level(2))
-    supports = hmap.level(1)
-    rows = []
-    for s in supports:
-        partners = [w for w in g.neighbors(s) if w in v2]
-        if len(partners) != 1:
-            raise TheoremViolation(f"support {s!r} has {len(partners)} height-2 partners")
-        leaves = sorted(w for w in g.neighbors(s) if w in v0)
-        rows.append(tuple(partners + leaves))
-    return FacetLabeling(supports=supports, rows=tuple(rows))
+    return FacetLabeling(supports=hmap.level(1), rows=rows)
 
 
 def facet_vector(labeling: FacetLabeling, even: VertexSet, facet) -> tuple[int, ...]:
@@ -323,9 +311,9 @@ class ShellingOrder:
         }
 
 
-def shelling_order(t: Tree | Analysis, cap: int | None = None) -> ShellingOrder:
-    """The facet-vector order on the even-stable complex of a height-3 tree."""
-    facts = Analysis.of(t)
+def _facet_vector_order(facts: Analysis, cap: int | None):
+    """The even-stable complex of a height-3 tree, its facets sorted by
+    ``shelling_sort_key`` of their facet vectors, and those vectors."""
     labeling = facet_labeling(facts)
     complex_ = even_stable_complex(facts, cap=cap)
     even = complex_.ground
@@ -333,27 +321,43 @@ def shelling_order(t: Tree | Analysis, cap: int | None = None) -> ShellingOrder:
         ((facet_vector(labeling, even, f), f) for f in complex_.facets),
         key=lambda pair: shelling_sort_key(pair[0]),
     )
-    facets = tuple(f for _, f in tagged)
-    vectors = tuple(v for v, _ in tagged)
+    return complex_, tuple(f for _, f in tagged), tuple(v for v, _ in tagged)
+
+
+def shelling_order(t: Tree | Analysis, cap: int | None = None) -> ShellingOrder:
+    """The facet-vector order on the even-stable complex of a height-3 tree,
+    verified to be a shelling."""
+    complex_, facets, vectors = _facet_vector_order(Analysis.of(t), cap)
     check = verify_shelling(complex_, facets)
     if not check.ok:
         raise TheoremViolation("the facet-vector order failed shelling verification")
-    return ShellingOrder(ground=even, facets=facets, vectors=vectors, check=check)
+    return ShellingOrder(ground=complex_.ground, facets=facets, vectors=vectors, check=check)
 
 
 def _component_order(c: Analysis, cap: int | None = None) -> tuple[tuple[str, ...], list[VertexSet]]:
-    """Ordered even-stable facets of one unmixed balanced component."""
-    h = c.heights.graph_height()
-    if h <= 1:
+    """Ordered even-stable facets of one unmixed balanced component, not
+    verified here: ``_composed_order`` verifies their product. A component
+    of height 0 or 1 has no support rows; its even-stable complex is a
+    simplex or the boundary of one, which any facet order shells."""
+    if not c.support_rows:
         comp = even_stable_complex(c, cap=cap)
         return comp.ground, sorted(comp.facets)
-    if h == 3:
-        order = shelling_order(c, cap=cap)
-        return order.ground, list(order.facets)
-    raise MixedTreeError(f"balanced component of height {h} cannot be unmixed")
+    complex_, facets, _ = _facet_vector_order(c, cap)
+    return complex_.ground, list(facets)
 
 
 def _composed_order(components: tuple[Analysis, ...], cap: int | None = None) -> ShellingOrder:
+    """The product of the component orders, verified once as a shelling of
+    the join.
+
+    Joins of shellable complexes are shellable (Provan & Billera 1980), and
+    this one check also covers every component order. Fix every factor but
+    one at its first facet. For two such product facets F_i before F_j,
+    condition (ii) gives an earlier F_k with F_j - F_k = {v} for some v in
+    F_j - F_i; the join is pure, so F_k agrees with F_j off the free factor
+    and comes before it there. That is condition (ii) for the free factor's
+    pair, so a component order that fails shelling makes the product fail.
+    """
     grounds: list[str] = []
     orders = []
     for c in components:

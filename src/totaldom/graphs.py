@@ -18,9 +18,6 @@ from .errors import (
 
 VertexSet = tuple[str, ...]
 
-BLUE = "B"
-RED = "R"
-
 
 def vset(labels) -> VertexSet:
     """Canonical vertex set: sorted, duplicate-free label tuple."""
@@ -101,7 +98,14 @@ class Graph:
         return m
 
     def labels_of(self, mask: int) -> VertexSet:
-        return tuple(v for i, v in enumerate(self.labels) if mask >> i & 1)
+        """The labels of the set bits, in index (so label) order."""
+        labels = self.labels
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(labels[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
 
     def neighborhood_mask(self, mask: int) -> int:
         """Open neighborhood N(S) of the subset given as a bitmask."""
@@ -376,18 +380,13 @@ def classify_vertices(f: Forest) -> Classification:
 # ---------------------------------------------------------------------------
 
 class Coloring:
-    """A proper 2-coloring, stored as the two color classes plus a
-    label-to-color lookup (blue wins for a label listed in both)."""
+    """A proper 2-coloring, stored as the two color classes."""
 
-    __slots__ = ("blue", "red", "_color")
+    __slots__ = ("blue", "red")
 
     def __init__(self, blue, red):
         self.blue = vset(blue)
         self.red = vset(red)
-        self._color = dict.fromkeys(self.red, RED) | dict.fromkeys(self.blue, BLUE)
-
-    def color_of(self, v: str) -> str:
-        return self._color[v]
 
     def __eq__(self, other):
         return isinstance(other, Coloring) and (self.blue, self.red) == (other.blue, other.red)

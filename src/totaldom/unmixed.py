@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .domination import MinimalSetFamily, minimal_td_sets
-from .errors import EnumerationCapExceeded, InputError, NotBalancedError, TheoremViolation
+from .errors import (
+    EnumerationCapExceeded,
+    InputError,
+    MixedTreeError,
+    NotBalancedError,
+    TheoremViolation,
+)
 from .graphs import (
     Classification,
     Coloring,
@@ -454,6 +460,29 @@ class Analysis:
         if not self.balanced:
             raise NotBalancedError("characterization requires a balanced tree")
         return UnmixedCertificate(unmixed=self.check.ok, checks=(self.check,))
+
+    @_fact
+    def support_rows(self) -> tuple[VertexSet, ...]:
+        """Per support in label order: its unique height-2 partner, then its
+        leaves in label order; empty at height 0 or 1. Raises MixedTreeError
+        unless the tree is unmixed balanced, and TheoremViolation when its
+        height is not 0, 1 or 3 or a support has no unique partner."""
+        if not self.characterization.unmixed:
+            raise MixedTreeError("support rows require an unmixed balanced tree")
+        h = self.heights.graph_height()
+        if h <= 1:
+            return ()
+        if h != 3:
+            raise TheoremViolation(f"unmixed balanced tree of height {h} should not exist")
+        g, height = self.forest.graph, self.heights
+        rows = []
+        for s in height.level(1):
+            nbrs = g.neighbors(s)  # in label order
+            partners = [w for w in nbrs if height[w] == 2]
+            if len(partners) != 1:
+                raise TheoremViolation(f"support {s!r} has {len(partners)} height-2 partners")
+            rows.append((partners[0], *(w for w in nbrs if height[w] == 0)))
+        return tuple(rows)
 
     def require_edge(self) -> None:
         """Raise InputError on the one-vertex tree, the one tree with no

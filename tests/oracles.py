@@ -490,6 +490,7 @@ def open_neighborhood_ideal_by_scan(g, s=None) -> MonomialIdeal:
 def balanced_by_criteria(f: Forest, coloring: Coloring | None = None) -> bool:
     """The three balancedness criteria on a forest; they must agree."""
     col = two_coloring(f) if coloring is None else coloring
+    blue = set(col.blue)
     hmap = heights(f)
     g = f.graph
     c1 = all(hmap[a] != hmap[b] for a, b in g.edges())
@@ -498,9 +499,9 @@ def balanced_by_criteria(f: Forest, coloring: Coloring | None = None) -> bool:
         by_height: dict[int, set[str]] = {}
         leaf_colors = set()
         for v in comp:
-            by_height.setdefault(hmap[v], set()).add(col.color_of(v))
+            by_height.setdefault(hmap[v], set()).add(v in blue)
             if g.degree(v) <= 1:
-                leaf_colors.add(col.color_of(v))
+                leaf_colors.add(v in blue)
         c2 = c2 and all(len(cols) == 1 for cols in by_height.values())
         c3 = c3 and len(leaf_colors) <= 1
     if not (c1 == c2 == c3):

@@ -5,6 +5,7 @@ import gc
 import pytest
 
 from oracles import parametric_supports_from_ideal
+from totaldom import algebra
 from totaldom.algebra import (
     artinian_reduction,
     cm_type,
@@ -14,9 +15,12 @@ from totaldom.algebra import (
 )
 from totaldom.construct import generate
 from totaldom.domination import minimal_td_sets
-from totaldom.errors import EnumerationCapExceeded, MixedTreeError
+from totaldom.complexes import facet_labeling, stable_shelling
+from totaldom.errors import EnumerationCapExceeded, MixedTreeError, TheoremViolation
 from totaldom.graphs import Forest, Tree, heights, path_graph, star_graph
-from totaldom.ideals import MonomialIdeal
+from totaldom.ideals import Monomial, MonomialIdeal
+from totaldom.unmixed import Analysis
+from totaldom.verify import check_type_agreement, unmixed_corpus
 
 U123 = ("u1", "u2", "u3")
 PAPER_J = MonomialIdeal.parse("u1^4, u2^2, u3^3, u1*u2, u2*u3", U123)
@@ -90,6 +94,40 @@ def test_reduction_substitution_covers_even_vertices():
         t, _ = generate(seed, seed % 6)
         red = artinian_reduction(t)
         assert set(red.substitution_map()) == set(heights(t).even())
+
+
+def test_reduction_collapses_each_support_row_onto_its_partner():
+    checked = 0
+    for t in unmixed_corpus(5, 40):
+        for side in Analysis(t).sides:
+            for comp in side.components:
+                if comp.heights.graph_height() != 3:
+                    continue
+                red = artinian_reduction(comp.forest)
+                subst = red.substitution_map()
+                for row in facet_labeling(comp.forest).rows:
+                    checked += 1
+                    assert {subst[w] for w in row} == {row[0]}
+                    assert Monomial.from_dict({row[0]: len(row)}) in red.pure_powers.gens
+    assert checked
+
+
+def test_support_rows_computed_once_when_shelling_and_type_share_an_analysis(monkeypatch):
+    fact = Analysis.__dict__["support_rows"]
+    computed = []
+    compute = fact.compute
+
+    def counted(facts):
+        computed.append(facts)
+        return compute(facts)
+
+    monkeypatch.setattr(fact, "compute", counted)
+    facts = Analysis(path_graph(9))
+    stable_shelling(facts)
+    cm_type(facts)
+    components = [c for side in facts.sides for c in side.components]
+    assert len(components) == 2
+    assert sorted(map(id, computed)) == sorted(map(id, components))
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +279,13 @@ def test_type_dim_matches_td_set_size():
         sizes = family.sizes()
         assert len(sizes) == 1
         assert rep.dim == t.graph.n - sizes[0]
+
+
+def test_type_agreement_check_raises_on_a_wrong_socle(monkeypatch):
+    socle = algebra.socle_dimension
+    monkeypatch.setattr(algebra, "socle_dimension", lambda a: socle(a) + 1)
+    with pytest.raises(TheoremViolation, match="disagree with socle"):
+        check_type_agreement(seed=99991, count=3)
 
 
 def test_type_multiplicative_over_interiors():

@@ -14,6 +14,7 @@ from oracles import (
     stanley_reisner_ideal_by_faces,
     vector_facet,
 )
+from totaldom import complexes
 from totaldom.complexes import (
     SimplicialComplex,
     even_stable_complex,
@@ -31,7 +32,12 @@ from totaldom.complexes import (
 )
 from totaldom.construct import generate
 from totaldom.domination import minimal_td_sets
-from totaldom.errors import EnumerationCapExceeded, MixedTreeError, NotBalancedError
+from totaldom.errors import (
+    EnumerationCapExceeded,
+    MixedTreeError,
+    NotBalancedError,
+    TheoremViolation,
+)
 from totaldom.graphs import Graph, path_graph, star_graph
 from totaldom.ideals import Monomial, MonomialIdeal, open_neighborhood_ideal
 from totaldom.treegen import Lcg64
@@ -381,6 +387,41 @@ def test_stable_shelling_single_component_reduces():
     sc = stable_complex(t)
     assert set(order.facets) == set(sc.facets)
     assert order.check.ok
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_stable_shelling_verifies_one_order(monkeypatch, n):
+    # path_graph(6) has one height-3 interior component, path_graph(9) two;
+    # only their composed order is verified
+    calls = []
+
+    def counted(d, order):
+        calls.append(d)
+        return verify_shelling(d, order)
+
+    monkeypatch.setattr(complexes, "verify_shelling", counted)
+    assert stable_shelling(path_graph(n)).check.ok
+    assert len(calls) == 1
+
+
+def test_stable_shelling_rejects_a_failing_component_order(monkeypatch):
+    # reverse the blue component's facet-vector order of path_graph(9); the
+    # red component keeps its order, and the composed check must fail
+    vector_order = complexes._facet_vector_order
+    patched = []
+
+    def reversed_once(facts, cap):
+        d, facets, vectors = vector_order(facts, cap)
+        if patched:
+            return d, facets, vectors
+        patched.append(facts.side)
+        assert not verify_shelling(d, facets[::-1]).ok
+        return d, facets[::-1], vectors[::-1]
+
+    monkeypatch.setattr(complexes, "_facet_vector_order", reversed_once)
+    with pytest.raises(TheoremViolation, match="composed join order"):
+        stable_shelling(path_graph(9))
+    assert patched == ["blue"]
 
 
 def test_stable_shelling_rejects_mixed(paper_p4):

@@ -332,3 +332,11 @@ def test_lazy_masks_match_eager_formula(trees8):
         assert g.masks is g.masks
         for v in g.labels:
             assert g.masks[g.index[v]] == g.mask_of(g.neighbors(v))
+
+
+def test_labels_of_matches_a_walk_over_all_labels():
+    g = random_tree(Lcg64(3), 9).graph
+    for mask in range(1 << g.n):
+        want = tuple(v for i, v in enumerate(g.labels) if mask >> i & 1)
+        assert g.labels_of(mask) == want
+        assert g.mask_of(want) == mask

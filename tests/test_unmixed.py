@@ -86,7 +86,7 @@ def test_same_height_even_distance_same_color(trees10):
             for w in g.labels:
                 if h[v] == h[w]:
                     assert dist[w] % 2 == 0
-                    assert col.color_of(v) == col.color_of(w)
+                    assert (v in col.blue) == (w in col.blue)
 
 
 # ---------------------------------------------------------------------------
