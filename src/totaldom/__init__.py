@@ -18,11 +18,9 @@ from .algebra import (
     socle_dimension,
 )
 from .complexes import (
-    FacetLabeling,
     ShellingOrder,
     SimplicialComplex,
     even_stable_complex,
-    facet_labeling,
     facet_vector,
     join,
     shelling_order,

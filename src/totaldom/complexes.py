@@ -3,8 +3,7 @@
 Facets live over an explicit ground set. The stable complex of a graph has
 the complements of its minimal TD-sets as facets; for a balanced tree the
 even-stable complex plays the same role with the odd-height vertices as the
-domination target. Shellings are verified against both forms of the
-codimension-one condition.
+domination target. Shellings are verified by restriction sets.
 """
 
 from __future__ import annotations
@@ -159,24 +158,11 @@ def stanley_reisner_complex(i: MonomialIdeal) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ShellingWitness:
-    """For facet pair (i, j): the earlier index k with F_j minus F_k = {v}."""
-
-    i: int
-    j: int
-    k: int
-    v: str
-
-    def to_json_dict(self) -> dict:
-        return {"i": self.i, "j": self.j, "k": self.k, "v": self.v}
-
-
-@dataclass(frozen=True)
 class ShellingCheck:
     ok: bool
     pure: bool
-    reformulation_agrees: bool
-    witnesses: tuple[ShellingWitness, ...]
+    reformulation_agrees: bool = True
+    witness_count: int = 0
     failure_pair: tuple[int, int] | None = None
 
     def to_json_dict(self) -> dict:
@@ -184,98 +170,98 @@ class ShellingCheck:
             "ok": self.ok,
             "pure": self.pure,
             "reformulation_agrees": self.reformulation_agrees,
-            "witness_count": len(self.witnesses),
+            "witness_count": self.witness_count,
             "failure_pair": list(self.failure_pair) if self.failure_pair else None,
         }
 
 
+def _restrictions(ground, order) -> tuple[list[int], list[dict[int, int]]]:
+    """Facet masks of a pure ``order`` and, for each F_j, its restriction
+    R_j as a map from each vertex bit v of R_j to the first k < j with
+    F_j - v inside F_k. One dict of the codimension-1 faces seen so far,
+    each with the first facet that contains it, gives all of them."""
+    pos = {v: k for k, v in enumerate(ground)}
+    masks = [sum(1 << pos[v] for v in f) for f in order]
+    first: dict[int, int] = {}
+    restrictions = []
+    for j, fj in enumerate(masks):
+        rj = {}
+        rest = fj
+        while rest:
+            vbit = rest & -rest
+            rest ^= vbit
+            k = first.setdefault(fj ^ vbit, j)
+            if k != j:
+                rj[vbit] = k
+        restrictions.append(rj)
+    return masks, restrictions
+
+
 def verify_shelling(d: SimplicialComplex, order) -> ShellingCheck:
-    """Check a facet order under condition (ii) and its intersection form.
+    """Check condition (ii) for a facet order by restriction sets.
 
     Condition (ii): for i < j there are v in F_j - F_i and k < j with
-    F_j - F_k = {v}. The reformulation asks, whenever |F_i & F_j| < dim, for
-    some k < j with F_i & F_j inside F_k & F_j of full codimension-1 size.
-    Both are evaluated and must agree.
+    F_j - F_k = {v}. The restriction R_j of F_j is the set of v in F_j with
+    F_j - v inside an earlier facet; in a shelling the faces F_j adds are
+    the interval [R_j, F_j] (Bjorner 1992; Ziegler, Lectures on Polytopes,
+    8.1). The order fails at the first (j, i) with R_j inside F_i.
+
+    Both forms of the codimension-one condition are this one predicate,
+    R_j not inside F_i, for facets of one size s:
+
+    - Condition (ii): F_j - F_k = {v} exactly when F_j - v lies in F_k, as
+      |F_k| = |F_j|. So the v it asks for are the members of R_j - F_i.
+    - The reformulation asks that |F_i & F_j| = s - 1, or that F_i & F_j
+      lie in some earlier F_k with |F_k & F_j| = s - 1. Such a k meets F_j
+      in F_j - v_k with v_k in R_j, and F_i & F_j lies in F_k exactly when
+      v_k is not in F_i. If |F_i & F_j| = s - 1, the vertex v of F_j - F_i
+      is in R_j, because F_j - v lies in F_i; it is not in F_i.
+
+    So the reformulation agrees by proof; ``tests/oracles.py`` keeps the
+    pairwise evaluation of both as the reference. The cost is O(F * s) dict
+    lookups plus O(F^2) mask ANDs; per-pair witnesses are built only by
+    ``ShellingOrder.to_json_dict``, and a passing check counts F(F-1)/2.
     """
     order = [vset(f) for f in order]
     if sorted(order) != sorted(d.facets):
         raise ValueError("order is not a permutation of the facets")
     if not d.is_pure:
-        return ShellingCheck(ok=False, pure=False, reformulation_agrees=True, witnesses=())
-    if len(order) <= 1:
-        return ShellingCheck(ok=True, pure=True, reformulation_agrees=True, witnesses=())
-    pos = {v: k for k, v in enumerate(d.ground)}
-    masks = [sum(1 << pos[v] for v in f) for f in order]
-    size = len(order[0])
-    witnesses = []
+        return ShellingCheck(ok=False, pure=False)
+    masks, restrictions = _restrictions(d.ground, order)
     for j in range(1, len(masks)):
-        fj = masks[j]
-        good = [k for k in range(j) if bin(masks[k] & fj).count("1") == size - 1]
+        rj = sum(restrictions[j])
         for i in range(j):
-            fi = masks[i]
-            hit = None
-            for k in good:
-                vbit = fj & ~masks[k]
-                if vbit & ~fi:
-                    hit = (k, vbit)
-                    break
-            inter = fi & fj
-            reform_ok = (
-                bin(inter).count("1") == size - 1
-                or any(inter & ~masks[k] == 0 for k in good)
-            )
-            if (hit is not None) != reform_ok:
-                raise TheoremViolation(
-                    "shelling condition (ii) and its reformulation disagree"
-                )
-            if hit is None:
-                return ShellingCheck(
-                    ok=False,
-                    pure=True,
-                    reformulation_agrees=True,
-                    witnesses=(),
-                    failure_pair=(i, j),
-                )
-            k, vbit = hit
-            witnesses.append(
-                ShellingWitness(i=i, j=j, k=k, v=d.ground[vbit.bit_length() - 1])
-            )
-    return ShellingCheck(
-        ok=True, pure=True, reformulation_agrees=True, witnesses=tuple(witnesses)
-    )
+            if rj & masks[i] == rj:
+                return ShellingCheck(ok=False, pure=True, failure_pair=(i, j))
+    n = len(masks)
+    return ShellingCheck(ok=True, pure=True, witness_count=n * (n - 1) // 2)
+
+
+def _witnesses(ground, order) -> list[dict]:
+    """For each pair i < j of a shelling order, the first k < j and the v
+    with v in F_j - F_i and F_j - F_k = {v}: the smallest first index over
+    v in R_j - F_i. Distinct v in R_j have distinct first indices, since a
+    facet holding F_j - v and F_j - v' would hold F_j."""
+    masks, restrictions = _restrictions(ground, order)
+    out = []
+    for j in range(1, len(masks)):
+        for i in range(j):
+            k, vbit = min((k, v) for v, k in restrictions[j].items() if v & ~masks[i])
+            out.append({"i": i, "j": j, "k": k, "v": ground[vbit.bit_length() - 1]})
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Facet vectors and the explicit shelling order
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FacetLabeling:
-    """Support-indexed labeling of a height-3 unmixed balanced tree.
-
-    ``rows[i]`` lists the admissible partners of support i: first its unique
-    height-2 neighbor, then its leaves in label order; row lengths are the
-    neighborhood sizes k_i.
-    """
-
-    supports: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
-
-
-def facet_labeling(t: Tree | Analysis) -> FacetLabeling:
-    facts = Analysis.of(t)
-    rows = facts.support_rows
-    hmap = facts.heights
-    if hmap.graph_height() != 3:
-        raise ValueError("facet vectors are defined for height-3 trees")
-    return FacetLabeling(supports=hmap.level(1), rows=rows)
-
-
-def facet_vector(labeling: FacetLabeling, even: VertexSet, facet) -> tuple[int, ...]:
-    """The tuple (a_1..a_p) with D = V_even - facet meeting row i at entry a_i."""
+def facet_vector(rows, even: VertexSet, facet) -> tuple[int, ...]:
+    """The tuple (a_1..a_p) with D = V_even - facet meeting row i at entry
+    a_i, for the support rows of ``Analysis.support_rows``: support i's
+    height-2 partner, then its leaves in label order."""
     d = set(even) - set(facet)
     vec = []
-    for row in labeling.rows:
+    for row in rows:
         picks = [a for a, u in enumerate(row, start=1) if u in d]
         if len(picks) != 1:
             raise TheoremViolation(
@@ -307,18 +293,20 @@ class ShellingOrder:
             "facets": [list(f) for f in self.facets],
             "vectors": [list(v) for v in self.vectors] if self.vectors else None,
             "check": self.check.to_json_dict(),
-            "witnesses": [w.to_json_dict() for w in self.check.witnesses],
+            "witnesses": _witnesses(self.ground, self.facets) if self.check.ok else [],
         }
 
 
 def _facet_vector_order(facts: Analysis, cap: int | None):
     """The even-stable complex of a height-3 tree, its facets sorted by
     ``shelling_sort_key`` of their facet vectors, and those vectors."""
-    labeling = facet_labeling(facts)
+    rows = facts.support_rows
+    if facts.heights.graph_height() != 3:
+        raise ValueError("facet vectors are defined for height-3 trees")
     complex_ = even_stable_complex(facts, cap=cap)
     even = complex_.ground
     tagged = sorted(
-        ((facet_vector(labeling, even, f), f) for f in complex_.facets),
+        ((facet_vector(rows, even, f), f) for f in complex_.facets),
         key=lambda pair: shelling_sort_key(pair[0]),
     )
     return complex_, tuple(f for _, f in tagged), tuple(v for v, _ in tagged)

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import json
 from dataclasses import dataclass
 
-from .errors import MixedTreeError, TheoremViolation
+from .errors import InputError, MixedTreeError, TheoremViolation
 from .graphs import (
     Graph,
     Tree,
@@ -58,20 +57,6 @@ class ConstructionTrace:
             "steps": [{"attach_label": s.attach, "kind": s.kind} for s in self.steps],
         }
         return dumps(payload) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> ConstructionTrace:
-        payload = json.loads(text)
-        if payload.get("base") != "P6":
-            raise ValueError(f"unsupported trace base {payload.get('base')!r}")
-        steps = tuple(
-            TraceStep(attach=s["attach_label"], kind=s["kind"])
-            for s in payload["steps"]
-        )
-        for s in steps:
-            if s.kind not in _WHISKER_HEIGHTS:
-                raise ValueError(f"unknown step kind {s.kind!r}")
-        return cls(steps=steps)
 
 
 def fresh_labels(existing, count: int) -> list[str]:
@@ -302,7 +287,7 @@ def deconstruct(t: Tree) -> ConstructionTrace:
     if not cert.unmixed:
         raise MixedTreeError("deconstruction requires an unmixed balanced tree")
     if heights(t).graph_height() != 3:
-        raise ValueError("deconstruction requires height exactly 3")
+        raise InputError("deconstruction requires height exactly 3")
 
     core, extra_leaves = leaf_normalize(t)
     peeled, base = _peel(core)  # (attach, kind, chain) in peel order

@@ -7,9 +7,10 @@ class TotaldomError(Exception):
 
 class InputError(TotaldomError):
     """Input that cannot be used: an unreadable or non-UTF-8 file, a vertex
-    label the graph does not have, or the one-vertex tree given to
+    label the graph does not have, the one-vertex tree given to
     ``stable_shelling`` or ``cm_type`` (it has no total dominating set, so
-    its N(G) is the unit ideal)."""
+    its N(G) is the unit ideal), or an unmixed balanced tree of height other
+    than 3 given to ``deconstruct``."""
 
 
 class EdgeListParseError(TotaldomError):

@@ -518,7 +518,7 @@ def canonical_form(f: Forest) -> str:
     g = f.graph
     adj = [list(nb) for nb in g.adj]
     codes = []
-    for comp in g.component_labels():
+    for comp in f.components():
         idx = [g.index[v] for v in comp]
         codes.append(_component_code(adj, idx))
     return "[" + ";".join(sorted(codes)) + "]"

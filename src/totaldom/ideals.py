@@ -41,17 +41,6 @@ class Monomial:
                 raise ValueError(f"negative exponent for {v!r}")
         return cls(tuple(sorted((v, e) for v, e in d.items() if e > 0)))
 
-    @classmethod
-    def parse(cls, text: str) -> Monomial:
-        text = text.strip()
-        if text == "1":
-            return cls.one()
-        d: dict[str, int] = {}
-        for part in text.split("*"):
-            var, _, exp = part.strip().partition("^")
-            d[var] = d.get(var, 0) + (int(exp) if exp else 1)
-        return cls.from_dict(d)
-
     # -- queries ----------------------------------------------------------
 
     @property
@@ -124,19 +113,8 @@ class MonomialIdeal:
         return cls(variables=variables, gens=ordered)
 
     @classmethod
-    def zero(cls, variables) -> MonomialIdeal:
-        return cls.from_gens(variables, [])
-
-    @classmethod
     def unit(cls, variables) -> MonomialIdeal:
         return cls.from_gens(variables, [Monomial.one()])
-
-    @classmethod
-    def parse(cls, text: str, variables) -> MonomialIdeal:
-        text = text.strip()
-        if text == "0" or not text:
-            return cls.zero(variables)
-        return cls.from_gens(variables, [Monomial.parse(p) for p in text.split(",")])
 
     # -- predicates ---------------------------------------------------------
 
@@ -151,9 +129,6 @@ class MonomialIdeal:
     @property
     def is_squarefree(self) -> bool:
         return all(m.is_squarefree for m in self.gens)
-
-    def contains(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.gens)
 
     def _check_ambient(self, other: MonomialIdeal):
         if self.variables != other.variables:

@@ -7,7 +7,12 @@ frozen in the tests were computed with these.
 
 The middle section holds second routes to objects the package computes
 (colorings, selectors, shellings, parametric supports, edge and odd
-neighborhood ideals) that the package itself does not need.
+neighborhood ideals) that the package itself does not need, and the
+pairwise shelling scan that restriction sets replaced.
+
+A third section reads the text formats the package only writes: the
+ideal text and construction traces, each with the input checks the
+package once applied.
 
 The last section keeps the earlier, straightforward versions of the
 near-linear polynomial paths (recursive AHU codes, whisker growth and
@@ -20,12 +25,14 @@ as references for differential tests.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import combinations
 
 from totaldom.complexes import SimplicialComplex, _composed_order
 from totaldom.construct import (
     _KIND_BY_HEIGHT,
+    _WHISKER_HEIGHTS,
     KIND_LEAF,
     KIND_WHISKER3,
     KIND_WHISKER4,
@@ -37,7 +44,13 @@ from totaldom.construct import (
     leaf_normalize,
 )
 from totaldom.domination import _minimalize_masks, minimal_transversals
-from totaldom.errors import EnumerationCapExceeded, MixedTreeError, NotBalancedError, TheoremViolation
+from totaldom.errors import (
+    EnumerationCapExceeded,
+    InputError,
+    MixedTreeError,
+    NotBalancedError,
+    TheoremViolation,
+)
 from totaldom.graphs import (
     Coloring,
     Forest,
@@ -158,7 +171,7 @@ def faces_by_divisibility(ideal) -> set[frozenset[str]]:
     out = set()
     for k in range(len(ground) + 1):
         for combo in combinations(ground, k):
-            if not ideal.contains(Monomial.of(*combo)):
+            if not ideal_contains(ideal, Monomial.of(*combo)):
                 out.add(frozenset(combo))
     return out
 
@@ -269,10 +282,55 @@ def brute_force_shellable(d: SimplicialComplex, max_facets: int = 12):
     return None
 
 
-def vector_facet(labeling, even, vec) -> tuple[str, ...]:
+def shelling_by_pairs(d: SimplicialComplex, order):
+    """``complexes.verify_shelling`` by a scan per facet pair: condition (ii)
+    and its intersection reformulation are evaluated separately over the
+    earlier facets that meet F_j in codimension 1, and must agree.
+
+    Returns ``(ok, pure, failure_pair, witnesses)``, where the witnesses are
+    the ``shelling --json`` dicts of the first k each pair's scan finds, or
+    an empty list unless the order shells.
+    """
+    order = [vset(f) for f in order]
+    if sorted(order) != sorted(d.facets):
+        raise ValueError("order is not a permutation of the facets")
+    if not d.is_pure:
+        return False, False, None, []
+    pos = {v: k for k, v in enumerate(d.ground)}
+    masks = [sum(1 << pos[v] for v in f) for f in order]
+    size = len(order[0]) if order else 0
+    witnesses = []
+    for j in range(1, len(masks)):
+        fj = masks[j]
+        good = [k for k in range(j) if bin(masks[k] & fj).count("1") == size - 1]
+        for i in range(j):
+            fi = masks[i]
+            hit = None
+            for k in good:
+                vbit = fj & ~masks[k]
+                if vbit & ~fi:
+                    hit = (k, vbit)
+                    break
+            inter = fi & fj
+            reform_ok = (
+                bin(inter).count("1") == size - 1
+                or any(inter & ~masks[k] == 0 for k in good)
+            )
+            if (hit is not None) != reform_ok:
+                raise TheoremViolation(
+                    "shelling condition (ii) and its reformulation disagree"
+                )
+            if hit is None:
+                return False, True, (i, j), []
+            k, vbit = hit
+            witnesses.append({"i": i, "j": j, "k": k, "v": d.ground[vbit.bit_length() - 1]})
+    return True, True, None, witnesses
+
+
+def vector_facet(rows, even, vec) -> tuple[str, ...]:
     """Inverse of ``complexes.facet_vector``: the facet whose complement in
-    the even vertices picks entry a_i of row i."""
-    dropped = {labeling.rows[i][a - 1] for i, a in enumerate(vec)}
+    the even vertices picks entry a_i of support row i."""
+    dropped = {rows[i][a - 1] for i, a in enumerate(vec)}
     return vset(set(even) - dropped)
 
 
@@ -305,6 +363,53 @@ def odd_open_neighborhood_ideal(f, variables) -> MonomialIdeal:
     ``variables``."""
     gens = [Monomial.of(*f.graph.neighbors(v)) for v in heights(f).odd()]
     return MonomialIdeal.from_gens(variables, gens)
+
+
+# ---------------------------------------------------------------------------
+# Readers for the ideal text and construction traces
+# ---------------------------------------------------------------------------
+
+def parse_monomial(text: str) -> Monomial:
+    """Inverse of ``Monomial.render``: ``1``, or ``*``-joined factors ``var``
+    or ``var^k``; a repeated variable adds its exponents."""
+    text = text.strip()
+    if text == "1":
+        return Monomial.one()
+    d: dict[str, int] = {}
+    for part in text.split("*"):
+        var, _, exp = part.strip().partition("^")
+        d[var] = d.get(var, 0) + (int(exp) if exp else 1)
+    return Monomial.from_dict(d)
+
+
+def parse_ideal(text: str, variables) -> MonomialIdeal:
+    """Inverse of ``MonomialIdeal.render`` over ``variables``: ``0`` or no
+    text is the zero ideal, otherwise ``,``-separated monomials."""
+    text = text.strip()
+    if text == "0" or not text:
+        return MonomialIdeal.from_gens(variables, [])
+    return MonomialIdeal.from_gens(variables, [parse_monomial(p) for p in text.split(",")])
+
+
+def ideal_contains(ideal: MonomialIdeal, m: Monomial) -> bool:
+    """Membership of a monomial: some generator divides it."""
+    return any(g.divides(m) for g in ideal.gens)
+
+
+def trace_from_json(text: str) -> ConstructionTrace:
+    """Inverse of ``ConstructionTrace.to_json``; ValueError on a base other
+    than P6 or an unknown step kind."""
+    payload = json.loads(text)
+    if payload.get("base") != "P6":
+        raise ValueError(f"unsupported trace base {payload.get('base')!r}")
+    steps = tuple(
+        TraceStep(attach=s["attach_label"], kind=s["kind"])
+        for s in payload["steps"]
+    )
+    for s in steps:
+        if s.kind not in _WHISKER_HEIGHTS:
+            raise ValueError(f"unknown step kind {s.kind!r}")
+    return ConstructionTrace(steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +551,7 @@ def deconstruct_by_rebuilds(t):
     if not characterize_balanced_unmixed(t).unmixed:
         raise MixedTreeError("deconstruction requires an unmixed balanced tree")
     if heights(t).graph_height() != 3:
-        raise ValueError("deconstruction requires height exactly 3")
+        raise InputError("deconstruction requires height exactly 3")
     current, extra_leaves = leaf_normalize(t)
     peeled = []
     while (round_ := _peel_by_rebuild(current)) is not None:

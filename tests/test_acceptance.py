@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import time
 
+from oracles import parse_ideal
 from totaldom.algebra import (
     artinian_reduction,
     cm_type,
@@ -22,7 +23,7 @@ from totaldom.complexes import (
 from totaldom.construct import deconstruct, generate, replay
 from totaldom.domination import minimal_s_td_sets, minimal_td_sets
 from totaldom.graphs import Tree, canonical_form
-from totaldom.ideals import MonomialIdeal, decompose_squarefree, open_neighborhood_ideal
+from totaldom.ideals import decompose_squarefree, open_neighborhood_ideal
 from totaldom.treegen import trees_up_to
 from totaldom.unmixed import is_unmixed_fast
 from totaldom.verify import (
@@ -46,7 +47,7 @@ def test_criterion_01_p5_restricted_ideal(paper_p5):
     start = time.monotonic()
     target = ("v2", "v4", "v6")
     ideal = open_neighborhood_ideal(paper_p5, target)
-    expected = MonomialIdeal.parse("v1*v3, v5", paper_p5.graph.labels)
+    expected = parse_ideal("v1*v3, v5", paper_p5.graph.labels)
     dec = decompose_squarefree(ideal)
     family = minimal_s_td_sets(paper_p5, target)
     elapsed = time.monotonic() - start
@@ -129,7 +130,7 @@ def test_criterion_07_join_theorem():
 
 def test_criterion_08_type_formula(fence_tree):
     u123 = ("u1", "u2", "u3")
-    paper_j = MonomialIdeal.parse("u1^4, u2^2, u3^3, u1*u2, u2*u3", u123)
+    paper_j = parse_ideal("u1^4, u2^2, u3^3, u1*u2, u2*u3", u123)
     socle = socle_dimension(paper_j)
 
     # rebuild the same ideal from the labeled tree and decompose it

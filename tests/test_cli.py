@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from oracles import trace_from_json
 import totaldom.cli as cli
+import totaldom.complexes as complexes
 import totaldom.domination as domination
 from totaldom.cli import build_parser, main
-from totaldom.construct import ConstructionTrace, replay
+from totaldom.construct import generate, replay
 from totaldom.graphs import canonical_form, parse_graph, path_graph, render_edge_list
 
 P6_TEXT = "0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n"
@@ -309,6 +311,28 @@ def test_shelling_command(capsys, p6_file):
     assert len(report["facets"]) == 3
 
 
+def test_only_shelling_json_builds_per_pair_witnesses(capsys, tmp_path, monkeypatch):
+    t, _ = generate(3, 4)
+    path = tmp_path / "gen.edges"
+    path.write_text(render_edge_list(t.graph))
+    built = []
+    original = complexes._witnesses
+
+    def counted(ground, order):
+        built.append(len(order))
+        return original(ground, order)
+
+    monkeypatch.setattr(complexes, "_witnesses", counted)
+    order = complexes.stable_shelling(t)
+    assert order.check.ok and built == []
+    report = run_json(capsys, ["analyze", str(path), "--json"])
+    assert report["shelling"]["verified"] is True and built == []
+    report = run_json(capsys, ["shelling", str(path), "--json"])
+    n = len(report["facets"])
+    assert built == [n]
+    assert report["check"]["witness_count"] == len(report["witnesses"]) == n * (n - 1) // 2
+
+
 def test_ideal_rejects_unknown_subset_vertex(capsys, p6_file):
     assert main(["ideal", p6_file, "--subset", "0,zz"]) == 2
     captured = capsys.readouterr()
@@ -343,6 +367,16 @@ def test_deconstruct_command(capsys, p6_file):
     assert report == {"base": "P6", "steps": []}
 
 
+def test_deconstruct_rejects_a_star_as_an_input_error(capsys, tmp_path):
+    # the star is unmixed and balanced, but of height 1
+    path = tmp_path / "star.edges"
+    path.write_text("s a\ns b\ns c\n")
+    assert main(["deconstruct", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: deconstruction requires height exactly 3\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # generate / verify
 # ---------------------------------------------------------------------------
@@ -359,7 +393,7 @@ def test_generate_writes_reproducible_corpus(tmp_path, capsys):
     for name in ("tree_000.edges", "tree_001.edges", "trace_000.json", "trace_001.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     tree = parse_graph((out1 / "tree_000.edges").read_text())
-    trace = ConstructionTrace.from_json((out1 / "trace_000.json").read_text())
+    trace = trace_from_json((out1 / "trace_000.json").read_text())
     assert replay(trace).graph == tree
     assert render_edge_list(tree) == (out1 / "tree_000.edges").read_text()
 

@@ -11,14 +11,15 @@ from oracles import (
     complex_faces,
     even_stable_shelling,
     faces_by_divisibility,
+    shelling_by_pairs,
     stanley_reisner_ideal_by_faces,
     vector_facet,
 )
-from totaldom import complexes
+from totaldom import complexes, verify
 from totaldom.complexes import (
+    ShellingOrder,
     SimplicialComplex,
     even_stable_complex,
-    facet_labeling,
     facet_vector,
     join,
     ones_count,
@@ -38,10 +39,10 @@ from totaldom.errors import (
     NotBalancedError,
     TheoremViolation,
 )
-from totaldom.graphs import Graph, path_graph, star_graph
+from totaldom.graphs import Graph, path_graph, star_graph, vset
 from totaldom.ideals import Monomial, MonomialIdeal, open_neighborhood_ideal
 from totaldom.treegen import Lcg64
-from totaldom.unmixed import interior_graphs, is_balanced, is_unmixed_fast
+from totaldom.unmixed import Analysis, interior_graphs, is_balanced, is_unmixed_fast
 
 
 def cx(ground, facets) -> SimplicialComplex:
@@ -144,7 +145,7 @@ def test_sr_ideal_of_stable_complex_is_oni(paper_p4):
 def test_sr_full_simplex_zero_ideal():
     full = cx(("a", "b"), [("a", "b")])
     assert stanley_reisner_ideal(full).is_zero
-    assert stanley_reisner_complex(MonomialIdeal.zero(("a", "b"))) == full
+    assert stanley_reisner_complex(MonomialIdeal.from_gens(("a", "b"), [])) == full
 
 
 def test_sr_unit_ideal_void_complex():
@@ -256,10 +257,91 @@ def test_witnesses_certify_condition():
     check = verify_shelling(d, d.facets)
     assert check.ok
     facets = d.facets
-    for w in check.witnesses:
-        diff = set(facets[w.j]) - set(facets[w.k])
-        assert diff == {w.v}
-        assert w.v not in set(facets[w.i])
+    witnesses = ShellingOrder(d.ground, facets, None, check).to_json_dict()["witnesses"]
+    assert len(witnesses) == check.witness_count == 3
+    for w in witnesses:
+        diff = set(facets[w["j"]]) - set(facets[w["k"]])
+        assert diff == {w["v"]}
+        assert w["v"] not in set(facets[w["i"]])
+
+
+def assert_matches_pairwise_scan(d, order):
+    """Restriction sets and the pairwise oracle agree on the verdict, the
+    failing pair and the full witness list ``shelling --json`` prints."""
+    check = verify_shelling(d, order)
+    ok, pure, failure_pair, witnesses = shelling_by_pairs(d, order)
+    assert (check.ok, check.pure, check.failure_pair) == (ok, pure, failure_pair)
+    assert check.reformulation_agrees
+    emitted = ShellingOrder(d.ground, tuple(order), None, check).to_json_dict()
+    assert emitted["witnesses"] == witnesses
+    assert emitted["check"]["witness_count"] == len(witnesses)
+    return check
+
+
+def test_restriction_sets_match_pairwise_scan_on_verify_orders(monkeypatch):
+    # every order the facet-vector and join shelling checks of ``verify``
+    # produce at their default seeds
+    orders = []
+    original = complexes.verify_shelling
+
+    def recorded(d, order):
+        orders.append((d, tuple(order)))
+        return original(d, order)
+
+    monkeypatch.setattr(complexes, "verify_shelling", recorded)
+    assert verify.check_vector_shelling().passed
+    assert verify.check_join_shelling().passed
+    monkeypatch.undo()
+    assert len(orders) == 300
+    for d, order in orders:
+        assert assert_matches_pairwise_scan(d, order).ok
+
+
+def test_restriction_sets_match_pairwise_scan_on_reordered_stable_complexes(trees8):
+    # forward, reversed and shuffled facet orders, so failing pairs occur
+    rng = Lcg64(8)
+    failing = 0
+    for t in trees8:
+        if t.graph.n < 2 or not is_unmixed_fast(t).unmixed:
+            continue
+        d = stable_complex(t)
+        shuffled = list(d.facets)
+        for i in range(len(shuffled) - 1, 0, -1):
+            k = rng.randrange(i + 1)
+            shuffled[i], shuffled[k] = shuffled[k], shuffled[i]
+        for order in (stable_shelling(t).facets, d.facets, d.facets[::-1], shuffled):
+            failing += not assert_matches_pairwise_scan(d, order).ok
+    assert failing
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+))
+def test_restriction_sets_match_pairwise_scan_on_facet_lists(case):
+    n, facet_masks = case
+    ground = tuple(f"x{i}" for i in range(n))
+    d = cx(ground, [
+        tuple(v for i, v in enumerate(ground) if m >> i & 1) for m in facet_masks
+    ])
+    assert_matches_pairwise_scan(d, d.facets)
+    assert_matches_pairwise_scan(d, d.facets[::-1])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(1, n),
+        st.lists(st.permutations(range(n)), min_size=1, max_size=8),
+    )
+))
+def test_restriction_sets_match_pairwise_scan_on_pure_facet_lists(case):
+    # facets of one size, in the order drawn
+    n, size, perms = case
+    ground = tuple(f"x{i}" for i in range(n))
+    order = list(dict.fromkeys(vset(ground[i] for i in p[:size]) for p in perms))
+    assert_matches_pairwise_scan(cx(ground, order), order)
 
 
 def test_brute_force_matches_exhaustive_verification():
@@ -315,19 +397,19 @@ def test_p6_shelling_order():
 
 def test_facet_vector_round_trip():
     t, _ = generate(12, 6)
-    labeling = facet_labeling(t)
+    rows = Analysis(t).support_rows
     sc = even_stable_complex(t)
     for f in sc.facets:
-        vec = facet_vector(labeling, sc.ground, f)
-        assert all(1 <= a <= len(row) for a, row in zip(vec, labeling.rows))
-        assert vector_facet(labeling, sc.ground, vec) == f
+        vec = facet_vector(rows, sc.ground, f)
+        assert all(1 <= a <= len(row) for a, row in zip(vec, rows))
+        assert vector_facet(rows, sc.ground, vec) == f
 
 
 def test_facet_intersection_cardinality():
     t, _ = generate(3, 5)
-    labeling = facet_labeling(t)
+    rows = Analysis(t).support_rows
     sc = even_stable_complex(t)
-    vecs = {f: facet_vector(labeling, sc.ground, f) for f in sc.facets}
+    vecs = {f: facet_vector(rows, sc.ground, f) for f in sc.facets}
     for f1 in sc.facets:
         for f2 in sc.facets:
             differing = sum(1 for a, b in zip(vecs[f1], vecs[f2]) if a != b)
@@ -336,18 +418,18 @@ def test_facet_intersection_cardinality():
 
 def test_entry_replacement_stays_facet():
     t, _ = generate(21, 5)
-    labeling = facet_labeling(t)
+    rows = Analysis(t).support_rows
     sc = even_stable_complex(t)
     facets = set(sc.facets)
     for f in sc.facets:
-        vec = list(facet_vector(labeling, sc.ground, f))
+        vec = list(facet_vector(rows, sc.ground, f))
         for i, a in enumerate(vec):
             if a == 1:
                 continue
-            for c in range(1, len(labeling.rows[i]) + 1):
+            for c in range(1, len(rows[i]) + 1):
                 replaced = vec.copy()
                 replaced[i] = c
-                assert vector_facet(labeling, sc.ground, tuple(replaced)) in facets
+                assert vector_facet(rows, sc.ground, tuple(replaced)) in facets
 
 
 def test_shelling_order_rejects_mixed(paper_p4):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import deconstruct_by_rebuilds, generate_by_apply_o, replay_by_apply_o
+from oracles import deconstruct_by_rebuilds, generate_by_apply_o, replay_by_apply_o, trace_from_json
 from totaldom.construct import (
     KIND_LEAF,
     ConstructionTrace,
@@ -18,7 +18,7 @@ from totaldom.construct import (
     suspension,
 )
 from totaldom.domination import is_unmixed_bruteforce
-from totaldom.errors import MixedTreeError, TheoremViolation
+from totaldom.errors import InputError, MixedTreeError, TheoremViolation
 from totaldom.graphs import (
     Tree,
     canonical_form,
@@ -109,16 +109,16 @@ def test_generate_small_outputs_pass_bruteforce():
 
 def test_trace_json_round_trip():
     _, trace = generate(5, 6)
-    again = ConstructionTrace.from_json(trace.to_json())
+    again = trace_from_json(trace.to_json())
     assert again == trace
     assert replay(again).graph == replay(trace).graph
 
 
 def test_trace_rejects_bad_kind():
     with pytest.raises(ValueError):
-        ConstructionTrace.from_json('{"base": "P6", "steps": [{"attach_label": "1", "kind": "nope"}]}')
+        trace_from_json('{"base": "P6", "steps": [{"attach_label": "1", "kind": "nope"}]}')
     with pytest.raises(ValueError):
-        ConstructionTrace.from_json('{"base": "P7", "steps": []}')
+        trace_from_json('{"base": "P7", "steps": []}')
 
 
 def test_replay_validates_heights():
@@ -171,7 +171,7 @@ def test_deconstruct_rejects_mixed(paper_p4):
 
 
 def test_deconstruct_rejects_low_height():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^deconstruction requires height exactly 3$"):
         deconstruct(star_graph(3))
 
 

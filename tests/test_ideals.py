@@ -7,9 +7,12 @@ import pytest
 
 from oracles import (
     edge_ideal,
+    ideal_contains,
     minimal_td_sets_by_subsets,
     odd_open_neighborhood_ideal,
     open_neighborhood_ideal_by_scan,
+    parse_ideal,
+    parse_monomial,
 )
 from totaldom.algebra import artinian_reduction, parametric_decomposition
 from totaldom.construct import generate
@@ -43,17 +46,17 @@ U123 = ("u1", "u2", "u3")
 
 def test_monomial_render_parse_round_trip():
     for text in ("1", "x", "x^3", "x*y^2", "a*b*c"):
-        assert Monomial.parse(text).render() == text
+        assert parse_monomial(text).render() == text
 
 
 def test_monomial_divides():
-    assert Monomial.parse("x").divides(Monomial.parse("x^2"))
-    assert not Monomial.parse("x^3").divides(Monomial.parse("x^2"))
-    assert Monomial.one().divides(Monomial.parse("x*y"))
+    assert parse_monomial("x").divides(parse_monomial("x^2"))
+    assert not parse_monomial("x^3").divides(parse_monomial("x^2"))
+    assert Monomial.one().divides(parse_monomial("x*y"))
 
 
 def test_monomial_lcm():
-    got = Monomial.parse("x^2*y").lcm(Monomial.parse("y^3*z"))
+    got = parse_monomial("x^2*y").lcm(parse_monomial("y^3*z"))
     assert got.render() == "x^2*y^3*z"
 
 
@@ -68,48 +71,48 @@ def test_monomial_of_is_squarefree():
 # ---------------------------------------------------------------------------
 
 def test_minimalize_p5_generators():
-    gens = [Monomial.parse(t) for t in ("v1*v3", "v3*v5", "v5")]
+    gens = [parse_monomial(t) for t in ("v1*v3", "v3*v5", "v5")]
     assert tuple(m.render() for m in minimalize(gens)) == ("v5", "v1*v3")
 
 
 def test_minimalize_singleton_and_powers():
-    m = Monomial.parse("x*y")
+    m = parse_monomial("x*y")
     assert minimalize([m]) == (m,)
-    assert tuple(x.render() for x in minimalize([Monomial.parse("x"), Monomial.parse("x^2")])) == ("x",)
+    assert tuple(x.render() for x in minimalize([parse_monomial("x"), parse_monomial("x^2")])) == ("x",)
 
 
 def test_ideal_requires_known_variables():
     with pytest.raises(AmbientMismatchError):
-        MonomialIdeal.from_gens(("x",), [Monomial.parse("y")])
+        MonomialIdeal.from_gens(("x",), [parse_monomial("y")])
 
 
 def test_ideal_render_parse_round_trip():
     text = "u2, u1^4, u1*u2"
-    ideal = MonomialIdeal.parse(text, ("u1", "u2"))
-    assert MonomialIdeal.parse(ideal.render(), ("u1", "u2")) == ideal
-    assert MonomialIdeal.parse("0", ("x",)).is_zero
-    assert MonomialIdeal.parse("1", ("x",)).is_unit
+    ideal = parse_ideal(text, ("u1", "u2"))
+    assert parse_ideal(ideal.render(), ("u1", "u2")) == ideal
+    assert parse_ideal("0", ("x",)).is_zero
+    assert parse_ideal("1", ("x",)).is_unit
 
 
 def test_membership():
-    ideal = MonomialIdeal.parse("x*y, z^2", ("x", "y", "z"))
-    assert ideal.contains(Monomial.parse("x*y*z"))
-    assert ideal.contains(Monomial.parse("z^3"))
-    assert not ideal.contains(Monomial.parse("x*z"))
-    assert Monomial.parse("m") in [g for g in MonomialIdeal.parse("m", ("m",)).gens]
+    ideal = parse_ideal("x*y, z^2", ("x", "y", "z"))
+    assert ideal_contains(ideal, parse_monomial("x*y*z"))
+    assert ideal_contains(ideal, parse_monomial("z^3"))
+    assert not ideal_contains(ideal, parse_monomial("x*z"))
+    assert parse_monomial("m") in [g for g in parse_ideal("m", ("m",)).gens]
 
 
 def test_zero_ideal_contains_nothing():
-    zero = MonomialIdeal.zero(("x",))
-    assert not zero.contains(Monomial.parse("x"))
+    zero = MonomialIdeal.from_gens(("x",), [])
+    assert not ideal_contains(zero, parse_monomial("x"))
 
 
 def test_sum_and_ambient_mismatch():
-    a = MonomialIdeal.parse("x", ("x", "y"))
-    b = MonomialIdeal.parse("y", ("x", "y"))
+    a = parse_ideal("x", ("x", "y"))
+    b = parse_ideal("y", ("x", "y"))
     assert a.sum_with(b).render() == "x, y"
     with pytest.raises(AmbientMismatchError):
-        a.sum_with(MonomialIdeal.parse("z", ("z",)))
+        a.sum_with(parse_ideal("z", ("z",)))
 
 
 def test_intersection_p5_example():
@@ -119,19 +122,19 @@ def test_intersection_p5_example():
 
 
 def test_intersection_with_pure_powers_paper_example():
-    u = MonomialIdeal.parse("u1^4, u2^2, u3^3", U123)
+    u = parse_ideal("u1^4, u2^2, u3^3", U123)
     left = variable_ideal(U123, ("u1", "u3")).sum_with(u)
     right = variable_ideal(U123, ("u2",)).sum_with(u)
     got = left.intersect(right)
-    assert got == MonomialIdeal.parse("u1^4, u2^2, u3^3, u1*u2, u2*u3", U123)
+    assert got == parse_ideal("u1^4, u2^2, u3^3, u1*u2, u2*u3", U123)
 
 
 def test_equality_is_mutual_membership():
-    a = MonomialIdeal.parse("x, x*y", ("x", "y"))
-    b = MonomialIdeal.parse("x", ("x", "y"))
+    a = parse_ideal("x, x*y", ("x", "y"))
+    b = parse_ideal("x", ("x", "y"))
     assert a == b
-    assert all(b.contains(m) for m in a.gens)
-    assert all(a.contains(m) for m in b.gens)
+    assert all(ideal_contains(b, m) for m in a.gens)
+    assert all(ideal_contains(a, m) for m in b.gens)
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +218,13 @@ def test_decompose_paper_tree8(paper_tree8):
 
 
 def test_decompose_principal():
-    dec = decompose_squarefree(MonomialIdeal.parse("x", ("x",)))
+    dec = decompose_squarefree(parse_ideal("x", ("x",)))
     assert dec.supports == (("x",),)
 
 
 def test_decompose_rejects_non_squarefree():
     with pytest.raises(NotSquareFreeError):
-        decompose_squarefree(MonomialIdeal.parse("x^2", ("x",)))
+        decompose_squarefree(parse_ideal("x^2", ("x",)))
 
 
 def test_decompose_unit_flagged():
@@ -244,7 +247,7 @@ def test_containment_iff_std_set(trees8):
         for _ in range(8):
             vprime = tuple(v for v in labs if rng.randrange(2))
             prime = variable_ideal(labs, vprime)
-            contained = all(prime.contains(m) for m in ideal.gens)
+            contained = all(ideal_contains(prime, m) for m in ideal.gens)
             assert contained == is_s_td_set(t, vprime, target)
 
 
@@ -321,7 +324,7 @@ def test_duality_check_agrees_with_reexpansion(trees8):
         # the true decomposition against a strictly larger ideal, and
         # against the same generators over a larger ambient ring
         others = [MonomialIdeal.from_gens(ideal.variables + ("zz",), ideal.gens)]
-        outside = [v for v in ideal.variables if not ideal.contains(Monomial.of(v))]
+        outside = [v for v in ideal.variables if not ideal_contains(ideal, Monomial.of(v))]
         if outside:
             others.append(ideal.sum_with(variable_ideal(ideal.variables, outside[:1])))
         for other in others:
@@ -330,9 +333,9 @@ def test_duality_check_agrees_with_reexpansion(trees8):
 
 
 def test_duality_check_edge_cases():
-    dec = decompose_squarefree(MonomialIdeal.parse("x", ("x",)))
+    dec = decompose_squarefree(parse_ideal("x", ("x",)))
     with pytest.raises(TheoremViolation):
-        validate_decomposition(dec, MonomialIdeal.parse("x^2", ("x",)))
+        validate_decomposition(dec, parse_ideal("x^2", ("x",)))
     stray = replace(dec, supports=(("y",),))
     for check in (stray.to_ideal, lambda: validate_decomposition(stray, dec.to_ideal())):
         with pytest.raises(AmbientMismatchError):

@@ -1,8 +1,10 @@
 """The package's public surface, read from the source with ``ast``.
 
-Every public top-level function or class of ``src/totaldom`` is used in the
-package outside its own definition, so it sits on a ``totaldom`` subcommand
-or a ``verify`` check; what only the tests need lives in ``tests/oracles.py``.
+Every public top-level function or class of ``src/totaldom``, and every
+public method or property of its classes, is used in the package outside
+its own definition, so it sits on a ``totaldom`` subcommand or a ``verify``
+check; what only the tests need lives in ``tests/oracles.py``. A method
+counts as used when its name is referenced anywhere else in the package.
 """
 
 from __future__ import annotations
@@ -33,13 +35,15 @@ def _definitions(tree: ast.Module) -> list[ast.FunctionDef | ast.ClassDef]:
     return [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
 
 
+REFERENCES = [r for name, tree in MODULES.items() if name != "__init__" for r in _references(tree)]
+
+
 def test_every_public_definition_is_used_in_the_package():
-    refs = [r for name, tree in MODULES.items() if name != "__init__" for r in _references(tree)]
     unused = [
         f"{name}.{d.name}"
         for name, tree in MODULES.items() for d in _definitions(tree)
         if not d.name.startswith("_") and d.name not in ALLOWED_UNUSED
-        and refs.count(d.name) == _references(d).count(d.name)
+        and REFERENCES.count(d.name) == _references(d).count(d.name)
     ]
     assert unused == []
     defined = {d.name for tree in MODULES.values() for d in _definitions(tree)}
@@ -56,3 +60,15 @@ def test_init_imports_only_defined_names():
             }
             missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in bound]
     assert missing == []
+
+
+def test_every_public_method_is_used_in_the_package():
+    unused = [
+        f"{name}.{cls.name}.{m.name}"
+        for name, tree in MODULES.items()
+        for cls in _definitions(tree) if isinstance(cls, ast.ClassDef)
+        for m in cls.body
+        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+        and REFERENCES.count(m.name) == _references(m).count(m.name)
+    ]
+    assert unused == []
