@@ -313,15 +313,20 @@ def cmd_ideal(args) -> int:
 def cmd_shelling(args) -> int:
     g = _read_graph(args.path)
     order = stable_shelling(Tree(g), cap=args.max_sets)
-    report = {"schema": SCHEMA, "input": {"digest": _digest(g)}} | order.to_json_dict()
-
-    def human(rep):
-        print(f"shelling of the stable complex ({len(rep['facets'])} facets), "
-              f"verified: {rep['check']['ok']}")
-        for f in rep["facets"]:
+    if not args.json:
+        # the per-pair witnesses are printed in JSON only, so none is built
+        print(f"shelling of the stable complex ({len(order.facets)} facets), "
+              f"verified: {order.check.ok}")
+        for f in order.facets:
             print("  {" + ", ".join(f) + "}")
-
-    _emit(report, args.json, human)
+        return 0
+    # one witness per facet pair: the list grows quadratically in the facets
+    pairs = order.check.witness_count
+    if args.max_sets is not None and pairs > args.max_sets:
+        raise EnumerationCapExceeded(
+            f"shelling witness list of {pairs} facet pairs exceeds cap={args.max_sets}"
+        )
+    print(dumps({"schema": SCHEMA, "input": {"digest": _digest(g)}} | order.to_json_dict()))
     return 0
 
 

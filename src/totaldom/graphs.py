@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import not_
 
 from .errors import (
     EdgeListParseError,
@@ -38,15 +40,23 @@ class Graph:
 
     def __init__(self, labels, edges):
         labs = tuple(sorted(set(labels)))
-        index = {v: i for i, v in enumerate(labs)}
-        nbrs = [set() for _ in labs]
+        index = dict(zip(labs, range(len(labs))))
+        nbrs = [[] for _ in labs]
         for a, b in edges:
             if a == b:
                 raise EdgeListParseError(f"self-loop at {a!r}")
-            ia, ib = index[a], index[b]
-            nbrs[ia].add(ib)
-            nbrs[ib].add(ia)
-        self._set(labs, index, tuple(tuple(sorted(s)) for s in nbrs))
+            ia = index[a]
+            ib = index[b]
+            nbrs[ia].append(ib)
+            nbrs[ib].append(ia)
+        adj = []
+        for nb in nbrs:
+            if len(nb) > 1:
+                nb.sort()
+                if len(set(nb)) < len(nb):  # a repeated edge
+                    nb = sorted(set(nb))
+            adj.append(tuple(nb))
+        self._set(labs, index, tuple(adj))
 
     def _set(self, labels, index, adj) -> None:
         self.labels = labels
@@ -121,26 +131,6 @@ class Graph:
 
     # -- structure --------------------------------------------------------
 
-    def component_labels(self) -> tuple[VertexSet, ...]:
-        """Connected components as sorted label tuples, sorted themselves."""
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack = [s]
-            seen[s] = True
-            comp = []
-            while stack:
-                i = stack.pop()
-                comp.append(i)
-                for j in self.adj[i]:
-                    if not seen[j]:
-                        seen[j] = True
-                        stack.append(j)
-            comps.append(tuple(self.labels[i] for i in sorted(comp)))
-        return tuple(sorted(comps))
-
     def num_edges(self) -> int:
         return sum(len(nb) for nb in self.adj) // 2
 
@@ -188,46 +178,74 @@ class Graph:
         return f"Graph({self.n} vertices, {self.num_edges()} edges)"
 
 
-class Forest:
-    """A validated acyclic graph plus its components and a component index
-    per vertex."""
+def index_components(nbrs, kept) -> list[list[int]]:
+    """The components of the indices in ``kept`` (in increasing order) under
+    the neighbor lists ``nbrs``, as sorted index lists. A component is found
+    from its smallest index, so they come in the order of their smallest
+    indices, which is label order."""
+    seen = [False] * len(nbrs)
+    components = []
+    for s in kept:
+        if not seen[s]:
+            seen[s] = True
+            reached = [s]
+            for i in reached:  # grows while it is walked
+                for j in nbrs[i]:
+                    if not seen[j]:
+                        seen[j] = True
+                        reached.append(j)
+            if len(reached) == len(kept):
+                return [list(kept)]
+            reached.sort()
+            components.append(reached)
+    return components
 
-    __slots__ = ("graph", "component_of", "ncomponents", "_components")
+
+class Forest:
+    """A validated acyclic graph plus its components, both as sorted index
+    lists (``component_indices``) and as sorted label tuples."""
+
+    __slots__ = ("graph", "ncomponents", "component_indices", "_components")
 
     def __init__(self, graph: Graph):
-        comps = graph.component_labels()
+        comps = index_components(graph.adj, range(graph.n))
         if graph.num_edges() != graph.n - len(comps):
             raise NotAForestError("graph contains a cycle")
-        comp_of = {}
-        for c, labs in enumerate(comps):
-            for v in labs:
-                comp_of[v] = c
+        self._set(graph, comps)
+
+    def _set(self, graph: Graph, component_indices: list[list[int]]) -> None:
+        labels = graph.labels
         self.graph = graph
-        self.component_of = comp_of
-        self.ncomponents = len(comps)
-        self._components = comps
+        self.ncomponents = len(component_indices)
+        self.component_indices = component_indices
+        if len(component_indices) == 1:
+            self._components = (labels,)
+        else:
+            self._components = tuple(
+                tuple(map(labels.__getitem__, c)) for c in component_indices
+            )
 
     @classmethod
     def from_edges(cls, edges, extra_vertices=()) -> Forest:
         return cls(Graph.from_edges(edges, extra_vertices))
 
     @classmethod
-    def with_components(cls, graph: Graph, components: tuple[VertexSet, ...]) -> Forest:
+    def with_components(cls, graph: Graph, component_indices: list[list[int]]) -> Forest:
         """The forest (or tree) of an acyclic ``graph`` whose components are
-        known already, as sorted label tuples in sorted order: no search and
-        no cycle check."""
+        known already, as sorted index lists in the order of their smallest
+        indices: no search and no cycle check."""
         f = cls.__new__(cls)
-        f.graph = graph
-        f.component_of = {v: c for c, labs in enumerate(components) for v in labs}
-        f.ncomponents = len(components)
-        f._components = components
+        f._set(graph, component_indices)
         return f
 
     def components(self) -> tuple[VertexSet, ...]:
         return self._components
 
     def component_trees(self) -> tuple[Tree, ...]:
-        return tuple(Tree.with_components(self.graph.induced(c), (c,)) for c in self.components())
+        return tuple(
+            Tree.with_components(sub, [list(range(sub.n))])
+            for sub in map(self.graph.induced, self.components())
+        )
 
     @property
     def labels(self) -> VertexSet:
@@ -261,22 +279,27 @@ def parse_graph(text: str) -> Graph:
     """Parse an edge-list source: one edge per line, '#' comments, blanks ok."""
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        tokens = raw.split()
         if len(tokens) != 2:
+            if not tokens:
+                continue
             raise EdgeListParseError(f"line {lineno}: expected 2 labels, got {len(tokens)}")
         a, b = tokens
         if a == b:
             raise EdgeListParseError(f"line {lineno}: self-loop at {a!r}")
-        edges.append((a, b))
-    return Graph.from_edges(edges)
+        edges.append(tokens)
+    return Graph(chain.from_iterable(edges), edges)
 
 
 def render_edge_list(g: Graph) -> str:
     """Inverse of parse_graph up to ordering: sorted 'a b' lines."""
-    return "".join(f"{a} {b}\n" for a, b in g.edges())
+    labels = g.labels
+    return "".join([
+        f"{a} {labels[j]}\n"
+        for i, (a, nb) in enumerate(zip(labels, g.adj)) for j in nb if j > i
+    ])
 
 
 def path_graph(n: int) -> Tree:
@@ -395,27 +418,35 @@ class Coloring:
         return f"Coloring(blue={self.blue}, red={self.red})"
 
 
+def _blue_flags(f: Forest) -> list[bool]:
+    """Per vertex index, whether ``two_coloring`` makes it blue: the parity
+    of the distance from the smallest index of its component, by one
+    breadth-first search per component."""
+    adj = f.graph.adj
+    blue = [None] * f.graph.n
+    for comp in f.component_indices:
+        root = comp[0]
+        blue[root] = True
+        order = [root]
+        for i in order:  # grows while it is walked: breadth-first
+            s = not blue[i]
+            for j in adj[i]:
+                if blue[j] is None:
+                    blue[j] = s
+                    order.append(j)
+    return blue
+
+
 def two_coloring(f: Forest) -> Coloring:
     """Deterministic proper 2-coloring of a forest: in each component the
-    lexicographically smallest label is blue."""
-    g = f.graph
-    adj = g.adj
-    side = [-1] * g.n
-    for comp in f.components():
-        # side = distance parity from comp[0], by breadth-first search
-        root = g.index[comp[0]]
-        side[root] = 0
-        order = [root]
-        for i in order:
-            s = 1 - side[i]
-            for j in adj[i]:
-                if side[j] < 0:
-                    side[j] = s
-                    order.append(j)
-    return Coloring(
-        [v for v, s in zip(g.labels, side) if s == 0],
-        [v for v, s in zip(g.labels, side) if s == 1],
-    )
+    lexicographically smallest label is blue. Both classes come out in
+    label order."""
+    blue = _blue_flags(f)
+    labels = f.graph.labels
+    coloring = Coloring.__new__(Coloring)
+    coloring.blue = tuple(compress(labels, blue))
+    coloring.red = tuple(compress(labels, map(not_, blue)))
+    return coloring
 
 
 # ---------------------------------------------------------------------------
@@ -447,27 +478,32 @@ def branch(t: Forest, r: str, x: str) -> VertexSet:
 # Canonical forms (AHU at tree centers)
 # ---------------------------------------------------------------------------
 
-def _centers(adj: list[list[int]], comp: list[int]) -> list[int]:
-    """Center vertices of one tree component, by iterated leaf removal."""
-    if len(comp) == 1:
-        return [comp[0]]
-    deg = {i: len(adj[i]) for i in comp}
-    layer = [i for i in comp if deg[i] == 1]
+def _centers(adj, comp: list[int], deg: list[int]) -> list[int]:
+    """Center vertices of one tree component, given as its sorted indices,
+    by iterated leaf removal. ``deg`` is a per-index list that this call
+    overwrites at ``comp``: a vertex's count of neighbors not yet removed,
+    set to 0 when it is removed. The vertices whose count fell to 1 in the
+    last round are the centers."""
+    layer = []
+    for i in comp:
+        d = deg[i] = len(adj[i])
+        if d <= 1:
+            layer.append(i)
     remaining = len(comp)
-    removed = set()
     while remaining > 2:
-        nxt = []
-        for i in layer:
-            removed.add(i)
         remaining -= len(layer)
         for i in layer:
+            deg[i] = 0
+        nxt = []
+        for i in layer:
             for j in adj[i]:
-                if j not in removed:
+                if deg[j]:
                     deg[j] -= 1
                     if deg[j] == 1:
                         nxt.append(j)
         layer = nxt
-    return sorted(set(comp) - removed)
+    layer.sort()
+    return layer
 
 
 def _ahu(adj, root: int, parent: int) -> str:
@@ -475,30 +511,31 @@ def _ahu(adj, root: int, parent: int) -> str:
     is "(" + its children's codes, sorted, + ")".
 
     Iterative, so depth is not bounded by the recursion limit: ``order``
-    grows while it is walked (breadth-first), and walking it backwards
-    finishes every child before its parent.
+    grows while it is walked (breadth-first), so the children of
+    ``order[k]`` are the slice ``order[first[k]:first[k + 1]]``, and walking
+    it backwards finishes every child before its parent.
     """
     order = [root]
-    up = {root: parent}
-    kids = {root: []}
-    for v in order:
-        p = up[v]
+    up = [parent]  # up[k] is the parent of order[k]
+    first = []
+    for k, v in enumerate(order):
+        first.append(len(order))
+        p = up[k]
         for w in adj[v]:
             if w != p:
-                up[w] = v
-                kids[w] = []
                 order.append(w)
-    for v in order[:0:-1]:
-        codes = kids[v]
-        codes.sort()
-        kids[up[v]].append("(" + "".join(codes) + ")")
-    codes = kids[root]
-    codes.sort()
-    return "(" + "".join(codes) + ")"
+                up.append(v)
+    first.append(len(order))
+    codes = [""] * len(order)
+    for k in range(len(order) - 1, -1, -1):
+        kids = codes[first[k]:first[k + 1]]
+        kids.sort()
+        codes[k] = "(" + "".join(kids) + ")"
+    return codes[0]
 
 
-def _component_code(adj, comp: list[int]) -> str:
-    centers = _centers(adj, comp)
+def _component_code(adj, comp: list[int], deg: list[int]) -> str:
+    centers = _centers(adj, comp, deg)
     if len(centers) == 1:
         return "C" + _ahu(adj, centers[0], -1)
     a, b = centers
@@ -515,12 +552,9 @@ def canonical_form(f: Forest) -> str:
     bicentral, at the central edge ("E" + smaller code + larger code);
     component codes are sorted and joined inside brackets.
     """
-    g = f.graph
-    adj = [list(nb) for nb in g.adj]
-    codes = []
-    for comp in f.components():
-        idx = [g.index[v] for v in comp]
-        codes.append(_component_code(adj, idx))
+    adj = f.graph.adj
+    deg = [0] * f.graph.n
+    codes = [_component_code(adj, comp, deg) for comp in f.component_indices]
     return "[" + ";".join(sorted(codes)) + "]"
 
 

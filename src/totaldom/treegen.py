@@ -78,7 +78,7 @@ def all_trees(n: int) -> tuple[Tree, ...]:
         for i, p in enumerate(parents, start=1):
             adj[i].append(p)
             adj[p].append(i)
-        key = _component_code(adj, list(range(n)))
+        key = _component_code(adj, list(range(n)), [0] * n)
         if key not in seen:
             seen[key] = parents
     out = []

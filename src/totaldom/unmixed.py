@@ -10,7 +10,8 @@ verification suite. ``Analysis`` holds these facts for one request.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
+from operator import not_
 
 from .domination import MinimalSetFamily, minimal_td_sets
 from .errors import (
@@ -28,7 +29,9 @@ from .graphs import (
     HeightMap,
     Tree,
     VertexSet,
+    _blue_flags,
     classify_vertices,
+    index_components,
     leaf_distances,
     two_coloring,
 )
@@ -116,33 +119,41 @@ class UnmixedCertificate:
 
 def _check_component(layer: _Layer, comp) -> ComponentCheck:
     """The checklist of one component of a layer, given as the sorted indices
-    of its vertices, read off the layer's heights. The offending vertex is
-    the first height-2 vertex that fails, else the first height-1 vertex
-    that fails, else the first vertex of greatest height if that exceeds 3."""
-    nbrs, height, labels = layer.nbrs, layer.height, layer.graph.labels
-    top = 0
-    bad2 = bad1 = None
-    for i in comp:
-        h = height[i]
-        if h > top:
-            top = h
-        if h == 2:
-            if bad2 is None and sum(1 for j in nbrs[i] if height[j] == 1) != 1:
-                bad2 = i
-        elif h == 1:
-            if bad1 is None and sum(1 for j in nbrs[i] if height[j] == 2) > 1:
-                bad1 = i
+    of its vertices, read off the marks that its balance walk left."""
+    return _check_of(layer, comp, layer.marks[comp[0]])
+
+
+def _check_of(layer: _Layer, vertices, marks) -> ComponentCheck:
+    """The checklist of the layer's ``vertices`` (sorted indices) with the
+    marks (greatest height, its first vertex, first failing height-2 and
+    height-1 vertex) of their components. The offending vertex is the first
+    height-2 vertex that fails, else the first height-1 vertex that fails,
+    else the first vertex of greatest height if that exceeds 3."""
+    top, peak, bad2, bad1 = marks
     offending = bad2 if bad2 is not None else bad1
     if top > 3 and offending is None:
-        offending = next(i for i in comp if height[i] == top)
+        offending = peak
+    labels = layer.graph.labels
     return ComponentCheck(
         side=layer.side,
-        vertices=tuple(labels[i] for i in comp),
+        vertices=tuple(map(labels.__getitem__, vertices)),
         height=top,
         height_ok=top <= 3,
         v2_unique_v1_ok=bad2 is None,
         v1_at_most_one_v2_ok=bad1 is None,
         offending_vertex=None if offending is None else labels[offending],
+    )
+
+
+def _merged_marks(marks) -> tuple:
+    """The marks of a union of components from theirs: the first vertex of
+    a kind over the union is the smallest index among the components'."""
+    top = max((m[0] for m in marks), default=0)
+    return (
+        top,
+        min((m[1] for m in marks if m[0] == top), default=None),
+        min((m[2] for m in marks if m[2] is not None), default=None),
+        min((m[3] for m in marks if m[3] is not None), default=None),
     )
 
 
@@ -192,20 +203,45 @@ class _fact:
 def _balance_criteria(layer: _Layer, comp) -> tuple[bool, bool, bool]:
     """The three balancedness criteria on one component of a layer: no two
     adjacent vertices of the same height, same height implies same color,
-    all leaves of one color."""
+    all leaves of one color.
+
+    The same walk leaves the component's checklist marks at its smallest
+    index in ``layer.marks``: its greatest height, the first vertex of that
+    height, and the first height-2 vertex without a unique height-1 neighbor
+    and the first height-1 vertex with two height-2 neighbors (None when
+    there is none)."""
     nbrs, height, blue = layer.nbrs, layer.height, layer.blue
     adjacency = colors = True
     color_at: dict[int, bool] = {}
     leaf_colors = set()
+    top = -1
+    peak = bad2 = bad1 = None
     for i in comp:
         h, c, nb = height[i], blue[i], nbrs[i]
         if color_at.setdefault(h, c) != c:
             colors = False
+        if h > top:
+            top, peak = h, i
         if len(nb) <= 1:
             leaf_colors.add(c)
-        for j in nb:
-            if height[j] == h:
-                adjacency = False
+        if h == 1 or h == 2:
+            across = 0  # neighbors at height 3 - h, the other of 1 and 2
+            for j in nb:
+                hj = height[j]
+                if hj == h:
+                    adjacency = False
+                elif hj + h == 3:
+                    across += 1
+            if h == 2:
+                if across != 1 and bad2 is None:
+                    bad2 = i
+            elif across > 1 and bad1 is None:
+                bad1 = i
+        else:
+            for j in nb:
+                if height[j] == h:
+                    adjacency = False
+    layer.marks[comp[0]] = (top, peak, bad2, bad1)
     return adjacency, colors, len(leaf_colors) <= 1
 
 
@@ -213,8 +249,10 @@ class _Layer:
     """The vertices of ``graph`` left after removing the indices ``dropped``
     (none when it is None): one pass over the index arrays finds their heights,
     their components as sorted index lists (index order is label order, so
-    these come in ``Forest.components()`` order) and the balanced verdict,
-    whose three criteria must agree. The checklists are built on first use.
+    these come in ``Forest.components()`` order; ``components`` passes them
+    in when they are known) and, in one walk per component, the balanced
+    verdict, whose three criteria must agree, and the checklist marks. The
+    checklists are built from the marks on first use.
 
     ``blue`` flags the blue vertices of a 2-coloring of ``graph`` and
     ``side`` labels the checks. Everything read off a layer is in labels,
@@ -222,9 +260,10 @@ class _Layer:
     """
 
     __slots__ = ("graph", "side", "blue", "keep", "nbrs", "height", "components",
-                 "balanced", "_checks")
+                 "marks", "balanced", "_checks")
 
-    def __init__(self, graph: Graph, blue: list[bool], side: str, dropped: list[int] | None = None):
+    def __init__(self, graph: Graph, blue: list[bool], side: str,
+                 dropped: list[int] | None = None, components: list[list[int]] | None = None):
         adj = graph.adj
         if dropped is None:
             keep = None
@@ -241,35 +280,19 @@ class _Layer:
                 nbrs[i] = ()
             for i in dropped:
                 for j in adj[i]:
-                    if keep[j]:
+                    if keep[j] and nbrs[j] is adj[j]:  # each list is filtered once
                         nbrs[j] = [k for k in adj[j] if keep[k]]
-        # a component is numbered when its smallest index is reached, and
-        # one more walk in index order lists each one sorted
-        comp_of = [-1] * graph.n
-        count = 0
-        for s in kept:
-            if comp_of[s] < 0:
-                comp_of[s] = count
-                reached = [s]
-                for i in reached:
-                    for j in nbrs[i]:
-                        if comp_of[j] < 0:
-                            comp_of[j] = count
-                            reached.append(j)
-                count += 1
-        components = [[] for _ in range(count)]
-        for i in kept:
-            components[comp_of[i]].append(i)
         self.graph = graph
         self.side = side
         self.blue = blue
         self.keep = keep
         self.nbrs = nbrs
         self.height = leaf_distances(nbrs, kept)
-        self.components = components
+        self.components = index_components(nbrs, kept) if components is None else components
+        self.marks = [None] * graph.n
         self._checks = None
         c1 = c2 = c3 = True
-        for comp in components:
+        for comp in self.components:
             a, b, c = _balance_criteria(self, comp)
             c1, c2, c3 = c1 and a, c2 and b, c3 and c
         if not (c1 == c2 == c3):
@@ -293,13 +316,14 @@ class _Layer:
 
     def dropped(self) -> VertexSet:
         """The dropped vertices, as a sorted label tuple."""
-        return tuple(v for v, k in zip(self.graph.labels, self.keep) if not k)
+        return tuple(compress(self.graph.labels, map(not_, self.keep)))
 
     def forest(self) -> Forest:
-        """The induced forest on the kept vertices."""
-        labels = self.graph.labels
-        kept = tuple(v for v, k in zip(labels, self.keep) if k)
-        components = tuple(tuple(labels[i] for i in comp) for comp in self.components)
+        """The induced forest on the kept vertices, whose index of a kept
+        vertex is the count of kept vertices before it."""
+        kept = tuple(compress(self.graph.labels, self.keep))
+        rank = list(accumulate(self.keep))
+        components = [[rank[i] - 1 for i in comp] for comp in self.components]
         return Forest.with_components(self.graph.induced(kept), components)
 
 
@@ -331,6 +355,10 @@ class Analysis:
         self.side = side
         if coloring is not None:
             self.coloring = coloring
+            index = forest.graph.index
+            self._blue = blue = [False] * forest.graph.n
+            for v in coloring.blue:
+                blue[index[v]] = True
         self._td_families: dict = {}
 
     @classmethod
@@ -344,12 +372,9 @@ class Analysis:
 
     @_fact
     def _blue(self) -> list[bool]:
-        """Per vertex index, whether ``coloring`` makes it blue."""
-        g = self.forest.graph
-        blue = [False] * g.n
-        for v in self.coloring.blue:
-            blue[g.index[v]] = True
-        return blue
+        """Per vertex index, whether ``coloring`` makes it blue: for the
+        default coloring, the side array of its breadth-first search."""
+        return _blue_flags(self.forest)
 
     @_fact
     def classification(self) -> Classification:
@@ -357,7 +382,8 @@ class Analysis:
 
     @_fact
     def _layer(self) -> _Layer:
-        return _Layer(self.forest.graph, self._blue, self.side)
+        forest = self.forest
+        return _Layer(forest.graph, self._blue, self.side, components=forest.component_indices)
 
     @_fact
     def heights(self) -> HeightMap:
@@ -380,7 +406,8 @@ class Analysis:
         layer = self._layer
         if len(layer.components) == 1:
             return self.component_checks[0]
-        return _check_component(layer, [i for i, h in enumerate(layer.height) if h >= 0])
+        marks = _merged_marks([layer.marks[comp[0]] for comp in layer.components])
+        return _check_of(layer, [i for i, h in enumerate(layer.height) if h >= 0], marks)
 
     @_fact
     def components(self) -> tuple[Analysis, ...]:

@@ -15,7 +15,8 @@ ideal text and construction traces, each with the input checks the
 package once applied.
 
 The last section keeps the earlier, straightforward versions of the
-near-linear polynomial paths (recursive AHU codes, whisker growth and
+near-linear polynomial paths (recursive AHU codes, the graph core on
+per-vertex sets, dicts and sorts, whisker growth and
 peeling by whole-tree rebuilds, N(G) minimalized against every kept
 generator, the interior-graph test through a Tree per component), of the
 transversal engine (a Berge round that minimalizes every candidate against
@@ -45,9 +46,11 @@ from totaldom.construct import (
 )
 from totaldom.domination import _minimalize_masks, minimal_transversals
 from totaldom.errors import (
+    EdgeListParseError,
     EnumerationCapExceeded,
     InputError,
     MixedTreeError,
+    NotAForestError,
     NotBalancedError,
     TheoremViolation,
 )
@@ -422,6 +425,152 @@ def ahu_recursive(adj, root: int, parent: int) -> str:
     return "(" + "".join(kids) + ")"
 
 
+# The graph core on per-vertex sets, dicts and sorts, as it was before the
+# package moved to flat per-index lists.
+
+def graph_by_sets(labels, edges) -> Graph:
+    """A Graph whose neighbor lists come from one set per vertex, sorted."""
+    labs = tuple(sorted(set(labels)))
+    index = {v: i for i, v in enumerate(labs)}
+    nbrs = [set() for _ in labs]
+    for a, b in edges:
+        if a == b:
+            raise EdgeListParseError(f"self-loop at {a!r}")
+        ia, ib = index[a], index[b]
+        nbrs[ia].add(ib)
+        nbrs[ib].add(ia)
+    g = Graph.__new__(Graph)
+    g._set(labs, index, tuple(tuple(sorted(s)) for s in nbrs))
+    return g
+
+
+def parse_graph_by_sets(text: str) -> Graph:
+    """``parse_graph`` through ``graph_by_sets``, stripping each line first."""
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise EdgeListParseError(f"line {lineno}: expected 2 labels, got {len(tokens)}")
+        a, b = tokens
+        if a == b:
+            raise EdgeListParseError(f"line {lineno}: self-loop at {a!r}")
+        edges.append((a, b))
+    return graph_by_sets({v for e in edges for v in e}, edges)
+
+
+def component_labels(g: Graph) -> tuple[tuple[str, ...], ...]:
+    """Connected components as sorted label tuples, sorted themselves."""
+    seen = [False] * g.n
+    comps = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        stack = [s]
+        seen[s] = True
+        comp = []
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j in g.adj[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        comps.append(tuple(g.labels[i] for i in sorted(comp)))
+    return tuple(sorted(comps))
+
+
+def forest_by_sorting(g: Graph) -> tuple[tuple[str, ...], ...]:
+    """The components of a forest by ``component_labels``, with the edge
+    count check for a cycle."""
+    comps = component_labels(g)
+    if g.num_edges() != g.n - len(comps):
+        raise NotAForestError("graph contains a cycle")
+    return comps
+
+
+def two_coloring_by_vset(f: Forest) -> Coloring:
+    """Breadth-first parity from each component's smallest label, with both
+    classes re-sorted by ``Coloring``."""
+    g = f.graph
+    side = [-1] * g.n
+    for comp in f.components():
+        root = g.index[comp[0]]
+        side[root] = 0
+        order = [root]
+        for i in order:
+            for j in g.adj[i]:
+                if side[j] < 0:
+                    side[j] = 1 - side[i]
+                    order.append(j)
+    return Coloring(
+        [v for v, s in zip(g.labels, side) if s == 0],
+        [v for v, s in zip(g.labels, side) if s == 1],
+    )
+
+
+def centers_by_dicts(adj, comp: list[int]) -> list[int]:
+    """Center vertices of one tree component by leaf removal, with a degree
+    dict and a removed set."""
+    if len(comp) == 1:
+        return [comp[0]]
+    deg = {i: len(adj[i]) for i in comp}
+    layer = [i for i in comp if deg[i] == 1]
+    remaining = len(comp)
+    removed = set()
+    while remaining > 2:
+        nxt = []
+        removed.update(layer)
+        remaining -= len(layer)
+        for i in layer:
+            for j in adj[i]:
+                if j not in removed:
+                    deg[j] -= 1
+                    if deg[j] == 1:
+                        nxt.append(j)
+        layer = nxt
+    return sorted(set(comp) - removed)
+
+
+def ahu_by_dicts(adj, root: int, parent: int) -> str:
+    """Iterative AHU code with a parent dict and a child-code list per
+    vertex."""
+    order = [root]
+    up = {root: parent}
+    kids = {root: []}
+    for v in order:
+        for w in adj[v]:
+            if w != up[v]:
+                up[w] = v
+                kids[w] = []
+                order.append(w)
+    for v in order[:0:-1]:
+        kids[v].sort()
+        kids[up[v]].append("(" + "".join(kids[v]) + ")")
+    kids[root].sort()
+    return "(" + "".join(kids[root]) + ")"
+
+
+def canonical_form_by_dicts(f: Forest) -> str:
+    """``canonical_form`` through ``centers_by_dicts`` and ``ahu_by_dicts``
+    on copied neighbor lists."""
+    g = f.graph
+    adj = [list(nb) for nb in g.adj]
+    codes = []
+    for comp in f.components():
+        idx = [g.index[v] for v in comp]
+        centers = centers_by_dicts(adj, idx)
+        if len(centers) == 1:
+            codes.append("C" + ahu_by_dicts(adj, centers[0], -1))
+        else:
+            a, b = centers
+            lo, hi = sorted((ahu_by_dicts(adj, a, b), ahu_by_dicts(adj, b, a)))
+            codes.append("E" + lo + hi)
+    return "[" + ";".join(sorted(codes)) + "]"
+
+
 def berge_by_minimalize(edges: list[int], cap: int | None = None) -> list[int]:
     """``domination.minimal_transversal_masks`` with each Berge round
     filtered by ``_minimalize_masks`` over all candidates, members that hit
@@ -645,6 +794,21 @@ def check_component_by_tree(comp: Tree, side: str) -> ComponentCheck:
         v1_at_most_one_v2_ok=v1_ok,
         offending_vertex=offending,
     )
+
+
+def check_forest_by_walk(f: Forest, side: str = "self") -> ComponentCheck:
+    """The checklist of a whole forest, in one walk over its labels."""
+    hmap = heights(f)
+    g = f.graph
+    top = hmap.graph_height()
+    bad2 = next((v for v in g.labels if hmap[v] == 2
+                 and sum(hmap[w] == 1 for w in g.neighbors(v)) != 1), None)
+    bad1 = next((v for v in g.labels if hmap[v] == 1
+                 and sum(hmap[w] == 2 for w in g.neighbors(v)) > 1), None)
+    offending = bad2 if bad2 is not None else bad1
+    if top > 3 and offending is None:
+        offending = next(v for v in g.labels if hmap[v] == top)
+    return ComponentCheck(side, g.labels, top, top <= 3, bad2 is None, bad1 is None, offending)
 
 
 def interiors_by_forests(t: Tree, coloring: Coloring | None = None) -> InteriorGraphs:

@@ -333,6 +333,53 @@ def test_only_shelling_json_builds_per_pair_witnesses(capsys, tmp_path, monkeypa
     assert report["check"]["witness_count"] == len(report["witnesses"]) == n * (n - 1) // 2
 
 
+def test_shelling_text_builds_no_witnesses(capsys, tmp_path, monkeypatch):
+    t, _ = generate(3, 4)
+    path = tmp_path / "gen.edges"
+    path.write_text(render_edge_list(t.graph))
+    calls = []
+    original = complexes._witnesses
+
+    def counted(ground, order):
+        calls.append(len(order))
+        return original(ground, order)
+
+    monkeypatch.setattr(complexes, "_witnesses", counted)
+    assert main(["shelling", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert calls == []
+    report = run_json(capsys, ["shelling", str(path), "--json"])
+    assert len(calls) == 1
+    # the text is the one the report-based printer wrote
+    want = [f"shelling of the stable complex ({len(report['facets'])} facets), "
+            f"verified: {report['check']['ok']}"]
+    want += ["  {" + ", ".join(f) + "}" for f in report["facets"]]
+    assert text == "\n".join(want) + "\n"
+
+
+def test_shelling_json_witnesses_honour_max_sets(capsys, tmp_path, monkeypatch):
+    t, _ = generate(3, 4)
+    path = tmp_path / "gen.edges"
+    path.write_text(render_edge_list(t.graph))
+    full = run_json(capsys, ["shelling", str(path), "--json"])
+    n = len(full["facets"])
+    pairs = n * (n - 1) // 2
+    assert n < pairs  # the facets fit under a cap that the witnesses exceed
+    calls = []
+    monkeypatch.setattr(complexes, "_witnesses", lambda ground, order: calls.append(1))
+    assert main(["shelling", str(path), "--json", "--max-sets", str(pairs - 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: shelling witness list of {pairs} facet pairs exceeds cap={pairs - 1}\n"
+    )
+    assert captured.out == "" and calls == []
+    # the text output builds no witness, so the same cap lets it through
+    assert main(["shelling", str(path), "--max-sets", str(pairs - 1)]) == 0
+    assert capsys.readouterr().out.startswith(f"shelling of the stable complex ({n} facets)")
+    monkeypatch.undo()
+    assert run_json(capsys, ["shelling", str(path), "--json", "--max-sets", str(pairs)]) == full
+
+
 def test_ideal_rejects_unknown_subset_vertex(capsys, p6_file):
     assert main(["ideal", p6_file, "--subset", "0,zz"]) == 2
     captured = capsys.readouterr()

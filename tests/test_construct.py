@@ -2,7 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import deconstruct_by_rebuilds, generate_by_apply_o, replay_by_apply_o, trace_from_json
+from oracles import (
+    component_labels,
+    deconstruct_by_rebuilds,
+    generate_by_apply_o,
+    replay_by_apply_o,
+    trace_from_json,
+)
 from totaldom.construct import (
     KIND_LEAF,
     ConstructionTrace,
@@ -211,7 +217,7 @@ def test_v2_v3_subgraph_connected():
         hmap = heights(t)
         keep = [v for v in t.graph.labels if hmap[v] in (2, 3)]
         sub = t.graph.induced(keep)
-        assert len(sub.component_labels()) == 1
+        assert len(component_labels(sub)) == 1
 
 
 def test_some_v2_vertex_has_unique_v3_neighbor():

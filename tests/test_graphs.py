@@ -98,8 +98,8 @@ def test_tree_rejects_disconnected():
 def test_component_index():
     f = Forest.from_edges([("a", "b"), ("c", "d")])
     assert f.ncomponents == 2
-    assert f.component_of["a"] == f.component_of["b"]
-    assert f.component_of["a"] != f.component_of["c"]
+    assert f.components() == (("a", "b"), ("c", "d"))
+    assert f.component_indices == [[0, 1], [2, 3]]
 
 
 # ---------------------------------------------------------------------------
