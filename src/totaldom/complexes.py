@@ -103,7 +103,11 @@ def stanley_reisner_ideal(d: SimplicialComplex) -> MonomialIdeal:
 
     Subsets of the ground set are walked in ``combinations`` order as masks.
     A mask is a face when it lies inside one of the facet masks, computed
-    once; a k-subset costs at most k+1 such tests of one AND per facet.
+    once; a k-subset costs at most k+1 such tests of one AND per facet. The
+    minimal non-faces form an antichain, and over the sorted ground set the
+    ``combinations`` order (size, then lexicographic) is the grlex order of
+    ``MonomialIdeal.from_gens``, so the ideal is built from them as they
+    come.
     """
     if d.is_void:
         return MonomialIdeal.unit(d.ground)
@@ -128,8 +132,8 @@ def stanley_reisner_ideal(d: SimplicialComplex) -> MonomialIdeal:
                 if not is_face(m ^ b):
                     break
             else:
-                gens.append(Monomial.of(*(ground[i] for i in sub)))
-    return MonomialIdeal.from_gens(ground, gens)
+                gens.append(Monomial(tuple((ground[i], 1) for i in sub)))
+    return MonomialIdeal(variables=ground, gens=tuple(gens))
 
 
 def stanley_reisner_complex(i: MonomialIdeal) -> SimplicialComplex:

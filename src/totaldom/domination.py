@@ -9,10 +9,11 @@ ideal and complex modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import EnumerationCapExceeded, TheoremViolation
-from .graphs import VertexSet, _graph_of, vset
+from .graphs import Graph, VertexSet, _graph_of, vset
 
 
 # ---------------------------------------------------------------------------
@@ -101,24 +102,33 @@ def minimal_transversals(sets, cap: int | None = None) -> tuple[tuple, ...]:
 # ---------------------------------------------------------------------------
 
 def _is_minimal_s_td(g, dmask: int, smask: int) -> bool:
-    """D totally dominates S and is minimal, on masks in one pass.
+    """D totally dominates S and is minimal among S-TD-sets, in O(|D|) mask
+    operations.
 
-    S must lie inside N(D), and every v in D needs a private neighbor: some
-    u in N(D) with N(u) & D = {v}. The witnesses come from one walk over the
-    bits of N(D); every such u meets D, so its hit is never empty.
+    S must lie inside N(D), and every v in D needs an S-private neighbor:
+    some u in S with N(u) & D = {v}; without one, D - v still dominates S.
+    One pass over the bits of D ORs their neighbor masks into ``once`` and
+    keeps in ``twice`` what a mask meets again, so the vertices with exactly
+    one neighbor in D are once & ~twice.
     """
-    nd = g.neighborhood_mask(dmask)
-    if smask & ~nd:
-        return False
     masks = g.masks
-    witnessed = 0
-    while nd:
-        low = nd & -nd
-        hit = masks[low.bit_length() - 1] & dmask
-        if hit & (hit - 1) == 0:
-            witnessed |= hit
-        nd ^= low
-    return witnessed == dmask
+    nbrs = []
+    once = twice = 0
+    rest = dmask
+    while rest:
+        low = rest & -rest
+        m = masks[low.bit_length() - 1]
+        nbrs.append(m)
+        twice |= once & m
+        once |= m
+        rest ^= low
+    if smask & ~once:
+        return False
+    private = once & ~twice & smask
+    for m in nbrs:
+        if not m & private:
+            return False
+    return True
 
 
 def is_s_td_set(g, d, s) -> bool:
@@ -127,29 +137,52 @@ def is_s_td_set(g, d, s) -> bool:
 
 
 def is_minimal_set(g, d) -> bool:
-    """Minimality with respect to open neighborhoods: the private-neighbor
-    criterion of ``_is_minimal_s_td`` with an empty target."""
+    """Minimality with respect to open neighborhoods: no proper subset of D
+    has the same N(D), so every v in D has a private neighbor anywhere in
+    N(D). That is minimality among the N(D)-TD-sets."""
     g = _graph_of(g)
-    return _is_minimal_s_td(g, g.mask_of(d), 0)
+    dmask = g.mask_of(d)
+    return _is_minimal_s_td(g, dmask, g.neighborhood_mask(dmask))
 
 
 # ---------------------------------------------------------------------------
 # Families of minimal (S-)TD-sets
 # ---------------------------------------------------------------------------
 
+def _lex_before(a: int, b: int) -> bool:
+    """For distinct masks of one size: the index tuple of ``a`` comes first,
+    as the lowest index where they differ is in ``a``."""
+    x = a ^ b
+    return bool(x & -x & a)
+
+
 @dataclass(frozen=True)
 class MinimalSetFamily:
+    """The members as bitmasks over the vertex indices of ``graph``.
+
+    Index order is label order, so the lexicographic order of index tuples
+    is that of label tuples. ``sizes``, ``is_unmixed`` and ``witness`` read
+    popcounts and masks; the label tuples are built only when ``sets`` or
+    iteration asks for them.
+    """
+
     target: VertexSet
-    sets: tuple[VertexSet, ...]
+    graph: Graph = field(repr=False)
+    masks: tuple[int, ...]
+
+    @cached_property
+    def sets(self) -> tuple[VertexSet, ...]:
+        """The members as label tuples, lexicographically sorted."""
+        return tuple(sorted(map(self.graph.labels_of, self.masks)))
 
     def __len__(self):
-        return len(self.sets)
+        return len(self.masks)
 
     def __iter__(self):
         return iter(self.sets)
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(sorted({len(s) for s in self.sets}))
+        return tuple(sorted({m.bit_count() for m in self.masks}))
 
     def is_unmixed(self) -> bool:
         return len(self.sizes()) <= 1
@@ -158,35 +191,41 @@ class MinimalSetFamily:
         """Two members of different sizes, or None when every member has one
         size: the lexicographically first of the smallest size and the
         lexicographically last of the largest size."""
-        if self.is_unmixed():
+        sizes = self.sizes()
+        if len(sizes) <= 1:
             return None
-        by_size = sorted(self.sets, key=lambda s: (len(s), s))
-        return by_size[0], by_size[-1]
+        lo, hi = sizes[0], sizes[-1]
+        first = last = None
+        for m in self.masks:
+            k = m.bit_count()
+            if k == lo and (first is None or _lex_before(m, first)):
+                first = m
+            elif k == hi and (last is None or _lex_before(last, m)):
+                last = m
+        return self.graph.labels_of(first), self.graph.labels_of(last)
 
 
 def minimal_s_td_sets(g, s, cap: int | None = None) -> MinimalSetFamily:
     """All minimal S-TD-sets, each re-verified against the definitions.
 
-    The recheck of a transversal D is one pass on masks
-    (``_is_minimal_s_td``): N(D) is the OR of |D| neighbor masks, S inside
-    N(D) is one AND, and the private-neighbor witnesses take one walk over
-    the bits of N(D). The first set in mask order that fails raises
-    TheoremViolation; each set is converted to labels once.
+    The recheck of a transversal D (``_is_minimal_s_td``) is one pass over
+    the bits of D: N(D) and the vertices with exactly one neighbor in D
+    come from |D| neighbor masks, S inside N(D) is one AND, and each v in D
+    needs a neighbor among those vertices inside S. The first set in mask
+    order that fails raises TheoremViolation.
     """
     g = _graph_of(g)
     target = vset(s)
     masks = g.masks
     edges = [masks[g.index[v]] for v in target]
     smask = g.mask_of(target)
-    sets = []
-    for m in minimal_transversal_masks(edges, cap=cap):
-        d = g.labels_of(m)
+    found = minimal_transversal_masks(edges, cap=cap)
+    for m in found:
         if not _is_minimal_s_td(g, m, smask):
             raise TheoremViolation(
-                f"transversal {d} is not a verified minimal S-TD-set"
+                f"transversal {g.labels_of(m)} is not a verified minimal S-TD-set"
             )
-        sets.append(d)
-    return MinimalSetFamily(target=target, sets=tuple(sorted(sets)))
+    return MinimalSetFamily(target=target, graph=g, masks=tuple(found))
 
 
 def minimal_td_sets(g, cap: int | None = None) -> MinimalSetFamily:

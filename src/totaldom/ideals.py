@@ -6,7 +6,9 @@ appear. Intersections go through pairwise lcms, membership through
 divisibility, and square-free decomposition through minimal transversals of
 the generator supports. A decomposition is checked by Berge duality on
 bitmasks: the minimal transversals of its prime supports must give back the
-generators, so the intersection is never re-expanded.
+generators, so the check never re-expands the intersection.
+``PrimeDecomposition.to_ideal`` does re-expand it, as the independent
+oracle: a fold of pairwise lcms, on bitmasks in the square-free case.
 """
 
 from __future__ import annotations
@@ -218,15 +220,60 @@ class PrimeDecomposition:
         return len(self.supports)
 
     def to_ideal(self) -> MonomialIdeal:
+        """The intersection of the primes, re-expanded by pairwise lcms.
+
+        Without pure powers this is ``_intersect_primes`` on bitmasks; the
+        parametric form intersects the P_S + Q through ``Monomial.lcm``.
+        """
         if not self.supports:
             return MonomialIdeal.unit(self.variables)
-        parts = []
-        for sup in self.supports:
-            p = variable_ideal(self.variables, sup)
-            if self.pure_powers is not None:
-                p = p.sum_with(self.pure_powers)
-            parts.append(p)
+        if self.pure_powers is None:
+            return _intersect_primes(vset(self.variables), self.supports)
+        parts = [
+            variable_ideal(self.variables, sup).sum_with(self.pure_powers)
+            for sup in self.supports
+        ]
         return ideal_intersection(parts)
+
+
+def _index_tuple(m: int) -> tuple[int, ...]:
+    return tuple(i for i in range(m.bit_length()) if m >> i & 1)
+
+
+def _intersect_primes(variables: tuple[str, ...], supports) -> MonomialIdeal:
+    """The intersection of the variable primes P_S over the sorted
+    ``variables``, folded prime by prime from the unit ideal.
+
+    Every generator is square-free, so it is a bitmask over ``variables``
+    and the lcm of two is their OR. Each step takes every pairwise OR of the
+    current generators with the variables of the next prime and keeps the
+    inclusion-minimal ones. This is the plain intersection, not Berge
+    duality, so it stays independent of ``validate_decomposition``. The
+    candidates are minimalized in grlex order (popcount, then the
+    lexicographic order of index tuples), which is the order ``from_gens``
+    gives the generators.
+    """
+    pos = {v: k for k, v in enumerate(variables)}
+    primes = []
+    for sup in supports:
+        stray = sorted(set(sup) - pos.keys())
+        if stray:
+            raise AmbientMismatchError(f"generator uses unknown variables {stray[:1]}")
+        primes.append({1 << pos[v] for v in sup})
+    gens = [0]
+    for bits in primes:
+        cands = sorted(
+            {g | b for g in gens for b in bits},
+            key=lambda m: (m.bit_count(), _index_tuple(m)),
+        )
+        gens = []
+        for m in cands:
+            if not any(k & m == k for k in gens):
+                gens.append(m)
+    return MonomialIdeal(
+        variables=variables,
+        gens=tuple(Monomial(tuple((variables[i], 1) for i in _index_tuple(m))) for m in gens),
+    )
 
 
 def validate_decomposition(dec: PrimeDecomposition, ideal: MonomialIdeal) -> None:

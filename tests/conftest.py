@@ -18,6 +18,12 @@ def trees8() -> tuple[Tree, ...]:
 
 
 @pytest.fixture(scope="session")
+def trees9() -> tuple[Tree, ...]:
+    """Every free tree on at most 9 vertices (95 trees)."""
+    return tuple(trees_up_to(9))
+
+
+@pytest.fixture(scope="session")
 def trees10() -> tuple[Tree, ...]:
     """Every free tree on at most 10 vertices (201 trees)."""
     return tuple(trees_up_to(10))

@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     domination_selector,
     minimal_by_definition,
+    minimal_s_td_by_subsets,
     minimal_td_sets_by_subsets,
     neighborhood_by_scan,
 )
@@ -248,19 +249,33 @@ def test_recheck_reports_first_failing_transversal(monkeypatch, paper_p4, family
 
 
 def test_mask_recheck_matches_definitions_on_every_subset():
+    # the recheck is S-minimality: no co-singleton subset still dominates S;
+    # targets V, the odd heights, V3 and one leaf
     for t in trees_up_to(7):
         g = t.graph
-        odd = heights(t).odd()
-        for target in (g.labels, odd):
+        hmap = heights(t)
+        for target in (g.labels, hmap.odd(), hmap.level(3), hmap.level(0)[:1]):
             smask = g.mask_of(target)
             covered = set(target)
             for dmask in range(1 << g.n):
                 d = g.labels_of(dmask)
                 dominates = covered <= set(neighborhood_by_scan(g, d))
-                minimal = minimal_by_definition(g, d)
                 assert is_s_td_set(t, d, target) == dominates
-                assert is_minimal_set(t, d) == minimal
-                assert _is_minimal_s_td(g, dmask, smask) == (dominates and minimal)
+                assert is_minimal_set(t, d) == minimal_by_definition(g, d)
+                assert _is_minimal_s_td(g, dmask, smask) == minimal_s_td_by_subsets(
+                    g, d, target
+                )
+
+
+def test_mask_recheck_wants_the_private_neighbor_inside_the_target():
+    # on a-b-c-x with S = {a}, {b, c} dominates S and c has the private
+    # neighbor x, but x is outside S, so {b} alone still dominates S
+    t = Tree.from_edges([("a", "b"), ("b", "c"), ("c", "x")])
+    g = t.graph
+    assert not _is_minimal_s_td(g, g.mask_of(("b", "c")), g.mask_of(("a",)))
+    assert _is_minimal_s_td(g, g.mask_of(("b",)), g.mask_of(("a",)))
+    assert is_minimal_set(t, ("b", "c"))
+    assert minimal_s_td_sets(t, ("a",)).sets == (("b",),)
 
 
 # ---------------------------------------------------------------------------
