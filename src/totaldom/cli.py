@@ -212,10 +212,7 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
             report["shelling"] = {"applicable": False, "reason": "tree is mixed"}
             report["type"] = {"applicable": False, "reason": "tree is mixed"}
     else:
-        report["unmixed"] = report.get(
-            "unmixed",
-            {"applicable": False, "reason": "input is not a tree"},
-        )
+        # a capped family has set "unmixed" already
         if family is not None:
             report["unmixed"] = {"bruteforce": family.is_unmixed()}
         report["shelling"] = {"applicable": False, "reason": "input is not a tree"}
@@ -465,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full report for an edge-list file")
     _add_common(p)
     p.add_argument("--no-witness", action="store_true",
-                   help="skip the two-size witness enumeration on mixed trees")
+                   help="omit the two-size witness of a mixed tree from the report")
     p.add_argument("--timings", action="store_true",
                    help="include timings_ms in the report (breaks bit-reproducibility)")
     p.set_defaults(func=cmd_analyze)

@@ -65,10 +65,11 @@ class SimplicialComplex:
         return f"SimplicialComplex({len(self.ground)} vertices, {len(self.facets)} facets)"
 
 
-def stable_complex(g, cap: int | None = None) -> SimplicialComplex:
-    """Facets are the complements of the minimal TD-sets; void if none exist."""
+def stable_complex(g) -> SimplicialComplex:
+    """Facets are the complements of the minimal TD-sets, enumerated without
+    a cap; void if none exist."""
     g = _graph_of(g)
-    family = minimal_td_sets(g, cap=cap)
+    family = minimal_td_sets(g)
     verts = set(g.labels)
     facets = [vset(verts - set(d)) for d in family]
     return SimplicialComplex.from_facets(g.labels, facets)

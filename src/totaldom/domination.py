@@ -166,7 +166,6 @@ class MinimalSetFamily:
     iteration asks for them.
     """
 
-    target: VertexSet
     graph: Graph = field(repr=False)
     masks: tuple[int, ...]
 
@@ -225,7 +224,7 @@ def minimal_s_td_sets(g, s, cap: int | None = None) -> MinimalSetFamily:
             raise TheoremViolation(
                 f"transversal {g.labels_of(m)} is not a verified minimal S-TD-set"
             )
-    return MinimalSetFamily(target=target, graph=g, masks=tuple(found))
+    return MinimalSetFamily(graph=g, masks=tuple(found))
 
 
 def minimal_td_sets(g, cap: int | None = None) -> MinimalSetFamily:
@@ -233,6 +232,7 @@ def minimal_td_sets(g, cap: int | None = None) -> MinimalSetFamily:
     return minimal_s_td_sets(g, g.labels, cap=cap)
 
 
-def is_unmixed_bruteforce(g, cap: int | None = None) -> bool:
-    """Unmixedness by full enumeration; vacuously true with no TD-set."""
-    return minimal_td_sets(g, cap=cap).is_unmixed()
+def is_unmixed_bruteforce(g) -> bool:
+    """Unmixedness by full, uncapped enumeration; vacuously true with no
+    TD-set."""
+    return minimal_td_sets(g).is_unmixed()

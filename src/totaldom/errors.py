@@ -34,7 +34,8 @@ class MixedTreeError(TotaldomError):
 
 
 class AmbientMismatchError(TotaldomError):
-    """Two ideals over different ambient variable sets were combined."""
+    """A generator or a prime support names a variable outside the ambient
+    variable list."""
 
 
 class NotSquareFreeError(TotaldomError):

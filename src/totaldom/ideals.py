@@ -2,19 +2,19 @@
 
 Only the combinatorial layer is modeled: an ideal is its unique minimal
 monomial generating set over an ambient variable list. Coefficients never
-appear. Intersections go through pairwise lcms, membership through
-divisibility, and square-free decomposition through minimal transversals of
-the generator supports. A decomposition is checked by Berge duality on
-bitmasks: the minimal transversals of its prime supports must give back the
-generators, so the check never re-expands the intersection.
-``PrimeDecomposition.to_ideal`` does re-expand it, as the independent
-oracle: a fold of pairwise lcms, on bitmasks in the square-free case.
+appear. Minimality goes through divisibility, and square-free decomposition
+through minimal transversals of the generator supports. A decomposition is
+checked by Berge duality on bitmasks: the minimal transversals of its prime
+supports must give back the generators, so the check never re-expands the
+intersection. ``PrimeDecomposition.to_ideal`` does re-expand a square-free
+one, as the independent oracle of ``verify``: a fold of pairwise lcms on
+bitmasks. The package has no general sum or intersection of two ideals;
+``tests/oracles.py`` keeps both, on exponent dicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .domination import minimal_transversal_masks, minimal_transversals
 from .errors import AmbientMismatchError, NotSquareFreeError, TheoremViolation
@@ -64,12 +64,6 @@ class Monomial:
     def divides(self, other: Monomial) -> bool:
         od = dict(other.exps)
         return all(od.get(v, 0) >= e for v, e in self.exps)
-
-    def lcm(self, other: Monomial) -> Monomial:
-        d = dict(self.exps)
-        for v, e in other.exps:
-            d[v] = max(d.get(v, 0), e)
-        return Monomial.from_dict(d)
 
     def render(self) -> str:
         if self.is_one:
@@ -132,21 +126,6 @@ class MonomialIdeal:
     def is_squarefree(self) -> bool:
         return all(m.is_squarefree for m in self.gens)
 
-    def _check_ambient(self, other: MonomialIdeal):
-        if self.variables != other.variables:
-            raise AmbientMismatchError(
-                f"ambient mismatch: {self.variables} vs {other.variables}"
-            )
-
-    def sum_with(self, other: MonomialIdeal) -> MonomialIdeal:
-        self._check_ambient(other)
-        return MonomialIdeal.from_gens(self.variables, self.gens + other.gens)
-
-    def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
-        self._check_ambient(other)
-        gens = [a.lcm(b) for a in self.gens for b in other.gens]
-        return MonomialIdeal.from_gens(self.variables, gens)
-
     def render(self) -> str:
         if self.is_zero:
             return "0"
@@ -154,15 +133,6 @@ class MonomialIdeal:
 
     def __repr__(self):
         return f"MonomialIdeal<{self.render()}>"
-
-
-def ideal_intersection(ideals) -> MonomialIdeal:
-    return reduce(lambda a, b: a.intersect(b), ideals)
-
-
-def variable_ideal(variables, subset) -> MonomialIdeal:
-    """The monomial prime generated by the given variables."""
-    return MonomialIdeal.from_gens(variables, [Monomial.of(v) for v in subset])
 
 
 # ---------------------------------------------------------------------------
@@ -214,26 +184,22 @@ class PrimeDecomposition:
     variables: tuple[str, ...]
     supports: tuple[VertexSet, ...]
     pure_powers: MonomialIdeal | None = None
-    is_unit_source: bool = False
 
     def __len__(self):
         return len(self.supports)
 
     def to_ideal(self) -> MonomialIdeal:
-        """The intersection of the primes, re-expanded by pairwise lcms.
+        """The intersection of the primes, re-expanded by pairwise lcms on
+        bitmasks (``_intersect_primes``).
 
-        Without pure powers this is ``_intersect_primes`` on bitmasks; the
-        parametric form intersects the P_S + Q through ``Monomial.lcm``.
+        Square-free only: a parametric decomposition raises
+        NotSquareFreeError; ``validate_decomposition`` checks it by duality.
         """
+        if self.pure_powers is not None:
+            raise NotSquareFreeError(f"not square-free: pure powers {self.pure_powers.render()}")
         if not self.supports:
             return MonomialIdeal.unit(self.variables)
-        if self.pure_powers is None:
-            return _intersect_primes(vset(self.variables), self.supports)
-        parts = [
-            variable_ideal(self.variables, sup).sum_with(self.pure_powers)
-            for sup in self.supports
-        ]
-        return ideal_intersection(parts)
+        return _intersect_primes(vset(self.variables), self.supports)
 
 
 def _index_tuple(m: int) -> tuple[int, ...]:
@@ -280,8 +246,9 @@ def validate_decomposition(dec: PrimeDecomposition, ideal: MonomialIdeal) -> Non
     """Raise TheoremViolation unless ``dec`` is an irredundant decomposition
     of ``ideal``.
 
-    The verdict is that of pairwise incomparable supports plus
-    ``dec.to_ideal() == ideal``, reached on bitmasks over ``dec.variables``.
+    The verdict is that of pairwise incomparable supports whose intersection
+    (``dec.to_ideal()`` in the square-free case) is ``ideal``, reached on
+    bitmasks over ``dec.variables``.
     The intersection of the primes P_S is generated by the square-free
     monomials on the minimal transversals of the supports; by Berge duality
     (tr(tr(H)) = H for a clutter H) that equals a square-free ideal exactly
@@ -327,13 +294,12 @@ def decompose_squarefree(i: MonomialIdeal, cap: int | None = None) -> PrimeDecom
 
     The prime supports are the minimal transversals of the generator
     supports; ``validate_decomposition`` checks the result against the input
-    by duality. The unit ideal yields the empty decomposition (flagged via
-    is_unit_source).
+    by duality. The unit ideal yields the empty decomposition.
     """
     if not i.is_squarefree:
         raise NotSquareFreeError(f"not square-free: {i.render()}")
     if i.is_unit:
-        return PrimeDecomposition(variables=i.variables, supports=(), is_unit_source=True)
+        return PrimeDecomposition(variables=i.variables, supports=())
     supports = minimal_transversals([m.support for m in i.gens], cap=cap)
     dec = PrimeDecomposition(variables=i.variables, supports=supports)
     validate_decomposition(dec, i)

@@ -18,6 +18,7 @@ from .errors import (
     EnumerationCapExceeded,
     InputError,
     MixedTreeError,
+    NotATreeError,
     NotBalancedError,
     TheoremViolation,
 )
@@ -56,12 +57,10 @@ class InteriorGraphs:
     red: Forest
     deleted_for_blue: VertexSet  # closed neighborhood of the blue supports
     deleted_for_red: VertexSet
-    coloring: Coloring
 
 
 def interior_graphs(t: Tree | Analysis) -> InteriorGraphs:
-    """Both interior graphs of a tree under its analysis's 2-coloring (the
-    default one unless the Analysis was given another).
+    """Both interior graphs of a tree under its 2-coloring (``two_coloring``).
 
     "Support vertex" is read as adjacency-to-a-leaf, which differs from
     height 1 only on the 2-vertex tree. Every component of either side must
@@ -119,24 +118,19 @@ class UnmixedCertificate:
 
 def _check_component(layer: _Layer, comp) -> ComponentCheck:
     """The checklist of one component of a layer, given as the sorted indices
-    of its vertices, read off the marks that its balance walk left."""
-    return _check_of(layer, comp, layer.marks[comp[0]])
-
-
-def _check_of(layer: _Layer, vertices, marks) -> ComponentCheck:
-    """The checklist of the layer's ``vertices`` (sorted indices) with the
-    marks (greatest height, its first vertex, first failing height-2 and
-    height-1 vertex) of their components. The offending vertex is the first
-    height-2 vertex that fails, else the first height-1 vertex that fails,
-    else the first vertex of greatest height if that exceeds 3."""
-    top, peak, bad2, bad1 = marks
+    of its vertices, read off the marks that its balance walk left (greatest
+    height, its first vertex, first failing height-2 and height-1 vertex).
+    The offending vertex is the first height-2 vertex that fails, else the
+    first height-1 vertex that fails, else the first vertex of greatest
+    height if that exceeds 3."""
+    top, peak, bad2, bad1 = layer.marks[comp[0]]
     offending = bad2 if bad2 is not None else bad1
     if top > 3 and offending is None:
         offending = peak
     labels = layer.graph.labels
     return ComponentCheck(
         side=layer.side,
-        vertices=tuple(map(labels.__getitem__, vertices)),
+        vertices=tuple(map(labels.__getitem__, comp)),
         height=top,
         height_ok=top <= 3,
         v2_unique_v1_ok=bad2 is None,
@@ -145,20 +139,9 @@ def _check_of(layer: _Layer, vertices, marks) -> ComponentCheck:
     )
 
 
-def _merged_marks(marks) -> tuple:
-    """The marks of a union of components from theirs: the first vertex of
-    a kind over the union is the smallest index among the components'."""
-    top = max((m[0] for m in marks), default=0)
-    return (
-        top,
-        min((m[1] for m in marks if m[0] == top), default=None),
-        min((m[2] for m in marks if m[2] is not None), default=None),
-        min((m[3] for m in marks if m[3] is not None), default=None),
-    )
-
-
 def characterize_balanced_unmixed(t: Tree | Analysis) -> UnmixedCertificate:
-    """Linear-time unmixedness test for a balanced tree."""
+    """Linear-time unmixedness test for a balanced tree. A balanced forest
+    of 0 or at least 2 components raises NotATreeError."""
     return Analysis.of(t).characterization
 
 
@@ -344,21 +327,14 @@ class Analysis:
     component trees and their Analyses are built from those layers only
     when ``interiors``, ``sides`` or ``components`` is read.
 
-    ``coloring`` replaces the default ``two_coloring`` of the forest; this
-    is the one place a coloring enters. ``side`` is "blue" or "red" for an
-    interior forest and its components (it labels their component checks)
-    and "self" otherwise.
+    The 2-coloring is always ``two_coloring`` of the forest. ``side`` is
+    "blue" or "red" for an interior forest and its components (it labels
+    their component checks) and "self" otherwise.
     """
 
-    def __init__(self, forest: Forest, coloring: Coloring | None = None, side: str = "self"):
+    def __init__(self, forest: Forest, side: str = "self"):
         self.forest = forest
         self.side = side
-        if coloring is not None:
-            self.coloring = coloring
-            index = forest.graph.index
-            self._blue = blue = [False] * forest.graph.n
-            for v in coloring.blue:
-                blue[index[v]] = True
         self._td_families: dict = {}
 
     @classmethod
@@ -372,8 +348,8 @@ class Analysis:
 
     @_fact
     def _blue(self) -> list[bool]:
-        """Per vertex index, whether ``coloring`` makes it blue: for the
-        default coloring, the side array of its breadth-first search."""
+        """Per vertex index, whether ``coloring`` makes it blue: the side
+        array of its breadth-first search."""
         return _blue_flags(self.forest)
 
     @_fact
@@ -401,13 +377,12 @@ class Analysis:
 
     @_fact
     def check(self) -> ComponentCheck:
-        """The height and matching checklist of this forest as a whole,
-        labelled with its side."""
-        layer = self._layer
-        if len(layer.components) == 1:
-            return self.component_checks[0]
-        marks = _merged_marks([layer.marks[comp[0]] for comp in layer.components])
-        return _check_of(layer, [i for i, h in enumerate(layer.height) if h >= 0], marks)
+        """The height and matching checklist of this tree, labelled with its
+        side. A forest of 0 or at least 2 components raises NotATreeError."""
+        checks = self.component_checks
+        if len(checks) != 1:
+            raise NotATreeError(f"expected a tree, got {len(checks)} components")
+        return checks[0]
 
     @_fact
     def components(self) -> tuple[Analysis, ...]:
@@ -461,7 +436,6 @@ class Analysis:
             red=red.forest(),
             deleted_for_blue=blue.dropped(),
             deleted_for_red=red.dropped(),
-            coloring=self.coloring,
         )
 
     @_fact

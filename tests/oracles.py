@@ -21,7 +21,8 @@ peeling by whole-tree rebuilds, N(G) minimalized against every kept
 generator, the interior-graph test through a Tree per component), of the
 transversal engine (a Berge round that minimalizes every candidate against
 every other), of the Stanley-Reisner sweep (faces tested as label sets) and
-of the re-expansion of a decomposition (lcms of exponent dicts) as
+of the re-expansion of a decomposition (sums and intersections of ideals
+through lcms of exponent dicts, which the package no longer has) as
 references for differential tests.
 """
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 from totaldom.complexes import SimplicialComplex, _composed_order
@@ -47,6 +49,7 @@ from totaldom.construct import (
 )
 from totaldom.domination import _minimalize_masks, minimal_transversals
 from totaldom.errors import (
+    AmbientMismatchError,
     EdgeListParseError,
     EnumerationCapExceeded,
     InputError,
@@ -68,7 +71,7 @@ from totaldom.graphs import (
     two_coloring,
     vset,
 )
-from totaldom.ideals import Monomial, MonomialIdeal, ideal_intersection, variable_ideal
+from totaldom.ideals import Monomial, MonomialIdeal
 from totaldom.treegen import Lcg64
 from totaldom.unmixed import (
     Analysis,
@@ -218,6 +221,16 @@ def even_blue_coloring(f) -> Coloring:
         raise NotBalancedError("even-height-blue convention requested on a non-balanced forest")
     hmap = heights(f)
     return Coloring(hmap.even(), hmap.odd())
+
+
+def swapped_coloring_tree(t: Tree) -> Tree:
+    """``t`` relabelled so that ``two_coloring`` swaps its color classes:
+    each red vertex gets the prefix "a" and each blue one "b", so on at
+    least two vertices the red class holds the smallest label."""
+    col = two_coloring(t)
+    name = {v: "a" + v for v in col.red} | {v: "b" + v for v in col.blue}
+    return Tree(Graph([name[v] for v in t.graph.labels],
+                      [(name[a], name[b]) for a, b in t.graph.edges()]))
 
 
 @dataclass(frozen=True)
@@ -628,17 +641,50 @@ def minimal_transversals_by_subsets(edges: list[int]) -> list[int]:
     return sorted(out)
 
 
+def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
+    d = dict(a.exps)
+    for v, e in b.exps:
+        d[v] = max(d.get(v, 0), e)
+    return Monomial.from_dict(d)
+
+
+def _check_ambient(a: MonomialIdeal, b: MonomialIdeal) -> None:
+    if a.variables != b.variables:
+        raise AmbientMismatchError(f"ambient mismatch: {a.variables} vs {b.variables}")
+
+
+def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
+    _check_ambient(a, b)
+    return MonomialIdeal.from_gens(a.variables, a.gens + b.gens)
+
+
+def ideal_intersection(ideals) -> MonomialIdeal:
+    """The intersection of ideals over one ambient list, folded pairwise:
+    each step minimalizes the lcms of all pairs of generators."""
+    def meet(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
+        _check_ambient(a, b)
+        return MonomialIdeal.from_gens(a.variables, [monomial_lcm(x, y) for x in a.gens for y in b.gens])
+
+    return reduce(meet, ideals)
+
+
+def variable_ideal(variables, subset) -> MonomialIdeal:
+    """The monomial prime generated by the given variables."""
+    return MonomialIdeal.from_gens(variables, [Monomial.of(v) for v in subset])
+
+
 def to_ideal_by_lcm(dec) -> MonomialIdeal:
-    """``PrimeDecomposition.to_ideal`` as one ``MonomialIdeal.intersect`` per
-    prime, each a pairwise ``Monomial.lcm`` of exponent dicts followed by
-    ``from_gens``."""
+    """The intersection of a decomposition's primes P_S, each plus the pure
+    powers Q of a parametric one, through ``ideal_intersection``. It is
+    ``PrimeDecomposition.to_ideal`` on a square-free decomposition and the
+    only re-expansion of a parametric one."""
     if not dec.supports:
         return MonomialIdeal.unit(dec.variables)
     parts = []
     for sup in dec.supports:
         p = variable_ideal(dec.variables, sup)
         if dec.pure_powers is not None:
-            p = p.sum_with(dec.pure_powers)
+            p = ideal_sum(p, dec.pure_powers)
         parts.append(p)
     return ideal_intersection(parts)
 
@@ -773,10 +819,9 @@ def open_neighborhood_ideal_by_scan(g, s=None) -> MonomialIdeal:
 # The interior-graph test by objects: a Forest per interior side, a Tree and
 # fresh heights per component, and the criteria read through label lookups.
 
-def balanced_by_criteria(f: Forest, coloring: Coloring | None = None) -> bool:
+def balanced_by_criteria(f: Forest) -> bool:
     """The three balancedness criteria on a forest; they must agree."""
-    col = two_coloring(f) if coloring is None else coloring
-    blue = set(col.blue)
+    blue = set(two_coloring(f).blue)
     hmap = heights(f)
     g = f.graph
     c1 = all(hmap[a] != hmap[b] for a, b in g.edges())
@@ -828,24 +873,9 @@ def check_component_by_tree(comp: Tree, side: str) -> ComponentCheck:
     )
 
 
-def check_forest_by_walk(f: Forest, side: str = "self") -> ComponentCheck:
-    """The checklist of a whole forest, in one walk over its labels."""
-    hmap = heights(f)
-    g = f.graph
-    top = hmap.graph_height()
-    bad2 = next((v for v in g.labels if hmap[v] == 2
-                 and sum(hmap[w] == 1 for w in g.neighbors(v)) != 1), None)
-    bad1 = next((v for v in g.labels if hmap[v] == 1
-                 and sum(hmap[w] == 2 for w in g.neighbors(v)) > 1), None)
-    offending = bad2 if bad2 is not None else bad1
-    if top > 3 and offending is None:
-        offending = next(v for v in g.labels if hmap[v] == top)
-    return ComponentCheck(side, g.labels, top, top <= 3, bad2 is None, bad1 is None, offending)
-
-
-def interiors_by_forests(t: Tree, coloring: Coloring | None = None) -> InteriorGraphs:
+def interiors_by_forests(t: Tree) -> InteriorGraphs:
     """Both interior graphs as induced forests, each checked to be balanced."""
-    col = two_coloring(t) if coloring is None else coloring
+    col = two_coloring(t)
     g = t.graph
     supports = set(classify_vertices(t).supports)
     sides = []
@@ -858,12 +888,12 @@ def interiors_by_forests(t: Tree, coloring: Coloring | None = None) -> InteriorG
             raise TheoremViolation("interior component is not balanced")
         sides.append((forest, vset(closed)))
     (blue, blue_deleted), (red, red_deleted) = sides
-    return InteriorGraphs(blue, red, blue_deleted, red_deleted, col)
+    return InteriorGraphs(blue, red, blue_deleted, red_deleted)
 
 
-def certificate_by_component_trees(t: Tree, coloring: Coloring | None = None) -> UnmixedCertificate:
+def certificate_by_component_trees(t: Tree) -> UnmixedCertificate:
     """``is_unmixed_fast`` through a Tree and a checklist per interior component."""
-    interiors = interiors_by_forests(t, coloring)
+    interiors = interiors_by_forests(t)
     checks = tuple(
         check_component_by_tree(comp, side)
         for side, forest in (("blue", interiors.blue), ("red", interiors.red))

@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from oracles import parametric_supports_from_ideal, parse_ideal
+from oracles import parametric_supports_from_ideal, parse_ideal, to_ideal_by_lcm
 from totaldom import algebra
 from totaldom.algebra import (
     artinian_reduction,
@@ -16,7 +16,12 @@ from totaldom.algebra import (
 from totaldom.construct import generate
 from totaldom.domination import minimal_td_sets
 from totaldom.complexes import stable_shelling
-from totaldom.errors import EnumerationCapExceeded, MixedTreeError, TheoremViolation
+from totaldom.errors import (
+    EnumerationCapExceeded,
+    MixedTreeError,
+    NotSquareFreeError,
+    TheoremViolation,
+)
 from totaldom.graphs import Forest, Tree, heights, path_graph, star_graph
 from totaldom.ideals import Monomial
 from totaldom.unmixed import Analysis
@@ -174,7 +179,7 @@ def test_parametric_paper_example():
     dec = parametric_decomposition(red, paper_labeled_tree())
     assert dec.supports == (("u1", "u3"), ("u2",))
     assert dec.pure_powers == red.pure_powers
-    assert dec.to_ideal() == PAPER_J
+    assert to_ideal_by_lcm(dec) == PAPER_J
 
 
 def test_parametric_p6():
@@ -189,7 +194,15 @@ def test_parametric_height1_single_component():
     red = artinian_reduction(t)
     dec = parametric_decomposition(red, t)
     assert dec.supports == ((),)
-    assert dec.to_ideal() == red.ideal
+    assert to_ideal_by_lcm(dec) == red.ideal
+
+
+def test_to_ideal_refuses_a_parametric_decomposition():
+    # pure powers are re-expanded only by the test oracle
+    for t in (paper_labeled_tree(), star_graph(4), path_graph(6)):
+        dec = parametric_decomposition(artinian_reduction(t), t)
+        with pytest.raises(NotSquareFreeError, match="not square-free: pure powers"):
+            dec.to_ideal()
 
 
 def test_parametric_with_and_without_tree_agree():

@@ -266,6 +266,27 @@ def test_analyze_one_vertex_tree_has_no_shelling_or_type():
         assert "one-vertex tree" in report[key]["reason"]
 
 
+@pytest.mark.parametrize("text, forest, bruteforce", [
+    ("a b\nb c\nc a\n", False, True),  # a triangle
+    ("l1 s1\ns1 u\nu s2\ns2 l2\nx y\n", True, False),  # the mixed P4 and an edge
+    ("a b\nb c\nc d\nd a\nd e\n", False, True),  # a 4-cycle with a pendant vertex
+])
+def test_analyze_non_tree(capsys, tmp_path, text, forest, bruteforce):
+    # off trees the verdict is the enumeration's, and a cap leaves none
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    not_a_tree = {"applicable": False, "reason": "input is not a tree"}
+    for cap, unmixed in (([], {"bruteforce": bruteforce}),
+                         (["--max-sets", "1"], {"applicable": False, "reason": "enumeration cap exceeded"})):
+        report = run_json(capsys, ["analyze", str(path), "--json", *cap])
+        assert (report["forest"], report["tree"]) == (forest, False)
+        assert report["unmixed"] == unmixed
+        assert report["shelling"] == report["type"] == not_a_tree
+        # a capped family sets "unmixed" before the ideal, the enumeration after it
+        keys = list(report)
+        assert keys.index("unmixed") - keys.index("ideal") == (-1 if cap else 1)
+
+
 def test_analyze_rejects_nonpositive_cap(capsys, p6_file):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", p6_file, "--json", "--max-sets", "0"])

@@ -24,7 +24,7 @@ from oracles import (
     ahu_by_dicts,
     canonical_form_by_dicts,
     centers_by_dicts,
-    check_forest_by_walk,
+    check_component_by_tree,
     forest_by_sorting,
     graph_by_sets,
     parse_graph_by_sets,
@@ -160,24 +160,9 @@ def test_core_matches_oracles_on_edge_lists(drawn):
     assert outcome(lambda h: Tree(h).components(), g) == (comps if len(comps) == 1 else want)
     looped = Graph.from_edges([*edges, more], extra_vertices=extra)
     assert outcome(components_of, looped) == outcome(forest_by_sorting, looped)
-    # the checklist of a whole forest merges those of its components
-    assert Analysis(Forest(g)).check == check_forest_by_walk(Forest(g))
-
-
-def test_forest_checklists_merge_their_components(trees10):
-    # forests of three to five small trees, one of them on 9 or 10 vertices
-    tall = [t for t in trees10 if t.graph.n >= 9]
-    rng = random.Random(10)
-    for _ in range(100):
-        edges, extra = [], []
-        for k, t in enumerate(rng.sample(trees10, rng.randrange(2, 5)) + [rng.choice(tall)]):
-            rename = {v: f"{rng.randrange(100)}.{k}.{v}" for v in t.graph.labels}
-            edges += [(rename[a], rename[b]) for a, b in t.graph.edges()]
-            extra += [rename[v] for v in t.graph.labels if not t.graph.adj[t.graph.index[v]]]
-        f = Forest.from_edges(edges, extra_vertices=extra)
-        assert f.ncomponents >= 3
-        assert Analysis(f).check == check_forest_by_walk(f)
-    assert Analysis(Forest(Graph([], []))).check == check_forest_by_walk(Forest(Graph([], [])))
+    # only a tree has a checklist of its own
+    check = outcome(lambda h: Analysis(Forest(h)).check, g)
+    assert check == (check_component_by_tree(Tree(g), "self") if len(comps) == 1 else want)
 
 
 # ---------------------------------------------------------------------------

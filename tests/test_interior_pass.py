@@ -5,7 +5,8 @@ checklists in one pass per interior side over the tree's index arrays. The
 oracles in ``oracles.py`` reach the same certificate the earlier way: an
 induced ``Forest`` per side, a ``Tree`` and fresh heights per component, and
 the criteria read through label lookups. Both must give the same
-certificate, interior graphs and balanced verdict on every tree.
+certificate, interior graphs and balanced verdict on every tree, and on
+every tree relabelled so that its default coloring swaps its classes.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from oracles import (
     certificate_by_component_trees,
     check_component_by_tree,
     interiors_by_forests,
+    swapped_coloring_tree,
 )
 from totaldom.errors import TheoremViolation
-from totaldom.graphs import Coloring, Tree, heights, path_graph, two_coloring
+from totaldom.graphs import Tree, heights, path_graph, two_coloring
 from totaldom.treegen import Lcg64, random_tree
 from totaldom.unmixed import (
     Analysis,
@@ -44,14 +46,15 @@ def interiors_key(ig):
     return tuple(
         (side.graph, side.components(), deleted)
         for side, deleted in ((ig.blue, ig.deleted_for_blue), (ig.red, ig.deleted_for_red))
-    ) + ((ig.coloring.blue, ig.coloring.red),)
+    )
 
 
-def assert_matches_oracle(t: Tree, coloring: Coloring | None = None) -> None:
-    facts = Analysis(t, coloring)
-    assert facts.certificate == certificate_by_component_trees(t, coloring)
-    assert interiors_key(facts.interiors) == interiors_key(interiors_by_forests(t, coloring))
-    assert facts.balanced == balanced_by_criteria(t, coloring)
+def assert_matches_oracle(t: Tree) -> None:
+    facts = Analysis(t)
+    assert facts.coloring == two_coloring(t)
+    assert facts.certificate == certificate_by_component_trees(t)
+    assert interiors_key(facts.interiors) == interiors_key(interiors_by_forests(t))
+    assert facts.balanced == balanced_by_criteria(t)
     assert facts.heights.as_dict() == heights(t).as_dict()
     if facts.balanced:
         assert facts.check == check_component_by_tree(t, "self")
@@ -94,8 +97,12 @@ def test_matches_oracle_on_all_small_trees(trees10):
     for t in trees10:
         assert_matches_oracle(t)
         if t.graph.n > 1:
+            # the other class is blue: the interiors trade sides, the verdict stays
+            swapped = swapped_coloring_tree(t)
             col = two_coloring(t)
-            assert_matches_oracle(t, Coloring(col.red, col.blue))
+            assert two_coloring(swapped).blue == tuple("a" + v for v in col.red)
+            assert_matches_oracle(swapped)
+            assert is_unmixed_fast(swapped).unmixed == is_unmixed_fast(t).unmixed
 
 
 def test_matches_oracle_on_random_trees():

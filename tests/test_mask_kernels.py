@@ -5,7 +5,7 @@ Each kernel is compared with the label-level route it replaced, kept in
 and the ordered generator tuples, so it also checks the grlex order.
 
 - ``PrimeDecomposition.to_ideal`` folds the primes on masks; the reference
-  intersects them through ``Monomial.lcm`` (``to_ideal_by_lcm``).
+  intersects them through lcms of exponent dicts (``to_ideal_by_lcm``).
 - ``MinimalSetFamily`` reads sizes and the witness off masks; the reference
   reads them off label tuples.
 - ``check_stanley_reisner`` computes I_S(G) once per tree and reuses

@@ -5,11 +5,18 @@ import time
 
 import pytest
 
-from oracles import even_blue_coloring
+from oracles import even_blue_coloring, swapped_coloring_tree
 from totaldom.domination import is_unmixed_bruteforce, minimal_s_td_sets
-from totaldom.errors import InputError, MixedTreeError, NotBalancedError, TheoremViolation
+from totaldom.errors import (
+    InputError,
+    MixedTreeError,
+    NotATreeError,
+    NotBalancedError,
+    TheoremViolation,
+)
 from totaldom.graphs import (
-    Coloring,
+    Forest,
+    Graph,
     Tree,
     classify_vertices,
     heights,
@@ -95,7 +102,8 @@ def test_same_height_even_distance_same_color(trees10):
 
 def test_interiors_p6():
     t = path_graph(6)
-    ig = interior_graphs(Analysis(t, even_blue_coloring(t)))
+    assert two_coloring(t) == even_blue_coloring(t)
+    ig = interior_graphs(t)
     assert ig.blue.labels == t.graph.labels  # no blue supports
     assert ig.red.labels == ("3",)
 
@@ -107,7 +115,8 @@ def test_interiors_single_edge_both_empty():
 
 def test_interiors_star():
     t = star_graph(3)
-    ig = interior_graphs(Analysis(t, even_blue_coloring(t)))
+    assert two_coloring(t) == even_blue_coloring(t)
+    ig = interior_graphs(t)
     # the support is red, so the blue side keeps everything
     assert ig.blue.labels == t.graph.labels
     assert ig.red.labels == ()
@@ -155,7 +164,7 @@ def test_bd_sets_factor_through_red_interior(trees8):
         if t.graph.n < 2:
             continue
         col = two_coloring(t)
-        ig = interior_graphs(Analysis(t, col))
+        ig = interior_graphs(t)
         red_supports = set(classify_vertices(t).supports) & set(col.red)
         # BD-sets of the red interior, under the restriction of T's coloring
         restricted_blue = [v for v in col.blue if v in set(ig.red.labels)]
@@ -182,6 +191,15 @@ def test_characterize_rejects_unbalanced(paper_p5):
 def test_characterize_star():
     for k in (2, 3, 6):
         assert characterize_balanced_unmixed(star_graph(k)).unmixed
+
+
+def test_characterize_rejects_forests():
+    # a balanced forest of two components, and the empty forest
+    two = Forest.from_edges([("a", "b"), ("b", "c"), ("d", "e"), ("e", "f")])
+    assert is_balanced(two)
+    for f, count in ((two, 2), (Forest(Graph([], [])), 0)):
+        with pytest.raises(NotATreeError, match=f"expected a tree, got {count} components"):
+            characterize_balanced_unmixed(f)
 
 
 def test_characterize_mixed_spider():
@@ -232,10 +250,10 @@ def test_fast_coloring_invariance(trees8):
     for t in trees8[::2]:
         if t.graph.n < 2:
             continue
-        col = two_coloring(t)
-        a = is_unmixed_fast(Analysis(t, col)).unmixed
-        b = is_unmixed_fast(Analysis(t, Coloring(col.red, col.blue))).unmixed
-        assert a == b
+        # relabelled so that the default coloring swaps the two classes
+        swapped = swapped_coloring_tree(t)
+        assert two_coloring(swapped).blue == tuple("a" + v for v in two_coloring(t).red)
+        assert is_unmixed_fast(swapped).unmixed == is_unmixed_fast(t).unmixed
 
 
 # ---------------------------------------------------------------------------
