@@ -16,7 +16,7 @@ from math import prod
 
 from .domination import MinimalSetFamily, minimal_s_td_sets
 from .errors import EnumerationCapExceeded, MixedTreeError, TheoremViolation
-from .graphs import Forest, HeightMap, Tree, VertexSet, vset
+from .graphs import Forest, HeightMap, Tree, vset
 from .ideals import (
     Monomial,
     MonomialIdeal,
@@ -160,12 +160,8 @@ def parametric_decomposition(a: ArtinianReduction, t: Tree | Analysis) -> PrimeD
     and equality with the reduced ideal exactly, by duality, and surfaces a
     mismatch as a theorem violation.
     """
-    supports: tuple[VertexSet, ...]
-    if a.height < 3:
-        supports = ((),)
-    else:
-        subst = a.substitution_map()
-        supports = tuple(vset(subst[v] for v in d) for d in minimal_v3_td_sets(t))
+    subst = a.substitution_map()
+    supports = tuple(vset(subst[v] for v in d) for d in minimal_v3_td_sets(t))
     dec = PrimeDecomposition(
         variables=a.variables, supports=tuple(sorted(supports)), pure_powers=a.pure_powers
     )
@@ -180,8 +176,6 @@ def parametric_decomposition(a: ArtinianReduction, t: Tree | Analysis) -> PrimeD
 def _component_depth(hmap: HeightMap) -> int:
     h = hmap.graph_height()
     n0 = len(hmap.level(0))
-    if h == 0:
-        return 1
     if h == 1:
         return n0 - 1
     return n0

@@ -141,17 +141,16 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
     t1 = time.monotonic()
     ideal = open_neighborhood_ideal(g)
     entry = {"generators": [m.render() for m in ideal.gens]}
-    if ideal.is_unit:
-        entry["decomposition"] = {"unit": True, "components": []}
-    elif family is None:
+    if family is None:
         entry["decomposition"] = {"unit": False, "cap_exceeded": True}
     else:
         # the prime supports of N(G) are exactly the minimal TD-sets, and
-        # validate_decomposition checks them against N(G) by duality
+        # validate_decomposition checks them against N(G) by duality; an
+        # isolated vertex makes N(G) the unit ideal and the family empty
         dec = PrimeDecomposition(ideal.variables, family.sets)
         validate_decomposition(dec, ideal)
         entry["decomposition"] = {
-            "unit": False,
+            "unit": ideal.is_unit,
             "components": [list(s) for s in dec.supports],
         }
     report["ideal"] = entry
@@ -173,16 +172,14 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
         }
         cert = is_unmixed_fast(facts)
         cert_dict = cert.to_json_dict()
-        if not cert.unmixed and with_witness and family is not None:
-            witness = family.witness()
-            if witness is not None:
-                cert_dict["witness"] = [list(w) for w in witness]
         if family is not None:
-            brute = family.is_unmixed()
-            if brute != cert.unmixed:
+            if family.is_unmixed() != cert.unmixed:
                 raise TotaldomError(
                     "characterization disagrees with enumeration; this is a bug"
                 )
+            # the family agrees, so a mixed tree's family has two sizes
+            if not cert.unmixed and with_witness:
+                cert_dict["witness"] = [list(w) for w in family.witness()]
             cert_dict["bruteforce_agrees"] = True
         report["unmixed"] = cert_dict
 
@@ -287,14 +284,11 @@ def cmd_ideal(args) -> int:
         "target": list(vset(target) if target else g.labels),
         "generators": [m.render() for m in ideal.gens],
     }
-    if ideal.is_unit:
-        report["decomposition"] = {"unit": True, "components": []}
-    else:
-        dec = decompose_squarefree(ideal, cap=args.max_sets)
-        report["decomposition"] = {
-            "unit": False,
-            "components": [list(s) for s in dec.supports],
-        }
+    dec = decompose_squarefree(ideal, cap=args.max_sets)
+    report["decomposition"] = {
+        "unit": ideal.is_unit,
+        "components": [list(s) for s in dec.supports],
+    }
 
     def human(rep):
         print(f"N_S(G) = <{', '.join(rep['generators'])}>")

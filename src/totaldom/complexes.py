@@ -303,11 +303,11 @@ class ShellingOrder:
 
 
 def _facet_vector_order(facts: Analysis, cap: int | None):
-    """The even-stable complex of a height-3 tree, its facets sorted by
-    ``shelling_sort_key`` of their facet vectors, and those vectors."""
+    """The even-stable complex of an unmixed balanced tree, its facets
+    sorted by ``shelling_sort_key`` of their facet vectors, and those
+    vectors. At height 0 or 1 there are no support rows, so every vector is
+    empty and the facets stay in label order."""
     rows = facts.support_rows
-    if facts.heights.graph_height() != 3:
-        raise ValueError("facet vectors are defined for height-3 trees")
     complex_ = even_stable_complex(facts, cap=cap)
     even = complex_.ground
     tagged = sorted(
@@ -317,10 +317,16 @@ def _facet_vector_order(facts: Analysis, cap: int | None):
     return complex_, tuple(f for _, f in tagged), tuple(v for v, _ in tagged)
 
 
-def shelling_order(t: Tree | Analysis, cap: int | None = None) -> ShellingOrder:
+def shelling_order(t: Tree | Analysis) -> ShellingOrder:
     """The facet-vector order on the even-stable complex of a height-3 tree,
-    verified to be a shelling."""
-    complex_, facets, vectors = _facet_vector_order(Analysis.of(t), cap)
+    verified to be a shelling. An unmixed balanced tree of height 0 or 1
+    raises ValueError, after the support rows have raised MixedTreeError or
+    TheoremViolation on any other tree."""
+    facts = Analysis.of(t)
+    # an unmixed balanced tree has support rows exactly at height 3
+    if not facts.support_rows:
+        raise ValueError("facet vectors are defined for height-3 trees")
+    complex_, facets, vectors = _facet_vector_order(facts, None)
     check = verify_shelling(complex_, facets)
     if not check.ok:
         raise TheoremViolation("the facet-vector order failed shelling verification")
@@ -330,11 +336,9 @@ def shelling_order(t: Tree | Analysis, cap: int | None = None) -> ShellingOrder:
 def _component_order(c: Analysis, cap: int | None = None) -> tuple[tuple[str, ...], list[VertexSet]]:
     """Ordered even-stable facets of one unmixed balanced component, not
     verified here: ``_composed_order`` verifies their product. A component
-    of height 0 or 1 has no support rows; its even-stable complex is a
-    simplex or the boundary of one, which any facet order shells."""
-    if not c.support_rows:
-        comp = even_stable_complex(c, cap=cap)
-        return comp.ground, sorted(comp.facets)
+    of height 0 or 1 keeps its facets in label order; its even-stable
+    complex is a simplex or the boundary of one, which any facet order
+    shells."""
     complex_, facets, _ = _facet_vector_order(c, cap)
     return complex_.ground, list(facets)
 

@@ -25,7 +25,7 @@ from .graphs import (
 )
 from .jsontext import dumps
 from .treegen import Lcg64
-from .unmixed import characterize_balanced_unmixed
+from .unmixed import Analysis, characterize_balanced_unmixed
 
 KIND_LEAF = "height1-leaf"
 KIND_WHISKER4 = "height2-whisker4"
@@ -177,8 +177,6 @@ def leaf_normalize(t: Tree) -> tuple[Tree, dict[str, int]]:
         if len(mine) > 1:
             removed[s] = len(mine) - 1
             drop.update(mine[1:])
-    if not drop:
-        return t, {}
     keep = [v for v in g.labels if v not in drop]
     return Tree(g.induced(keep)), removed
 
@@ -283,10 +281,10 @@ def deconstruct(t: Tree) -> ConstructionTrace:
     recorded as height-1 steps at the end of the trace. Replaying the trace
     yields a tree isomorphic to the input.
     """
-    cert = characterize_balanced_unmixed(t)
-    if not cert.unmixed:
+    facts = Analysis(t)
+    if not characterize_balanced_unmixed(facts).unmixed:
         raise MixedTreeError("deconstruction requires an unmixed balanced tree")
-    if heights(t).graph_height() != 3:
+    if facts.heights.graph_height() != 3:
         raise InputError("deconstruction requires height exactly 3")
 
     core, extra_leaves = leaf_normalize(t)
@@ -317,8 +315,6 @@ def deconstruct(t: Tree) -> ConstructionTrace:
 def _path_order(t: Tree) -> tuple[str, ...]:
     """Vertex labels of a path graph in path order."""
     g = t.graph
-    if g.n == 1:
-        return g.labels
     ends = [v for v in g.labels if g.degree(v) == 1]
     start = min(ends)
     order = [start]

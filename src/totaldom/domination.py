@@ -37,8 +37,8 @@ def _minimalize_masks(masks) -> list[int]:
 def minimal_transversal_masks(edges: list[int], cap: int | None = None) -> list[int]:
     """All inclusion-minimal hitting sets of the given bitmask hyperedges.
 
-    An empty hyperedge kills every transversal; no hyperedges leaves only the
-    empty set. ``cap`` bounds the working family size and raises
+    An empty hyperedge kills every transversal (it sorts first, and its
+    round keeps no member); no hyperedges leaves only the empty set. ``cap`` bounds the working family size and raises
     EnumerationCapExceeded rather than truncating.
 
     Each Berge round keeps the members of the family F that hit the new edge
@@ -49,8 +49,6 @@ def minimal_transversal_masks(edges: list[int], cap: int | None = None) -> list[
     tested only against the members that meet e in b alone: one AND and one
     compare per such member, stopping at the first that dominates it.
     """
-    if any(e == 0 for e in edges):
-        return []
     family = [0]
     for e in sorted(set(edges), key=lambda m: (bin(m).count("1"), m)):
         hit = []
@@ -88,7 +86,7 @@ def minimal_transversal_masks(edges: list[int], cap: int | None = None) -> list[
 
 def minimal_transversals(sets, cap: int | None = None) -> tuple[tuple, ...]:
     """Label-level wrapper around the bitmask engine, canonically sorted."""
-    universe = sorted(set().union(*map(set, sets))) if sets else []
+    universe = sorted(set().union(*map(set, sets)))
     pos = {v: i for i, v in enumerate(universe)}
     edges = [sum(1 << pos[v] for v in s) for s in sets]
     out = []

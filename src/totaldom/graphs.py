@@ -31,9 +31,10 @@ class Graph:
 
     Labels are stored sorted; ``adj[i]`` lists the neighbor indices of the
     i-th label in increasing order and ``masks[i]`` is the same set as a
-    bitmask. The masks take O(n^2) bits and only the domination engine reads
-    them, so they are built lazily on first use. No self-loops, adjacency
-    symmetric by construction.
+    bitmask. The masks take O(n^2) bits and only the domination engine and
+    ``open_neighborhood_ideal`` read them, so they are built lazily on first
+    use and then kept on the graph. No self-loops, adjacency symmetric by
+    construction.
     """
 
     __slots__ = ("labels", "index", "adj", "_masks")

@@ -197,8 +197,6 @@ class PrimeDecomposition:
         """
         if self.pure_powers is not None:
             raise NotSquareFreeError(f"not square-free: pure powers {self.pure_powers.render()}")
-        if not self.supports:
-            return MonomialIdeal.unit(self.variables)
         return _intersect_primes(vset(self.variables), self.supports)
 
 
@@ -298,8 +296,6 @@ def decompose_squarefree(i: MonomialIdeal, cap: int | None = None) -> PrimeDecom
     """
     if not i.is_squarefree:
         raise NotSquareFreeError(f"not square-free: {i.render()}")
-    if i.is_unit:
-        return PrimeDecomposition(variables=i.variables, supports=())
     supports = minimal_transversals([m.support for m in i.gens], cap=cap)
     dec = PrimeDecomposition(variables=i.variables, supports=supports)
     validate_decomposition(dec, i)

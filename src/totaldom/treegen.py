@@ -53,10 +53,7 @@ def _parent_arrays(n: int):
             parents[i] = p
             yield from rec(i + 1)
 
-    if n == 1:
-        yield ()
-    else:
-        yield from rec(1)
+    yield from rec(1)
 
 
 def _tree_labels(n: int) -> list[str]:
@@ -102,8 +99,6 @@ def random_tree(rng: Lcg64, n: int) -> Tree:
     labels = _tree_labels(n)
     if n == 1:
         return Tree(Graph(labels, []))
-    if n == 2:
-        return Tree.from_edges([(labels[0], labels[1])])
     prufer = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for p in prufer:

@@ -230,12 +230,12 @@ def _balance_criteria(layer: _Layer, comp) -> tuple[bool, bool, bool]:
 
 class _Layer:
     """The vertices of ``graph`` left after removing the indices ``dropped``
-    (none when it is None): one pass over the index arrays finds their heights,
-    their components as sorted index lists (index order is label order, so
-    these come in ``Forest.components()`` order; ``components`` passes them
-    in when they are known) and, in one walk per component, the balanced
-    verdict, whose three criteria must agree, and the checklist marks. The
-    checklists are built from the marks on first use.
+    (none for a whole forest): one pass over the index arrays finds their
+    heights, their components as sorted index lists (index order is label
+    order, so these come in ``Forest.components()`` order; ``components``
+    passes them in when they are known) and, in one walk per component, the
+    balanced verdict, whose three criteria must agree, and the checklist
+    marks. The checklists are built from the marks on first use.
 
     ``blue`` flags the blue vertices of a 2-coloring of ``graph`` and
     ``side`` labels the checks. Everything read off a layer is in labels,
@@ -246,25 +246,20 @@ class _Layer:
                  "marks", "balanced", "_checks")
 
     def __init__(self, graph: Graph, blue: list[bool], side: str,
-                 dropped: list[int] | None = None, components: list[list[int]] | None = None):
+                 dropped: list[int], components: list[list[int]] | None = None):
         adj = graph.adj
-        if dropped is None:
-            keep = None
-            kept = range(graph.n)
-            nbrs = adj
-        else:
-            # only the neighbors of dropped vertices lose neighbors
-            keep = [True] * graph.n
-            for i in dropped:
-                keep[i] = False
-            kept = list(compress(range(graph.n), keep))
-            nbrs = list(adj)
-            for i in dropped:
-                nbrs[i] = ()
-            for i in dropped:
-                for j in adj[i]:
-                    if keep[j] and nbrs[j] is adj[j]:  # each list is filtered once
-                        nbrs[j] = [k for k in adj[j] if keep[k]]
+        # only the neighbors of dropped vertices lose neighbors
+        keep = [True] * graph.n
+        for i in dropped:
+            keep[i] = False
+        kept = list(compress(range(graph.n), keep))
+        nbrs = list(adj)
+        for i in dropped:
+            nbrs[i] = ()
+        for i in dropped:
+            for j in adj[i]:
+                if keep[j] and nbrs[j] is adj[j]:  # each list is filtered once
+                    nbrs[j] = [k for k in adj[j] if keep[k]]
         self.graph = graph
         self.side = side
         self.blue = blue
@@ -314,9 +309,11 @@ class Analysis:
     """The facts one request reads about one tree or forest.
 
     Each fact is computed on its first read and kept on this object, which
-    the request drops with its report. Nothing is stored on the tree, in a
+    the request drops with its report. No fact is stored on the tree, in a
     module or in a cache keyed by trees, so no fact outlives its request and
-    a function patched between two requests is seen by the second.
+    a function patched between two requests is seen by the second. (The
+    graph keeps its neighbourhood bitmasks, ``Graph.masks``, which depend on
+    its adjacency alone.)
     ``is_unmixed_fast``, ``stable_shelling``, ``cm_type`` and the functions
     they call take an Analysis wherever they take the tree (through
     ``Analysis.of``), so one request computes each fact once.
@@ -359,7 +356,7 @@ class Analysis:
     @_fact
     def _layer(self) -> _Layer:
         forest = self.forest
-        return _Layer(forest.graph, self._blue, self.side, components=forest.component_indices)
+        return _Layer(forest.graph, self._blue, self.side, [], forest.component_indices)
 
     @_fact
     def heights(self) -> HeightMap:

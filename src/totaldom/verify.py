@@ -181,7 +181,6 @@ def check_characterization(
     max_n: int = 10,
     seed: int = 20240,
     samples: int = 1000,
-    extra_trees=(),
 ) -> CheckResult:
     """Fast interior-graph test vs enumeration, exhaustive then sampled
     (random trees on 11 to 16 vertices)."""
@@ -190,7 +189,7 @@ def check_characterization(
     checked = 0
     rng = Lcg64(seed)
     sampled = (random_tree(rng, 11 + rng.randrange(6)) for _ in range(samples))
-    for t in chain(trees_up_to(max_n), extra_trees, sampled):
+    for t in chain(trees_up_to(max_n), sampled):
         checked += 1
         if unmixed_mod.is_unmixed_fast(t).unmixed != is_unmixed_bruteforce(t):
             failures.append(f"disagreement on {canonical_form(t)}")

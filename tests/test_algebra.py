@@ -22,7 +22,7 @@ from totaldom.errors import (
     NotSquareFreeError,
     TheoremViolation,
 )
-from totaldom.graphs import Forest, Tree, heights, path_graph, star_graph
+from totaldom.graphs import Forest, HeightMap, Tree, heights, path_graph, star_graph
 from totaldom.ideals import Monomial
 from totaldom.unmixed import Analysis
 from totaldom.verify import check_type_agreement, unmixed_corpus
@@ -189,6 +189,13 @@ def test_parametric_p6():
     assert dec.supports == (("2",), ("4",))
 
 
+def test_parametric_one_vertex():
+    # no height-3 vertex: the empty set is the one V3-TD-set
+    t = path_graph(0)
+    dec = parametric_decomposition(artinian_reduction(t), t)
+    assert dec.supports == ((),)
+
+
 def test_parametric_height1_single_component():
     t = star_graph(4)
     red = artinian_reduction(t)
@@ -266,6 +273,13 @@ def test_type_star():
     assert rep.cm_type == 1
     # whole star on one interior side (depth n0 - 1), other side empty
     assert rep.depth == 3
+
+
+def test_component_depth_of_low_components():
+    assert algebra._component_depth(HeightMap({"x": 0})) == 1
+    assert algebra._component_depth(heights(star_graph(4))) == 3
+    # path_graph(3) has a one-vertex interior component on each side
+    assert cm_type(path_graph(3)).depth == 2
 
 
 def test_type_fence_tree(fence_tree):

@@ -16,7 +16,7 @@ import totaldom.complexes as complexes
 import totaldom.domination as domination
 from totaldom.cli import build_parser, main
 from totaldom.construct import generate, replay
-from totaldom.graphs import canonical_form, parse_graph, path_graph, render_edge_list
+from totaldom.graphs import Graph, canonical_form, parse_graph, path_graph, render_edge_list
 
 P6_TEXT = "0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n"
 P4_TEXT = "l1 s1\ns1 u\nu s2\ns2 l2\n"
@@ -264,6 +264,30 @@ def test_analyze_one_vertex_tree_has_no_shelling_or_type():
     for key in ("shelling", "type"):
         assert report[key]["applicable"] is False
         assert "one-vertex tree" in report[key]["reason"]
+
+
+@pytest.mark.parametrize("g, cap", [
+    (Graph(["a", "b", "c"], [("a", "b")]), None),  # an edge and a lone vertex
+    (Graph(["a", "b", "c"], [("a", "b")]), 1),
+    (Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "a")]), 1),  # with a triangle
+])
+def test_analyze_isolated_vertex_gives_the_unit_ideal(g, cap):
+    # the lone vertex leaves no TD-set, and N(G) = <1> decomposes into no prime
+    report = cli._analyze_report(g, cap, True, False)
+    assert report["minimal_td_sets"] == {"cap_exceeded": False, "count": 0, "sizes": [], "sets": []}
+    assert report["ideal"] == {"generators": ["1"], "decomposition": {"unit": True, "components": []}}
+    assert report["unmixed"] == {"bruteforce": True}
+
+
+@pytest.mark.parametrize("extra", [[], ["--max-sets", "1"], ["--subset", "c"]])
+def test_ideal_isolated_vertex_gives_the_unit_ideal(capsys, monkeypatch, extra):
+    # an edge list cannot hold a lone vertex, so the graph is handed in
+    monkeypatch.setattr(cli, "_read_graph", lambda path: Graph(["a", "b", "c"], [("a", "b")]))
+    report = run_json(capsys, ["ideal", "-", "--json", *extra])
+    assert report["generators"] == ["1"]
+    assert report["decomposition"] == {"unit": True, "components": []}
+    assert main(["ideal", "-", *extra]) == 0
+    assert capsys.readouterr().out == "N_S(G) = <1>\ndecomposition: unit ideal\n"
 
 
 @pytest.mark.parametrize("text, forest, bruteforce", [
@@ -583,12 +607,12 @@ def test_parser_is_built_once(capsys):
     assert build_parser().parse_args(["verify", "--max-n", "3"]).max_n == 3
 
 
-def test_verify_detects_injected_mutant(capsys, monkeypatch):
+def test_verify_detects_injected_mutant(monkeypatch):
     # drop the "each support sees at most one height-2 vertex" condition and
     # the characterization check must flag the disagreement
     import totaldom.unmixed as unmixed_mod
+    import totaldom.verify as verify_mod
     from totaldom.unmixed import ComponentCheck
-    from totaldom.verify import check_characterization
 
     def mutant(layer, comp):
         height, nbrs = layer.height, layer.nbrs
@@ -616,9 +640,11 @@ def test_verify_detects_injected_mutant(capsys, monkeypatch):
             ("vb", "ub"), ("ub", "vpb"), ("vpb", "sb"), ("sb", "lb"),
         ]
     )
-    honest = check_characterization(max_n=1, samples=0, extra_trees=[fig3])
-    assert honest.passed
+    # the exhaustive corpus of both runs is that one tree
+    monkeypatch.setattr(verify_mod, "trees_up_to", lambda max_n: iter([fig3]))
+    honest = verify_mod.check_characterization(max_n=1, samples=0)
+    assert honest.passed and honest.checked == 1
 
     monkeypatch.setattr(unmixed_mod, "_check_component", mutant)
-    mutated = check_characterization(max_n=1, samples=0, extra_trees=[fig3])
-    assert not mutated.passed
+    mutated = verify_mod.check_characterization(max_n=1, samples=0)
+    assert not mutated.passed and mutated.checked == 1

@@ -438,6 +438,12 @@ def test_shelling_order_rejects_mixed(paper_p4):
         shelling_order(paper_p4)
 
 
+@pytest.mark.parametrize("t", [path_graph(0), star_graph(3)])
+def test_shelling_order_rejects_low_height(t):
+    with pytest.raises(ValueError, match="defined for height-3 trees"):
+        shelling_order(t)
+
+
 def test_vector_order_agrees_with_brute_force_search():
     for seed in range(6):
         t, _ = generate(seed, 3)
@@ -462,6 +468,32 @@ def test_forest_shelling_two_stars():
     order = even_stable_shelling(f)
     assert order.check.ok
     assert len(order.facets) == 3 * 2
+
+
+@pytest.mark.parametrize("t, facets", [
+    # one height-1 interior component, the other side empty
+    (star_graph(3), (("l1", "l2"), ("l1", "l3"), ("l2", "l3"))),
+    # a one-vertex interior component on each side
+    (path_graph(3), (("0", "3"),)),
+])
+def test_stable_shelling_of_low_interior_components(t, facets):
+    order = stable_shelling(t)
+    assert order.facets == facets
+    assert order.vectors is None and order.check.ok
+
+
+def test_low_interior_components_keep_label_order():
+    # no support rows: every facet vector is empty, so the order is sorted
+    checked = 0
+    for t in verify.unmixed_corpus(7, 40):
+        for side in Analysis(t).sides:
+            for c in side.components:
+                if c.heights.graph_height() > 1:
+                    continue
+                d = even_stable_complex(c)
+                assert complexes._component_order(c) == (d.ground, sorted(d.facets))
+                checked += 1
+    assert checked >= 10
 
 
 def test_stable_shelling_single_component_reduces():

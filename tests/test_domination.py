@@ -145,6 +145,12 @@ def test_transversals_empty_edge_kills_family():
     assert minimal_transversals([("a",), ()]) == ()
 
 
+@pytest.mark.parametrize("edges", [[0], [0b1, 0], [0b11, 0b101, 0b110, 0]])
+def test_transversal_masks_empty_edge_never_reaches_a_cap(edges):
+    # the empty edge sorts first and empties the family; later edges add none
+    assert domination.minimal_transversal_masks(edges, cap=1) == []
+
+
 def test_transversals_paper_path_neighborhoods(paper_p4):
     edges = [paper_p4.graph.neighbors(v) for v in paper_p4.graph.labels]
     got = minimal_transversals(edges)

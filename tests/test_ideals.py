@@ -238,6 +238,17 @@ def test_decompose_unit_flagged():
     assert dec.to_ideal().is_unit
 
 
+@pytest.mark.parametrize("variables", [(), ("x",), ("y", "x", "z")])
+def test_unit_ideal_is_the_empty_decomposition(variables):
+    # the unit generator's one support is empty, so the engine finds no
+    # prime at any cap, and the fold over no prime stays the unit ideal
+    unit = MonomialIdeal.unit(variables)
+    dec = decompose_squarefree(unit, cap=1)
+    assert dec == PrimeDecomposition(variables=unit.variables, supports=())
+    assert dec.to_ideal() == unit
+    assert PrimeDecomposition(variables, ()).to_ideal() == unit
+
+
 def test_containment_iff_std_set(trees8):
     # N_S(G) sits inside the prime of V' exactly when V' S-dominates
     from totaldom.domination import is_s_td_set

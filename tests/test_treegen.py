@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from totaldom.graphs import canonical_form
-from totaldom.treegen import Lcg64, all_trees, random_tree
+from totaldom.treegen import Lcg64, _parent_arrays, all_trees, random_tree
 
 # free trees up to isomorphism, n = 1..10 (OEIS A000055)
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
@@ -40,6 +40,18 @@ def test_random_tree_is_tree_and_seeded():
     rng2 = Lcg64(5)
     again = [random_tree(rng2, n) for n in (1, 2, 7, 12)]
     assert [t.graph.edges() for t in trees] == [t.graph.edges() for t in again]
+
+
+def test_random_tree_on_two_vertices_draws_nothing():
+    # the Prufer sequence is empty: no draw, and the two leaves are joined
+    rng = Lcg64(5)
+    assert random_tree(rng, 2).graph.edges() == (("t0", "t1"),)
+    assert rng.state == 5
+
+
+def test_parent_arrays_of_one_vertex():
+    assert list(_parent_arrays(1)) == [()]
+    assert list(_parent_arrays(3)) == [(0, 0), (0, 1)]
 
 
 def test_random_trees_spread_over_classes():
