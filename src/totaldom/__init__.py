@@ -21,7 +21,6 @@ from .complexes import (
     ShellingOrder,
     SimplicialComplex,
     even_stable_complex,
-    facet_vector,
     join,
     shelling_order,
     stable_complex,

@@ -9,11 +9,11 @@ domination target. Shellings are verified by restriction sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .domination import minimal_s_td_sets, minimal_td_sets, minimal_transversal_masks
 from .errors import MixedTreeError, NotBalancedError, TheoremViolation
-from .graphs import Forest, Tree, VertexSet, _graph_of, vset
+from .graphs import Forest, Graph, Tree, VertexSet, _graph_of, vset
 from .ideals import Monomial, MonomialIdeal
 from .unmixed import Analysis
 
@@ -180,13 +180,17 @@ class ShellingCheck:
         }
 
 
-def _restrictions(ground, order) -> tuple[list[int], list[dict[int, int]]]:
-    """Facet masks of a pure ``order`` and, for each F_j, its restriction
-    R_j as a map from each vertex bit v of R_j to the first k < j with
-    F_j - v inside F_k. One dict of the codimension-1 faces seen so far,
-    each with the first facet that contains it, gives all of them."""
+def _label_masks(ground, order) -> list[int]:
+    """Label-tuple facets as bitmasks over the label tuple ``ground``."""
     pos = {v: k for k, v in enumerate(ground)}
-    masks = [sum(1 << pos[v] for v in f) for f in order]
+    return [sum(1 << pos[v] for v in f) for f in order]
+
+
+def _restrictions(masks: list[int]) -> list[dict[int, int]]:
+    """For each F_j of a pure order of facet masks, its restriction R_j as
+    a map from each vertex bit v of R_j to the first k < j with F_j - v
+    inside F_k. One dict of the codimension-1 faces seen so far, each with
+    the first facet that contains it, gives all of them."""
     first: dict[int, int] = {}
     restrictions = []
     for j, fj in enumerate(masks):
@@ -199,11 +203,16 @@ def _restrictions(ground, order) -> tuple[list[int], list[dict[int, int]]]:
             if k != j:
                 rj[vbit] = k
         restrictions.append(rj)
-    return masks, restrictions
+    return restrictions
 
 
-def verify_shelling(d: SimplicialComplex, order) -> ShellingCheck:
+def verify_shelling(d: SimplicialComplex | int, order) -> ShellingCheck:
     """Check condition (ii) for a facet order by restriction sets.
+
+    ``order`` lists the facets of the complex ``d`` as label tuples; or
+    ``d`` is a ground bitmask and ``order`` lists distinct facet bitmasks
+    inside it, the facets of the complex they generate. (Two equal masks
+    fail the check: the later one's restriction set is all of it.)
 
     Condition (ii): for i < j there are v in F_j - F_i and k < j with
     F_j - F_k = {v}. The restriction R_j of F_j is the set of v in F_j with
@@ -227,12 +236,20 @@ def verify_shelling(d: SimplicialComplex, order) -> ShellingCheck:
     lookups plus O(F^2) mask ANDs; per-pair witnesses are built only by
     ``ShellingOrder.to_json_dict``, and a passing check counts F(F-1)/2.
     """
-    order = [vset(f) for f in order]
-    if sorted(order) != sorted(d.facets):
-        raise ValueError("order is not a permutation of the facets")
-    if not d.is_pure:
+    if isinstance(d, int):
+        masks = list(order)
+        if any(m & ~d for m in masks):
+            raise ValueError("facet mask outside the ground mask")
+        pure = len({m.bit_count() for m in masks}) <= 1
+    else:
+        order = [vset(f) for f in order]
+        if sorted(order) != sorted(d.facets):
+            raise ValueError("order is not a permutation of the facets")
+        masks = _label_masks(d.ground, order)
+        pure = d.is_pure
+    if not pure:
         return ShellingCheck(ok=False, pure=False)
-    masks, restrictions = _restrictions(d.ground, order)
+    restrictions = _restrictions(masks)
     for j in range(1, len(masks)):
         rj = sum(restrictions[j])
         for i in range(j):
@@ -247,7 +264,8 @@ def _witnesses(ground, order) -> list[dict]:
     with v in F_j - F_i and F_j - F_k = {v}: the smallest first index over
     v in R_j - F_i. Distinct v in R_j have distinct first indices, since a
     facet holding F_j - v and F_j - v' would hold F_j."""
-    masks, restrictions = _restrictions(ground, order)
+    masks = _label_masks(ground, order)
+    restrictions = _restrictions(masks)
     out = []
     for j in range(1, len(masks)):
         for i in range(j):
@@ -259,22 +277,6 @@ def _witnesses(ground, order) -> list[dict]:
 # ---------------------------------------------------------------------------
 # Facet vectors and the explicit shelling order
 # ---------------------------------------------------------------------------
-
-def facet_vector(rows, even: VertexSet, facet) -> tuple[int, ...]:
-    """The tuple (a_1..a_p) with D = V_even - facet meeting row i at entry
-    a_i, for the support rows of ``Analysis.support_rows``: support i's
-    height-2 partner, then its leaves in label order."""
-    d = set(even) - set(facet)
-    vec = []
-    for row in rows:
-        picks = [a for a, u in enumerate(row, start=1) if u in d]
-        if len(picks) != 1:
-            raise TheoremViolation(
-                f"facet complement meets a support row {len(picks)} times"
-            )
-        vec.append(picks[0])
-    return tuple(vec)
-
 
 def ones_count(vec) -> int:
     return sum(1 for a in vec if a == 1)
@@ -302,19 +304,59 @@ class ShellingOrder:
         }
 
 
-def _facet_vector_order(facts: Analysis, cap: int | None):
-    """The even-stable complex of an unmixed balanced tree, its facets
-    sorted by ``shelling_sort_key`` of their facet vectors, and those
-    vectors. At height 0 or 1 there are no support rows, so every vector is
-    empty and the facets stay in label order."""
-    rows = facts.support_rows
-    complex_ = even_stable_complex(facts, cap=cap)
-    even = complex_.ground
-    tagged = sorted(
-        ((facet_vector(rows, even, f), f) for f in complex_.facets),
-        key=lambda pair: shelling_sort_key(pair[0]),
+def _labelled_order(g: Graph, ground: int, facets, vectors, check) -> ShellingOrder:
+    """The ShellingOrder of a verified order of facet masks over the indices
+    of ``g``: its labels are read here, once."""
+    labels_of = g.labels_of
+    return ShellingOrder(
+        ground=labels_of(ground), facets=tuple(map(labels_of, facets)),
+        vectors=vectors, check=check,
     )
-    return complex_, tuple(f for _, f in tagged), tuple(v for v, _ in tagged)
+
+
+def _facet_vector_order(facts: Analysis, cap: int | None):
+    """The even-stable complex of an unmixed balanced tree on the indices of
+    its graph: the mask of its even vertices, its facets as masks sorted by
+    ``shelling_sort_key`` of their facet vectors, and those vectors.
+
+    Each facet is even ^ d for a minimal odd-TD-set d, which lies in the
+    even vertices. Its facet vector (a_1..a_p) says where d meets the
+    support rows of ``Analysis.support_rows`` (support i's height-2
+    partner, then its leaves in label order): at entry a_i of row i, found
+    by one AND of d with the row's bits. d must meet every row once. At
+    height 0 or 1 there are no support rows, so every vector is empty and
+    the facets stay in label order.
+    """
+    rows = facts.support_rows
+    g = facts.forest.graph
+    hmap = facts.heights
+    index = g.index
+    row_masks = []
+    entry: dict[int, int] = {}
+    for row in rows:
+        m = 0
+        for a, v in enumerate(row, start=1):
+            bit = 1 << index[v]
+            entry[bit] = a
+            m |= bit
+        row_masks.append(m)
+    even = g.mask_of(hmap.even())
+    family = minimal_s_td_sets(facts.forest, hmap.odd(), cap=cap)
+    tagged = []
+    for d in family.masks:
+        vec = []
+        for m in row_masks:
+            hit = d & m
+            if not hit or hit & (hit - 1):
+                raise TheoremViolation(
+                    f"facet complement meets a support row {hit.bit_count()} times"
+                )
+            vec.append(entry[hit])
+        tagged.append((tuple(vec), even ^ d))
+    if not rows:
+        tagged.sort(key=lambda pair: g.labels_of(pair[1]))
+    tagged.sort(key=lambda pair: shelling_sort_key(pair[0]))
+    return even, [f for _, f in tagged], tuple(v for v, _ in tagged)
 
 
 def shelling_order(t: Tree | Analysis) -> ShellingOrder:
@@ -326,26 +368,34 @@ def shelling_order(t: Tree | Analysis) -> ShellingOrder:
     # an unmixed balanced tree has support rows exactly at height 3
     if not facts.support_rows:
         raise ValueError("facet vectors are defined for height-3 trees")
-    complex_, facets, vectors = _facet_vector_order(facts, None)
-    check = verify_shelling(complex_, facets)
+    even, facets, vectors = _facet_vector_order(facts, None)
+    check = verify_shelling(even, facets)
     if not check.ok:
         raise TheoremViolation("the facet-vector order failed shelling verification")
-    return ShellingOrder(ground=complex_.ground, facets=facets, vectors=vectors, check=check)
+    return _labelled_order(facts.forest.graph, even, facets, vectors, check)
 
 
-def _component_order(c: Analysis, cap: int | None = None) -> tuple[tuple[str, ...], list[VertexSet]]:
-    """Ordered even-stable facets of one unmixed balanced component, not
-    verified here: ``_composed_order`` verifies their product. A component
-    of height 0 or 1 keeps its facets in label order; its even-stable
-    complex is a simplex or the boundary of one, which any facet order
-    shells."""
-    complex_, facets, _ = _facet_vector_order(c, cap)
-    return complex_.ground, list(facets)
+def _lift(mask: int, index: list[int]) -> int:
+    """``mask`` moved to another index space: bit i goes to bit index[i]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << index[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
-def _composed_order(components: tuple[Analysis, ...], cap: int | None = None) -> ShellingOrder:
-    """The product of the component orders, verified once as a shelling of
-    the join.
+def _composed_order(g: Graph, components: tuple[Analysis, ...],
+                    cap: int | None = None) -> tuple[int, list[int], ShellingCheck]:
+    """The ground mask and the product of the component orders over the
+    indices of ``g``, which holds every component's labels, and its check:
+    the product is verified once as a shelling of the join.
+
+    Each component's even mask and ordered facet masks are lifted into the
+    index space of ``g`` once; the grounds are disjoint, so a product facet
+    is the OR of its parts. A component of height 0 or 1 keeps its facets
+    in label order; its even-stable complex is a simplex or the boundary of
+    one, which any facet order shells.
 
     Joins of shellable complexes are shellable (Provan & Billera 1980), and
     this one check also covers every component order. Fix every factor but
@@ -355,40 +405,40 @@ def _composed_order(components: tuple[Analysis, ...], cap: int | None = None) ->
     and comes before it there. That is condition (ii) for the free factor's
     pair, so a component order that fails shelling makes the product fail.
     """
-    grounds: list[str] = []
-    orders = []
+    index = g.index
+    ground = 0
+    facets = [0]
     for c in components:
-        ground, facets = _component_order(c, cap=cap)
-        grounds.extend(ground)
-        orders.append(facets)
-    facets = [vset(sum(parts, ())) for parts in product(*orders)]
-    complex_ = SimplicialComplex.from_facets(grounds, facets)
-    check = verify_shelling(complex_, facets)
+        even, order, _ = _facet_vector_order(c, cap)
+        lift = [index[v] for v in c.forest.labels]
+        ground |= _lift(even, lift)
+        parts = [_lift(m, lift) for m in order]
+        facets = [f | m for f in facets for m in parts]
+    check = verify_shelling(ground, facets)
     if not check.ok:
         raise TheoremViolation("composed join order failed shelling verification")
-    return ShellingOrder(
-        ground=vset(grounds), facets=tuple(facets), vectors=None, check=check
-    )
+    return ground, facets, check
 
 
 def stable_shelling(t: Tree | Analysis, cap: int | None = None) -> ShellingOrder:
     """Shelling of the stable complex of an unmixed tree.
 
-    Composes the interior forests' component orders across the join; the
-    resulting facet family equals the facets of the stable complex, the
-    complements of the minimal TD-sets, which is asserted before returning.
-    The one-vertex tree raises InputError.
+    Composes the interior forests' component orders across the join, on
+    facet masks over the tree's indices; the resulting facet family equals
+    the facets of the stable complex, the complements of the minimal
+    TD-sets, which is asserted before the labels are read. The one-vertex
+    tree raises InputError.
     """
     facts = Analysis.of(t)
     facts.require_edge()
     if not facts.certificate.unmixed:
         raise MixedTreeError("stable-complex shelling requires an unmixed tree")
+    g = facts.forest.graph
     blue, red = facts.sides
-    order = _composed_order(blue.components + red.components, cap=cap)
-    verts = set(facts.forest.labels)
-    direct = {vset(verts - set(d)) for d in facts.td_family(cap)}
-    if set(order.facets) != direct:
+    ground, facets, check = _composed_order(g, blue.components + red.components, cap=cap)
+    full = (1 << g.n) - 1
+    if set(facets) != {full ^ d for d in facts.td_family(cap).masks}:
         raise TheoremViolation(
             "join of interior even-stable complexes does not match the stable complex"
         )
-    return order
+    return _labelled_order(g, ground, facets, None, check)

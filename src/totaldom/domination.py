@@ -85,8 +85,10 @@ def minimal_transversal_masks(edges: list[int], cap: int | None = None) -> list[
 
 
 def minimal_transversals(sets, cap: int | None = None) -> tuple[tuple, ...]:
-    """Label-level wrapper around the bitmask engine, canonically sorted."""
-    universe = sorted(set().union(*map(set, sets)))
+    """Label-level wrapper around the bitmask engine, canonically sorted.
+    ``sets`` is read once, so any iterable of label collections works."""
+    sets = [set(s) for s in sets]
+    universe = sorted(set().union(*sets))
     pos = {v: i for i, v in enumerate(universe)}
     edges = [sum(1 << pos[v] for v in s) for s in sets]
     out = []

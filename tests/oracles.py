@@ -6,9 +6,9 @@ permutation backtracking, heights from per-vertex searches. Expected values
 frozen in the tests were computed with these.
 
 The middle section holds second routes to objects the package computes
-(colorings, selectors, shellings, parametric supports, edge and odd
-neighborhood ideals) that the package itself does not need, and the
-pairwise shelling scan that restriction sets replaced.
+(colorings, selectors, shellings, facet vectors on labels, parametric
+supports, edge and odd neighborhood ideals) that the package itself does
+not need, and the pairwise shelling scan that restriction sets replaced.
 
 A third section reads the text formats the package only writes: the
 ideal text and construction traces, each with the input checks the
@@ -20,10 +20,11 @@ per-vertex sets, dicts and sorts, whisker growth and
 peeling by whole-tree rebuilds, N(G) minimalized against every kept
 generator, the interior-graph test through a Tree per component), of the
 transversal engine (a Berge round that minimalizes every candidate against
-every other), of the Stanley-Reisner sweep (faces tested as label sets) and
-of the re-expansion of a decomposition (sums and intersections of ideals
-through lcms of exponent dicts, which the package no longer has) as
-references for differential tests.
+every other), of the Stanley-Reisner sweep (faces tested as label sets), of
+the socle count (a walk over the exponent box) and of the re-expansion of
+a decomposition (sums and intersections of ideals through lcms of exponent
+dicts, which the package no longer has) as references for differential
+tests.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
-from totaldom.complexes import SimplicialComplex, _composed_order
+from totaldom.complexes import SimplicialComplex, _composed_order, _labelled_order
 from totaldom.construct import (
     _KIND_BY_HEIGHT,
     _WHISKER_HEIGHTS,
@@ -360,9 +362,25 @@ def shelling_by_pairs(d: SimplicialComplex, order):
     return True, True, None, witnesses
 
 
+def facet_vector(rows, even, facet) -> tuple[int, ...]:
+    """The facet vector of ``complexes._facet_vector_order`` on labels: the
+    tuple (a_1..a_p) with D = even - facet meeting support row i at entry
+    a_i, for the rows of ``Analysis.support_rows``."""
+    d = set(even) - set(facet)
+    vec = []
+    for row in rows:
+        picks = [a for a, u in enumerate(row, start=1) if u in d]
+        if len(picks) != 1:
+            raise TheoremViolation(
+                f"facet complement meets a support row {len(picks)} times"
+            )
+        vec.append(picks[0])
+    return tuple(vec)
+
+
 def vector_facet(rows, even, vec) -> tuple[str, ...]:
-    """Inverse of ``complexes.facet_vector``: the facet whose complement in
-    the even vertices picks entry a_i of support row i."""
+    """Inverse of ``facet_vector``: the facet whose complement in the even
+    vertices picks entry a_i of support row i."""
     dropped = {rows[i][a - 1] for i, a in enumerate(vec)}
     return vset(set(even) - dropped)
 
@@ -370,11 +388,14 @@ def vector_facet(rows, even, vec) -> tuple[str, ...]:
 def even_stable_shelling(f):
     """Shelling of the even-stable complex of an unmixed balanced forest, by
     the join composition ``stable_shelling`` applies to interior forests."""
-    components = Analysis(f).components
+    facts = Analysis(f)
+    components = facts.components
     for c in components:
         if not c.characterization.unmixed:
             raise MixedTreeError("even-stable shelling requires an unmixed forest")
-    return _composed_order(components)
+    g = facts.forest.graph
+    ground, facets, check = _composed_order(g, components)
+    return _labelled_order(g, ground, facets, None, check)
 
 
 def parametric_supports_from_ideal(a) -> tuple[tuple[str, ...], ...]:
@@ -639,6 +660,43 @@ def minimal_transversals_by_subsets(edges: list[int]) -> list[int]:
             if hits(m) and not any(hits(m ^ b) for b in combo):
                 out.append(m)
     return sorted(out)
+
+
+SOCLE_BOX_CAP = 10**7
+
+
+def socle_by_box(ideal: MonomialIdeal) -> int:
+    """``algebra.socle_dimension`` by a walk over the exponent box below the
+    pure powers: count the points outside the ideal that every variable
+    takes into it. Membership is a componentwise comparison with each
+    generator's (variable index, exponent) pairs. A box larger than
+    SOCLE_BOX_CAP raises EnumerationCapExceeded; an ideal without a pure
+    power of some variable raises ValueError."""
+    bounds: dict[str, int] = {}
+    for m in ideal.gens:
+        if len(m.exps) == 1:
+            v, e = m.exps[0]
+            bounds[v] = min(bounds.get(v, e), e)
+    variables = ideal.variables
+    missing = [v for v in variables if v not in bounds]
+    if missing:
+        raise ValueError(f"no pure power of {missing} (quotient is not finite-dimensional)")
+    box = prod(bounds[v] for v in variables)
+    if box > SOCLE_BOX_CAP:
+        raise EnumerationCapExceeded(f"socle box of size {box} exceeds {SOCLE_BOX_CAP}")
+    pos = {v: k for k, v in enumerate(variables)}
+    gens = [tuple((pos[v], e) for v, e in m.exps) for m in ideal.gens]
+
+    def inside(x) -> bool:
+        return any(all(x[k] >= e for k, e in gen) for gen in gens)
+
+    count = 0
+    for x in product(*(range(bounds[v]) for v in variables)):
+        if not inside(x) and all(
+            inside(x[:k] + (x[k] + 1,) + x[k + 1:]) for k in range(len(x))
+        ):
+            count += 1
+    return count
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import gc
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import parametric_supports_from_ideal, parse_ideal, to_ideal_by_lcm
+from oracles import parametric_supports_from_ideal, parse_ideal, socle_by_box, to_ideal_by_lcm
 from totaldom import algebra
 from totaldom.algebra import (
     artinian_reduction,
@@ -23,9 +26,9 @@ from totaldom.errors import (
     TheoremViolation,
 )
 from totaldom.graphs import Forest, HeightMap, Tree, heights, path_graph, star_graph
-from totaldom.ideals import Monomial
+from totaldom.ideals import Monomial, MonomialIdeal
 from totaldom.unmixed import Analysis
-from totaldom.verify import check_type_agreement, unmixed_corpus
+from totaldom.verify import balanced_corpus, check_type_agreement, unmixed_corpus
 
 U123 = ("u1", "u2", "u3")
 PAPER_J = parse_ideal("u1^4, u2^2, u3^3, u1*u2, u2*u3", U123)
@@ -136,7 +139,7 @@ def test_support_rows_computed_once_when_shelling_and_type_share_an_analysis(mon
 
 
 # ---------------------------------------------------------------------------
-# socle oracle
+# socle dimension
 # ---------------------------------------------------------------------------
 
 def test_socle_paper_ideal():
@@ -158,9 +161,47 @@ def test_socle_requires_pure_powers():
 
 
 def test_socle_box_cap():
+    # the corner count does not walk the box; the box oracle refuses it
     big = parse_ideal("x^4000, y^4000", ("x", "y"))
+    assert socle_dimension(big) == 1
+    assert socle_dimension(parse_ideal("x^4000, y^4000, x*y", ("x", "y"))) == 2
     with pytest.raises(EnumerationCapExceeded):
-        socle_dimension(big)
+        socle_by_box(big)
+
+
+def _interior_reductions(trees):
+    for t in trees:
+        for side in Analysis(t).sides:
+            for comp in side.components:
+                yield artinian_reduction(comp)
+
+
+def test_socle_corners_match_the_box_on_interior_components():
+    trees = [*unmixed_corpus(5, 60), *(t for t, _ in balanced_corpus(7, 60))]
+    trees += [generate(seed, seed % 12)[0] for seed in range(40)]
+    checked = 0
+    for red in _interior_reductions(trees):
+        if prod(red.powers) > 10**6:
+            continue
+        box = socle_by_box(red.ideal)
+        assert socle_dimension(red) == socle_dimension(red.ideal) == box
+        checked += 1
+    assert checked >= 500
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 5), min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n), max_size=6),
+)))
+def test_socle_corners_match_the_box_on_random_artinian_ideals(case):
+    bounds, vectors = case
+    variables = tuple(f"x{i}" for i in range(len(bounds)))
+    gens = [Monomial.from_dict({v: b}) for v, b in zip(variables, bounds)]
+    # a zero vector is the unit monomial, which leaves no pure power
+    gens += [Monomial.from_dict(dict(zip(variables, vec))) for vec in vectors if any(vec)]
+    ideal = MonomialIdeal.from_gens(variables, gens)
+    assert socle_dimension(ideal) == socle_by_box(ideal)
 
 
 def test_socle_matches_counting_on_generated_trees():
@@ -315,6 +356,14 @@ def test_type_agreement_check_raises_on_a_wrong_socle(monkeypatch):
         check_type_agreement(seed=99991, count=3)
 
 
+@pytest.mark.parametrize("seed, steps, expected", [(7, 20, 126), (8, 40, 146)])
+def test_type_of_larger_generated_trees(seed, steps, expected):
+    # generate(8, 40) has 91 vertices; its socle box is 3.76 * 10^8
+    rep = cm_type(generate(seed, steps)[0])
+    assert rep.cm_type == expected
+    assert rep.cm_type == rep.m_blue * rep.m_red == rep.socle_blue * rep.socle_red
+
+
 def test_type_multiplicative_over_interiors():
     for seed in range(10):
         t, _ = generate(seed, seed % 7)
@@ -351,7 +400,7 @@ def test_dim_of_odd_quotient():
 
 
 def test_socle_dimension_leaves_no_cyclic_garbage():
-    # the box walk must free its monomials by reference counting alone
+    # the corner count must free its vectors by reference counting alone
     red = artinian_reduction(paper_labeled_tree())
     was_enabled = gc.isenabled()
     gc.collect()

@@ -11,6 +11,7 @@ from oracles import (
     complex_faces,
     even_stable_shelling,
     faces_by_divisibility,
+    facet_vector,
     shelling_by_pairs,
     stanley_reisner_ideal_by_faces,
     vector_facet,
@@ -20,7 +21,6 @@ from totaldom.complexes import (
     ShellingOrder,
     SimplicialComplex,
     even_stable_complex,
-    facet_vector,
     join,
     ones_count,
     shelling_order,
@@ -32,7 +32,7 @@ from totaldom.complexes import (
     verify_shelling,
 )
 from totaldom.construct import generate
-from totaldom.domination import minimal_td_sets
+from totaldom.domination import MinimalSetFamily, minimal_td_sets
 from totaldom.errors import (
     EnumerationCapExceeded,
     MixedTreeError,
@@ -295,6 +295,11 @@ def test_restriction_sets_match_pairwise_scan_on_verify_orders(monkeypatch):
     monkeypatch.undo()
     assert len(orders) == 300
     for d, order in orders:
+        if isinstance(d, int):
+            # an order of facet masks in a ground mask: label bit i by i
+            bits = [i for i in range(d.bit_length()) if d >> i & 1]
+            order = [tuple(f"v{i:04d}" for i in bits if m >> i & 1) for m in order]
+            d = cx([f"v{i:04d}" for i in bits], order)
         assert assert_matches_pairwise_scan(d, order).ok
 
 
@@ -491,7 +496,10 @@ def test_low_interior_components_keep_label_order():
                 if c.heights.graph_height() > 1:
                     continue
                 d = even_stable_complex(c)
-                assert complexes._component_order(c) == (d.ground, sorted(d.facets))
+                even, facets, _ = complexes._facet_vector_order(c, None)
+                labels_of = c.forest.graph.labels_of
+                assert labels_of(even) == d.ground
+                assert [labels_of(f) for f in facets] == sorted(d.facets)
                 checked += 1
     assert checked >= 10
 
@@ -537,6 +545,33 @@ def test_stable_shelling_rejects_a_failing_component_order(monkeypatch):
     with pytest.raises(TheoremViolation, match="composed join order"):
         stable_shelling(path_graph(9))
     assert patched == ["blue"]
+
+
+def test_facet_vectors_reject_a_complement_meeting_a_row_twice(monkeypatch):
+    # add the whole first support row of path_graph(6), ("2", "0"), to every
+    # minimal odd-TD-set
+    facts = Analysis(path_graph(6))
+    row = facts.forest.graph.mask_of(facts.support_rows[0])
+    family = complexes.minimal_s_td_sets
+
+    def widened(f, s, cap=None):
+        found = family(f, s, cap=cap)
+        return MinimalSetFamily(graph=found.graph, masks=tuple(m | row for m in found.masks))
+
+    monkeypatch.setattr(complexes, "minimal_s_td_sets", widened)
+    with pytest.raises(TheoremViolation, match="meets a support row 2 times"):
+        shelling_order(facts)
+
+
+def test_stable_shelling_rejects_a_join_that_misses_a_facet(monkeypatch):
+    # one TD-set replaced by a copy of another: as many sets, one missing
+    facts = Analysis(path_graph(9))
+    found = facts.td_family(None)
+    masks = (found.masks[1], *found.masks[1:])
+    other = MinimalSetFamily(graph=found.graph, masks=masks)
+    monkeypatch.setattr(facts, "td_family", lambda cap=None: other)
+    with pytest.raises(TheoremViolation, match="does not match the stable complex"):
+        stable_shelling(facts)
 
 
 def test_stable_shelling_rejects_mixed(paper_p4):

@@ -137,6 +137,12 @@ def test_transversals_p5_hypergraph():
     assert got == (("v1", "v5"), ("v3", "v5"))
 
 
+def test_transversals_read_an_iterator_once():
+    edges = [("a",), ("b", "c")]
+    assert minimal_transversals(iter(edges)) == minimal_transversals(edges)
+    assert minimal_transversals(iter(edges)) == (("a", "b"), ("a", "c"))
+
+
 def test_transversals_no_constraints():
     assert minimal_transversals([]) == ((),)
 
