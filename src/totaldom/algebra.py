@@ -20,7 +20,7 @@ from operator import ge
 
 from .domination import MinimalSetFamily, minimal_s_td_sets
 from .errors import MixedTreeError, TheoremViolation
-from .graphs import Forest, HeightMap, Tree, VertexSet, vset
+from .graphs import Forest, HeightMap, Tree, VertexSet, _bit_indices, vset
 from .ideals import (
     Monomial,
     MonomialIdeal,
@@ -66,7 +66,7 @@ class ArtinianReduction:
         rows = self.rows
         gens = list(self.pure_powers.gens)
         for m in self.masks:
-            gens.append(Monomial.of(*(rows[i][0] for i in range(m.bit_length()) if m >> i & 1)))
+            gens.append(Monomial.of(*(rows[i][0] for i in _bit_indices(m))))
         return MonomialIdeal.from_gens(self.variables, gens)
 
     @cached_property
@@ -187,7 +187,7 @@ def socle_dimension(a: ArtinianReduction | MonomialIdeal) -> int:
     """
     if isinstance(a, ArtinianReduction):
         bounds = a.powers
-        gens = [tuple((i, 1) for i in range(m.bit_length()) if m >> i & 1) for m in a.masks]
+        gens = [tuple((i, 1) for i in _bit_indices(m)) for m in a.masks]
         gens.sort(key=len)
     else:
         limits = _pure_power_bounds(a)

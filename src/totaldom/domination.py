@@ -4,7 +4,10 @@ A set D totally dominates a target S when N(D) covers S, so the minimal
 S-TD-sets are exactly the minimal transversals of the open-neighborhood
 hypergraph {N(v) : v in S}. The transversal engine below (Berge
 multiplication with exact private-hitter pruning) is also reused by the
-ideal and complex modules.
+ideal and complex modules. It keeps its family as a product over the
+vertex-disjoint parts of the edges seen so far, so on a tree the two colour
+classes are enumerated apart, and folds the one-vertex edges (the
+neighbourhoods of leaves) into one forced mask.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import EnumerationCapExceeded, TheoremViolation
-from .graphs import Graph, VertexSet, _graph_of, vset
+from .graphs import Graph, VertexSet, _bit_indices, _graph_of, vset
 
 
 # ---------------------------------------------------------------------------
@@ -38,8 +41,9 @@ def minimal_transversal_masks(edges: list[int], cap: int | None = None) -> list[
     """All inclusion-minimal hitting sets of the given bitmask hyperedges.
 
     An empty hyperedge kills every transversal (it sorts first, and its
-    round keeps no member); no hyperedges leaves only the empty set. ``cap`` bounds the working family size and raises
-    EnumerationCapExceeded rather than truncating.
+    round keeps no member); no hyperedges leaves only the empty set. ``cap``
+    bounds the working family size and raises EnumerationCapExceeded rather
+    than truncating.
 
     Each Berge round keeps the members of the family F that hit the new edge
     e and extends each member t that misses it by every b in e. F is an
@@ -48,40 +52,91 @@ def minimal_transversal_masks(edges: list[int], cap: int | None = None) -> list[
     by a member h with h & e == b and h - b inside t, so each extension is
     tested only against the members that meet e in b alone: one AND and one
     compare per such member, stopping at the first that dominates it.
+
+    F is held as a product. The edges added so far split into parts with
+    no vertex in common, and the minimal transversals of a vertex-disjoint
+    union are the ORs of one per part (Eiter & Gottlob 1995), so each part
+    ``[span, members]`` in ``parts`` keeps its own family and a round
+    touches only the part of its edge. An edge that meets no part starts
+    one; an edge that meets several merges them first, multiplying their
+    families by OR. ``size`` is the product of the part family sizes, which
+    is |F|, so the cap trips at the edge and with the message of a single
+    working family. Every part holds at least two members: by duality, the
+    only hypergraphs with a single minimal transversal T have the
+    one-vertex edges of T as their minimal edges, and no part holds a
+    one-vertex edge. So there are at most log2 |F| parts, and finding the
+    parts an edge meets is a short scan. The one-vertex edges sort first
+    and put their vertex in every member: they are kept as one ``forced``
+    mask, and a later edge that meets it is hit by every member and
+    skipped. A round walks the set bits of its edge, not every position
+    below its top bit. The edges are sorted by value and then, stably, by
+    size, with no set: hashing n-bit masks cost more than sorting them at
+    10^5 vertices, and a repeated edge is hit by every member, so its round
+    changes nothing.
     """
-    family = [0]
-    for e in sorted(set(edges), key=lambda m: (bin(m).count("1"), m)):
-        hit = []
-        miss = []
-        for t in family:
-            (hit if t & e else miss).append(t)
-        if not miss:
+    forced = 0
+    size = 1
+    parts: list[list] = []
+    order = sorted(edges)
+    order.sort(key=int.bit_count)
+    for e in order:
+        if not e:
+            size = 0
+        elif not e & (e - 1):
+            forced |= e
+        elif e & forced:
             continue
-        private: dict[int, list[int]] = {}
-        for h in hit:
-            b = h & e
-            if b & (b - 1) == 0:
-                private.setdefault(b, []).append(h ^ b)
-        family = hit
-        for i in range(e.bit_length()):
-            if not e >> i & 1:
+        else:
+            touched = [p for p in parts if p[0] & e]
+            if not touched:
+                part = [e, [0]]
+                parts.append(part)
+            else:
+                part = touched[0]
+                part[0] |= e
+                for other in touched[1:]:
+                    part[0] |= other[0]
+                    part[1] = [t | u for t in part[1] for u in other[1]]
+                    parts.remove(other)
+            family = part[1]
+            hit = []
+            miss = []
+            for t in family:
+                (hit if t & e else miss).append(t)
+            if not miss:
                 continue
-            b = 1 << i
-            rests = private.get(b)
-            if rests is None:
-                family.extend([t | b for t in miss])
-                continue
-            for t in miss:
-                for r in rests:
-                    if r & t == r:
-                        break
-                else:
-                    family.append(t | b)
-        if cap is not None and len(family) > cap:
+            private: dict[int, list[int]] = {}
+            for h in hit:
+                b = h & e
+                if b & (b - 1) == 0:
+                    private.setdefault(b, []).append(h ^ b)
+            kept = hit
+            rest = e
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                rests = private.get(b)
+                if rests is None:
+                    kept.extend([t | b for t in miss])
+                    continue
+                for t in miss:
+                    for r in rests:
+                        if r & t == r:
+                            break
+                    else:
+                        kept.append(t | b)
+            part[1] = kept
+            size = size // len(family) * len(kept)
+        if cap is not None and size > cap:
             raise EnumerationCapExceeded(
                 f"transversal family grew past cap={cap}"
             )
-    return sorted(family)
+        if not size:
+            return []
+    out = [forced]
+    for part in parts:
+        out = [t | u for t in out for u in part[1]]
+    return sorted(out)
 
 
 def minimal_transversals(sets, cap: int | None = None) -> tuple[tuple, ...]:
@@ -93,7 +148,7 @@ def minimal_transversals(sets, cap: int | None = None) -> tuple[tuple, ...]:
     edges = [sum(1 << pos[v] for v in s) for s in sets]
     out = []
     for m in minimal_transversal_masks(edges, cap=cap):
-        out.append(tuple(universe[i] for i in range(len(universe)) if m >> i & 1))
+        out.append(tuple(universe[i] for i in _bit_indices(m)))
     return tuple(sorted(out))
 
 

@@ -26,6 +26,16 @@ def vset(labels) -> VertexSet:
     return tuple(sorted(set(labels)))
 
 
+def _bit_indices(m: int) -> tuple[int, ...]:
+    """The indices of the set bits of ``m``, ascending, one step per set bit."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(out)
+
+
 class Graph:
     """Immutable labeled simple graph.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .domination import minimal_transversal_masks, minimal_transversals
 from .errors import AmbientMismatchError, NotSquareFreeError, TheoremViolation
-from .graphs import VertexSet, _graph_of, vset
+from .graphs import VertexSet, _bit_indices, _graph_of, vset
 
 
 @dataclass(frozen=True)
@@ -200,10 +200,6 @@ class PrimeDecomposition:
         return _intersect_primes(vset(self.variables), self.supports)
 
 
-def _index_tuple(m: int) -> tuple[int, ...]:
-    return tuple(i for i in range(m.bit_length()) if m >> i & 1)
-
-
 def _intersect_primes(variables: tuple[str, ...], supports) -> MonomialIdeal:
     """The intersection of the variable primes P_S over the sorted
     ``variables``, folded prime by prime from the unit ideal.
@@ -228,7 +224,7 @@ def _intersect_primes(variables: tuple[str, ...], supports) -> MonomialIdeal:
     for bits in primes:
         cands = sorted(
             {g | b for g in gens for b in bits},
-            key=lambda m: (m.bit_count(), _index_tuple(m)),
+            key=lambda m: (m.bit_count(), _bit_indices(m)),
         )
         gens = []
         for m in cands:
@@ -236,7 +232,7 @@ def _intersect_primes(variables: tuple[str, ...], supports) -> MonomialIdeal:
                 gens.append(m)
     return MonomialIdeal(
         variables=variables,
-        gens=tuple(Monomial(tuple((variables[i], 1) for i in _index_tuple(m))) for m in gens),
+        gens=tuple(Monomial(tuple((variables[i], 1) for i in _bit_indices(m))) for m in gens),
     )
 
 

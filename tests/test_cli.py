@@ -4,19 +4,23 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from oracles import trace_from_json
+from test_interior_pass import caterpillar
 import totaldom.cli as cli
 import totaldom.complexes as complexes
 import totaldom.domination as domination
 from totaldom.cli import build_parser, main
 from totaldom.construct import generate, replay
 from totaldom.graphs import Graph, canonical_form, parse_graph, path_graph, render_edge_list
+from totaldom.treegen import Lcg64, random_tree
 
 P6_TEXT = "0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n"
 P4_TEXT = "l1 s1\ns1 u\nu s2\ns2 l2\n"
@@ -254,6 +258,25 @@ def test_analyze_long_path_at_a_cap(capsys, tmp_path):
     assert len(report["ideal"]["generators"]) == 10**4 - 2
     assert report["unmixed"]["unmixed"] is False
     assert report["shelling"] == {"applicable": False, "reason": "tree is mixed"}
+
+
+@pytest.mark.parametrize("shape", ["prufer", "caterpillar"])
+def test_analyze_large_tree_at_cap_one(capsys, tmp_path, shape):
+    # the supports' one-vertex neighbourhoods are folded into one mask and
+    # each Berge round walks only the bits of its edge, so the cap trips
+    # within about a second on 2*10^4 vertices (26 s and 14 s when every
+    # round walked all bit positions up to its top one; shared 2-core VM)
+    if shape == "prufer":
+        tree = random_tree(Lcg64(2), 20000)
+    else:
+        tree = caterpillar(random.Random(2), 20000)
+    path = tmp_path / f"{shape}.edges"
+    path.write_text(render_edge_list(tree.graph))
+    start = time.perf_counter()
+    report = run_json(capsys, ["analyze", str(path), "--json", "--max-sets", "1"])
+    assert time.perf_counter() - start < 10
+    assert report["input"]["vertices"] == tree.graph.n
+    assert report["minimal_td_sets"] == {"cap_exceeded": True}
 
 
 def test_analyze_one_vertex_tree_has_no_shelling_or_type():
