@@ -539,9 +539,15 @@ def _ahu(adj, root: int, parent: int) -> str:
     first.append(len(order))
     codes = [""] * len(order)
     for k in range(len(order) - 1, -1, -1):
-        kids = codes[first[k]:first[k + 1]]
-        kids.sort()
-        codes[k] = "(" + "".join(kids) + ")"
+        lo, hi = first[k], first[k + 1]
+        if lo == hi:  # a leaf
+            codes[k] = "()"
+        elif hi - lo == 1:  # one child: nothing to sort
+            codes[k] = "(" + codes[lo] + ")"
+        else:
+            kids = codes[lo:hi]
+            kids.sort()
+            codes[k] = "(" + "".join(kids) + ")"
     return codes[0]
 
 

@@ -158,14 +158,17 @@ def open_neighborhood_ideal(g, s=None) -> MonomialIdeal:
     """
     g = _graph_of(g)
     targets = range(g.n) if s is None else [g.index[v] for v in vset(s)]
-    masks = g.masks
-    supports = {masks[i]: g.adj[i] for i in targets}
+    masks, adj = g.masks, g.adj
+    # equal neighbor lists are equal masks; keyed by the short lists, not
+    # by the n-bit masks, which are slow to hash
+    supports = {adj[i]: i for i in targets}
     by_low: dict[int, list[int]] = {}
     gens = []
-    for mask, nbrs in sorted(supports.items(), key=lambda item: (len(item[1]), item[1])):
+    for nbrs in sorted(supports, key=lambda nbrs: (len(nbrs), nbrs)):
         if not nbrs:
             gens.append(Monomial(()))
             break
+        mask = masks[supports[nbrs]]
         if not any(k & mask == k for j in nbrs for k in by_low.get(j, ())):
             by_low.setdefault(nbrs[0], []).append(mask)
             gens.append(Monomial(tuple((g.labels[j], 1) for j in nbrs)))

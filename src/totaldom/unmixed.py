@@ -9,9 +9,10 @@ verification suite. ``Analysis`` holds these facts for one request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import accumulate, compress
 from operator import not_
+from typing import NamedTuple
 
 from .domination import MinimalSetFamily, minimal_td_sets
 from .errors import (
@@ -32,7 +33,6 @@ from .graphs import (
     VertexSet,
     _blue_flags,
     classify_vertices,
-    index_components,
     leaf_distances,
     two_coloring,
 )
@@ -73,8 +73,7 @@ def interior_graphs(t: Tree | Analysis) -> InteriorGraphs:
 # The descriptive characterization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComponentCheck:
+class ComponentCheck(NamedTuple):
     """Checklist for one balanced component: height bound plus the two local
     matching conditions between heights 1 and 2."""
 
@@ -102,11 +101,52 @@ class ComponentCheck:
         }
 
 
-@dataclass(frozen=True)
 class UnmixedCertificate:
-    unmixed: bool
-    checks: tuple[ComponentCheck, ...]
-    witness: tuple[VertexSet, VertexSet] | None = None
+    """An unmixedness verdict with its component checklists and, for a
+    mixed tree, optionally a witness pair. Immutable; equal when verdict,
+    checklists and witness are.
+
+    ``checks`` may also be given as a function that returns the tuple; it
+    runs on the first read of ``checks`` (or of ``to_json_dict`` or ``==``).
+    ``Analysis`` does so, so reading the verdict alone builds no
+    ComponentCheck."""
+
+    __slots__ = ("unmixed", "_checks", "witness")
+
+    def __init__(self, unmixed: bool, checks: tuple[ComponentCheck, ...],
+                 witness: tuple[VertexSet, VertexSet] | None = None):
+        object.__setattr__(self, "unmixed", unmixed)
+        object.__setattr__(self, "_checks", checks)
+        object.__setattr__(self, "witness", witness)
+
+    @property
+    def checks(self) -> tuple[ComponentCheck, ...]:
+        checks = self._checks
+        if callable(checks):
+            checks = checks()
+            object.__setattr__(self, "_checks", checks)
+        return checks
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.unmixed, self.checks, self.witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"UnmixedCertificate(unmixed={self.unmixed!r}, checks={self.checks!r}, "
+                f"witness={self.witness!r})")
 
     def to_json_dict(self) -> dict:
         return {
@@ -116,17 +156,17 @@ class UnmixedCertificate:
         }
 
 
-def _check_component(layer: _Layer, comp) -> ComponentCheck:
+def _check_component(layer: _Layer, comp: list[int], marks) -> ComponentCheck:
     """The checklist of one component of a layer, given as the sorted indices
-    of its vertices, read off the marks that its balance walk left (greatest
-    height, its first vertex, first failing height-2 and height-1 vertex).
-    The offending vertex is the first height-2 vertex that fails, else the
-    first height-1 vertex that fails, else the first vertex of greatest
-    height if that exceeds 3."""
-    top, peak, bad2, bad1 = layer.marks[comp[0]]
+    of its vertices, read off the marks that its walk left (greatest height,
+    first failing height-2 and height-1 vertex). The offending vertex is the
+    first height-2 vertex that fails, else the first height-1 vertex that
+    fails, else the first vertex of greatest height if that exceeds 3."""
+    top, bad2, bad1 = marks
     offending = bad2 if bad2 is not None else bad1
     if top > 3 and offending is None:
-        offending = peak
+        height = layer.height
+        offending = next(i for i in comp if height[i] == top)
     labels = layer.graph.labels
     return ComponentCheck(
         side=layer.side,
@@ -183,70 +223,97 @@ class _fact:
         return value
 
 
-def _balance_criteria(layer: _Layer, comp) -> tuple[bool, bool, bool]:
-    """The three balancedness criteria on one component of a layer: no two
-    adjacent vertices of the same height, same height implies same color,
-    all leaves of one color.
+def _walk(layer: _Layer, kept: list[int]) -> tuple[bool, bool, bool]:
+    """One breadth-first walk per component of a layer, each started from
+    the component's smallest index in ``kept`` (increasing), so components
+    come in label order. Returns the three balancedness criteria over all
+    components: no two adjacent vertices of the same height, same height
+    implies same color, all leaves (the height-0 vertices) of one color.
 
-    The same walk leaves the component's checklist marks at its smallest
-    index in ``layer.marks``: its greatest height, the first vertex of that
-    height, and the first height-2 vertex without a unique height-1 neighbor
-    and the first height-1 vertex with two height-2 neighbors (None when
-    there is none)."""
+    Each walk appends its component, in walk order, to ``layer.parts`` and
+    its marks to ``layer.marks``: its greatest height, the smallest height-2
+    vertex without a unique height-1 neighbor and the smallest height-1
+    vertex with two height-2 neighbors (None when there is none)."""
     nbrs, height, blue = layer.nbrs, layer.height, layer.blue
-    adjacency = colors = True
-    color_at: dict[int, bool] = {}
-    leaf_colors = set()
-    top = -1
-    peak = bad2 = bad1 = None
-    for i in comp:
-        h, c, nb = height[i], blue[i], nbrs[i]
-        if color_at.setdefault(h, c) != c:
-            colors = False
-        if h > top:
-            top, peak = h, i
-        if len(nb) <= 1:
-            leaf_colors.add(c)
-        if h == 1 or h == 2:
-            across = 0  # neighbors at height 3 - h, the other of 1 and 2
-            for j in nb:
-                hj = height[j]
-                if hj == h:
-                    adjacency = False
-                elif hj + h == 3:
-                    across += 1
-            if h == 2:
-                if across != 1 and bad2 is None:
-                    bad2 = i
-            elif across > 1 and bad1 is None:
-                bad1 = i
-        else:
-            for j in nb:
-                if height[j] == h:
-                    adjacency = False
-    layer.marks[comp[0]] = (top, peak, bad2, bad1)
-    return adjacency, colors, len(leaf_colors) <= 1
+    parts, marks = layer.parts, layer.marks
+    n = len(nbrs)
+    seen = [False] * n
+    # color_at[h] is the color of the first vertex of height h met in the
+    # component whose start is at_start[h]
+    at_start = [-1] * n
+    color_at = [False] * n
+    adjacency = colors = leaves = True
+    for s in kept:
+        if seen[s]:
+            continue
+        seen[s] = True
+        part = [s]
+        append = part.append
+        leaf_color = None
+        top = 0
+        bad2 = bad1 = None
+        for i in part:  # grows while it is walked: breadth-first
+            h, c = height[i], blue[i]
+            if at_start[h] != s:
+                at_start[h] = s
+                color_at[h] = c
+                if h > top:
+                    top = h
+            elif color_at[h] != c:
+                colors = False
+            if h == 1 or h == 2:
+                across = 0  # neighbors at height 3 - h, the other of 1 and 2
+                for j in nbrs[i]:
+                    if not seen[j]:
+                        seen[j] = True
+                        append(j)
+                    hj = height[j]
+                    if hj == h:
+                        adjacency = False
+                    elif hj + h == 3:
+                        across += 1
+                if h == 2:
+                    if across != 1 and (bad2 is None or i < bad2):
+                        bad2 = i
+                elif across > 1 and (bad1 is None or i < bad1):
+                    bad1 = i
+            else:
+                if h == 0:
+                    if leaf_color is None:
+                        leaf_color = c
+                    elif leaf_color != c:
+                        leaves = False
+                # each edge is compared once, from the end that finds the other
+                for j in nbrs[i]:
+                    if not seen[j]:
+                        seen[j] = True
+                        append(j)
+                        if height[j] == h:
+                            adjacency = False
+        parts.append(part)
+        marks.append((top, bad2, bad1))
+    return adjacency, colors, leaves
 
 
 class _Layer:
     """The vertices of ``graph`` left after removing the indices ``dropped``
-    (none for a whole forest): one pass over the index arrays finds their
-    heights, their components as sorted index lists (index order is label
-    order, so these come in ``Forest.components()`` order; ``components``
-    passes them in when they are known) and, in one walk per component, the
-    balanced verdict, whose three criteria must agree, and the checklist
-    marks. The checklists are built from the marks on first use.
+    (none for a whole forest). One pass over the index arrays finds their
+    heights; then ``_walk`` makes one breadth-first walk per component,
+    which finds the component, evaluates the three balance criteria (they
+    must agree) and leaves the component's marks. The unmixed verdict is
+    read off the marks; the components as sorted index lists (index order
+    is label order, so these come in ``Forest.components()`` order) and
+    their checklists are built on first use.
 
     ``blue`` flags the blue vertices of a 2-coloring of ``graph`` and
     ``side`` labels the checks. Everything read off a layer is in labels,
     so a layer of a tree also serves the Analysis of an interior forest.
     """
 
-    __slots__ = ("graph", "side", "blue", "keep", "nbrs", "height", "components",
-                 "marks", "balanced", "_checks")
+    __slots__ = ("graph", "side", "blue", "keep", "nbrs", "height", "parts",
+                 "marks", "balanced", "_sorted", "_checks")
 
-    def __init__(self, graph: Graph, blue: list[bool], side: str,
-                 dropped: list[int], components: list[list[int]] | None = None):
+    def __init__(self, graph: Graph, blue: list[bool], side: str, dropped: list[int]):
         adj = graph.adj
         # only the neighbors of dropped vertices lose neighbors
         keep = [True] * graph.n
@@ -266,18 +333,29 @@ class _Layer:
         self.keep = keep
         self.nbrs = nbrs
         self.height = leaf_distances(nbrs, kept)
-        self.components = index_components(nbrs, kept) if components is None else components
-        self.marks = [None] * graph.n
+        self.parts = []
+        self.marks = []
+        self._sorted = False
         self._checks = None
-        c1 = c2 = c3 = True
-        for comp in self.components:
-            a, b, c = _balance_criteria(self, comp)
-            c1, c2, c3 = c1 and a, c2 and b, c3 and c
+        c1, c2, c3 = _walk(self, kept)
         if not (c1 == c2 == c3):
             raise TheoremViolation(
                 f"balancedness criteria disagree: adjacency={c1}, colors={c2}, leaves={c3}"
             )
         self.balanced = c1
+
+    def unmixed(self) -> bool:
+        """Every component has height at most 3 and no bad vertex."""
+        return all(top <= 3 and bad2 is None and bad1 is None for top, bad2, bad1 in self.marks)
+
+    def components(self) -> list[list[int]]:
+        """The components as sorted index lists, in the order of their
+        smallest indices."""
+        if not self._sorted:
+            for part in self.parts:
+                part.sort()
+            self._sorted = True
+        return self.parts
 
     def heightmap(self, comp=None) -> HeightMap:
         """The heights of ``comp`` (an index list), or of every kept vertex."""
@@ -289,7 +367,8 @@ class _Layer:
     def checks(self) -> tuple[ComponentCheck, ...]:
         """The checklist of each component, built on the first call."""
         if self._checks is None:
-            self._checks = tuple(_check_component(self, comp) for comp in self.components)
+            self._checks = tuple(_check_component(self, comp, marks)
+                                 for comp, marks in zip(self.components(), self.marks))
         return self._checks
 
     def dropped(self) -> VertexSet:
@@ -301,7 +380,7 @@ class _Layer:
         vertex is the count of kept vertices before it."""
         kept = tuple(compress(self.graph.labels, self.keep))
         rank = list(accumulate(self.keep))
-        components = [[rank[i] - 1 for i in comp] for comp in self.components]
+        components = [[rank[i] - 1 for i in comp] for comp in self.components()]
         return Forest.with_components(self.graph.induced(kept), components)
 
 
@@ -320,9 +399,13 @@ class Analysis:
 
     Heights, the balanced verdict and the checklists come from one ``_Layer``
     of the whole forest, and the certificate from one layer per interior
-    side, all on the forest's index arrays. The interior forests, their
-    component trees and their Analyses are built from those layers only
-    when ``interiors``, ``sides`` or ``components`` is read.
+    side, all on the forest's index arrays: one walk per component of a
+    layer evaluates the balance criteria and leaves the marks that the
+    verdicts of ``certificate`` and ``characterization`` are read from.
+    Their checklists are built from the marks only when ``checks`` (or the
+    JSON or ``==``) reads them. The interior forests, their component trees
+    and their Analyses are built from those layers only when ``interiors``,
+    ``sides`` or ``components`` is read.
 
     The 2-coloring is always ``two_coloring`` of the forest. ``side`` is
     "blue" or "red" for an interior forest and its components (it labels
@@ -355,8 +438,7 @@ class Analysis:
 
     @_fact
     def _layer(self) -> _Layer:
-        forest = self.forest
-        return _Layer(forest.graph, self._blue, self.side, [], forest.component_indices)
+        return _Layer(self.forest.graph, self._blue, self.side, [])
 
     @_fact
     def heights(self) -> HeightMap:
@@ -376,10 +458,15 @@ class Analysis:
     def check(self) -> ComponentCheck:
         """The height and matching checklist of this tree, labelled with its
         side. A forest of 0 or at least 2 components raises NotATreeError."""
-        checks = self.component_checks
-        if len(checks) != 1:
-            raise NotATreeError(f"expected a tree, got {len(checks)} components")
-        return checks[0]
+        self._tree_layer()
+        return self.component_checks[0]
+
+    def _tree_layer(self) -> _Layer:
+        """The layer of this forest; NotATreeError unless it has one component."""
+        layer = self._layer
+        if len(layer.parts) != 1:
+            raise NotATreeError(f"expected a tree, got {len(layer.parts)} components")
+        return layer
 
     @_fact
     def components(self) -> tuple[Analysis, ...]:
@@ -387,16 +474,18 @@ class Analysis:
         nearest leaf of the vertex's own component, so each component's
         heights and checklist are the forest's restricted to it; the
         criteria hold per component, so those of a balanced forest are
-        balanced."""
+        balanced, and their characterization is read off their checklist
+        with no layer of their own."""
         layer = self._layer
-        balanced = bool(layer.components) and self.balanced
+        balanced = bool(layer.parts) and self.balanced
         comps = []
-        for tree, comp, check in zip(self.forest.component_trees(), layer.components, layer.checks()):
+        for tree, comp, check in zip(self.forest.component_trees(), layer.components(), layer.checks()):
             c = Analysis(tree, side=self.side)
             c.heights = layer.heightmap(comp)
             c.check = check
             if balanced:
                 c.balanced = True
+                c.characterization = UnmixedCertificate(check.ok, (check,))
             comps.append(c)
         return tuple(comps)
 
@@ -419,7 +508,7 @@ class Analysis:
                     dropped.append(i)
                     dropped.extend(adj[i])
             layer = _Layer(g, blue, name, dropped)
-            if layer.components and not layer.balanced:
+            if layer.parts and not layer.balanced:
                 raise TheoremViolation("interior component is not balanced")
             layers.append(layer)
         return tuple(layers)
@@ -449,15 +538,17 @@ class Analysis:
     @_fact
     def certificate(self) -> UnmixedCertificate:
         """The interior-graph unmixedness test (``is_unmixed_fast``)."""
-        checks = tuple(check for layer in self._interior_layers for check in layer.checks())
-        return UnmixedCertificate(unmixed=all(c.ok for c in checks), checks=checks)
+        blue, red = self._interior_layers
+        return UnmixedCertificate(blue.unmixed() and red.unmixed(),
+                                  lambda: blue.checks() + red.checks())
 
     @_fact
     def characterization(self) -> UnmixedCertificate:
         """The test for a balanced tree (``characterize_balanced_unmixed``)."""
         if not self.balanced:
             raise NotBalancedError("characterization requires a balanced tree")
-        return UnmixedCertificate(unmixed=self.check.ok, checks=(self.check,))
+        layer = self._tree_layer()
+        return UnmixedCertificate(layer.unmixed(), layer.checks)
 
     @_fact
     def support_rows(self) -> tuple[VertexSet, ...]:

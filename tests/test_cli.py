@@ -635,23 +635,14 @@ def test_verify_detects_injected_mutant(monkeypatch):
     # the characterization check must flag the disagreement
     import totaldom.unmixed as unmixed_mod
     import totaldom.verify as verify_mod
-    from totaldom.unmixed import ComponentCheck
 
-    def mutant(layer, comp):
-        height, nbrs = layer.height, layer.nbrs
-        top = max((height[i] for i in comp), default=0)
-        v2_ok = all(
-            sum(1 for j in nbrs[i] if height[j] == 1) == 1 for i in comp if height[i] == 2
-        )
-        return ComponentCheck(
-            side=layer.side,
-            vertices=tuple(layer.graph.labels[i] for i in comp),
-            height=top,
-            height_ok=top <= 3,
-            v2_unique_v1_ok=v2_ok,
-            v1_at_most_one_v2_ok=True,  # condition (3) skipped
-            offending_vertex=None,
-        )
+    walk = unmixed_mod._walk
+
+    def mutant(layer, kept):
+        criteria = walk(layer, kept)
+        # condition (3) skipped: no height-1 vertex is marked bad
+        layer.marks[:] = [(top, bad2, None) for top, bad2, _ in layer.marks]
+        return criteria
 
     # the smallest balanced tree separating condition (3) has 12 vertices
     from totaldom.graphs import Tree
@@ -668,6 +659,6 @@ def test_verify_detects_injected_mutant(monkeypatch):
     honest = verify_mod.check_characterization(max_n=1, samples=0)
     assert honest.passed and honest.checked == 1
 
-    monkeypatch.setattr(unmixed_mod, "_check_component", mutant)
+    monkeypatch.setattr(unmixed_mod, "_walk", mutant)
     mutated = verify_mod.check_characterization(max_n=1, samples=0)
     assert not mutated.passed and mutated.checked == 1

@@ -132,8 +132,19 @@ def test_matches_oracle_on_prufer_sequences(sequence):
 # the self-checks of the pass
 # ---------------------------------------------------------------------------
 
+def _walk_returning(criteria):
+    """The walk of ``unmixed``, but reporting ``criteria`` as its verdicts."""
+    walk = unmixed._walk
+
+    def patched(layer, kept):
+        walk(layer, kept)
+        return criteria
+
+    return patched
+
+
 def test_disagreeing_criteria_raise(monkeypatch):
-    monkeypatch.setattr(unmixed, "_balance_criteria", lambda layer, comp: (True, False, True))
+    monkeypatch.setattr(unmixed, "_walk", _walk_returning((True, False, True)))
     t = path_graph(6)
     for run in (is_balanced, is_unmixed_fast, interior_graphs, characterize_balanced_unmixed):
         with pytest.raises(TheoremViolation, match="criteria disagree"):
@@ -141,7 +152,7 @@ def test_disagreeing_criteria_raise(monkeypatch):
 
 
 def test_unbalanced_interior_raises(monkeypatch):
-    monkeypatch.setattr(unmixed, "_balance_criteria", lambda layer, comp: (False, False, False))
+    monkeypatch.setattr(unmixed, "_walk", _walk_returning((False, False, False)))
     with pytest.raises(TheoremViolation, match="interior component is not balanced"):
         is_unmixed_fast(path_graph(6))
 
@@ -167,6 +178,58 @@ def test_is_unmixed_fast_at_ten_to_the_five_vertices():
     for t in large:
         cert = is_unmixed_fast(t)
         assert not cert.unmixed and len(cert.checks) > 1
+
+
+def test_verdict_builds_no_checklist(monkeypatch):
+    t = random_tree(Lcg64(3), 1000)
+    calls = []
+    original = unmixed._check_component
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(unmixed, "_check_component", counted)
+    cert = is_unmixed_fast(t)
+    cert.unmixed
+    assert calls == []
+    assert cert == certificate_by_component_trees(t) and calls  # == reads the checks
+
+
+def _assert_verdicts_match_checks(t: Tree) -> None:
+    cert = is_unmixed_fast(t)
+    assert cert.unmixed == all(c.ok for c in cert.checks)
+    facts = Analysis(t)
+    if facts.balanced:
+        char = facts.characterization
+        assert char.unmixed == char.checks[0].ok and char.checks == (facts.check,)
+
+
+def test_verdict_matches_checks_on_small_trees(trees10):
+    for t in trees10:
+        _assert_verdicts_match_checks(t)
+
+
+def test_verdict_matches_checks_on_mixedness_samples():
+    for _, t in mixedness_samples(20240, per_family=10):
+        _assert_verdicts_match_checks(t)
+
+
+def test_verdict_matches_checks_on_large_shapes():
+    for t in _shapes(10**4):
+        _assert_verdicts_match_checks(t)
+
+
+def test_certificate_is_immutable_and_compares_by_value():
+    t = path_graph(6)
+    cert, oracle = is_unmixed_fast(t), certificate_by_component_trees(t)
+    assert cert == oracle and hash(cert) == hash(oracle)
+    assert cert != unmixed.UnmixedCertificate(not cert.unmixed, oracle.checks)
+    assert cert.to_json_dict() == oracle.to_json_dict()
+    assert repr(cert) == repr(oracle)
+    for target, name in ((cert, "unmixed"), (cert, "checks"), (cert.checks[0], "height")):
+        with pytest.raises(AttributeError):
+            setattr(target, name, None)
 
 
 def test_certificate_builds_no_trees(monkeypatch):
