@@ -8,8 +8,9 @@ V3-TD-sets, which multiplies across components and across the two interior
 forests to give the type of the full tree's open neighborhood ideal.
 
 A reduction is held as exponent vectors (a pure power per support row, a
-row bitmask per height-3 vertex), and its socle is counted as the corners
-of its staircase; the labelled monomial ideals are built only when read.
+square-free row bitmask per height-3 vertex), and its socle is counted as
+the corners of its staircase from those alone; the labelled monomial
+ideals are built only when read.
 """
 
 from __future__ import annotations
@@ -108,42 +109,29 @@ def artinian_reduction(t: Tree | Analysis) -> ArtinianReduction:
 # Socle dimension
 # ---------------------------------------------------------------------------
 
-def _pure_power_bounds(i: MonomialIdeal) -> dict[str, int]:
-    bounds: dict[str, int] = {}
-    for m in i.gens:
-        if len(m.exps) == 1:
-            v, e = m.exps[0]
-            bounds[v] = min(bounds.get(v, e), e)
-    missing = [v for v in i.variables if v not in bounds]
-    if missing:
-        raise ValueError(
-            f"no pure power of {missing} (quotient is not finite-dimensional)"
-        )
-    return bounds
-
-
 def _corner_count(bounds, gens) -> int:
     """The number of staircase corners of the ideal of the pure powers
-    x_i^bounds[i] and the generators ``gens``, each a tuple of
-    (variable index, exponent) pairs, taken in the given order (smallest
-    degree first keeps the corner family small).
+    x_i^bounds[i] and the square-free generators ``gens``, each a bitmask
+    over the variable indices, taken in the given order (smallest degree
+    first keeps the corner family small).
 
     A corner is an exponent vector a outside the ideal with a + e_i inside
     it for every i. The pure powers leave one, bounds - 1. A generator x^g
-    takes in the corners a >= g; each of them splits into the vectors a
-    with a_i set to g_i - 1, one per i in the support of g, and the
-    dominated ones are dropped. Such a vector can be dominated only by a
-    corner that x^g leaves and that has entry g_i - 1 at i, or by another
+    takes in the corners a >= g, those with a_i >= 1 at every i in g; each
+    of them splits into the vectors a with a_i set to 0, one per i in g,
+    and the dominated ones are dropped. Such a vector can be dominated only
+    by a corner that x^g leaves and that has entry 0 at i, or by another
     split vector of the same i, so each is tested against those alone,
     largest entry sum first.
     """
     corners = [tuple(b - 1 for b in bounds)]
     for gen in gens:
+        support = _bit_indices(gen)
         split = []
         kept = []
         for a in corners:
-            for i, e in gen:
-                if a[i] < e:
+            for i in support:
+                if not a[i]:
                     kept.append(a)
                     break
             else:
@@ -151,10 +139,9 @@ def _corner_count(bounds, gens) -> int:
         if not split:
             continue
         corners = kept.copy()
-        for i, e in gen:
-            top = e - 1
-            blockers = [c for c in kept if c[i] == top]
-            for a in sorted({a[:i] + (top,) + a[i + 1:] for a in split}, key=sum, reverse=True):
+        for i in support:
+            blockers = [c for c in kept if not c[i]]
+            for a in sorted({a[:i] + (0,) + a[i + 1:] for a in split}, key=sum, reverse=True):
                 for c in blockers:
                     if all(map(ge, c, a)):
                         break
@@ -164,18 +151,17 @@ def _corner_count(bounds, gens) -> int:
     return len(corners)
 
 
-def socle_dimension(a: ArtinianReduction | MonomialIdeal) -> int:
-    """The socle dimension of an Artinian monomial quotient: the number of
-    corners of its staircase (Miller & Sturmfels, Combinatorial
+def socle_dimension(a: ArtinianReduction) -> int:
+    """The socle dimension of the Artinian quotient of a reduction: the
+    number of corners of its staircase (Miller & Sturmfels, Combinatorial
     Commutative Algebra, Ch. 5).
 
     The socle of S/I is spanned by the monomials x^a outside I that every
     variable takes into I, the corners; x^(a+1) are the irreducible
     components of I, one per corner. They are counted by splitting corners
-    on each generator in turn (``_corner_count``), so the cost follows the
-    corners found, not the exponent box. Accepts an ArtinianReduction, read
-    as its exponent vectors, or a bare MonomialIdeal that contains a pure
-    power of each variable (ValueError otherwise).
+    on each generator in turn (``_corner_count``), read off the reduction's
+    pure powers and square-free row masks, so the cost follows the corners
+    found, not the exponent box.
 
     There is no cap: ``cm_type`` counts corners only after the V3-TD-sets,
     whose number the socle must equal, have fit under its cap. Before the
@@ -185,18 +171,7 @@ def socle_dimension(a: ArtinianReduction | MonomialIdeal) -> int:
     capped count reports. ``tests/oracles.py`` keeps the walk over the
     exponent box.
     """
-    if isinstance(a, ArtinianReduction):
-        bounds = a.powers
-        gens = [tuple((i, 1) for i in _bit_indices(m)) for m in a.masks]
-        gens.sort(key=len)
-    else:
-        limits = _pure_power_bounds(a)
-        variables = a.variables
-        bounds = [limits[v] for v in variables]
-        pos = {v: k for k, v in enumerate(variables)}
-        gens = [tuple((pos[v], e) for v, e in m.exps) for m in a.gens if len(m.exps) != 1]
-        gens.sort(key=lambda gen: sum(e for _, e in gen))
-    return _corner_count(bounds, gens)
+    return _corner_count(a.powers, sorted(a.masks, key=int.bit_count))
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,20 @@
 Facets live over an explicit ground set. The stable complex of a graph has
 the complements of its minimal TD-sets as facets; for a balanced tree the
 even-stable complex plays the same role with the odd-height vertices as the
-domination target. Shellings are verified by restriction sets.
+domination target. Facets are worked on as bitmasks over a
+``graphs.Ground`` (a graph's vertices, or a complex's ground set) and read
+back as label tuples through it. Shellings are verified by restriction
+sets, on an order of facet masks only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .domination import minimal_s_td_sets, minimal_td_sets, minimal_transversal_masks
-from .errors import MixedTreeError, NotBalancedError, TheoremViolation
-from .graphs import Forest, Graph, Tree, VertexSet, _graph_of, vset
+from .errors import MixedTreeError, NotBalancedError, NotSquareFreeError, TheoremViolation
+from .graphs import Forest, Graph, Ground, Tree, VertexSet, _graph_of, vset
 from .ideals import Monomial, MonomialIdeal
 from .unmixed import Analysis
 
@@ -31,20 +34,18 @@ class SimplicialComplex:
 
     @classmethod
     def from_facets(cls, ground, facets) -> SimplicialComplex:
-        ground = vset(ground)
-        gset = set(ground)
+        ground = Ground(ground)
         cleaned = sorted({vset(f) for f in facets})
         for f in cleaned:
-            stray = [v for v in f if v not in gset]
+            stray = [v for v in f if v not in ground.index]
             if stray:
                 raise ValueError(f"facet uses vertices outside the ground set: {stray}")
-        pos = {v: k for k, v in enumerate(ground)}
-        masks = [sum(1 << pos[v] for v in f) for f in cleaned]
+        masks = [ground.mask_of(f) for f in cleaned]
         maximal = [
             f for f, m in zip(cleaned, masks)
             if not any(m != o and m & o == m for o in masks)
         ]
-        return cls(ground=ground, facets=tuple(maximal))
+        return cls(ground=ground.labels, facets=tuple(maximal))
 
     @property
     def is_void(self) -> bool:
@@ -57,10 +58,6 @@ class SimplicialComplex:
             return -2
         return max(len(f) for f in self.facets) - 1
 
-    @property
-    def is_pure(self) -> bool:
-        return len({len(f) for f in self.facets}) <= 1
-
     def __repr__(self):
         return f"SimplicialComplex({len(self.ground)} vertices, {len(self.facets)} facets)"
 
@@ -69,9 +66,8 @@ def stable_complex(g) -> SimplicialComplex:
     """Facets are the complements of the minimal TD-sets, enumerated without
     a cap; void if none exist."""
     g = _graph_of(g)
-    family = minimal_td_sets(g)
-    verts = set(g.labels)
-    facets = [vset(verts - set(d)) for d in family]
+    full = (1 << g.n) - 1
+    facets = [g.labels_of(full & ~d) for d in minimal_td_sets(g).masks]
     return SimplicialComplex.from_facets(g.labels, facets)
 
 
@@ -81,9 +77,11 @@ def even_stable_complex(t: Forest | Analysis, cap: int | None = None) -> Simplic
     if not facts.balanced:
         raise NotBalancedError("even-stable complex requires a balanced tree/forest")
     hmap = facts.heights
+    g = facts.forest.graph
     even = hmap.even()
+    ground = g.mask_of(even)
     family = minimal_s_td_sets(facts.forest, hmap.odd(), cap=cap)
-    facets = [vset(set(even) - set(d)) for d in family]
+    facets = [g.labels_of(ground & ~d) for d in family.masks]
     return SimplicialComplex.from_facets(even, facets)
 
 
@@ -112,9 +110,9 @@ def stanley_reisner_ideal(d: SimplicialComplex) -> MonomialIdeal:
     """
     if d.is_void:
         return MonomialIdeal.unit(d.ground)
-    ground = d.ground
-    pos = {v: k for k, v in enumerate(ground)}
-    facets = [sum(1 << pos[v] for v in f) for f in d.facets]
+    ground = Ground(d.ground)
+    facets = [ground.mask_of(f) for f in d.facets]
+    labels = ground.labels
 
     def is_face(m: int) -> bool:
         for f in facets:
@@ -124,7 +122,7 @@ def stanley_reisner_ideal(d: SimplicialComplex) -> MonomialIdeal:
 
     gens = []
     for k in range(1, d.dim + 3):
-        for sub in combinations(range(len(ground)), k):
+        for sub in combinations(range(len(labels)), k):
             bits = [1 << i for i in sub]
             m = sum(bits)
             if is_face(m):
@@ -133,8 +131,8 @@ def stanley_reisner_ideal(d: SimplicialComplex) -> MonomialIdeal:
                 if not is_face(m ^ b):
                     break
             else:
-                gens.append(Monomial(tuple((ground[i], 1) for i in sub)))
-    return MonomialIdeal(variables=ground, gens=tuple(gens))
+                gens.append(Monomial(tuple((labels[i], 1) for i in sub)))
+    return MonomialIdeal(variables=d.ground, gens=tuple(gens))
 
 
 def stanley_reisner_complex(i: MonomialIdeal) -> SimplicialComplex:
@@ -143,19 +141,13 @@ def stanley_reisner_complex(i: MonomialIdeal) -> SimplicialComplex:
     The maximal ones are the complements of the minimal transversals of the
     generator supports, so the transversal engine applies directly.
     """
-    from .errors import NotSquareFreeError
-
     if not i.is_squarefree:
         raise NotSquareFreeError(f"not square-free: {i.render()}")
-    ground = i.variables
-    pos = {v: k for k, v in enumerate(ground)}
-    edges = [sum(1 << pos[v] for v in m.support) for m in i.gens]
-    full = (1 << len(ground)) - 1
-    facets = []
-    for tmask in minimal_transversal_masks(edges):
-        comp = full & ~tmask
-        facets.append(tuple(v for v in ground if comp >> pos[v] & 1))
-    return SimplicialComplex.from_facets(ground, facets)
+    ground = Ground(i.variables)
+    edges = [ground.mask_of(m.support) for m in i.gens]
+    full = (1 << len(ground.labels)) - 1
+    facets = [ground.labels_of(full & ~t) for t in minimal_transversal_masks(edges)]
+    return SimplicialComplex.from_facets(i.variables, facets)
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +172,6 @@ class ShellingCheck:
         }
 
 
-def _label_masks(ground, order) -> list[int]:
-    """Label-tuple facets as bitmasks over the label tuple ``ground``."""
-    pos = {v: k for k, v in enumerate(ground)}
-    return [sum(1 << pos[v] for v in f) for f in order]
-
-
 def _restrictions(masks: list[int]) -> list[dict[int, int]]:
     """For each F_j of a pure order of facet masks, its restriction R_j as
     a map from each vertex bit v of R_j to the first k < j with F_j - v
@@ -206,12 +192,11 @@ def _restrictions(masks: list[int]) -> list[dict[int, int]]:
     return restrictions
 
 
-def verify_shelling(d: SimplicialComplex | int, order) -> ShellingCheck:
+def verify_shelling(ground: int, order: list[int]) -> ShellingCheck:
     """Check condition (ii) for a facet order by restriction sets.
 
-    ``order`` lists the facets of the complex ``d`` as label tuples; or
-    ``d`` is a ground bitmask and ``order`` lists distinct facet bitmasks
-    inside it, the facets of the complex they generate. (Two equal masks
+    ``order`` lists distinct facet bitmasks inside the ground bitmask
+    ``ground``, the facets of the complex they generate. (Two equal masks
     fail the check: the later one's restriction set is all of it.)
 
     Condition (ii): for i < j there are v in F_j - F_i and k < j with
@@ -236,41 +221,33 @@ def verify_shelling(d: SimplicialComplex | int, order) -> ShellingCheck:
     lookups plus O(F^2) mask ANDs; per-pair witnesses are built only by
     ``ShellingOrder.to_json_dict``, and a passing check counts F(F-1)/2.
     """
-    if isinstance(d, int):
-        masks = list(order)
-        if any(m & ~d for m in masks):
-            raise ValueError("facet mask outside the ground mask")
-        pure = len({m.bit_count() for m in masks}) <= 1
-    else:
-        order = [vset(f) for f in order]
-        if sorted(order) != sorted(d.facets):
-            raise ValueError("order is not a permutation of the facets")
-        masks = _label_masks(d.ground, order)
-        pure = d.is_pure
-    if not pure:
+    if any(m & ~ground for m in order):
+        raise ValueError("facet mask outside the ground mask")
+    if len({m.bit_count() for m in order}) > 1:
         return ShellingCheck(ok=False, pure=False)
-    restrictions = _restrictions(masks)
-    for j in range(1, len(masks)):
+    restrictions = _restrictions(order)
+    for j in range(1, len(order)):
         rj = sum(restrictions[j])
         for i in range(j):
-            if rj & masks[i] == rj:
+            if rj & order[i] == rj:
                 return ShellingCheck(ok=False, pure=True, failure_pair=(i, j))
-    n = len(masks)
+    n = len(order)
     return ShellingCheck(ok=True, pure=True, witness_count=n * (n - 1) // 2)
 
 
-def _witnesses(ground, order) -> list[dict]:
-    """For each pair i < j of a shelling order, the first k < j and the v
-    with v in F_j - F_i and F_j - F_k = {v}: the smallest first index over
-    v in R_j - F_i. Distinct v in R_j have distinct first indices, since a
-    facet holding F_j - v and F_j - v' would hold F_j."""
-    masks = _label_masks(ground, order)
+def _witnesses(codec: Ground, masks) -> list[dict]:
+    """For each pair i < j of a shelling order of facet masks over
+    ``codec``, the first k < j and the v with v in F_j - F_i and
+    F_j - F_k = {v}: the smallest first index over v in R_j - F_i. Distinct
+    v in R_j have distinct first indices, since a facet holding F_j - v and
+    F_j - v' would hold F_j."""
+    labels = codec.labels
     restrictions = _restrictions(masks)
     out = []
     for j in range(1, len(masks)):
         for i in range(j):
             k, vbit = min((k, v) for v, k in restrictions[j].items() if v & ~masks[i])
-            out.append({"i": i, "j": j, "k": k, "v": ground[vbit.bit_length() - 1]})
+            out.append({"i": i, "j": j, "k": k, "v": labels[vbit.bit_length() - 1]})
     return out
 
 
@@ -289,10 +266,16 @@ def shelling_sort_key(vec):
 
 @dataclass(frozen=True)
 class ShellingOrder:
+    """A verified facet order as label tuples; ``masks`` holds the same
+    facets as the bitmasks over ``codec`` that were verified, and the
+    witnesses are read off them."""
+
     ground: tuple[str, ...]
     facets: tuple[VertexSet, ...]
     vectors: tuple[tuple[int, ...], ...] | None
     check: ShellingCheck
+    masks: tuple[int, ...] = field(compare=False, repr=False)
+    codec: Ground = field(compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -300,7 +283,7 @@ class ShellingOrder:
             "facets": [list(f) for f in self.facets],
             "vectors": [list(v) for v in self.vectors] if self.vectors else None,
             "check": self.check.to_json_dict(),
-            "witnesses": _witnesses(self.ground, self.facets) if self.check.ok else [],
+            "witnesses": _witnesses(self.codec, self.masks) if self.check.ok else [],
         }
 
 
@@ -310,7 +293,7 @@ def _labelled_order(g: Graph, ground: int, facets, vectors, check) -> ShellingOr
     labels_of = g.labels_of
     return ShellingOrder(
         ground=labels_of(ground), facets=tuple(map(labels_of, facets)),
-        vectors=vectors, check=check,
+        vectors=vectors, check=check, masks=tuple(facets), codec=g,
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import EnumerationCapExceeded, TheoremViolation
-from .graphs import Graph, VertexSet, _bit_indices, _graph_of, vset
+from .graphs import Graph, Ground, VertexSet, _bit_indices, _graph_of, vset
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +143,10 @@ def minimal_transversals(sets, cap: int | None = None) -> tuple[tuple, ...]:
     """Label-level wrapper around the bitmask engine, canonically sorted.
     ``sets`` is read once, so any iterable of label collections works."""
     sets = [set(s) for s in sets]
-    universe = sorted(set().union(*sets))
-    pos = {v: i for i, v in enumerate(universe)}
-    edges = [sum(1 << pos[v] for v in s) for s in sets]
-    out = []
-    for m in minimal_transversal_masks(edges, cap=cap):
-        out.append(tuple(universe[i] for i in _bit_indices(m)))
-    return tuple(sorted(out))
+    universe = Ground(set().union(*sets))
+    edges = [universe.mask_of(s) for s in sets]
+    found = minimal_transversal_masks(edges, cap=cap)
+    return tuple(sorted(map(universe.labels_of, found)))
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +183,18 @@ def _is_minimal_s_td(g, dmask: int, smask: int) -> bool:
     return True
 
 
+def _neighborhood(g: Graph, dmask: int) -> int:
+    """N(D): the OR of the neighbor masks over the set bits of ``dmask``."""
+    masks = g.masks
+    out = 0
+    for i in _bit_indices(dmask):
+        out |= masks[i]
+    return out
+
+
 def is_s_td_set(g, d, s) -> bool:
     g = _graph_of(g)
-    return g.mask_of(s) & ~g.neighborhood_mask(g.mask_of(d)) == 0
+    return g.mask_of(s) & ~_neighborhood(g, g.mask_of(d)) == 0
 
 
 def is_minimal_set(g, d) -> bool:
@@ -197,7 +203,7 @@ def is_minimal_set(g, d) -> bool:
     N(D). That is minimality among the N(D)-TD-sets."""
     g = _graph_of(g)
     dmask = g.mask_of(d)
-    return _is_minimal_s_td(g, dmask, g.neighborhood_mask(dmask))
+    return _is_minimal_s_td(g, dmask, _neighborhood(g, dmask))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Vertices carry external string labels; internally every vertex is a dense
 index into the sorted label list, and vertex subsets travel as int bitmasks.
-All public functions report vertex sets as sorted label tuples.
+All public functions report vertex sets as sorted label tuples. ``Ground``
+is the one codec between the two: label v of a sorted ground is bit
+``index[v]``. Graphs are grounds over their vertices, and the ideal and
+complex modules build one over their variables or ground sets.
 """
 
 from __future__ import annotations
@@ -36,7 +39,38 @@ def _bit_indices(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class Graph:
+class Ground:
+    """A sorted, duplicate-free label tuple and its index dict: the codec
+    between label sets and bitmasks, with label ``labels[i]`` as bit i."""
+
+    __slots__ = ("labels", "index")
+
+    def __init__(self, labels):
+        labs = tuple(sorted(set(labels)))
+        self.labels = labs
+        self.index = dict(zip(labs, range(len(labs))))
+
+    def mask_of(self, labels) -> int:
+        """The bitmask of ``labels``; KeyError on a label outside the ground."""
+        index = self.index
+        m = 0
+        for v in labels:
+            m |= 1 << index[v]
+        return m
+
+    def labels_of(self, mask: int) -> VertexSet:
+        """The labels of the set bits, in index (so label) order, one step
+        per set bit."""
+        labels = self.labels
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(labels[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
+
+
+class Graph(Ground):
     """Immutable labeled simple graph.
 
     Labels are stored sorted; ``adj[i]`` lists the neighbor indices of the
@@ -47,11 +81,11 @@ class Graph:
     construction.
     """
 
-    __slots__ = ("labels", "index", "adj", "_masks")
+    __slots__ = ("adj", "_masks")
 
     def __init__(self, labels, edges):
-        labs = tuple(sorted(set(labels)))
-        index = dict(zip(labs, range(len(labs))))
+        super().__init__(labels)
+        labs, index = self.labels, self.index
         nbrs = [[] for _ in labs]
         for a, b in edges:
             if a == b:
@@ -109,36 +143,6 @@ class Graph:
 
     def degree(self, v: str) -> int:
         return len(self.adj[self.index[v]])
-
-    # -- bitmask helpers --------------------------------------------------
-
-    def mask_of(self, labels) -> int:
-        m = 0
-        for v in labels:
-            m |= 1 << self.index[v]
-        return m
-
-    def labels_of(self, mask: int) -> VertexSet:
-        """The labels of the set bits, in index (so label) order."""
-        labels = self.labels
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(labels[low.bit_length() - 1])
-            mask ^= low
-        return tuple(out)
-
-    def neighborhood_mask(self, mask: int) -> int:
-        """Open neighborhood N(S) of the subset given as a bitmask."""
-        masks = self.masks
-        out = 0
-        i = 0
-        while mask:
-            if mask & 1:
-                out |= masks[i]
-            mask >>= 1
-            i += 1
-        return out
 
     # -- structure --------------------------------------------------------
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .domination import minimal_transversal_masks, minimal_transversals
 from .errors import AmbientMismatchError, NotSquareFreeError, TheoremViolation
-from .graphs import VertexSet, _bit_indices, _graph_of, vset
+from .graphs import Ground, VertexSet, _bit_indices, _graph_of, vset
 
 
 @dataclass(frozen=True)
@@ -216,13 +216,13 @@ def _intersect_primes(variables: tuple[str, ...], supports) -> MonomialIdeal:
     lexicographic order of index tuples), which is the order ``from_gens``
     gives the generators.
     """
-    pos = {v: k for k, v in enumerate(variables)}
+    ground = Ground(variables)
     primes = []
     for sup in supports:
-        stray = sorted(set(sup) - pos.keys())
+        stray = sorted(set(sup) - ground.index.keys())
         if stray:
             raise AmbientMismatchError(f"generator uses unknown variables {stray[:1]}")
-        primes.append({1 << pos[v] for v in sup})
+        primes.append([1 << i for i in _bit_indices(ground.mask_of(sup))])
     gens = [0]
     for bits in primes:
         cands = sorted(
@@ -235,7 +235,7 @@ def _intersect_primes(variables: tuple[str, ...], supports) -> MonomialIdeal:
                 gens.append(m)
     return MonomialIdeal(
         variables=variables,
-        gens=tuple(Monomial(tuple((variables[i], 1) for i in _bit_indices(m))) for m in gens),
+        gens=tuple(Monomial(tuple((v, 1) for v in ground.labels_of(m))) for m in gens),
     )
 
 
@@ -256,9 +256,9 @@ def validate_decomposition(dec: PrimeDecomposition, ideal: MonomialIdeal) -> Non
     verdict.
     """
     parametric = dec.pure_powers is not None
-    pos = {v: k for k, v in enumerate(dec.variables)}
+    ground = Ground(dec.variables)
     try:
-        masks = [sum(1 << pos[v] for v in sup) for sup in dec.supports]
+        masks = [ground.mask_of(sup) for sup in dec.supports]
     except KeyError as exc:
         raise AmbientMismatchError(f"support uses unknown variable {exc}") from None
     if any(a & b == a for a in masks for b in masks if a != b):
@@ -266,17 +266,14 @@ def validate_decomposition(dec: PrimeDecomposition, ideal: MonomialIdeal) -> Non
         raise TheoremViolation(f"{label} is not irredundant")
     duals = minimal_transversal_masks(masks)
     if parametric:
-        gens = [
-            Monomial.of(*(v for k, v in enumerate(dec.variables) if m >> k & 1))
-            for m in duals
-        ]
+        gens = [Monomial.of(*ground.labels_of(m)) for m in duals]
         gens += dec.pure_powers.gens
         holds = MonomialIdeal.from_gens(dec.variables, gens) == ideal
     else:
         holds = (
             ideal.variables == dec.variables
             and ideal.is_squarefree
-            and duals == sorted(sum(1 << pos[v] for v in m.support) for m in ideal.gens)
+            and duals == sorted(ground.mask_of(m.support) for m in ideal.gens)
         )
     if not holds:
         if parametric:

@@ -8,7 +8,9 @@ frozen in the tests were computed with these.
 The middle section holds second routes to objects the package computes
 (colorings, selectors, shellings, facet vectors on labels, parametric
 supports, edge and odd neighborhood ideals) that the package itself does
-not need, and the pairwise shelling scan that restriction sets replaced.
+not need, the pairwise shelling scan that restriction sets replaced, and
+the label-form shelling check and purity test of a complex, which the
+package computes on facet masks only.
 
 A third section reads the text formats the package only writes: the
 ideal text and construction traces, each with the input checks the
@@ -35,7 +37,14 @@ from functools import reduce
 from itertools import combinations, product
 from math import prod
 
-from totaldom.complexes import SimplicialComplex, _composed_order, _labelled_order
+from totaldom.complexes import (
+    ShellingCheck,
+    ShellingOrder,
+    SimplicialComplex,
+    _composed_order,
+    _labelled_order,
+    verify_shelling,
+)
 from totaldom.construct import (
     _KIND_BY_HEIGHT,
     _WHISKER_HEIGHTS,
@@ -64,6 +73,7 @@ from totaldom.graphs import (
     Coloring,
     Forest,
     Graph,
+    Ground,
     Tree,
     _graph_of,
     branch,
@@ -250,7 +260,7 @@ def domination_selector(g, d) -> DominationSelector | None:
     a second minimality test beside ``domination.is_minimal_set``."""
     g = _graph_of(g)
     dmask = g.mask_of(d)
-    nd = g.neighborhood_mask(dmask)
+    nd = g.mask_of(neighborhood_by_scan(g, d))
     masks = g.masks
     chosen: dict[str, str] = {}
     for v in vset(d):
@@ -266,6 +276,31 @@ def domination_selector(g, d) -> DominationSelector | None:
     return DominationSelector(tuple(sorted(chosen.items())))
 
 
+def is_pure(d: SimplicialComplex) -> bool:
+    """All facets of ``d`` have one size; the void complex is pure."""
+    return len({len(f) for f in d.facets}) <= 1
+
+
+def labelled_order(d: SimplicialComplex, order) -> ShellingOrder:
+    """The ShellingOrder of an order of the facets of ``d`` as label tuples,
+    checked by ``complexes.verify_shelling`` on their masks over
+    ``d.ground``. ValueError unless ``order`` is a permutation of the
+    facets."""
+    order = tuple(vset(f) for f in order)
+    if sorted(order) != sorted(d.facets):
+        raise ValueError("order is not a permutation of the facets")
+    ground = Ground(d.ground)
+    masks = tuple(map(ground.mask_of, order))
+    check = verify_shelling(ground.mask_of(d.ground), list(masks))
+    return ShellingOrder(d.ground, order, None, check, masks, ground)
+
+
+def verify_labelled(d: SimplicialComplex, order) -> ShellingCheck:
+    """``complexes.verify_shelling`` on an order of the facets of ``d`` as
+    label tuples (``labelled_order``'s check)."""
+    return labelled_order(d, order).check
+
+
 def brute_force_shellable(d: SimplicialComplex, max_facets: int = 12):
     """Backtracking search for any shelling order; None when none exists.
 
@@ -276,7 +311,7 @@ def brute_force_shellable(d: SimplicialComplex, max_facets: int = 12):
         raise EnumerationCapExceeded(
             f"{len(d.facets)} facets exceeds the search cap {max_facets}"
         )
-    if not d.is_pure:
+    if not is_pure(d):
         return None
     m = len(d.facets)
     if m <= 1:
@@ -329,7 +364,7 @@ def shelling_by_pairs(d: SimplicialComplex, order):
     order = [vset(f) for f in order]
     if sorted(order) != sorted(d.facets):
         raise ValueError("order is not a permutation of the facets")
-    if not d.is_pure:
+    if not is_pure(d):
         return False, False, None, []
     pos = {v: k for k, v in enumerate(d.ground)}
     masks = [sum(1 << pos[v] for v in f) for f in order]

@@ -131,13 +131,14 @@ def test_criterion_07_join_theorem():
 def test_criterion_08_type_formula(fence_tree):
     u123 = ("u1", "u2", "u3")
     paper_j = parse_ideal("u1^4, u2^2, u3^3, u1*u2, u2*u3", u123)
-    socle = socle_dimension(paper_j)
 
-    # rebuild the same ideal from the labeled tree and decompose it
+    # rebuild the same ideal from the labeled tree, count its socle and
+    # decompose it
     edges = [("s1", "u1"), ("s2", "u2"), ("s3", "u3"), ("r1", "u1"), ("r1", "u2"), ("r2", "u2"), ("r2", "u3")]
     edges += [("s1", f"la{i}") for i in range(3)] + [("s2", "lb0")] + [("s3", f"lc{i}") for i in range(2)]
     labeled = Tree.from_edges(edges)
     red = artinian_reduction(labeled)
+    socle = socle_dimension(red)
     dec = parametric_decomposition(red, labeled)
 
     fence_report = cm_type(fence_tree)

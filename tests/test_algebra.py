@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import parametric_supports_from_ideal, parse_ideal, socle_by_box, to_ideal_by_lcm
 from totaldom import algebra
 from totaldom.algebra import (
+    ArtinianReduction,
     artinian_reduction,
     cm_type,
     minimal_v3_td_sets,
@@ -26,7 +27,7 @@ from totaldom.errors import (
     TheoremViolation,
 )
 from totaldom.graphs import Forest, HeightMap, Tree, heights, path_graph, star_graph
-from totaldom.ideals import Monomial, MonomialIdeal
+from totaldom.ideals import Monomial
 from totaldom.unmixed import Analysis
 from totaldom.verify import balanced_corpus, check_type_agreement, unmixed_corpus
 
@@ -143,30 +144,32 @@ def test_support_rows_computed_once_when_shelling_and_type_share_an_analysis(mon
 # ---------------------------------------------------------------------------
 
 def test_socle_paper_ideal():
-    assert socle_dimension(PAPER_J) == 2
+    red = artinian_reduction(paper_labeled_tree())
+    assert red.ideal == PAPER_J
+    assert socle_dimension(red) == socle_by_box(PAPER_J) == 2
 
 
 def test_socle_p6_ideal():
-    ideal = parse_ideal("u1^2, u2^2, u1*u2", ("u1", "u2"))
-    assert socle_dimension(ideal) == 2
+    red = artinian_reduction(path_graph(6))
+    assert red.ideal == parse_ideal("2^2, 4^2, 2*4", ("2", "4"))
+    assert socle_dimension(red) == socle_by_box(red.ideal) == 2
 
 
 def test_socle_principal_power():
-    assert socle_dimension(parse_ideal("x^5", ("x",))) == 1
-
-
-def test_socle_requires_pure_powers():
-    with pytest.raises(ValueError):
-        socle_dimension(parse_ideal("x*y", ("x", "y")))
+    red = artinian_reduction(star_graph(5))
+    assert red.ideal == parse_ideal("l1^5", ("l1",))
+    assert socle_dimension(red) == socle_by_box(red.ideal) == 1
 
 
 def test_socle_box_cap():
     # the corner count does not walk the box; the box oracle refuses it
-    big = parse_ideal("x^4000, y^4000", ("x", "y"))
+    rows = tuple(tuple(f"{x}{i:04d}" for i in range(4000)) for x in "xy")
+    big = ArtinianReduction(height=3, rows=rows, masks=())
+    assert big.ideal == parse_ideal("x0000^4000, y0000^4000", ("x0000", "y0000"))
     assert socle_dimension(big) == 1
-    assert socle_dimension(parse_ideal("x^4000, y^4000, x*y", ("x", "y"))) == 2
+    assert socle_dimension(ArtinianReduction(height=3, rows=rows, masks=(0b11,))) == 2
     with pytest.raises(EnumerationCapExceeded):
-        socle_by_box(big)
+        socle_by_box(big.ideal)
 
 
 def _interior_reductions(trees):
@@ -184,7 +187,7 @@ def test_socle_corners_match_the_box_on_interior_components():
         if prod(red.powers) > 10**6:
             continue
         box = socle_by_box(red.ideal)
-        assert socle_dimension(red) == socle_dimension(red.ideal) == box
+        assert socle_dimension(red) == box
         checked += 1
     assert checked >= 500
 
@@ -192,16 +195,15 @@ def test_socle_corners_match_the_box_on_interior_components():
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
     st.lists(st.integers(1, 5), min_size=n, max_size=n),
-    st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n), max_size=6),
+    st.lists(st.integers(1, (1 << n) - 1), max_size=6),
 )))
 def test_socle_corners_match_the_box_on_random_artinian_ideals(case):
-    bounds, vectors = case
-    variables = tuple(f"x{i}" for i in range(len(bounds)))
-    gens = [Monomial.from_dict({v: b}) for v, b in zip(variables, bounds)]
-    # a zero vector is the unit monomial, which leaves no pure power
-    gens += [Monomial.from_dict(dict(zip(variables, vec))) for vec in vectors if any(vec)]
-    ideal = MonomialIdeal.from_gens(variables, gens)
-    assert socle_dimension(ideal) == socle_by_box(ideal)
+    # random reductions: row i has length lengths[i], and a row mask of no
+    # bits would be the unit monomial, which leaves no pure power
+    lengths, masks = case
+    rows = tuple(tuple(f"x{i}_{k}" for k in range(n)) for i, n in enumerate(lengths))
+    red = ArtinianReduction(height=3, rows=rows, masks=tuple(masks))
+    assert socle_dimension(red) == socle_by_box(red.ideal)
 
 
 def test_socle_matches_counting_on_generated_trees():

@@ -12,13 +12,15 @@ from oracles import (
     even_stable_shelling,
     faces_by_divisibility,
     facet_vector,
+    is_pure,
+    labelled_order,
     shelling_by_pairs,
     stanley_reisner_ideal_by_faces,
     vector_facet,
+    verify_labelled,
 )
 from totaldom import complexes, verify
 from totaldom.complexes import (
-    ShellingOrder,
     SimplicialComplex,
     even_stable_complex,
     join,
@@ -56,13 +58,13 @@ def cx(ground, facets) -> SimplicialComplex:
 def test_stable_complex_paper_path(paper_p4):
     sc = stable_complex(paper_p4)
     assert sc.facets == (("l1", "l2"), ("u",))
-    assert not sc.is_pure
+    assert not is_pure(sc)
 
 
 def test_stable_complex_p6_pure():
     sc = stable_complex(path_graph(6))
     assert len(sc.facets) == 3
-    assert sc.is_pure and sc.dim == 2
+    assert is_pure(sc) and sc.dim == 2
 
 
 def test_stable_complex_void_with_isolated_vertex():
@@ -80,7 +82,7 @@ def test_stable_complex_single_edge_empty_facet():
 def test_purity_iff_unmixed(trees10):
     for t in trees10[::2]:
         sc = stable_complex(t)
-        assert sc.is_pure == is_unmixed_fast(t).unmixed
+        assert is_pure(sc) == is_unmixed_fast(t).unmixed
 
 
 def test_even_stable_star():
@@ -213,30 +215,30 @@ def test_sr_sweep_matches_label_oracle_on_facet_lists(case):
 
 def test_single_facet_trivially_shellable():
     d = cx(("a", "b"), [("a", "b")])
-    assert verify_shelling(d, d.facets).ok
+    assert verify_labelled(d, d.facets).ok
 
 
 def test_disjoint_vertices_shellable():
     d = cx(("a", "b"), [("a",), ("b",)])
-    assert verify_shelling(d, d.facets).ok
+    assert verify_labelled(d, d.facets).ok
 
 
 def test_disjoint_edges_not_shellable():
     d = cx(("a", "b", "c", "d"), [("a", "b"), ("c", "d")])
-    check = verify_shelling(d, d.facets)
+    check = verify_labelled(d, d.facets)
     assert not check.ok and check.failure_pair == (0, 1)
     assert brute_force_shellable(d) is None
 
 
 def test_impure_rejected_immediately():
     d = cx(("a", "b", "c"), [("a", "b"), ("c",)])
-    assert not verify_shelling(d, d.facets).ok
+    assert not verify_labelled(d, d.facets).ok
 
 
 def test_order_must_be_permutation():
     d = cx(("a", "b"), [("a",), ("b",)])
     with pytest.raises(ValueError):
-        verify_shelling(d, [("a",), ("a",)])
+        verify_labelled(d, [("a",), ("a",)])
 
 
 def test_bad_order_on_shellable_complex():
@@ -246,19 +248,20 @@ def test_bad_order_on_shellable_complex():
         ("a", "b", "c", "d"),
         [("a", "b"), ("b", "c"), ("c", "d")],
     )
-    good = verify_shelling(d, [("a", "b"), ("b", "c"), ("c", "d")])
+    good = verify_labelled(d, [("a", "b"), ("b", "c"), ("c", "d")])
     assert good.ok
-    bad = verify_shelling(d, [("a", "b"), ("c", "d"), ("b", "c")])
+    bad = verify_labelled(d, [("a", "b"), ("c", "d"), ("b", "c")])
     assert not bad.ok and bad.failure_pair == (0, 1)
     assert brute_force_shellable(d) is not None
 
 
 def test_witnesses_certify_condition():
     d = cx(("a", "b", "c"), [("a", "b"), ("b", "c"), ("a", "c")])
-    check = verify_shelling(d, d.facets)
+    order = labelled_order(d, d.facets)
+    check = order.check
     assert check.ok
     facets = d.facets
-    witnesses = ShellingOrder(d.ground, facets, None, check).to_json_dict()["witnesses"]
+    witnesses = order.to_json_dict()["witnesses"]
     assert len(witnesses) == check.witness_count == 3
     for w in witnesses:
         diff = set(facets[w["j"]]) - set(facets[w["k"]])
@@ -269,11 +272,12 @@ def test_witnesses_certify_condition():
 def assert_matches_pairwise_scan(d, order):
     """Restriction sets and the pairwise oracle agree on the verdict, the
     failing pair and the full witness list ``shelling --json`` prints."""
-    check = verify_shelling(d, order)
+    labelled = labelled_order(d, order)
+    check = labelled.check
     ok, pure, failure_pair, witnesses = shelling_by_pairs(d, order)
     assert (check.ok, check.pure, check.failure_pair) == (ok, pure, failure_pair)
     assert check.reformulation_agrees
-    emitted = ShellingOrder(d.ground, tuple(order), None, check).to_json_dict()
+    emitted = labelled.to_json_dict()
     assert emitted["witnesses"] == witnesses
     assert emitted["check"]["witness_count"] == len(witnesses)
     return check
@@ -285,21 +289,20 @@ def test_restriction_sets_match_pairwise_scan_on_verify_orders(monkeypatch):
     orders = []
     original = complexes.verify_shelling
 
-    def recorded(d, order):
-        orders.append((d, tuple(order)))
-        return original(d, order)
+    def recorded(ground, order):
+        orders.append((ground, tuple(order)))
+        return original(ground, order)
 
     monkeypatch.setattr(complexes, "verify_shelling", recorded)
     assert verify.check_vector_shelling().passed
     assert verify.check_join_shelling().passed
     monkeypatch.undo()
     assert len(orders) == 300
-    for d, order in orders:
-        if isinstance(d, int):
-            # an order of facet masks in a ground mask: label bit i by i
-            bits = [i for i in range(d.bit_length()) if d >> i & 1]
-            order = [tuple(f"v{i:04d}" for i in bits if m >> i & 1) for m in order]
-            d = cx([f"v{i:04d}" for i in bits], order)
+    for ground, order in orders:
+        # an order of facet masks in a ground mask: label bit i by i
+        bits = [i for i in range(ground.bit_length()) if ground >> i & 1]
+        order = [tuple(f"v{i:04d}" for i in bits if m >> i & 1) for m in order]
+        d = cx([f"v{i:04d}" for i in bits], order)
         assert assert_matches_pairwise_scan(d, order).ok
 
 
@@ -318,6 +321,20 @@ def test_restriction_sets_match_pairwise_scan_on_reordered_stable_complexes(tree
         for order in (stable_shelling(t).facets, d.facets, d.facets[::-1], shuffled):
             failing += not assert_matches_pairwise_scan(d, order).ok
     assert failing
+
+
+def test_stable_shelling_witnesses_match_pairwise_scan(trees8):
+    # the witnesses are read off the facet masks the order keeps over the
+    # tree's vertices, not off its label facets
+    checked = 0
+    for t in trees8:
+        if t.graph.n < 2 or not is_unmixed_fast(t).unmixed:
+            continue
+        order = stable_shelling(t)
+        want = shelling_by_pairs(stable_complex(t), order.facets)[3]
+        assert order.to_json_dict()["witnesses"] == want
+        checked += 1
+    assert checked
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -363,15 +380,15 @@ def test_brute_force_matches_exhaustive_verification():
             combos = list(combinations(ground, k))
             facets.add(combos[rng.randrange(len(combos))])
         d = cx(ground, sorted(facets))
-        if not d.is_pure or len(d.facets) > 6:
+        if not is_pure(d) or len(d.facets) > 6:
             continue
         found = brute_force_shellable(d)
         some_order_works = any(
-            verify_shelling(d, p).ok for p in permutations(d.facets)
+            verify_labelled(d, p).ok for p in permutations(d.facets)
         )
         assert (found is not None) == some_order_works
         if found is not None:
-            assert verify_shelling(d, found).ok
+            assert verify_labelled(d, found).ok
 
 
 def test_brute_force_cap():

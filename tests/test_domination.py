@@ -30,28 +30,26 @@ from totaldom.treegen import Lcg64, random_tree, trees_up_to
 # open neighborhoods
 # ---------------------------------------------------------------------------
 
-def open_neighborhood(g, s):
-    return g.labels_of(g.neighborhood_mask(g.mask_of(s)))
-
-
 def test_open_neighborhood_paper_path(paper_p4):
-    assert open_neighborhood(paper_p4.graph, ("s1", "s2", "u")) == ("l1", "l2", "s1", "s2", "u")
+    assert neighborhood_by_scan(paper_p4.graph, ("s1", "s2", "u")) == ("l1", "l2", "s1", "s2", "u")
 
 
 def test_open_neighborhood_empty(paper_p4):
-    assert open_neighborhood(paper_p4.graph, ()) == ()
+    assert neighborhood_by_scan(paper_p4.graph, ()) == ()
 
 
 def test_open_neighborhood_p5(paper_p5):
-    assert open_neighborhood(paper_p5.graph, ("v1", "v5")) == ("v2", "v4", "v6")
+    assert neighborhood_by_scan(paper_p5.graph, ("v1", "v5")) == ("v2", "v4", "v6")
 
 
 def test_open_neighborhood_matches_scan(trees8):
+    # the mask N(D) that is_s_td_set and is_minimal_set read
     for t in trees8[::3]:
-        labs = t.graph.labels
-        for size in (0, 1, len(labs) // 2):
-            subset = labs[:size]
-            assert open_neighborhood(t.graph, subset) == neighborhood_by_scan(t.graph, subset)
+        g = t.graph
+        for size in (0, 1, g.n // 2):
+            subset = g.labels[:size]
+            got = g.labels_of(domination._neighborhood(g, g.mask_of(subset)))
+            assert got == neighborhood_by_scan(g, subset)
 
 
 # ---------------------------------------------------------------------------

@@ -72,3 +72,29 @@ def test_every_public_method_is_used_in_the_package():
         and REFERENCES.count(m.name) == _references(m).count(m.name)
     ]
     assert unused == []
+
+
+def _position_dicts(tree: ast.Module) -> list[int]:
+    """Lines of dict comprehensions ``{v: k for k, v in enumerate(...)}``
+    that map each item to its position."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.DictComp) and len(node.generators) == 1:
+            gen = node.generators[0]
+            if (
+                isinstance(gen.iter, ast.Call) and isinstance(gen.iter.func, ast.Name)
+                and gen.iter.func.id == "enumerate"
+                and isinstance(gen.target, ast.Tuple) and isinstance(gen.target.elts[0], ast.Name)
+                and isinstance(node.value, ast.Name) and node.value.id == gen.target.elts[0].id
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_graphs_maps_labels_to_bit_positions():
+    # label v of a sorted ground is bit i: graphs.Ground is that codec
+    found = {
+        name: lines for name, tree in MODULES.items() if name != "graphs"
+        if (lines := _position_dicts(tree))
+    }
+    assert found == {}
