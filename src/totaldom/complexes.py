@@ -5,8 +5,11 @@ the complements of its minimal TD-sets as facets; for a balanced tree the
 even-stable complex plays the same role with the odd-height vertices as the
 domination target. Facets are worked on as bitmasks over a
 ``graphs.Ground`` (a graph's vertices, or a complex's ground set) and read
-back as label tuples through it. Shellings are verified by restriction
-sets, on an order of facet masks only.
+back as label tuples through it. Each complex is built once from the masks
+it was computed on: its facets are the complements of a family of minimal
+sets, an antichain, so each is decoded once and none is filtered (a join's
+products of two antichains over disjoint grounds are one too). Shellings
+are verified by restriction sets, on an order of facet masks only.
 """
 
 from __future__ import annotations
@@ -32,21 +35,6 @@ class SimplicialComplex:
     ground: tuple[str, ...]
     facets: tuple[VertexSet, ...]
 
-    @classmethod
-    def from_facets(cls, ground, facets) -> SimplicialComplex:
-        ground = Ground(ground)
-        cleaned = sorted({vset(f) for f in facets})
-        for f in cleaned:
-            stray = [v for v in f if v not in ground.index]
-            if stray:
-                raise ValueError(f"facet uses vertices outside the ground set: {stray}")
-        masks = [ground.mask_of(f) for f in cleaned]
-        maximal = [
-            f for f, m in zip(cleaned, masks)
-            if not any(m != o and m & o == m for o in masks)
-        ]
-        return cls(ground=ground.labels, facets=tuple(maximal))
-
     @property
     def is_void(self) -> bool:
         return not self.facets
@@ -62,35 +50,50 @@ class SimplicialComplex:
         return f"SimplicialComplex({len(self.ground)} vertices, {len(self.facets)} facets)"
 
 
+def _complements(codec: Ground, ground: int, family) -> SimplicialComplex:
+    """The complex on the labels of the ``ground`` mask whose facets are
+    ground - d for the masks d of ``family``, an antichain inside it; the
+    complements are an antichain too."""
+    labels_of = codec.labels_of
+    return SimplicialComplex(
+        ground=labels_of(ground),
+        facets=tuple(sorted(labels_of(ground & ~d) for d in family)),
+    )
+
+
 def stable_complex(g) -> SimplicialComplex:
     """Facets are the complements of the minimal TD-sets, enumerated without
     a cap; void if none exist."""
     g = _graph_of(g)
-    full = (1 << g.n) - 1
-    facets = [g.labels_of(full & ~d) for d in minimal_td_sets(g).masks]
-    return SimplicialComplex.from_facets(g.labels, facets)
+    return _complements(g, (1 << g.n) - 1, minimal_td_sets(g).masks)
 
 
-def even_stable_complex(t: Forest | Analysis, cap: int | None = None) -> SimplicialComplex:
+def _even_family(facts: Analysis, cap: int | None) -> tuple[int, tuple[int, ...]]:
+    """The mask of the even-height vertices of a balanced forest over the
+    indices of its graph, and its minimal odd-TD-sets as masks, which lie
+    inside it."""
+    hmap = facts.heights
+    family = minimal_s_td_sets(facts.forest, hmap.odd(), cap=cap)
+    return facts.forest.graph.mask_of(hmap.even()), family.masks
+
+
+def even_stable_complex(t: Forest | Analysis) -> SimplicialComplex:
     """Complements of the minimal odd-TD-sets inside the even-height vertices."""
     facts = Analysis.of(t)
     if not facts.balanced:
         raise NotBalancedError("even-stable complex requires a balanced tree/forest")
-    hmap = facts.heights
-    g = facts.forest.graph
-    even = hmap.even()
-    ground = g.mask_of(even)
-    family = minimal_s_td_sets(facts.forest, hmap.odd(), cap=cap)
-    facets = [g.labels_of(ground & ~d) for d in family.masks]
-    return SimplicialComplex.from_facets(even, facets)
+    even, family = _even_family(facts, None)
+    return _complements(facts.forest.graph, even, family)
 
 
 def join(d1: SimplicialComplex, d2: SimplicialComplex) -> SimplicialComplex:
+    """Facets are the unions of one facet of each, an antichain over disjoint grounds."""
     if set(d1.ground) & set(d2.ground):
         raise ValueError("join requires disjoint ground sets")
-    ground = vset(d1.ground + d2.ground)
-    facets = [vset(a + b) for a in d1.facets for b in d2.facets]
-    return SimplicialComplex.from_facets(ground, facets)
+    return SimplicialComplex(
+        ground=vset(d1.ground + d2.ground),
+        facets=tuple(sorted(vset(a + b) for a in d1.facets for b in d2.facets)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +148,7 @@ def stanley_reisner_complex(i: MonomialIdeal) -> SimplicialComplex:
         raise NotSquareFreeError(f"not square-free: {i.render()}")
     ground = Ground(i.variables)
     edges = [ground.mask_of(m.support) for m in i.gens]
-    full = (1 << len(ground.labels)) - 1
-    facets = [ground.labels_of(full & ~t) for t in minimal_transversal_masks(edges)]
-    return SimplicialComplex.from_facets(i.variables, facets)
+    return _complements(ground, (1 << len(ground.labels)) - 1, minimal_transversal_masks(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +313,6 @@ def _facet_vector_order(facts: Analysis, cap: int | None):
     """
     rows = facts.support_rows
     g = facts.forest.graph
-    hmap = facts.heights
     index = g.index
     row_masks = []
     entry: dict[int, int] = {}
@@ -323,10 +323,9 @@ def _facet_vector_order(facts: Analysis, cap: int | None):
             entry[bit] = a
             m |= bit
         row_masks.append(m)
-    even = g.mask_of(hmap.even())
-    family = minimal_s_td_sets(facts.forest, hmap.odd(), cap=cap)
+    even, family = _even_family(facts, cap)
     tagged = []
-    for d in family.masks:
+    for d in family:
         vec = []
         for m in row_masks:
             hit = d & m

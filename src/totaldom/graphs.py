@@ -418,13 +418,14 @@ def classify_vertices(f: Forest) -> Classification:
 # ---------------------------------------------------------------------------
 
 class Coloring:
-    """A proper 2-coloring, stored as the two color classes."""
+    """A proper 2-coloring, stored as the two color classes, each a sorted
+    label tuple as given."""
 
     __slots__ = ("blue", "red")
 
-    def __init__(self, blue, red):
-        self.blue = vset(blue)
-        self.red = vset(red)
+    def __init__(self, blue: VertexSet, red: VertexSet):
+        self.blue = blue
+        self.red = red
 
     def __eq__(self, other):
         return isinstance(other, Coloring) and (self.blue, self.red) == (other.blue, other.red)
@@ -458,10 +459,7 @@ def two_coloring(f: Forest) -> Coloring:
     label order."""
     blue = _blue_flags(f)
     labels = f.graph.labels
-    coloring = Coloring.__new__(Coloring)
-    coloring.blue = tuple(compress(labels, blue))
-    coloring.red = tuple(compress(labels, map(not_, blue)))
-    return coloring
+    return Coloring(tuple(compress(labels, blue)), tuple(compress(labels, map(not_, blue))))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ The middle section holds second routes to objects the package computes
 (colorings, selectors, shellings, facet vectors on labels, parametric
 supports, edge and odd neighborhood ideals) that the package itself does
 not need, the pairwise shelling scan that restriction sets replaced, and
-the label-form shelling check and purity test of a complex, which the
+the label-form complex builder (deduplication, ground check and pairwise
+maximality filter), shelling check and purity test of a complex, which the
 package computes on facet masks only.
 
 A third section reads the text formats the package only writes: the
@@ -274,6 +275,26 @@ def domination_selector(g, d) -> DominationSelector | None:
             return None
         chosen[v] = pick
     return DominationSelector(tuple(sorted(chosen.items())))
+
+
+def complex_from_facets(ground, facets) -> SimplicialComplex:
+    """The complex on ``ground`` generated by arbitrary label facets: they
+    are deduplicated and sorted, a vertex outside the ground raises
+    ValueError, and a facet inside another is dropped by a pairwise mask
+    scan. The package builds its complexes from antichains of masks, which
+    need none of this."""
+    ground = Ground(ground)
+    cleaned = sorted({vset(f) for f in facets})
+    for f in cleaned:
+        stray = [v for v in f if v not in ground.index]
+        if stray:
+            raise ValueError(f"facet uses vertices outside the ground set: {stray}")
+    masks = [ground.mask_of(f) for f in cleaned]
+    maximal = [
+        f for f, m in zip(cleaned, masks)
+        if not any(m != o and m & o == m for o in masks)
+    ]
+    return SimplicialComplex(ground=ground.labels, facets=tuple(maximal))
 
 
 def is_pure(d: SimplicialComplex) -> bool:
@@ -579,7 +600,7 @@ def forest_by_sorting(g: Graph) -> tuple[tuple[str, ...], ...]:
 
 def two_coloring_by_vset(f: Forest) -> Coloring:
     """Breadth-first parity from each component's smallest label, with both
-    classes re-sorted by ``Coloring``."""
+    classes sorted by ``vset``."""
     g = f.graph
     side = [-1] * g.n
     for comp in f.components():
@@ -592,8 +613,8 @@ def two_coloring_by_vset(f: Forest) -> Coloring:
                     side[j] = 1 - side[i]
                     order.append(j)
     return Coloring(
-        [v for v, s in zip(g.labels, side) if s == 0],
-        [v for v, s in zip(g.labels, side) if s == 1],
+        vset(v for v, s in zip(g.labels, side) if s == 0),
+        vset(v for v, s in zip(g.labels, side) if s == 1),
     )
 
 

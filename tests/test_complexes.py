@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     brute_force_shellable,
     complex_faces,
+    complex_from_facets,
     even_stable_shelling,
     faces_by_divisibility,
     facet_vector,
@@ -48,7 +49,7 @@ from totaldom.unmixed import Analysis, interior_graphs, is_balanced, is_unmixed_
 
 
 def cx(ground, facets) -> SimplicialComplex:
-    return SimplicialComplex.from_facets(ground, facets)
+    return complex_from_facets(ground, facets)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +135,22 @@ def test_join_theorem_on_unmixed_samples(trees10):
         ig = interior_graphs(t)
         joined = join(even_stable_complex(ig.blue), even_stable_complex(ig.red))
         assert set(joined.facets) == set(stable_complex(t).facets)
+
+
+def test_package_complexes_need_no_cleaning(trees9):
+    # facets are the complements of an antichain of masks, or a join's
+    # products of two antichains over disjoint grounds, so deduplication,
+    # the ground check and the maximality filter change nothing
+    built = []
+    for t in trees9:
+        built += [stable_complex(t), stanley_reisner_complex(open_neighborhood_ideal(t))]
+        if is_balanced(t):
+            built.append(even_stable_complex(t))
+    for t in verify.unmixed_corpus(424242, 30):
+        ig = interior_graphs(t)
+        built.append(join(even_stable_complex(ig.blue), even_stable_complex(ig.red)))
+    for d in built:
+        assert d == complex_from_facets(d.ground, d.facets)
 
 
 # ---------------------------------------------------------------------------
