@@ -7,17 +7,17 @@ pure powers u_i^{|N(s_i)|}. Its socle dimension equals the number of minimal
 V3-TD-sets, which multiplies across components and across the two interior
 forests to give the type of the full tree's open neighborhood ideal.
 
-A reduction is held as exponent vectors (a pure power per support row, a
-square-free row bitmask per height-3 vertex), and its socle is counted as
-the corners of its staircase from those alone; the labelled monomial
-ideals are built only when read.
+A reduction is held as a pure power per support row and a square-free row
+bitmask per height-3 vertex. Its socle is counted as the corners of its
+staircase, which are row sets: the maximal sets of rows with p_i >= 2 that
+contain no generator mask. The labelled monomial ideals are built only
+when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import ge
 
 from .domination import MinimalSetFamily, minimal_s_td_sets
 from .errors import MixedTreeError, TheoremViolation
@@ -46,10 +46,6 @@ class ArtinianReduction:
     height: int
     rows: tuple[VertexSet, ...]
     masks: tuple[int, ...]
-
-    @property
-    def powers(self) -> tuple[int, ...]:
-        return tuple(map(len, self.rows))
 
     @cached_property
     def variables(self) -> tuple[str, ...]:
@@ -109,44 +105,39 @@ def artinian_reduction(t: Tree | Analysis) -> ArtinianReduction:
 # Socle dimension
 # ---------------------------------------------------------------------------
 
-def _corner_count(bounds, gens) -> int:
+def _corner_count(start: int, gens) -> int:
     """The number of staircase corners of the ideal of the pure powers
-    x_i^bounds[i] and the square-free generators ``gens``, each a bitmask
-    over the variable indices, taken in the given order (smallest degree
-    first keeps the corner family small).
+    x_i^p_i and the square-free generators ``gens``, each a bitmask over the
+    row indices, taken in the given order (smallest degree first keeps the
+    corner family small).
 
     A corner is an exponent vector a outside the ideal with a + e_i inside
-    it for every i. The pure powers leave one, bounds - 1. A generator x^g
-    takes in the corners a >= g, those with a_i >= 1 at every i in g; each
-    of them splits into the vectors a with a_i set to 0, one per i in g,
-    and the dominated ones are dropped. Such a vector can be dominated only
-    by a corner that x^g leaves and that has entry 0 at i, or by another
-    split vector of the same i, so each is tested against those alone,
-    largest entry sum first.
+    it for every i. The pure powers leave one, p - 1, and a split only sets
+    an entry to 0, so every corner has each entry at 0 or at p_i - 1 and is
+    held as the mask of its nonzero rows, starting from ``start``, the rows
+    with p_i >= 2. A generator g takes in the corners that contain it; each
+    of them splits into the sets with one bit of g removed, and the
+    contained ones are dropped. The corners are an antichain, so the split
+    sets of one bit are too, and a split set of a bit can be contained only
+    in a corner that g leaves and that lacks the bit: each is tested
+    against those alone.
     """
-    corners = [tuple(b - 1 for b in bounds)]
-    for gen in gens:
-        support = _bit_indices(gen)
-        split = []
-        kept = []
-        for a in corners:
-            for i in support:
-                if not a[i]:
-                    kept.append(a)
-                    break
-            else:
-                split.append(a)
+    corners = [start]
+    for g in gens:
+        split = [a for a in corners if a & g == g]
         if not split:
             continue
+        kept = [a for a in corners if a & g != g]
         corners = kept.copy()
-        for i in support:
-            blockers = [c for c in kept if not c[i]]
-            for a in sorted({a[:i] + (0,) + a[i + 1:] for a in split}, key=sum, reverse=True):
+        for i in _bit_indices(g):
+            bit = 1 << i
+            blockers = [c for c in kept if not c & bit]
+            for s in split:
+                a = s ^ bit
                 for c in blockers:
-                    if all(map(ge, c, a)):
+                    if c & a == a:
                         break
                 else:
-                    blockers.append(a)
                     corners.append(a)
     return len(corners)
 
@@ -158,10 +149,11 @@ def socle_dimension(a: ArtinianReduction) -> int:
 
     The socle of S/I is spanned by the monomials x^a outside I that every
     variable takes into I, the corners; x^(a+1) are the irreducible
-    components of I, one per corner. They are counted by splitting corners
-    on each generator in turn (``_corner_count``), read off the reduction's
-    pure powers and square-free row masks, so the cost follows the corners
-    found, not the exponent box.
+    components of I, one per corner. Every corner is x^(p-1) on a row set,
+    and the corners are the maximal row sets that contain no generator
+    mask, among the rows with p_i >= 2. They are counted by splitting
+    corners on each generator in turn (``_corner_count``), so the cost
+    follows the corners found, not the exponent box.
 
     There is no cap: ``cm_type`` counts corners only after the V3-TD-sets,
     whose number the socle must equal, have fit under its cap. Before the
@@ -169,9 +161,10 @@ def socle_dimension(a: ArtinianReduction) -> int:
     (on 30 of the 2287 interior components of the corpora README's cost
     table names, by up to 8), so a cap on it would refuse types that the
     capped count reports. ``tests/oracles.py`` keeps the walk over the
-    exponent box.
+    exponent box and the count on exponent vectors.
     """
-    return _corner_count(a.powers, sorted(a.masks, key=int.bit_count))
+    start = sum(1 << i for i, row in enumerate(a.rows) if len(row) > 1)
+    return _corner_count(start, sorted(a.masks, key=int.bit_count))
 
 
 # ---------------------------------------------------------------------------

@@ -243,9 +243,9 @@ def validate_decomposition(dec: PrimeDecomposition, ideal: MonomialIdeal) -> Non
     """Raise TheoremViolation unless ``dec`` is an irredundant decomposition
     of ``ideal``.
 
-    The verdict is that of pairwise incomparable supports whose intersection
-    (``dec.to_ideal()`` in the square-free case) is ``ideal``, reached on
-    bitmasks over ``dec.variables``.
+    The verdict is that of distinct, pairwise incomparable supports whose
+    intersection (``dec.to_ideal()`` in the square-free case) is ``ideal``,
+    reached on bitmasks over ``dec.variables``.
     The intersection of the primes P_S is generated by the square-free
     monomials on the minimal transversals of the supports; by Berge duality
     (tr(tr(H)) = H for a clutter H) that equals a square-free ideal exactly
@@ -261,7 +261,7 @@ def validate_decomposition(dec: PrimeDecomposition, ideal: MonomialIdeal) -> Non
         masks = [ground.mask_of(sup) for sup in dec.supports]
     except KeyError as exc:
         raise AmbientMismatchError(f"support uses unknown variable {exc}") from None
-    if any(a & b == a for a in masks for b in masks if a != b):
+    if len(set(masks)) < len(masks) or any(a & b == a for a in masks for b in masks if a != b):
         label = "parametric decomposition" if parametric else "decomposition"
         raise TheoremViolation(f"{label} is not irredundant")
     duals = minimal_transversal_masks(masks)

@@ -102,22 +102,20 @@ class ComponentCheck(NamedTuple):
 
 
 class UnmixedCertificate:
-    """An unmixedness verdict with its component checklists and, for a
-    mixed tree, optionally a witness pair. Immutable; equal when verdict,
-    checklists and witness are.
+    """An unmixedness verdict with its component checklists. Immutable;
+    equal when verdict and checklists are. Its JSON form keeps a
+    ``"witness": null`` slot, which reports fill in themselves.
 
     ``checks`` may also be given as a function that returns the tuple; it
     runs on the first read of ``checks`` (or of ``to_json_dict`` or ``==``).
     ``Analysis`` does so, so reading the verdict alone builds no
     ComponentCheck."""
 
-    __slots__ = ("unmixed", "_checks", "witness")
+    __slots__ = ("unmixed", "_checks")
 
-    def __init__(self, unmixed: bool, checks: tuple[ComponentCheck, ...],
-                 witness: tuple[VertexSet, VertexSet] | None = None):
+    def __init__(self, unmixed: bool, checks: tuple[ComponentCheck, ...]):
         object.__setattr__(self, "unmixed", unmixed)
         object.__setattr__(self, "_checks", checks)
-        object.__setattr__(self, "witness", witness)
 
     @property
     def checks(self) -> tuple[ComponentCheck, ...]:
@@ -134,7 +132,7 @@ class UnmixedCertificate:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _key(self) -> tuple:
-        return self.unmixed, self.checks, self.witness
+        return self.unmixed, self.checks
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -145,14 +143,13 @@ class UnmixedCertificate:
         return hash(self._key())
 
     def __repr__(self):
-        return (f"UnmixedCertificate(unmixed={self.unmixed!r}, checks={self.checks!r}, "
-                f"witness={self.witness!r})")
+        return f"UnmixedCertificate(unmixed={self.unmixed!r}, checks={self.checks!r})"
 
     def to_json_dict(self) -> dict:
         return {
             "unmixed": self.unmixed,
             "checks": [c.to_json_dict() for c in self.checks],
-            "witness": [list(w) for w in self.witness] if self.witness else None,
+            "witness": None,
         }
 
 

@@ -24,7 +24,8 @@ peeling by whole-tree rebuilds, N(G) minimalized against every kept
 generator, the interior-graph test through a Tree per component), of the
 transversal engine (a Berge round that minimalizes every candidate against
 every other), of the Stanley-Reisner sweep (faces tested as label sets), of
-the socle count (a walk over the exponent box) and of the re-expansion of
+the socle count (a walk over the exponent box, and corners split as
+exponent vectors rather than row sets) and of the re-expansion of
 a decomposition (sums and intersections of ideals through lcms of exponent
 dicts, which the package no longer has) as references for differential
 tests.
@@ -753,6 +754,31 @@ def socle_by_box(ideal: MonomialIdeal) -> int:
         ):
             count += 1
     return count
+
+
+def socle_by_exponent_corners(red) -> int:
+    """``algebra.socle_dimension`` on exponent vectors: the corners of the
+    staircase of an Artinian reduction, split on its row masks in order of
+    popcount. A generator takes in the corners a with a_i >= 1 on its
+    rows; each splits into the vectors with one such entry set to 0, and a
+    split vector is kept unless a corner that the generator left with
+    entry 0 there, or a larger split vector of the same row, dominates it
+    componentwise."""
+    corners = [tuple(len(row) - 1 for row in red.rows)]
+    for gen in sorted(red.masks, key=int.bit_count):
+        support = [i for i in range(len(red.rows)) if gen >> i & 1]
+        split = [a for a in corners if all(a[i] for i in support)]
+        if not split:
+            continue
+        kept = [a for a in corners if not all(a[i] for i in support)]
+        corners = kept.copy()
+        for i in support:
+            blockers = [c for c in kept if not c[i]]
+            for a in sorted({a[:i] + (0,) + a[i + 1:] for a in split}, key=sum, reverse=True):
+                if not any(all(x >= y for x, y in zip(c, a)) for c in blockers):
+                    blockers.append(a)
+                    corners.append(a)
+    return len(corners)
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:

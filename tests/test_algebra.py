@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import parametric_supports_from_ideal, parse_ideal, socle_by_box, to_ideal_by_lcm
+from oracles import (
+    parametric_supports_from_ideal,
+    parse_ideal,
+    socle_by_box,
+    socle_by_exponent_corners,
+    to_ideal_by_lcm,
+)
 from totaldom import algebra
 from totaldom.algebra import (
     ArtinianReduction,
@@ -184,12 +190,28 @@ def test_socle_corners_match_the_box_on_interior_components():
     trees += [generate(seed, seed % 12)[0] for seed in range(40)]
     checked = 0
     for red in _interior_reductions(trees):
-        if prod(red.powers) > 10**6:
+        if prod(map(len, red.rows)) > 10**6:
             continue
         box = socle_by_box(red.ideal)
-        assert socle_dimension(red) == box
+        assert socle_dimension(red) == socle_by_exponent_corners(red) == box
         checked += 1
     assert checked >= 500
+
+
+def test_socle_row_sets_match_exponent_corners_past_the_box():
+    # the box walk refuses or skips the largest components here (boxes of
+    # 1.6*10^6 and 3.8*10^8); the corners on exponent vectors still run
+    for seed, steps, big in ((7, 20, 126), (8, 40, 146)):
+        reds = list(_interior_reductions([generate(seed, steps)[0]]))
+        assert max(prod(map(len, red.rows)) for red in reds) > 10**6
+        socles = [socle_dimension(red) for red in reds]
+        assert socles == [socle_by_exponent_corners(red) for red in reds]
+        assert max(socles) == big
+
+
+def test_cm_type_of_a_mid_size_generated_tree():
+    # 155 vertices; its largest interior component has socle dimension 6344
+    assert cm_type(generate(9, 50)[0]).cm_type == 6344
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -203,7 +225,7 @@ def test_socle_corners_match_the_box_on_random_artinian_ideals(case):
     lengths, masks = case
     rows = tuple(tuple(f"x{i}_{k}" for k in range(n)) for i, n in enumerate(lengths))
     red = ArtinianReduction(height=3, rows=rows, masks=tuple(masks))
-    assert socle_dimension(red) == socle_by_box(red.ideal)
+    assert socle_dimension(red) == socle_by_exponent_corners(red) == socle_by_box(red.ideal)
 
 
 def test_socle_matches_counting_on_generated_trees():

@@ -348,6 +348,23 @@ def test_duality_check_agrees_with_reexpansion(trees8):
             assert not _duality_holds(dec, other)
 
 
+def test_duality_check_rejects_a_repeated_prime():
+    ideal = open_neighborhood_ideal(path_graph(6).graph)
+    dec = decompose_squarefree(ideal)
+    twice = PrimeDecomposition(dec.variables, dec.supports + dec.supports[:1])
+    with pytest.raises(TheoremViolation, match="^decomposition is not irredundant"):
+        validate_decomposition(twice, ideal)
+
+
+def test_duality_check_rejects_a_repeated_parametric_prime():
+    t = path_graph(6)
+    red = artinian_reduction(t)
+    dec = parametric_decomposition(red, t)
+    twice = replace(dec, supports=dec.supports + dec.supports[:1])
+    with pytest.raises(TheoremViolation, match="parametric decomposition is not irredundant"):
+        validate_decomposition(twice, red.ideal)
+
+
 def test_duality_check_edge_cases():
     dec = decompose_squarefree(parse_ideal("x", ("x",)))
     with pytest.raises(TheoremViolation):
