@@ -153,9 +153,9 @@ def minimal_transversals(sets, cap: int | None = None) -> tuple[tuple, ...]:
 # S-TD-sets
 # ---------------------------------------------------------------------------
 
-def _is_minimal_s_td(g, dmask: int, smask: int) -> bool:
+def _is_minimal_s_td(masks, dmask: int, smask: int) -> bool:
     """D totally dominates S and is minimal among S-TD-sets, in O(|D|) mask
-    operations.
+    operations. ``masks[i]`` is N(i) as a bitmask, for each bit i of D.
 
     S must lie inside N(D), and every v in D needs an S-private neighbor:
     some u in S with N(u) & D = {v}; without one, D - v still dominates S.
@@ -163,7 +163,6 @@ def _is_minimal_s_td(g, dmask: int, smask: int) -> bool:
     keeps in ``twice`` what a mask meets again, so the vertices with exactly
     one neighbor in D are once & ~twice.
     """
-    masks = g.masks
     nbrs = []
     once = twice = 0
     rest = dmask
@@ -184,11 +183,12 @@ def _is_minimal_s_td(g, dmask: int, smask: int) -> bool:
 
 
 def _neighborhood(g: Graph, dmask: int) -> int:
-    """N(D): the OR of the neighbor masks over the set bits of ``dmask``."""
-    masks = g.masks
+    """N(D): the bits of the neighbors of the set bits of ``dmask``."""
+    adj = g.adj
     out = 0
     for i in _bit_indices(dmask):
-        out |= masks[i]
+        for j in adj[i]:
+            out |= 1 << j
     return out
 
 
@@ -203,7 +203,8 @@ def is_minimal_set(g, d) -> bool:
     N(D). That is minimality among the N(D)-TD-sets."""
     g = _graph_of(g)
     dmask = g.mask_of(d)
-    return _is_minimal_s_td(g, dmask, _neighborhood(g, dmask))
+    masks = {i: sum(1 << j for j in g.adj[i]) for i in _bit_indices(dmask)}
+    return _is_minimal_s_td(masks, dmask, _neighborhood(g, dmask))
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +277,13 @@ def minimal_s_td_sets(g, s, cap: int | None = None) -> MinimalSetFamily:
     """
     g = _graph_of(g)
     target = vset(s)
-    masks = g.masks
+    # N(v) as a bitmask per vertex: O(n^2) bits, so built here, not kept
+    masks = [sum(1 << j for j in nb) for nb in g.adj]
     edges = [masks[g.index[v]] for v in target]
     smask = g.mask_of(target)
     found = minimal_transversal_masks(edges, cap=cap)
     for m in found:
-        if not _is_minimal_s_td(g, m, smask):
+        if not _is_minimal_s_td(masks, m, smask):
             raise TheoremViolation(
                 f"transversal {g.labels_of(m)} is not a verified minimal S-TD-set"
             )

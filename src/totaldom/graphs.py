@@ -74,14 +74,11 @@ class Graph(Ground):
     """Immutable labeled simple graph.
 
     Labels are stored sorted; ``adj[i]`` lists the neighbor indices of the
-    i-th label in increasing order and ``masks[i]`` is the same set as a
-    bitmask. The masks take O(n^2) bits and only the domination engine and
-    ``open_neighborhood_ideal`` read them, so they are built lazily on first
-    use and then kept on the graph. No self-loops, adjacency symmetric by
-    construction.
+    i-th label in increasing order, and that is all the graph keeps beside
+    its labels and index. No self-loops, adjacency symmetric by construction.
     """
 
-    __slots__ = ("adj", "_masks")
+    __slots__ = ("adj",)
 
     def __init__(self, labels, edges):
         super().__init__(labels)
@@ -107,13 +104,6 @@ class Graph(Ground):
         self.labels = labels
         self.index = index
         self.adj = adj
-        self._masks = None
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        if self._masks is None:
-            self._masks = tuple(sum(1 << j for j in nb) for nb in self.adj)
-        return self._masks
 
     @classmethod
     def from_edges(cls, edges, extra_vertices=()) -> Graph:
@@ -427,6 +417,12 @@ class Coloring:
         self.blue = blue
         self.red = red
 
+    @classmethod
+    def of_flags(cls, labels, blue) -> Coloring:
+        """Blue the labels whose flag in ``blue`` is set, red the rest,
+        both in the order of ``labels``."""
+        return cls(tuple(compress(labels, blue)), tuple(compress(labels, map(not_, blue))))
+
     def __eq__(self, other):
         return isinstance(other, Coloring) and (self.blue, self.red) == (other.blue, other.red)
 
@@ -457,9 +453,7 @@ def two_coloring(f: Forest) -> Coloring:
     """Deterministic proper 2-coloring of a forest: in each component the
     lexicographically smallest label is blue. Both classes come out in
     label order."""
-    blue = _blue_flags(f)
-    labels = f.graph.labels
-    return Coloring(tuple(compress(labels, blue)), tuple(compress(labels, map(not_, blue))))
+    return Coloring.of_flags(f.graph.labels, _blue_flags(f))
 
 
 # ---------------------------------------------------------------------------

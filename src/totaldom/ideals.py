@@ -146,31 +146,30 @@ def open_neighborhood_ideal(g, s=None) -> MonomialIdeal:
     S defaults to all of V. An isolated vertex in S contributes the empty
     product, i.e. the unit ideal.
 
-    The generators are kept as neighborhood bitmasks until the end. On
-    square-free monomials of one degree the grlex order of ``from_gens`` is
-    the lexicographic order of the sorted index tuples ``g.adj[i]``, and a
-    divisor of a generator comes before it in that order, so one pass in
-    grlex order both drops the non-minimal ones and orders the rest. A kept
-    mask divides a later one only if its lowest bit is among the later
-    one's bits, so the kept masks are bucketed by their lowest bit and each
-    mask is tested against the buckets of its own bits only. The empty mask
-    of an isolated vertex comes first and divides every later one.
+    The generators are kept as the sorted neighbor index tuples
+    ``g.adj[i]`` until the end. On square-free monomials of one degree the
+    grlex order of ``from_gens`` is the lexicographic order of those
+    tuples, and a divisor of a generator comes before it in that order, so
+    one pass in grlex order both drops the non-minimal ones and orders the
+    rest. A kept tuple divides a later one only if its lowest vertex is
+    among the later one's, so the kept tuples are bucketed by their lowest
+    vertex and each tuple is tested against the buckets of its own vertices
+    only. The empty tuple of an isolated vertex comes first and divides
+    every later one.
     """
     g = _graph_of(g)
     targets = range(g.n) if s is None else [g.index[v] for v in vset(s)]
-    masks, adj = g.masks, g.adj
-    # equal neighbor lists are equal masks; keyed by the short lists, not
-    # by the n-bit masks, which are slow to hash
-    supports = {adj[i]: i for i in targets}
-    by_low: dict[int, list[int]] = {}
+    adj = g.adj
+    supports = {adj[i] for i in targets}
+    by_low: dict[int, list[tuple[int, ...]]] = {}
     gens = []
     for nbrs in sorted(supports, key=lambda nbrs: (len(nbrs), nbrs)):
         if not nbrs:
             gens.append(Monomial(()))
             break
-        mask = masks[supports[nbrs]]
-        if not any(k & mask == k for j in nbrs for k in by_low.get(j, ())):
-            by_low.setdefault(nbrs[0], []).append(mask)
+        own = set(nbrs)
+        if not any(own.issuperset(k) for j in nbrs for k in by_low.get(j, ())):
+            by_low.setdefault(nbrs[0], []).append(nbrs)
             gens.append(Monomial(tuple((g.labels[j], 1) for j in nbrs)))
     return MonomialIdeal(variables=g.labels, gens=tuple(gens))
 

@@ -34,7 +34,6 @@ from .graphs import (
     _blue_flags,
     classify_vertices,
     leaf_distances,
-    two_coloring,
 )
 
 
@@ -387,9 +386,7 @@ class Analysis:
     Each fact is computed on its first read and kept on this object, which
     the request drops with its report. No fact is stored on the tree, in a
     module or in a cache keyed by trees, so no fact outlives its request and
-    a function patched between two requests is seen by the second. (The
-    graph keeps its neighbourhood bitmasks, ``Graph.masks``, which depend on
-    its adjacency alone.)
+    a function patched between two requests is seen by the second.
     ``is_unmixed_fast``, ``stable_shelling``, ``cm_type`` and the functions
     they call take an Analysis wherever they take the tree (through
     ``Analysis.of``), so one request computes each fact once.
@@ -421,7 +418,8 @@ class Analysis:
 
     @_fact
     def coloring(self) -> Coloring:
-        return two_coloring(self.forest)
+        """``two_coloring`` of the forest, read off ``_blue``."""
+        return Coloring.of_flags(self.forest.graph.labels, self._blue)
 
     @_fact
     def _blue(self) -> list[bool]:
@@ -446,18 +444,6 @@ class Analysis:
         """The three balancedness criteria, which must agree (``is_balanced``)."""
         return self._layer.balanced
 
-    @_fact
-    def component_checks(self) -> tuple[ComponentCheck, ...]:
-        """The checklist of each component, labelled with this side."""
-        return self._layer.checks()
-
-    @_fact
-    def check(self) -> ComponentCheck:
-        """The height and matching checklist of this tree, labelled with its
-        side. A forest of 0 or at least 2 components raises NotATreeError."""
-        self._tree_layer()
-        return self.component_checks[0]
-
     def _tree_layer(self) -> _Layer:
         """The layer of this forest; NotATreeError unless it has one component."""
         layer = self._layer
@@ -479,7 +465,6 @@ class Analysis:
         for tree, comp, check in zip(self.forest.component_trees(), layer.components(), layer.checks()):
             c = Analysis(tree, side=self.side)
             c.heights = layer.heightmap(comp)
-            c.check = check
             if balanced:
                 c.balanced = True
                 c.characterization = UnmixedCertificate(check.ok, (check,))

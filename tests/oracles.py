@@ -97,6 +97,12 @@ from totaldom.unmixed import (
 )
 
 
+def neighbor_masks(g: Graph) -> list[int]:
+    """N(v) as a bitmask over ``g``, per vertex index, built through the
+    labels of its neighbors."""
+    return [g.mask_of(g.neighbors(v)) for v in g.labels]
+
+
 def neighborhood_by_scan(g: Graph, subset) -> tuple[str, ...]:
     out = set()
     for v in subset:
@@ -263,7 +269,7 @@ def domination_selector(g, d) -> DominationSelector | None:
     g = _graph_of(g)
     dmask = g.mask_of(d)
     nd = g.mask_of(neighborhood_by_scan(g, d))
-    masks = g.masks
+    masks = neighbor_masks(g)
     chosen: dict[str, str] = {}
     for v in vset(d):
         vbit = 1 << g.index[v]
@@ -945,7 +951,7 @@ def open_neighborhood_ideal_by_scan(g, s=None) -> MonomialIdeal:
     against every kept mask, not only against those of its own bits."""
     g = _graph_of(g)
     targets = range(g.n) if s is None else [g.index[v] for v in vset(s)]
-    masks = g.masks
+    masks = neighbor_masks(g)
     supports = {masks[i]: g.adj[i] for i in targets}
     kept: list[int] = []
     gens = []

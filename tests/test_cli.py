@@ -17,6 +17,7 @@ from test_interior_pass import caterpillar
 import totaldom.cli as cli
 import totaldom.complexes as complexes
 import totaldom.domination as domination
+import totaldom.graphs as graphs
 from totaldom.cli import build_parser, main
 from totaldom.construct import generate, replay
 from totaldom.graphs import Graph, canonical_form, parse_graph, path_graph, render_edge_list
@@ -83,6 +84,22 @@ def test_analyze_enumerates_td_sets_once_on_mixed_trees(capsys, p4_file, monkeyp
     report = run_json(capsys, ["analyze", p4_file, "--json"])
     assert report["unmixed"]["witness"] == [["s1", "s2", "u"], ["l1", "l2", "s1", "s2"]]
     assert len(calls) == 1
+
+
+def test_analyze_runs_one_coloring_search(capsys, monkeypatch, p6_file):
+    # the reported coloring is read off the blue flags the layers use
+    calls = []
+    original = graphs._blue_flags
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("totaldom")]:
+        if getattr(module, "_blue_flags", None) is original:
+            monkeypatch.setattr(module, "_blue_flags", counted)
+    report = run_json(capsys, ["analyze", p6_file, "--json"])
+    assert report["coloring"]["blue"] and len(calls) == 1
 
 
 def test_analyze_reads_the_decomposition_off_the_td_family(capsys, p4_file, monkeypatch):

@@ -9,6 +9,7 @@ from oracles import (
     minimal_by_definition,
     minimal_s_td_by_subsets,
     minimal_td_sets_by_subsets,
+    neighbor_masks,
     neighborhood_by_scan,
 )
 from totaldom import domination
@@ -263,6 +264,7 @@ def test_mask_recheck_matches_definitions_on_every_subset():
     # targets V, the odd heights, V3 and one leaf
     for t in trees_up_to(7):
         g = t.graph
+        masks = neighbor_masks(g)
         hmap = heights(t)
         for target in (g.labels, hmap.odd(), hmap.level(3), hmap.level(0)[:1]):
             smask = g.mask_of(target)
@@ -272,7 +274,7 @@ def test_mask_recheck_matches_definitions_on_every_subset():
                 dominates = covered <= set(neighborhood_by_scan(g, d))
                 assert is_s_td_set(t, d, target) == dominates
                 assert is_minimal_set(t, d) == minimal_by_definition(g, d)
-                assert _is_minimal_s_td(g, dmask, smask) == minimal_s_td_by_subsets(
+                assert _is_minimal_s_td(masks, dmask, smask) == minimal_s_td_by_subsets(
                     g, d, target
                 )
 
@@ -282,8 +284,9 @@ def test_mask_recheck_wants_the_private_neighbor_inside_the_target():
     # neighbor x, but x is outside S, so {b} alone still dominates S
     t = Tree.from_edges([("a", "b"), ("b", "c"), ("c", "x")])
     g = t.graph
-    assert not _is_minimal_s_td(g, g.mask_of(("b", "c")), g.mask_of(("a",)))
-    assert _is_minimal_s_td(g, g.mask_of(("b",)), g.mask_of(("a",)))
+    masks = neighbor_masks(g)
+    assert not _is_minimal_s_td(masks, g.mask_of(("b", "c")), g.mask_of(("a",)))
+    assert _is_minimal_s_td(masks, g.mask_of(("b",)), g.mask_of(("a",)))
     assert is_minimal_set(t, ("b", "c"))
     assert minimal_s_td_sets(t, ("a",)).sets == (("b",),)
 

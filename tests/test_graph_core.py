@@ -161,8 +161,8 @@ def test_core_matches_oracles_on_edge_lists(drawn):
     looped = Graph.from_edges([*edges, more], extra_vertices=extra)
     assert outcome(components_of, looped) == outcome(forest_by_sorting, looped)
     # only a tree has a checklist of its own
-    check = outcome(lambda h: Analysis(Forest(h)).check, g)
-    assert check == (check_component_by_tree(Tree(g), "self") if len(comps) == 1 else want)
+    checks = outcome(lambda h: Analysis(Tree(h))._layer.checks(), g)
+    assert checks == ((check_component_by_tree(Tree(g), "self"),) if len(comps) == 1 else want)
 
 
 # ---------------------------------------------------------------------------

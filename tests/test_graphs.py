@@ -321,19 +321,6 @@ def test_induced_matches_edge_filter():
         assert (got.labels, got.index, got.adj) == (want.labels, want.index, want.adj)
 
 
-def test_lazy_masks_match_eager_formula(trees8):
-    # fresh graphs: the session's shared trees may have built theirs already
-    graphs = [Graph(t.graph.labels, t.graph.edges()) for t in trees8]
-    graphs.append(random_tree(Lcg64(1), 50).graph)
-    graphs.append(graphs[-1].induced(graphs[-1].labels[::2]))
-    for g in graphs:
-        assert g._masks is None
-        assert g.masks == tuple(sum(1 << j for j in nb) for nb in g.adj)
-        assert g.masks is g.masks
-        for v in g.labels:
-            assert g.masks[g.index[v]] == g.mask_of(g.neighbors(v))
-
-
 def test_labels_of_matches_a_walk_over_all_labels():
     g = random_tree(Lcg64(3), 9).graph
     for mask in range(1 << g.n):

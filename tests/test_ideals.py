@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -162,8 +163,9 @@ def test_oni_isolated_vertex_unit():
 
 
 def test_oni_matches_scan_over_every_kept_generator():
-    # bucketing the kept masks by their lowest bit keeps the generators and
-    # their order; graphs with isolated vertices give the unit ideal
+    # bucketing the kept neighbor lists by their lowest vertex keeps the
+    # generators and their order; graphs with isolated vertices give the
+    # unit ideal
     graphs = [t.graph for t in trees_up_to(9)]
     rng = random.Random(17)
     for _ in range(300):
@@ -178,6 +180,22 @@ def test_oni_matches_scan_over_every_kept_generator():
             want = open_neighborhood_ideal_by_scan(g, s)
             assert (got.variables, got.gens) == (want.variables, want.gens)
     assert any(open_neighborhood_ideal(g).is_unit for g in graphs)
+
+
+@pytest.mark.parametrize("tree", [
+    lambda: path_graph(29999), lambda: random_tree(Lcg64(1), 30000),
+], ids=["path", "prufer"])
+def test_oni_allocates_no_neighbor_masks(tree):
+    # N(G) is minimalized on the neighbor lists: one n-bit mask per vertex
+    # would take about 60 MB here on its own
+    g = tree().graph
+    tracemalloc.start()
+    try:
+        ideal = open_neighborhood_ideal(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ideal.gens) > 0 and peak < 32 * 2**20
 
 
 def test_oni_paper_tree8(paper_tree8):
@@ -452,7 +470,7 @@ def test_grlex_key_matches_per_variable_exponents(trees8):
 
 
 # ---------------------------------------------------------------------------
-# the analyze path: N(G) from neighborhood masks, one TD family per request
+# the analyze path: N(G) from neighbor lists, one TD family per request
 # ---------------------------------------------------------------------------
 
 def _random_graphs(seed: int, count: int) -> list[Graph]:

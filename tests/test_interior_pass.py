@@ -56,12 +56,11 @@ def assert_matches_oracle(t: Tree) -> None:
     assert interiors_key(facts.interiors) == interiors_key(interiors_by_forests(t))
     assert facts.balanced == balanced_by_criteria(t)
     assert facts.heights.as_dict() == heights(t).as_dict()
-    if facts.balanced:
-        assert facts.check == check_component_by_tree(t, "self")
+    assert facts._layer.checks() == (check_component_by_tree(t, "self"),)
     # the side and component objects built later carry the same facts
     for side in facts.sides:
-        for comp, check in zip(side.components, side.component_checks):
-            assert comp.check is check
+        for comp, check in zip(side.components, side._layer.checks()):
+            assert comp._layer.checks() == (check,)
             assert comp.heights.as_dict() == heights(comp.forest).as_dict()
 
 
@@ -202,7 +201,8 @@ def _assert_verdicts_match_checks(t: Tree) -> None:
     facts = Analysis(t)
     if facts.balanced:
         char = facts.characterization
-        assert char.unmixed == char.checks[0].ok and char.checks == (facts.check,)
+        assert char.unmixed == char.checks[0].ok
+        assert char.checks == (check_component_by_tree(t, "self"),)
 
 
 def test_verdict_matches_checks_on_small_trees(trees10):
