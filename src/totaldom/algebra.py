@@ -43,7 +43,6 @@ class ArtinianReduction:
     first read.
     """
 
-    height: int
     rows: tuple[VertexSet, ...]
     masks: tuple[int, ...]
 
@@ -83,9 +82,8 @@ def artinian_reduction(t: Tree | Analysis) -> ArtinianReduction:
     facts = Analysis.of(t)
     rows = facts.support_rows
     hmap = facts.heights
-    h = hmap.graph_height()
-    if h <= 1:
-        return ArtinianReduction(height=h, rows=(hmap.level(0),), masks=())
+    if hmap.graph_height() <= 1:
+        return ArtinianReduction(rows=(hmap.level(0),), masks=())
     g = facts.forest.graph
     index = g.index
     row_of = {}
@@ -98,7 +96,7 @@ def artinian_reduction(t: Tree | Analysis) -> ArtinianReduction:
         for j in g.adj[index[r]]:
             m |= row_of[j]
         masks.append(m)
-    return ArtinianReduction(height=3, rows=rows, masks=tuple(masks))
+    return ArtinianReduction(rows=rows, masks=tuple(masks))
 
 
 # ---------------------------------------------------------------------------

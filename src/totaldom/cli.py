@@ -34,7 +34,7 @@ from .algebra import cm_type, parametric_decomposition
 from .complexes import stable_shelling
 from .construct import deconstruct, generate
 from .domination import minimal_td_sets
-from .errors import EnumerationCapExceeded, InputError, TotaldomError
+from .errors import EnumerationCapExceeded, InputError, TheoremViolation, TotaldomError
 from .graphs import (
     Forest,
     Graph,
@@ -174,7 +174,7 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
         cert_dict = cert.to_json_dict()
         if family is not None:
             if family.is_unmixed() != cert.unmixed:
-                raise TotaldomError(
+                raise TheoremViolation(
                     "characterization disagrees with enumeration; this is a bug"
                 )
             # the family agrees, so a mixed tree's family has two sizes

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import InputError, MixedTreeError, TheoremViolation
 from .graphs import (
@@ -194,26 +195,25 @@ def _branch(nbrs, r: int, x: int) -> dict[int, int]:
     return depth
 
 
-def _peel(core: Tree):
-    """Peel whiskers off a leaf-normalized tree down to the base path.
+def _peel(g: Graph, height: list[int], alive: list[bool]):
+    """Peel whiskers off the tree of ``g``'s live vertices down to the base
+    path.
 
-    Returns the rounds (attach, kind, chain) in peel order, the chain listing
-    the removed vertices from the attachment point outward, and the tree that
-    remains. Works on one mutable adjacency with heights computed once. Each
-    round checks that they stay exact: the chain follows its whisker's
-    height pattern, and the attachment point keeps two neighbors, one of them
-    a level below it, so no leaf appears and the chain's leaf was never the
-    nearest one.
+    ``alive`` flags the live vertices and ``height`` gives each vertex its
+    height in their tree; the vertices peeled are cleared in ``alive``.
+    Returns the rounds (attach, kind, chain) in peel order, as indices, the
+    chain listing the removed vertices from the attachment point outward,
+    and the base path's indices in path order from its smaller end. Works
+    on one mutable adjacency with the heights given. Each round checks that
+    they stay exact: the chain follows its whisker's height pattern, and the
+    attachment point keeps two neighbors, one of them a level below it, so
+    no leaf appears and the chain's leaf was never the nearest one.
     """
-    g = core.graph
     lab = g.labels
-    hmap = heights(core)
-    height = [hmap[v] for v in lab]
-    nbrs = [set(nb) for nb in g.adj]
-    alive = [True] * g.n
+    nbrs = [{j for j in nb if alive[j]} for nb in g.adj]
     # per vertex: neighbors at height 3, and neighbors one level below it
-    up3 = [sum(1 for j in nb if height[j] == 3) for nb in g.adj]
-    down = [sum(1 for j in nb if height[j] == height[i] - 1) for i, nb in enumerate(g.adj)]
+    up3 = [sum(1 for j in nb if height[j] == 3) for nb in nbrs]
+    down = [sum(1 for j in nb if height[j] == height[i] - 1) for i, nb in enumerate(nbrs)]
     n3 = height.count(3)
     # heap of height-2 vertices with a unique height-3 neighbor; indices
     # follow label order, and entries gone stale are dropped from the top
@@ -234,12 +234,15 @@ def _peel(core: Tree):
             u_other = next(w for w in nbrs[r] if w != u)
             attach, kind, cut = u_other, KIND_WHISKER4, _branch(nbrs, u_other, r)
         else:
-            rest = Tree(g.induced(lab[i] for i in range(g.n) if alive[i]))
-            if not is_isomorphic(rest, base_tree()):
+            live = list(compress(range(g.n), alive))
+            if not is_isomorphic(Tree(g.induced(lab[i] for i in live)), base_tree()):
                 raise TheoremViolation(
                     "terminal deconstruction case reached away from the base path"
                 )
-            return peeled, rest
+            path = [next(i for i in live if len(nbrs[i]) == 1)]
+            while len(path) < len(live):
+                path.append(next(j for j in nbrs[path[-1]] if j not in path))
+            return peeled, path
         want = len(_WHISKER_HEIGHTS[kind])
         if len(cut) != want:
             raise TheoremViolation(
@@ -267,64 +270,53 @@ def _peel(core: Tree):
                         heapq.heappush(cands, w)
                 if height[v] == height[w] - 1:
                     down[w] -= 1
-        peeled.append((lab[attach], kind, tuple(lab[v] for v in chain)))
+        peeled.append((attach, kind, chain))
 
 
 def deconstruct(t: Tree) -> ConstructionTrace:
     """Peel an unmixed balanced height-3 tree back to the base path.
 
-    Each round picks the smallest-label height-2 vertex u with a unique
-    height-3 neighbor r (such a u must exist); if deg(r) > 2 the branch
-    beyond u is a 3-vertex whisker recorded at r, otherwise (with more than
-    one height-3 vertex) the branch beyond r's other neighbor u' is a
-    4-vertex whisker recorded at u'. Extra leaves removed up front are
-    recorded as height-1 steps at the end of the trace. Replaying the trace
-    yields a tree isomorphic to the input.
+    Each support keeps its smallest leaf and its other leaves are set aside
+    up front, which changes no height; they are recorded as height-1 steps
+    at the end of the trace. Each round then picks the smallest-label
+    height-2 vertex u with a unique height-3 neighbor r (such a u must
+    exist); if deg(r) > 2 the branch beyond u is a 3-vertex whisker recorded
+    at r, otherwise (with more than one height-3 vertex) the branch beyond
+    r's other neighbor u' is a 4-vertex whisker recorded at u'. Replaying
+    the trace yields a tree isomorphic to the input.
     """
     facts = Analysis(t)
     if not characterize_balanced_unmixed(facts).unmixed:
         raise MixedTreeError("deconstruction requires an unmixed balanced tree")
-    if facts.heights.graph_height() != 3:
+    hmap = facts.heights
+    if hmap.graph_height() != 3:
         raise InputError("deconstruction requires height exactly 3")
 
-    core, extra_leaves = leaf_normalize(t)
-    peeled, base = _peel(core)  # (attach, kind, chain) in peel order
+    g = t.graph
+    height = list(map(hmap.__getitem__, g.labels))
+    alive = [True] * g.n
+    spare = []  # the support of each leaf set aside, in label order
+    for s, nb in enumerate(g.adj):
+        if height[s] == 1:
+            leaves = [j for j in nb if height[j] == 0]
+            for j in leaves[1:]:
+                alive[j] = False
+                spare.append(s)
+    peeled, base = _peel(g, height, alive)
 
-    # translate original labels into the replay namespace: base path becomes
-    # "0".."6" (orientation with the lexicographically smaller label tuple),
-    # re-attached chains take "w1", "w2", ... in replay order
-    base_order = _path_order(base)
-    if tuple(reversed(base_order)) < base_order:
-        base_order = tuple(reversed(base_order))
-    rename = {orig: str(i) for i, orig in enumerate(base_order)}
+    # translate into the replay namespace: the base path becomes "0".."6"
+    # from its smaller end, re-attached chains take "w1", "w2", ... in
+    # replay order
+    rename = {v: str(k) for k, v in enumerate(base)}
     counter = 0
     steps: list[TraceStep] = []
     for attach, kind, chain in reversed(peeled):
         steps.append(TraceStep(attach=rename[attach], kind=kind))
-        for orig in chain:
+        for v in chain:
             counter += 1
-            rename[orig] = f"w{counter}"
-    for s in sorted(extra_leaves):
-        steps.extend(
-            TraceStep(attach=rename[s], kind=KIND_LEAF)
-            for _ in range(extra_leaves[s])
-        )
+            rename[v] = f"w{counter}"
+    steps.extend(TraceStep(attach=rename[s], kind=KIND_LEAF) for s in spare)
     return ConstructionTrace(steps=tuple(steps))
-
-
-def _path_order(t: Tree) -> tuple[str, ...]:
-    """Vertex labels of a path graph in path order."""
-    g = t.graph
-    ends = [v for v in g.labels if g.degree(v) == 1]
-    start = min(ends)
-    order = [start]
-    prev = None
-    cur = start
-    while len(order) < g.n:
-        nxt = next(w for w in g.neighbors(cur) if w != prev)
-        order.append(nxt)
-        prev, cur = cur, nxt
-    return tuple(order)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ from totaldom.construct import (
     KIND_WHISKER4,
     ConstructionTrace,
     TraceStep,
-    _path_order,
     apply_o,
     base_tree,
     leaf_normalize,
@@ -916,6 +915,21 @@ def _peel_by_rebuild(current):
     chain = tuple(sorted(cut, key=lambda v: dist[v]))
     keep = [v for v in g.labels if v not in set(cut)]
     return attach, kind, chain, Tree(g.induced(keep))
+
+
+def _path_order(t):
+    """Vertex labels of a path graph in path order, from its smaller end."""
+    g = t.graph
+    ends = [v for v in g.labels if g.degree(v) == 1]
+    start = min(ends)
+    order = [start]
+    prev = None
+    cur = start
+    while len(order) < g.n:
+        nxt = next(w for w in g.neighbors(cur) if w != prev)
+        order.append(nxt)
+        prev, cur = cur, nxt
+    return tuple(order)
 
 
 def deconstruct_by_rebuilds(t):

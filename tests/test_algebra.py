@@ -72,7 +72,7 @@ def example_tb_forest() -> Forest:
 
 def test_reduction_paper_tree():
     red = artinian_reduction(paper_labeled_tree())
-    assert red.height == 3
+    assert len(red.masks) == 2  # one per height-3 vertex
     assert red.ideal == PAPER_J
     assert red.pure_powers == parse_ideal("u1^4, u2^2, u3^3", U123)
     sub = red.substitution_map()
@@ -81,20 +81,20 @@ def test_reduction_paper_tree():
 
 def test_reduction_p6():
     red = artinian_reduction(path_graph(6))
-    assert red.height == 3
+    assert len(red.masks) == 1  # one per height-3 vertex
     assert red.ideal == parse_ideal("2^2, 4^2, 2*4", ("2", "4"))
 
 
 def test_reduction_star():
     red = artinian_reduction(star_graph(3))
-    assert red.height == 1
+    assert (len(red.rows), red.masks) == (1, ())  # the leaves as one row
     assert red.ideal.render() == "l1^3"
     assert set(red.substitution_map()) == {"l1", "l2", "l3"}
 
 
 def test_reduction_single_vertex():
     red = artinian_reduction(path_graph(0))
-    assert red.height == 0
+    assert (len(red.rows), red.masks) == (1, ())
     assert red.ideal.render() == "0"  # the only vertex is labeled "0"
     assert socle_dimension(red) == 1
 
@@ -170,10 +170,10 @@ def test_socle_principal_power():
 def test_socle_box_cap():
     # the corner count does not walk the box; the box oracle refuses it
     rows = tuple(tuple(f"{x}{i:04d}" for i in range(4000)) for x in "xy")
-    big = ArtinianReduction(height=3, rows=rows, masks=())
+    big = ArtinianReduction(rows=rows, masks=())
     assert big.ideal == parse_ideal("x0000^4000, y0000^4000", ("x0000", "y0000"))
     assert socle_dimension(big) == 1
-    assert socle_dimension(ArtinianReduction(height=3, rows=rows, masks=(0b11,))) == 2
+    assert socle_dimension(ArtinianReduction(rows=rows, masks=(0b11,))) == 2
     with pytest.raises(EnumerationCapExceeded):
         socle_by_box(big.ideal)
 
@@ -224,7 +224,7 @@ def test_socle_corners_match_the_box_on_random_artinian_ideals(case):
     # bits would be the unit monomial, which leaves no pure power
     lengths, masks = case
     rows = tuple(tuple(f"x{i}_{k}" for k in range(n)) for i, n in enumerate(lengths))
-    red = ArtinianReduction(height=3, rows=rows, masks=tuple(masks))
+    red = ArtinianReduction(rows=rows, masks=tuple(masks))
     assert socle_dimension(red) == socle_by_exponent_corners(red) == socle_by_box(red.ideal)
 
 

@@ -20,8 +20,10 @@ import totaldom.domination as domination
 import totaldom.graphs as graphs
 from totaldom.cli import build_parser, main
 from totaldom.construct import generate, replay
+from totaldom.errors import TheoremViolation
 from totaldom.graphs import Graph, canonical_form, parse_graph, path_graph, render_edge_list
 from totaldom.treegen import Lcg64, random_tree
+from totaldom.unmixed import UnmixedCertificate
 
 P6_TEXT = "0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n"
 P4_TEXT = "l1 s1\ns1 u\nu s2\ns2 l2\n"
@@ -304,6 +306,23 @@ def test_analyze_one_vertex_tree_has_no_shelling_or_type():
     for key in ("shelling", "type"):
         assert report[key]["applicable"] is False
         assert "one-vertex tree" in report[key]["reason"]
+
+
+def test_analyze_self_check_raises_theorem_violation(capsys, monkeypatch, p6_file):
+    # a certificate that disagrees with the enumerated family is a bug
+    fast = cli.is_unmixed_fast
+
+    def flipped(facts):
+        cert = fast(facts)
+        return UnmixedCertificate(not cert.unmixed, cert.checks)
+
+    monkeypatch.setattr(cli, "is_unmixed_fast", flipped)
+    message = "characterization disagrees with enumeration; this is a bug"
+    with pytest.raises(TheoremViolation, match=message):
+        cli._analyze_report(path_graph(6).graph, None, True, False)
+    assert main(["analyze", p6_file, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("g, cap", [

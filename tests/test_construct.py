@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     component_labels,
@@ -9,6 +11,7 @@ from oracles import (
     replay_by_apply_o,
     trace_from_json,
 )
+from totaldom import construct
 from totaldom.construct import (
     KIND_LEAF,
     ConstructionTrace,
@@ -26,6 +29,7 @@ from totaldom.construct import (
 from totaldom.domination import is_unmixed_bruteforce
 from totaldom.errors import InputError, MixedTreeError, TheoremViolation
 from totaldom.graphs import (
+    Graph,
     Tree,
     canonical_form,
     classify_vertices,
@@ -315,19 +319,24 @@ def test_replay_errors_match_apply_o_loop():
         assert str(got.value) == str(want.value)
 
 
+def _shuffled_with_extra_leaves(t, rng, extra):
+    """``t`` with its labels shuffled and ``extra`` leaves at random
+    supports."""
+    labels = list(t.graph.labels)
+    order = sorted(labels, key=lambda _: rng.next_u32())
+    rename = {v: f"x{rng.randrange(1000)}_{w}" for v, w in zip(labels, order)}
+    edges = [(rename[a], rename[b]) for a, b in t.graph.edges()]
+    supports = [rename[v] for v in classify_vertices(t).supports]
+    edges += [(supports[rng.randrange(len(supports))], f"e{k}") for k in range(extra)]
+    return Tree.from_edges(edges)
+
+
 def test_deconstruct_matches_rebuild_peeling(grid):
     rng = Lcg64(17)
     for seed, steps, t, _ in grid:
         assert deconstruct(t).to_json() == deconstruct_by_rebuilds(t).to_json()
         if steps == 30 and seed % 4 == 0:
-            # shuffled labels and extra leaves at random supports
-            labels = list(t.graph.labels)
-            order = sorted(labels, key=lambda _: rng.next_u32())
-            rename = {v: f"x{rng.randrange(1000)}_{w}" for v, w in zip(labels, order)}
-            edges = [(rename[a], rename[b]) for a, b in t.graph.edges()]
-            supports = [rename[v] for v in classify_vertices(t).supports]
-            edges += [(supports[rng.randrange(len(supports))], f"e{k}") for k in range(3)]
-            other = Tree.from_edges(edges)
+            other = _shuffled_with_extra_leaves(t, rng, 3)
             assert deconstruct(other).to_json() == deconstruct_by_rebuilds(other).to_json()
 
 
@@ -362,5 +371,44 @@ def test_peel_checks_that_heights_stay_exact():
         + [("r", c) for c in ("a", "b", "x0", "y0")]
     )
     for t, attach in ((p8, "'4'"), (spider, "'r'")):
+        g, hmap = t.graph, heights(t)
         with pytest.raises(TheoremViolation, match=f"whisker peeled at {attach} would change"):
-            _peel(t)
+            _peel(g, [hmap[v] for v in g.labels], [True] * g.n)
+
+
+def test_deconstruct_reads_its_analysis_heights_and_induces_once(monkeypatch):
+    # the heights come from the height-3 check, extra leaves are set aside
+    # in place, and the one induced graph is the base path's isomorphism check
+    t = generate(5, 40)[0]
+
+    def refuse(*args):
+        raise AssertionError("deconstruct recomputed a fact of the tree")
+
+    monkeypatch.setattr(construct, "heights", refuse)
+    monkeypatch.setattr(construct, "leaf_normalize", refuse)
+    induced = Graph.induced
+    calls = []
+
+    def counted(self, labels):
+        calls.append(self.n)
+        return induced(self, labels)
+
+    monkeypatch.setattr(Graph, "induced", counted)
+    assert len(deconstruct(t)) == 40
+    assert calls == [t.graph.n]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 60))
+def test_generated_trees_replay_and_deconstruct(seed, steps):
+    t, trace = generate(seed, steps)
+    again = replay(trace).graph
+    assert (again.labels, again.adj) == (t.graph.labels, t.graph.adj)
+    peeled = deconstruct(t)
+    assert len(peeled) == steps
+    assert is_isomorphic(replay(peeled), t)
+    # deconstruct(replay(peeled)) may differ from peeled: replay relabels
+    # and tie-breaks follow labels, so peelings of one tree are compared
+    rng = Lcg64(seed)
+    other = _shuffled_with_extra_leaves(t, rng, rng.randrange(4))
+    assert deconstruct(other).to_json() == deconstruct_by_rebuilds(other).to_json()
