@@ -211,13 +211,25 @@ def _peel(g: Graph, height: list[int], alive: list[bool]):
     """
     lab = g.labels
     nbrs = [{j for j in nb if alive[j]} for nb in g.adj]
-    # per vertex: neighbors at height 3, and neighbors one level below it
-    up3 = [sum(1 for j in nb if height[j] == 3) for nb in nbrs]
-    down = [sum(1 for j in nb if height[j] == height[i] - 1) for i, nb in enumerate(nbrs)]
+    # neighbors at height 3, counted at height 2 (the candidates), and
+    # neighbors one level below, counted at heights 2 and 3 (the attachment
+    # points); no other vertex reads them
+    up3 = [0] * g.n
+    down = [0] * g.n
+    for i, h in enumerate(height):
+        if h == 2:
+            for j in nbrs[i]:
+                hj = height[j]
+                if hj == 3:
+                    up3[i] += 1
+                elif hj == 1:
+                    down[i] += 1
+        elif h == 3:
+            down[i] = sum(1 for j in nbrs[i] if height[j] == 2)
     n3 = height.count(3)
     # heap of height-2 vertices with a unique height-3 neighbor; indices
     # follow label order, and entries gone stale are dropped from the top
-    cands = [i for i in range(g.n) if height[i] == 2 and up3[i] == 1]
+    cands = [i for i, c in enumerate(up3) if c == 1]
     peeled = []
     while True:
         while cands and not (alive[cands[0]] and up3[cands[0]] == 1):
@@ -260,15 +272,20 @@ def _peel(g: Graph, height: list[int], alive: list[bool]):
             )
         for v in chain:
             alive[v] = False
-            if height[v] == 3:
+            hv = height[v]
+            if hv == 3:
                 n3 -= 1
             for w in nbrs[v]:
                 nbrs[w].discard(v)
-                if height[v] == 3:
-                    up3[w] -= 1
-                    if up3[w] == 1 and height[w] == 2:
-                        heapq.heappush(cands, w)
-                if height[v] == height[w] - 1:
+                hw = height[w]
+                if hw == 2:
+                    if hv == 3:
+                        up3[w] -= 1
+                        if up3[w] == 1:
+                            heapq.heappush(cands, w)
+                    elif hv == 1:
+                        down[w] -= 1
+                elif hw == 3 and hv == 2:
                     down[w] -= 1
         peeled.append((attach, kind, chain))
 

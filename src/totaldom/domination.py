@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import EnumerationCapExceeded, TheoremViolation
-from .graphs import Graph, Ground, VertexSet, _bit_indices, _graph_of, vset
+from .graphs import Graph, Ground, VertexSet, _bit_indices, _graph_of
 
 
 # ---------------------------------------------------------------------------
@@ -269,18 +269,38 @@ class MinimalSetFamily:
 def minimal_s_td_sets(g, s, cap: int | None = None) -> MinimalSetFamily:
     """All minimal S-TD-sets, each re-verified against the definitions.
 
-    The recheck of a transversal D (``_is_minimal_s_td``) is one pass over
-    the bits of D: N(D) and the vertices with exactly one neighbor in D
-    come from |D| neighbor masks, S inside N(D) is one AND, and each v in D
-    needs a neighbor among those vertices inside S. The first set in mask
-    order that fails raises TheoremViolation.
+    ``s`` is any iterable of labels of ``g``; an unknown label raises
+    KeyError. The recheck of a transversal D (``_is_minimal_s_td``) is one
+    pass over the bits of D: N(D) and the vertices with exactly one neighbor
+    in D come from |D| neighbor masks, S inside N(D) is one AND, and each v
+    in D needs a neighbor among those vertices inside S. The first set in
+    mask order that fails raises TheoremViolation.
     """
     g = _graph_of(g)
-    target = vset(s)
+    index = g.index
+    return _minimal_s_td_family(g, sorted({index[v] for v in s}), cap)
+
+
+def minimal_td_sets(g, cap: int | None = None) -> MinimalSetFamily:
+    g = _graph_of(g)
+    return _minimal_s_td_family(g, range(g.n), cap)
+
+
+def _minimal_s_td_family(g: Graph, target, cap: int | None) -> MinimalSetFamily:
+    """``minimal_s_td_sets`` for the sorted, distinct vertex indices
+    ``target``."""
     # N(v) as a bitmask per vertex: O(n^2) bits, so built here, not kept
-    masks = [sum(1 << j for j in nb) for nb in g.adj]
-    edges = [masks[g.index[v]] for v in target]
-    smask = g.mask_of(target)
+    masks = []
+    for nb in g.adj:
+        m = 0
+        for j in nb:
+            m |= 1 << j
+        masks.append(m)
+    edges = []
+    smask = 0
+    for i in target:
+        edges.append(masks[i])
+        smask |= 1 << i
     found = minimal_transversal_masks(edges, cap=cap)
     for m in found:
         if not _is_minimal_s_td(masks, m, smask):
@@ -288,11 +308,6 @@ def minimal_s_td_sets(g, s, cap: int | None = None) -> MinimalSetFamily:
                 f"transversal {g.labels_of(m)} is not a verified minimal S-TD-set"
             )
     return MinimalSetFamily(graph=g, masks=tuple(found))
-
-
-def minimal_td_sets(g, cap: int | None = None) -> MinimalSetFamily:
-    g = _graph_of(g)
-    return minimal_s_td_sets(g, g.labels, cap=cap)
 
 
 def is_unmixed_bruteforce(g) -> bool:

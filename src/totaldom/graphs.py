@@ -137,7 +137,7 @@ class Graph(Ground):
     # -- structure --------------------------------------------------------
 
     def num_edges(self) -> int:
-        return sum(len(nb) for nb in self.adj) // 2
+        return sum(map(len, self.adj)) // 2
 
     def induced(self, labels) -> Graph:
         """Induced subgraph, built from the kept vertices' own adjacency.

@@ -93,28 +93,43 @@ def trees_up_to(n: int):
 
 
 def random_tree(rng: Lcg64, n: int) -> Tree:
-    """Uniform random labeled tree on n vertices via a Prufer sequence."""
+    """Uniform random labeled tree on n vertices via a Prufer sequence.
+
+    The sequence is decoded straight into index adjacency, always removing
+    the smallest current leaf, in one forward scan for the next leaf. The
+    labels of ``_tree_labels`` are in index order and the decoded graph is a
+    tree, so the graph is built as ``Graph.induced`` builds its result, with
+    no label sort, index lookups or cycle check.
+    """
     if n < 1:
         raise ValueError("need at least one vertex")
-    labels = _tree_labels(n)
-    if n == 1:
-        return Tree(Graph(labels, []))
-    prufer = [rng.randrange(n) for _ in range(n - 2)]
-    degree = [1] * n
-    for p in prufer:
-        degree[p] += 1
-    edges = []
-    leaf_heap = sorted(i for i in range(n) if degree[i] == 1)
-    import heapq
-
-    heapq.heapify(leaf_heap)
-    for p in prufer:
-        leaf = heapq.heappop(leaf_heap)
-        edges.append((labels[leaf], labels[p]))
-        degree[p] -= 1
-        if degree[p] == 1:
-            heapq.heappush(leaf_heap, p)
-    u = heapq.heappop(leaf_heap)
-    v = heapq.heappop(leaf_heap)
-    edges.append((labels[u], labels[v]))
-    return Tree.from_edges(edges)
+    labels = tuple(_tree_labels(n))
+    # one int object per index, shared by the neighbor lists and the index
+    # dict as in a parsed graph; a fresh int per entry would take 32 bytes
+    vertex = list(range(n))
+    nbrs = [[] for _ in labels]
+    if n > 1:
+        prufer = [vertex[rng.randrange(n)] for _ in range(n - 2)]
+        degree = [1] * n
+        for p in prufer:
+            degree[p] += 1
+        scan = degree.index(1)
+        leaf = vertex[scan]
+        for p in prufer:
+            nbrs[leaf].append(p)
+            nbrs[p].append(leaf)
+            degree[p] -= 1
+            if degree[p] == 1 and p < scan:
+                leaf = p
+            else:
+                scan += 1
+                while degree[scan] != 1:
+                    scan += 1
+                leaf = vertex[scan]
+        nbrs[leaf].append(vertex[-1])
+        nbrs[-1].append(leaf)
+    for nb in nbrs:
+        nb.sort()
+    g = Graph.__new__(Graph)
+    g._set(labels, dict(zip(labels, vertex)), tuple([tuple(nb) for nb in nbrs]))
+    return Tree.with_components(g, [vertex])

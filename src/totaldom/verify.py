@@ -30,6 +30,7 @@ from .graphs import (
     Tree,
     canonical_form,
     heights,
+    leaf_distances,
     path_graph,
     star_graph,
 )
@@ -74,11 +75,11 @@ def balanced_corpus(seed: int, count: int, max_steps: int = 15, facet_cap: int =
         steps = attempt % (max_steps + 1)
         t, trace = generate(seed + attempt, steps)
         attempt += 1
-        hmap = heights(t)
-        g = t.graph
+        adj = t.graph.adj
         facets = 1
-        for s in hmap.level(1):
-            facets *= len(g.neighbors(s))
+        for s, h in enumerate(leaf_distances(adj, range(len(adj)))):
+            if h == 1:
+                facets *= len(adj[s])
         if facets > facet_cap:
             continue
         out.append((t, trace))
@@ -131,6 +132,21 @@ def _spider(k: int) -> Tree:
     return Tree.from_edges(edges)
 
 
+def _leaves_at_distance_4(adj) -> bool:
+    """Whether two leaves of the tree with neighbor lists ``adj`` lie at
+    distance 4: the fourth ring of a breadth-first walk from some leaf holds
+    a leaf."""
+    for a, nb in enumerate(adj):
+        if len(nb) != 1:
+            continue
+        prev, ring = [a], [a]
+        for _ in range(4):
+            prev, ring = ring, [j for i in ring for j in adj[i] if j not in prev]
+        if any(len(adj[b]) == 1 for b in ring):
+            return True
+    return False
+
+
 def mixedness_samples(seed: int, per_family: int = 25):
     """Balanced trees falling under the three mixedness theorems.
 
@@ -148,25 +164,17 @@ def mixedness_samples(seed: int, per_family: int = 25):
         height2.append(t)
     while len(height4) < per_family:
         if rng.randrange(2):
-            t = Tree(path_graph(8 + 2 * rng.randrange(3)).graph)
+            t = path_graph(8 + 2 * rng.randrange(3))
         else:
             base = random_tree(rng, 5 + rng.randrange(6))
             t = Tree(edge_subdivision(Tree(edge_subdivision(base))))
-        if heights(t).graph_height() >= 4:
+        adj = t.graph.adj
+        if max(leaf_distances(adj, range(len(adj)))) >= 4:
             height4.append(t)
     while len(dist4) < per_family:
         base = random_tree(rng, 4 + rng.randrange(7))
         t = Tree(edge_subdivision(base))
-        hmap = heights(t)
-        leaves = hmap.level(0)
-        g = t.graph
-        found = False
-        for a in leaves:
-            dist = g.distances_from(a)
-            if any(b != a and dist.get(b) == 4 for b in leaves):
-                found = True
-                break
-        if found:
+        if _leaves_at_distance_4(t.graph.adj):
             dist4.append(t)
     return [("distance-4-leaves", t) for t in dist4] + [
         ("height-2", t) for t in height2

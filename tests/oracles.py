@@ -25,15 +25,18 @@ generator, the interior-graph test through a Tree per component), of the
 transversal engine (a Berge round that minimalizes every candidate against
 every other), of the Stanley-Reisner sweep (faces tested as label sets), of
 the socle count (a walk over the exponent box, and corners split as
-exponent vectors rather than row sets) and of the re-expansion of
+exponent vectors rather than row sets), of the re-expansion of
 a decomposition (sums and intersections of ideals through lcms of exponent
-dicts, which the package no longer has) as references for differential
-tests.
+dicts, which the package no longer has) and of the seeded inputs of
+``verify`` (Prufer trees through ``Tree.from_edges``, sample corpora read
+through height maps and label-keyed distances) as references for
+differential tests.
 """
 
 from __future__ import annotations
 
 import json
+import heapq
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
@@ -57,6 +60,8 @@ from totaldom.construct import (
     TraceStep,
     apply_o,
     base_tree,
+    edge_subdivision,
+    generate,
     leaf_normalize,
 )
 from totaldom.domination import _minimalize_masks, minimal_transversals
@@ -81,11 +86,12 @@ from totaldom.graphs import (
     classify_vertices,
     heights,
     is_isomorphic,
+    path_graph,
     two_coloring,
     vset,
 )
 from totaldom.ideals import Monomial, MonomialIdeal
-from totaldom.treegen import Lcg64
+from totaldom.treegen import Lcg64, _tree_labels
 from totaldom.unmixed import (
     Analysis,
     ComponentCheck,
@@ -94,6 +100,7 @@ from totaldom.unmixed import (
     characterize_balanced_unmixed,
     is_balanced,
 )
+from totaldom.verify import _spider
 
 
 def neighbor_masks(g: Graph) -> list[int]:
@@ -1060,3 +1067,95 @@ def certificate_by_component_trees(t: Tree) -> UnmixedCertificate:
         for comp in forest.component_trees()
     )
     return UnmixedCertificate(unmixed=all(c.ok for c in checks), checks=checks)
+
+
+# The seeded inputs of ``verify``: Prufer trees through an edge list, and
+# the sample corpora read through height maps and label-keyed distances.
+
+def random_tree_by_edges(rng: Lcg64, n: int) -> Tree:
+    """``treegen.random_tree`` through a heap of leaves, an edge list and
+    ``Tree.from_edges``."""
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    labels = _tree_labels(n)
+    if n == 1:
+        return Tree(Graph(labels, []))
+    prufer = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for p in prufer:
+        degree[p] += 1
+    edges = []
+    leaf_heap = sorted(i for i in range(n) if degree[i] == 1)
+    heapq.heapify(leaf_heap)
+    for p in prufer:
+        leaf = heapq.heappop(leaf_heap)
+        edges.append((labels[leaf], labels[p]))
+        degree[p] -= 1
+        if degree[p] == 1:
+            heapq.heappush(leaf_heap, p)
+    u = heapq.heappop(leaf_heap)
+    v = heapq.heappop(leaf_heap)
+    edges.append((labels[u], labels[v]))
+    return Tree.from_edges(edges)
+
+
+def balanced_corpus_by_height_map(seed: int, count: int, max_steps: int = 15,
+                                  facet_cap: int = 240):
+    """``verify.balanced_corpus`` with the facet count read off a HeightMap's
+    level 1 and each support's label-level neighbors."""
+    out = []
+    attempt = 0
+    while len(out) < count:
+        steps = attempt % (max_steps + 1)
+        t, trace = generate(seed + attempt, steps)
+        attempt += 1
+        hmap = heights(t)
+        g = t.graph
+        facets = 1
+        for s in hmap.level(1):
+            facets *= len(g.neighbors(s))
+        if facets > facet_cap:
+            continue
+        out.append((t, trace))
+    return out
+
+
+def mixedness_samples_by_labels(seed: int, per_family: int = 25):
+    """``verify.mixedness_samples`` with paths re-validated as trees, heights
+    as HeightMaps and leaves at distance 4 found by a label-keyed
+    ``distances_from`` per leaf, drawing Prufer trees through
+    ``random_tree_by_edges``."""
+    rng = Lcg64(seed)
+    dist4, height2, height4 = [], [], []
+    while len(height2) < per_family:
+        t = _spider(2 + rng.randrange(7))
+        hmap = heights(t)
+        for _ in range(rng.randrange(3)):
+            supports = hmap.level(1)
+            t = apply_o(t, supports[rng.randrange(len(supports))])
+        height2.append(t)
+    while len(height4) < per_family:
+        if rng.randrange(2):
+            t = Tree(path_graph(8 + 2 * rng.randrange(3)).graph)
+        else:
+            base = random_tree_by_edges(rng, 5 + rng.randrange(6))
+            t = Tree(edge_subdivision(Tree(edge_subdivision(base))))
+        if heights(t).graph_height() >= 4:
+            height4.append(t)
+    while len(dist4) < per_family:
+        base = random_tree_by_edges(rng, 4 + rng.randrange(7))
+        t = Tree(edge_subdivision(base))
+        hmap = heights(t)
+        leaves = hmap.level(0)
+        g = t.graph
+        found = False
+        for a in leaves:
+            dist = g.distances_from(a)
+            if any(b != a and dist.get(b) == 4 for b in leaves):
+                found = True
+                break
+        if found:
+            dist4.append(t)
+    return [("distance-4-leaves", t) for t in dist4] + [
+        ("height-2", t) for t in height2
+    ] + [("height>=4", t) for t in height4]

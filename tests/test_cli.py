@@ -74,15 +74,16 @@ def test_analyze_p4_mixed(capsys, p4_file):
 
 
 def test_analyze_enumerates_td_sets_once_on_mixed_trees(capsys, p4_file, monkeypatch):
-    # the witness comes from the family already enumerated for the report
+    # the witness comes from the family already enumerated for the report;
+    # every (S-)TD family is enumerated by the index-level core
     calls = []
-    original = domination.minimal_s_td_sets
+    original = domination._minimal_s_td_family
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(domination, "minimal_s_td_sets", counted)
+    monkeypatch.setattr(domination, "_minimal_s_td_family", counted)
     report = run_json(capsys, ["analyze", p4_file, "--json"])
     assert report["unmixed"]["witness"] == [["s1", "s2", "u"], ["l1", "l2", "s1", "s2"]]
     assert len(calls) == 1
@@ -185,14 +186,14 @@ def test_analyze_shares_one_analysis_on_unmixed_trees(capsys, tmp_path, monkeypa
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     full_targets = []
-    original_s = domination.minimal_s_td_sets
+    original_s = domination._minimal_s_td_family
 
-    def counted_s(g, s, *args, **kwargs):
-        if tuple(sorted(s)) == t.graph.labels:
-            full_targets.append(s)
-        return original_s(g, s, *args, **kwargs)
+    def counted_s(g, target, *args, **kwargs):
+        if tuple(g.labels[i] for i in target) == t.graph.labels:
+            full_targets.append(target)
+        return original_s(g, target, *args, **kwargs)
 
-    monkeypatch.setattr(domination, "minimal_s_td_sets", counted_s)
+    monkeypatch.setattr(domination, "_minimal_s_td_family", counted_s)
     report = run_json(capsys, ["analyze", str(path), "--json"])
     assert report["height"] == 3 and report["unmixed"]["unmixed"] is True
     assert report["shelling"]["verified"] is True and report["type"]["applicable"]

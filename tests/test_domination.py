@@ -23,7 +23,7 @@ from totaldom.domination import (
     minimal_transversals,
 )
 from totaldom.errors import EnumerationCapExceeded, TheoremViolation
-from totaldom.graphs import Graph, Tree, heights, path_graph, star_graph, two_coloring
+from totaldom.graphs import Graph, Tree, heights, path_graph, star_graph, two_coloring, vset
 from totaldom.treegen import Lcg64, random_tree, trees_up_to
 
 
@@ -225,6 +225,27 @@ def test_s_family_matches_subset_oracle(trees8):
         target = tuple(v for v in labs if rng.randrange(2))
         got = minimal_s_td_sets(t, target).sets
         assert got == minimal_td_sets_by_subsets(t.graph, target)
+
+
+def test_s_family_reads_any_label_iterable(trees8):
+    # a target is a set of labels, however it is given
+    rng = Lcg64(11)
+    for t in trees8:
+        labs = t.graph.labels
+        picked = [v for v in labs if rng.randrange(2)]
+        for target, labels in (
+            (picked[::-1], picked),
+            (picked + picked[:2], picked),
+            ((v for v in picked), picked),
+            ([], []),
+            (list(labs), labs),
+        ):
+            got = minimal_s_td_sets(t, target)
+            want = minimal_s_td_sets(t, vset(labels))
+            assert got.masks == want.masks and got.sets == want.sets
+        assert minimal_td_sets(t).masks == minimal_s_td_sets(t, labs[::-1]).masks
+        with pytest.raises(KeyError):
+            minimal_s_td_sets(t, [*picked, "not-a-vertex"])
 
 
 def test_neighborhood_hypergraph_witnesses(paper_p4):

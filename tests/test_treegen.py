@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from oracles import random_tree_by_edges
 from totaldom.graphs import canonical_form
 from totaldom.treegen import Lcg64, _parent_arrays, all_trees, random_tree
 
@@ -62,3 +63,18 @@ def test_random_trees_spread_over_classes():
     known = {canonical_form(t) for t in all_trees(7)}
     assert forms <= known
     assert len(forms) >= 8
+
+
+def test_random_tree_matches_edge_list_decode():
+    # the index-space decode gives the tree, the labels and the components of
+    # the edge-list route, and leaves the generator in the same state
+    for n in range(1, 65):
+        for seed in range(25):
+            a, b = Lcg64(seed * 1000 + n), Lcg64(seed * 1000 + n)
+            got, want = random_tree(a, n), random_tree_by_edges(b, n)
+            assert got.graph.labels == want.graph.labels
+            assert got.graph.index == want.graph.index
+            assert got.graph.adj == want.graph.adj
+            assert got.component_indices == want.component_indices
+            assert got.components() == want.components()
+            assert a.state == b.state
