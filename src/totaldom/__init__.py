@@ -65,7 +65,6 @@ from .graphs import (
     Coloring,
     Forest,
     Graph,
-    HeightMap,
     Tree,
     VertexSet,
     branch,

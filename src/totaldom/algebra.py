@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .domination import MinimalSetFamily, minimal_s_td_sets
+from .domination import MinimalSetFamily, _minimal_s_td_family
 from .errors import MixedTreeError, TheoremViolation
-from .graphs import Forest, HeightMap, Tree, VertexSet, _bit_indices, vset
+from .graphs import Forest, Tree, VertexSet, _bit_indices, vset
 from .ideals import (
     Monomial,
     MonomialIdeal,
@@ -34,7 +34,7 @@ from .unmixed import Analysis
 @dataclass(frozen=True)
 class ArtinianReduction:
     """Result of quotienting by the leaf-identification regular sequence,
-    held as exponent vectors.
+    held as label rows and row bitmasks.
 
     Each row collapses onto its first vertex, the row's variable, whose
     pure power is the row length; each height-3 vertex gives the
@@ -81,22 +81,26 @@ def artinian_reduction(t: Tree | Analysis) -> ArtinianReduction:
     the leaves collapse onto the first, as one row."""
     facts = Analysis.of(t)
     rows = facts.support_rows
-    hmap = facts.heights
-    if hmap.graph_height() <= 1:
-        return ArtinianReduction(rows=(hmap.level(0),), masks=())
+    height = facts.height
     g = facts.forest.graph
-    index = g.index
-    row_of = {}
-    for i, row in enumerate(rows):
+    labels = g.labels
+    if not rows:  # height 0 or 1
+        leaves = tuple([v for v, h in zip(labels, height) if h == 0])
+        return ArtinianReduction(rows=(leaves,), masks=())
+    row_of = [0] * g.n
+    for k, row in enumerate(rows):
         for w in row:
-            row_of[index[w]] = 1 << i
+            row_of[w] = 1 << k
     masks = []
-    for r in hmap.level(3):
-        m = 0
-        for j in g.adj[index[r]]:
-            m |= row_of[j]
-        masks.append(m)
-    return ArtinianReduction(rows=rows, masks=tuple(masks))
+    for r, h in enumerate(height):
+        if h == 3:
+            m = 0
+            for j in g.adj[r]:
+                m |= row_of[j]
+            masks.append(m)
+    return ArtinianReduction(
+        rows=tuple([tuple([labels[w] for w in row]) for row in rows]), masks=tuple(masks)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +182,8 @@ def minimal_v3_td_sets(f: Forest | Analysis, cap: int | None = None) -> MinimalS
     facts = Analysis.of(f)
     if facts.forest.graph.n and not facts.balanced:
         raise MixedTreeError("V3 domination targets are defined on balanced forests")
-    return minimal_s_td_sets(facts.forest, facts.heights.level(3), cap=cap)
+    v3 = [i for i, h in enumerate(facts.height) if h == 3]
+    return _minimal_s_td_family(facts.forest.graph, v3, cap)
 
 
 def parametric_decomposition(a: ArtinianReduction, t: Tree | Analysis) -> PrimeDecomposition:
@@ -203,10 +208,9 @@ def parametric_decomposition(a: ArtinianReduction, t: Tree | Analysis) -> PrimeD
 # Type report
 # ---------------------------------------------------------------------------
 
-def _component_depth(hmap: HeightMap) -> int:
-    h = hmap.graph_height()
-    n0 = len(hmap.level(0))
-    if h == 1:
+def _component_depth(height: list[int]) -> int:
+    n0 = height.count(0)
+    if max(height, default=0) == 1:
         return n0 - 1
     return n0
 
@@ -249,7 +253,7 @@ def _forest_side(side: Analysis):
         reduction = artinian_reduction(comp)
         reductions.append(reduction)
         socle *= socle_dimension(reduction)
-        depth += _component_depth(comp.heights)
+        depth += _component_depth(comp.height)
     return socle, depth, tuple(reductions)
 
 

@@ -107,11 +107,11 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
     # one analysis per request: each fact below is computed once and shared
     facts = Analysis(forest) if forest is not None else None
     if facts is not None:
-        hmap = facts.heights
+        height = facts.height
         cls = facts.classification
         col = facts.coloring
-        report["heights"] = {v: h for v, h in hmap.items()}
-        report["height"] = hmap.graph_height()
+        report["heights"] = dict(zip(g.labels, height))
+        report["height"] = max(height, default=0)
         report["balanced"] = is_balanced(facts)
         report["coloring"] = {"blue": list(col.blue), "red": list(col.red)}
         report["classification"] = {

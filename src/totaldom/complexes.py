@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .domination import minimal_s_td_sets, minimal_td_sets, minimal_transversal_masks
+from .domination import _minimal_s_td_family, minimal_td_sets, minimal_transversal_masks
 from .errors import MixedTreeError, NotBalancedError, NotSquareFreeError, TheoremViolation
 from .graphs import Forest, Graph, Ground, Tree, VertexSet, _graph_of, vset
 from .ideals import Monomial, MonomialIdeal
@@ -72,9 +72,14 @@ def _even_family(facts: Analysis, cap: int | None) -> tuple[int, tuple[int, ...]
     """The mask of the even-height vertices of a balanced forest over the
     indices of its graph, and its minimal odd-TD-sets as masks, which lie
     inside it."""
-    hmap = facts.heights
-    family = minimal_s_td_sets(facts.forest, hmap.odd(), cap=cap)
-    return facts.forest.graph.mask_of(hmap.even()), family.masks
+    even = 0
+    odd = []
+    for i, h in enumerate(facts.height):
+        if h & 1:
+            odd.append(i)
+        else:
+            even |= 1 << i
+    return even, _minimal_s_td_family(facts.forest.graph, odd, cap).masks
 
 
 def even_stable_complex(t: Forest | Analysis) -> SimplicialComplex:
@@ -159,7 +164,6 @@ def stanley_reisner_complex(i: MonomialIdeal) -> SimplicialComplex:
 class ShellingCheck:
     ok: bool
     pure: bool
-    reformulation_agrees: bool = True
     witness_count: int = 0
     failure_pair: tuple[int, int] | None = None
 
@@ -167,7 +171,7 @@ class ShellingCheck:
         return {
             "ok": self.ok,
             "pure": self.pure,
-            "reformulation_agrees": self.reformulation_agrees,
+            "reformulation_agrees": True,  # by the proof in verify_shelling
             "witness_count": self.witness_count,
             "failure_pair": list(self.failure_pair) if self.failure_pair else None,
         }
@@ -306,20 +310,19 @@ def _facet_vector_order(facts: Analysis, cap: int | None):
     Each facet is even ^ d for a minimal odd-TD-set d, which lies in the
     even vertices. Its facet vector (a_1..a_p) says where d meets the
     support rows of ``Analysis.support_rows`` (support i's height-2
-    partner, then its leaves in label order): at entry a_i of row i, found
+    partner, then its leaves in index order): at entry a_i of row i, found
     by one AND of d with the row's bits. d must meet every row once. At
     height 0 or 1 there are no support rows, so every vector is empty and
     the facets stay in label order.
     """
     rows = facts.support_rows
     g = facts.forest.graph
-    index = g.index
     row_masks = []
     entry: dict[int, int] = {}
     for row in rows:
         m = 0
         for a, v in enumerate(row, start=1):
-            bit = 1 << index[v]
+            bit = 1 << v
             entry[bit] = a
             m |= bit
         row_masks.append(m)

@@ -108,7 +108,7 @@ class _Growth:
     def __init__(self):
         base = base_tree()
         self.edges = list(base.graph.edges())
-        self.height = heights(base).as_dict()
+        self.height = heights(base)
         self.eligible = [v for v in base.graph.labels if self.height[v] in _KIND_BY_HEIGHT]
         self.fresh = 0
 
@@ -305,12 +305,11 @@ def deconstruct(t: Tree) -> ConstructionTrace:
     facts = Analysis(t)
     if not characterize_balanced_unmixed(facts).unmixed:
         raise MixedTreeError("deconstruction requires an unmixed balanced tree")
-    hmap = facts.heights
-    if hmap.graph_height() != 3:
+    height = facts.height
+    if max(height) != 3:
         raise InputError("deconstruction requires height exactly 3")
 
     g = t.graph
-    height = list(map(hmap.__getitem__, g.labels))
     alive = [True] * g.n
     spare = []  # the support of each leaf set aside, in label order
     for s, nb in enumerate(g.adj):

@@ -131,9 +131,6 @@ class Graph(Ground):
     def neighbors(self, v: str) -> VertexSet:
         return tuple(self.labels[j] for j in self.adj[self.index[v]])
 
-    def degree(self, v: str) -> int:
-        return len(self.adj[self.index[v]])
-
     # -- structure --------------------------------------------------------
 
     def num_edges(self) -> int:
@@ -323,39 +320,6 @@ def star_graph(k: int) -> Tree:
 # Heights
 # ---------------------------------------------------------------------------
 
-class HeightMap:
-    """Per-vertex distance to the nearest leaf of its component.
-
-    Isolated vertices get height 0 by convention.
-    """
-
-    __slots__ = ("_heights",)
-
-    def __init__(self, heights: dict[str, int]):
-        self._heights = dict(heights)
-
-    def __getitem__(self, v: str) -> int:
-        return self._heights[v]
-
-    def items(self):
-        return sorted(self._heights.items())
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._heights)
-
-    def level(self, k: int) -> VertexSet:
-        return vset(v for v, h in self._heights.items() if h == k)
-
-    def even(self) -> VertexSet:
-        return vset(v for v, h in self._heights.items() if h % 2 == 0)
-
-    def odd(self) -> VertexSet:
-        return vset(v for v, h in self._heights.items() if h % 2 == 1)
-
-    def graph_height(self) -> int:
-        return max(self._heights.values(), default=0)
-
-
 def leaf_distances(nbrs, kept) -> list[int]:
     """Per vertex index, the distance to the nearest leaf of its component,
     by multi-source BFS over the neighbor lists ``nbrs`` of the indices in
@@ -373,10 +337,11 @@ def leaf_distances(nbrs, kept) -> list[int]:
     return dist
 
 
-def heights(f: Forest) -> HeightMap:
-    """Multi-source BFS from all leaves; isolated vertices map to 0."""
+def heights(f: Forest) -> dict[str, int]:
+    """Each label's distance to the nearest leaf of its component, in label
+    order, by multi-source BFS from all leaves; isolated vertices map to 0."""
     g = f.graph
-    return HeightMap(dict(zip(g.labels, leaf_distances(g.adj, range(g.n)))))
+    return dict(zip(g.labels, leaf_distances(g.adj, range(g.n))))
 
 
 @dataclass(frozen=True)

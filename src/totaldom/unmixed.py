@@ -28,7 +28,6 @@ from .graphs import (
     Coloring,
     Forest,
     Graph,
-    HeightMap,
     Tree,
     VertexSet,
     _blue_flags,
@@ -302,8 +301,10 @@ class _Layer:
     their checklists are built on first use.
 
     ``blue`` flags the blue vertices of a 2-coloring of ``graph`` and
-    ``side`` labels the checks. Everything read off a layer is in labels,
-    so a layer of a tree also serves the Analysis of an interior forest.
+    ``side`` labels the checks. The checklists, components and forest read
+    off a layer are in labels, so a layer of a tree also serves the
+    Analysis of an interior forest, which takes the layer's heights at the
+    kept indices.
     """
 
     __slots__ = ("graph", "side", "blue", "keep", "nbrs", "height", "parts",
@@ -353,13 +354,6 @@ class _Layer:
             self._sorted = True
         return self.parts
 
-    def heightmap(self, comp=None) -> HeightMap:
-        """The heights of ``comp`` (an index list), or of every kept vertex."""
-        labels, height = self.graph.labels, self.height
-        if comp is None:
-            comp = (i for i, h in enumerate(height) if h >= 0)
-        return HeightMap({labels[i]: height[i] for i in comp})
-
     def checks(self) -> tuple[ComponentCheck, ...]:
         """The checklist of each component, built on the first call."""
         if self._checks is None:
@@ -401,6 +395,9 @@ class Analysis:
     and their Analyses are built from those layers only when ``interiors``,
     ``sides`` or ``components`` is read.
 
+    Per-vertex facts, ``height`` and ``support_rows``, are index arrays
+    aligned with ``forest.graph``; labels are read only by reports.
+
     The 2-coloring is always ``two_coloring`` of the forest. ``side`` is
     "blue" or "red" for an interior forest and its components (it labels
     their component checks) and "self" otherwise.
@@ -436,8 +433,10 @@ class Analysis:
         return _Layer(self.forest.graph, self._blue, self.side, [])
 
     @_fact
-    def heights(self) -> HeightMap:
-        return self._layer.heightmap()
+    def height(self) -> list[int]:
+        """Per vertex index of the forest's graph, the distance to the
+        nearest leaf of its component; isolated vertices have height 0."""
+        return self._layer.height
 
     @_fact
     def balanced(self) -> bool:
@@ -464,7 +463,7 @@ class Analysis:
         comps = []
         for tree, comp, check in zip(self.forest.component_trees(), layer.components(), layer.checks()):
             c = Analysis(tree, side=self.side)
-            c.heights = layer.heightmap(comp)
+            c.height = [layer.height[i] for i in comp]
             if balanced:
                 c.balanced = True
                 c.characterization = UnmixedCertificate(check.ok, (check,))
@@ -514,6 +513,7 @@ class Analysis:
         for forest, layer in zip((interiors.blue, interiors.red), self._interior_layers):
             side = Analysis(forest, side=layer.side)
             side._layer = layer
+            side.height = list(compress(layer.height, layer.keep))
             out.append(side)
         return tuple(out)
 
@@ -533,26 +533,30 @@ class Analysis:
         return UnmixedCertificate(layer.unmixed(), layer.checks)
 
     @_fact
-    def support_rows(self) -> tuple[VertexSet, ...]:
-        """Per support in label order: its unique height-2 partner, then its
-        leaves in label order; empty at height 0 or 1. Raises MixedTreeError
-        unless the tree is unmixed balanced, and TheoremViolation when its
-        height is not 0, 1 or 3 or a support has no unique partner."""
+    def support_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per support in index (so label) order, as indices of the
+        forest's graph: its unique height-2 partner, then its leaves in
+        index order; empty at height 0 or 1. Raises MixedTreeError unless
+        the tree is unmixed balanced, and TheoremViolation when its height
+        is not 0, 1 or 3 or a support has no unique partner."""
         if not self.characterization.unmixed:
             raise MixedTreeError("support rows require an unmixed balanced tree")
-        h = self.heights.graph_height()
+        height = self.height
+        h = max(height, default=0)
         if h <= 1:
             return ()
         if h != 3:
             raise TheoremViolation(f"unmixed balanced tree of height {h} should not exist")
-        g, height = self.forest.graph, self.heights
+        g = self.forest.graph
         rows = []
-        for s in height.level(1):
-            nbrs = g.neighbors(s)  # in label order
-            partners = [w for w in nbrs if height[w] == 2]
-            if len(partners) != 1:
-                raise TheoremViolation(f"support {s!r} has {len(partners)} height-2 partners")
-            rows.append((partners[0], *(w for w in nbrs if height[w] == 0)))
+        for s, nb in enumerate(g.adj):
+            if height[s] == 1:
+                partners = [w for w in nb if height[w] == 2]
+                if len(partners) != 1:
+                    raise TheoremViolation(
+                        f"support {g.labels[s]!r} has {len(partners)} height-2 partners"
+                    )
+                rows.append((partners[0], *[w for w in nb if height[w] == 0]))
         return tuple(rows)
 
     def require_edge(self) -> None:

@@ -113,9 +113,8 @@ def unmixed_corpus(seed: int, count: int):
             t = Tree(edge_subdivision(suspension(base)))
         else:
             t, _ = generate(seed * 2000 + attempt, rng.randrange(7))
-            hmap = heights(t)
+            supports = [v for v, h in heights(t).items() if h == 1]
             for _ in range(rng.randrange(3)):
-                supports = hmap.level(1)
                 t = apply_o(t, supports[rng.randrange(len(supports))])
         try:
             minimal_td_sets(t, cap=240)  # at most 240 sets, or it raises
@@ -157,9 +156,8 @@ def mixedness_samples(seed: int, per_family: int = 25):
     dist4, height2, height4 = [], [], []
     while len(height2) < per_family:
         t = _spider(2 + rng.randrange(7))
-        hmap = heights(t)
+        supports = [v for v, h in heights(t).items() if h == 1]
         for _ in range(rng.randrange(3)):
-            supports = hmap.level(1)
             t = apply_o(t, supports[rng.randrange(len(supports))])
         height2.append(t)
     while len(height4) < per_family:

@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's transversal engine and canonical
 forms: domination facts come from raw subset enumeration, isomorphism from
-permutation backtracking, heights from per-vertex searches. Expected values
-frozen in the tests were computed with these.
+permutation backtracking, heights from per-vertex searches. Label-level
+helpers beside them read vertex degrees and height levels off a label ->
+height dict and the support rows on labels. Expected values frozen in the
+tests were computed with these.
 
 The middle section holds second routes to objects the package computes
 (colorings, selectors, shellings, facet vectors on labels, parametric
@@ -29,7 +31,7 @@ exponent vectors rather than row sets), of the re-expansion of
 a decomposition (sums and intersections of ideals through lcms of exponent
 dicts, which the package no longer has) and of the seeded inputs of
 ``verify`` (Prufer trees through ``Tree.from_edges``, sample corpora read
-through height maps and label-keyed distances) as references for
+through label -> height dicts and label-keyed distances) as references for
 differential tests.
 """
 
@@ -158,11 +160,59 @@ def minimal_by_definition(g: Graph, subset) -> bool:
     )
 
 
+def degree(g: Graph, v: str) -> int:
+    """The number of neighbors of the vertex ``v``."""
+    return len(g.adj[g.index[v]])
+
+
+def level(hmap: dict[str, int], k: int) -> tuple[str, ...]:
+    """The labels of height ``k`` in a label -> height dict, sorted."""
+    return vset(v for v, h in hmap.items() if h == k)
+
+
+def even_heights(hmap: dict[str, int]) -> tuple[str, ...]:
+    """The labels of even height in a label -> height dict, sorted."""
+    return vset(v for v, h in hmap.items() if h % 2 == 0)
+
+
+def odd_heights(hmap: dict[str, int]) -> tuple[str, ...]:
+    """The labels of odd height in a label -> height dict, sorted."""
+    return vset(v for v, h in hmap.items() if h % 2 == 1)
+
+
+def forest_height(f) -> int:
+    """The greatest height of a vertex of the forest ``f``; 0 when empty."""
+    return max(heights(f).values(), default=0)
+
+
+def support_rows_by_labels(facts):
+    """``Analysis.support_rows`` on labels, read off ``heights`` of the
+    forest with the same checks and messages: per support in label order,
+    its unique height-2 partner, then its leaves in label order."""
+    if not facts.characterization.unmixed:
+        raise MixedTreeError("support rows require an unmixed balanced tree")
+    hmap = heights(facts.forest)
+    h = max(hmap.values(), default=0)
+    if h <= 1:
+        return ()
+    if h != 3:
+        raise TheoremViolation(f"unmixed balanced tree of height {h} should not exist")
+    g = facts.forest.graph
+    rows = []
+    for s in level(hmap, 1):
+        nbrs = g.neighbors(s)  # in label order
+        partners = [w for w in nbrs if hmap[w] == 2]
+        if len(partners) != 1:
+            raise TheoremViolation(f"support {s!r} has {len(partners)} height-2 partners")
+        rows.append((partners[0], *[w for w in nbrs if hmap[w] == 0]))
+    return tuple(rows)
+
+
 def heights_by_vertex_search(g: Graph) -> dict[str, int]:
-    leaves = [v for v in g.labels if g.degree(v) == 1]
+    leaves = [v for v in g.labels if degree(g, v) == 1]
     out = {}
     for v in g.labels:
-        if g.degree(v) == 0:
+        if degree(g, v) == 0:
             out[v] = 0
             continue
         dist = g.distances_from(v)
@@ -246,7 +296,7 @@ def even_blue_coloring(f) -> Coloring:
     if not is_balanced(f):
         raise NotBalancedError("even-height-blue convention requested on a non-balanced forest")
     hmap = heights(f)
-    return Coloring(hmap.even(), hmap.odd())
+    return Coloring(even_heights(hmap), odd_heights(hmap))
 
 
 def swapped_coloring_tree(t: Tree) -> Tree:
@@ -484,7 +534,7 @@ def edge_ideal(g) -> MonomialIdeal:
 def odd_open_neighborhood_ideal(f, variables) -> MonomialIdeal:
     """The neighborhood monomials of the odd-height vertices of a forest, over
     ``variables``."""
-    gens = [Monomial.of(*f.graph.neighbors(v)) for v in heights(f).odd()]
+    gens = [Monomial.of(*f.graph.neighbors(v)) for v in odd_heights(heights(f))]
     return MonomialIdeal.from_gens(variables, gens)
 
 
@@ -894,10 +944,10 @@ def _peel_by_rebuild(current):
     """One deconstruction round with heights, branches and distances
     recomputed over the whole current tree."""
     hmap = heights(current)
-    v3 = set(hmap.level(3))
+    v3 = set(level(hmap, 3))
     g = current.graph
     pick = None
-    for u in hmap.level(2):
+    for u in level(hmap, 2):
         ups = [w for w in g.neighbors(u) if w in v3]
         if len(ups) == 1:
             pick = (u, ups[0])
@@ -905,7 +955,7 @@ def _peel_by_rebuild(current):
     if pick is None:
         raise TheoremViolation("no height-2 vertex with a unique height-3 neighbor exists")
     u, r = pick
-    if g.degree(r) > 2:
+    if degree(g, r) > 2:
         cut = branch(current, r, u)
         attach, kind, want = r, KIND_WHISKER3, 3
     elif len(v3) > 1:
@@ -927,7 +977,7 @@ def _peel_by_rebuild(current):
 def _path_order(t):
     """Vertex labels of a path graph in path order, from its smaller end."""
     g = t.graph
-    ends = [v for v in g.labels if g.degree(v) == 1]
+    ends = [v for v in g.labels if degree(g, v) == 1]
     start = min(ends)
     order = [start]
     prev = None
@@ -944,7 +994,7 @@ def deconstruct_by_rebuilds(t):
     every peel, instead of one mutable adjacency with carried heights."""
     if not characterize_balanced_unmixed(t).unmixed:
         raise MixedTreeError("deconstruction requires an unmixed balanced tree")
-    if heights(t).graph_height() != 3:
+    if forest_height(t) != 3:
         raise InputError("deconstruction requires height exactly 3")
     current, extra_leaves = leaf_normalize(t)
     peeled = []
@@ -998,7 +1048,7 @@ def balanced_by_criteria(f: Forest) -> bool:
         leaf_colors = set()
         for v in comp:
             by_height.setdefault(hmap[v], set()).add(v in blue)
-            if g.degree(v) <= 1:
+            if degree(g, v) <= 1:
                 leaf_colors.add(v in blue)
         c2 = c2 and all(len(cols) == 1 for cols in by_height.values())
         c3 = c3 and len(leaf_colors) <= 1
@@ -1012,10 +1062,10 @@ def balanced_by_criteria(f: Forest) -> bool:
 def check_component_by_tree(comp: Tree, side: str) -> ComponentCheck:
     """The checklist of one component tree, from its own heights."""
     hmap = heights(comp)
-    height = hmap.graph_height()
+    height = max(hmap.values())
     g = comp.graph
-    v1 = set(hmap.level(1))
-    v2 = set(hmap.level(2))
+    v1 = set(level(hmap, 1))
+    v2 = set(level(hmap, 2))
     offending = None
     v2_ok = True
     for v in sorted(v2):
@@ -1028,7 +1078,7 @@ def check_component_by_tree(comp: Tree, side: str) -> ComponentCheck:
             v1_ok = False
             offending = offending or v
     if height > 3 and offending is None:
-        offending = min(hmap.level(height))
+        offending = min(level(hmap, height))
     return ComponentCheck(
         side=side,
         vertices=g.labels,
@@ -1101,8 +1151,9 @@ def random_tree_by_edges(rng: Lcg64, n: int) -> Tree:
 
 def balanced_corpus_by_height_map(seed: int, count: int, max_steps: int = 15,
                                   facet_cap: int = 240):
-    """``verify.balanced_corpus`` with the facet count read off a HeightMap's
-    level 1 and each support's label-level neighbors."""
+    """``verify.balanced_corpus`` with the facet count read off the
+    height-1 labels of a label -> height dict and each support's
+    label-level neighbors."""
     out = []
     attempt = 0
     while len(out) < count:
@@ -1112,7 +1163,7 @@ def balanced_corpus_by_height_map(seed: int, count: int, max_steps: int = 15,
         hmap = heights(t)
         g = t.graph
         facets = 1
-        for s in hmap.level(1):
+        for s in level(hmap, 1):
             facets *= len(g.neighbors(s))
         if facets > facet_cap:
             continue
@@ -1122,7 +1173,7 @@ def balanced_corpus_by_height_map(seed: int, count: int, max_steps: int = 15,
 
 def mixedness_samples_by_labels(seed: int, per_family: int = 25):
     """``verify.mixedness_samples`` with paths re-validated as trees, heights
-    as HeightMaps and leaves at distance 4 found by a label-keyed
+    as label -> height dicts and leaves at distance 4 found by a label-keyed
     ``distances_from`` per leaf, drawing Prufer trees through
     ``random_tree_by_edges``."""
     rng = Lcg64(seed)
@@ -1131,7 +1182,7 @@ def mixedness_samples_by_labels(seed: int, per_family: int = 25):
         t = _spider(2 + rng.randrange(7))
         hmap = heights(t)
         for _ in range(rng.randrange(3)):
-            supports = hmap.level(1)
+            supports = level(hmap, 1)
             t = apply_o(t, supports[rng.randrange(len(supports))])
         height2.append(t)
     while len(height4) < per_family:
@@ -1140,13 +1191,13 @@ def mixedness_samples_by_labels(seed: int, per_family: int = 25):
         else:
             base = random_tree_by_edges(rng, 5 + rng.randrange(6))
             t = Tree(edge_subdivision(Tree(edge_subdivision(base))))
-        if heights(t).graph_height() >= 4:
+        if forest_height(t) >= 4:
             height4.append(t)
     while len(dist4) < per_family:
         base = random_tree_by_edges(rng, 4 + rng.randrange(7))
         t = Tree(edge_subdivision(base))
         hmap = heights(t)
-        leaves = hmap.level(0)
+        leaves = level(hmap, 0)
         g = t.graph
         found = False
         for a in leaves:

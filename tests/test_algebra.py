@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    even_heights,
+    level,
+    odd_heights,
     parametric_supports_from_ideal,
     parse_ideal,
     socle_by_box,
@@ -32,7 +35,7 @@ from totaldom.errors import (
     NotSquareFreeError,
     TheoremViolation,
 )
-from totaldom.graphs import Forest, HeightMap, Tree, heights, path_graph, star_graph
+from totaldom.graphs import Forest, Tree, heights, path_graph, star_graph
 from totaldom.ideals import Monomial
 from totaldom.unmixed import Analysis
 from totaldom.verify import balanced_corpus, check_type_agreement, unmixed_corpus
@@ -108,7 +111,7 @@ def test_reduction_substitution_covers_even_vertices():
     for seed in range(8):
         t, _ = generate(seed, seed % 6)
         red = artinian_reduction(t)
-        assert set(red.substitution_map()) == set(heights(t).even())
+        assert set(red.substitution_map()) == set(even_heights(heights(t)))
 
 
 def test_reduction_collapses_each_support_row_onto_its_partner():
@@ -116,11 +119,13 @@ def test_reduction_collapses_each_support_row_onto_its_partner():
     for t in unmixed_corpus(5, 40):
         for side in Analysis(t).sides:
             for comp in side.components:
-                if comp.heights.graph_height() != 3:
+                if max(comp.height) != 3:
                     continue
                 red = artinian_reduction(comp.forest)
                 subst = red.substitution_map()
-                for row in comp.support_rows:
+                labels = comp.forest.labels
+                for indices in comp.support_rows:
+                    row = [labels[i] for i in indices]
                     checked += 1
                     assert {subst[w] for w in row} == {row[0]}
                     assert Monomial.from_dict({row[0]: len(row)}) in red.pure_powers.gens
@@ -341,8 +346,8 @@ def test_type_star():
 
 
 def test_component_depth_of_low_components():
-    assert algebra._component_depth(HeightMap({"x": 0})) == 1
-    assert algebra._component_depth(heights(star_graph(4))) == 3
+    assert algebra._component_depth([0]) == 1
+    assert algebra._component_depth(list(heights(star_graph(4)).values())) == 3
     # path_graph(3) has a one-vertex interior component on each side
     assert cm_type(path_graph(3)).depth == 2
 
@@ -404,8 +409,7 @@ def test_minimal_td_sets_are_supports_plus_odd_family():
     for seed in range(8):
         t, _ = generate(seed, seed % 5)
         supports = set(classify_vertices(t).supports)
-        hmap = heights(t)
-        odd_family = minimal_s_td_sets(t, hmap.odd())
+        odd_family = minimal_s_td_sets(t, odd_heights(heights(t)))
         expected = {tuple(sorted(supports | set(d))) for d in odd_family}
         assert set(minimal_td_sets(t).sets) == expected
 
@@ -418,9 +422,9 @@ def test_dim_of_odd_quotient():
     for seed in range(8):
         t, _ = generate(seed, 1 + seed % 5)
         hmap = heights(t)
-        odd_family = minimal_s_td_sets(t, hmap.odd())
+        odd_family = minimal_s_td_sets(t, odd_heights(hmap))
         sizes = odd_family.sizes()
-        assert sizes == (len(hmap.level(2)),)
+        assert sizes == (len(level(hmap, 2)),)
 
 
 def test_socle_dimension_leaves_no_cyclic_garbage():

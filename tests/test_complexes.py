@@ -17,6 +17,7 @@ from oracles import (
     labelled_order,
     shelling_by_pairs,
     stanley_reisner_ideal_by_faces,
+    support_rows_by_labels,
     vector_facet,
     verify_labelled,
 )
@@ -293,8 +294,8 @@ def assert_matches_pairwise_scan(d, order):
     check = labelled.check
     ok, pure, failure_pair, witnesses = shelling_by_pairs(d, order)
     assert (check.ok, check.pure, check.failure_pair) == (ok, pure, failure_pair)
-    assert check.reformulation_agrees
     emitted = labelled.to_json_dict()
+    assert emitted["check"]["reformulation_agrees"] is True
     assert emitted["witnesses"] == witnesses
     assert emitted["check"]["witness_count"] == len(witnesses)
     return check
@@ -437,7 +438,7 @@ def test_p6_shelling_order():
 
 def test_facet_vector_round_trip():
     t, _ = generate(12, 6)
-    rows = Analysis(t).support_rows
+    rows = support_rows_by_labels(Analysis(t))
     sc = even_stable_complex(t)
     for f in sc.facets:
         vec = facet_vector(rows, sc.ground, f)
@@ -447,7 +448,7 @@ def test_facet_vector_round_trip():
 
 def test_facet_intersection_cardinality():
     t, _ = generate(3, 5)
-    rows = Analysis(t).support_rows
+    rows = support_rows_by_labels(Analysis(t))
     sc = even_stable_complex(t)
     vecs = {f: facet_vector(rows, sc.ground, f) for f in sc.facets}
     for f1 in sc.facets:
@@ -458,7 +459,7 @@ def test_facet_intersection_cardinality():
 
 def test_entry_replacement_stays_facet():
     t, _ = generate(21, 5)
-    rows = Analysis(t).support_rows
+    rows = support_rows_by_labels(Analysis(t))
     sc = even_stable_complex(t)
     facets = set(sc.facets)
     for f in sc.facets:
@@ -527,7 +528,7 @@ def test_low_interior_components_keep_label_order():
     for t in verify.unmixed_corpus(7, 40):
         for side in Analysis(t).sides:
             for c in side.components:
-                if c.heights.graph_height() > 1:
+                if max(c.height) > 1:
                     continue
                 d = even_stable_complex(c)
                 even, facets, _ = complexes._facet_vector_order(c, None)
@@ -585,14 +586,14 @@ def test_facet_vectors_reject_a_complement_meeting_a_row_twice(monkeypatch):
     # add the whole first support row of path_graph(6), ("2", "0"), to every
     # minimal odd-TD-set
     facts = Analysis(path_graph(6))
-    row = facts.forest.graph.mask_of(facts.support_rows[0])
-    family = complexes.minimal_s_td_sets
+    row = sum(1 << i for i in facts.support_rows[0])
+    family = complexes._minimal_s_td_family
 
-    def widened(f, s, cap=None):
-        found = family(f, s, cap=cap)
+    def widened(g, target, cap):
+        found = family(g, target, cap)
         return MinimalSetFamily(graph=found.graph, masks=tuple(m | row for m in found.masks))
 
-    monkeypatch.setattr(complexes, "minimal_s_td_sets", widened)
+    monkeypatch.setattr(complexes, "_minimal_s_td_family", widened)
     with pytest.raises(TheoremViolation, match="meets a support row 2 times"):
         shelling_order(facts)
 

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from oracles import (
     component_labels,
     deconstruct_by_rebuilds,
+    degree,
+    forest_height,
     generate_by_apply_o,
+    level,
     replay_by_apply_o,
     trace_from_json,
 )
@@ -61,9 +64,9 @@ def test_whisker_sizes_by_height():
 
 def test_whisker_preserves_existing_heights():
     t = base_tree()
-    before = heights(t).as_dict()
+    before = heights(t)
     for v in ("1", "2", "3"):
-        after = heights(apply_o(t, v)).as_dict()
+        after = heights(apply_o(t, v))
         assert all(after[w] == h for w, h in before.items())
 
 
@@ -108,7 +111,7 @@ def test_generate_outputs_pass_characterization():
         t, _ = generate(seed, 2 + seed % 7)
         cert = characterize_balanced_unmixed(t)
         assert cert.unmixed
-        assert heights(t).graph_height() == 3
+        assert forest_height(t) == 3
 
 
 def test_generate_small_outputs_pass_bruteforce():
@@ -228,10 +231,10 @@ def test_some_v2_vertex_has_unique_v3_neighbor():
     for seed in range(12):
         t, _ = generate(seed, 1 + seed % 8)
         hmap = heights(t)
-        v3 = set(hmap.level(3))
+        v3 = set(level(hmap, 3))
         found = any(
             sum(1 for w in t.graph.neighbors(u) if w in v3) == 1
-            for u in hmap.level(2)
+            for u in level(hmap, 2)
         )
         assert found
 
@@ -256,7 +259,7 @@ def test_suspension_every_vertex_gets_leaf():
 def test_subdivision_single_edge():
     got = edge_subdivision(path_graph(1))
     assert got.n == 3
-    assert sorted(d for d in (got.degree(v) for v in got.labels)) == [1, 1, 2]
+    assert sorted(d for d in (degree(got, v) for v in got.labels)) == [1, 1, 2]
 
 
 def test_subdivided_suspension_is_unmixed_balanced():
@@ -264,7 +267,7 @@ def test_subdivided_suspension_is_unmixed_balanced():
     for _ in range(20):
         t = random_tree(rng, 1 + rng.randrange(7))
         es = Tree(edge_subdivision(suspension(t)))
-        h = heights(es).graph_height()
+        h = forest_height(es)
         if t.graph.n == 1:
             assert h == 1  # the 3-vertex path
         else:

@@ -6,11 +6,13 @@ import pytest
 
 from oracles import (
     domination_selector,
+    level,
     minimal_by_definition,
     minimal_s_td_by_subsets,
     minimal_td_sets_by_subsets,
     neighbor_masks,
     neighborhood_by_scan,
+    odd_heights,
 )
 from totaldom import domination
 from totaldom.domination import (
@@ -287,7 +289,7 @@ def test_mask_recheck_matches_definitions_on_every_subset():
         g = t.graph
         masks = neighbor_masks(g)
         hmap = heights(t)
-        for target in (g.labels, hmap.odd(), hmap.level(3), hmap.level(0)[:1]):
+        for target in (g.labels, odd_heights(hmap), level(hmap, 3), level(hmap, 0)[:1]):
             smask = g.mask_of(target)
             covered = set(target)
             for dmask in range(1 << g.n):

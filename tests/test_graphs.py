@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     ahu_recursive,
     even_blue_coloring,
+    forest_height,
     heights_by_vertex_search,
     isomorphic_by_backtracking,
 )
@@ -112,7 +113,7 @@ def test_heights_p6():
 
 
 def test_height_single_vertex_is_zero():
-    assert heights(path_graph(0)).graph_height() == 0
+    assert forest_height(path_graph(0)) == 0
 
 
 def test_heights_star():
@@ -123,7 +124,9 @@ def test_heights_star():
 
 def test_heights_match_vertex_search_oracle(trees8):
     for t in trees8:
-        assert heights(t).as_dict() == heights_by_vertex_search(t.graph)
+        h = heights(t)
+        assert h == heights_by_vertex_search(t.graph)
+        assert list(h) == list(t.labels)  # label order
 
 
 def test_classify_paper_path(paper_p4):

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     edge_ideal,
+    even_heights,
     ideal_contains,
     ideal_intersection,
     ideal_sum,
@@ -451,7 +452,7 @@ def test_suspension_subdivision_edge_ideal_identity():
         sigma = suspension(t)
         subdivided = Forest(edge_subdivision(sigma))
         lhs = edge_ideal(sigma)
-        rhs = odd_open_neighborhood_ideal(subdivided, heights(subdivided).even())
+        rhs = odd_open_neighborhood_ideal(subdivided, even_heights(heights(subdivided)))
         assert lhs == rhs
 
 

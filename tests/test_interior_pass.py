@@ -55,13 +55,13 @@ def assert_matches_oracle(t: Tree) -> None:
     assert facts.certificate == certificate_by_component_trees(t)
     assert interiors_key(facts.interiors) == interiors_key(interiors_by_forests(t))
     assert facts.balanced == balanced_by_criteria(t)
-    assert facts.heights.as_dict() == heights(t).as_dict()
+    assert dict(zip(t.labels, facts.height)) == heights(t)
     assert facts._layer.checks() == (check_component_by_tree(t, "self"),)
     # the side and component objects built later carry the same facts
     for side in facts.sides:
         for comp, check in zip(side.components, side._layer.checks()):
             assert comp._layer.checks() == (check,)
-            assert comp.heights.as_dict() == heights(comp.forest).as_dict()
+            assert dict(zip(comp.forest.labels, comp.height)) == heights(comp.forest)
 
 
 def caterpillar(rng: random.Random, n: int) -> Tree:

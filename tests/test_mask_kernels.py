@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 from oracles import (
     berge_by_minimalize,
     family_readers_by_labels,
+    level,
     neighbor_masks,
+    odd_heights,
     to_ideal_by_lcm,
 )
 from totaldom import verify
@@ -135,7 +137,7 @@ def test_family_readers_match_label_tuples_on_trees(trees9):
         _check_family(t, None)
         mixed += not minimal_td_sets(t).is_unmixed()
         hmap = heights(t)
-        for target in (hmap.odd(), hmap.level(3)):
+        for target in (odd_heights(hmap), level(hmap, 3)):
             family = minimal_s_td_sets(t, target)
             readers = (family.sizes(), family.is_unmixed(), family.witness())
             assert readers == family_readers_by_labels(family.sets)

@@ -5,7 +5,15 @@ import time
 
 import pytest
 
-from oracles import even_blue_coloring, swapped_coloring_tree
+from oracles import (
+    even_blue_coloring,
+    even_heights,
+    forest_height,
+    level,
+    support_rows_by_labels,
+    swapped_coloring_tree,
+)
+from totaldom.construct import generate
 from totaldom.domination import is_unmixed_bruteforce, minimal_s_td_sets
 from totaldom.errors import (
     InputError,
@@ -13,6 +21,7 @@ from totaldom.errors import (
     NotATreeError,
     NotBalancedError,
     TheoremViolation,
+    TotaldomError,
 )
 from totaldom.graphs import (
     Forest,
@@ -33,6 +42,7 @@ from totaldom.unmixed import (
     is_unmixed_fast,
     mixedness_witness,
 )
+from totaldom.verify import unmixed_corpus
 
 
 def spider(k: int) -> Tree:
@@ -76,9 +86,9 @@ def test_top_level_smaller_than_next(trees10):
         if not is_balanced(t):
             continue
         h = heights(t)
-        d = h.graph_height()
+        d = max(h.values())
         if d > 0:
-            assert len(h.level(d - 1)) > len(h.level(d))
+            assert len(level(h, d - 1)) > len(level(h, d))
 
 
 def test_same_height_even_distance_same_color(trees10):
@@ -140,7 +150,40 @@ def test_interior_components_share_the_side_heights(trees10):
     for t in trees:
         for side in Analysis(t).sides:
             for comp in side.components:
-                assert comp.heights.as_dict() == heights(comp.forest).as_dict()
+                assert dict(zip(comp.forest.labels, comp.height)) == heights(comp.forest)
+
+
+def _outcome(read, facts):
+    """What ``read(facts)`` returns, or the type and message of the
+    package error it raises."""
+    try:
+        return read(facts)
+    except TotaldomError as exc:
+        return type(exc), str(exc)
+
+
+def _support_rows_as_labels(facts):
+    labels = facts.forest.labels
+    return tuple([tuple([labels[i] for i in row]) for row in facts.support_rows])
+
+
+def test_index_heights_and_support_rows_match_the_label_oracle():
+    # the tree, each interior side and each of its components hold heights
+    # and support rows in their own index space; their label images are the
+    # label-level computations, errors included
+    trees = unmixed_corpus(5, 60) + [generate(s, s % 9)[0] for s in range(100)]
+    rows = errors = 0
+    for t in trees:
+        facts = Analysis(t)
+        for a in (facts, *[x for side in facts.sides for x in (side, *side.components)]):
+            assert dict(zip(a.forest.labels, a.height)) == heights(a.forest)
+            got = _outcome(_support_rows_as_labels, a)
+            assert got == _outcome(support_rows_by_labels, a)
+            if got and isinstance(got[0], type):
+                errors += 1
+            else:
+                rows += len(got)
+    assert rows > 1000 and errors > 50
 
 
 def test_vertex_partition(trees10):
@@ -149,8 +192,8 @@ def test_vertex_partition(trees10):
         if t.graph.n < 2:
             continue
         ig = interior_graphs(t)
-        blue_even = set(heights(ig.blue).even())
-        red_even = set(heights(ig.red).even())
+        blue_even = set(even_heights(heights(ig.blue)))
+        red_even = set(even_heights(heights(ig.red)))
         supports = set(classify_vertices(t).supports)
         assert blue_even | red_even | supports == set(t.graph.labels)
         assert not (blue_even & red_even)
@@ -278,8 +321,7 @@ def test_distance4_leaves_imply_mixed(trees10):
     for t in trees10:
         if not is_balanced(t):
             continue
-        h = heights(t)
-        leaves = h.level(0)
+        leaves = level(heights(t), 0)
         g = t.graph
         has_d4 = any(
             g.distances_from(a).get(b) == 4 for a in leaves for b in leaves if a < b
@@ -291,14 +333,14 @@ def test_distance4_leaves_imply_mixed(trees10):
 
 def test_height2_balanced_trees_are_mixed(trees10):
     for t in trees10:
-        if is_balanced(t) and heights(t).graph_height() == 2:
+        if is_balanced(t) and forest_height(t) == 2:
             assert not is_unmixed_fast(t).unmixed
 
 
 def test_height_at_least_4_balanced_trees_are_mixed(trees10):
     found = 0
     for t in trees10:
-        if is_balanced(t) and heights(t).graph_height() >= 4:
+        if is_balanced(t) and forest_height(t) >= 4:
             found += 1
             assert not is_unmixed_fast(t).unmixed
     assert found  # P_8 is in range
@@ -307,7 +349,7 @@ def test_height_at_least_4_balanced_trees_are_mixed(trees10):
 def test_unmixed_balanced_heights_are_0_1_3(trees10):
     for t in trees10:
         if is_balanced(t) and is_unmixed_fast(t).unmixed:
-            assert heights(t).graph_height() in (0, 1, 3)
+            assert forest_height(t) in (0, 1, 3)
 
 
 def test_unique_bd_set_for_unmixed_blue_leaf_trees(trees10):
