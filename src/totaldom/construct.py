@@ -18,11 +18,11 @@ from .errors import InputError, MixedTreeError, TheoremViolation
 from .graphs import (
     Graph,
     Tree,
+    _created,
     _graph_of,
     classify_vertices,
-    heights,
     is_isomorphic,
-    path_graph,
+    leaf_distances,
 )
 from .jsontext import dumps
 from .treegen import Lcg64
@@ -77,63 +77,84 @@ def fresh_labels(existing, count: int) -> list[str]:
 def apply_o(t: Tree, v: str) -> Tree:
     """Attach the whisker dictated by height(v): lengths 1, 4, 3 at heights
     1, 2, 3. Heights of existing vertices are unchanged."""
-    h = heights(t)[v]
+    g = t.graph
+    i = g.index[v]
+    h = leaf_distances(g.adj, range(g.n))[i]
     if h not in _KIND_BY_HEIGHT:
         raise ValueError(f"whisker attachment needs height 1..3, got height {h} at {v!r}")
     kind = _KIND_BY_HEIGHT[h]
-    fresh = fresh_labels(t.graph.labels, len(_WHISKER_HEIGHTS[kind]))
-    edges = list(t.graph.edges())
-    chain = [v] + fresh
-    edges += [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
-    return Tree.from_edges(edges)
+    fresh = fresh_labels(g.labels, len(_WHISKER_HEIGHTS[kind]))
+    nbrs = [list(nb) for nb in g.adj]
+    prev = i
+    for p in range(g.n, g.n + len(fresh)):
+        nbrs[prev].append(p)
+        nbrs.append([prev])
+        prev = p
+    return _created([*g.labels, *fresh], nbrs)
+
+
+# The base path P6 on "0".."6": its labels, neighbors and heights by
+# creation position, and its attachment points (heights 1..3) in label order
+_BASE_LABELS = ("0", "1", "2", "3", "4", "5", "6")
+_BASE_NBRS = ((1,), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5,))
+_BASE_HEIGHT = (0, 1, 2, 3, 2, 1, 0)
+_BASE_ELIGIBLE = ("1", "2", "3", "4", "5")
+_BASE_TREE = _created(_BASE_LABELS, _BASE_NBRS)
 
 
 def base_tree() -> Tree:
-    return path_graph(6)
+    """The base path P6, built once."""
+    return _BASE_TREE
 
 
 class _Growth:
     """Whisker growth from the base path, one step at a time.
 
-    Keeps the edge list, every height, the sorted labels of height 1..3 (the
-    attachment points) and the "w<k>" counter up to date, and builds the tree
-    once at the end. This is exact: a whisker leaves every existing height
+    Keeps each label's creation position (a dict in creation order), the
+    neighbor lists and heights by creation position, the sorted labels of
+    height 1..3 (the attachment points) and the "w<k>" counter up to date,
+    and builds the tree once at the end. This is exact: a whisker leaves
+    every existing height
     unchanged and gives its new vertices the fixed heights in
     ``_WHISKER_HEIGHTS``, and the base labels are digits, so the counter
     yields what ``fresh_labels`` would.
     """
 
-    __slots__ = ("edges", "height", "eligible", "fresh")
+    __slots__ = ("position", "nbrs", "height", "eligible", "fresh")
 
     def __init__(self):
-        base = base_tree()
-        self.edges = list(base.graph.edges())
-        self.height = heights(base)
-        self.eligible = [v for v in base.graph.labels if self.height[v] in _KIND_BY_HEIGHT]
+        self.position = {"0": 0, "1": 1, "2": 2, "3": 3, "4": 4, "5": 5, "6": 6}
+        self.nbrs = [list(nb) for nb in _BASE_NBRS]
+        self.height = list(_BASE_HEIGHT)
+        self.eligible = list(_BASE_ELIGIBLE)
         self.fresh = 0
 
     def attach(self, v: str) -> TraceStep:
-        kind = _KIND_BY_HEIGHT[self.height[v]]
-        prev = v
+        position, nbrs, height = self.position, self.nbrs, self.height
+        prev = position[v]
+        kind = _KIND_BY_HEIGHT[height[prev]]
         for h in _WHISKER_HEIGHTS[kind]:
             self.fresh += 1
             w = f"w{self.fresh}"
-            self.edges.append((prev, w))
-            self.height[w] = h
+            p = len(nbrs)
+            position[w] = p
+            nbrs[prev].append(p)
+            nbrs.append([prev])
+            height.append(h)
             if h in _KIND_BY_HEIGHT:
                 bisect.insort(self.eligible, w)
-            prev = w
+            prev = p
         return TraceStep(attach=v, kind=kind)
 
     def tree(self) -> Tree:
-        return Tree.from_edges(self.edges)
+        return _created(list(self.position), self.nbrs)
 
 
 def replay(trace: ConstructionTrace) -> Tree:
     """Rebuild the tree from the base path, drawing fresh labels in order."""
     growth = _Growth()
     for step in trace.steps:
-        h = growth.height[step.attach]
+        h = growth.height[growth.position[step.attach]]
         if _KIND_BY_HEIGHT.get(h) != step.kind:
             raise ValueError(
                 f"step kind {step.kind} does not match height {h} of {step.attach!r}"
@@ -178,8 +199,8 @@ def leaf_normalize(t: Tree) -> tuple[Tree, dict[str, int]]:
         if len(mine) > 1:
             removed[s] = len(mine) - 1
             drop.update(mine[1:])
-    keep = [v for v in g.labels if v not in drop]
-    return Tree(g.induced(keep)), removed
+    kept = [i for i, v in enumerate(g.labels) if v not in drop]
+    return Tree(g.subgraph(kept)), removed
 
 
 def _branch(nbrs, r: int, x: int) -> dict[int, int]:
@@ -247,7 +268,7 @@ def _peel(g: Graph, height: list[int], alive: list[bool]):
             attach, kind, cut = u_other, KIND_WHISKER4, _branch(nbrs, u_other, r)
         else:
             live = list(compress(range(g.n), alive))
-            if not is_isomorphic(Tree(g.induced(lab[i] for i in live)), base_tree()):
+            if not is_isomorphic(Tree(g.subgraph(live)), base_tree()):
                 raise TheoremViolation(
                     "terminal deconstruction case reached away from the base path"
                 )
@@ -342,18 +363,22 @@ def deconstruct(t: Tree) -> ConstructionTrace:
 def suspension(t: Tree) -> Tree:
     """Attach one fresh leaf to every vertex."""
     g = t.graph
-    fresh = fresh_labels(g.labels, g.n)
-    edges = list(g.edges()) + list(zip(g.labels, fresh))
-    return Tree.from_edges(edges)
+    n = g.n
+    nbrs = [[*nb, n + i] for i, nb in enumerate(g.adj)] + [[i] for i in range(n)]
+    return _created([*g.labels, *fresh_labels(g.labels, n)], nbrs)
 
 
 def edge_subdivision(g) -> Graph:
-    """Insert one fresh vertex in the middle of every edge."""
+    """Insert one fresh vertex in the middle of every edge, the fresh labels
+    handed out in ``Graph.edges`` order."""
     g = _graph_of(g)
-    edges = g.edges()
-    fresh = fresh_labels(g.labels, len(edges))
-    out = []
-    for (a, b), m in zip(edges, fresh):
-        out.append((a, m))
-        out.append((m, b))
-    return Graph.from_edges(out, extra_vertices=g.labels)
+    n = g.n
+    nbrs = [[] for _ in range(n)]
+    for i, nb in enumerate(g.adj):
+        for j in nb:
+            if i < j:
+                m = len(nbrs)
+                nbrs[i].append(m)
+                nbrs[j].append(m)
+                nbrs.append([i, j])
+    return _created([*g.labels, *fresh_labels(g.labels, len(nbrs) - n)], nbrs, tree=False)

@@ -95,8 +95,12 @@ class Graph(Ground):
         for nb in nbrs:
             if len(nb) > 1:
                 nb.sort()
-                if len(set(nb)) < len(nb):  # a repeated edge
-                    nb = sorted(set(nb))
+                prev = -1
+                for j in nb:  # a repeated edge shows as two equal neighbors
+                    if j == prev:
+                        nb = sorted(set(nb))
+                        break
+                    prev = j
             adj.append(tuple(nb))
         self._set(labs, index, tuple(adj))
 
@@ -136,22 +140,19 @@ class Graph(Ground):
     def num_edges(self) -> int:
         return sum(map(len, self.adj)) // 2
 
-    def induced(self, labels) -> Graph:
-        """Induced subgraph, built from the kept vertices' own adjacency.
-
-        Labels unknown to this graph become isolated vertices. Relabeling
-        keeps the label order, so neighbor lists stay sorted.
-        """
-        labs = tuple(sorted(set(labels)))
-        old_index, old_adj = self.index, self.adj
-        new_of = {old_index[v]: k for k, v in enumerate(labs) if v in old_index}
-        adj = tuple(
-            tuple([new_of[j] for j in old_adj[old_index[v]] if j in new_of])
-            if v in old_index else ()
-            for v in labs
-        )
+    def subgraph(self, kept) -> Graph:
+        """The subgraph induced on the increasing indices ``kept``: its
+        vertex k is vertex ``kept[k]`` here. Label order is kept, so the
+        labels and the neighbor lists stay sorted with no sort and no label
+        lookup."""
+        labels, adj = self.labels, self.adj
+        vertex = list(range(len(kept)))
+        new_of = dict(zip(kept, vertex))
+        labs = tuple([labels[i] for i in kept])
         sub = Graph.__new__(Graph)
-        sub._set(labs, {v: i for i, v in enumerate(labs)}, adj)
+        sub._set(labs, dict(zip(labs, vertex)), tuple([
+            tuple([new_of[j] for j in adj[i] if j in new_of]) for i in kept
+        ]))
         return sub
 
     def distances_from(self, v: str) -> dict[str, int]:
@@ -223,9 +224,9 @@ class Forest:
         if len(component_indices) == 1:
             self._components = (labels,)
         else:
-            self._components = tuple(
-                tuple(map(labels.__getitem__, c)) for c in component_indices
-            )
+            self._components = tuple([
+                tuple([labels[i] for i in c]) for c in component_indices
+            ])
 
     @classmethod
     def from_edges(cls, edges, extra_vertices=()) -> Forest:
@@ -244,10 +245,10 @@ class Forest:
         return self._components
 
     def component_trees(self) -> tuple[Tree, ...]:
-        return tuple(
+        return tuple([
             Tree.with_components(sub, [list(range(sub.n))])
-            for sub in map(self.graph.induced, self.components())
-        )
+            for sub in map(self.graph.subgraph, self.component_indices)
+        ])
 
     @property
     def labels(self) -> VertexSet:
@@ -304,16 +305,49 @@ def render_edge_list(g: Graph) -> str:
     ])
 
 
+def _created(labels, nbrs, tree: bool = True) -> Tree | Graph:
+    """The graph on the distinct ``labels``, listed in the order the caller
+    created them, whose vertex at creation position p has the neighbors at
+    the positions ``nbrs[p]``, with no repeated edge and no self-loop.
+
+    The labels are sorted once and each position is mapped to its rank, so
+    the neighbor lists come out as sorted tuples of the int objects that the
+    index dict holds. With ``tree`` the caller built a tree, which is
+    returned through ``Tree.with_components`` with no search; else the
+    graph itself.
+    """
+    if tree and not labels:
+        raise NotATreeError("expected a tree, got 0 components")
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    vertex = list(range(len(labels)))
+    rank = [0] * len(labels)
+    for r, p in zip(vertex, order):
+        rank[p] = r
+    labs = tuple([labels[p] for p in order])
+    adj = []
+    for p in order:
+        nb = [rank[q] for q in nbrs[p]]
+        nb.sort()
+        adj.append(tuple(nb))
+    g = Graph.__new__(Graph)
+    g._set(labs, dict(zip(labs, vertex)), tuple(adj))
+    return Tree.with_components(g, [vertex]) if tree else g
+
+
 def path_graph(n: int) -> Tree:
     """The path with n edges on labels "0".."n"."""
-    if n == 0:
-        return Tree(Graph(["0"], []))
-    return Tree.from_edges([(str(i), str(i + 1)) for i in range(n)])
+    if n < 1:  # the single vertex "0", or no vertex and no tree
+        return _created(["0"] * (n + 1), [[]] * (n + 1))
+    inner = [[i - 1, i + 1] for i in range(1, n)]
+    return _created([str(i) for i in range(n + 1)], [[1], *inner, [n - 1]])
 
 
 def star_graph(k: int) -> Tree:
     """A support vertex "s" with leaves "l1".."lk" (k >= 1)."""
-    return Tree.from_edges([("s", f"l{i}") for i in range(1, k + 1)])
+    if k < 1:
+        raise NotATreeError("expected a tree, got 0 components")
+    return _created(["s"] + [f"l{i}" for i in range(1, k + 1)],
+                    [list(range(1, k + 1))] + [[0]] * k)
 
 
 # ---------------------------------------------------------------------------

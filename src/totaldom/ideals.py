@@ -170,7 +170,7 @@ def open_neighborhood_ideal(g, s=None) -> MonomialIdeal:
         own = set(nbrs)
         if not any(own.issuperset(k) for j in nbrs for k in by_low.get(j, ())):
             by_low.setdefault(nbrs[0], []).append(nbrs)
-            gens.append(Monomial(tuple((g.labels[j], 1) for j in nbrs)))
+            gens.append(Monomial(tuple([(g.labels[j], 1) for j in nbrs])))
     return MonomialIdeal(variables=g.labels, gens=tuple(gens))
 
 

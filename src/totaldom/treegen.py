@@ -98,7 +98,7 @@ def random_tree(rng: Lcg64, n: int) -> Tree:
     The sequence is decoded straight into index adjacency, always removing
     the smallest current leaf, in one forward scan for the next leaf. The
     labels of ``_tree_labels`` are in index order and the decoded graph is a
-    tree, so the graph is built as ``Graph.induced`` builds its result, with
+    tree, so the graph is built as ``Graph.subgraph`` builds its result, with
     no label sort, index lookups or cycle check.
     """
     if n < 1:

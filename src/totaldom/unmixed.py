@@ -368,10 +368,10 @@ class _Layer:
     def forest(self) -> Forest:
         """The induced forest on the kept vertices, whose index of a kept
         vertex is the count of kept vertices before it."""
-        kept = tuple(compress(self.graph.labels, self.keep))
+        kept = list(compress(range(self.graph.n), self.keep))
         rank = list(accumulate(self.keep))
         components = [[rank[i] - 1 for i in comp] for comp in self.components()]
-        return Forest.with_components(self.graph.induced(kept), components)
+        return Forest.with_components(self.graph.subgraph(kept), components)
 
 
 class Analysis:

@@ -28,6 +28,7 @@ from .domination import is_unmixed_bruteforce, minimal_td_sets
 from .errors import EnumerationCapExceeded
 from .graphs import (
     Tree,
+    _created,
     canonical_form,
     heights,
     leaf_distances,
@@ -87,10 +88,10 @@ def balanced_corpus(seed: int, count: int, max_steps: int = 15, facet_cap: int =
 
 
 def _double_star(a: int, b: int) -> Tree:
-    edges = [("c1", "c2")]
-    edges += [("c1", f"a{i}") for i in range(a)]
-    edges += [("c2", f"b{i}") for i in range(b)]
-    return Tree.from_edges(edges)
+    """Adjacent centers "c1" and "c2" with leaves "a0".. and "b0".. ."""
+    labels = ["c1", "c2"] + [f"a{i}" for i in range(a)] + [f"b{i}" for i in range(b)]
+    nbrs = [[1, *range(2, 2 + a)], [0, *range(2 + a, 2 + a + b)]] + [[0]] * a + [[1]] * b
+    return _created(labels, nbrs)
 
 
 def unmixed_corpus(seed: int, count: int):
@@ -125,10 +126,13 @@ def unmixed_corpus(seed: int, count: int):
 
 
 def _spider(k: int) -> Tree:
-    edges = []
+    """A center "c" with k legs "c"-"m<i>"-"l<i>"."""
+    labels = ["c"]
+    nbrs = [list(range(1, 2 * k, 2))]
     for i in range(k):
-        edges += [("c", f"m{i}"), (f"m{i}", f"l{i}")]
-    return Tree.from_edges(edges)
+        labels += [f"m{i}", f"l{i}"]
+        nbrs += [[0, 2 * i + 2], [2 * i + 1]]
+    return _created(labels, nbrs)
 
 
 def _leaves_at_distance_4(adj) -> bool:

@@ -31,14 +31,16 @@ exponent vectors rather than row sets), of the re-expansion of
 a decomposition (sums and intersections of ideals through lcms of exponent
 dicts, which the package no longer has) and of the seeded inputs of
 ``verify`` (Prufer trees through ``Tree.from_edges``, sample corpora read
-through label -> height dicts and label-keyed distances) as references for
-differential tests.
+through label -> height dicts and label-keyed distances) and of the
+package's own tree builders (label edge lists through ``Tree.from_edges``,
+induced subgraphs on label sets) as references for differential tests.
 """
 
 from __future__ import annotations
 
-import json
+import bisect
 import heapq
+import json
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
@@ -63,6 +65,7 @@ from totaldom.construct import (
     apply_o,
     base_tree,
     edge_subdivision,
+    fresh_labels,
     generate,
     leaf_normalize,
 )
@@ -971,7 +974,7 @@ def _peel_by_rebuild(current):
     dist = g.distances_from(attach)
     chain = tuple(sorted(cut, key=lambda v: dist[v]))
     keep = [v for v in g.labels if v not in set(cut)]
-    return attach, kind, chain, Tree(g.induced(keep))
+    return attach, kind, chain, Tree(induced_by_labels(g, keep))
 
 
 def _path_order(t):
@@ -1031,6 +1034,116 @@ def open_neighborhood_ideal_by_scan(g, s=None) -> MonomialIdeal:
             kept.append(mask)
             gens.append(Monomial(tuple((g.labels[j], 1) for j in nbrs)))
     return MonomialIdeal(variables=g.labels, gens=tuple(gens))
+
+
+# The package's own builders through label edge lists: each collects its
+# edges as label pairs and hands them to ``Tree.from_edges`` (label sort,
+# two dict lookups per edge, a component search), as they did before they
+# built from creation positions; and the induced subgraph on a label set.
+
+def induced_by_labels(g: Graph, labels) -> Graph:
+    """``Graph.subgraph`` on a label set: the subgraph induced on the
+    sorted ``labels``, built from the kept vertices' own adjacency; labels
+    unknown to ``g`` become isolated vertices."""
+    labs = tuple(sorted(set(labels)))
+    old_index, old_adj = g.index, g.adj
+    new_of = {old_index[v]: k for k, v in enumerate(labs) if v in old_index}
+    adj = tuple(
+        tuple([new_of[j] for j in old_adj[old_index[v]] if j in new_of])
+        if v in old_index else ()
+        for v in labs
+    )
+    sub = Graph.__new__(Graph)
+    sub._set(labs, {v: i for i, v in enumerate(labs)}, adj)
+    return sub
+
+
+def path_graph_by_edges(n: int) -> Tree:
+    if n == 0:
+        return Tree(Graph(["0"], []))
+    return Tree.from_edges([(str(i), str(i + 1)) for i in range(n)])
+
+
+def star_graph_by_edges(k: int) -> Tree:
+    return Tree.from_edges([("s", f"l{i}") for i in range(1, k + 1)])
+
+
+def apply_o_by_edges(t: Tree, v: str) -> Tree:
+    h = heights(t)[v]
+    if h not in _KIND_BY_HEIGHT:
+        raise ValueError(f"whisker attachment needs height 1..3, got height {h} at {v!r}")
+    kind = _KIND_BY_HEIGHT[h]
+    fresh = fresh_labels(t.graph.labels, len(_WHISKER_HEIGHTS[kind]))
+    edges = list(t.graph.edges())
+    chain = [v] + fresh
+    edges += [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
+    return Tree.from_edges(edges)
+
+
+def suspension_by_edges(t: Tree) -> Tree:
+    g = t.graph
+    fresh = fresh_labels(g.labels, g.n)
+    return Tree.from_edges(list(g.edges()) + list(zip(g.labels, fresh)))
+
+
+def edge_subdivision_by_edges(g) -> Graph:
+    g = _graph_of(g)
+    edges = g.edges()
+    fresh = fresh_labels(g.labels, len(edges))
+    out = []
+    for (a, b), m in zip(edges, fresh):
+        out.append((a, m))
+        out.append((m, b))
+    return Graph.from_edges(out, extra_vertices=g.labels)
+
+
+class _GrowthByEdges:
+    """Whisker growth with a label edge list and a label -> height dict,
+    the base path rebuilt by ``path_graph_by_edges`` on every growth."""
+
+    def __init__(self):
+        base = path_graph_by_edges(6)
+        self.edges = list(base.graph.edges())
+        self.height = heights(base)
+        self.eligible = [v for v in base.graph.labels if self.height[v] in _KIND_BY_HEIGHT]
+        self.fresh = 0
+
+    def attach(self, v: str) -> TraceStep:
+        kind = _KIND_BY_HEIGHT[self.height[v]]
+        prev = v
+        for h in _WHISKER_HEIGHTS[kind]:
+            self.fresh += 1
+            w = f"w{self.fresh}"
+            self.edges.append((prev, w))
+            self.height[w] = h
+            if h in _KIND_BY_HEIGHT:
+                bisect.insort(self.eligible, w)
+            prev = w
+        return TraceStep(attach=v, kind=kind)
+
+
+def replay_by_edges(trace: ConstructionTrace) -> Tree:
+    growth = _GrowthByEdges()
+    for step in trace.steps:
+        h = growth.height[step.attach]
+        if _KIND_BY_HEIGHT.get(h) != step.kind:
+            raise ValueError(
+                f"step kind {step.kind} does not match height {h} of {step.attach!r}"
+            )
+        growth.attach(step.attach)
+    return Tree.from_edges(growth.edges)
+
+
+def generate_by_edges(seed: int, steps: int):
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    rng = Lcg64(seed)
+    growth = _GrowthByEdges()
+    recorded = []
+    for _ in range(steps):
+        eligible = growth.eligible
+        recorded.append(growth.attach(eligible[rng.randrange(len(eligible))]))
+    return Tree.from_edges(growth.edges), ConstructionTrace(steps=tuple(recorded))
 
 
 # The interior-graph test by objects: a Forest per interior side, a Tree and
@@ -1100,7 +1213,7 @@ def interiors_by_forests(t: Tree) -> InteriorGraphs:
         closed = {v for v in side_labels if v in supports}
         for v in list(closed):
             closed.update(g.neighbors(v))
-        forest = Forest(g.induced([v for v in g.labels if v not in closed]))
+        forest = Forest(induced_by_labels(g, [v for v in g.labels if v not in closed]))
         if forest.graph.n and not balanced_by_criteria(forest):
             raise TheoremViolation("interior component is not balanced")
         sides.append((forest, vset(closed)))

@@ -222,8 +222,8 @@ def test_v2_v3_subgraph_connected():
     for seed in range(12):
         t, _ = generate(seed, 2 + seed % 9)
         hmap = heights(t)
-        keep = [v for v in t.graph.labels if hmap[v] in (2, 3)]
-        sub = t.graph.induced(keep)
+        keep = [i for i, v in enumerate(t.graph.labels) if hmap[v] in (2, 3)]
+        sub = t.graph.subgraph(keep)
         assert len(component_labels(sub)) == 1
 
 
@@ -381,22 +381,23 @@ def test_peel_checks_that_heights_stay_exact():
 
 def test_deconstruct_reads_its_analysis_heights_and_induces_once(monkeypatch):
     # the heights come from the height-3 check, extra leaves are set aside
-    # in place, and the one induced graph is the base path's isomorphism check
+    # in place, and the one induced subgraph is the base path's isomorphism
+    # check
     t = generate(5, 40)[0]
 
     def refuse(*args):
         raise AssertionError("deconstruct recomputed a fact of the tree")
 
-    monkeypatch.setattr(construct, "heights", refuse)
+    monkeypatch.setattr(construct, "leaf_distances", refuse)
     monkeypatch.setattr(construct, "leaf_normalize", refuse)
-    induced = Graph.induced
+    subgraph = Graph.subgraph
     calls = []
 
-    def counted(self, labels):
+    def counted(self, kept):
         calls.append(self.n)
-        return induced(self, labels)
+        return subgraph(self, kept)
 
-    monkeypatch.setattr(Graph, "induced", counted)
+    monkeypatch.setattr(Graph, "subgraph", counted)
     assert len(deconstruct(t)) == 40
     assert calls == [t.graph.n]
 

@@ -10,6 +10,7 @@ from oracles import (
     even_blue_coloring,
     forest_height,
     heights_by_vertex_search,
+    induced_by_labels,
     isomorphic_by_backtracking,
 )
 from totaldom.errors import EdgeListParseError, NotAForestError, NotATreeError
@@ -301,16 +302,28 @@ def test_canonical_form_of_long_caterpillar():
 
 
 def test_component_trees_and_interiors_never_scan_all_edges(monkeypatch):
-    # induced subgraphs come from the kept vertices' own adjacency; a scan
-    # of the whole edge list per component made both quadratic
+    # induced subgraphs come from the kept vertices' own adjacency, one
+    # Graph.subgraph call per component; a scan of the whole edge list per
+    # component made both quadratic
     def refuse(self):
         raise AssertionError("Graph.edges was called")
 
+    subgraph = Graph.subgraph
+    calls = []
+
+    def counted(self, kept):
+        calls.append(len(kept))
+        return subgraph(self, kept)
+
     corpus = [random_tree(Lcg64(seed), 300) for seed in range(3)] + list(trees_up_to(7))
     monkeypatch.setattr(Graph, "edges", refuse)
+    monkeypatch.setattr(Graph, "subgraph", counted)
     for t in corpus:
         for side in (interior_graphs(t).blue, interior_graphs(t).red):
-            for comp in side.component_trees():
+            calls.clear()
+            comps = side.component_trees()
+            assert calls == [comp.graph.n for comp in comps]
+            for comp in comps:
                 assert set(comp.graph.labels) <= set(side.labels)
 
 
@@ -320,7 +333,7 @@ def test_induced_matches_edge_filter():
     for k in range(0, 60, 7):
         keep = g.labels[k:] + ("isolated",)
         want = Graph(keep, [(a, b) for a, b in g.edges() if a in keep and b in keep])
-        got = g.induced(keep)
+        got = induced_by_labels(g, keep)
         assert (got.labels, got.index, got.adj) == (want.labels, want.index, want.adj)
 
 

@@ -235,7 +235,7 @@ def test_certificate_is_immutable_and_compares_by_value():
 def test_certificate_builds_no_trees(monkeypatch):
     t = random_tree(Lcg64(3), 1000)
     calls = []
-    for cls, name in ((graphs.Tree, "__init__"), (graphs.Forest, "__init__"), (graphs.Graph, "induced")):
+    for cls, name in ((graphs.Tree, "__init__"), (graphs.Forest, "__init__"), (graphs.Graph, "subgraph")):
         original = getattr(cls, name)
 
         def counted(*args, _original=original, _name=f"{cls.__name__}.{name}", **kwargs):
