@@ -196,7 +196,7 @@ def parametric_decomposition(a: ArtinianReduction, t: Tree | Analysis) -> PrimeD
     mismatch as a theorem violation.
     """
     subst = a.substitution_map()
-    supports = tuple(vset(subst[v] for v in d) for d in minimal_v3_td_sets(t))
+    supports = tuple([vset([subst[v] for v in d]) for d in minimal_v3_td_sets(t)])
     dec = PrimeDecomposition(
         variables=a.variables, supports=tuple(sorted(supports)), pure_powers=a.pure_powers
     )

@@ -140,18 +140,17 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
 
     t1 = time.monotonic()
     ideal = open_neighborhood_ideal(g)
-    entry = {"generators": [m.render() for m in ideal.gens]}
+    entry = {"generators": ideal.generator_strings()}
     if family is None:
         entry["decomposition"] = {"unit": False, "cap_exceeded": True}
     else:
         # the prime supports of N(G) are exactly the minimal TD-sets, and
         # validate_decomposition checks them against N(G) by duality; an
         # isolated vertex makes N(G) the unit ideal and the family empty
-        dec = PrimeDecomposition(ideal.variables, family.sets)
-        validate_decomposition(dec, ideal)
+        validate_decomposition(PrimeDecomposition.from_family(family), ideal)
         entry["decomposition"] = {
             "unit": ideal.is_unit,
-            "components": [list(s) for s in dec.supports],
+            "components": [list(s) for s in family.sets],
         }
     report["ideal"] = entry
     clocks["ideal"] = time.monotonic() - t1
@@ -282,7 +281,7 @@ def cmd_ideal(args) -> int:
         "schema": SCHEMA,
         "input": {"digest": _digest(g)},
         "target": list(vset(target) if target else g.labels),
-        "generators": [m.render() for m in ideal.gens],
+        "generators": ideal.generator_strings(),
     }
     dec = decompose_squarefree(ideal, cap=args.max_sets)
     report["decomposition"] = {

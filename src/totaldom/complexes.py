@@ -4,68 +4,118 @@ Facets live over an explicit ground set. The stable complex of a graph has
 the complements of its minimal TD-sets as facets; for a balanced tree the
 even-stable complex plays the same role with the odd-height vertices as the
 domination target. Facets are worked on as bitmasks over a
-``graphs.Ground`` (a graph's vertices, or a complex's ground set) and read
-back as label tuples through it. Each complex is built once from the masks
-it was computed on: its facets are the complements of a family of minimal
-sets, an antichain, so each is decoded once and none is filtered (a join's
-products of two antichains over disjoint grounds are one too). Shellings
-are verified by restriction sets, on an order of facet masks only.
+``graphs.Ground`` (a graph's vertices, or a complex's ground set). The
+stable complex and the complex of a square-free ideal keep the masks they
+were computed on, over their whole ground, and decode label tuples only
+when ``facets`` is read; the Stanley-Reisner pair reads and writes index
+data, so ``verify`` compares the two sides with no label in between. The
+even-stable complex, whose ground is part of a graph's vertices, and a join
+are built as label tuples. Every complex is built from an antichain (the
+complements of a family of minimal sets, or a join's products of two
+antichains over disjoint grounds), so no facet is filtered. Shellings are
+verified by restriction sets, on an order of facet masks only.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from .domination import _minimal_s_td_family, minimal_td_sets, minimal_transversal_masks
 from .errors import MixedTreeError, NotBalancedError, NotSquareFreeError, TheoremViolation
-from .graphs import Forest, Graph, Ground, Tree, VertexSet, _graph_of, vset
-from .ideals import Monomial, MonomialIdeal
+from .graphs import Forest, Graph, Ground, Tree, VertexSet, _bit_indices, _graph_of, _lift, vset
+from .ideals import MonomialIdeal, _row_masks
 from .unmixed import Analysis
 
 
-@dataclass(frozen=True)
 class SimplicialComplex:
     """Ground set plus the pairwise-incomparable facet list.
 
     The void complex (no facets) and the complex whose only facet is the
-    empty set are distinct values.
+    empty set are distinct values. A complex built from labels holds its
+    facets as given. One built by ``_of_masks`` holds them as masks over
+    ``codec``, a ``Ground`` whose labels are the ground set, sorted by
+    value, and decodes them on the first read of ``facets`` (sorted label
+    tuples). Two complexes with masks are equal when their grounds and
+    masks are; otherwise ``==`` compares the grounds and the facet tuples.
     """
 
-    ground: tuple[str, ...]
-    facets: tuple[VertexSet, ...]
+    __slots__ = ("ground", "_facets", "_codec", "_masks")
+
+    def __init__(self, ground: tuple[str, ...], facets: tuple[VertexSet, ...]):
+        self.ground = ground
+        self._facets = facets
+        self._codec = self._masks = None
+
+    @classmethod
+    def _of_masks(cls, codec: Ground, masks: tuple[int, ...]) -> SimplicialComplex:
+        """The complex on the labels of ``codec`` whose facets are the
+        ``masks``, an antichain sorted by value."""
+        d = cls(codec.labels, None)
+        d._codec = codec
+        d._masks = masks
+        return d
+
+    @property
+    def facets(self) -> tuple[VertexSet, ...]:
+        if self._facets is None:
+            self._facets = tuple(sorted(map(self._codec.labels_of, self._masks)))
+        return self._facets
+
+    def _facet_masks(self) -> tuple[Ground, Sequence[int]]:
+        """A ground of the ground set and each facet as a mask over it. A
+        complex built from labels is encoded over ``Ground(ground)`` here;
+        a facet outside the ground raises KeyError."""
+        if self._masks is not None:
+            return self._codec, self._masks
+        codec = Ground(self.ground)
+        return codec, [codec.mask_of(f) for f in self._facets]
 
     @property
     def is_void(self) -> bool:
-        return not self.facets
+        return not (self._facets if self._masks is None else self._masks)
 
     @property
     def dim(self) -> int:
         """Dimension; the void complex reports -2 by convention."""
         if self.is_void:
             return -2
-        return max(len(f) for f in self.facets) - 1
+        if self._masks is None:
+            return max(len(f) for f in self._facets) - 1
+        return max(map(int.bit_count, self._masks)) - 1
+
+    def __eq__(self, other):
+        if not isinstance(other, SimplicialComplex):
+            return NotImplemented
+        if self.ground != other.ground:
+            return False
+        if self._masks is not None and other._masks is not None:
+            return self._masks == other._masks
+        return self.facets == other.facets
+
+    def __hash__(self):
+        return hash((self.ground, self.facets))
 
     def __repr__(self):
-        return f"SimplicialComplex({len(self.ground)} vertices, {len(self.facets)} facets)"
+        count = len(self._facets if self._masks is None else self._masks)
+        return f"SimplicialComplex({len(self.ground)} vertices, {count} facets)"
 
 
-def _complements(codec: Ground, ground: int, family) -> SimplicialComplex:
-    """The complex on the labels of the ``ground`` mask whose facets are
-    ground - d for the masks d of ``family``, an antichain inside it; the
-    complements are an antichain too."""
-    labels_of = codec.labels_of
-    return SimplicialComplex(
-        ground=labels_of(ground),
-        facets=tuple(sorted(labels_of(ground & ~d) for d in family)),
-    )
+def _complements(codec: Ground, family) -> SimplicialComplex:
+    """The complex on the labels of ``codec`` whose facets are the
+    complements of the masks of ``family``, an antichain sorted by value as
+    the engine returns it; the complements are an antichain too, and in
+    reverse order they are sorted by value."""
+    full = (1 << len(codec.labels)) - 1
+    return SimplicialComplex._of_masks(codec, tuple([full ^ d for d in reversed(family)]))
 
 
 def stable_complex(g) -> SimplicialComplex:
     """Facets are the complements of the minimal TD-sets, enumerated without
     a cap; void if none exist."""
     g = _graph_of(g)
-    return _complements(g, (1 << g.n) - 1, minimal_td_sets(g).masks)
+    return _complements(g, minimal_td_sets(g).masks)
 
 
 def _even_family(facts: Analysis, cap: int | None) -> tuple[int, tuple[int, ...]]:
@@ -83,12 +133,18 @@ def _even_family(facts: Analysis, cap: int | None) -> tuple[int, tuple[int, ...]
 
 
 def even_stable_complex(t: Forest | Analysis) -> SimplicialComplex:
-    """Complements of the minimal odd-TD-sets inside the even-height vertices."""
+    """Complements of the minimal odd-TD-sets inside the even-height
+    vertices, decoded here: the ground is only part of the graph's
+    vertices."""
     facts = Analysis.of(t)
     if not facts.balanced:
         raise NotBalancedError("even-stable complex requires a balanced tree/forest")
     even, family = _even_family(facts, None)
-    return _complements(facts.forest.graph, even, family)
+    labels_of = facts.forest.graph.labels_of
+    return SimplicialComplex(
+        ground=labels_of(even),
+        facets=tuple(sorted([labels_of(even & ~d) for d in family])),
+    )
 
 
 def join(d1: SimplicialComplex, d2: SimplicialComplex) -> SimplicialComplex:
@@ -106,21 +162,20 @@ def join(d1: SimplicialComplex, d2: SimplicialComplex) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 
 def stanley_reisner_ideal(d: SimplicialComplex) -> MonomialIdeal:
-    """Generated by the minimal non-faces (size at most dim+2).
+    """Generated by the minimal non-faces (size at most dim+2), over the
+    ground of ``d``.
 
-    Subsets of the ground set are walked in ``combinations`` order as masks.
-    A mask is a face when it lies inside one of the facet masks, computed
-    once; a k-subset costs at most k+1 such tests of one AND per facet. The
-    minimal non-faces form an antichain, and over the sorted ground set the
-    ``combinations`` order (size, then lexicographic) is the grlex order of
-    ``MonomialIdeal.from_gens``, so the ideal is built from them as they
+    Subsets of the ground set are walked in ``combinations`` order of their
+    bits, as masks. A subset is a face when its mask lies inside one of the
+    facet masks; a k-subset costs at most k+1 such tests of one AND per
+    facet. The minimal non-faces form an antichain, and over the sorted
+    ground set the ``combinations`` order (size, then lexicographic) is
+    grlex order, so their index tuples are the rows of the ideal as they
     come.
     """
     if d.is_void:
         return MonomialIdeal.unit(d.ground)
-    ground = Ground(d.ground)
-    facets = [ground.mask_of(f) for f in d.facets]
-    labels = ground.labels
+    codec, facets = d._facet_masks()
 
     def is_face(m: int) -> bool:
         for f in facets:
@@ -128,10 +183,10 @@ def stanley_reisner_ideal(d: SimplicialComplex) -> MonomialIdeal:
                 return True
         return False
 
-    gens = []
+    powers = [1 << i for i in range(len(codec.labels))]
+    rows = []
     for k in range(1, d.dim + 3):
-        for sub in combinations(range(len(labels)), k):
-            bits = [1 << i for i in sub]
+        for bits in combinations(powers, k):
             m = sum(bits)
             if is_face(m):
                 continue
@@ -139,21 +194,22 @@ def stanley_reisner_ideal(d: SimplicialComplex) -> MonomialIdeal:
                 if not is_face(m ^ b):
                     break
             else:
-                gens.append(Monomial(tuple((labels[i], 1) for i in sub)))
-    return MonomialIdeal(variables=d.ground, gens=tuple(gens))
+                rows.append(_bit_indices(m))
+    return MonomialIdeal._squarefree(codec, tuple(rows))
 
 
 def stanley_reisner_complex(i: MonomialIdeal) -> SimplicialComplex:
     """Faces are the subsets whose monomial avoids the ideal.
 
     The maximal ones are the complements of the minimal transversals of the
-    generator supports, so the transversal engine applies directly.
+    generator supports, so the transversal engine applies directly, on the
+    supports' masks over the ideal's ground.
     """
     if not i.is_squarefree:
         raise NotSquareFreeError(f"not square-free: {i.render()}")
-    ground = Ground(i.variables)
-    edges = [ground.mask_of(m.support) for m in i.gens]
-    return _complements(ground, (1 << len(ground.labels)) - 1, minimal_transversal_masks(edges))
+    ground, rows = i._index_rows()
+    edges = _row_masks(rows, range(len(ground.labels)))
+    return _complements(ground, minimal_transversal_masks(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +397,7 @@ def _facet_vector_order(facts: Analysis, cap: int | None):
     if not rows:
         tagged.sort(key=lambda pair: g.labels_of(pair[1]))
     tagged.sort(key=lambda pair: shelling_sort_key(pair[0]))
-    return even, [f for _, f in tagged], tuple(v for v, _ in tagged)
+    return even, [f for _, f in tagged], tuple([v for v, _ in tagged])
 
 
 def shelling_order(t: Tree | Analysis) -> ShellingOrder:
@@ -358,16 +414,6 @@ def shelling_order(t: Tree | Analysis) -> ShellingOrder:
     if not check.ok:
         raise TheoremViolation("the facet-vector order failed shelling verification")
     return _labelled_order(facts.forest.graph, even, facets, vectors, check)
-
-
-def _lift(mask: int, index: list[int]) -> int:
-    """``mask`` moved to another index space: bit i goes to bit index[i]."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << index[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 def _composed_order(g: Graph, components: tuple[Analysis, ...],

@@ -284,7 +284,7 @@ def _peel(g: Graph, height: list[int], alive: list[bool]):
         chain = sorted(sorted(cut), key=cut.__getitem__)  # ties in label order
         lower_left = down[attach] - (height[chain[0]] == height[attach] - 1)
         if (
-            tuple(height[v] for v in chain) != _WHISKER_HEIGHTS[kind]
+            tuple([height[v] for v in chain]) != _WHISKER_HEIGHTS[kind]
             or len(nbrs[attach]) < 3
             or lower_left < 1
         ):

@@ -39,6 +39,16 @@ def _bit_indices(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _lift(mask: int, index) -> int:
+    """``mask`` moved to another index space: bit i goes to bit index[i]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << index[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 class Ground:
     """A sorted, duplicate-free label tuple and its index dict: the codec
     between label sets and bitmasks, with label ``labels[i]`` as bit i."""

@@ -165,7 +165,7 @@ def _check_component(layer: _Layer, comp: list[int], marks) -> ComponentCheck:
     labels = layer.graph.labels
     return ComponentCheck(
         side=layer.side,
-        vertices=tuple(map(labels.__getitem__, comp)),
+        vertices=tuple([labels[i] for i in comp]),
         height=top,
         height_ok=top <= 3,
         v2_unique_v1_ok=bad2 is None,
@@ -357,8 +357,8 @@ class _Layer:
     def checks(self) -> tuple[ComponentCheck, ...]:
         """The checklist of each component, built on the first call."""
         if self._checks is None:
-            self._checks = tuple(_check_component(self, comp, marks)
-                                 for comp, marks in zip(self.components(), self.marks))
+            self._checks = tuple([_check_component(self, comp, marks)
+                                  for comp, marks in zip(self.components(), self.marks)])
         return self._checks
 
     def dropped(self) -> VertexSet:

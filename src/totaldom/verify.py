@@ -35,7 +35,7 @@ from .graphs import (
     path_graph,
     star_graph,
 )
-from .ideals import decompose_squarefree, open_neighborhood_ideal
+from .ideals import PrimeDecomposition, decompose_squarefree, open_neighborhood_ideal
 from .treegen import Lcg64, random_tree, trees_up_to
 from .unmixed import interior_graphs, mixedness_witness
 
@@ -207,7 +207,10 @@ def check_characterization(
 
 
 def check_decomposition(max_n: int = 10) -> CheckResult:
-    """Prime supports equal the minimal TD-sets and re-expand to the ideal."""
+    """Prime supports equal the minimal TD-sets and re-expand to the ideal.
+
+    Both sides of each comparison are built in index space over the tree's
+    graph, so they are compared by their masks and index tuples."""
     start = time.monotonic()
     failures = []
     checked = 0
@@ -215,8 +218,7 @@ def check_decomposition(max_n: int = 10) -> CheckResult:
         checked += 1
         ideal = open_neighborhood_ideal(t.graph)
         dec = decompose_squarefree(ideal)
-        family = minimal_td_sets(t)
-        if dec.supports != family.sets:
+        if dec != PrimeDecomposition.from_family(minimal_td_sets(t)):
             failures.append(f"supports mismatch on {canonical_form(t)}")
         if dec.to_ideal() != ideal:
             failures.append(f"re-expansion mismatch on {canonical_form(t)}")

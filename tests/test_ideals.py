@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -329,7 +328,12 @@ def _corruptions(dec: PrimeDecomposition, rng: Lcg64):
         if spurious not in sups:
             out.append(sups + (spurious,))
             break
-    return [replace(dec, supports=tuple(sorted(c))) for c in out]
+    return [_with_supports(dec, tuple(sorted(c))) for c in out]
+
+
+def _with_supports(dec: PrimeDecomposition, supports) -> PrimeDecomposition:
+    """``dec`` with other label supports, built from labels."""
+    return PrimeDecomposition(dec.variables, supports, dec.pure_powers)
 
 
 def _oracle_holds(dec: PrimeDecomposition, ideal: MonomialIdeal) -> bool:
@@ -379,7 +383,7 @@ def test_duality_check_rejects_a_repeated_parametric_prime():
     t = path_graph(6)
     red = artinian_reduction(t)
     dec = parametric_decomposition(red, t)
-    twice = replace(dec, supports=dec.supports + dec.supports[:1])
+    twice = _with_supports(dec, dec.supports + dec.supports[:1])
     with pytest.raises(TheoremViolation, match="parametric decomposition is not irredundant"):
         validate_decomposition(twice, red.ideal)
 
@@ -388,7 +392,7 @@ def test_duality_check_edge_cases():
     dec = decompose_squarefree(parse_ideal("x", ("x",)))
     with pytest.raises(TheoremViolation):
         validate_decomposition(dec, parse_ideal("x^2", ("x",)))
-    stray = replace(dec, supports=(("y",),))
+    stray = _with_supports(dec, (("y",),))
     for check in (stray.to_ideal, lambda: validate_decomposition(stray, dec.to_ideal())):
         with pytest.raises(AmbientMismatchError):
             check()
