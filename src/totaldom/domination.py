@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import EnumerationCapExceeded, TheoremViolation
-from .graphs import Graph, Ground, VertexSet, _bit_indices, _graph_of
+from .graphs import Graph, Ground, VertexSet, _bit_indices, _columns, _graph_of
+
+# Families of at least this many members are rechecked column-wise
+# (``_failing_members``); below it the per-member ``_is_minimal_s_td`` is
+# cheaper, since the columns cost a pass over every vertex whatever the
+# family size. Taken from timings of verify's rechecks by family size.
+_COLUMNS_FROM = 16
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +279,11 @@ def minimal_s_td_sets(g, s, cap: int | None = None) -> MinimalSetFamily:
     KeyError. The recheck of a transversal D (``_is_minimal_s_td``) is one
     pass over the bits of D: N(D) and the vertices with exactly one neighbor
     in D come from |D| neighbor masks, S inside N(D) is one AND, and each v
-    in D needs a neighbor among those vertices inside S. The first set in
-    mask order that fails raises TheoremViolation.
+    in D needs a neighbor among those vertices inside S. A family of
+    ``_COLUMNS_FROM`` members or more is rechecked whole, one operation per
+    vertex and neighbor on an int with a bit per member
+    (``_failing_members``). The first set in mask order that fails raises
+    TheoremViolation.
     """
     g = _graph_of(g)
     index = g.index
@@ -302,12 +311,50 @@ def _minimal_s_td_family(g: Graph, target, cap: int | None) -> MinimalSetFamily:
         edges.append(masks[i])
         smask |= 1 << i
     found = minimal_transversal_masks(edges, cap=cap)
-    for m in found:
-        if not _is_minimal_s_td(masks, m, smask):
-            raise TheoremViolation(
-                f"transversal {g.labels_of(m)} is not a verified minimal S-TD-set"
-            )
+    if len(found) < _COLUMNS_FROM:
+        failed = next((m for m in found if not _is_minimal_s_td(masks, m, smask)), None)
+    else:
+        bad = _failing_members(g.adj, found, target)
+        failed = found[(bad & -bad).bit_length() - 1] if bad else None
+    if failed is not None:
+        raise TheoremViolation(
+            f"transversal {g.labels_of(failed)} is not a verified minimal S-TD-set"
+        )
     return MinimalSetFamily(graph=g, masks=tuple(found))
+
+
+def _failing_members(adj, family: list[int], target) -> int:
+    """The members of ``family`` that are not minimal S-TD-sets, as a bitset
+    over their positions: ``_is_minimal_s_td`` for the whole family at once.
+
+    Column v of the family (``graphs._columns``) holds the members that
+    contain vertex v. For each u in S, folding the columns of N(u) into
+    ``once`` and ``twice`` gives the members that dominate u and those that
+    dominate it twice or more; a member missing from ``once`` does not
+    dominate S, and ``exact[u]`` marks the members in which u has exactly
+    one neighbor. A member containing v needs some u in S inside N(v) with
+    that member in ``exact[u]``, as then N(u) & D = {v}. Each step is one
+    operation on a len(family)-bit int.
+    """
+    cols = _columns(family, len(adj))
+    full = (1 << len(family)) - 1
+    bad = 0
+    exact = [0] * len(adj)
+    for u in target:
+        once = twice = 0
+        for w in adj[u]:
+            c = cols[w]
+            twice |= once & c
+            once |= c
+        bad |= full ^ once
+        exact[u] = once ^ twice  # once & ~twice, as twice lies in once
+    for v, c in enumerate(cols):
+        if c:
+            private = 0
+            for u in adj[v]:
+                private |= exact[u]
+            bad |= c & ~private
+    return bad
 
 
 def is_unmixed_bruteforce(g) -> bool:

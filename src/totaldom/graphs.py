@@ -49,6 +49,21 @@ def _lift(mask: int, index) -> int:
     return out
 
 
+def _columns(masks, width: int) -> list[int]:
+    """The family ``masks`` transposed: ``width`` ints of len(masks) bits,
+    with bit r of column v set when ``masks[r]`` has bit v. Every mask lies
+    below ``1 << width``. Each mask is written as a fixed-width binary
+    string, most significant bit first, over the reversed family, so
+    ``zip`` reads column v, member len(masks) - 1 first, as one binary
+    string: the transpose runs in C string operations, not per bit."""
+    if not masks or not width:
+        return [0] * width
+    rows = [format(m, f"0{width}b") for m in reversed(masks)]
+    cols = [int("".join(col), 2) for col in zip(*rows)]
+    cols.reverse()
+    return cols
+
+
 class Ground:
     """A sorted, duplicate-free label tuple and its index dict: the codec
     between label sets and bitmasks, with label ``labels[i]`` as bit i."""

@@ -135,26 +135,21 @@ def _spider(k: int) -> Tree:
     return _created(labels, nbrs)
 
 
-def _leaves_at_distance_4(adj) -> bool:
-    """Whether two leaves of the tree with neighbor lists ``adj`` lie at
-    distance 4: the fourth ring of a breadth-first walk from some leaf holds
-    a leaf."""
-    for a, nb in enumerate(adj):
-        if len(nb) != 1:
-            continue
-        prev, ring = [a], [a]
-        for _ in range(4):
-            prev, ring = ring, [j for i in ring for j in adj[i] if j not in prev]
-        if any(len(adj[b]) == 1 for b in ring):
-            return True
-    return False
+def _leaves_share_a_neighbor(adj) -> bool:
+    """Whether two leaves of the tree with neighbor lists ``adj`` have a
+    common neighbor, that is, lie at distance 2."""
+    return any(sum(len(adj[j]) == 1 for j in nb) >= 2 for nb in adj)
 
 
 def mixedness_samples(seed: int, per_family: int = 25):
     """Balanced trees falling under the three mixedness theorems.
 
     Yields (family, tree) pairs: two leaves at distance 4, height exactly 2,
-    height at least 4.
+    height at least 4. A distance-4 sample is the edge subdivision of a
+    random tree, which doubles every distance and keeps the leaves, so it
+    has two leaves at distance 4 exactly when two leaves of the random tree
+    share a neighbor; that is tested first, and only kept samples are
+    subdivided.
     """
     rng = Lcg64(seed)
     dist4, height2, height4 = [], [], []
@@ -175,9 +170,8 @@ def mixedness_samples(seed: int, per_family: int = 25):
             height4.append(t)
     while len(dist4) < per_family:
         base = random_tree(rng, 4 + rng.randrange(7))
-        t = Tree(edge_subdivision(base))
-        if _leaves_at_distance_4(t.graph.adj):
-            dist4.append(t)
+        if _leaves_share_a_neighbor(base.graph.adj):
+            dist4.append(Tree(edge_subdivision(base)))
     return [("distance-4-leaves", t) for t in dist4] + [
         ("height-2", t) for t in height2
     ] + [("height>=4", t) for t in height4]

@@ -31,7 +31,8 @@ exponent vectors rather than row sets), of the re-expansion of
 a decomposition (sums and intersections of ideals through lcms of exponent
 dicts, which the package no longer has) and of the seeded inputs of
 ``verify`` (Prufer trees through ``Tree.from_edges``, sample corpora read
-through label -> height dicts and label-keyed distances) and of the
+through label -> height dicts and label-keyed distances, and the
+distance-4 test on each edge subdivision) and of the
 package's own tree builders (label edge lists through ``Tree.from_edges``,
 induced subgraphs on label sets) as references for differential tests.
 """
@@ -1323,3 +1324,19 @@ def mixedness_samples_by_labels(seed: int, per_family: int = 25):
     return [("distance-4-leaves", t) for t in dist4] + [
         ("height-2", t) for t in height2
     ] + [("height>=4", t) for t in height4]
+
+
+def _leaves_at_distance_4(adj) -> bool:
+    """Whether two leaves of the tree with neighbor lists ``adj`` lie at
+    distance 4: the fourth ring of a breadth-first walk from some leaf holds
+    a leaf. ``verify.mixedness_samples`` once tested each edge subdivision
+    with it; it now tests the tree before subdividing."""
+    for a, nb in enumerate(adj):
+        if len(nb) != 1:
+            continue
+        prev, ring = [a], [a]
+        for _ in range(4):
+            prev, ring = ring, [j for i in ring for j in adj[i] if j not in prev]
+        if any(len(adj[b]) == 1 for b in ring):
+            return True
+    return False

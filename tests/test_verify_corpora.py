@@ -7,8 +7,18 @@ same trees, in the same order, with the same traces.
 
 from __future__ import annotations
 
-from oracles import balanced_corpus_by_height_map, mixedness_samples_by_labels
-from totaldom.verify import balanced_corpus, mixedness_samples
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    _leaves_at_distance_4,
+    balanced_corpus_by_height_map,
+    mixedness_samples_by_labels,
+)
+from totaldom.construct import edge_subdivision
+from totaldom.graphs import Tree
+from totaldom.treegen import Lcg64, random_tree
+from totaldom.verify import _leaves_share_a_neighbor, balanced_corpus, mixedness_samples
 
 
 def _same_tree(a, b) -> bool:
@@ -26,6 +36,28 @@ def test_mixedness_samples_match_label_route():
             want = mixedness_samples_by_labels(seed, per_family)
             assert [f for f, _ in got] == [f for f, _ in want]
             assert all(_same_tree(a, b) for (_, a), (_, b) in zip(got, want))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 8))
+def test_distance_4_samples_are_decided_before_subdividing(seed, per_family):
+    # the label route subdivides every drawn tree and then looks for two
+    # leaves at distance 4 in the subdivision
+    got = mixedness_samples(seed, per_family)
+    want = mixedness_samples_by_labels(seed, per_family)
+    assert [f for f, _ in got] == [f for f, _ in want]
+    assert all(_same_tree(a, b) for (_, a), (_, b) in zip(got, want))
+    for family, t in got:
+        if family == "distance-4-leaves":
+            assert _leaves_at_distance_4(t.graph.adj)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 14))
+def test_shared_leaf_neighbor_is_distance_4_after_subdividing(seed, n):
+    base = random_tree(Lcg64(seed), n)
+    sub = Tree(edge_subdivision(base))
+    assert _leaves_share_a_neighbor(base.graph.adj) == _leaves_at_distance_4(sub.graph.adj)
 
 
 def test_balanced_corpus_matches_height_map_route():
