@@ -16,12 +16,11 @@ when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .domination import MinimalSetFamily, _minimal_s_td_family
 from .errors import MixedTreeError, TheoremViolation
-from .graphs import Forest, Tree, VertexSet, _bit_indices, vset
+from .graphs import Forest, Tree, VertexSet, _bit_indices, _Record, vset
 from .ideals import (
     Monomial,
     MonomialIdeal,
@@ -31,8 +30,7 @@ from .ideals import (
 from .unmixed import Analysis
 
 
-@dataclass(frozen=True)
-class ArtinianReduction:
+class ArtinianReduction(_Record):
     """Result of quotienting by the leaf-identification regular sequence,
     held as label rows and row bitmasks.
 
@@ -43,8 +41,12 @@ class ArtinianReduction:
     first read.
     """
 
-    rows: tuple[VertexSet, ...]
-    masks: tuple[int, ...]
+    _fields = ("rows", "masks")
+
+    def __init__(self, rows: tuple[VertexSet, ...], masks: tuple[int, ...]):
+        d = self.__dict__
+        d["rows"] = rows
+        d["masks"] = masks
 
     @cached_property
     def variables(self) -> tuple[str, ...]:
@@ -215,20 +217,31 @@ def _component_depth(height: list[int]) -> int:
     return n0
 
 
-@dataclass(frozen=True)
-class TypeReport:
-    cm_type: int
-    m_blue: int
-    m_red: int
-    depth: int
-    dim: int
-    blue_family: MinimalSetFamily
-    red_family: MinimalSetFamily
-    socle_blue: int
-    socle_red: int
-    # the reduction of each interior component, in component order
-    blue_reductions: tuple[ArtinianReduction, ...] = ()
-    red_reductions: tuple[ArtinianReduction, ...] = ()
+class TypeReport(_Record):
+    """The CM-type with its factors; ``blue_reductions`` and
+    ``red_reductions`` hold the reduction of each interior component, in
+    component order."""
+
+    _fields = ("cm_type", "m_blue", "m_red", "depth", "dim", "blue_family", "red_family",
+               "socle_blue", "socle_red", "blue_reductions", "red_reductions")
+
+    def __init__(self, cm_type: int, m_blue: int, m_red: int, depth: int, dim: int,
+                 blue_family: MinimalSetFamily, red_family: MinimalSetFamily,
+                 socle_blue: int, socle_red: int,
+                 blue_reductions: tuple[ArtinianReduction, ...] = (),
+                 red_reductions: tuple[ArtinianReduction, ...] = ()):
+        d = self.__dict__
+        d["cm_type"] = cm_type
+        d["m_blue"] = m_blue
+        d["m_red"] = m_red
+        d["depth"] = depth
+        d["dim"] = dim
+        d["blue_family"] = blue_family
+        d["red_family"] = red_family
+        d["socle_blue"] = socle_blue
+        d["socle_red"] = socle_red
+        d["blue_reductions"] = blue_reductions
+        d["red_reductions"] = red_reductions
 
     def to_json_dict(self) -> dict:
         return {

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import sys
 import time
 
@@ -74,6 +73,8 @@ def _read_graph(path: str) -> Graph:
 
 
 def _digest(g: Graph) -> str:
+    import hashlib
+
     return hashlib.sha256(render_edge_list(g).encode()).hexdigest()[:16]
 
 

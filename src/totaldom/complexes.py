@@ -19,7 +19,6 @@ verified by restriction sets, on an order of facet masks only.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .domination import _minimal_s_td_family, minimal_td_sets, minimal_transversal_masks
@@ -34,6 +33,7 @@ from .graphs import (
     _columns,
     _graph_of,
     _lift,
+    _Record,
     vset,
 )
 from .ideals import MonomialIdeal, _row_masks
@@ -233,12 +233,16 @@ def stanley_reisner_complex(i: MonomialIdeal) -> SimplicialComplex:
 # Shelling verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShellingCheck:
-    ok: bool
-    pure: bool
-    witness_count: int = 0
-    failure_pair: tuple[int, int] | None = None
+class ShellingCheck(_Record):
+    _fields = ("ok", "pure", "witness_count", "failure_pair")
+
+    def __init__(self, ok: bool, pure: bool, witness_count: int = 0,
+                 failure_pair: tuple[int, int] | None = None):
+        d = self.__dict__
+        d["ok"] = ok
+        d["pure"] = pure
+        d["witness_count"] = witness_count
+        d["failure_pair"] = failure_pair
 
     def to_json_dict(self) -> dict:
         return {
@@ -360,18 +364,24 @@ def shelling_sort_key(vec):
     return (-ones_count(vec), vec)
 
 
-@dataclass(frozen=True)
-class ShellingOrder:
+class ShellingOrder(_Record):
     """A verified facet order as label tuples; ``masks`` holds the same
     facets as the bitmasks over ``codec`` that were verified, and the
-    witnesses are read off them."""
+    witnesses are read off them. ``==``, ``hash`` and ``repr`` leave
+    ``masks`` and ``codec`` out."""
 
-    ground: tuple[str, ...]
-    facets: tuple[VertexSet, ...]
-    vectors: tuple[tuple[int, ...], ...] | None
-    check: ShellingCheck
-    masks: tuple[int, ...] = field(compare=False, repr=False)
-    codec: Ground = field(compare=False, repr=False)
+    _fields = ("ground", "facets", "vectors", "check")
+
+    def __init__(self, ground: tuple[str, ...], facets: tuple[VertexSet, ...],
+                 vectors: tuple[tuple[int, ...], ...] | None, check: ShellingCheck,
+                 masks: tuple[int, ...], codec: Ground):
+        d = self.__dict__
+        d["ground"] = ground
+        d["facets"] = facets
+        d["vectors"] = vectors
+        d["check"] = check
+        d["masks"] = masks
+        d["codec"] = codec
 
     def to_json_dict(self) -> dict:
         return {

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from dataclasses import dataclass
 from itertools import compress
 
 from .errors import InputError, MixedTreeError, TheoremViolation
@@ -20,6 +19,7 @@ from .graphs import (
     Tree,
     _created,
     _graph_of,
+    _Record,
     classify_vertices,
     is_isomorphic,
     leaf_distances,
@@ -37,17 +37,22 @@ _KIND_BY_HEIGHT = {1: KIND_LEAF, 2: KIND_WHISKER4, 3: KIND_WHISKER3}
 _WHISKER_HEIGHTS = {KIND_LEAF: (0,), KIND_WHISKER4: (3, 2, 1, 0), KIND_WHISKER3: (2, 1, 0)}
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    attach: str
-    kind: str
+class TraceStep(_Record):
+    _fields = ("attach", "kind")
+
+    def __init__(self, attach: str, kind: str):
+        d = self.__dict__
+        d["attach"] = attach
+        d["kind"] = kind
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+class ConstructionTrace(_Record):
     """Whisker replay log over the canonical base path (labels "0".."6")."""
 
-    steps: tuple[TraceStep, ...]
+    _fields = ("steps",)
+
+    def __init__(self, steps: tuple[TraceStep, ...]):
+        self.__dict__["steps"] = steps
 
     def __len__(self):
         return len(self.steps)

@@ -12,11 +12,10 @@ neighbourhoods of leaves) into one forced mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import EnumerationCapExceeded, TheoremViolation
-from .graphs import Graph, Ground, VertexSet, _bit_indices, _columns, _graph_of
+from .graphs import Graph, Ground, VertexSet, _bit_indices, _columns, _graph_of, _Record
 
 # Families of at least this many members are rechecked column-wise
 # (``_failing_members``); below it the per-member ``_is_minimal_s_td`` is
@@ -224,18 +223,25 @@ def _lex_before(a: int, b: int) -> bool:
     return bool(x & -x & a)
 
 
-@dataclass(frozen=True)
-class MinimalSetFamily:
+class MinimalSetFamily(_Record):
     """The members as bitmasks over the vertex indices of ``graph``.
 
     Index order is label order, so the lexicographic order of index tuples
     is that of label tuples. ``sizes``, ``is_unmixed`` and ``witness`` read
     popcounts and masks; the label tuples are built only when ``sets`` or
-    iteration asks for them.
+    iteration asks for them. ``repr`` leaves the graph out; ``==`` and
+    ``hash`` compare it.
     """
 
-    graph: Graph = field(repr=False)
-    masks: tuple[int, ...]
+    _fields = ("masks",)
+
+    def __init__(self, graph: Graph, masks: tuple[int, ...]):
+        d = self.__dict__
+        d["graph"] = graph
+        d["masks"] = masks
+
+    def _key(self) -> tuple:
+        return self.graph, self.masks
 
     @cached_property
     def sets(self) -> tuple[VertexSet, ...]:

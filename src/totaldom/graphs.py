@@ -11,7 +11,6 @@ complex modules build one over their variables or ground sets.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain, compress
 from operator import not_
 
@@ -27,6 +26,43 @@ VertexSet = tuple[str, ...]
 def vset(labels) -> VertexSet:
     """Canonical vertex set: sorted, duplicate-free label tuple."""
     return tuple(sorted(set(labels)))
+
+
+class _Record:
+    """Base of the package's record classes: what a frozen dataclass
+    generates, written once. ``repr`` shows the fields named in ``_fields``,
+    in constructor order, and ``==`` and ``hash`` compare them as a tuple
+    (``_key``); a field left out of ``_fields`` is left out of all three
+    unless ``_key`` names it. A subclass writes its fields into its
+    ``__dict__`` (or its slots through ``object.__setattr__``) in
+    ``__init__``; assignment and deletion raise ``FrozenInstanceError``,
+    whose module is imported on that error path only."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _bit_indices(m: int) -> tuple[int, ...]:
@@ -403,27 +439,39 @@ def heights(f: Forest) -> dict[str, int]:
     return dict(zip(g.labels, leaf_distances(g.adj, range(g.n))))
 
 
-@dataclass(frozen=True)
-class Classification:
-    leaves: VertexSet
-    supports: VertexSet
-    supported: VertexSet
-    isolated: VertexSet
+class Classification(_Record):
+    _fields = ("leaves", "supports", "supported", "isolated")
+
+    def __init__(self, leaves: VertexSet, supports: VertexSet, supported: VertexSet,
+                 isolated: VertexSet):
+        d = self.__dict__
+        d["leaves"] = leaves
+        d["supports"] = supports
+        d["supported"] = supported
+        d["isolated"] = isolated
 
 
 def classify_vertices(f: Forest) -> Classification:
-    """Leaves by degree, supports by adjacency-to-leaf (not by height)."""
+    """Leaves by degree, supports by adjacency-to-leaf (not by height).
+    Each class is marked on an index array and read off in index order,
+    which is label order, so no label is sorted."""
     g = f.graph
-    leaves = [i for i, nb in enumerate(g.adj) if len(nb) == 1]
-    isolated = [i for i, nb in enumerate(g.adj) if len(nb) == 0]
-    supports = {g.adj[i][0] for i in leaves}
-    supported = {j for i in supports for j in g.adj[i]}
+    adj = g.adj
+    degree = list(map(len, adj))
+    support = [False] * g.n
+    for i, d in enumerate(degree):
+        if d == 1:
+            support[adj[i][0]] = True
+    supported = [False] * g.n
+    for i in compress(range(g.n), support):
+        for j in adj[i]:
+            supported[j] = True
     lab = g.labels
     return Classification(
-        leaves=vset(lab[i] for i in leaves),
-        supports=vset(lab[i] for i in supports),
-        supported=vset(lab[i] for i in supported),
-        isolated=vset(lab[i] for i in isolated),
+        leaves=tuple([v for v, d in zip(lab, degree) if d == 1]),
+        supports=tuple(compress(lab, support)),
+        supported=tuple(compress(lab, supported)),
+        isolated=tuple([v for v, d in zip(lab, degree) if d == 0]),
     )
 
 

@@ -28,11 +28,10 @@ masks.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .domination import MinimalSetFamily, minimal_transversal_masks, minimal_transversals
 from .errors import AmbientMismatchError, NotSquareFreeError, TheoremViolation
-from .graphs import Ground, VertexSet, _bit_indices, _columns, _graph_of, _lift, vset
+from .graphs import Ground, VertexSet, _bit_indices, _columns, _graph_of, _lift, _Record, vset
 
 # Decompositions of at least this many supports are tested for
 # irredundancy column-wise (``_has_comparable_pair``); below it the pair
@@ -41,11 +40,13 @@ from .graphs import Ground, VertexSet, _bit_indices, _columns, _graph_of, _lift,
 _COLUMNS_FROM = 64
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(_Record):
     """Exponent list sorted by variable name; exponents are positive."""
 
-    exps: tuple[tuple[str, int], ...]
+    _fields = ("exps",)
+
+    def __init__(self, exps: tuple[tuple[str, int], ...]):
+        self.__dict__["exps"] = exps
 
     @classmethod
     def one(cls) -> Monomial:

@@ -9,10 +9,9 @@ verification suite. ``Analysis`` holds these facts for one request.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from collections import namedtuple
 from itertools import accumulate, compress
 from operator import not_
-from typing import NamedTuple
 
 from .domination import MinimalSetFamily, minimal_td_sets
 from .errors import (
@@ -31,6 +30,7 @@ from .graphs import (
     Tree,
     VertexSet,
     _blue_flags,
+    _Record,
     classify_vertices,
     leaf_distances,
 )
@@ -46,15 +46,20 @@ def is_balanced(f: Forest | Analysis) -> bool:
     return Analysis.of(f).balanced
 
 
-@dataclass(frozen=True)
-class InteriorGraphs:
+class InteriorGraphs(_Record):
     """Induced subforests after deleting each color's support vertices with
-    their neighbors, plus the deletion ledgers."""
+    their neighbors, plus the deletion ledgers: ``deleted_for_blue`` is the
+    closed neighborhood of the blue supports."""
 
-    blue: Forest
-    red: Forest
-    deleted_for_blue: VertexSet  # closed neighborhood of the blue supports
-    deleted_for_red: VertexSet
+    _fields = ("blue", "red", "deleted_for_blue", "deleted_for_red")
+
+    def __init__(self, blue: Forest, red: Forest, deleted_for_blue: VertexSet,
+                 deleted_for_red: VertexSet):
+        d = self.__dict__
+        d["blue"] = blue
+        d["red"] = red
+        d["deleted_for_blue"] = deleted_for_blue
+        d["deleted_for_red"] = deleted_for_red
 
 
 def interior_graphs(t: Tree | Analysis) -> InteriorGraphs:
@@ -71,17 +76,15 @@ def interior_graphs(t: Tree | Analysis) -> InteriorGraphs:
 # The descriptive characterization
 # ---------------------------------------------------------------------------
 
-class ComponentCheck(NamedTuple):
+class ComponentCheck(namedtuple("ComponentCheck", (
+    "side", "vertices", "height", "height_ok", "v2_unique_v1_ok", "v1_at_most_one_v2_ok",
+    "offending_vertex",
+))):
     """Checklist for one balanced component: height bound plus the two local
-    matching conditions between heights 1 and 2."""
+    matching conditions between heights 1 and 2. ``side`` is "blue", "red"
+    or "self"; ``offending_vertex`` is a label or None."""
 
-    side: str  # "blue", "red", or "self"
-    vertices: VertexSet
-    height: int
-    height_ok: bool
-    v2_unique_v1_ok: bool
-    v1_at_most_one_v2_ok: bool
-    offending_vertex: str | None
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -99,7 +102,7 @@ class ComponentCheck(NamedTuple):
         }
 
 
-class UnmixedCertificate:
+class UnmixedCertificate(_Record):
     """An unmixedness verdict with its component checklists. Immutable;
     equal when verdict and checklists are. Its JSON form keeps a
     ``"witness": null`` slot, which reports fill in themselves.
@@ -110,6 +113,7 @@ class UnmixedCertificate:
     ComponentCheck."""
 
     __slots__ = ("unmixed", "_checks")
+    _fields = ("unmixed", "checks")
 
     def __init__(self, unmixed: bool, checks: tuple[ComponentCheck, ...]):
         object.__setattr__(self, "unmixed", unmixed)
@@ -122,26 +126,6 @@ class UnmixedCertificate:
             checks = checks()
             object.__setattr__(self, "_checks", checks)
         return checks
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return self.unmixed, self.checks
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"UnmixedCertificate(unmixed={self.unmixed!r}, checks={self.checks!r})"
 
     def to_json_dict(self) -> dict:
         return {

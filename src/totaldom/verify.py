@@ -9,7 +9,6 @@ subcommand and the acceptance test module both run through these functions.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import chain
 
 from . import unmixed as unmixed_mod
@@ -29,6 +28,7 @@ from .errors import EnumerationCapExceeded
 from .graphs import (
     Tree,
     _created,
+    _Record,
     canonical_form,
     heights,
     leaf_distances,
@@ -40,13 +40,21 @@ from .treegen import Lcg64, random_tree, trees_up_to
 from .unmixed import interior_graphs, mixedness_witness
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    checked: int
-    detail: str
-    seconds: float
+class CheckResult(_Record):
+    """One check's outcome. Mutable and so unhashable, unlike the other
+    records."""
+
+    _fields = ("name", "passed", "checked", "detail", "seconds")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, name: str, passed: bool, checked: int, detail: str, seconds: float):
+        self.name = name
+        self.passed = passed
+        self.checked = checked
+        self.detail = detail
+        self.seconds = seconds
 
     @property
     def vacuous(self) -> bool:

@@ -82,6 +82,7 @@ from totaldom.errors import (
     TheoremViolation,
 )
 from totaldom.graphs import (
+    Classification,
     Coloring,
     Forest,
     Graph,
@@ -682,6 +683,23 @@ def two_coloring_by_vset(f: Forest) -> Coloring:
     return Coloring(
         vset(v for v, s in zip(g.labels, side) if s == 0),
         vset(v for v, s in zip(g.labels, side) if s == 1),
+    )
+
+
+def classify_by_vset(f: Forest) -> Classification:
+    """``classify_vertices`` with each class gathered as a label set and
+    sorted by ``vset``."""
+    g = f.graph
+    leaves = [i for i, nb in enumerate(g.adj) if len(nb) == 1]
+    isolated = [i for i, nb in enumerate(g.adj) if len(nb) == 0]
+    supports = {g.adj[i][0] for i in leaves}
+    supported = {j for i in supports for j in g.adj[i]}
+    lab = g.labels
+    return Classification(
+        leaves=vset(lab[i] for i in leaves),
+        supports=vset(lab[i] for i in supports),
+        supported=vset(lab[i] for i in supported),
+        isolated=vset(lab[i] for i in isolated),
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     ahu_recursive,
+    classify_by_vset,
     even_blue_coloring,
     forest_height,
     heights_by_vertex_search,
@@ -145,6 +146,21 @@ def test_classify_single_edge():
 
 def test_classify_p6_supports():
     assert classify_vertices(path_graph(6)).supports == ("1", "5")
+
+
+def test_classify_matches_vset_oracle(trees8):
+    """The index-order classes equal the ``vset`` route on every tree up to
+    8 vertices, on random trees and on forests with isolated vertices."""
+    rng = Lcg64(29)
+    forests = [
+        *trees8,
+        *(random_tree(rng, n) for n in (2, 3, 17, 60, 250)),
+        Forest.from_edges([("b", "a"), ("a", "c"), ("x", "y")], extra_vertices=("m", "d")),
+        Forest.from_edges([], extra_vertices=("z", "k")),
+    ]
+    for f in forests:
+        assert classify_vertices(f) == classify_by_vset(f)
+    assert classify_vertices(forests[-2]).isolated == ("d", "m")
 
 
 # ---------------------------------------------------------------------------
