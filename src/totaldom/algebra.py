@@ -20,7 +20,7 @@ from functools import cached_property
 
 from .domination import MinimalSetFamily, _minimal_s_td_family
 from .errors import MixedTreeError, TheoremViolation
-from .graphs import Forest, Tree, VertexSet, _bit_indices, _Record, vset
+from .graphs import Forest, Graph, Tree, VertexSet, _bit_indices, _Record, vset
 from .ideals import (
     Monomial,
     MonomialIdeal,
@@ -182,10 +182,22 @@ def minimal_v3_td_sets(f: Forest | Analysis, cap: int | None = None) -> MinimalS
     components the family is the cross product of the component families.
     """
     facts = Analysis.of(f)
-    if facts.forest.graph.n and not facts.balanced:
+    g = facts.forest.graph
+    if g.n and not facts.balanced:
         raise MixedTreeError("V3 domination targets are defined on balanced forests")
-    v3 = [i for i, h in enumerate(facts.height) if h == 3]
-    return _minimal_s_td_family(facts.forest.graph, v3, cap)
+    return _v3_family(g, g.adj, facts.height, cap)
+
+
+def _v3_family(g: Graph, adj, height: list[int], cap: int | None) -> MinimalSetFamily:
+    """The minimal S-TD-sets over the neighbor lists ``adj`` by index of
+    ``g``, with S the indices of height 3 in ``height`` (a vertex left out
+    has height -1). ``cm_type`` passes an interior layer's lists and
+    heights over the tree's indices: a side's index k is the k-th kept
+    tree index, an increasing map, so the engine meets the same edges in
+    the same order as on the interior forest, trips a cap at the same edge
+    and finds the same label sets."""
+    v3 = [i for i, h in enumerate(height) if h == 3]
+    return _minimal_s_td_family(g, v3, cap, adj)
 
 
 def parametric_decomposition(a: ArtinianReduction, t: Tree | Analysis) -> PrimeDecomposition:
@@ -218,9 +230,10 @@ def _component_depth(height: list[int]) -> int:
 
 
 class TypeReport(_Record):
-    """The CM-type with its factors; ``blue_reductions`` and
-    ``red_reductions`` hold the reduction of each interior component, in
-    component order."""
+    """The CM-type with its factors; ``blue_family`` and ``red_family`` hold
+    the minimal V3-TD-sets of each interior forest as masks over the tree's
+    indices, and ``blue_reductions`` and ``red_reductions`` the reduction of
+    each interior component, in component order."""
 
     _fields = ("cm_type", "m_blue", "m_red", "depth", "dim", "blue_family", "red_family",
                "socle_blue", "socle_red", "blue_reductions", "red_reductions")
@@ -257,12 +270,13 @@ class TypeReport(_Record):
         }
 
 
-def _forest_side(side: Analysis):
-    """(socle product, depth sum, reductions) for one interior forest."""
+def _forest_side(components: tuple[Analysis, ...]):
+    """(socle product, depth sum, reductions) over the components of one
+    interior forest."""
     socle = 1
     depth = 0
     reductions = []
-    for comp in side.components:
+    for comp in components:
         reduction = artinian_reduction(comp)
         reductions.append(reduction)
         socle *= socle_dimension(reduction)
@@ -283,11 +297,12 @@ def cm_type(t: Tree | Analysis, cap: int | None = None) -> TypeReport:
     facts.require_edge()
     if not facts.certificate.unmixed:
         raise MixedTreeError("type is defined for unmixed trees only")
-    blue, red = facts.sides
-    blue_family = minimal_v3_td_sets(blue, cap=cap)
-    red_family = minimal_v3_td_sets(red, cap=cap)
-    socle_blue, depth_blue, blue_reductions = _forest_side(blue)
-    socle_red, depth_red, red_reductions = _forest_side(red)
+    g = facts.forest.graph
+    blue, red = facts.interior_layers
+    blue_family = _v3_family(g, blue.nbrs, blue.height, cap)
+    red_family = _v3_family(g, red.nbrs, red.height, cap)
+    socle_blue, depth_blue, blue_reductions = _forest_side(blue.component_facts())
+    socle_red, depth_red, red_reductions = _forest_side(red.component_facts())
     m_blue, m_red = len(blue_family), len(red_family)
     if (m_blue, m_red) != (socle_blue, socle_red):
         raise TheoremViolation(

@@ -50,7 +50,7 @@ from .ideals import (
     validate_decomposition,
 )
 from .jsontext import dumps
-from .unmixed import Analysis, interior_graphs, is_balanced, is_unmixed_fast
+from .unmixed import Analysis, is_balanced, is_unmixed_fast
 from .verify import run_suite
 
 SCHEMA = "wtd-report/1"
@@ -157,19 +157,8 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
     clocks["ideal"] = time.monotonic() - t1
 
     if is_tree:
-        interiors = interior_graphs(facts)
-        report["interiors"] = {
-            "blue": {
-                "vertices": list(interiors.blue.labels),
-                "components": [list(c) for c in interiors.blue.components()],
-                "deleted": list(interiors.deleted_for_blue),
-            },
-            "red": {
-                "vertices": list(interiors.red.labels),
-                "components": [list(c) for c in interiors.red.components()],
-                "deleted": list(interiors.deleted_for_red),
-            },
-        }
+        # read off the interior layers: no interior forest is built
+        report["interiors"] = {layer.side: layer.to_json_dict() for layer in facts.interior_layers}
         cert = is_unmixed_fast(facts)
         cert_dict = cert.to_json_dict()
         if family is not None:
@@ -328,12 +317,11 @@ def cmd_type(args) -> int:
     report = {"schema": SCHEMA, "input": {"digest": _digest(g)}} | type_report.to_json_dict()
     if args.reduction:
         sides = {}
-        for name, side, reductions in (
-            ("blue", facts.sides[0], type_report.blue_reductions),
-            ("red", facts.sides[1], type_report.red_reductions),
+        for layer, reductions in zip(
+            facts.interior_layers, (type_report.blue_reductions, type_report.red_reductions)
         ):
             comps = []
-            for comp, red in zip(side.components, reductions):
+            for comp, red in zip(layer.component_facts(), reductions):
                 pdec = parametric_decomposition(red, comp)
                 comps.append({
                     "vertices": list(comp.forest.labels),
@@ -341,7 +329,7 @@ def cmd_type(args) -> int:
                     "pure_powers": red.pure_powers.render(),
                     "parametric_components": [list(s) for s in pdec.supports],
                 })
-            sides[name] = comps
+            sides[layer.side] = comps
         report["reductions"] = sides
 
     def human(rep):

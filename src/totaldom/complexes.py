@@ -461,16 +461,17 @@ def shelling_order(t: Tree | Analysis) -> ShellingOrder:
     return _labelled_order(facts.forest.graph, even, facets, vectors, check)
 
 
-def _composed_order(g: Graph, components: tuple[Analysis, ...],
-                    cap: int | None = None) -> tuple[int, list[int], ShellingCheck]:
-    """The ground mask and the product of the component orders over the
-    indices of ``g``, which holds every component's labels, and its check:
-    the product is verified once as a shelling of the join.
+def _composed_order(layers, cap: int | None = None) -> tuple[int, list[int], ShellingCheck]:
+    """The ground mask and the product of the component orders of the
+    ``layers`` of one graph over its indices, and its check: the product is
+    verified once as a shelling of the join.
 
-    Each component's even mask and ordered facet masks are lifted into the
-    index space of ``g`` once; the grounds are disjoint, so a product facet
-    is the OR of its parts. A component of height 0 or 1 keeps its facets
-    in label order; its even-stable complex is a simplex or the boundary of
+    Each component's Analysis (``_Layer.component_facts``) is lifted
+    through its sorted indices in the graph (``_Layer.components``), which
+    its own indices 0, 1, ... stand for: its even mask and ordered facet
+    masks are lifted once. The grounds are disjoint, so a product facet is
+    the OR of its parts. A component of height 0 or 1 keeps its facets in
+    label order; its even-stable complex is a simplex or the boundary of
     one, which any facet order shells.
 
     Joins of shellable complexes are shellable (Provan & Billera 1980), and
@@ -481,15 +482,16 @@ def _composed_order(g: Graph, components: tuple[Analysis, ...],
     and comes before it there. That is condition (ii) for the free factor's
     pair, so a component order that fails shelling makes the product fail.
     """
-    index = g.index
     ground = 0
     facets = [0]
-    for c in components:
-        even, order, _ = _facet_vector_order(c, cap)
-        lift = [index[v] for v in c.forest.labels]
-        ground |= _lift(even, lift)
-        parts = [_lift(m, lift) for m in order]
-        facets = [f | m for f in facets for m in parts]
+    for layer in layers:
+        for c, lift in zip(layer.component_facts(), layer.components()):
+            even, order, _ = _facet_vector_order(c, cap)
+            if lift[-1] != len(lift) - 1:  # else the lift is the identity
+                even = _lift(even, lift)
+                order = [_lift(m, lift) for m in order]
+            ground |= even
+            facets = [f | m for f in facets for m in order]
     check = verify_shelling(ground, facets)
     if not check.ok:
         raise TheoremViolation("composed join order failed shelling verification")
@@ -500,7 +502,9 @@ def stable_shelling(t: Tree | Analysis, cap: int | None = None) -> ShellingOrder
     """Shelling of the stable complex of an unmixed tree.
 
     Composes the interior forests' component orders across the join, on
-    facet masks over the tree's indices; the resulting facet family equals
+    facet masks over the tree's indices: each component comes from its
+    interior layer with its sorted tree indices as its lift, and no
+    interior forest is built. The resulting facet family equals
     the facets of the stable complex, the complements of the minimal
     TD-sets, which is asserted before the labels are read. The one-vertex
     tree raises InputError.
@@ -510,8 +514,7 @@ def stable_shelling(t: Tree | Analysis, cap: int | None = None) -> ShellingOrder
     if not facts.certificate.unmixed:
         raise MixedTreeError("stable-complex shelling requires an unmixed tree")
     g = facts.forest.graph
-    blue, red = facts.sides
-    ground, facets, check = _composed_order(g, blue.components + red.components, cap=cap)
+    ground, facets, check = _composed_order(facts.interior_layers, cap=cap)
     full = (1 << g.n) - 1
     if set(facets) != {full ^ d for d in facts.td_family(cap).masks}:
         raise TheoremViolation(

@@ -301,12 +301,16 @@ def minimal_td_sets(g, cap: int | None = None) -> MinimalSetFamily:
     return _minimal_s_td_family(g, range(g.n), cap)
 
 
-def _minimal_s_td_family(g: Graph, target, cap: int | None) -> MinimalSetFamily:
+def _minimal_s_td_family(g: Graph, target, cap: int | None, adj=None) -> MinimalSetFamily:
     """``minimal_s_td_sets`` for the sorted, distinct vertex indices
-    ``target``."""
+    ``target``, over the neighbor lists ``adj`` by index of ``g`` (``g.adj``
+    when None): a layer of a tree passes those of an interior side, whose
+    sets are then found in the tree's indices."""
+    if adj is None:
+        adj = g.adj
     # N(v) as a bitmask per vertex: O(n^2) bits, so built here, not kept
     masks = []
-    for nb in g.adj:
+    for nb in adj:
         m = 0
         for j in nb:
             m |= 1 << j
@@ -320,7 +324,7 @@ def _minimal_s_td_family(g: Graph, target, cap: int | None) -> MinimalSetFamily:
     if len(found) < _COLUMNS_FROM:
         failed = next((m for m in found if not _is_minimal_s_td(masks, m, smask)), None)
     else:
-        bad = _failing_members(g.adj, found, target)
+        bad = _failing_members(adj, found, target)
         failed = found[(bad & -bad).bit_length() - 1] if bad else None
     if failed is not None:
         raise TheoremViolation(

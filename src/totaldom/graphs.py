@@ -305,12 +305,6 @@ class Forest:
     def components(self) -> tuple[VertexSet, ...]:
         return self._components
 
-    def component_trees(self) -> tuple[Tree, ...]:
-        return tuple([
-            Tree.with_components(sub, [list(range(sub.n))])
-            for sub in map(self.graph.subgraph, self.component_indices)
-        ])
-
     @property
     def labels(self) -> VertexSet:
         return self.graph.labels

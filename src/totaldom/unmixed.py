@@ -127,6 +127,12 @@ class UnmixedCertificate(_Record):
             object.__setattr__(self, "_checks", checks)
         return checks
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which the frozen
+        # __setattr__ leaves as the only way in; reading ``checks`` resolves
+        # a lazy tuple, whose function could not be pickled
+        return self.__class__, (self.unmixed, self.checks)
+
     def to_json_dict(self) -> dict:
         return {
             "unmixed": self.unmixed,
@@ -285,14 +291,17 @@ class _Layer:
     their checklists are built on first use.
 
     ``blue`` flags the blue vertices of a 2-coloring of ``graph`` and
-    ``side`` labels the checks. The checklists, components and forest read
-    off a layer are in labels, so a layer of a tree also serves the
-    Analysis of an interior forest, which takes the layer's heights at the
-    kept indices.
+    ``side`` labels the checks. A layer of a tree serves its interior side
+    in the tree's own indices: the side's V3-TD-sets are found on ``nbrs``
+    and ``height``, and the Analysis of each component is built straight
+    from ``graph`` (``component_facts``), with the component's sorted
+    indices as its map into ``graph``. The forest of the kept vertices
+    (``forest``) is built only for the label view, the Analysis of an
+    interior forest, which takes the layer's heights at the kept indices.
     """
 
     __slots__ = ("graph", "side", "blue", "keep", "nbrs", "height", "parts",
-                 "marks", "balanced", "_sorted", "_checks")
+                 "marks", "balanced", "_sorted", "_checks", "_facts")
 
     def __init__(self, graph: Graph, blue: list[bool], side: str, dropped: list[int]):
         adj = graph.adj
@@ -317,7 +326,7 @@ class _Layer:
         self.parts = []
         self.marks = []
         self._sorted = False
-        self._checks = None
+        self._checks = self._facts = None
         c1, c2, c3 = _walk(self, kept)
         if not (c1 == c2 == c3):
             raise TheoremViolation(
@@ -345,9 +354,44 @@ class _Layer:
                                   for comp, marks in zip(self.components(), self.marks)])
         return self._checks
 
+    def component_facts(self) -> tuple[Analysis, ...]:
+        """Analyses of the component trees, built on the first call. The
+        tree of a component is ``graph.subgraph`` of its sorted indices (or
+        ``graph`` itself when it holds every vertex), so vertex k of the
+        tree is vertex ``components()[k]`` of ``graph``. A height is the
+        distance to the nearest leaf of the vertex's own component, so each
+        component's heights and checklist are the layer's restricted to it;
+        the criteria hold per component, so those of a balanced layer are
+        balanced, and their characterization is read off their checklist
+        with no layer of their own."""
+        if self._facts is None:
+            graph, height = self.graph, self.height
+            balanced = bool(self.parts) and self.balanced
+            facts = []
+            for comp, check in zip(self.components(), self.checks()):
+                sub = graph if len(comp) == graph.n else graph.subgraph(comp)
+                c = Analysis(Tree.with_components(sub, [list(range(sub.n))]), side=self.side)
+                c.height = [height[i] for i in comp]
+                if balanced:
+                    c.balanced = True
+                    c.characterization = UnmixedCertificate(check.ok, (check,))
+                facts.append(c)
+            self._facts = tuple(facts)
+        return self._facts
+
     def dropped(self) -> VertexSet:
         """The dropped vertices, as a sorted label tuple."""
         return tuple(compress(self.graph.labels, map(not_, self.keep)))
+
+    def to_json_dict(self) -> dict:
+        """The kept vertices, the components and the dropped vertices, in
+        labels: the fields ``interior_graphs`` gives a side."""
+        labels = self.graph.labels
+        return {
+            "vertices": list(compress(labels, self.keep)),
+            "components": [[labels[i] for i in comp] for comp in self.components()],
+            "deleted": list(self.dropped()),
+        }
 
     def forest(self) -> Forest:
         """The induced forest on the kept vertices, whose index of a kept
@@ -375,9 +419,11 @@ class Analysis:
     layer evaluates the balance criteria and leaves the marks that the
     verdicts of ``certificate`` and ``characterization`` are read from.
     Their checklists are built from the marks only when ``checks`` (or the
-    JSON or ``==``) reads them. The interior forests, their component trees
-    and their Analyses are built from those layers only when ``interiors``,
-    ``sides`` or ``components`` is read.
+    JSON or ``==``) reads them. The shelling, the type and the report read
+    the interior sides off ``interior_layers`` in the forest's indices; the
+    component trees and their Analyses are built from a layer only when
+    ``components`` (``_Layer.component_facts``) is read, and the interior
+    forests only when the label view, ``interiors`` or ``sides``, is read.
 
     Per-vertex facts, ``height`` and ``support_rows``, are index arrays
     aligned with ``forest.graph``; labels are read only by reports.
@@ -434,31 +480,20 @@ class Analysis:
             raise NotATreeError(f"expected a tree, got {len(layer.parts)} components")
         return layer
 
-    @_fact
+    @property
     def components(self) -> tuple[Analysis, ...]:
-        """Analyses of the component trees. A height is the distance to the
-        nearest leaf of the vertex's own component, so each component's
-        heights and checklist are the forest's restricted to it; the
-        criteria hold per component, so those of a balanced forest are
-        balanced, and their characterization is read off their checklist
-        with no layer of their own."""
-        layer = self._layer
-        balanced = bool(layer.parts) and self.balanced
-        comps = []
-        for tree, comp, check in zip(self.forest.component_trees(), layer.components(), layer.checks()):
-            c = Analysis(tree, side=self.side)
-            c.height = [layer.height[i] for i in comp]
-            if balanced:
-                c.balanced = True
-                c.characterization = UnmixedCertificate(check.ok, (check,))
-            comps.append(c)
-        return tuple(comps)
+        """Analyses of the component trees (``_Layer.component_facts``): an
+        interior side's are those of its layer of the tree, the very
+        objects that the shelling and the type read."""
+        return self._layer.component_facts()
 
     @_fact
-    def _interior_layers(self) -> tuple[_Layer, _Layer]:
+    def interior_layers(self) -> tuple[_Layer, _Layer]:
         """The blue and the red interior forest as layers of this forest:
         each drops the support vertices of its color with their neighbors.
-        "Support vertex" is read as adjacency-to-a-leaf."""
+        "Support vertex" is read as adjacency-to-a-leaf. The shelling, the
+        type and the report read the sides off these, in this forest's
+        indices; ``interiors`` and ``sides`` are their label view."""
         g = self.forest.graph
         adj, blue = g.adj, self._blue
         support = [False] * g.n
@@ -481,7 +516,7 @@ class Analysis:
     @_fact
     def interiors(self) -> InteriorGraphs:
         """Both interior graphs (``interior_graphs``)."""
-        blue, red = self._interior_layers
+        blue, red = self.interior_layers
         return InteriorGraphs(
             blue=blue.forest(),
             red=red.forest(),
@@ -491,10 +526,12 @@ class Analysis:
 
     @_fact
     def sides(self) -> tuple[Analysis, Analysis]:
-        """Analyses of the blue and the red interior forest."""
+        """Analyses of the blue and the red interior forest, the label view
+        of ``interior_layers``: each reads its layer's heights, and its
+        ``components`` are its layer's."""
         interiors = self.interiors
         out = []
-        for forest, layer in zip((interiors.blue, interiors.red), self._interior_layers):
+        for forest, layer in zip((interiors.blue, interiors.red), self.interior_layers):
             side = Analysis(forest, side=layer.side)
             side._layer = layer
             side.height = list(compress(layer.height, layer.keep))
@@ -504,7 +541,7 @@ class Analysis:
     @_fact
     def certificate(self) -> UnmixedCertificate:
         """The interior-graph unmixedness test (``is_unmixed_fast``)."""
-        blue, red = self._interior_layers
+        blue, red = self.interior_layers
         return UnmixedCertificate(blue.unmixed() and red.unmixed(),
                                   lambda: blue.checks() + red.checks())
 

@@ -8,8 +8,9 @@ height dict and the support rows on labels. Expected values frozen in the
 tests were computed with these.
 
 The middle section holds second routes to objects the package computes
-(colorings, selectors, shellings, facet vectors on labels, parametric
-supports, edge and odd neighborhood ideals) that the package itself does
+(colorings, selectors, shellings, facet vectors on labels, the join order
+of ``stable_shelling`` lifted from interior forests through labels,
+parametric supports, edge and odd neighborhood ideals) that the package itself does
 not need, the pairwise shelling scan that restriction sets replaced, and
 the label-form complex builder (deduplication, ground check and pairwise
 maximality filter), shelling check and purity test of a complex, which the
@@ -52,6 +53,7 @@ from totaldom.complexes import (
     ShellingOrder,
     SimplicialComplex,
     _composed_order,
+    _facet_vector_order,
     _labelled_order,
     verify_shelling,
 )
@@ -89,6 +91,7 @@ from totaldom.graphs import (
     Ground,
     Tree,
     _graph_of,
+    _lift,
     branch,
     classify_vertices,
     heights,
@@ -105,6 +108,7 @@ from totaldom.unmixed import (
     InteriorGraphs,
     UnmixedCertificate,
     characterize_balanced_unmixed,
+    interior_graphs,
     is_balanced,
 )
 from totaldom.verify import _spider
@@ -518,8 +522,28 @@ def even_stable_shelling(f):
         if not c.characterization.unmixed:
             raise MixedTreeError("even-stable shelling requires an unmixed forest")
     g = facts.forest.graph
-    ground, facets, check = _composed_order(g, components)
+    ground, facets, check = _composed_order([facts._layer])
     return _labelled_order(g, ground, facets, None, check)
+
+
+def composed_facets_by_labels(t: Tree, cap: int | None = None) -> tuple[int, list[int]]:
+    """The ground mask and the product facets of the join order that
+    ``stable_shelling`` verifies, by the earlier route: each interior forest
+    of ``interior_graphs`` split by ``component_trees``, each component
+    given an Analysis of its own, and its even mask and ordered facet masks
+    lifted into the tree's indices through its labels."""
+    index = t.graph.index
+    interiors = interior_graphs(t)
+    ground = 0
+    facets = [0]
+    for forest in (interiors.blue, interiors.red):
+        for tree in component_trees(forest):
+            even, order, _ = _facet_vector_order(Analysis(tree), cap)
+            lift = [index[v] for v in tree.labels]
+            ground |= _lift(even, lift)
+            parts = [_lift(m, lift) for m in order]
+            facets = [f | m for f in facets for m in parts]
+    return ground, facets
 
 
 def parametric_supports_from_ideal(a) -> tuple[tuple[str, ...], ...]:
@@ -1240,13 +1264,23 @@ def interiors_by_forests(t: Tree) -> InteriorGraphs:
     return InteriorGraphs(blue, red, blue_deleted, red_deleted)
 
 
+def component_trees(f: Forest) -> tuple[Tree, ...]:
+    """The components of a forest as trees, each induced on its sorted
+    indices by ``Graph.subgraph``: the route from an interior forest to its
+    components that the package took before it built them from the tree."""
+    return tuple([
+        Tree.with_components(sub, [list(range(sub.n))])
+        for sub in map(f.graph.subgraph, f.component_indices)
+    ])
+
+
 def certificate_by_component_trees(t: Tree) -> UnmixedCertificate:
     """``is_unmixed_fast`` through a Tree and a checklist per interior component."""
     interiors = interiors_by_forests(t)
     checks = tuple(
         check_component_by_tree(comp, side)
         for side, forest in (("blue", interiors.blue), ("red", interiors.red))
-        for comp in forest.component_trees()
+        for comp in component_trees(forest)
     )
     return UnmixedCertificate(unmixed=all(c.ok for c in checks), checks=checks)
 

@@ -311,7 +311,7 @@ def test_v3_family_example_tb_forest():
 def test_v3_family_is_componentwise_product():
     f = example_tb_forest()
     per_component = [
-        minimal_v3_td_sets(comp).sets for comp in f.component_trees()
+        minimal_v3_td_sets(comp).sets for comp in Analysis(f).components
     ]
     combos = {()}
     for fam in per_component:
@@ -322,7 +322,7 @@ def test_v3_family_is_componentwise_product():
 def test_example_tb_forest_component_socles():
     socles = [
         socle_dimension(artinian_reduction(comp))
-        for comp in example_tb_forest().component_trees()
+        for comp in Analysis(example_tb_forest()).components
     ]
     assert sorted(socles) == [1, 1, 2]
 

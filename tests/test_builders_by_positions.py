@@ -36,7 +36,7 @@ from totaldom.construct import (
 )
 from totaldom.graphs import Forest, Graph, Tree, path_graph, star_graph
 from totaldom.treegen import Lcg64, random_tree, trees_up_to
-from totaldom.unmixed import interior_graphs
+from totaldom.unmixed import Analysis, interior_graphs
 from totaldom.verify import unmixed_corpus
 
 
@@ -116,7 +116,7 @@ def test_subgraph_matches_the_label_induced_graph():
             kept = [g.index[v] for v in side.labels]
             assert _outcome(g.subgraph, kept) == _outcome(induced_by_labels, g, side.labels)
             sub = side.graph
-            trees = side.component_trees()
+            trees = [c.forest for c in Analysis(side).components]
             assert len(trees) == side.ncomponents
             for comp, labels, tree in zip(side.component_indices, side.components(), trees):
                 assert _outcome(sub.subgraph, comp) == _outcome(induced_by_labels, sub, labels)

@@ -278,11 +278,8 @@ def test_column_shelling_matches_pairwise_scan(case):
 def test_shelling_checks_on_both_sides_of_the_threshold():
     sizes = set()
     for t in GENERATED:
-        facts = Analysis(t)
         g = t.graph
-        ground, facets, check = _composed_order(
-            g, facts.sides[0].components + facts.sides[1].components
-        )
+        ground, facets, check = _composed_order(Analysis(t).interior_layers)
         assert check.ok
         sizes.add(len(facets) >= SHELLING_FROM)
         for i, j in ((0, 0), (0, 1), (1, len(facets) - 1), (len(facets) // 2, len(facets) - 2)):

@@ -33,7 +33,7 @@ from totaldom.graphs import (
     two_coloring,
 )
 from totaldom.treegen import Lcg64, random_tree, trees_up_to
-from totaldom.unmixed import interior_graphs
+from totaldom.unmixed import Analysis, interior_graphs
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -319,8 +319,9 @@ def test_canonical_form_of_long_caterpillar():
 
 def test_component_trees_and_interiors_never_scan_all_edges(monkeypatch):
     # induced subgraphs come from the kept vertices' own adjacency, one
-    # Graph.subgraph call per component; a scan of the whole edge list per
-    # component made both quadratic
+    # Graph.subgraph call per interior side and one per interior component
+    # (none for a component that is the whole tree); a scan of the whole
+    # edge list per component made both quadratic
     def refuse(self):
         raise AssertionError("Graph.edges was called")
 
@@ -335,10 +336,13 @@ def test_component_trees_and_interiors_never_scan_all_edges(monkeypatch):
     monkeypatch.setattr(Graph, "edges", refuse)
     monkeypatch.setattr(Graph, "subgraph", counted)
     for t in corpus:
-        for side in (interior_graphs(t).blue, interior_graphs(t).red):
+        calls.clear()
+        interiors = interior_graphs(t)
+        assert calls == [interiors.blue.graph.n, interiors.red.graph.n]
+        for layer, side in zip(Analysis(t).interior_layers, (interiors.blue, interiors.red)):
             calls.clear()
-            comps = side.component_trees()
-            assert calls == [comp.graph.n for comp in comps]
+            comps = [c.forest for c in layer.component_facts()]
+            assert calls == [comp.graph.n for comp in comps if comp.graph.n < t.graph.n]
             for comp in comps:
                 assert set(comp.graph.labels) <= set(side.labels)
 

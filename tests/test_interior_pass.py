@@ -11,6 +11,8 @@ every tree relabelled so that its default coloring swaps its classes.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -230,6 +232,19 @@ def test_certificate_is_immutable_and_compares_by_value():
     for target, name in ((cert, "unmixed"), (cert, "checks"), (cert.checks[0], "height")):
         with pytest.raises(AttributeError):
             setattr(target, name, None)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: unmixed.UnmixedCertificate(True, ()),
+    lambda: is_unmixed_fast(path_graph(6)),  # lazy checks: a lambda until read
+    lambda: is_unmixed_fast(path_graph(4)),
+])
+def test_certificate_pickles_and_copies(make):
+    for roundtrip in (lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy):
+        cert = make()
+        got = roundtrip(cert)
+        assert type(got) is unmixed.UnmixedCertificate
+        assert got == cert and got.to_json_dict() == cert.to_json_dict()
 
 
 def test_certificate_builds_no_trees(monkeypatch):

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from oracles import (
+    component_trees,
     even_blue_coloring,
     even_heights,
     forest_height,
@@ -138,7 +139,7 @@ def test_interior_components_balanced(trees10):
             continue
         ig = interior_graphs(t)
         for side in (ig.blue, ig.red):
-            for comp in side.component_trees():
+            for comp in component_trees(side):
                 assert is_balanced(comp)
 
 
