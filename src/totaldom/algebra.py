@@ -256,19 +256,6 @@ class TypeReport(_Record):
         d["blue_reductions"] = blue_reductions
         d["red_reductions"] = red_reductions
 
-    def to_json_dict(self) -> dict:
-        return {
-            "type": self.cm_type,
-            "m_blue": self.m_blue,
-            "m_red": self.m_red,
-            "depth": self.depth,
-            "dim": self.dim,
-            "blue_v3_td_sets": [list(s) for s in self.blue_family.sets],
-            "red_v3_td_sets": [list(s) for s in self.red_family.sets],
-            "socle_blue": self.socle_blue,
-            "socle_red": self.socle_red,
-        }
-
 
 def _forest_side(components: tuple[Analysis, ...]):
     """(socle product, depth sum, reductions) over the components of one

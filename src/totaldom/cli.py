@@ -19,15 +19,19 @@ blank lines ignored; "-" reads from stdin. All reports are integer-exact;
 Exit codes: 0 success; 1 a failed verify check; 2 bad input (usage, an
 unreadable or non-UTF-8 file, an unknown vertex, a malformed edge list, an
 unwritable output directory) or a theorem error, reported as "error: ..."
-on stderr.
+on stderr; 141 (128 + SIGPIPE) when standard output is closed early, as by
+"| head", which ends the command quietly.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import time
+from itertools import compress
+from operator import not_
 
 from .algebra import cm_type, parametric_decomposition
 from .complexes import stable_shelling
@@ -38,6 +42,7 @@ from .graphs import (
     Forest,
     Graph,
     Tree,
+    _bit_indices,
     canonical_form,
     parse_graph,
     render_edge_list,
@@ -49,7 +54,7 @@ from .ideals import (
     open_neighborhood_ideal,
     validate_decomposition,
 )
-from .jsontext import dumps
+from .jsontext import Labels, dump, dumps
 from .unmixed import Analysis, is_balanced, is_unmixed_fast
 from .verify import run_suite
 
@@ -80,9 +85,31 @@ def _digest(g: Graph) -> str:
 
 def _emit(report: dict, as_json: bool, human) -> None:
     if as_json:
-        print(dumps(report))
+        write = sys.stdout.write
+        dump(report, write)
+        write("\n")
     else:
         human(report)
+
+
+def _sets(codec: Labels, masks):
+    """The vertex sets ``masks`` as sorted label lists: the sorted index
+    tuples, since index order is label order."""
+    return codec.rows(sorted(map(_bit_indices, masks)))
+
+
+def _type_dict(ty, codec: Labels) -> dict:
+    return {
+        "type": ty.cm_type,
+        "m_blue": ty.m_blue,
+        "m_red": ty.m_red,
+        "depth": ty.depth,
+        "dim": ty.dim,
+        "blue_v3_td_sets": _sets(codec, ty.blue_family.masks),
+        "red_v3_td_sets": _sets(codec, ty.red_family.masks),
+        "socle_blue": ty.socle_blue,
+        "socle_red": ty.socle_red,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +117,15 @@ def _emit(report: dict, as_json: bool, human) -> None:
 # ---------------------------------------------------------------------------
 
 def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool) -> dict:
+    """The analyze report; its vertex sets are ``jsontext`` fragments."""
     t0 = time.monotonic()
+    codec = Labels(g.labels)
+    n = g.n
+    edges = [(i, j) for i, nb in enumerate(g.adj) for j in nb if i < j]
     report: dict = {
         "schema": SCHEMA,
-        "input": {"digest": _digest(g), "vertices": g.n, "edges": g.num_edges()},
-        "graph": {"vertices": list(g.labels), "edges": [list(e) for e in g.edges()]},
+        "input": {"digest": _digest(g), "vertices": n, "edges": len(edges)},
+        "graph": {"vertices": codec.items(range(n)), "edges": codec.rows(edges)},
     }
     try:
         forest = Forest(g)
@@ -110,11 +141,14 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
     if facts is not None:
         height = facts.height
         cls = facts.classification
-        col = facts.coloring
-        report["heights"] = dict(zip(g.labels, height))
+        blue = facts._blue
+        report["heights"] = codec.mapping(height)
         report["height"] = max(height, default=0)
         report["balanced"] = is_balanced(facts)
-        report["coloring"] = {"blue": list(col.blue), "red": list(col.red)}
+        report["coloring"] = {
+            "blue": codec.items(compress(range(n), blue)),
+            "red": codec.items(compress(range(n), map(not_, blue))),
+        }
         report["classification"] = {
             "leaves": list(cls.leaves),
             "supports": list(cls.supports),
@@ -131,11 +165,12 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
         report["minimal_td_sets"] = {"cap_exceeded": True}
         report["unmixed"] = {"applicable": False, "reason": "enumeration cap exceeded"}
     else:
+        sets = _sets(codec, family.masks)
         report["minimal_td_sets"] = {
             "cap_exceeded": False,
             "count": len(family),
             "sizes": list(family.sizes()),
-            "sets": [list(s) for s in family.sets],
+            "sets": sets,
         }
     clocks["td_sets"] = time.monotonic() - t1
 
@@ -149,16 +184,20 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
         # validate_decomposition checks them against N(G) by duality; an
         # isolated vertex makes N(G) the unit ideal and the family empty
         validate_decomposition(PrimeDecomposition.from_family(family), ideal)
-        entry["decomposition"] = {
-            "unit": ideal.is_unit,
-            "components": [list(s) for s in family.sets],
-        }
+        entry["decomposition"] = {"unit": ideal.is_unit, "components": sets}
     report["ideal"] = entry
     clocks["ideal"] = time.monotonic() - t1
 
     if is_tree:
         # read off the interior layers: no interior forest is built
-        report["interiors"] = {layer.side: layer.to_json_dict() for layer in facts.interior_layers}
+        report["interiors"] = {
+            layer.side: {
+                "vertices": codec.items(compress(range(n), layer.keep)),
+                "components": codec.rows(layer.components()),
+                "deleted": codec.items(compress(range(n), map(not_, layer.keep))),
+            }
+            for layer in facts.interior_layers
+        }
         cert = is_unmixed_fast(facts)
         cert_dict = cert.to_json_dict()
         if family is not None:
@@ -178,7 +217,7 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
                 order = stable_shelling(facts, cap=cap)
                 report["shelling"] = {
                     "applicable": True,
-                    "facets": [list(f) for f in order.facets],
+                    "facets": codec.rows(list(map(_bit_indices, order.masks))),
                     "verified": order.check.ok,
                 }
             except EnumerationCapExceeded:
@@ -188,7 +227,7 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
             clocks["shelling"] = time.monotonic() - t1
             t1 = time.monotonic()
             try:
-                report["type"] = {"applicable": True} | cm_type(facts, cap=cap).to_json_dict()
+                report["type"] = {"applicable": True} | _type_dict(cm_type(facts, cap=cap), codec)
             except EnumerationCapExceeded:
                 report["type"] = {"applicable": False, "reason": "enumeration cap exceeded"}
             except InputError as exc:
@@ -259,9 +298,8 @@ def cmd_analyze(args) -> int:
 # ideal / shelling / type / deconstruct
 # ---------------------------------------------------------------------------
 
-def cmd_ideal(args) -> int:
-    g = _read_graph(args.path)
-    target = args.subset
+def _ideal_report(g: Graph, target, cap: int | None) -> dict:
+    """The ideal report; its components are a ``jsontext`` fragment."""
     if target is not None:
         unknown = sorted(set(target) - set(g.labels))
         if unknown:
@@ -273,11 +311,13 @@ def cmd_ideal(args) -> int:
         "target": list(vset(target) if target else g.labels),
         "generators": ideal.generator_strings(),
     }
-    dec = decompose_squarefree(ideal, cap=args.max_sets)
-    report["decomposition"] = {
-        "unit": ideal.is_unit,
-        "components": [list(s) for s in dec.supports],
-    }
+    ground, masks = decompose_squarefree(ideal, cap=cap)._support_masks()
+    report["decomposition"] = {"unit": ideal.is_unit, "components": _sets(Labels(ground.labels), masks)}
+    return report
+
+
+def cmd_ideal(args) -> int:
+    report = _ideal_report(_read_graph(args.path), args.subset, args.max_sets)
 
     def human(rep):
         print(f"N_S(G) = <{', '.join(rep['generators'])}>")
@@ -314,7 +354,8 @@ def cmd_type(args) -> int:
     g = _read_graph(args.path)
     facts = Analysis(Tree(g))
     type_report = cm_type(facts, cap=args.max_sets)
-    report = {"schema": SCHEMA, "input": {"digest": _digest(g)}} | type_report.to_json_dict()
+    report = {"schema": SCHEMA, "input": {"digest": _digest(g)}} | _type_dict(type_report,
+                                                                              Labels(g.labels))
     if args.reduction:
         sides = {}
         for layer, reductions in zip(
@@ -440,6 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="totaldom", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subparser, for main
 
     p = sub.add_parser("analyze", help="full report for an edge-list file")
     _add_common(p)
@@ -489,12 +531,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command. Its own parser alone parses a subcommand's
+    arguments; with no argument, an unknown first one (``-h``, a typo) or
+    arguments left over, the top-level parser parses them all, for its help
+    or its usage error."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    args = extras = None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+    if args is None or extras:
+        args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except TotaldomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # as the signal module's documentation advises: the interpreter
+        # flushes stdout again at exit, so point it at devnull first
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -19,13 +19,13 @@ verified by restriction sets, on an order of facet masks only.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cached_property
 from itertools import combinations
 
 from .domination import _minimal_s_td_family, minimal_td_sets, minimal_transversal_masks
 from .errors import MixedTreeError, NotBalancedError, NotSquareFreeError, TheoremViolation
 from .graphs import (
     Forest,
-    Graph,
     Ground,
     Tree,
     VertexSet,
@@ -367,21 +367,31 @@ def shelling_sort_key(vec):
 class ShellingOrder(_Record):
     """A verified facet order as label tuples; ``masks`` holds the same
     facets as the bitmasks over ``codec`` that were verified, and the
-    witnesses are read off them. ``==``, ``hash`` and ``repr`` leave
-    ``masks`` and ``codec`` out."""
+    witnesses are read off them. ``ground`` may be given as its mask over
+    ``codec`` and ``facets`` as None: each is then decoded on its first
+    read. ``==``, ``hash`` and ``repr`` leave ``masks`` and ``codec`` out."""
 
     _fields = ("ground", "facets", "vectors", "check")
 
-    def __init__(self, ground: tuple[str, ...], facets: tuple[VertexSet, ...],
+    def __init__(self, ground: tuple[str, ...] | int, facets: tuple[VertexSet, ...] | None,
                  vectors: tuple[tuple[int, ...], ...] | None, check: ShellingCheck,
                  masks: tuple[int, ...], codec: Ground):
         d = self.__dict__
-        d["ground"] = ground
-        d["facets"] = facets
+        d["_ground" if type(ground) is int else "ground"] = ground
+        if facets is not None:
+            d["facets"] = facets
         d["vectors"] = vectors
         d["check"] = check
         d["masks"] = masks
         d["codec"] = codec
+
+    @cached_property
+    def ground(self) -> tuple[str, ...]:
+        return self.codec.labels_of(self._ground)
+
+    @cached_property
+    def facets(self) -> tuple[VertexSet, ...]:
+        return tuple(map(self.codec.labels_of, self.masks))
 
     def to_json_dict(self) -> dict:
         return {
@@ -391,16 +401,6 @@ class ShellingOrder(_Record):
             "check": self.check.to_json_dict(),
             "witnesses": _witnesses(self.codec, self.masks) if self.check.ok else [],
         }
-
-
-def _labelled_order(g: Graph, ground: int, facets, vectors, check) -> ShellingOrder:
-    """The ShellingOrder of a verified order of facet masks over the indices
-    of ``g``: its labels are read here, once."""
-    labels_of = g.labels_of
-    return ShellingOrder(
-        ground=labels_of(ground), facets=tuple(map(labels_of, facets)),
-        vectors=vectors, check=check, masks=tuple(facets), codec=g,
-    )
 
 
 def _facet_vector_order(facts: Analysis, cap: int | None):
@@ -417,7 +417,6 @@ def _facet_vector_order(facts: Analysis, cap: int | None):
     the facets stay in label order.
     """
     rows = facts.support_rows
-    g = facts.forest.graph
     row_masks = []
     entry: dict[int, int] = {}
     for row in rows:
@@ -440,7 +439,7 @@ def _facet_vector_order(facts: Analysis, cap: int | None):
             vec.append(entry[hit])
         tagged.append((tuple(vec), even ^ d))
     if not rows:
-        tagged.sort(key=lambda pair: g.labels_of(pair[1]))
+        tagged.sort(key=lambda pair: _bit_indices(pair[1]))
     tagged.sort(key=lambda pair: shelling_sort_key(pair[0]))
     return even, [f for _, f in tagged], tuple([v for v, _ in tagged])
 
@@ -458,7 +457,7 @@ def shelling_order(t: Tree | Analysis) -> ShellingOrder:
     check = verify_shelling(even, facets)
     if not check.ok:
         raise TheoremViolation("the facet-vector order failed shelling verification")
-    return _labelled_order(facts.forest.graph, even, facets, vectors, check)
+    return ShellingOrder(even, None, vectors, check, tuple(facets), facts.forest.graph)
 
 
 def _composed_order(layers, cap: int | None = None) -> tuple[int, list[int], ShellingCheck]:
@@ -520,4 +519,4 @@ def stable_shelling(t: Tree | Analysis, cap: int | None = None) -> ShellingOrder
         raise TheoremViolation(
             "join of interior even-stable complexes does not match the stable complex"
         )
-    return _labelled_order(g, ground, facets, None, check)
+    return ShellingOrder(ground, None, None, check, tuple(facets), g)

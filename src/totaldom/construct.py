@@ -375,7 +375,7 @@ def suspension(t: Tree) -> Tree:
 
 def edge_subdivision(g) -> Graph:
     """Insert one fresh vertex in the middle of every edge, the fresh labels
-    handed out in ``Graph.edges`` order."""
+    handed out in edge order: (a, b) with a < b, by a, then by b."""
     g = _graph_of(g)
     n = g.n
     nbrs = [[] for _ in range(n)]

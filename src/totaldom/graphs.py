@@ -185,14 +185,6 @@ class Graph(Ground):
     def n(self) -> int:
         return len(self.labels)
 
-    def edges(self) -> tuple[tuple[str, str], ...]:
-        out = []
-        for i, nb in enumerate(self.adj):
-            for j in nb:
-                if i < j:
-                    out.append((self.labels[i], self.labels[j]))
-        return tuple(out)
-
     def neighbors(self, v: str) -> VertexSet:
         return tuple(self.labels[j] for j in self.adj[self.index[v]])
 

@@ -24,7 +24,6 @@ from .errors import (
 )
 from .graphs import (
     Classification,
-    Coloring,
     Forest,
     Graph,
     Tree,
@@ -383,16 +382,6 @@ class _Layer:
         """The dropped vertices, as a sorted label tuple."""
         return tuple(compress(self.graph.labels, map(not_, self.keep)))
 
-    def to_json_dict(self) -> dict:
-        """The kept vertices, the components and the dropped vertices, in
-        labels: the fields ``interior_graphs`` gives a side."""
-        labels = self.graph.labels
-        return {
-            "vertices": list(compress(labels, self.keep)),
-            "components": [[labels[i] for i in comp] for comp in self.components()],
-            "deleted": list(self.dropped()),
-        }
-
     def forest(self) -> Forest:
         """The induced forest on the kept vertices, whose index of a kept
         vertex is the count of kept vertices before it."""
@@ -423,7 +412,7 @@ class Analysis:
     the interior sides off ``interior_layers`` in the forest's indices; the
     component trees and their Analyses are built from a layer only when
     ``components`` (``_Layer.component_facts``) is read, and the interior
-    forests only when the label view, ``interiors`` or ``sides``, is read.
+    forests only when the label view, ``interiors``, is read.
 
     Per-vertex facts, ``height`` and ``support_rows``, are index arrays
     aligned with ``forest.graph``; labels are read only by reports.
@@ -444,14 +433,9 @@ class Analysis:
         return t if isinstance(t, Analysis) else cls(t)
 
     @_fact
-    def coloring(self) -> Coloring:
-        """``two_coloring`` of the forest, read off ``_blue``."""
-        return Coloring.of_flags(self.forest.graph.labels, self._blue)
-
-    @_fact
     def _blue(self) -> list[bool]:
-        """Per vertex index, whether ``coloring`` makes it blue: the side
-        array of its breadth-first search."""
+        """Per vertex index, whether ``two_coloring`` makes it blue: the
+        side array of its breadth-first search."""
         return _blue_flags(self.forest)
 
     @_fact
@@ -493,7 +477,7 @@ class Analysis:
         each drops the support vertices of its color with their neighbors.
         "Support vertex" is read as adjacency-to-a-leaf. The shelling, the
         type and the report read the sides off these, in this forest's
-        indices; ``interiors`` and ``sides`` are their label view."""
+        indices; ``interiors`` is their label view."""
         g = self.forest.graph
         adj, blue = g.adj, self._blue
         support = [False] * g.n
@@ -523,20 +507,6 @@ class Analysis:
             deleted_for_blue=blue.dropped(),
             deleted_for_red=red.dropped(),
         )
-
-    @_fact
-    def sides(self) -> tuple[Analysis, Analysis]:
-        """Analyses of the blue and the red interior forest, the label view
-        of ``interior_layers``: each reads its layer's heights, and its
-        ``components`` are its layer's."""
-        interiors = self.interiors
-        out = []
-        for forest, layer in zip((interiors.blue, interiors.red), self.interior_layers):
-            side = Analysis(forest, side=layer.side)
-            side._layer = layer
-            side.height = list(compress(layer.height, layer.keep))
-            out.append(side)
-        return tuple(out)
 
     @_fact
     def certificate(self) -> UnmixedCertificate:

@@ -3,12 +3,13 @@
 These deliberately avoid the library's transversal engine and canonical
 forms: domination facts come from raw subset enumeration, isomorphism from
 permutation backtracking, heights from per-vertex searches. Label-level
-helpers beside them read vertex degrees and height levels off a label ->
-height dict and the support rows on labels. Expected values frozen in the
-tests were computed with these.
+helpers beside them give vertex degrees, the edges as label pairs, the
+height levels of a label -> height dict and the support rows on labels.
+Expected values frozen in the tests were computed with these.
 
 The middle section holds second routes to objects the package computes
-(colorings, selectors, shellings, facet vectors on labels, the join order
+(colorings, selectors, shellings, facet vectors on labels, the Analyses of
+the interior forests, the join order
 of ``stable_shelling`` lifted from interior forests through labels,
 parametric supports, edge and odd neighborhood ideals) that the package itself does
 not need, the pairwise shelling scan that restriction sets replaced, and
@@ -45,7 +46,7 @@ import heapq
 import json
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import prod
 
 from totaldom.complexes import (
@@ -54,7 +55,6 @@ from totaldom.complexes import (
     SimplicialComplex,
     _composed_order,
     _facet_vector_order,
-    _labelled_order,
     verify_shelling,
 )
 from totaldom.construct import (
@@ -172,6 +172,14 @@ def minimal_by_definition(g: Graph, subset) -> bool:
 def degree(g: Graph, v: str) -> int:
     """The number of neighbors of the vertex ``v``."""
     return len(g.adj[g.index[v]])
+
+
+def label_edges(g: Graph) -> tuple[tuple[str, str], ...]:
+    """The edges as label pairs (a, b) with a < b, in label order: the
+    label view of the neighbor lists, which the package writes from its
+    indices."""
+    labels = g.labels
+    return tuple([(labels[i], labels[j]) for i, nb in enumerate(g.adj) for j in nb if i < j])
 
 
 def level(hmap: dict[str, int], k: int) -> tuple[str, ...]:
@@ -315,7 +323,7 @@ def swapped_coloring_tree(t: Tree) -> Tree:
     col = two_coloring(t)
     name = {v: "a" + v for v in col.red} | {v: "b" + v for v in col.blue}
     return Tree(Graph([name[v] for v in t.graph.labels],
-                      [(name[a], name[b]) for a, b in t.graph.edges()]))
+                      [(name[a], name[b]) for a, b in label_edges(t.graph)]))
 
 
 @dataclass(frozen=True)
@@ -523,7 +531,7 @@ def even_stable_shelling(f):
             raise MixedTreeError("even-stable shelling requires an unmixed forest")
     g = facts.forest.graph
     ground, facets, check = _composed_order([facts._layer])
-    return _labelled_order(g, ground, facets, None, check)
+    return ShellingOrder(ground, None, None, check, tuple(facets), g)
 
 
 def composed_facets_by_labels(t: Tree, cap: int | None = None) -> tuple[int, list[int]]:
@@ -557,7 +565,7 @@ def parametric_supports_from_ideal(a) -> tuple[tuple[str, ...], ...]:
 def edge_ideal(g) -> MonomialIdeal:
     """The ideal of the edge monomials x_a x_b, over all vertices."""
     g = _graph_of(g)
-    return MonomialIdeal.from_gens(g.labels, [Monomial.of(a, b) for a, b in g.edges()])
+    return MonomialIdeal.from_gens(g.labels, [Monomial.of(a, b) for a, b in label_edges(g)])
 
 
 def odd_open_neighborhood_ideal(f, variables) -> MonomialIdeal:
@@ -1117,7 +1125,7 @@ def apply_o_by_edges(t: Tree, v: str) -> Tree:
         raise ValueError(f"whisker attachment needs height 1..3, got height {h} at {v!r}")
     kind = _KIND_BY_HEIGHT[h]
     fresh = fresh_labels(t.graph.labels, len(_WHISKER_HEIGHTS[kind]))
-    edges = list(t.graph.edges())
+    edges = list(label_edges(t.graph))
     chain = [v] + fresh
     edges += [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
     return Tree.from_edges(edges)
@@ -1126,12 +1134,12 @@ def apply_o_by_edges(t: Tree, v: str) -> Tree:
 def suspension_by_edges(t: Tree) -> Tree:
     g = t.graph
     fresh = fresh_labels(g.labels, g.n)
-    return Tree.from_edges(list(g.edges()) + list(zip(g.labels, fresh)))
+    return Tree.from_edges(list(label_edges(g)) + list(zip(g.labels, fresh)))
 
 
 def edge_subdivision_by_edges(g) -> Graph:
     g = _graph_of(g)
-    edges = g.edges()
+    edges = label_edges(g)
     fresh = fresh_labels(g.labels, len(edges))
     out = []
     for (a, b), m in zip(edges, fresh):
@@ -1146,7 +1154,7 @@ class _GrowthByEdges:
 
     def __init__(self):
         base = path_graph_by_edges(6)
-        self.edges = list(base.graph.edges())
+        self.edges = list(label_edges(base.graph))
         self.height = heights(base)
         self.eligible = [v for v in base.graph.labels if self.height[v] in _KIND_BY_HEIGHT]
         self.fresh = 0
@@ -1197,7 +1205,7 @@ def balanced_by_criteria(f: Forest) -> bool:
     blue = set(two_coloring(f).blue)
     hmap = heights(f)
     g = f.graph
-    c1 = all(hmap[a] != hmap[b] for a, b in g.edges())
+    c1 = all(hmap[a] != hmap[b] for a, b in label_edges(g))
     c2 = c3 = True
     for comp in f.components():
         by_height: dict[int, set[str]] = {}
@@ -1272,6 +1280,21 @@ def component_trees(f: Forest) -> tuple[Tree, ...]:
         Tree.with_components(sub, [list(range(sub.n))])
         for sub in map(f.graph.subgraph, f.component_indices)
     ])
+
+
+def sides(facts: Analysis) -> tuple[Analysis, Analysis]:
+    """Analyses of the blue and the red interior forest, the label view of
+    ``facts.interior_layers``: each reads its layer's heights, and its
+    ``components`` are its layer's, the very objects that the shelling and
+    the type read."""
+    interiors = facts.interiors
+    out = []
+    for forest, layer in zip((interiors.blue, interiors.red), facts.interior_layers):
+        side = Analysis(forest, side=layer.side)
+        side._layer = layer
+        side.height = list(compress(layer.height, layer.keep))
+        out.append(side)
+    return tuple(out)
 
 
 def certificate_by_component_trees(t: Tree) -> UnmixedCertificate:

@@ -13,6 +13,7 @@ from oracles import (
     odd_heights,
     parametric_supports_from_ideal,
     parse_ideal,
+    sides,
     socle_by_box,
     socle_by_exponent_corners,
     to_ideal_by_lcm,
@@ -117,7 +118,7 @@ def test_reduction_substitution_covers_even_vertices():
 def test_reduction_collapses_each_support_row_onto_its_partner():
     checked = 0
     for t in unmixed_corpus(5, 40):
-        for side in Analysis(t).sides:
+        for side in sides(Analysis(t)):
             for comp in side.components:
                 if max(comp.height) != 3:
                     continue
@@ -145,7 +146,7 @@ def test_support_rows_computed_once_when_shelling_and_type_share_an_analysis(mon
     facts = Analysis(path_graph(9))
     stable_shelling(facts)
     cm_type(facts)
-    components = [c for side in facts.sides for c in side.components]
+    components = [c for side in sides(facts) for c in side.components]
     assert len(components) == 2
     assert sorted(map(id, computed)) == sorted(map(id, components))
 
@@ -185,7 +186,7 @@ def test_socle_box_cap():
 
 def _interior_reductions(trees):
     for t in trees:
-        for side in Analysis(t).sides:
+        for side in sides(Analysis(t)):
             for comp in side.components:
                 yield artinian_reduction(comp)
 

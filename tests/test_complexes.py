@@ -16,6 +16,7 @@ from oracles import (
     is_pure,
     labelled_order,
     shelling_by_pairs,
+    sides,
     stanley_reisner_ideal_by_faces,
     support_rows_by_labels,
     vector_facet,
@@ -526,7 +527,7 @@ def test_low_interior_components_keep_label_order():
     # no support rows: every facet vector is empty, so the order is sorted
     checked = 0
     for t in verify.unmixed_corpus(7, 40):
-        for side in Analysis(t).sides:
+        for side in sides(Analysis(t)):
             for c in side.components:
                 if max(c.height) > 1:
                     continue

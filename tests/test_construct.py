@@ -10,6 +10,7 @@ from oracles import (
     degree,
     forest_height,
     generate_by_apply_o,
+    label_edges,
     level,
     replay_by_apply_o,
     trace_from_json,
@@ -328,7 +329,7 @@ def _shuffled_with_extra_leaves(t, rng, extra):
     labels = list(t.graph.labels)
     order = sorted(labels, key=lambda _: rng.next_u32())
     rename = {v: f"x{rng.randrange(1000)}_{w}" for v, w in zip(labels, order)}
-    edges = [(rename[a], rename[b]) for a, b in t.graph.edges()]
+    edges = [(rename[a], rename[b]) for a, b in label_edges(t.graph)]
     supports = [rename[v] for v in classify_vertices(t).supports]
     edges += [(supports[rng.randrange(len(supports))], f"e{k}") for k in range(extra)]
     return Tree.from_edges(edges)

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     domination_selector,
+    label_edges,
     level,
     minimal_by_definition,
     minimal_s_td_by_subsets,
@@ -405,7 +406,7 @@ def test_leaf_adding_preserves_mixedness(trees8):
         if not cls.supports:
             continue
         s = cls.supports[0]
-        bigger = Tree.from_edges(list(t.graph.edges()) + [(s, "zz_new")])
+        bigger = Tree.from_edges(list(label_edges(t.graph)) + [(s, "zz_new")])
         assert is_unmixed_bruteforce(t) == is_unmixed_bruteforce(bigger)
 
 

@@ -27,6 +27,7 @@ from oracles import (
     check_component_by_tree,
     forest_by_sorting,
     graph_by_sets,
+    label_edges,
     parse_graph_by_sets,
     two_coloring_by_vset,
 )
@@ -96,7 +97,7 @@ def assert_codes_match(t: Tree) -> None:
 def test_core_matches_oracles_on_small_trees():
     count = 0
     for t in trees_up_to(9):
-        g = assert_graph_matches(t.graph.labels, t.graph.edges())
+        g = assert_graph_matches(t.graph.labels, label_edges(t.graph))
         assert parse_graph(render_edge_list(g)) == parse_graph_by_sets(render_edge_list(g))
         assert_forest_matches(g)
         assert_codes_match(t)

@@ -26,10 +26,11 @@ from oracles import (
     certificate_by_component_trees,
     check_component_by_tree,
     interiors_by_forests,
+    sides,
     swapped_coloring_tree,
 )
 from totaldom.errors import TheoremViolation
-from totaldom.graphs import Tree, heights, path_graph, two_coloring
+from totaldom.graphs import Coloring, Tree, heights, path_graph, two_coloring
 from totaldom.treegen import Lcg64, random_tree
 from totaldom.unmixed import (
     Analysis,
@@ -53,14 +54,14 @@ def interiors_key(ig):
 
 def assert_matches_oracle(t: Tree) -> None:
     facts = Analysis(t)
-    assert facts.coloring == two_coloring(t)
+    assert Coloring.of_flags(t.graph.labels, facts._blue) == two_coloring(t)
     assert facts.certificate == certificate_by_component_trees(t)
     assert interiors_key(facts.interiors) == interiors_key(interiors_by_forests(t))
     assert facts.balanced == balanced_by_criteria(t)
     assert dict(zip(t.labels, facts.height)) == heights(t)
     assert facts._layer.checks() == (check_component_by_tree(t, "self"),)
     # the side and component objects built later carry the same facts
-    for side in facts.sides:
+    for side in sides(facts):
         for comp, check in zip(side.components, side._layer.checks()):
             assert comp._layer.checks() == (check,)
             assert dict(zip(comp.forest.labels, comp.height)) == heights(comp.forest)

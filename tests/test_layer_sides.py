@@ -20,7 +20,7 @@ import pytest
 
 import totaldom.graphs as graphs
 import totaldom.unmixed as unmixed
-from oracles import composed_facets_by_labels
+from oracles import composed_facets_by_labels, sides
 from test_report_identity import corpus
 from totaldom.algebra import _v3_family, cm_type, minimal_v3_td_sets
 from totaldom.cli import main
@@ -122,7 +122,7 @@ def test_sides_hold_the_components_of_their_layers():
     # the type read, and each component's labels are its lift's
     t = graphs.path_graph(9)
     facts = Analysis(t)
-    for side, layer in zip(facts.sides, facts.interior_layers):
+    for side, layer in zip(sides(facts), facts.interior_layers):
         assert side.components is layer.component_facts()
         for comp, lift in zip(side.components, layer.components()):
             assert comp.forest.labels == tuple([t.graph.labels[i] for i in lift])

@@ -10,7 +10,9 @@ from oracles import (
     even_blue_coloring,
     even_heights,
     forest_height,
+    label_edges,
     level,
+    sides,
     support_rows_by_labels,
     swapped_coloring_tree,
 )
@@ -78,7 +80,7 @@ def test_adjacent_heights_differ_by_one_in_balanced(trees10):
         if not is_balanced(t):
             continue
         h = heights(t)
-        for a, b in t.graph.edges():
+        for a, b in label_edges(t.graph):
             assert abs(h[a] - h[b]) == 1
 
 
@@ -149,7 +151,7 @@ def test_interior_components_share_the_side_heights(trees10):
     rng = Lcg64(31)
     trees = [t for t in trees10 if t.graph.n > 1] + [random_tree(rng, 60) for _ in range(20)]
     for t in trees:
-        for side in Analysis(t).sides:
+        for side in sides(Analysis(t)):
             for comp in side.components:
                 assert dict(zip(comp.forest.labels, comp.height)) == heights(comp.forest)
 
@@ -176,7 +178,7 @@ def test_index_heights_and_support_rows_match_the_label_oracle():
     rows = errors = 0
     for t in trees:
         facts = Analysis(t)
-        for a in (facts, *[x for side in facts.sides for x in (side, *side.components)]):
+        for a in (facts, *[x for side in sides(facts) for x in (side, *side.components)]):
             assert dict(zip(a.forest.labels, a.height)) == heights(a.forest)
             got = _outcome(_support_rows_as_labels, a)
             assert got == _outcome(support_rows_by_labels, a)
