@@ -50,7 +50,6 @@ from .domination import (
     minimal_transversals,
 )
 from .errors import (
-    AmbientMismatchError,
     EdgeListParseError,
     EnumerationCapExceeded,
     MixedTreeError,
@@ -79,11 +78,9 @@ from .graphs import (
     two_coloring,
 )
 from .ideals import (
-    Monomial,
     MonomialIdeal,
     PrimeDecomposition,
     decompose_squarefree,
-    minimalize,
     open_neighborhood_ideal,
 )
 from .treegen import Lcg64, all_trees, random_tree, trees_up_to

@@ -7,11 +7,13 @@ pure powers u_i^{|N(s_i)|}. Its socle dimension equals the number of minimal
 V3-TD-sets, which multiplies across components and across the two interior
 forests to give the type of the full tree's open neighborhood ideal.
 
-A reduction is held as a pure power per support row and a square-free row
-bitmask per height-3 vertex. Its socle is counted as the corners of its
-staircase, which are row sets: the maximal sets of rows with p_i >= 2 that
-contain no generator mask. The labelled monomial ideals are built only
-when read.
+A reduction is held as index data over its component: the support rows
+as index tuples, whose lengths are the exponents of the pure powers, and a
+square-free mask over the rows per height-3 vertex. Its socle is counted as
+the corners of its staircase, which are row sets: the maximal sets of rows
+with p_i >= 2 that contain no generator mask. The parametric decomposition
+holds its supports as masks over the rows, and the text of the reduced ideal
+is rendered from the rows; no labelled monomial is built.
 """
 
 from __future__ import annotations
@@ -20,75 +22,69 @@ from functools import cached_property
 
 from .domination import MinimalSetFamily, _minimal_s_td_family
 from .errors import MixedTreeError, TheoremViolation
-from .graphs import Forest, Graph, Tree, VertexSet, _bit_indices, _Record, vset
-from .ideals import (
-    Monomial,
-    MonomialIdeal,
-    PrimeDecomposition,
-    validate_decomposition,
-)
+from .graphs import Forest, Graph, Ground, Tree, _bit_indices, _lift, _Record
+from .ideals import PrimeDecomposition, _render, validate_decomposition
 from .unmixed import Analysis
 
 
 class ArtinianReduction(_Record):
     """Result of quotienting by the leaf-identification regular sequence,
-    held as label rows and row bitmasks.
+    held as index data over its component.
 
+    ``labels`` are the component's sorted vertex labels and ``rows`` its
+    support rows as index tuples over them, sorted by their first index.
     Each row collapses onto its first vertex, the row's variable, whose
-    pure power is the row length; each height-3 vertex gives the
-    square-free monomial of the rows its neighbors lie in, as a bitmask
-    over the row indices. The labelled ideals are built from these on
+    pure power is the row length; so variable k is row k, and the variables
+    are in label order. ``masks`` holds the square-free monomial of each
+    height-3 vertex as the mask of the rows its neighbors lie in. The texts
+    of the reduced ideal and of its pure powers are rendered from these on
     first read.
     """
 
-    _fields = ("rows", "masks")
+    _fields = ("labels", "rows", "masks")
 
-    def __init__(self, rows: tuple[VertexSet, ...], masks: tuple[int, ...]):
+    def __init__(self, labels: tuple[str, ...], rows: tuple[tuple[int, ...], ...],
+                 masks: tuple[int, ...]):
         d = self.__dict__
+        d["labels"] = labels
         d["rows"] = rows
         d["masks"] = masks
 
     @cached_property
     def variables(self) -> tuple[str, ...]:
-        return vset(row[0] for row in self.rows)
+        labels = self.labels
+        return tuple([labels[row[0]] for row in self.rows])
 
     @cached_property
-    def pure_powers(self) -> MonomialIdeal:
-        return MonomialIdeal.from_gens(
-            self.variables, [Monomial.from_dict({row[0]: len(row)}) for row in self.rows]
-        )
+    def powers(self) -> tuple[int, ...]:
+        """The exponent of each variable's pure power: its row length."""
+        return tuple([len(row) for row in self.rows])
 
     @cached_property
-    def ideal(self) -> MonomialIdeal:
-        """Contains a pure power of every variable."""
-        rows = self.rows
-        gens = list(self.pure_powers.gens)
-        for m in self.masks:
-            gens.append(Monomial.of(*(rows[i][0] for i in _bit_indices(m))))
-        return MonomialIdeal.from_gens(self.variables, gens)
+    def pure_powers(self) -> str:
+        """The text of the ideal of the pure powers."""
+        return _render(self.variables, self.powers, ())
 
     @cached_property
-    def substitution(self) -> tuple[tuple[str, str], ...]:
-        """Each even vertex with its surviving variable."""
-        return tuple(sorted((w, row[0]) for row in self.rows for w in row))
-
-    def substitution_map(self) -> dict[str, str]:
-        return dict(self.substitution)
+    def ideal(self) -> str:
+        """The text of the reduced ideal, which contains a pure power of
+        every variable."""
+        return _render(self.variables, self.powers, self.masks)
 
 
 def artinian_reduction(t: Tree | Analysis) -> ArtinianReduction:
     """Reduce the odd neighborhood ideal of an unmixed balanced tree. At
     height 3 each support row (``Analysis.support_rows``) collapses onto its
-    partner u, whose pure power is the row length |N(s)|; at height 0 or 1
-    the leaves collapse onto the first, as one row."""
+    partner u, whose pure power is the row length |N(s)|; the rows are put
+    in the order of their partners. At height 0 or 1 the leaves collapse
+    onto the first, as one row."""
     facts = Analysis.of(t)
-    rows = facts.support_rows
+    rows = sorted(facts.support_rows)
     height = facts.height
     g = facts.forest.graph
-    labels = g.labels
     if not rows:  # height 0 or 1
-        leaves = tuple([v for v, h in zip(labels, height) if h == 0])
-        return ArtinianReduction(rows=(leaves,), masks=())
+        leaves = tuple([i for i, h in enumerate(height) if h == 0])
+        return ArtinianReduction(g.labels, (leaves,), ())
     row_of = [0] * g.n
     for k, row in enumerate(rows):
         for w in row:
@@ -100,9 +96,7 @@ def artinian_reduction(t: Tree | Analysis) -> ArtinianReduction:
             for j in g.adj[r]:
                 m |= row_of[j]
             masks.append(m)
-    return ArtinianReduction(
-        rows=tuple([tuple([labels[w] for w in row]) for row in rows]), masks=tuple(masks)
-    )
+    return ArtinianReduction(g.labels, tuple(rows), tuple(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +199,19 @@ def parametric_decomposition(a: ArtinianReduction, t: Tree | Analysis) -> PrimeD
     minimal V3-TD-sets of ``t``.
 
     Components are the variable primes of the V3-TD-sets shifted by the
-    shared pure-power ideal; ``validate_decomposition`` checks irredundancy
-    and equality with the reduced ideal exactly, by duality, and surfaces a
+    shared pure-power ideal: each set collapses onto the mask of the rows
+    its vertices lie in, over a ``Ground`` of the variables.
+    ``validate_decomposition`` checks irredundancy and equality with the
+    reduced ideal exactly, by duality on these masks, and surfaces a
     mismatch as a theorem violation.
     """
-    subst = a.substitution_map()
-    supports = tuple([vset([subst[v] for v in d]) for d in minimal_v3_td_sets(t)])
-    dec = PrimeDecomposition(
-        variables=a.variables, supports=tuple(sorted(supports)), pure_powers=a.pure_powers
-    )
-    validate_decomposition(dec, a.ideal)
+    row_of = [0] * len(a.labels)
+    for k, row in enumerate(a.rows):
+        for w in row:
+            row_of[w] = k
+    supports = sorted([_lift(d, row_of) for d in minimal_v3_td_sets(t).masks])
+    dec = PrimeDecomposition(Ground(a.variables), tuple(supports), a.powers)
+    validate_decomposition(dec, a)
     return dec
 
 

@@ -19,8 +19,9 @@ blank lines ignored; "-" reads from stdin. All reports are integer-exact;
 Exit codes: 0 success; 1 a failed verify check; 2 bad input (usage, an
 unreadable or non-UTF-8 file, an unknown vertex, a malformed edge list, an
 unwritable output directory) or a theorem error, reported as "error: ..."
-on stderr; 141 (128 + SIGPIPE) when standard output is closed early, as by
-"| head", which ends the command quietly.
+on stderr; 130 (128 + SIGINT) when interrupted, as by Ctrl-C, reported as
+"error: interrupted" on stderr; 141 (128 + SIGPIPE) when standard output is
+closed early, as by "| head", which ends the command quietly.
 """
 
 from __future__ import annotations
@@ -311,8 +312,9 @@ def _ideal_report(g: Graph, target, cap: int | None) -> dict:
         "target": list(vset(target) if target else g.labels),
         "generators": ideal.generator_strings(),
     }
-    ground, masks = decompose_squarefree(ideal, cap=cap)._support_masks()
-    report["decomposition"] = {"unit": ideal.is_unit, "components": _sets(Labels(ground.labels), masks)}
+    dec = decompose_squarefree(ideal, cap=cap)
+    report["decomposition"] = {"unit": ideal.is_unit,
+                               "components": _sets(Labels(dec.variables), dec.masks)}
     return report
 
 
@@ -366,8 +368,8 @@ def cmd_type(args) -> int:
                 pdec = parametric_decomposition(red, comp)
                 comps.append({
                     "vertices": list(comp.forest.labels),
-                    "ideal": red.ideal.render(),
-                    "pure_powers": red.pure_powers.render(),
+                    "ideal": red.ideal,
+                    "pure_powers": red.pure_powers,
                     "parametric_components": [list(s) for s in pdec.supports],
                 })
             sides[layer.side] = comps
@@ -431,12 +433,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_suite(max_n=args.max_n, seed=args.seed, samples=args.samples)
-    for r in results:
-        print(r.line())
-    failed = sum(not r.passed for r in results)
-    vacuous = sum(r.vacuous for r in results)
-    summary = f"{len(results) - failed - vacuous}/{len(results)} checks passed"
+    count = failed = vacuous = 0
+    for r in run_suite(max_n=args.max_n, seed=args.seed, samples=args.samples):
+        # each line as its check ends, so an interrupted run keeps them
+        print(r.line(), flush=True)
+        count += 1
+        failed += not r.passed
+        vacuous += r.vacuous
+    summary = f"{count - failed - vacuous}/{count} checks passed"
     if vacuous:
         summary += f", {vacuous} vacuous (0 cases)"
     print(summary)
@@ -556,6 +560,9 @@ def main(argv=None) -> int:
         # flushes stdout again at exit, so point it at devnull first
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

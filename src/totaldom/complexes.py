@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .domination import _minimal_s_td_family, minimal_td_sets, minimal_transversal_masks
-from .errors import MixedTreeError, NotBalancedError, NotSquareFreeError, TheoremViolation
+from .errors import MixedTreeError, NotBalancedError, TheoremViolation
 from .graphs import (
     Forest,
     Ground,
@@ -188,11 +188,12 @@ def stanley_reisner_ideal(d: SimplicialComplex) -> MonomialIdeal:
     facet. The minimal non-faces form an antichain, and over the sorted
     ground set the ``combinations`` order (size, then lexicographic) is
     grlex order, so their index tuples are the rows of the ideal as they
-    come.
+    come. The void complex has every subset as a non-face, the empty one
+    first: its ideal is the unit ideal, the one empty row.
     """
-    if d.is_void:
-        return MonomialIdeal.unit(d.ground)
     codec, facets = d._facet_masks()
+    if d.is_void:
+        return MonomialIdeal(codec, ((),))
 
     def is_face(m: int) -> bool:
         for f in facets:
@@ -212,7 +213,7 @@ def stanley_reisner_ideal(d: SimplicialComplex) -> MonomialIdeal:
                     break
             else:
                 rows.append(_bit_indices(m))
-    return MonomialIdeal._squarefree(codec, tuple(rows))
+    return MonomialIdeal(codec, tuple(rows))
 
 
 def stanley_reisner_complex(i: MonomialIdeal) -> SimplicialComplex:
@@ -222,11 +223,8 @@ def stanley_reisner_complex(i: MonomialIdeal) -> SimplicialComplex:
     generator supports, so the transversal engine applies directly, on the
     supports' masks over the ideal's ground.
     """
-    if not i.is_squarefree:
-        raise NotSquareFreeError(f"not square-free: {i.render()}")
-    ground, rows = i._index_rows()
-    edges = _row_masks(rows, range(len(ground.labels)))
-    return _complements(ground, minimal_transversal_masks(edges))
+    edges = _row_masks(i.rows, range(len(i.variables)))
+    return _complements(i.ground, minimal_transversal_masks(edges))
 
 
 # ---------------------------------------------------------------------------

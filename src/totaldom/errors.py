@@ -33,11 +33,6 @@ class MixedTreeError(TotaldomError):
     """An operation requiring an unmixed tree received a mixed one."""
 
 
-class AmbientMismatchError(TotaldomError):
-    """A generator or a prime support names a variable outside the ambient
-    variable list."""
-
-
 class NotSquareFreeError(TotaldomError):
     """A square-free monomial ideal was required."""
 

@@ -1,37 +1,34 @@
-"""Monomial ideals over named variables and open-neighborhood ideals.
+"""Square-free monomial ideals, open-neighborhood ideals and prime
+decompositions, held as index data over one ``graphs.Ground``.
 
 Only the combinatorial layer is modeled: an ideal is its unique minimal
-monomial generating set over an ambient variable list. Coefficients never
-appear. Minimality goes through divisibility, and square-free decomposition
-through minimal transversals of the generator supports. A decomposition is
-checked by Berge duality on bitmasks: the minimal transversals of its prime
-supports must give back the generators, so the check never re-expands the
-intersection. ``PrimeDecomposition.to_ideal`` does re-expand a square-free
-one, as the independent oracle of ``verify``: a fold of pairwise lcms on
-bitmasks. The package has no general sum or intersection of two ideals;
-``tests/oracles.py`` keeps both, on exponent dicts.
+monomial generating set over an ambient variable list, and coefficients
+never appear. A ``MonomialIdeal`` is square-free: it holds a ``Ground``
+whose labels are its variables and its generators as sorted index tuples
+over it, in grlex order (N(G) holds the graph's own ``adj`` tuples). A
+``PrimeDecomposition`` holds its supports as masks over a ``Ground`` of its
+variables, sorted by value, and a parametric one also the exponent of the
+shared pure power of each variable. Two objects compare by this index data,
+and labels are decoded only when ``supports`` or a rendering is read.
 
-The square-free objects the package builds stay in index space over one
-``graphs.Ground`` of their variables: N(G) and the ideals of
-``to_ideal`` and ``complexes.stanley_reisner_ideal`` hold their generators
-as sorted index tuples in grlex order (N(G) holds the graph's own ``adj``
-tuples), and a decomposition from ``decompose_squarefree`` or
-``PrimeDecomposition.from_family`` holds its supports as the engine's
-masks, sorted by value. Two such objects compare by this index data. Labels
-are decoded only when ``gens``, ``supports`` or a rendering is read, and a
-generator is rendered straight from its index tuple. Objects built from
-labels (``from_gens``, the constructors, the parametric decomposition) are
-encoded over a ``Ground`` of their variables where a computation needs
-masks.
+Square-free decomposition goes through minimal transversals of the
+generator supports. A decomposition is checked by Berge duality on masks:
+the minimal transversals of its prime supports, with the pure powers of a
+parametric one, must give back the generators, so the check never
+re-expands the intersection. ``PrimeDecomposition.to_ideal`` does re-expand
+a square-free one, as the independent oracle of ``verify``: a fold of
+pairwise lcms on masks. An ideal of pure powers and square-free monomials,
+as an Artinian reduction is, is minimalized and rendered straight from its
+exponents and masks (``_minimal_generators``, ``_render``).
+``tests/oracles.py`` keeps label monomials and ideals, with their sums and
+intersections, as twins of these.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-from .domination import MinimalSetFamily, minimal_transversal_masks, minimal_transversals
-from .errors import AmbientMismatchError, NotSquareFreeError, TheoremViolation
-from .graphs import Ground, VertexSet, _bit_indices, _columns, _graph_of, _lift, _Record, vset
+from .domination import MinimalSetFamily, minimal_transversal_masks
+from .errors import NotSquareFreeError, TheoremViolation
+from .graphs import Ground, VertexSet, _bit_indices, _columns, _graph_of, _lift, vset
 
 # Decompositions of at least this many supports are tested for
 # irredundancy column-wise (``_has_comparable_pair``); below it the pair
@@ -40,169 +37,38 @@ from .graphs import Ground, VertexSet, _bit_indices, _columns, _graph_of, _lift,
 _COLUMNS_FROM = 64
 
 
-class Monomial(_Record):
-    """Exponent list sorted by variable name; exponents are positive."""
-
-    _fields = ("exps",)
-
-    def __init__(self, exps: tuple[tuple[str, int], ...]):
-        self.__dict__["exps"] = exps
-
-    @classmethod
-    def one(cls) -> Monomial:
-        return cls(())
-
-    @classmethod
-    def of(cls, *variables: str) -> Monomial:
-        """Square-free product of the given variables."""
-        return cls.from_dict({v: 1 for v in variables})
-
-    @classmethod
-    def from_dict(cls, d: dict[str, int]) -> Monomial:
-        for v, e in d.items():
-            if e < 0:
-                raise ValueError(f"negative exponent for {v!r}")
-        return cls(tuple(sorted([(v, e) for v, e in d.items() if e > 0])))
-
-    # -- queries ----------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
-
-    @property
-    def support(self) -> VertexSet:
-        return tuple([v for v, _ in self.exps])
-
-    @property
-    def is_one(self) -> bool:
-        return not self.exps
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.exps)
-
-    def divides(self, other: Monomial) -> bool:
-        od = dict(other.exps)
-        return all(od.get(v, 0) >= e for v, e in self.exps)
-
-    def render(self) -> str:
-        if self.is_one:
-            return "1"
-        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in self.exps)
-
-    def __repr__(self):
-        return f"Monomial({self.render()})"
-
-
-def _grlex_key(m: Monomial, variables: tuple[str, ...]):
-    exps = dict(m.exps)
-    vec = tuple([-exps.get(v, 0) for v in variables])
-    return (m.degree, vec)
-
-
-def minimalize(gens) -> tuple[Monomial, ...]:
-    """Drop every generator divisible by another; dedups equal monomials."""
-    kept: list[Monomial] = []
-    for m in sorted(set(gens), key=lambda m: (m.degree, m.exps)):
-        if not any(k.divides(m) for k in kept):
-            kept.append(m)
-    return tuple(kept)
-
-
 class MonomialIdeal:
-    """Ambient variable list plus the unique minimal generating set.
-
-    An ideal built from labels holds its generators as given. A square-free
-    ideal built by ``_squarefree`` holds them as ``rows``: sorted index
-    tuples over ``ground``, a ``Ground`` whose labels are the variables, in
-    grlex order (size, then lexicographic, which is the order of
-    ``from_gens`` over sorted variables). The ``Monomial`` generators are
-    decoded from the rows on the first read of ``gens``. Two ideals with
-    rows are equal when their variables and rows are; otherwise ``==``
-    compares the variables and the generator tuples.
+    """A square-free monomial ideal over the labels of ``ground``, a
+    ``Ground`` whose labels are the variables. ``rows`` holds the minimal
+    generators as sorted index tuples over it, in grlex order (size, then
+    lexicographic); the empty tuple is the unit generator, and no row is the
+    zero ideal. Two ideals are equal when their variables and rows are.
     """
 
-    __slots__ = ("variables", "_gens", "_ground", "_rows")
+    __slots__ = ("ground", "rows")
 
-    def __init__(self, variables: tuple[str, ...], gens: tuple[Monomial, ...]):
-        self.variables = variables
-        self._gens = gens
-        self._ground = self._rows = None
-
-    @classmethod
-    def _squarefree(cls, ground: Ground, rows: tuple[tuple[int, ...], ...]) -> MonomialIdeal:
-        """The square-free ideal over the labels of ``ground`` generated by
-        the index tuples ``rows``, an antichain in grlex order."""
-        ideal = cls.__new__(cls)
-        ideal.variables = ground.labels
-        ideal._gens = None
-        ideal._ground = ground
-        ideal._rows = rows
-        return ideal
-
-    @classmethod
-    def from_gens(cls, variables, gens) -> MonomialIdeal:
-        variables = vset(variables)
-        ambient = set(variables)
-        gens = minimalize(gens)
-        for m in gens:
-            stray = [v for v in m.support if v not in ambient]
-            if stray:
-                raise AmbientMismatchError(f"generator uses unknown variables {stray}")
-        ordered = tuple(sorted(gens, key=lambda m: _grlex_key(m, variables)))
-        return cls(variables=variables, gens=ordered)
-
-    @classmethod
-    def unit(cls, variables) -> MonomialIdeal:
-        return cls.from_gens(variables, [Monomial.one()])
+    def __init__(self, ground: Ground, rows: tuple[tuple[int, ...], ...]):
+        self.ground = ground
+        self.rows = rows
 
     @property
-    def gens(self) -> tuple[Monomial, ...]:
-        if self._gens is None:
-            labels = self._ground.labels
-            self._gens = tuple([
-                Monomial(tuple([(labels[j], 1) for j in row])) for row in self._rows
-            ])
-        return self._gens
-
-    def _index_rows(self) -> tuple[Ground, Sequence[tuple[int, ...]]]:
-        """A ground of the variables and each generator's support as a
-        sorted index tuple over it, in generator order. An ideal built from
-        labels is encoded over ``Ground(variables)`` here (its supports are
-        in label order, so their indices are sorted); a support outside the
-        variables raises KeyError."""
-        if self._rows is not None:
-            return self._ground, self._rows
-        ground = Ground(self.variables)
-        index = ground.index
-        return ground, [tuple([index[v] for v in m.support]) for m in self._gens]
-
-    # -- predicates ---------------------------------------------------------
+    def variables(self) -> tuple[str, ...]:
+        return self.ground.labels
 
     @property
     def is_zero(self) -> bool:
-        return not (self._gens if self._rows is None else self._rows)
+        return not self.rows
 
     @property
     def is_unit(self) -> bool:
-        rows = self._rows
-        if rows is None:
-            return len(self._gens) == 1 and self._gens[0].is_one
+        rows = self.rows
         return len(rows) == 1 and not rows[0]
 
-    @property
-    def is_squarefree(self) -> bool:
-        return self._rows is not None or all(m.is_squarefree for m in self._gens)
-
     def generator_strings(self) -> list[str]:
-        """Each generator as ``Monomial.render`` writes it, in order; rows
-        are rendered from their labels with no ``Monomial``."""
-        rows = self._rows
-        if rows is None:
-            return [m.render() for m in self._gens]
-        labels = self._ground.labels
-        return ["*".join([labels[j] for j in row]) if row else "1" for row in rows]
+        """Each generator as its ``*``-joined labels, in order; ``1`` for
+        the unit generator."""
+        labels = self.ground.labels
+        return ["*".join([labels[j] for j in row]) if row else "1" for row in self.rows]
 
     def render(self) -> str:
         if self.is_zero:
@@ -212,17 +78,49 @@ class MonomialIdeal:
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
-        if self.variables != other.variables:
-            return False
-        if self._rows is not None and other._rows is not None:
-            return self._rows == other._rows
-        return self.gens == other.gens
+        return self.ground.labels == other.ground.labels and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.variables, self.gens))
+        return hash((self.ground.labels, self.rows))
 
     def __repr__(self):
         return f"MonomialIdeal<{self.render()}>"
+
+
+def _minimal_generators(powers, masks) -> tuple[list[int], list[tuple[int, int]]]:
+    """The minimal generators of the ideal of the pure powers
+    x_k^powers[k] and the square-free monomials ``masks`` (bit k for
+    variable k): the square-free ones as an antichain of masks sorted by
+    value, x_k^1 among them, and the pure powers of exponent 2 or more that
+    none of those divides, as (k, exponent) pairs in k order."""
+    square = set(masks)
+    square.update([1 << k for k, p in enumerate(powers) if p == 1])
+    kept = sorted([m for m in square if not any(s != m and s & m == s for s in square)])
+    high = [
+        (k, p) for k, p in enumerate(powers)
+        if p > 1 and not any(m | 1 << k == 1 << k for m in kept)
+    ]
+    return kept, high
+
+
+def _render(variables: tuple[str, ...], powers, masks) -> str:
+    """The ideal of the pure powers x_k^powers[k] and the square-free
+    ``masks`` over the sorted ``variables`` (bit k for variable k),
+    minimalized and written in grlex order as ``MonomialIdeal.render``
+    writes it, a power as ``v^p``.
+
+    In one degree, grlex order over sorted variables is the lexicographic
+    order of the index sequences that repeat each variable by its exponent,
+    so a mask sorts by its set bits and x_k^p by p copies of k.
+    """
+    kept, high = _minimal_generators(powers, masks)
+    keyed = []
+    for m in kept:
+        row = _bit_indices(m)
+        keyed.append((len(row), row, "*".join([variables[j] for j in row]) or "1"))
+    keyed += [(p, (k,) * p, f"{variables[k]}^{p}") for k, p in high]
+    keyed.sort()
+    return ", ".join([text for _, _, text in keyed]) or "0"
 
 
 def _row_masks(rows, bit) -> list[int]:
@@ -272,7 +170,7 @@ def open_neighborhood_ideal(g, s=None) -> MonomialIdeal:
         if not any(own.issuperset(k) for j in nbrs for k in by_low.get(j, ())):
             by_low.setdefault(nbrs[0], []).append(nbrs)
             rows.append(nbrs)
-    return MonomialIdeal._squarefree(g, tuple(rows))
+    return MonomialIdeal(g, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -283,69 +181,51 @@ class PrimeDecomposition:
     """Irredundant intersection of variable primes, optionally shifted by a
     shared pure-power ideal (the parametric form).
 
-    One built from labels holds its supports as given. One built by
-    ``_of_masks`` holds them as masks over ``ground``, a ``Ground`` of its
-    variables, sorted by value, and decodes them on the first read of
-    ``supports`` (sorted label tuples, as ``MinimalSetFamily.sets``). Two
-    decompositions with masks are equal when their variables and masks are;
-    otherwise ``==`` compares the variables, the support tuples and the
-    pure powers.
+    ``ground`` is a ``Ground`` whose labels are the variables, and
+    ``masks`` holds the supports as masks over it, sorted by value.
+    ``pure_powers`` is None, or the exponent p_k of the pure power x_k^p_k
+    of each variable, in variable order. The supports are decoded on their
+    first read (sorted label tuples, as ``MinimalSetFamily.sets``). Two
+    decompositions are equal when their variables, masks and pure powers
+    are.
     """
 
-    __slots__ = ("variables", "pure_powers", "_supports", "_ground", "_masks")
+    __slots__ = ("ground", "masks", "pure_powers", "_supports")
 
-    def __init__(self, variables: tuple[str, ...], supports: tuple[VertexSet, ...],
-                 pure_powers: MonomialIdeal | None = None):
-        self.variables = variables
+    def __init__(self, ground: Ground, masks: tuple[int, ...],
+                 pure_powers: tuple[int, ...] | None = None):
+        self.ground = ground
+        self.masks = masks
         self.pure_powers = pure_powers
-        self._supports = supports
-        self._ground = self._masks = None
-
-    @classmethod
-    def _of_masks(cls, variables: tuple[str, ...], ground: Ground,
-                  masks: tuple[int, ...]) -> PrimeDecomposition:
-        dec = cls(variables, None)
-        dec._ground = ground
-        dec._masks = masks
-        return dec
+        self._supports = None
 
     @classmethod
     def from_family(cls, family: MinimalSetFamily) -> PrimeDecomposition:
         """The decomposition whose supports are the members of ``family``,
         over the vertices of its graph, with no check."""
-        g = family.graph
-        return cls._of_masks(g.labels, g, family.masks)
+        return cls(family.graph, family.masks)
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return self.ground.labels
 
     @property
     def supports(self) -> tuple[VertexSet, ...]:
         if self._supports is None:
-            self._supports = tuple(sorted(map(self._ground.labels_of, self._masks)))
+            self._supports = tuple(sorted(map(self.ground.labels_of, self.masks)))
         return self._supports
 
-    def _support_masks(self) -> tuple[Ground, Sequence[int]]:
-        """A ground of the variables and each support as a mask over it. A
-        decomposition built from labels is encoded over
-        ``Ground(variables)`` here, each support in label order, so a
-        KeyError names its least label outside the variables."""
-        if self._masks is not None:
-            return self._ground, self._masks
-        ground = Ground(self.variables)
-        return ground, [ground.mask_of(sorted(sup)) for sup in self._supports]
-
     def __len__(self):
-        return len(self._supports if self._masks is None else self._masks)
+        return len(self.masks)
 
     def __eq__(self, other):
         if not isinstance(other, PrimeDecomposition):
             return NotImplemented
-        if self.variables != other.variables or self.pure_powers != other.pure_powers:
-            return False
-        if self._masks is not None and other._masks is not None:
-            return self._masks == other._masks
-        return self.supports == other.supports
+        return (self.ground.labels == other.ground.labels and self.masks == other.masks
+                and self.pure_powers == other.pure_powers)
 
     def __hash__(self):
-        return hash((self.variables, self.supports, self.pure_powers))
+        return hash((self.ground.labels, self.masks, self.pure_powers))
 
     def __repr__(self):
         return (f"PrimeDecomposition(variables={self.variables!r}, "
@@ -359,14 +239,9 @@ class PrimeDecomposition:
         NotSquareFreeError; ``validate_decomposition`` checks it by duality.
         """
         if self.pure_powers is not None:
-            raise NotSquareFreeError(f"not square-free: pure powers {self.pure_powers.render()}")
-        try:
-            ground, masks = self._support_masks()
-        except KeyError as exc:
-            raise AmbientMismatchError(
-                f"generator uses unknown variables {[exc.args[0]]}"
-            ) from None
-        return _intersect_primes(ground, masks)
+            shown = _render(self.variables, self.pure_powers, ())
+            raise NotSquareFreeError(f"not square-free: pure powers {shown}")
+        return _intersect_primes(self.ground, self.masks)
 
 
 def _intersect_primes(ground: Ground, supports) -> MonomialIdeal:
@@ -399,49 +274,51 @@ def _intersect_primes(ground: Ground, supports) -> MonomialIdeal:
                 gens.append(m)
     rows = sorted(map(_bit_indices, gens))
     rows.sort(key=len)
-    return MonomialIdeal._squarefree(ground, tuple(rows))
+    return MonomialIdeal(ground, tuple(rows))
 
 
-def validate_decomposition(dec: PrimeDecomposition, ideal: MonomialIdeal) -> None:
+def validate_decomposition(dec: PrimeDecomposition, ideal) -> None:
     """Raise TheoremViolation unless ``dec`` is an irredundant decomposition
-    of ``ideal``.
+    of ``ideal``: a ``MonomialIdeal``, or the ``algebra.ArtinianReduction``
+    that a parametric ``dec`` decomposes, read as its ``variables``, the
+    exponents ``powers`` of their pure powers and the square-free ``masks``
+    over them.
 
     The verdict is that of distinct, pairwise incomparable supports whose
     intersection (``dec.to_ideal()`` in the square-free case) is ``ideal``,
-    reached on bitmasks over a ground of ``dec.variables``.
-    The intersection of the primes P_S is generated by the square-free
-    monomials on the minimal transversals of the supports; by Berge duality
-    (tr(tr(H)) = H for a clutter H) that equals a square-free ideal exactly
-    when the transversals are its generator supports, compared as masks.
-    Monomial ideals form a distributive lattice, so with pure powers Q the
-    intersection of the P_S + Q is (intersection of the P_S) + Q, compared
-    as label monomials. The transversals are enumerated without a cap, so
-    an enumeration cap never changes the verdict.
+    reached on masks over the variables. The intersection of the primes P_S
+    is generated by the square-free monomials on the minimal transversals
+    of the supports; by Berge duality (tr(tr(H)) = H for a clutter H) that
+    equals a square-free ideal exactly when the transversals are its
+    generator supports, compared as masks. Monomial ideals form a
+    distributive lattice, so with pure powers Q the intersection of the
+    P_S + Q is (intersection of the P_S) + Q, compared with the ideal as
+    minimal generators (``_minimal_generators``). The transversals are
+    enumerated without a cap, so an enumeration cap never changes the
+    verdict.
     """
     parametric = dec.pure_powers is not None
-    try:
-        ground, masks = dec._support_masks()
-    except KeyError as exc:
-        raise AmbientMismatchError(f"support uses unknown variable {exc}") from None
-    if _has_comparable_pair(masks, len(ground.labels)):
+    masks = dec.masks
+    if _has_comparable_pair(masks, len(dec.variables)):
         label = "parametric decomposition" if parametric else "decomposition"
         raise TheoremViolation(f"{label} is not irredundant")
-    if parametric:
-        gens = [Monomial.of(*s) for s in minimal_transversals(dec.supports)]
-        gens += dec.pure_powers.gens
-        holds = MonomialIdeal.from_gens(dec.variables, gens) == ideal
+    if isinstance(ideal, MonomialIdeal):
+        powers, edges = (), _row_masks(ideal.rows, range(len(ideal.variables)))
     else:
-        holds = ideal.variables == dec.variables and ideal.is_squarefree
-        if holds:
-            ground, rows = ideal._index_rows()
-            edges = _row_masks(rows, range(len(ground.labels)))
-            holds = minimal_transversal_masks(masks) == sorted(edges)
+        powers, edges = ideal.powers, ideal.masks
+    holds = ideal.variables == dec.variables
+    if holds:
+        found = minimal_transversal_masks(masks)
+        if parametric or powers:
+            holds = (_minimal_generators(dec.pure_powers or (), found)
+                     == _minimal_generators(powers, edges))
+        else:
+            holds = found == sorted(edges)
     if not holds:
         if parametric:
             raise TheoremViolation("parametric decomposition does not re-expand to the ideal")
-        raise TheoremViolation(
-            f"decomposition of {ideal.render()} does not re-expand to the input"
-        )
+        shown = _render(ideal.variables, powers, edges) if powers else ideal.render()
+        raise TheoremViolation(f"decomposition of {shown} does not re-expand to the input")
 
 
 def _has_comparable_pair(masks, width: int) -> bool:
@@ -488,14 +365,12 @@ def decompose_squarefree(i: MonomialIdeal, cap: int | None = None) -> PrimeDecom
     ``minimal_td_sets``; the transversals are lifted back to the ideal's
     ground and stay sorted by value.
     """
-    if not i.is_squarefree:
-        raise NotSquareFreeError(f"not square-free: {i.render()}")
-    ground, rows = i._index_rows()
+    ground, rows = i.ground, i.rows
     used = sorted({j for row in rows for j in row})
     position = [0] * len(ground.labels)
     for k, j in enumerate(used):
         position[j] = k
     found = minimal_transversal_masks(_row_masks(rows, position), cap=cap)
-    dec = PrimeDecomposition._of_masks(i.variables, ground, tuple([_lift(m, used) for m in found]))
+    dec = PrimeDecomposition(ground, tuple([_lift(m, used) for m in found]))
     validate_decomposition(dec, i)
     return dec

@@ -340,17 +340,16 @@ def check_generated_unmixed(seed: int = 31337, count: int = 60) -> CheckResult:
     return _result("generator-unmixedness", start, failures, len(corpus), "all generated trees unmixed")
 
 
-def run_suite(max_n: int = 8, seed: int = 12345, samples: int = 150) -> list[CheckResult]:
-    """The default verification sweep used by the CLI."""
-    return [
-        check_characterization(max_n=max_n, seed=seed, samples=samples),
-        check_decomposition(max_n=max_n),
-        check_stanley_reisner(max_n=min(max_n, 9)),
-        check_vector_shelling(seed=seed, count=50),
-        check_join_shelling(seed=seed, count=30),
-        check_join_theorem(seed=seed, count=30),
-        check_type_agreement(seed=seed, count=30),
-        check_roundtrip(seed=seed, count=50),
-        check_mixedness_theorems(seed=seed, per_family=10),
-        check_generated_unmixed(seed=seed, count=30),
-    ]
+def run_suite(max_n: int = 8, seed: int = 12345, samples: int = 150):
+    """The default verification sweep used by the CLI: each check's result
+    as soon as the check has run."""
+    yield check_characterization(max_n=max_n, seed=seed, samples=samples)
+    yield check_decomposition(max_n=max_n)
+    yield check_stanley_reisner(max_n=min(max_n, 9))
+    yield check_vector_shelling(seed=seed, count=50)
+    yield check_join_shelling(seed=seed, count=30)
+    yield check_join_theorem(seed=seed, count=30)
+    yield check_type_agreement(seed=seed, count=30)
+    yield check_roundtrip(seed=seed, count=50)
+    yield check_mixedness_theorems(seed=seed, per_family=10)
+    yield check_generated_unmixed(seed=seed, count=30)

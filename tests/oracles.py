@@ -7,6 +7,13 @@ helpers beside them give vertex degrees, the edges as label pairs, the
 height levels of a label -> height dict and the support rows on labels.
 Expected values frozen in the tests were computed with these.
 
+The label twins of the package's ideals follow: ``Monomial`` with
+``minimalize`` and ``grlex_key``, ``LabelIdeal`` (``from_gens``, ``unit``
+and ``AmbientMismatchError`` for a generator outside the variables), the
+codecs between them and the package's index objects (``label_ideal``,
+``squarefree_ideal``, ``label_decomposition``) and the reduced ideal, pure
+powers and substitution of an Artinian reduction built as labels.
+
 The middle section holds second routes to objects the package computes
 (colorings, selectors, shellings, facet vectors on labels, the Analyses of
 the interior forests, the join order
@@ -74,14 +81,15 @@ from totaldom.construct import (
 )
 from totaldom.domination import _minimalize_masks, minimal_transversals
 from totaldom.errors import (
-    AmbientMismatchError,
     EdgeListParseError,
     EnumerationCapExceeded,
     InputError,
     MixedTreeError,
     NotAForestError,
     NotBalancedError,
+    NotSquareFreeError,
     TheoremViolation,
+    TotaldomError,
 )
 from totaldom.graphs import (
     Classification,
@@ -92,6 +100,7 @@ from totaldom.graphs import (
     Tree,
     _graph_of,
     _lift,
+    _Record,
     branch,
     classify_vertices,
     heights,
@@ -100,7 +109,7 @@ from totaldom.graphs import (
     two_coloring,
     vset,
 )
-from totaldom.ideals import Monomial, MonomialIdeal
+from totaldom.ideals import MonomialIdeal, PrimeDecomposition
 from totaldom.treegen import Lcg64, _tree_labels
 from totaldom.unmixed import (
     Analysis,
@@ -298,6 +307,204 @@ def complex_faces(cx) -> set[frozenset[str]]:
         for k in range(len(f) + 1):
             out.update(frozenset(c) for c in combinations(f, k))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Label monomials and ideals
+# ---------------------------------------------------------------------------
+
+class AmbientMismatchError(TotaldomError):
+    """A generator or a prime support names a variable outside the ambient
+    variable list; raised by the label constructors below."""
+
+
+class Monomial(_Record):
+    """Exponent list sorted by variable name; exponents are positive."""
+
+    _fields = ("exps",)
+
+    def __init__(self, exps: tuple[tuple[str, int], ...]):
+        self.__dict__["exps"] = exps
+
+    @classmethod
+    def one(cls) -> Monomial:
+        return cls(())
+
+    @classmethod
+    def of(cls, *variables: str) -> Monomial:
+        """Square-free product of the given variables."""
+        return cls.from_dict({v: 1 for v in variables})
+
+    @classmethod
+    def from_dict(cls, d: dict[str, int]) -> Monomial:
+        for v, e in d.items():
+            if e < 0:
+                raise ValueError(f"negative exponent for {v!r}")
+        return cls(tuple(sorted([(v, e) for v, e in d.items() if e > 0])))
+
+    @property
+    def degree(self) -> int:
+        return sum(e for _, e in self.exps)
+
+    @property
+    def support(self) -> tuple[str, ...]:
+        return tuple([v for v, _ in self.exps])
+
+    @property
+    def is_one(self) -> bool:
+        return not self.exps
+
+    @property
+    def is_squarefree(self) -> bool:
+        return all(e == 1 for _, e in self.exps)
+
+    def divides(self, other: Monomial) -> bool:
+        od = dict(other.exps)
+        return all(od.get(v, 0) >= e for v, e in self.exps)
+
+    def render(self) -> str:
+        if self.is_one:
+            return "1"
+        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in self.exps)
+
+    def __repr__(self):
+        return f"Monomial({self.render()})"
+
+
+def grlex_key(m: Monomial, variables: tuple[str, ...]):
+    """Degree, then the exponent vector over ``variables``, negated."""
+    exps = dict(m.exps)
+    vec = tuple([-exps.get(v, 0) for v in variables])
+    return (m.degree, vec)
+
+
+def minimalize(gens) -> tuple[Monomial, ...]:
+    """Drop every generator divisible by another; dedups equal monomials."""
+    kept: list[Monomial] = []
+    for m in sorted(set(gens), key=lambda m: (m.degree, m.exps)):
+        if not any(k.divides(m) for k in kept):
+            kept.append(m)
+    return tuple(kept)
+
+
+class LabelIdeal:
+    """The label twin of ``ideals.MonomialIdeal``: an ambient variable list
+    and the minimal generators as ``Monomial``s in grlex order, with any
+    exponents. ``==`` compares the variables and the generator tuples, so
+    it also checks the order."""
+
+    __slots__ = ("variables", "gens")
+
+    def __init__(self, variables: tuple[str, ...], gens: tuple[Monomial, ...]):
+        self.variables = variables
+        self.gens = gens
+
+    @classmethod
+    def from_gens(cls, variables, gens) -> LabelIdeal:
+        variables = vset(variables)
+        ambient = set(variables)
+        gens = minimalize(gens)
+        for m in gens:
+            stray = [v for v in m.support if v not in ambient]
+            if stray:
+                raise AmbientMismatchError(f"generator uses unknown variables {stray}")
+        return cls(variables, tuple(sorted(gens, key=lambda m: grlex_key(m, variables))))
+
+    @classmethod
+    def unit(cls, variables) -> LabelIdeal:
+        return cls.from_gens(variables, [Monomial.one()])
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.gens
+
+    @property
+    def is_unit(self) -> bool:
+        return len(self.gens) == 1 and self.gens[0].is_one
+
+    @property
+    def is_squarefree(self) -> bool:
+        return all(m.is_squarefree for m in self.gens)
+
+    def generator_strings(self) -> list[str]:
+        return [m.render() for m in self.gens]
+
+    def render(self) -> str:
+        return ", ".join(self.generator_strings()) if self.gens else "0"
+
+    def __eq__(self, other):
+        if isinstance(other, MonomialIdeal):
+            # never equal by type alone: compare through label_ideal
+            raise TypeError("compare a MonomialIdeal with its label_ideal")
+        if not isinstance(other, LabelIdeal):
+            return NotImplemented
+        return (self.variables, self.gens) == (other.variables, other.gens)
+
+    def __hash__(self):
+        return hash((self.variables, self.gens))
+
+    def __repr__(self):
+        return f"MonomialIdeal<{self.render()}>"
+
+
+def label_ideal(ideal) -> LabelIdeal:
+    """A ``MonomialIdeal`` decoded to its label twin, one ``Monomial`` per
+    row; a ``LabelIdeal`` as it is."""
+    if isinstance(ideal, LabelIdeal):
+        return ideal
+    labels = ideal.variables
+    gens = [Monomial(tuple([(labels[j], 1) for j in row])) for row in ideal.rows]
+    return LabelIdeal(labels, tuple(gens))
+
+
+def squarefree_ideal(ideal: LabelIdeal) -> MonomialIdeal:
+    """A square-free label ideal encoded as a ``MonomialIdeal`` over
+    ``Ground(variables)``, each generator's support in label order, so its
+    indices are sorted; NotSquareFreeError on an exponent above 1."""
+    if not ideal.is_squarefree:
+        raise NotSquareFreeError(f"not square-free: {ideal.render()}")
+    ground = Ground(ideal.variables)
+    index = ground.index
+    return MonomialIdeal(ground, tuple([tuple([index[v] for v in m.support]) for m in ideal.gens]))
+
+
+def label_decomposition(variables, supports, pure_powers=None) -> PrimeDecomposition:
+    """A ``PrimeDecomposition`` from label supports, each encoded as a mask
+    over ``Ground(variables)`` and kept in sorted label order (so a repeated
+    support stays repeated); ``pure_powers`` are the exponents in sorted
+    variable order. AmbientMismatchError names the least label of a support
+    that is not a variable."""
+    ground = Ground(variables)
+    masks = []
+    for sup in supports:
+        stray = sorted(set(sup) - set(ground.labels))
+        if stray:
+            raise AmbientMismatchError(f"generator uses unknown variables {stray[:1]}")
+        masks.append(ground.mask_of(sup))
+    return PrimeDecomposition(ground, tuple(sorted(masks)), pure_powers)
+
+
+def reduction_ideal(red) -> LabelIdeal:
+    """The reduced ideal of an ``ArtinianReduction`` built as label
+    monomials: the pure power of each row's variable, its row length, and
+    the product of the variables of each mask's rows."""
+    variables = [red.labels[row[0]] for row in red.rows]
+    gens = list(reduction_pure_powers(red).gens)
+    for m in red.masks:
+        gens.append(Monomial.of(*[variables[k] for k in range(len(variables)) if m >> k & 1]))
+    return LabelIdeal.from_gens(variables, gens)
+
+
+def reduction_pure_powers(red) -> LabelIdeal:
+    """The pure powers of an ``ArtinianReduction`` as label monomials."""
+    return pure_power_ideal([red.labels[row[0]] for row in red.rows], map(len, red.rows))
+
+
+def substitution_map(red) -> dict[str, str]:
+    """Each even vertex of a reduction's component with its surviving
+    variable, the first label of its row."""
+    labels = red.labels
+    return {labels[w]: labels[row[0]] for row in red.rows for w in row}
 
 
 # ---------------------------------------------------------------------------
@@ -556,23 +763,23 @@ def composed_facets_by_labels(t: Tree, cap: int | None = None) -> tuple[int, lis
 
 def parametric_supports_from_ideal(a) -> tuple[tuple[str, ...], ...]:
     """Supports of the parametric decomposition of a reduction, read off the
-    reduced ideal alone: the minimal transversals of the supports of its
-    generators that are not pure powers."""
-    non_pure = [m.support for m in a.ideal.gens if len(m.exps) > 1]
+    text of the reduced ideal alone: the minimal transversals of the
+    supports of its generators that are not pure powers."""
+    non_pure = [m.support for m in parse_ideal(a.ideal, a.variables).gens if len(m.exps) > 1]
     return tuple(sorted(minimal_transversals(non_pure)))
 
 
-def edge_ideal(g) -> MonomialIdeal:
+def edge_ideal(g) -> LabelIdeal:
     """The ideal of the edge monomials x_a x_b, over all vertices."""
     g = _graph_of(g)
-    return MonomialIdeal.from_gens(g.labels, [Monomial.of(a, b) for a, b in label_edges(g)])
+    return LabelIdeal.from_gens(g.labels, [Monomial.of(a, b) for a, b in label_edges(g)])
 
 
-def odd_open_neighborhood_ideal(f, variables) -> MonomialIdeal:
+def odd_open_neighborhood_ideal(f, variables) -> LabelIdeal:
     """The neighborhood monomials of the odd-height vertices of a forest, over
     ``variables``."""
     gens = [Monomial.of(*f.graph.neighbors(v)) for v in odd_heights(heights(f))]
-    return MonomialIdeal.from_gens(variables, gens)
+    return LabelIdeal.from_gens(variables, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -592,18 +799,19 @@ def parse_monomial(text: str) -> Monomial:
     return Monomial.from_dict(d)
 
 
-def parse_ideal(text: str, variables) -> MonomialIdeal:
-    """Inverse of ``MonomialIdeal.render`` over ``variables``: ``0`` or no
-    text is the zero ideal, otherwise ``,``-separated monomials."""
+def parse_ideal(text: str, variables) -> LabelIdeal:
+    """Inverse of ``MonomialIdeal.render`` and of the reduction texts over
+    ``variables``: ``0`` or no text is the zero ideal, otherwise
+    ``,``-separated monomials."""
     text = text.strip()
     if text == "0" or not text:
-        return MonomialIdeal.from_gens(variables, [])
-    return MonomialIdeal.from_gens(variables, [parse_monomial(p) for p in text.split(",")])
+        return LabelIdeal.from_gens(variables, [])
+    return LabelIdeal.from_gens(variables, [parse_monomial(p) for p in text.split(",")])
 
 
-def ideal_contains(ideal: MonomialIdeal, m: Monomial) -> bool:
+def ideal_contains(ideal, m: Monomial) -> bool:
     """Membership of a monomial: some generator divides it."""
-    return any(g.divides(m) for g in ideal.gens)
+    return any(g.divides(m) for g in label_ideal(ideal).gens)
 
 
 def trace_from_json(text: str) -> ConstructionTrace:
@@ -838,7 +1046,7 @@ def minimal_transversals_by_subsets(edges: list[int]) -> list[int]:
 SOCLE_BOX_CAP = 10**7
 
 
-def socle_by_box(ideal: MonomialIdeal) -> int:
+def socle_by_box(ideal: LabelIdeal) -> int:
     """``algebra.socle_dimension`` by a walk over the exponent box below the
     pure powers: count the points outside the ideal that every variable
     takes into it. Membership is a componentwise comparison with each
@@ -904,53 +1112,60 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return Monomial.from_dict(d)
 
 
-def _check_ambient(a: MonomialIdeal, b: MonomialIdeal) -> None:
+def _check_ambient(a: LabelIdeal, b: LabelIdeal) -> None:
     if a.variables != b.variables:
         raise AmbientMismatchError(f"ambient mismatch: {a.variables} vs {b.variables}")
 
 
-def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
+def ideal_sum(a: LabelIdeal, b: LabelIdeal) -> LabelIdeal:
     _check_ambient(a, b)
-    return MonomialIdeal.from_gens(a.variables, a.gens + b.gens)
+    return LabelIdeal.from_gens(a.variables, a.gens + b.gens)
 
 
-def ideal_intersection(ideals) -> MonomialIdeal:
+def ideal_intersection(ideals) -> LabelIdeal:
     """The intersection of ideals over one ambient list, folded pairwise:
     each step minimalizes the lcms of all pairs of generators."""
-    def meet(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
+    def meet(a: LabelIdeal, b: LabelIdeal) -> LabelIdeal:
         _check_ambient(a, b)
-        return MonomialIdeal.from_gens(a.variables, [monomial_lcm(x, y) for x in a.gens for y in b.gens])
+        return LabelIdeal.from_gens(a.variables, [monomial_lcm(x, y) for x in a.gens for y in b.gens])
 
     return reduce(meet, ideals)
 
 
-def variable_ideal(variables, subset) -> MonomialIdeal:
+def variable_ideal(variables, subset) -> LabelIdeal:
     """The monomial prime generated by the given variables."""
-    return MonomialIdeal.from_gens(variables, [Monomial.of(v) for v in subset])
+    return LabelIdeal.from_gens(variables, [Monomial.of(v) for v in subset])
 
 
-def to_ideal_by_lcm(dec) -> MonomialIdeal:
+def pure_power_ideal(variables, powers) -> LabelIdeal:
+    """The ideal of the pure powers v^p, one per variable."""
+    return LabelIdeal.from_gens(
+        variables, [Monomial.from_dict({v: p}) for v, p in zip(variables, powers)]
+    )
+
+
+def to_ideal_by_lcm(dec) -> LabelIdeal:
     """The intersection of a decomposition's primes P_S, each plus the pure
     powers Q of a parametric one, through ``ideal_intersection``. It is
     ``PrimeDecomposition.to_ideal`` on a square-free decomposition and the
     only re-expansion of a parametric one."""
     if not dec.supports:
-        return MonomialIdeal.unit(dec.variables)
+        return LabelIdeal.unit(dec.variables)
     parts = []
     for sup in dec.supports:
         p = variable_ideal(dec.variables, sup)
         if dec.pure_powers is not None:
-            p = ideal_sum(p, dec.pure_powers)
+            p = ideal_sum(p, pure_power_ideal(dec.variables, dec.pure_powers))
         parts.append(p)
     return ideal_intersection(parts)
 
 
-def stanley_reisner_ideal_by_faces(d: SimplicialComplex) -> MonomialIdeal:
+def stanley_reisner_ideal_by_faces(d: SimplicialComplex) -> LabelIdeal:
     """``complexes.stanley_reisner_ideal`` on label tuples: each subset of the
     ground set, in ``combinations`` order, is a face when its label set lies
     inside some facet's label set."""
     if d.is_void:
-        return MonomialIdeal.unit(d.ground)
+        return LabelIdeal.unit(d.ground)
 
     def has_face(face) -> bool:
         fs = set(face)
@@ -963,7 +1178,7 @@ def stanley_reisner_ideal_by_faces(d: SimplicialComplex) -> MonomialIdeal:
                 continue
             if all(has_face(sub[:i] + sub[i + 1:]) for i in range(k)):
                 gens.append(Monomial.of(*sub))
-    return MonomialIdeal.from_gens(d.ground, gens)
+    return LabelIdeal.from_gens(d.ground, gens)
 
 
 def generate_by_apply_o(seed: int, steps: int):
@@ -1071,7 +1286,7 @@ def deconstruct_by_rebuilds(t):
     return ConstructionTrace(steps=tuple(steps))
 
 
-def open_neighborhood_ideal_by_scan(g, s=None) -> MonomialIdeal:
+def open_neighborhood_ideal_by_scan(g, s=None) -> LabelIdeal:
     """``ideals.open_neighborhood_ideal`` with each neighborhood mask tested
     against every kept mask, not only against those of its own bits."""
     g = _graph_of(g)
@@ -1084,7 +1299,7 @@ def open_neighborhood_ideal_by_scan(g, s=None) -> MonomialIdeal:
         if not any(k & mask == k for k in kept):
             kept.append(mask)
             gens.append(Monomial(tuple((g.labels[j], 1) for j in nbrs)))
-    return MonomialIdeal(variables=g.labels, gens=tuple(gens))
+    return LabelIdeal(variables=g.labels, gens=tuple(gens))
 
 
 # The package's own builders through label edge lists: each collects its

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import time
 
-from oracles import parse_ideal
+from oracles import label_ideal, parse_ideal, reduction_ideal
 from totaldom.algebra import (
     artinian_reduction,
     cm_type,
@@ -52,7 +52,7 @@ def test_criterion_01_p5_restricted_ideal(paper_p5):
     family = minimal_s_td_sets(paper_p5, target)
     elapsed = time.monotonic() - start
     ok = (
-        ideal == expected
+        label_ideal(ideal) == expected
         and dec.supports == (("v1", "v5"), ("v3", "v5"))
         and family.sets == dec.supports
         and family.is_unmixed()
@@ -144,7 +144,8 @@ def test_criterion_08_type_formula(fence_tree):
     fence_report = cm_type(fence_tree)
     corpus = check_type_agreement(seed=99991, count=100)
     ok = (
-        red.ideal == paper_j
+        reduction_ideal(red) == paper_j
+        and red.ideal == paper_j.render()
         and socle == 2
         and len(dec.supports) == 2
         and dec.supports == (("u1", "u3"), ("u2",))

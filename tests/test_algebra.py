@@ -13,9 +13,13 @@ from oracles import (
     odd_heights,
     parametric_supports_from_ideal,
     parse_ideal,
+    parse_monomial,
+    reduction_ideal,
+    reduction_pure_powers,
     sides,
     socle_by_box,
     socle_by_exponent_corners,
+    substitution_map,
     to_ideal_by_lcm,
 )
 from totaldom import algebra
@@ -36,9 +40,9 @@ from totaldom.errors import (
     NotSquareFreeError,
     TheoremViolation,
 )
-from totaldom.graphs import Forest, Tree, heights, path_graph, star_graph
-from totaldom.ideals import Monomial
-from totaldom.unmixed import Analysis
+from totaldom.graphs import Forest, Tree, heights, path_graph, star_graph, vset
+from totaldom.treegen import trees_up_to
+from totaldom.unmixed import Analysis, is_unmixed_fast
 from totaldom.verify import balanced_corpus, check_type_agreement, unmixed_corpus
 
 U123 = ("u1", "u2", "u3")
@@ -77,29 +81,32 @@ def example_tb_forest() -> Forest:
 def test_reduction_paper_tree():
     red = artinian_reduction(paper_labeled_tree())
     assert len(red.masks) == 2  # one per height-3 vertex
-    assert red.ideal == PAPER_J
-    assert red.pure_powers == parse_ideal("u1^4, u2^2, u3^3", U123)
-    sub = red.substitution_map()
+    assert reduction_ideal(red) == PAPER_J
+    assert red.ideal == PAPER_J.render() == "u1*u2, u2^2, u2*u3, u3^3, u1^4"
+    assert reduction_pure_powers(red) == parse_ideal("u1^4, u2^2, u3^3", U123)
+    assert red.pure_powers == "u2^2, u3^3, u1^4"
+    sub = substitution_map(red)
     assert sub["la0"] == "u1" and sub["lb0"] == "u2" and sub["lc1"] == "u3"
 
 
 def test_reduction_p6():
     red = artinian_reduction(path_graph(6))
     assert len(red.masks) == 1  # one per height-3 vertex
-    assert red.ideal == parse_ideal("2^2, 4^2, 2*4", ("2", "4"))
+    assert reduction_ideal(red) == parse_ideal("2^2, 4^2, 2*4", ("2", "4"))
+    assert red.ideal == "2^2, 2*4, 4^2"
 
 
 def test_reduction_star():
     red = artinian_reduction(star_graph(3))
     assert (len(red.rows), red.masks) == (1, ())  # the leaves as one row
-    assert red.ideal.render() == "l1^3"
-    assert set(red.substitution_map()) == {"l1", "l2", "l3"}
+    assert red.ideal == "l1^3"
+    assert set(substitution_map(red)) == {"l1", "l2", "l3"}
 
 
 def test_reduction_single_vertex():
     red = artinian_reduction(path_graph(0))
     assert (len(red.rows), red.masks) == (1, ())
-    assert red.ideal.render() == "0"  # the only vertex is labeled "0"
+    assert red.ideal == "0"  # the only vertex is labeled "0"
     assert socle_dimension(red) == 1
 
 
@@ -112,7 +119,7 @@ def test_reduction_substitution_covers_even_vertices():
     for seed in range(8):
         t, _ = generate(seed, seed % 6)
         red = artinian_reduction(t)
-        assert set(red.substitution_map()) == set(even_heights(heights(t)))
+        assert set(substitution_map(red)) == set(even_heights(heights(t)))
 
 
 def test_reduction_collapses_each_support_row_onto_its_partner():
@@ -123,13 +130,14 @@ def test_reduction_collapses_each_support_row_onto_its_partner():
                 if max(comp.height) != 3:
                     continue
                 red = artinian_reduction(comp.forest)
-                subst = red.substitution_map()
+                subst = substitution_map(red)
+                pure_powers = parse_ideal(red.pure_powers, red.variables).gens
                 labels = comp.forest.labels
                 for indices in comp.support_rows:
                     row = [labels[i] for i in indices]
                     checked += 1
                     assert {subst[w] for w in row} == {row[0]}
-                    assert Monomial.from_dict({row[0]: len(row)}) in red.pure_powers.gens
+                    assert parse_monomial(f"{row[0]}^{len(row)}") in pure_powers
     assert checked
 
 
@@ -157,31 +165,33 @@ def test_support_rows_computed_once_when_shelling_and_type_share_an_analysis(mon
 
 def test_socle_paper_ideal():
     red = artinian_reduction(paper_labeled_tree())
-    assert red.ideal == PAPER_J
+    assert reduction_ideal(red) == PAPER_J
     assert socle_dimension(red) == socle_by_box(PAPER_J) == 2
 
 
 def test_socle_p6_ideal():
     red = artinian_reduction(path_graph(6))
-    assert red.ideal == parse_ideal("2^2, 4^2, 2*4", ("2", "4"))
-    assert socle_dimension(red) == socle_by_box(red.ideal) == 2
+    assert reduction_ideal(red) == parse_ideal("2^2, 4^2, 2*4", ("2", "4"))
+    assert socle_dimension(red) == socle_by_box(reduction_ideal(red)) == 2
 
 
 def test_socle_principal_power():
     red = artinian_reduction(star_graph(5))
-    assert red.ideal == parse_ideal("l1^5", ("l1",))
-    assert socle_dimension(red) == socle_by_box(red.ideal) == 1
+    assert reduction_ideal(red) == parse_ideal("l1^5", ("l1",))
+    assert socle_dimension(red) == socle_by_box(reduction_ideal(red)) == 1
 
 
 def test_socle_box_cap():
     # the corner count does not walk the box; the box oracle refuses it
-    rows = tuple(tuple(f"{x}{i:04d}" for i in range(4000)) for x in "xy")
-    big = ArtinianReduction(rows=rows, masks=())
-    assert big.ideal == parse_ideal("x0000^4000, y0000^4000", ("x0000", "y0000"))
+    labels = tuple(f"{x}{i:04d}" for x in "xy" for i in range(4000))
+    rows = (tuple(range(4000)), tuple(range(4000, 8000)))
+    big = ArtinianReduction(labels=labels, rows=rows, masks=())
+    assert reduction_ideal(big) == parse_ideal("x0000^4000, y0000^4000", ("x0000", "y0000"))
+    assert big.ideal == "x0000^4000, y0000^4000"
     assert socle_dimension(big) == 1
-    assert socle_dimension(ArtinianReduction(rows=rows, masks=(0b11,))) == 2
+    assert socle_dimension(ArtinianReduction(labels=labels, rows=rows, masks=(0b11,))) == 2
     with pytest.raises(EnumerationCapExceeded):
-        socle_by_box(big.ideal)
+        socle_by_box(reduction_ideal(big))
 
 
 def _interior_reductions(trees):
@@ -198,7 +208,7 @@ def test_socle_corners_match_the_box_on_interior_components():
     for red in _interior_reductions(trees):
         if prod(map(len, red.rows)) > 10**6:
             continue
-        box = socle_by_box(red.ideal)
+        box = socle_by_box(reduction_ideal(red))
         assert socle_dimension(red) == socle_by_exponent_corners(red) == box
         checked += 1
     assert checked >= 500
@@ -220,6 +230,15 @@ def test_cm_type_of_a_mid_size_generated_tree():
     assert cm_type(generate(9, 50)[0]).cm_type == 6344
 
 
+def _reduction(lengths, masks) -> ArtinianReduction:
+    """The reduction whose row i holds lengths[i] vertices x{i}_{k}, with
+    the given row masks."""
+    labels = tuple(f"x{i}_{k}" for i, n in enumerate(lengths) for k in range(n))
+    starts = [sum(lengths[:i]) for i in range(len(lengths))]
+    rows = tuple(tuple(range(start, start + n)) for start, n in zip(starts, lengths))
+    return ArtinianReduction(labels=labels, rows=rows, masks=tuple(masks))
+
+
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
     st.lists(st.integers(1, 5), min_size=n, max_size=n),
@@ -229,9 +248,8 @@ def test_socle_corners_match_the_box_on_random_artinian_ideals(case):
     # random reductions: row i has length lengths[i], and a row mask of no
     # bits would be the unit monomial, which leaves no pure power
     lengths, masks = case
-    rows = tuple(tuple(f"x{i}_{k}" for k in range(n)) for i, n in enumerate(lengths))
-    red = ArtinianReduction(rows=rows, masks=tuple(masks))
-    assert socle_dimension(red) == socle_by_exponent_corners(red) == socle_by_box(red.ideal)
+    red = _reduction(lengths, masks)
+    assert socle_dimension(red) == socle_by_exponent_corners(red) == socle_by_box(reduction_ideal(red))
 
 
 def test_socle_matches_counting_on_generated_trees():
@@ -249,7 +267,7 @@ def test_parametric_paper_example():
     red = artinian_reduction(paper_labeled_tree())
     dec = parametric_decomposition(red, paper_labeled_tree())
     assert dec.supports == (("u1", "u3"), ("u2",))
-    assert dec.pure_powers == red.pure_powers
+    assert dec.pure_powers == red.powers == (4, 2, 3)
     assert to_ideal_by_lcm(dec) == PAPER_J
 
 
@@ -272,15 +290,18 @@ def test_parametric_height1_single_component():
     red = artinian_reduction(t)
     dec = parametric_decomposition(red, t)
     assert dec.supports == ((),)
-    assert to_ideal_by_lcm(dec) == red.ideal
+    assert to_ideal_by_lcm(dec) == reduction_ideal(red)
 
 
 def test_to_ideal_refuses_a_parametric_decomposition():
     # pure powers are re-expanded only by the test oracle
     for t in (paper_labeled_tree(), star_graph(4), path_graph(6)):
-        dec = parametric_decomposition(artinian_reduction(t), t)
-        with pytest.raises(NotSquareFreeError, match="not square-free: pure powers"):
+        red = artinian_reduction(t)
+        dec = parametric_decomposition(red, t)
+        with pytest.raises(NotSquareFreeError) as exc:
             dec.to_ideal()
+        want = reduction_pure_powers(red).render()
+        assert str(exc.value) == f"not square-free: pure powers {want}"
 
 
 def test_parametric_with_and_without_tree_agree():
@@ -288,6 +309,40 @@ def test_parametric_with_and_without_tree_agree():
         t, _ = generate(seed, 1 + seed % 6)
         red = artinian_reduction(t)
         assert parametric_supports_from_ideal(red) == parametric_decomposition(red, t).supports
+
+
+def _reductions_for_the_renderer():
+    """(reduction, Analysis) of every balanced unmixed tree on at most 10
+    vertices, of the balanced trees of ``unmixed_corpus(5, 60)`` and of
+    ``generate`` trees, and of every interior component of each."""
+    trees = [t for t in trees_up_to(10) if t.graph.n and is_unmixed_fast(t).unmixed]
+    trees += list(unmixed_corpus(5, 60))
+    trees += [generate(seed, k)[0] for seed in range(10) for k in (seed % 5, 10)]
+    for t in trees:
+        facts = Analysis(t)
+        if facts.balanced:
+            yield artinian_reduction(facts), facts
+        for layer in facts.interior_layers:
+            for comp in layer.component_facts():
+                yield artinian_reduction(comp), comp
+
+
+def test_reduction_texts_and_supports_match_the_label_twins():
+    # the texts are rendered from the rows and the supports collapsed on
+    # masks; the twins build label monomials and substitute labels
+    heights_seen = set()
+    for red, facts in _reductions_for_the_renderer():
+        assert red.variables == vset(red.variables) and len(red.variables) == len(red.rows)
+        assert red.ideal == reduction_ideal(red).render()
+        assert red.pure_powers == reduction_pure_powers(red).render()
+        dec = parametric_decomposition(red, facts)
+        subst = substitution_map(red)
+        by_labels = sorted(vset(subst[v] for v in d) for d in minimal_v3_td_sets(facts))
+        assert dec.supports == tuple(by_labels) == parametric_supports_from_ideal(red)
+        assert dec.pure_powers == red.powers
+        heights_seen.add(max(facts.height))
+    # the one leaf row of height 0 or 1, and the support rows of height 3
+    assert heights_seen == {0, 1, 3}
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""The command line as a contract: one-pass dispatch and a closed stdout.
+"""The command line as a contract: one-pass dispatch, a closed stdout and
+an interrupt.
 
 ``main`` parses a subcommand's arguments with that subcommand's parser
 alone. Over a table of command lines, valid and not, it must give the exit
 code, stdout and stderr of the route it replaced, the top-level parser
 parsing the whole command line. A closed stdout pipe, as under ``| head``,
-ends the command with exit code 141 and nothing on stderr.
+ends the command with exit code 141 and nothing on stderr; SIGINT, as from
+Ctrl-C, with exit code 130 and one line on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import io
 import os
 import re
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -107,3 +110,24 @@ def test_closed_stdout_pipe_exits_quietly_with_141(tmp_path):
         proc.kill()
         proc.stderr.close()
     assert (code, err) == (141, b"")
+
+
+def test_interrupt_exits_with_130_and_one_line():
+    # verify prints each check's line as the check ends; the first of
+    # --max-n 13 takes some seconds and the rest some more, so SIGINT sent
+    # on the first line arrives while a later check runs
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "totaldom", "verify", "--max-n", "13"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"[PASS] characterization-vs-bruteforce")
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert (proc.returncode, err) == (130, b"error: interrupted\n")
+    assert b"checks passed" not in out

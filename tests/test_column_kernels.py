@@ -221,10 +221,8 @@ def test_irredundancy_of_decompositions_on_both_sides_of_the_threshold():
         sizes.add(len(family) >= IRREDUNDANCY_FROM)
         masks = family.masks
         for extra in (masks[len(masks) // 2], masks[-1] | 1 << (t.graph.n - 1)):
-            bad = PrimeDecomposition._of_masks(
-                t.graph.labels, t.graph, tuple(sorted(masks + (extra,)))
-            )
-            assert _comparable_by_pairs(bad._support_masks()[1])
+            bad = PrimeDecomposition(t.graph, tuple(sorted(masks + (extra,))))
+            assert _comparable_by_pairs(bad.masks)
             with pytest.raises(TheoremViolation, match="^decomposition is not irredundant$"):
                 validate_decomposition(bad, ideal)
     assert sizes == {False, True}

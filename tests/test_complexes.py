@@ -11,12 +11,16 @@ from oracles import (
     complex_faces,
     complex_from_facets,
     even_stable_shelling,
+    LabelIdeal,
+    Monomial,
     faces_by_divisibility,
     facet_vector,
     is_pure,
     labelled_order,
     shelling_by_pairs,
     sides,
+    label_ideal,
+    squarefree_ideal,
     stanley_reisner_ideal_by_faces,
     support_rows_by_labels,
     vector_facet,
@@ -45,7 +49,7 @@ from totaldom.errors import (
     TheoremViolation,
 )
 from totaldom.graphs import Graph, path_graph, star_graph, vset
-from totaldom.ideals import Monomial, MonomialIdeal, open_neighborhood_ideal
+from totaldom.ideals import open_neighborhood_ideal
 from totaldom.treegen import Lcg64
 from totaldom.unmixed import Analysis, interior_graphs, is_balanced, is_unmixed_fast
 
@@ -166,11 +170,11 @@ def test_sr_ideal_of_stable_complex_is_oni(paper_p4):
 def test_sr_full_simplex_zero_ideal():
     full = cx(("a", "b"), [("a", "b")])
     assert stanley_reisner_ideal(full).is_zero
-    assert stanley_reisner_complex(MonomialIdeal.from_gens(("a", "b"), [])) == full
+    assert stanley_reisner_complex(squarefree_ideal(LabelIdeal.from_gens(("a", "b"), []))) == full
 
 
 def test_sr_unit_ideal_void_complex():
-    got = stanley_reisner_complex(MonomialIdeal.unit(("a", "b")))
+    got = stanley_reisner_complex(squarefree_ideal(LabelIdeal.unit(("a", "b"))))
     assert got.is_void
     assert stanley_reisner_ideal(got).is_unit
 
@@ -200,7 +204,7 @@ def test_sr_sweep_matches_label_oracle_on_tree_complexes(trees9):
         if is_balanced(t):
             complexes_.append(even_stable_complex(t))
         for d in complexes_:
-            assert stanley_reisner_ideal(d) == stanley_reisner_ideal_by_faces(d)
+            assert label_ideal(stanley_reisner_ideal(d)) == stanley_reisner_ideal_by_faces(d)
 
 
 def test_sr_sweep_matches_label_oracle_on_void_and_empty_face():
@@ -208,11 +212,11 @@ def test_sr_sweep_matches_label_oracle_on_void_and_empty_face():
         void = cx(ground, [])
         empty_face = cx(ground, [()])
         assert void.is_void and not empty_face.is_void
-        assert stanley_reisner_ideal(void) == stanley_reisner_ideal_by_faces(void)
+        assert label_ideal(stanley_reisner_ideal(void)) == stanley_reisner_ideal_by_faces(void)
         assert stanley_reisner_ideal(void).is_unit
         got = stanley_reisner_ideal(empty_face)
-        assert got == stanley_reisner_ideal_by_faces(empty_face)
-        assert got.gens == tuple(Monomial.of(v) for v in ground)
+        assert label_ideal(got) == stanley_reisner_ideal_by_faces(empty_face)
+        assert label_ideal(got).gens == tuple(Monomial.of(v) for v in ground)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -225,7 +229,7 @@ def test_sr_sweep_matches_label_oracle_on_facet_lists(case):
     d = cx(ground, [
         tuple(v for i, v in enumerate(ground) if m >> i & 1) for m in facet_masks
     ])
-    assert stanley_reisner_ideal(d) == stanley_reisner_ideal_by_faces(d)
+    assert label_ideal(stanley_reisner_ideal(d)) == stanley_reisner_ideal_by_faces(d)
 
 
 # ---------------------------------------------------------------------------

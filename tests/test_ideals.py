@@ -6,41 +6,48 @@ import tracemalloc
 import pytest
 
 from oracles import (
+    AmbientMismatchError,
+    LabelIdeal,
+    Monomial,
     edge_ideal,
     even_heights,
+    grlex_key,
     ideal_contains,
     ideal_intersection,
     ideal_sum,
+    label_decomposition,
+    label_ideal,
     minimal_td_sets_by_subsets,
+    minimalize,
     monomial_lcm,
     odd_open_neighborhood_ideal,
     open_neighborhood_ideal_by_scan,
     parse_ideal,
     parse_monomial,
+    reduction_ideal,
+    reduction_pure_powers,
+    squarefree_ideal,
     to_ideal_by_lcm,
     variable_ideal,
 )
-from totaldom.algebra import artinian_reduction, parametric_decomposition
+from totaldom.algebra import ArtinianReduction, artinian_reduction, parametric_decomposition
 from totaldom.construct import generate
 from totaldom.domination import minimal_td_sets
 from totaldom.errors import (
-    AmbientMismatchError,
     EnumerationCapExceeded,
     NotSquareFreeError,
     TheoremViolation,
 )
 from totaldom.graphs import Graph, path_graph, star_graph
 from totaldom.ideals import (
-    _grlex_key,
-    Monomial,
     MonomialIdeal,
     PrimeDecomposition,
     decompose_squarefree,
-    minimalize,
     open_neighborhood_ideal,
     validate_decomposition,
 )
 from totaldom.treegen import Lcg64, random_tree, trees_up_to
+from totaldom.unmixed import Analysis
 
 U123 = ("u1", "u2", "u3")
 
@@ -88,7 +95,7 @@ def test_minimalize_singleton_and_powers():
 
 def test_ideal_requires_known_variables():
     with pytest.raises(AmbientMismatchError):
-        MonomialIdeal.from_gens(("x",), [parse_monomial("y")])
+        LabelIdeal.from_gens(("x",), [parse_monomial("y")])
 
 
 def test_ideal_render_parse_round_trip():
@@ -108,7 +115,7 @@ def test_membership():
 
 
 def test_zero_ideal_contains_nothing():
-    zero = MonomialIdeal.from_gens(("x",), [])
+    zero = LabelIdeal.from_gens(("x",), [])
     assert not ideal_contains(zero, parse_monomial("x"))
 
 
@@ -154,7 +161,7 @@ def test_oni_p5_with_target(paper_p5):
 
 def test_oni_paper_path(paper_p4):
     ideal = open_neighborhood_ideal(paper_p4)
-    assert {m.render() for m in ideal.gens} == {"s1", "s2", "l1*u", "l2*u"}
+    assert {m.render() for m in label_ideal(ideal).gens} == {"s1", "s2", "l1*u", "l2*u"}
 
 
 def test_oni_isolated_vertex_unit():
@@ -178,7 +185,7 @@ def test_oni_matches_scan_over_every_kept_generator():
         for s in targets:
             got = open_neighborhood_ideal(g, s)
             want = open_neighborhood_ideal_by_scan(g, s)
-            assert (got.variables, got.gens) == (want.variables, want.gens)
+            assert label_ideal(got) == want and got == squarefree_ideal(want)
     assert any(open_neighborhood_ideal(g).is_unit for g in graphs)
 
 
@@ -195,12 +202,12 @@ def test_oni_allocates_no_neighbor_masks(tree):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(ideal.gens) > 0 and peak < 32 * 2**20
+    assert len(ideal.rows) > 0 and peak < 32 * 2**20
 
 
 def test_oni_paper_tree8(paper_tree8):
     ideal = open_neighborhood_ideal(paper_tree8)
-    assert {m.render() for m in ideal.gens} == {
+    assert {m.render() for m in label_ideal(ideal).gens} == {
         "v4",
         "v5",
         "v1*v2*v6",
@@ -241,17 +248,19 @@ def test_decompose_paper_tree8(paper_tree8):
 
 
 def test_decompose_principal():
-    dec = decompose_squarefree(parse_ideal("x", ("x",)))
+    dec = decompose_squarefree(squarefree_ideal(parse_ideal("x", ("x",))))
     assert dec.supports == (("x",),)
 
 
 def test_decompose_rejects_non_squarefree():
-    with pytest.raises(NotSquareFreeError):
-        decompose_squarefree(parse_ideal("x^2", ("x",)))
+    # a MonomialIdeal is square-free by construction: the label ideal is
+    # refused where it is encoded
+    with pytest.raises(NotSquareFreeError, match="^not square-free: x\\^2$"):
+        squarefree_ideal(parse_ideal("x^2", ("x",)))
 
 
 def test_decompose_unit_flagged():
-    dec = decompose_squarefree(MonomialIdeal.unit(("x",)))
+    dec = decompose_squarefree(squarefree_ideal(LabelIdeal.unit(("x",))))
     assert dec.supports == ()
     assert dec.to_ideal().is_unit
 
@@ -260,11 +269,11 @@ def test_decompose_unit_flagged():
 def test_unit_ideal_is_the_empty_decomposition(variables):
     # the unit generator's one support is empty, so the engine finds no
     # prime at any cap, and the fold over no prime stays the unit ideal
-    unit = MonomialIdeal.unit(variables)
+    unit = squarefree_ideal(LabelIdeal.unit(variables))
     dec = decompose_squarefree(unit, cap=1)
-    assert dec == PrimeDecomposition(variables=unit.variables, supports=())
+    assert dec == label_decomposition(unit.variables, ())
     assert dec.to_ideal() == unit
-    assert PrimeDecomposition(variables, ()).to_ideal() == unit
+    assert label_decomposition(variables, ()).to_ideal() == unit
 
 
 def test_containment_iff_std_set(trees8):
@@ -281,7 +290,7 @@ def test_containment_iff_std_set(trees8):
         for _ in range(8):
             vprime = tuple(v for v in labs if rng.randrange(2))
             prime = variable_ideal(labs, vprime)
-            contained = all(ideal_contains(prime, m) for m in ideal.gens)
+            contained = all(ideal_contains(prime, m) for m in label_ideal(ideal).gens)
             assert contained == is_s_td_set(t, vprime, target)
 
 
@@ -299,7 +308,7 @@ def test_decomposition_supports_are_minimal_td_sets(trees8):
 def _decomposition_cases(trees8):
     """(decomposition, ideal) pairs: N(T) and an S-restricted N_S(T) for
     every tree on at most 8 vertices, and the parametric decompositions of
-    the reductions of generated trees."""
+    the reductions of generated trees, each with its reduction."""
     rng = Lcg64(5)
     for t in trees8:
         labs = t.graph.labels
@@ -310,7 +319,7 @@ def _decomposition_cases(trees8):
     for seed in range(12):
         t, _ = generate(seed, seed % 5)
         red = artinian_reduction(t)
-        yield parametric_decomposition(red, t), red.ideal
+        yield parametric_decomposition(red, t), red
 
 
 def _corruptions(dec: PrimeDecomposition, rng: Lcg64):
@@ -332,17 +341,44 @@ def _corruptions(dec: PrimeDecomposition, rng: Lcg64):
 
 
 def _with_supports(dec: PrimeDecomposition, supports) -> PrimeDecomposition:
-    """``dec`` with other label supports, built from labels."""
-    return PrimeDecomposition(dec.variables, supports, dec.pure_powers)
+    """``dec`` with other label supports, encoded by the oracle constructor."""
+    return label_decomposition(dec.variables, supports, dec.pure_powers)
 
 
-def _oracle_holds(dec: PrimeDecomposition, ideal: MonomialIdeal) -> bool:
+def _as_labels(ideal) -> LabelIdeal:
+    """A ``MonomialIdeal`` or the reduced ideal of a reduction, as labels."""
+    if isinstance(ideal, ArtinianReduction):
+        return reduction_ideal(ideal)
+    return label_ideal(ideal)
+
+
+def _larger(ideal) -> list:
+    """The same generators over a larger ambient ring, and a strictly larger
+    ideal (the sum with a variable outside it) when there is one. A
+    reduction gets a new variable "zz" as one more row, or one more mask:
+    a variable x_k outside the reduced ideal."""
+    if isinstance(ideal, ArtinianReduction):
+        labels = ideal.labels
+        out = [ArtinianReduction(labels + ("zz",), ideal.rows + ((len(labels),),), ideal.masks)]
+        outside = [k for k, p in enumerate(ideal.powers) if p > 1 and 1 << k not in ideal.masks]
+        if outside:
+            out.append(ArtinianReduction(labels, ideal.rows, ideal.masks + (1 << outside[0],)))
+        return out
+    label = label_ideal(ideal)
+    out = [squarefree_ideal(LabelIdeal.from_gens(ideal.variables + ("zz",), label.gens))]
+    outside = [v for v in ideal.variables if not ideal_contains(label, Monomial.of(v))]
+    if outside:
+        out.append(squarefree_ideal(ideal_sum(label, variable_ideal(ideal.variables, outside[:1]))))
+    return out
+
+
+def _oracle_holds(dec: PrimeDecomposition, ideal) -> bool:
     """Pairwise incomparable supports that re-expand to the ideal."""
     redundant = any(a != b and set(a) <= set(b) for a in dec.supports for b in dec.supports)
-    return not redundant and to_ideal_by_lcm(dec) == ideal
+    return not redundant and to_ideal_by_lcm(dec) == _as_labels(ideal)
 
 
-def _duality_holds(dec: PrimeDecomposition, ideal: MonomialIdeal) -> bool:
+def _duality_holds(dec: PrimeDecomposition, ideal) -> bool:
     try:
         validate_decomposition(dec, ideal)
     except TheoremViolation:
@@ -354,6 +390,7 @@ def test_duality_check_agrees_with_reexpansion(trees8):
     rng = Lcg64(17)
     cases = list(_decomposition_cases(trees8))
     assert any(dec.pure_powers is not None for dec, _ in cases)
+    grown = 0
     for dec, ideal in cases:
         assert _oracle_holds(dec, ideal)
         assert _duality_holds(dec, ideal)
@@ -362,19 +399,18 @@ def test_duality_check_agrees_with_reexpansion(trees8):
             assert not _duality_holds(bad, ideal), bad
         # the true decomposition against a strictly larger ideal, and
         # against the same generators over a larger ambient ring
-        others = [MonomialIdeal.from_gens(ideal.variables + ("zz",), ideal.gens)]
-        outside = [v for v in ideal.variables if not ideal_contains(ideal, Monomial.of(v))]
-        if outside:
-            others.append(ideal_sum(ideal, variable_ideal(ideal.variables, outside[:1])))
+        others = _larger(ideal)
+        grown += len(others) == 2 and dec.pure_powers is not None
         for other in others:
             assert not _oracle_holds(dec, other)
             assert not _duality_holds(dec, other)
+    assert grown
 
 
 def test_duality_check_rejects_a_repeated_prime():
     ideal = open_neighborhood_ideal(path_graph(6).graph)
     dec = decompose_squarefree(ideal)
-    twice = PrimeDecomposition(dec.variables, dec.supports + dec.supports[:1])
+    twice = PrimeDecomposition(dec.ground, dec.masks + dec.masks[:1])
     with pytest.raises(TheoremViolation, match="^decomposition is not irredundant"):
         validate_decomposition(twice, ideal)
 
@@ -385,17 +421,72 @@ def test_duality_check_rejects_a_repeated_parametric_prime():
     dec = parametric_decomposition(red, t)
     twice = _with_supports(dec, dec.supports + dec.supports[:1])
     with pytest.raises(TheoremViolation, match="parametric decomposition is not irredundant"):
-        validate_decomposition(twice, red.ideal)
+        validate_decomposition(twice, red)
+
+
+NOT_IRREDUNDANT = "^parametric decomposition is not irredundant$"
+NOT_REEXPANDED = "^parametric decomposition does not re-expand to the ideal$"
+
+
+def _parametric_corruptions(dec: PrimeDecomposition, red):
+    """(message, corrupted decomposition) pairs built on masks: a repeated
+    support, a dropped one, an incomparable extra one, a superset of one,
+    and one pure power whose exponent is one too high where that power is
+    a minimal generator of the reduced ideal."""
+    masks, powers = dec.masks, dec.pure_powers
+    full = (1 << len(powers)) - 1
+    out = [
+        (NOT_IRREDUNDANT, sorted(masks + masks[:1]), powers),
+        (NOT_REEXPANDED, masks[1:], powers),
+    ]
+    extra = [m for m in range(1, full + 1)
+             if not any(m & s == s or m & s == m for s in masks)]
+    if extra:
+        out.append((NOT_REEXPANDED, sorted(masks + (extra[0],)), powers))
+    bigger = [m | 1 << k for m in masks for k in range(len(powers)) if not m >> k & 1]
+    if bigger:
+        out.append((NOT_IRREDUNDANT, sorted(masks + (bigger[0],)), powers))
+    kept = [k for k, p in enumerate(powers) if p > 1 and 1 << k not in red.masks]
+    if kept:
+        wrong = tuple(p + (k == kept[0]) for k, p in enumerate(powers))
+        out.append((NOT_REEXPANDED, masks, wrong))
+    return [(msg, PrimeDecomposition(dec.ground, tuple(m), p)) for msg, m, p in out]
+
+
+def test_parametric_mask_check_rejects_each_corruption():
+    # each corruption must raise with its message: a check stubbed out or
+    # answering on the wrong half fails here
+    trees = [path_graph(6), path_graph(9), star_graph(4)]
+    trees += [generate(seed, seed % 7)[0] for seed in range(16)]
+    seen = set()
+    for t in trees:
+        for layer in Analysis(t).interior_layers:
+            for comp in layer.component_facts():
+                red = artinian_reduction(comp)
+                dec = parametric_decomposition(red, comp)
+                validate_decomposition(dec, red)
+                for message, bad in _parametric_corruptions(dec, red):
+                    with pytest.raises(TheoremViolation, match=message):
+                        validate_decomposition(bad, red)
+                    seen.add((message, bad.pure_powers == dec.pure_powers, len(bad) - len(dec)))
+    # both messages, each kind of corruption: repeated or superset (+1,
+    # not irredundant), dropped (-1), extra (+1), wrong exponent (0)
+    assert seen == {
+        (NOT_IRREDUNDANT, True, 1), (NOT_REEXPANDED, True, -1),
+        (NOT_REEXPANDED, True, 1), (NOT_REEXPANDED, False, 0),
+    }
 
 
 def test_duality_check_edge_cases():
-    dec = decompose_squarefree(parse_ideal("x", ("x",)))
-    with pytest.raises(TheoremViolation):
-        validate_decomposition(dec, parse_ideal("x^2", ("x",)))
-    stray = _with_supports(dec, (("y",),))
-    for check in (stray.to_ideal, lambda: validate_decomposition(stray, dec.to_ideal())):
-        with pytest.raises(AmbientMismatchError):
-            check()
+    dec = decompose_squarefree(squarefree_ideal(parse_ideal("x", ("x",))))
+    # the reduction of a two-vertex row is <x^2>
+    square = ArtinianReduction(("x", "y"), ((0, 1),), ())
+    assert square.ideal == "x^2"
+    with pytest.raises(TheoremViolation, match="^decomposition of x\\^2 does not re-expand"):
+        validate_decomposition(dec, square)
+    # a support outside the variables is refused where it is encoded
+    with pytest.raises(AmbientMismatchError, match="unknown variables \\['y'\\]"):
+        _with_supports(dec, (("y",),))
 
 
 def test_decomposition_never_reexpands(monkeypatch):
@@ -433,7 +524,7 @@ def test_three_ideal_sum_on_unmixed_trees(fence_tree):
             ),
             variable_ideal(ambient, classify_vertices(t).supports),
         )
-        assert total == open_neighborhood_ideal(t)
+        assert total == label_ideal(open_neighborhood_ideal(t))
 
 
 def test_fence_tree_generators_match_frozen(fence_tree):
@@ -441,7 +532,7 @@ def test_fence_tree_generators_match_frozen(fence_tree):
     expected = {f"s{i}" for i in range(1, 6)}
     expected |= {f"l{i}*u{i}" for i in range(1, 6)}
     expected |= {"u1*u2", "u3*u4", "u4*u5"}
-    assert {m.render() for m in ideal.gens} == expected
+    assert {m.render() for m in label_ideal(ideal).gens} == expected
 
 
 def test_suspension_subdivision_edge_ideal_identity():
@@ -463,15 +554,15 @@ def test_suspension_subdivision_edge_ideal_identity():
 def test_grlex_key_matches_per_variable_exponents(trees8):
     # the key reads each exponent from one dict per monomial; it must equal
     # the per-variable exponent formula it replaced
-    ideals = [open_neighborhood_ideal(t.graph) for t in trees8]
+    ideals = [label_ideal(open_neighborhood_ideal(t.graph)) for t in trees8]
     for seed in range(12):
         red = artinian_reduction(generate(seed, 4)[0])
-        ideals += [red.ideal, red.pure_powers]
+        ideals += [reduction_ideal(red), reduction_pure_powers(red)]
     assert any(m.degree > len(m.exps) for i in ideals for m in i.gens)
     for ideal in ideals:
         for m in ideal.gens:
             want = (m.degree, tuple(-dict(m.exps).get(v, 0) for v in ideal.variables))
-            assert _grlex_key(m, ideal.variables) == want
+            assert grlex_key(m, ideal.variables) == want
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +606,8 @@ def test_td_family_is_the_decomposition_at_every_cap():
 
 def _ideal_by_monomials(g: Graph, s=None) -> MonomialIdeal:
     target = g.labels if s is None else s
-    return MonomialIdeal.from_gens(g.labels, [Monomial.of(*g.neighbors(v)) for v in target])
+    label = LabelIdeal.from_gens(g.labels, [Monomial.of(*g.neighbors(v)) for v in target])
+    return squarefree_ideal(label)
 
 
 def test_mask_built_ideal_matches_monomial_route(trees8):

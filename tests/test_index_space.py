@@ -6,10 +6,12 @@ The package builds N(G), the decompositions of ``decompose_squarefree`` and
 ``stanley_reisner_ideal`` and the complexes of ``stable_complex`` and
 ``stanley_reisner_complex`` on index data over one ``Ground`` and decodes
 labels only when they are read. Each is compared here with the same object
-built from labels by an oracle of ``tests/oracles.py`` or by
-``MonomialIdeal.from_gens``: ``==`` both ways, before and after either side
-has decoded anything, ``hash``, the renderings and the label readers. The
-package's own functions also take the label-built objects as input.
+built from labels by an oracle of ``tests/oracles.py``: ``==`` both ways,
+before and after either side has decoded anything, ``hash``, the renderings
+and the label readers. A label ideal (``LabelIdeal``) must decode from the
+package's ideal and encode to it (``label_ideal``, ``squarefree_ideal``),
+and the package's own functions also take the encoded label-built objects
+as input.
 """
 
 from __future__ import annotations
@@ -17,9 +19,14 @@ from __future__ import annotations
 import pytest
 
 from oracles import (
+    LabelIdeal,
+    Monomial,
     complex_from_facets,
+    label_decomposition,
+    label_ideal,
     minimal_td_sets_by_subsets,
     open_neighborhood_ideal_by_scan,
+    squarefree_ideal,
     stanley_reisner_ideal_by_faces,
     to_ideal_by_lcm,
 )
@@ -27,7 +34,6 @@ from totaldom.complexes import stable_complex, stanley_reisner_complex, stanley_
 from totaldom.domination import minimal_s_td_sets, minimal_td_sets
 from totaldom.graphs import Graph, Tree
 from totaldom.ideals import (
-    Monomial,
     MonomialIdeal,
     PrimeDecomposition,
     decompose_squarefree,
@@ -62,9 +68,9 @@ EDGE_CASES = {
 }
 
 
-def _ideal_by_monomials(g: Graph, target) -> MonomialIdeal:
+def _ideal_by_monomials(g: Graph, target) -> LabelIdeal:
     target = g.labels if target is None else target
-    return MonomialIdeal.from_gens(g.labels, [Monomial.of(*g.neighbors(v)) for v in target])
+    return LabelIdeal.from_gens(g.labels, [Monomial.of(*g.neighbors(v)) for v in target])
 
 
 def _assert_same(built, twin, readers):
@@ -82,11 +88,10 @@ IDEAL_READERS = (
     lambda i: i.variables,
     lambda i: i.is_zero,
     lambda i: i.is_unit,
-    lambda i: i.is_squarefree,
     lambda i: i.generator_strings(),
     lambda i: i.render(),
     repr,
-    lambda i: i.gens,
+    lambda i: label_ideal(i).gens,
 )
 DEC_READERS = (len, lambda d: d.variables, lambda d: d.supports, repr)
 COMPLEX_READERS = (
@@ -94,27 +99,39 @@ COMPLEX_READERS = (
 )
 
 
+def _assert_same_ideal(built: MonomialIdeal, twin):
+    """``built`` against another ``MonomialIdeal``, or against a
+    ``LabelIdeal`` that must decode from it, read the same and encode to
+    an ideal equal to it."""
+    if isinstance(twin, LabelIdeal):
+        assert label_ideal(built) == twin
+        for read in IDEAL_READERS:
+            assert read(built) == read(twin)
+        twin = squarefree_ideal(twin)
+    _assert_same(built, twin, IDEAL_READERS)
+
+
 def _check_ideal(g, target):
     for twin in (open_neighborhood_ideal_by_scan(g, target), _ideal_by_monomials(g, target)):
-        _assert_same(open_neighborhood_ideal(g, target), twin, IDEAL_READERS)
+        _assert_same_ideal(open_neighborhood_ideal(g, target), twin)
     # a generator's string is the rendering of its decoded monomial
     ideal = open_neighborhood_ideal(g, target)
-    assert ideal.generator_strings() == [m.render() for m in ideal.gens]
+    assert ideal.generator_strings() == [m.render() for m in label_ideal(ideal).gens]
 
 
 def _check_decomposition(g, target):
     ideal = open_neighborhood_ideal(g, target)
-    twin = PrimeDecomposition(g.labels, minimal_td_sets_by_subsets(g, target))
+    twin = label_decomposition(g.labels, minimal_td_sets_by_subsets(g, target))
     dec = decompose_squarefree(ideal)
     _assert_same(decompose_squarefree(open_neighborhood_ideal(g, target)), twin, DEC_READERS)
-    # the package's decomposition of a label-built ideal is in index space
-    assert decompose_squarefree(open_neighborhood_ideal_by_scan(g, target)) == dec
+    # the package's decomposition of an encoded label-built ideal
+    assert decompose_squarefree(squarefree_ideal(open_neighborhood_ideal_by_scan(g, target))) == dec
     family = minimal_td_sets(g) if target is None else minimal_s_td_sets(g, target)
     assert PrimeDecomposition.from_family(family) == dec
     _assert_same(PrimeDecomposition.from_family(family), twin, DEC_READERS)
     # the re-expansion of both routes and of the lcm fold
-    _assert_same(dec.to_ideal(), to_ideal_by_lcm(twin), IDEAL_READERS)
-    _assert_same(decompose_squarefree(ideal).to_ideal(), ideal, IDEAL_READERS)
+    _assert_same_ideal(dec.to_ideal(), to_ideal_by_lcm(twin))
+    _assert_same_ideal(decompose_squarefree(ideal).to_ideal(), ideal)
     assert twin.to_ideal() == ideal
 
 
@@ -128,15 +145,15 @@ def _complex_twin(g) -> object:
 def _check_stanley_reisner(g):
     twin = _complex_twin(g)
     ideal = open_neighborhood_ideal(g)
-    label_ideal = open_neighborhood_ideal_by_scan(g)
+    by_scan = open_neighborhood_ideal_by_scan(g)
     _assert_same(stable_complex(g), twin, COMPLEX_READERS)
     _assert_same(stanley_reisner_complex(ideal), twin, COMPLEX_READERS)
-    _assert_same(stanley_reisner_complex(label_ideal), stable_complex(g), COMPLEX_READERS)
-    _assert_same(stanley_reisner_ideal(stable_complex(g)), label_ideal, IDEAL_READERS)
-    _assert_same(stanley_reisner_ideal(stable_complex(g)),
-                 stanley_reisner_ideal_by_faces(twin), IDEAL_READERS)
+    _assert_same(stanley_reisner_complex(squarefree_ideal(by_scan)), stable_complex(g),
+                 COMPLEX_READERS)
+    _assert_same_ideal(stanley_reisner_ideal(stable_complex(g)), by_scan)
+    _assert_same_ideal(stanley_reisner_ideal(stable_complex(g)), stanley_reisner_ideal_by_faces(twin))
     # the package's translation of the label-built complex
-    _assert_same(stanley_reisner_ideal(twin), ideal, IDEAL_READERS)
+    _assert_same_ideal(stanley_reisner_ideal(twin), ideal)
 
 
 def test_ideals_match_label_routes():
@@ -165,13 +182,14 @@ def test_edge_cases_match_label_routes(name):
 
 def test_edge_case_values():
     empty = open_neighborhood_ideal(EDGE_CASES["empty graph"])
-    assert empty.is_zero and empty.render() == "0" and empty.gens == ()
+    assert empty.is_zero and empty.render() == "0" and empty.rows == ()
     assert decompose_squarefree(empty).supports == ((),)
     assert decompose_squarefree(empty).to_ideal() == empty
     assert stable_complex(EDGE_CASES["empty graph"]).facets == ((),)
     for name in ("isolated vertex", "isolated vertex and an edge"):
         unit = open_neighborhood_ideal(EDGE_CASES[name])
-        assert unit.is_unit and unit.render() == "1" and unit.gens == (Monomial.one(),)
+        assert unit.is_unit and unit.render() == "1" and unit.rows == ((),)
+        assert label_ideal(unit).gens == (Monomial.one(),)
         assert decompose_squarefree(unit).supports == ()
         assert stable_complex(EDGE_CASES[name]).is_void
         assert stanley_reisner_ideal(stable_complex(EDGE_CASES[name])) == unit
@@ -185,10 +203,10 @@ def test_objects_over_other_variables_differ():
     # the same index data over other labels is another object
     a = open_neighborhood_ideal(Tree.from_edges([("a", "b"), ("b", "c")]))
     b = open_neighborhood_ideal(Tree.from_edges([("x", "y"), ("y", "z")]))
-    assert a._rows == b._rows
+    assert a.rows == b.rows
     assert a != b and b != a
     # and other index data over the same labels too
-    assert MonomialIdeal._squarefree(a._ground, a._rows[1:]) != a
+    assert MonomialIdeal(a.ground, a.rows[1:]) != a
     assert decompose_squarefree(a) != decompose_squarefree(b)
     assert stable_complex(Tree.from_edges([("a", "b"), ("b", "c")])) != stable_complex(
         Tree.from_edges([("x", "y"), ("y", "z")])

@@ -1,8 +1,9 @@
 """Differential tests of the bitmask kernels behind ``totaldom verify``.
 
 Each kernel is compared with the label-level route it replaced, kept in
-``tests/oracles.py``. ``==`` on ``MonomialIdeal`` compares the variables
-and the ordered generator tuples, so it also checks the grlex order.
+``tests/oracles.py``. ``==`` on ``MonomialIdeal`` and on its label twin
+compares the variables and the ordered generators, so it also checks the
+grlex order.
 
 - ``PrimeDecomposition.to_ideal`` folds the primes on masks; the reference
   intersects them through lcms of exponent dicts (``to_ideal_by_lcm``).
@@ -20,12 +21,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    AmbientMismatchError,
+    LabelIdeal,
+    Monomial,
     berge_by_minimalize,
     family_readers_by_labels,
+    ideal_intersection,
+    label_decomposition,
+    label_ideal,
     level,
     neighbor_masks,
     odd_heights,
+    squarefree_ideal,
     to_ideal_by_lcm,
+    variable_ideal,
 )
 from totaldom import verify
 from totaldom.complexes import (
@@ -35,15 +44,9 @@ from totaldom.complexes import (
     stanley_reisner_ideal,
 )
 from totaldom.domination import minimal_s_td_sets, minimal_td_sets
-from totaldom.errors import AmbientMismatchError, EnumerationCapExceeded
+from totaldom.errors import EnumerationCapExceeded
 from totaldom.graphs import canonical_form, heights
-from totaldom.ideals import (
-    Monomial,
-    MonomialIdeal,
-    PrimeDecomposition,
-    decompose_squarefree,
-    open_neighborhood_ideal,
-)
+from totaldom.ideals import MonomialIdeal, decompose_squarefree, open_neighborhood_ideal
 from totaldom.treegen import Lcg64, trees_up_to
 
 TIER1 = settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -75,29 +78,35 @@ def test_to_ideal_matches_lcm_fold_on_trees(trees9):
         for ideal in (open_neighborhood_ideal(t), open_neighborhood_ideal(t, target)):
             dec = decompose_squarefree(ideal)
             got = dec.to_ideal()
-            assert got == to_ideal_by_lcm(dec) == ideal
+            assert label_ideal(got) == to_ideal_by_lcm(dec) == label_ideal(ideal)
+            assert got == ideal
 
 
 @TIER1
 @given(support_families())
 def test_to_ideal_matches_lcm_fold_on_support_families(case):
     variables, supports = case
-    dec = PrimeDecomposition(variables=variables, supports=supports)
-    assert dec.to_ideal() == to_ideal_by_lcm(dec)
+    dec = label_decomposition(variables, supports)
+    assert label_ideal(dec.to_ideal()) == to_ideal_by_lcm(dec)
 
 
 def test_to_ideal_of_no_primes_is_the_unit_ideal():
-    dec = PrimeDecomposition(variables=("b", "a"), supports=())
-    assert dec.to_ideal() == to_ideal_by_lcm(dec)
+    dec = label_decomposition(("b", "a"), ())
+    assert label_ideal(dec.to_ideal()) == to_ideal_by_lcm(dec)
     assert dec.to_ideal().is_unit
 
 
 def test_to_ideal_names_the_same_unknown_variable():
-    dec = PrimeDecomposition(variables=("a", "b"), supports=(("a",), ("z", "b", "y")))
+    # a support outside the variables is refused where labels are encoded:
+    # by the oracle constructor and by the lcm fold over label primes alike
+    variables, supports = ("a", "b"), (("a",), ("z", "b", "y"))
     messages = []
-    for route in (PrimeDecomposition.to_ideal, to_ideal_by_lcm):
+    for route in (
+        lambda: label_decomposition(variables, supports),
+        lambda: ideal_intersection([variable_ideal(variables, s) for s in supports]),
+    ):
         with pytest.raises(AmbientMismatchError) as exc:
-            route(dec)
+            route()
         messages.append(str(exc.value))
     assert messages[0] == messages[1] == "generator uses unknown variables ['y']"
 
@@ -181,12 +190,13 @@ def _check_by_recompute(max_n: int):
 
 def _extra_generator(d):
     i = stanley_reisner_ideal(d)
-    return MonomialIdeal.from_gens(i.variables, i.gens + (Monomial.of(i.variables[0]),))
+    gens = label_ideal(i).gens + (Monomial.of(i.variables[0]),)
+    return squarefree_ideal(LabelIdeal.from_gens(i.variables, gens))
 
 
 def _dropped_generator(d):
     i = stanley_reisner_ideal(d)
-    return MonomialIdeal(variables=i.variables, gens=i.gens[1:])
+    return MonomialIdeal(i.ground, i.rows[1:])
 
 
 def _dropped_facet(i):

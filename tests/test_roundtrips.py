@@ -1,6 +1,6 @@
-"""Property-based round trips: edge lists, monomials and monomial ideals
-parse back to what was rendered, and the report emitter writes what
-``json.dumps(indent=2)`` writes."""
+"""Property-based round trips: edge lists, monomials and the ideal texts of
+Artinian reductions parse back to what was rendered, and the report
+emitter writes what ``json.dumps(indent=2)`` writes."""
 
 from __future__ import annotations
 
@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import parse_ideal, parse_monomial
+from oracles import Monomial, parse_ideal, parse_monomial, reduction_ideal, reduction_pure_powers
+from totaldom.algebra import ArtinianReduction
 from totaldom.graphs import Graph, parse_graph, render_edge_list
-from totaldom.ideals import Monomial, MonomialIdeal
 from totaldom.jsontext import dumps
 
 # Derandomized with a fixed example count, as in test_transversal_engine.py.
@@ -48,14 +48,37 @@ def test_monomial_parse_inverts_render(m):
     assert parse_monomial(m.render()) == m
 
 
+def reduction(powers: dict[str, int], masks) -> ArtinianReduction:
+    """The reduction whose variable v has a row of powers[v] vertices: v
+    and p - 1 more, whose labels hold a "*" that no variable holds, with
+    the given masks over the rows in variable order."""
+    rows = [[v] + [f"{v}*{k}" for k in range(1, p)] for v, p in powers.items()]
+    labels = tuple(sorted(w for row in rows for w in row))
+    index = {v: i for i, v in enumerate(labels)}
+    indexed = sorted(tuple(index[w] for w in row) for row in rows)
+    return ArtinianReduction(labels, tuple(indexed), tuple(masks))
+
+
+# The ideal text reserves "0" and "1" (the zero and the unit ideal), so a
+# variable of either name does not read back: the strict xfail below pins
+# that, and the reductions here leave both names out.
 @TIER1
-@given(st.lists(variables, min_size=1, max_size=5, unique=True).flatmap(
-    lambda vs: st.tuples(st.just(vs), st.lists(monomials(st.sampled_from(vs)), max_size=5))
+@given(st.dictionaries(
+    variables.filter(lambda s: s not in ("0", "1")), st.integers(1, 4), min_size=1, max_size=5
+).flatmap(
+    lambda powers: st.tuples(
+        st.just(powers), st.lists(st.integers(0, (1 << len(powers)) - 1), max_size=5)
+    )
 ))
-def test_monomial_ideal_parse_inverts_render(vs_gens):
-    vs, gens = vs_gens
-    ideal = MonomialIdeal.from_gens(vs, gens)
-    assert parse_ideal(ideal.render(), vs) == ideal
+def test_monomial_ideal_parse_inverts_render(case):
+    # the texts of a reduction carry exponents: pure powers, and square-free
+    # generators that may divide them
+    red = reduction(*case)
+    assert parse_ideal(red.ideal, red.variables) == reduction_ideal(red)
+    assert parse_ideal(red.pure_powers, red.variables) == reduction_pure_powers(red)
+    # and the texts are minimal and in grlex order, as the label twin's
+    assert red.ideal == reduction_ideal(red).render()
+    assert red.pure_powers == reduction_pure_powers(red).render()
 
 
 # The ideal text spells the unit ideal "1" and the zero ideal "0", so the
@@ -63,8 +86,8 @@ def test_monomial_ideal_parse_inverts_render(vs_gens):
 @pytest.mark.xfail(strict=True, reason="x_1 renders as the unit ideal, x_0 as the zero ideal")
 @pytest.mark.parametrize("name", ["0", "1"])
 def test_ideal_text_of_variables_named_like_reserved_words(name):
-    ideal = MonomialIdeal.from_gens((name,), [Monomial.of(name)])
-    assert parse_ideal(ideal.render(), (name,)) == ideal
+    red = reduction({name: 1}, ())
+    assert parse_ideal(red.ideal, red.variables) == reduction_ideal(red)
 
 
 # Text that reaches every escape: quotes, backslashes, control characters,

@@ -17,12 +17,12 @@ from pathlib import Path
 
 import pytest
 
+from oracles import Monomial
 from totaldom.algebra import ArtinianReduction, TypeReport
 from totaldom.complexes import ShellingCheck, ShellingOrder
 from totaldom.construct import ConstructionTrace, TraceStep
 from totaldom.domination import MinimalSetFamily
 from totaldom.graphs import Classification, Forest, Graph, Ground, path_graph
-from totaldom.ideals import Monomial
 from totaldom.unmixed import ComponentCheck, InteriorGraphs, UnmixedCertificate
 from totaldom.verify import CheckResult
 
@@ -49,23 +49,23 @@ def test_cli_import_loads_no_dataclasses_inspect_typing_or_hashlib():
 
 P4 = path_graph(4).graph
 FAMILY = MinimalSetFamily(P4, (6,))
-REDUCTION = ArtinianReduction(rows=(("1", "2"), ("3",)), masks=(3,))
+REDUCTION = ArtinianReduction(labels=("1", "2", "3"), rows=((0, 1), (2,)), masks=(3,))
 CHECK = ShellingCheck(True, True, 1)
 
 # (class, constructor arguments in field order, repr, fields that == and
 # hash compare, cached properties)
 RECORDS = [
-    (ArtinianReduction, {"rows": (("1", "2"), ("3",)), "masks": (3,)},
-     "ArtinianReduction(rows=(('1', '2'), ('3',)), masks=(3,))",
-     ("rows", "masks"), ("variables", "pure_powers", "ideal", "substitution")),
+    (ArtinianReduction, {"labels": ("1", "2", "3"), "rows": ((0, 1), (2,)), "masks": (3,)},
+     "ArtinianReduction(labels=('1', '2', '3'), rows=((0, 1), (2,)), masks=(3,))",
+     ("labels", "rows", "masks"), ("variables", "powers", "pure_powers", "ideal")),
     (TypeReport,
      {"cm_type": 1, "m_blue": 1, "m_red": 1, "depth": 2, "dim": 2, "blue_family": FAMILY,
       "red_family": FAMILY, "socle_blue": 1, "socle_red": 1, "blue_reductions": (REDUCTION,),
       "red_reductions": ()},
      "TypeReport(cm_type=1, m_blue=1, m_red=1, depth=2, dim=2, "
      "blue_family=MinimalSetFamily(masks=(6,)), red_family=MinimalSetFamily(masks=(6,)), "
-     "socle_blue=1, socle_red=1, blue_reductions=(ArtinianReduction(rows=(('1', '2'), "
-     "('3',)), masks=(3,)),), red_reductions=())",
+     "socle_blue=1, socle_red=1, blue_reductions=(ArtinianReduction(labels=('1', '2', "
+     "'3'), rows=((0, 1), (2,)), masks=(3,)),), red_reductions=())",
      ("cm_type", "m_blue", "m_red", "depth", "dim", "blue_family", "red_family",
       "socle_blue", "socle_red", "blue_reductions", "red_reductions"), ()),
     (ShellingCheck, {"ok": False, "pure": True, "witness_count": 0, "failure_pair": (0, 1)},

@@ -23,7 +23,7 @@ MODULES = {
 ALLOWED_UNUSED = {
     name: "perfbench/tracer.py looks it up by name to time it"
     for name in ("branch", "is_s_td_set", "is_minimal_set", "two_coloring", "leaf_normalize",
-                 "minimal_s_td_sets")
+                 "minimal_s_td_sets", "minimal_transversals")
 }
 
 
