@@ -3,22 +3,21 @@
 Facets live over an explicit ground set. The stable complex of a graph has
 the complements of its minimal TD-sets as facets; for a balanced tree the
 even-stable complex plays the same role with the odd-height vertices as the
-domination target. Facets are worked on as bitmasks over a
-``graphs.Ground`` (a graph's vertices, or a complex's ground set). The
-stable complex and the complex of a square-free ideal keep the masks they
-were computed on, over their whole ground, and decode label tuples only
-when ``facets`` is read; the Stanley-Reisner pair reads and writes index
-data, so ``verify`` compares the two sides with no label in between. The
-even-stable complex, whose ground is part of a graph's vertices, and a join
-are built as label tuples. Every complex is built from an antichain (the
-complements of a family of minimal sets, or a join's products of two
-antichains over disjoint grounds), so no facet is filtered. Shellings are
-verified by restriction sets, on an order of facet masks only.
+domination target. Every complex and every shelling order holds its facets
+as bitmasks over a ``graphs.Ground`` (a graph's vertices, or a complex's
+ground set) and decodes label tuples only when ``facets`` is read. The
+even-stable complex moves its sets from the graph's indices to a ground of
+the even vertices, and a join lifts the facets of its factors into the
+ground of their union; the Stanley-Reisner pair reads and writes index
+data, so ``verify`` compares the two sides with no label in between. Every
+complex is built from an antichain (the complements of a family of minimal
+sets, or a join's products of two antichains over disjoint grounds), so no
+facet is filtered. Shellings are verified by restriction sets, on an order
+of facet masks only.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import cached_property
 from itertools import combinations
 
@@ -34,7 +33,6 @@ from .graphs import (
     _graph_of,
     _lift,
     _Record,
-    vset,
 )
 from .ideals import MonomialIdeal, _row_masks
 from .unmixed import Analysis
@@ -47,76 +45,52 @@ _COLUMNS_FROM = 64
 
 
 class SimplicialComplex:
-    """Ground set plus the pairwise-incomparable facet list.
+    """Ground set plus the pairwise-incomparable facet list, held as masks.
 
-    The void complex (no facets) and the complex whose only facet is the
-    empty set are distinct values. A complex built from labels holds its
-    facets as given. One built by ``_of_masks`` holds them as masks over
-    ``codec``, a ``Ground`` whose labels are the ground set, sorted by
-    value, and decodes them on the first read of ``facets`` (sorted label
-    tuples). Two complexes with masks are equal when their grounds and
-    masks are; otherwise ``==`` compares the grounds and the facet tuples.
+    ``codec`` is a ``Ground`` whose labels are the ground set, and ``masks``
+    the facets as an antichain of masks over it, sorted by value; ``ground``
+    reads the labels and ``facets`` decodes sorted label tuples on its
+    first read. The void complex (no facets) and the complex whose only
+    facet is the empty set are distinct values. Two complexes are equal
+    when their ground sets and masks are, that is when their facet sets are.
     """
 
-    __slots__ = ("ground", "_facets", "_codec", "_masks")
+    __slots__ = ("codec", "masks", "_facets")
 
-    def __init__(self, ground: tuple[str, ...], facets: tuple[VertexSet, ...]):
-        self.ground = ground
-        self._facets = facets
-        self._codec = self._masks = None
+    def __init__(self, codec: Ground, masks: tuple[int, ...]):
+        self.codec = codec
+        self.masks = masks
+        self._facets = None
 
-    @classmethod
-    def _of_masks(cls, codec: Ground, masks: tuple[int, ...]) -> SimplicialComplex:
-        """The complex on the labels of ``codec`` whose facets are the
-        ``masks``, an antichain sorted by value."""
-        d = cls(codec.labels, None)
-        d._codec = codec
-        d._masks = masks
-        return d
+    @property
+    def ground(self) -> tuple[str, ...]:
+        return self.codec.labels
 
     @property
     def facets(self) -> tuple[VertexSet, ...]:
         if self._facets is None:
-            self._facets = tuple(sorted(map(self._codec.labels_of, self._masks)))
+            self._facets = tuple(sorted(map(self.codec.labels_of, self.masks)))
         return self._facets
-
-    def _facet_masks(self) -> tuple[Ground, Sequence[int]]:
-        """A ground of the ground set and each facet as a mask over it. A
-        complex built from labels is encoded over ``Ground(ground)`` here;
-        a facet outside the ground raises KeyError."""
-        if self._masks is not None:
-            return self._codec, self._masks
-        codec = Ground(self.ground)
-        return codec, [codec.mask_of(f) for f in self._facets]
 
     @property
     def is_void(self) -> bool:
-        return not (self._facets if self._masks is None else self._masks)
+        return not self.masks
 
     @property
     def dim(self) -> int:
         """Dimension; the void complex reports -2 by convention."""
-        if self.is_void:
-            return -2
-        if self._masks is None:
-            return max(len(f) for f in self._facets) - 1
-        return max(map(int.bit_count, self._masks)) - 1
+        return max(map(int.bit_count, self.masks)) - 1 if self.masks else -2
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        if self.ground != other.ground:
-            return False
-        if self._masks is not None and other._masks is not None:
-            return self._masks == other._masks
-        return self.facets == other.facets
+        return self.codec.labels == other.codec.labels and self.masks == other.masks
 
     def __hash__(self):
-        return hash((self.ground, self.facets))
+        return hash((self.codec.labels, self.masks))
 
     def __repr__(self):
-        count = len(self._facets if self._masks is None else self._masks)
-        return f"SimplicialComplex({len(self.ground)} vertices, {count} facets)"
+        return f"SimplicialComplex({len(self.codec.labels)} vertices, {len(self.masks)} facets)"
 
 
 def _complements(codec: Ground, family) -> SimplicialComplex:
@@ -125,7 +99,7 @@ def _complements(codec: Ground, family) -> SimplicialComplex:
     the engine returns it; the complements are an antichain too, and in
     reverse order they are sorted by value."""
     full = (1 << len(codec.labels)) - 1
-    return SimplicialComplex._of_masks(codec, tuple([full ^ d for d in reversed(family)]))
+    return SimplicialComplex(codec, tuple([full ^ d for d in reversed(family)]))
 
 
 def stable_complex(g) -> SimplicialComplex:
@@ -151,27 +125,33 @@ def _even_family(facts: Analysis, cap: int | None) -> tuple[int, tuple[int, ...]
 
 def even_stable_complex(t: Forest | Analysis) -> SimplicialComplex:
     """Complements of the minimal odd-TD-sets inside the even-height
-    vertices, decoded here: the ground is only part of the graph's
-    vertices."""
+    vertices, over a ground of those vertices: each set moves to it by the
+    rank of its indices among the even ones, which keeps the order of the
+    masks."""
     facts = Analysis.of(t)
     if not facts.balanced:
         raise NotBalancedError("even-stable complex requires a balanced tree/forest")
     even, family = _even_family(facts, None)
-    labels_of = facts.forest.graph.labels_of
-    return SimplicialComplex(
-        ground=labels_of(even),
-        facets=tuple(sorted([labels_of(even & ~d) for d in family])),
-    )
+    rank = [0] * len(facts.height)
+    for r, i in enumerate(_bit_indices(even)):
+        rank[i] = r
+    codec = Ground(facts.forest.graph.labels_of(even))
+    return _complements(codec, [_lift(d, rank) for d in family])
 
 
 def join(d1: SimplicialComplex, d2: SimplicialComplex) -> SimplicialComplex:
-    """Facets are the unions of one facet of each, an antichain over disjoint grounds."""
+    """Facets are the unions of one facet of each, an antichain over disjoint
+    grounds: each facet is lifted into the ground of the union once, and
+    the unions of the pairs are ORs."""
     if set(d1.ground) & set(d2.ground):
         raise ValueError("join requires disjoint ground sets")
-    return SimplicialComplex(
-        ground=vset(d1.ground + d2.ground),
-        facets=tuple(sorted(vset(a + b) for a in d1.facets for b in d2.facets)),
-    )
+    codec = Ground(d1.ground + d2.ground)
+    index = codec.index
+    parts = []
+    for d in (d1, d2):
+        lift = [index[v] for v in d.ground]
+        parts.append([_lift(m, lift) for m in d.masks])
+    return SimplicialComplex(codec, tuple(sorted([a | b for a in parts[0] for b in parts[1]])))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +171,7 @@ def stanley_reisner_ideal(d: SimplicialComplex) -> MonomialIdeal:
     come. The void complex has every subset as a non-face, the empty one
     first: its ideal is the unit ideal, the one empty row.
     """
-    codec, facets = d._facet_masks()
+    codec, facets = d.codec, d.masks
     if d.is_void:
         return MonomialIdeal(codec, ((),))
 
@@ -363,21 +343,18 @@ def shelling_sort_key(vec):
 
 
 class ShellingOrder(_Record):
-    """A verified facet order as label tuples; ``masks`` holds the same
-    facets as the bitmasks over ``codec`` that were verified, and the
-    witnesses are read off them. ``ground`` may be given as its mask over
-    ``codec`` and ``facets`` as None: each is then decoded on its first
-    read. ``==``, ``hash`` and ``repr`` leave ``masks`` and ``codec`` out."""
+    """A verified facet order: ``masks`` are the facets as the bitmasks over
+    ``codec`` that were verified, inside ``ground_mask``, and the witnesses
+    are read off them. ``ground`` and ``facets`` are label tuples decoded on
+    their first read; ``==``, ``hash`` and ``repr`` compare and show them
+    with ``vectors`` and ``check``, and leave the masks and ``codec`` out."""
 
     _fields = ("ground", "facets", "vectors", "check")
 
-    def __init__(self, ground: tuple[str, ...] | int, facets: tuple[VertexSet, ...] | None,
-                 vectors: tuple[tuple[int, ...], ...] | None, check: ShellingCheck,
-                 masks: tuple[int, ...], codec: Ground):
+    def __init__(self, ground_mask: int, vectors: tuple[tuple[int, ...], ...] | None,
+                 check: ShellingCheck, masks: tuple[int, ...], codec: Ground):
         d = self.__dict__
-        d["_ground" if type(ground) is int else "ground"] = ground
-        if facets is not None:
-            d["facets"] = facets
+        d["ground_mask"] = ground_mask
         d["vectors"] = vectors
         d["check"] = check
         d["masks"] = masks
@@ -385,7 +362,7 @@ class ShellingOrder(_Record):
 
     @cached_property
     def ground(self) -> tuple[str, ...]:
-        return self.codec.labels_of(self._ground)
+        return self.codec.labels_of(self.ground_mask)
 
     @cached_property
     def facets(self) -> tuple[VertexSet, ...]:
@@ -455,7 +432,7 @@ def shelling_order(t: Tree | Analysis) -> ShellingOrder:
     check = verify_shelling(even, facets)
     if not check.ok:
         raise TheoremViolation("the facet-vector order failed shelling verification")
-    return ShellingOrder(even, None, vectors, check, tuple(facets), facts.forest.graph)
+    return ShellingOrder(even, vectors, check, tuple(facets), facts.forest.graph)
 
 
 def _composed_order(layers, cap: int | None = None) -> tuple[int, list[int], ShellingCheck]:
@@ -517,4 +494,4 @@ def stable_shelling(t: Tree | Analysis, cap: int | None = None) -> ShellingOrder
         raise TheoremViolation(
             "join of interior even-stable complexes does not match the stable complex"
         )
-    return ShellingOrder(ground, None, None, check, tuple(facets), g)
+    return ShellingOrder(ground, None, check, tuple(facets), g)

@@ -258,10 +258,10 @@ def index_components(nbrs, kept) -> list[list[int]]:
 
 
 class Forest:
-    """A validated acyclic graph plus its components, both as sorted index
-    lists (``component_indices``) and as sorted label tuples."""
+    """A validated acyclic graph plus its components as sorted index lists
+    (``component_indices``), in the order of their smallest indices."""
 
-    __slots__ = ("graph", "ncomponents", "component_indices", "_components")
+    __slots__ = ("graph", "ncomponents", "component_indices")
 
     def __init__(self, graph: Graph):
         comps = index_components(graph.adj, range(graph.n))
@@ -270,16 +270,9 @@ class Forest:
         self._set(graph, comps)
 
     def _set(self, graph: Graph, component_indices: list[list[int]]) -> None:
-        labels = graph.labels
         self.graph = graph
         self.ncomponents = len(component_indices)
         self.component_indices = component_indices
-        if len(component_indices) == 1:
-            self._components = (labels,)
-        else:
-            self._components = tuple([
-                tuple([labels[i] for i in c]) for c in component_indices
-            ])
 
     @classmethod
     def from_edges(cls, edges, extra_vertices=()) -> Forest:
@@ -293,9 +286,6 @@ class Forest:
         f = cls.__new__(cls)
         f._set(graph, component_indices)
         return f
-
-    def components(self) -> tuple[VertexSet, ...]:
-        return self._components
 
     @property
     def labels(self) -> VertexSet:

@@ -286,8 +286,8 @@ class _Layer:
     which finds the component, evaluates the three balance criteria (they
     must agree) and leaves the component's marks. The unmixed verdict is
     read off the marks; the components as sorted index lists (index order
-    is label order, so these come in ``Forest.components()`` order) and
-    their checklists are built on first use.
+    is label order, so these come in ``Forest.component_indices`` order)
+    and their checklists are built on first use.
 
     ``blue`` flags the blue vertices of a 2-coloring of ``graph`` and
     ``side`` labels the checks. A layer of a tree serves its interior side
@@ -411,8 +411,8 @@ class Analysis:
     JSON or ``==``) reads them. The shelling, the type and the report read
     the interior sides off ``interior_layers`` in the forest's indices; the
     component trees and their Analyses are built from a layer only when
-    ``components`` (``_Layer.component_facts``) is read, and the interior
-    forests only when the label view, ``interiors``, is read.
+    ``_Layer.component_facts`` is read, and the interior forests only when
+    the label view, ``interiors``, is read.
 
     Per-vertex facts, ``height`` and ``support_rows``, are index arrays
     aligned with ``forest.graph``; labels are read only by reports.
@@ -463,13 +463,6 @@ class Analysis:
         if len(layer.parts) != 1:
             raise NotATreeError(f"expected a tree, got {len(layer.parts)} components")
         return layer
-
-    @property
-    def components(self) -> tuple[Analysis, ...]:
-        """Analyses of the component trees (``_Layer.component_facts``): an
-        interior side's are those of its layer of the tree, the very
-        objects that the shelling and the type read."""
-        return self._layer.component_facts()
 
     @_fact
     def interior_layers(self) -> tuple[_Layer, _Layer]:

@@ -21,8 +21,11 @@ of ``stable_shelling`` lifted from interior forests through labels,
 parametric supports, edge and odd neighborhood ideals) that the package itself does
 not need, the pairwise shelling scan that restriction sets replaced, and
 the label-form complex builder (deduplication, ground check and pairwise
-maximality filter), shelling check and purity test of a complex, which the
-package computes on facet masks only.
+maximality filter), shelling check and purity test of a complex, and the
+label-tuple builds of the even-stable complex and of a join, which the
+package computes on facet masks only. Beside them are the label components
+of a forest and the component Analyses of a forest's layer, which the
+package reads as index lists and off its layers.
 
 A third section reads the text formats the package only writes: the
 ideal text and construction traces, each with the input checks the
@@ -61,6 +64,7 @@ from totaldom.complexes import (
     ShellingOrder,
     SimplicialComplex,
     _composed_order,
+    _even_family,
     _facet_vector_order,
     verify_shelling,
 )
@@ -577,11 +581,58 @@ def complex_from_facets(ground, facets) -> SimplicialComplex:
         if stray:
             raise ValueError(f"facet uses vertices outside the ground set: {stray}")
     masks = [ground.mask_of(f) for f in cleaned]
-    maximal = [
-        f for f, m in zip(cleaned, masks)
-        if not any(m != o and m & o == m for o in masks)
-    ]
-    return SimplicialComplex(ground=ground.labels, facets=tuple(maximal))
+    maximal = [m for m in masks if not any(m != o and m & o == m for o in masks)]
+    return SimplicialComplex(ground, tuple(sorted(maximal)))
+
+
+@dataclass(frozen=True)
+class LabelComplex:
+    """A complex as its ground set and its sorted facets, both label tuples:
+    the form in which ``even_stable_complex_by_labels`` and
+    ``join_by_labels`` build it."""
+
+    ground: tuple[str, ...]
+    facets: tuple[tuple[str, ...], ...]
+
+
+def even_stable_complex_by_labels(t) -> LabelComplex:
+    """``complexes.even_stable_complex`` decoded to labels at once: each
+    facet is the labels of the even-height vertices outside a minimal
+    odd-TD-set."""
+    facts = Analysis.of(t)
+    if not facts.balanced:
+        raise NotBalancedError("even-stable complex requires a balanced tree/forest")
+    even, family = _even_family(facts, None)
+    labels_of = facts.forest.graph.labels_of
+    return LabelComplex(
+        ground=labels_of(even),
+        facets=tuple(sorted([labels_of(even & ~d) for d in family])),
+    )
+
+
+def join_by_labels(d1, d2) -> LabelComplex:
+    """``complexes.join`` on label facets: the sorted label unions of one
+    facet of each, over disjoint grounds."""
+    if set(d1.ground) & set(d2.ground):
+        raise ValueError("join requires disjoint ground sets")
+    return LabelComplex(
+        ground=vset(d1.ground + d2.ground),
+        facets=tuple(sorted(vset(a + b) for a in d1.facets for b in d2.facets)),
+    )
+
+
+def label_components(f: Forest) -> tuple[tuple[str, ...], ...]:
+    """The components of a forest as sorted label tuples, in the order of
+    its ``component_indices``."""
+    labels = f.graph.labels
+    return tuple([tuple([labels[i] for i in c]) for c in f.component_indices])
+
+
+def component_facts(facts: Analysis) -> tuple[Analysis, ...]:
+    """The Analyses of the component trees of ``facts``, those of its layer
+    (``_Layer.component_facts``): an interior side's (``sides``) are the
+    very objects that the shelling and the type read."""
+    return facts._layer.component_facts()
 
 
 def is_pure(d: SimplicialComplex) -> bool:
@@ -599,8 +650,8 @@ def labelled_order(d: SimplicialComplex, order) -> ShellingOrder:
         raise ValueError("order is not a permutation of the facets")
     ground = Ground(d.ground)
     masks = tuple(map(ground.mask_of, order))
-    check = verify_shelling(ground.mask_of(d.ground), list(masks))
-    return ShellingOrder(d.ground, order, None, check, masks, ground)
+    full = (1 << len(d.ground)) - 1
+    return ShellingOrder(full, None, verify_shelling(full, list(masks)), masks, ground)
 
 
 def verify_labelled(d: SimplicialComplex, order) -> ShellingCheck:
@@ -732,13 +783,11 @@ def even_stable_shelling(f):
     """Shelling of the even-stable complex of an unmixed balanced forest, by
     the join composition ``stable_shelling`` applies to interior forests."""
     facts = Analysis(f)
-    components = facts.components
-    for c in components:
+    for c in component_facts(facts):
         if not c.characterization.unmixed:
             raise MixedTreeError("even-stable shelling requires an unmixed forest")
-    g = facts.forest.graph
     ground, facets, check = _composed_order([facts._layer])
-    return ShellingOrder(ground, None, None, check, tuple(facets), g)
+    return ShellingOrder(ground, None, check, tuple(facets), facts.forest.graph)
 
 
 def composed_facets_by_labels(t: Tree, cap: int | None = None) -> tuple[int, list[int]]:
@@ -911,7 +960,7 @@ def two_coloring_by_vset(f: Forest) -> Coloring:
     classes sorted by ``vset``."""
     g = f.graph
     side = [-1] * g.n
-    for comp in f.components():
+    for comp in label_components(f):
         root = g.index[comp[0]]
         side[root] = 0
         order = [root]
@@ -991,7 +1040,7 @@ def canonical_form_by_dicts(f: Forest) -> str:
     g = f.graph
     adj = [list(nb) for nb in g.adj]
     codes = []
-    for comp in f.components():
+    for comp in label_components(f):
         idx = [g.index[v] for v in comp]
         centers = centers_by_dicts(adj, idx)
         if len(centers) == 1:
@@ -1422,7 +1471,7 @@ def balanced_by_criteria(f: Forest) -> bool:
     g = f.graph
     c1 = all(hmap[a] != hmap[b] for a, b in label_edges(g))
     c2 = c3 = True
-    for comp in f.components():
+    for comp in label_components(f):
         by_height: dict[int, set[str]] = {}
         leaf_colors = set()
         for v in comp:
@@ -1500,8 +1549,8 @@ def component_trees(f: Forest) -> tuple[Tree, ...]:
 def sides(facts: Analysis) -> tuple[Analysis, Analysis]:
     """Analyses of the blue and the red interior forest, the label view of
     ``facts.interior_layers``: each reads its layer's heights, and its
-    ``components`` are its layer's, the very objects that the shelling and
-    the type read."""
+    ``component_facts`` are its layer's, the very objects that the shelling
+    and the type read."""
     interiors = facts.interiors
     out = []
     for forest, layer in zip((interiors.blue, interiors.red), facts.interior_layers):

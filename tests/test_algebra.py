@@ -21,6 +21,7 @@ from oracles import (
     socle_by_exponent_corners,
     substitution_map,
     to_ideal_by_lcm,
+    component_facts,
 )
 from totaldom import algebra
 from totaldom.algebra import (
@@ -126,7 +127,7 @@ def test_reduction_collapses_each_support_row_onto_its_partner():
     checked = 0
     for t in unmixed_corpus(5, 40):
         for side in sides(Analysis(t)):
-            for comp in side.components:
+            for comp in component_facts(side):
                 if max(comp.height) != 3:
                     continue
                 red = artinian_reduction(comp.forest)
@@ -154,7 +155,7 @@ def test_support_rows_computed_once_when_shelling_and_type_share_an_analysis(mon
     facts = Analysis(path_graph(9))
     stable_shelling(facts)
     cm_type(facts)
-    components = [c for side in sides(facts) for c in side.components]
+    components = [c for side in sides(facts) for c in component_facts(side)]
     assert len(components) == 2
     assert sorted(map(id, computed)) == sorted(map(id, components))
 
@@ -197,7 +198,7 @@ def test_socle_box_cap():
 def _interior_reductions(trees):
     for t in trees:
         for side in sides(Analysis(t)):
-            for comp in side.components:
+            for comp in component_facts(side):
                 yield artinian_reduction(comp)
 
 
@@ -367,7 +368,7 @@ def test_v3_family_example_tb_forest():
 def test_v3_family_is_componentwise_product():
     f = example_tb_forest()
     per_component = [
-        minimal_v3_td_sets(comp).sets for comp in Analysis(f).components
+        minimal_v3_td_sets(comp).sets for comp in component_facts(Analysis(f))
     ]
     combos = {()}
     for fam in per_component:
@@ -378,7 +379,7 @@ def test_v3_family_is_componentwise_product():
 def test_example_tb_forest_component_socles():
     socles = [
         socle_dimension(artinian_reduction(comp))
-        for comp in Analysis(example_tb_forest()).components
+        for comp in component_facts(Analysis(example_tb_forest()))
     ]
     assert sorted(socles) == [1, 1, 2]
 

@@ -23,6 +23,8 @@ from oracles import (
     replay_by_edges,
     star_graph_by_edges,
     suspension_by_edges,
+    component_facts,
+    label_components,
 )
 from totaldom.construct import (
     KIND_LEAF,
@@ -116,9 +118,9 @@ def test_subgraph_matches_the_label_induced_graph():
             kept = [g.index[v] for v in side.labels]
             assert _outcome(g.subgraph, kept) == _outcome(induced_by_labels, g, side.labels)
             sub = side.graph
-            trees = [c.forest for c in Analysis(side).components]
+            trees = [c.forest for c in component_facts(Analysis(side))]
             assert len(trees) == side.ncomponents
-            for comp, labels, tree in zip(side.component_indices, side.components(), trees):
+            for comp, labels, tree in zip(side.component_indices, label_components(side), trees):
                 assert _outcome(sub.subgraph, comp) == _outcome(induced_by_labels, sub, labels)
                 assert _outcome(lambda: tree) == _outcome(Tree, induced_by_labels(sub, labels))
 

@@ -10,12 +10,15 @@ from oracles import (
     brute_force_shellable,
     complex_faces,
     complex_from_facets,
+    component_facts,
+    even_stable_complex_by_labels,
     even_stable_shelling,
     LabelIdeal,
     Monomial,
     faces_by_divisibility,
     facet_vector,
     is_pure,
+    join_by_labels,
     labelled_order,
     shelling_by_pairs,
     sides,
@@ -157,6 +160,63 @@ def test_package_complexes_need_no_cleaning(trees9):
         built.append(join(even_stable_complex(ig.blue), even_stable_complex(ig.red)))
     for d in built:
         assert d == complex_from_facets(d.ground, d.facets)
+
+
+def labelled(d) -> tuple:
+    return d.ground, d.facets
+
+
+def test_even_stable_complex_and_join_match_their_label_twins(trees9):
+    # the mask routes against the label-tuple builds they replaced
+    for t in trees9:
+        if is_balanced(t):
+            assert labelled(even_stable_complex(t)) == labelled(even_stable_complex_by_labels(t))
+        else:
+            for build in (even_stable_complex, even_stable_complex_by_labels):
+                with pytest.raises(NotBalancedError):
+                    build(t)
+    for t in verify.unmixed_corpus(424242, 100):
+        ig = interior_graphs(t)
+        blue, red = even_stable_complex(ig.blue), even_stable_complex(ig.red)
+        blue_twin, red_twin = (even_stable_complex_by_labels(f) for f in (ig.blue, ig.red))
+        assert labelled(blue) == labelled(blue_twin) and labelled(red) == labelled(red_twin)
+        assert labelled(join(blue, red)) == labelled(join_by_labels(blue_twin, red_twin))
+        assert labelled(join(red, blue)) == labelled(join_by_labels(red_twin, blue_twin))
+    with pytest.raises(ValueError):
+        join_by_labels(cx(("a",), [("a",)]), cx(("a", "b"), [("b",)]))
+
+
+def test_equality_and_hash_follow_the_facet_sets(trees8):
+    # the builders that reach one facet set give equal complexes with equal
+    # hashes, and complexes are equal exactly when ground and facet set are
+    unit = cx((), [()])
+    built = []
+    for t in trees8[::3]:
+        d = stable_complex(t)
+        same = [
+            stanley_reisner_complex(open_neighborhood_ideal(t)),
+            cx(d.ground, reversed(d.facets)),
+            join(d, unit),
+            join(unit, d),
+        ]
+        for other in same:
+            assert other == d and hash(other) == hash(d)
+        built += [d, *same]
+    for t in verify.unmixed_corpus(424242, 10):
+        ig = interior_graphs(t)
+        d = join(even_stable_complex(ig.blue), even_stable_complex(ig.red))
+        built += [d, cx(d.ground, d.facets[::-1])]
+    # interleaved grounds: the unions of the pairs come out of value order
+    crossed = join(cx(("a", "c"), [("a",), ("c",)]), cx(("b", "d"), [("b",), ("d",)]))
+    square = cx(("a", "b", "c", "d"), [("a", "b"), ("a", "d"), ("b", "c"), ("c", "d")])
+    assert crossed == square and hash(crossed) == hash(square)
+    built += [crossed, cx(("a", "b"), []), cx(("a", "b"), [()]), cx(("a", "b"), [("a",)]),
+              cx(("a", "c"), [("a",)]), cx(("a",), [("a",)])]
+    for a in built:
+        for b in built:
+            assert (a == b) == ((a.ground, set(a.facets)) == (b.ground, set(b.facets)))
+            if a == b:
+                assert hash(a) == hash(b)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +592,7 @@ def test_low_interior_components_keep_label_order():
     checked = 0
     for t in verify.unmixed_corpus(7, 40):
         for side in sides(Analysis(t)):
-            for c in side.components:
+            for c in component_facts(side):
                 if max(c.height) > 1:
                     continue
                 d = even_stable_complex(c)

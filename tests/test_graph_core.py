@@ -30,6 +30,7 @@ from oracles import (
     label_edges,
     parse_graph_by_sets,
     two_coloring_by_vset,
+    label_components,
 )
 from test_interior_pass import caterpillar, shuffled_path
 from totaldom.errors import EdgeListParseError, NotAForestError, NotATreeError
@@ -71,7 +72,7 @@ def assert_graph_matches(labels, edges) -> Graph:
 def assert_forest_matches(g: Graph) -> None:
     f = Forest(g)
     comps = forest_by_sorting(g)
-    assert f.components() == comps and f.ncomponents == len(comps)
+    assert label_components(f) == comps and f.ncomponents == len(comps)
     assert f.component_indices == [[g.index[v] for v in c] for c in comps]
     col, want = two_coloring(f), two_coloring_by_vset(f)
     assert (col.blue, col.red) == (want.blue, want.red) and col == want
@@ -143,7 +144,7 @@ def edge_lists(draw):
 
 
 def components_of(g: Graph):
-    return Forest(g).components()
+    return label_components(Forest(g))
 
 
 @TIER1
@@ -158,7 +159,7 @@ def test_core_matches_oracles_on_edge_lists(drawn):
     assert_forest_matches(g)
     comps = forest_by_sorting(g)
     want = (NotATreeError, f"expected a tree, got {len(comps)} components")
-    assert outcome(lambda h: Tree(h).components(), g) == (comps if len(comps) == 1 else want)
+    assert outcome(lambda h: label_components(Tree(h)), g) == (comps if len(comps) == 1 else want)
     looped = Graph.from_edges([*edges, more], extra_vertices=extra)
     assert outcome(components_of, looped) == outcome(forest_by_sorting, looped)
     # only a tree has a checklist of its own

@@ -14,6 +14,7 @@ from oracles import (
     induced_by_labels,
     isomorphic_by_backtracking,
     label_edges,
+    label_components,
 )
 from totaldom.errors import EdgeListParseError, NotAForestError, NotATreeError
 from totaldom.graphs import (
@@ -102,7 +103,7 @@ def test_tree_rejects_disconnected():
 def test_component_index():
     f = Forest.from_edges([("a", "b"), ("c", "d")])
     assert f.ncomponents == 2
-    assert f.components() == (("a", "b"), ("c", "d"))
+    assert label_components(f) == (("a", "b"), ("c", "d"))
     assert f.component_indices == [[0, 1], [2, 3]]
 
 

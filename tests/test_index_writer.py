@@ -18,7 +18,7 @@ import json
 import sys
 from contextlib import redirect_stdout
 
-from oracles import label_edges
+from oracles import label_edges, label_components
 from test_report_identity import corpus
 from totaldom.algebra import cm_type
 from totaldom.cli import _analyze_report, _ideal_report, main
@@ -120,7 +120,7 @@ def test_analyze_writes_its_label_view():
                                           ("red", ig.red, ig.deleted_for_red)):
                 assert plain["interiors"][side] == {
                     "vertices": list(forest.labels),
-                    "components": [list(c) for c in forest.components()],
+                    "components": [list(c) for c in label_components(forest)],
                     "deleted": list(deleted),
                 }
             if plain["shelling"]["applicable"]:

@@ -28,6 +28,8 @@ from oracles import (
     interiors_by_forests,
     sides,
     swapped_coloring_tree,
+    component_facts,
+    label_components,
 )
 from totaldom.errors import TheoremViolation
 from totaldom.graphs import Coloring, Tree, heights, path_graph, two_coloring
@@ -47,7 +49,7 @@ TIER1 = settings(derandomize=True, max_examples=100, deadline=None, database=Non
 
 def interiors_key(ig):
     return tuple(
-        (side.graph, side.components(), deleted)
+        (side.graph, label_components(side), deleted)
         for side, deleted in ((ig.blue, ig.deleted_for_blue), (ig.red, ig.deleted_for_red))
     )
 
@@ -62,7 +64,7 @@ def assert_matches_oracle(t: Tree) -> None:
     assert facts._layer.checks() == (check_component_by_tree(t, "self"),)
     # the side and component objects built later carry the same facts
     for side in sides(facts):
-        for comp, check in zip(side.components, side._layer.checks()):
+        for comp, check in zip(component_facts(side), side._layer.checks()):
             assert comp._layer.checks() == (check,)
             assert dict(zip(comp.forest.labels, comp.height)) == heights(comp.forest)
 

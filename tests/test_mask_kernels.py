@@ -201,12 +201,12 @@ def _dropped_generator(d):
 
 def _dropped_facet(i):
     d = stanley_reisner_complex(i)
-    return SimplicialComplex(ground=d.ground, facets=d.facets[1:])
+    return SimplicialComplex(d.codec, d.masks[1:])
 
 
 def _dropped_facet_when_large(i):
     d = stanley_reisner_complex(i)
-    return d if len(d.facets) < 3 else SimplicialComplex(ground=d.ground, facets=d.facets[:1])
+    return d if len(d.masks) < 3 else SimplicialComplex(d.codec, d.masks[:1])
 
 
 @pytest.mark.parametrize(("name", "wrong"), [

@@ -71,12 +71,6 @@ RECORDS = [
     (ShellingCheck, {"ok": False, "pure": True, "witness_count": 0, "failure_pair": (0, 1)},
      "ShellingCheck(ok=False, pure=True, witness_count=0, failure_pair=(0, 1))",
      ("ok", "pure", "witness_count", "failure_pair"), ()),
-    (ShellingOrder,
-     {"ground": ("a", "b"), "facets": (("a",), ("b",)), "vectors": ((1, 0), (0, 1)),
-      "check": CHECK, "masks": (1, 2), "codec": Ground("ab")},
-     "ShellingOrder(ground=('a', 'b'), facets=(('a',), ('b',)), vectors=((1, 0), (0, 1)), "
-     "check=ShellingCheck(ok=True, pure=True, witness_count=1, failure_pair=None))",
-     ("ground", "facets", "vectors", "check"), ()),
     (TraceStep, {"attach": "3", "kind": "height1-leaf"},
      "TraceStep(attach='3', kind='height1-leaf')", ("attach", "kind"), ()),
     (ConstructionTrace,
@@ -134,6 +128,39 @@ def test_record_matches_its_dataclass(cls, kwargs, shown, compared, cached, monk
         fresh = cls(**kwargs)
         first = getattr(fresh, name)
         assert getattr(fresh, name) is first and calls == [1]
+
+
+SHELLING = {"ground_mask": 3, "vectors": ((1, 0), (0, 1)), "check": CHECK, "masks": (1, 2),
+            "codec": Ground("ab")}
+
+
+def test_shelling_order_matches_its_dataclass():
+    # built from masks over a codec, it shows and compares the decoded
+    # ground and facets, as the dataclass built from labels did
+    r = ShellingOrder(**SHELLING)
+    assert repr(r) == (
+        "ShellingOrder(ground=('a', 'b'), facets=(('a',), ('b',)), vectors=((1, 0), (0, 1)), "
+        "check=ShellingCheck(ok=True, pure=True, witness_count=1, failure_pair=None))"
+    )
+    same = ShellingOrder(*SHELLING.values())  # positional, in constructor order
+    assert r == same and not r != same and hash(r) == hash(same)
+    assert hash(r) == hash((("a", "b"), (("a",), ("b",)), ((1, 0), (0, 1)), CHECK))
+    assert r.__eq__(tuple(SHELLING.values())) is NotImplemented
+    for change in ({"ground_mask": 1}, {"vectors": None}, {"check": ShellingCheck(True, True, 2)},
+                   {"masks": (2, 1)}, {"codec": Ground("xy")}):
+        assert r != ShellingOrder(**{**SHELLING, **change})
+    # the masks and the codec are compared only through the labels they decode to
+    other = ShellingOrder(**{**SHELLING, "codec": Ground("ba")})
+    assert r == other and hash(r) == hash(other)
+    for name in (*SHELLING, "ground", "facets", "other"):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(r, name, 1)
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(r, name)
+    assert [getattr(r, f) for f in SHELLING] == list(SHELLING.values())
+    for name in ("ground", "facets"):
+        assert isinstance(ShellingOrder.__dict__[name], cached_property)
+        assert getattr(r, name) is getattr(r, name)
 
 
 def test_check_result_stays_mutable_and_unhashable():

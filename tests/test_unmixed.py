@@ -15,6 +15,7 @@ from oracles import (
     sides,
     support_rows_by_labels,
     swapped_coloring_tree,
+    component_facts,
 )
 from totaldom.construct import generate
 from totaldom.domination import is_unmixed_bruteforce, minimal_s_td_sets
@@ -152,7 +153,7 @@ def test_interior_components_share_the_side_heights(trees10):
     trees = [t for t in trees10 if t.graph.n > 1] + [random_tree(rng, 60) for _ in range(20)]
     for t in trees:
         for side in sides(Analysis(t)):
-            for comp in side.components:
+            for comp in component_facts(side):
                 assert dict(zip(comp.forest.labels, comp.height)) == heights(comp.forest)
 
 
@@ -178,7 +179,7 @@ def test_index_heights_and_support_rows_match_the_label_oracle():
     rows = errors = 0
     for t in trees:
         facts = Analysis(t)
-        for a in (facts, *[x for side in sides(facts) for x in (side, *side.components)]):
+        for a in (facts, *[x for side in sides(facts) for x in (side, *component_facts(side))]):
             assert dict(zip(a.forest.labels, a.height)) == heights(a.forest)
             got = _outcome(_support_rows_as_labels, a)
             assert got == _outcome(support_rows_by_labels, a)
