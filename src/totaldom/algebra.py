@@ -18,11 +18,9 @@ is rendered from the rows; no labelled monomial is built.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .domination import MinimalSetFamily, _minimal_s_td_family
 from .errors import MixedTreeError, TheoremViolation
-from .graphs import Forest, Graph, Ground, Tree, _bit_indices, _lift, _Record
+from .graphs import Forest, Graph, Ground, Tree, _bit_indices, _fact, _lift, _Record
 from .ideals import PrimeDecomposition, _render, validate_decomposition
 from .unmixed import Analysis
 
@@ -50,22 +48,22 @@ class ArtinianReduction(_Record):
         d["rows"] = rows
         d["masks"] = masks
 
-    @cached_property
+    @_fact
     def variables(self) -> tuple[str, ...]:
         labels = self.labels
         return tuple([labels[row[0]] for row in self.rows])
 
-    @cached_property
+    @_fact
     def powers(self) -> tuple[int, ...]:
         """The exponent of each variable's pure power: its row length."""
         return tuple([len(row) for row in self.rows])
 
-    @cached_property
+    @_fact
     def pure_powers(self) -> str:
         """The text of the ideal of the pure powers."""
         return _render(self.variables, self.powers, ())
 
-    @cached_property
+    @_fact
     def ideal(self) -> str:
         """The text of the reduced ideal, which contains a pure power of
         every variable."""

@@ -35,7 +35,7 @@ from itertools import compress
 from operator import not_
 
 from .algebra import cm_type, parametric_decomposition
-from .complexes import stable_shelling
+from .complexes import _witnesses, stable_shelling
 from .construct import deconstruct, generate
 from .domination import minimal_td_sets
 from .errors import EnumerationCapExceeded, InputError, TheoremViolation, TotaldomError
@@ -55,7 +55,7 @@ from .ideals import (
     open_neighborhood_ideal,
     validate_decomposition,
 )
-from .jsontext import Labels, dump, dumps
+from .jsontext import Labels, dump
 from .unmixed import Analysis, is_balanced, is_unmixed_fast
 from .verify import run_suite
 
@@ -200,7 +200,8 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
             for layer in facts.interior_layers
         }
         cert = is_unmixed_fast(facts)
-        cert_dict = cert.to_json_dict()
+        cert_dict = {"unmixed": cert.unmixed, "checks": [c._asdict() for c in cert.checks],
+                     "witness": None}
         if family is not None:
             if family.is_unmixed() != cert.unmixed:
                 raise TheoremViolation(
@@ -332,6 +333,29 @@ def cmd_ideal(args) -> int:
     return 0
 
 
+def _shelling_report(order) -> dict:
+    """The shelling report of a verified order: its vertex sets are
+    ``jsontext`` fragments, and an order that shells has one witness per
+    facet pair."""
+    labels = order.codec.labels
+    codec = Labels(labels)
+    check = order.check
+    witnesses = _witnesses(order.masks) if check.ok else []
+    return {
+        "ground": codec.items(_bit_indices(order.ground_mask)),
+        "facets": codec.rows(list(map(_bit_indices, order.masks))),
+        "vectors": order.vectors or None,
+        "check": {
+            "ok": check.ok,
+            "pure": check.pure,
+            "reformulation_agrees": True,  # by the proof in verify_shelling
+            "witness_count": check.witness_count,
+            "failure_pair": check.failure_pair,
+        },
+        "witnesses": [{"i": i, "j": j, "k": k, "v": labels[v]} for i, j, k, v in witnesses],
+    }
+
+
 def cmd_shelling(args) -> int:
     g = _read_graph(args.path)
     order = stable_shelling(Tree(g), cap=args.max_sets)
@@ -348,7 +372,8 @@ def cmd_shelling(args) -> int:
         raise EnumerationCapExceeded(
             f"shelling witness list of {pairs} facet pairs exceeds cap={args.max_sets}"
         )
-    print(dumps({"schema": SCHEMA, "input": {"digest": _digest(g)}} | order.to_json_dict()))
+    report = {"schema": SCHEMA, "input": {"digest": _digest(g)}} | _shelling_report(order)
+    _emit(report, True, None)
     return 0
 
 
@@ -356,21 +381,22 @@ def cmd_type(args) -> int:
     g = _read_graph(args.path)
     facts = Analysis(Tree(g))
     type_report = cm_type(facts, cap=args.max_sets)
-    report = {"schema": SCHEMA, "input": {"digest": _digest(g)}} | _type_dict(type_report,
-                                                                              Labels(g.labels))
+    codec = Labels(g.labels)
+    report = {"schema": SCHEMA, "input": {"digest": _digest(g)}} | _type_dict(type_report, codec)
     if args.reduction:
         sides = {}
         for layer, reductions in zip(
             facts.interior_layers, (type_report.blue_reductions, type_report.red_reductions)
         ):
             comps = []
-            for comp, red in zip(layer.component_facts(), reductions):
+            for indices, comp, red in zip(layer.components(), layer.component_facts(),
+                                          reductions):
                 pdec = parametric_decomposition(red, comp)
                 comps.append({
-                    "vertices": list(comp.forest.labels),
+                    "vertices": codec.items(indices),
                     "ideal": red.ideal,
                     "pure_powers": red.pure_powers,
-                    "parametric_components": [list(s) for s in pdec.supports],
+                    "parametric_components": _sets(Labels(pdec.variables), pdec.masks),
                 })
             sides[layer.side] = comps
         report["reductions"] = sides
@@ -423,12 +449,12 @@ def cmd_generate(args) -> int:
             })
     except OSError as exc:
         raise InputError(f"cannot write {exc.filename or outdir}: {exc.strerror or exc}") from exc
-    payload = {"schema": SCHEMA, "trees": manifest}
-    if args.json:
-        print(dumps(payload))
-    else:
-        for row in manifest:
+
+    def human(rep):
+        for row in rep["trees"]:
             print(f"{row['tree']}: {row['vertices']} vertices, {row['steps']} steps")
+
+    _emit({"schema": SCHEMA, "trees": manifest}, args.json, human)
     return 0
 
 

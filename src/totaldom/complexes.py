@@ -18,7 +18,6 @@ of facet masks only.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations
 
 from .domination import _minimal_s_td_family, minimal_td_sets, minimal_transversal_masks
@@ -30,6 +29,7 @@ from .graphs import (
     VertexSet,
     _bit_indices,
     _columns,
+    _fact,
     _graph_of,
     _lift,
     _Record,
@@ -55,22 +55,17 @@ class SimplicialComplex:
     when their ground sets and masks are, that is when their facet sets are.
     """
 
-    __slots__ = ("codec", "masks", "_facets")
-
     def __init__(self, codec: Ground, masks: tuple[int, ...]):
         self.codec = codec
         self.masks = masks
-        self._facets = None
 
     @property
     def ground(self) -> tuple[str, ...]:
         return self.codec.labels
 
-    @property
+    @_fact
     def facets(self) -> tuple[VertexSet, ...]:
-        if self._facets is None:
-            self._facets = tuple(sorted(map(self.codec.labels_of, self.masks)))
-        return self._facets
+        return self.codec.sets_of(self.masks)
 
     @property
     def is_void(self) -> bool:
@@ -222,15 +217,6 @@ class ShellingCheck(_Record):
         d["witness_count"] = witness_count
         d["failure_pair"] = failure_pair
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "pure": self.pure,
-            "reformulation_agrees": True,  # by the proof in verify_shelling
-            "witness_count": self.witness_count,
-            "failure_pair": list(self.failure_pair) if self.failure_pair else None,
-        }
-
 
 def _restrictions(masks: list[int]) -> list[dict[int, int]]:
     """For each F_j of a pure order of facet masks, its restriction R_j as
@@ -285,7 +271,8 @@ def verify_shelling(ground: int, order: list[int]) -> ShellingCheck:
     facets before j: the lowest bit left is the first i with R_j inside
     F_i, so both find the same failure pair with O(F * s) ANDs of F-bit
     ints for the second. Per-pair witnesses are built only by
-    ``ShellingOrder.to_json_dict``, and a passing check counts F(F-1)/2.
+    ``shelling --json`` (``_witnesses``), and a passing check counts
+    F(F-1)/2.
     """
     if any(m & ~ground for m in order):
         raise ValueError("facet mask outside the ground mask")
@@ -313,19 +300,18 @@ def verify_shelling(ground: int, order: list[int]) -> ShellingCheck:
     return ShellingCheck(ok=True, pure=True, witness_count=n * (n - 1) // 2)
 
 
-def _witnesses(codec: Ground, masks) -> list[dict]:
-    """For each pair i < j of a shelling order of facet masks over
-    ``codec``, the first k < j and the v with v in F_j - F_i and
-    F_j - F_k = {v}: the smallest first index over v in R_j - F_i. Distinct
-    v in R_j have distinct first indices, since a facet holding F_j - v and
-    F_j - v' would hold F_j."""
-    labels = codec.labels
+def _witnesses(masks) -> list[tuple[int, int, int, int]]:
+    """For each pair i < j of a shelling order of facet masks, ``(i, j, k,
+    v)`` with v the index of the vertex in F_j - F_i and k < j the first
+    facet with F_j - F_k = {v}: the smallest first index over v in R_j - F_i.
+    Distinct v in R_j have distinct first indices, since a facet holding
+    F_j - v and F_j - v' would hold F_j."""
     restrictions = _restrictions(masks)
     out = []
     for j in range(1, len(masks)):
         for i in range(j):
             k, vbit = min((k, v) for v, k in restrictions[j].items() if v & ~masks[i])
-            out.append({"i": i, "j": j, "k": k, "v": labels[vbit.bit_length() - 1]})
+            out.append((i, j, k, vbit.bit_length() - 1))
     return out
 
 
@@ -360,22 +346,13 @@ class ShellingOrder(_Record):
         d["masks"] = masks
         d["codec"] = codec
 
-    @cached_property
+    @_fact
     def ground(self) -> tuple[str, ...]:
         return self.codec.labels_of(self.ground_mask)
 
-    @cached_property
+    @_fact
     def facets(self) -> tuple[VertexSet, ...]:
         return tuple(map(self.codec.labels_of, self.masks))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ground": list(self.ground),
-            "facets": [list(f) for f in self.facets],
-            "vectors": [list(v) for v in self.vectors] if self.vectors else None,
-            "check": self.check.to_json_dict(),
-            "witnesses": _witnesses(self.codec, self.masks) if self.check.ok else [],
-        }
 
 
 def _facet_vector_order(facts: Analysis, cap: int | None):

@@ -12,10 +12,8 @@ neighbourhoods of leaves) into one forced mask.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .errors import EnumerationCapExceeded, TheoremViolation
-from .graphs import Graph, Ground, VertexSet, _bit_indices, _columns, _graph_of, _Record
+from .graphs import Graph, Ground, VertexSet, _bit_indices, _columns, _fact, _graph_of, _Record
 
 # Families of at least this many members are rechecked column-wise
 # (``_failing_members``); below it the per-member ``_is_minimal_s_td`` is
@@ -151,7 +149,7 @@ def minimal_transversals(sets, cap: int | None = None) -> tuple[tuple, ...]:
     universe = Ground(set().union(*sets))
     edges = [universe.mask_of(s) for s in sets]
     found = minimal_transversal_masks(edges, cap=cap)
-    return tuple(sorted(map(universe.labels_of, found)))
+    return universe.sets_of(found)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +241,10 @@ class MinimalSetFamily(_Record):
     def _key(self) -> tuple:
         return self.graph, self.masks
 
-    @cached_property
+    @_fact
     def sets(self) -> tuple[VertexSet, ...]:
         """The members as label tuples, lexicographically sorted."""
-        return tuple(sorted(map(self.graph.labels_of, self.masks)))
+        return self.graph.sets_of(self.masks)
 
     def __len__(self):
         return len(self.masks)

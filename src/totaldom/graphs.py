@@ -65,6 +65,26 @@ class _Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+class _fact:
+    """A lazily computed attribute: the first read computes the value and
+    stores it on the instance, where later reads find it. This is
+    ``functools.cached_property`` without the lock that Python 3.10 and 3.11
+    take on every first read."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 def _bit_indices(m: int) -> tuple[int, ...]:
     """The indices of the set bits of ``m``, ascending, one step per set bit."""
     out = []
@@ -129,6 +149,10 @@ class Ground:
             out.append(labels[low.bit_length() - 1])
             mask ^= low
         return tuple(out)
+
+    def sets_of(self, masks) -> tuple[VertexSet, ...]:
+        """The label tuples of ``masks``, sorted."""
+        return tuple(sorted(map(self.labels_of, masks)))
 
 
 class Graph(Ground):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from .domination import MinimalSetFamily, minimal_transversal_masks
 from .errors import NotSquareFreeError, TheoremViolation
-from .graphs import Ground, VertexSet, _bit_indices, _columns, _graph_of, _lift, vset
+from .graphs import Ground, VertexSet, _bit_indices, _columns, _fact, _graph_of, _lift, vset
 
 # Decompositions of at least this many supports are tested for
 # irredundancy column-wise (``_has_comparable_pair``); below it the pair
@@ -190,14 +190,11 @@ class PrimeDecomposition:
     are.
     """
 
-    __slots__ = ("ground", "masks", "pure_powers", "_supports")
-
     def __init__(self, ground: Ground, masks: tuple[int, ...],
                  pure_powers: tuple[int, ...] | None = None):
         self.ground = ground
         self.masks = masks
         self.pure_powers = pure_powers
-        self._supports = None
 
     @classmethod
     def from_family(cls, family: MinimalSetFamily) -> PrimeDecomposition:
@@ -209,11 +206,9 @@ class PrimeDecomposition:
     def variables(self) -> tuple[str, ...]:
         return self.ground.labels
 
-    @property
+    @_fact
     def supports(self) -> tuple[VertexSet, ...]:
-        if self._supports is None:
-            self._supports = tuple(sorted(map(self.ground.labels_of, self.masks)))
-        return self._supports
+        return self.ground.sets_of(self.masks)
 
     def __len__(self):
         return len(self.masks)

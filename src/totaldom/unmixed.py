@@ -29,6 +29,7 @@ from .graphs import (
     Tree,
     VertexSet,
     _blue_flags,
+    _fact,
     _Record,
     classify_vertices,
     leaf_distances,
@@ -89,25 +90,13 @@ class ComponentCheck(namedtuple("ComponentCheck", (
     def ok(self) -> bool:
         return self.height_ok and self.v2_unique_v1_ok and self.v1_at_most_one_v2_ok
 
-    def to_json_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "vertices": list(self.vertices),
-            "height": self.height,
-            "height_ok": self.height_ok,
-            "v2_unique_v1_ok": self.v2_unique_v1_ok,
-            "v1_at_most_one_v2_ok": self.v1_at_most_one_v2_ok,
-            "offending_vertex": self.offending_vertex,
-        }
-
 
 class UnmixedCertificate(_Record):
     """An unmixedness verdict with its component checklists. Immutable;
-    equal when verdict and checklists are. Its JSON form keeps a
-    ``"witness": null`` slot, which reports fill in themselves.
+    equal when verdict and checklists are.
 
     ``checks`` may also be given as a function that returns the tuple; it
-    runs on the first read of ``checks`` (or of ``to_json_dict`` or ``==``).
+    runs on the first read of ``checks`` (or of ``==``).
     ``Analysis`` does so, so reading the verdict alone builds no
     ComponentCheck."""
 
@@ -131,13 +120,6 @@ class UnmixedCertificate(_Record):
         # __setattr__ leaves as the only way in; reading ``checks`` resolves
         # a lazy tuple, whose function could not be pickled
         return self.__class__, (self.unmixed, self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "unmixed": self.unmixed,
-            "checks": [c.to_json_dict() for c in self.checks],
-            "witness": None,
-        }
 
 
 def _check_component(layer: _Layer, comp: list[int], marks) -> ComponentCheck:
@@ -186,26 +168,6 @@ def mixedness_witness(t: Tree, cap: int | None = None):
 # ---------------------------------------------------------------------------
 # One analysis per request
 # ---------------------------------------------------------------------------
-
-class _fact:
-    """A lazily computed attribute: the first read computes the value and
-    stores it on the instance, where later reads find it. This is
-    ``functools.cached_property`` without the lock that Python 3.10 and 3.11
-    take on every first read."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
-
 
 def _walk(layer: _Layer, kept: list[int]) -> tuple[bool, bool, bool]:
     """One breadth-first walk per component of a layer, each started from
@@ -295,8 +257,7 @@ class _Layer:
     and ``height``, and the Analysis of each component is built straight
     from ``graph`` (``component_facts``), with the component's sorted
     indices as its map into ``graph``. The forest of the kept vertices
-    (``forest``) is built only for the label view, the Analysis of an
-    interior forest, which takes the layer's heights at the kept indices.
+    (``forest``) is built only for the label view, ``Analysis.interiors``.
     """
 
     __slots__ = ("graph", "side", "blue", "keep", "nbrs", "height", "parts",
@@ -369,7 +330,7 @@ class _Layer:
             facts = []
             for comp, check in zip(self.components(), self.checks()):
                 sub = graph if len(comp) == graph.n else graph.subgraph(comp)
-                c = Analysis(Tree.with_components(sub, [list(range(sub.n))]), side=self.side)
+                c = Analysis(Tree.with_components(sub, [list(range(sub.n))]))
                 c.height = [height[i] for i in comp]
                 if balanced:
                     c.balanced = True
@@ -417,14 +378,13 @@ class Analysis:
     Per-vertex facts, ``height`` and ``support_rows``, are index arrays
     aligned with ``forest.graph``; labels are read only by reports.
 
-    The 2-coloring is always ``two_coloring`` of the forest. ``side`` is
-    "blue" or "red" for an interior forest and its components (it labels
-    their component checks) and "self" otherwise.
+    The 2-coloring is always ``two_coloring`` of the forest, and the checks
+    of its own layer have side "self"; a component of an interior layer
+    reads its checklist, with the layer's side, off that layer.
     """
 
-    def __init__(self, forest: Forest, side: str = "self"):
+    def __init__(self, forest: Forest):
         self.forest = forest
-        self.side = side
         self._td_families: dict = {}
 
     @classmethod
@@ -444,7 +404,7 @@ class Analysis:
 
     @_fact
     def _layer(self) -> _Layer:
-        return _Layer(self.forest.graph, self._blue, self.side, [])
+        return _Layer(self.forest.graph, self._blue, "self", [])
 
     @_fact
     def height(self) -> list[int]:

@@ -19,7 +19,8 @@ The middle section holds second routes to objects the package computes
 the interior forests, the join order
 of ``stable_shelling`` lifted from interior forests through labels,
 parametric supports, edge and odd neighborhood ideals) that the package itself does
-not need, the pairwise shelling scan that restriction sets replaced, and
+not need, the pairwise shelling scan that restriction sets replaced,
+Reisner's criterion for Cohen-Macaulayness over GF(2) on facet masks, and
 the label-form complex builder (deduplication, ground check and pairwise
 maximality filter), shelling check and purity test of a complex, and the
 label-tuple builds of the even-stable complex and of a join, which the
@@ -709,6 +710,61 @@ def brute_force_shellable(d: SimplicialComplex, max_facets: int = 12):
     if dfs(0):
         return tuple(d.facets[i] for i in order)
     return None
+
+
+def _rank_gf2(rows) -> int:
+    """The rank over GF(2) of the rows, each an int of bits, by Gaussian
+    elimination keyed on each reduced row's highest bit."""
+    pivots: dict[int, int] = {}
+    for r in rows:
+        while r:
+            top = r.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = r
+                break
+            r ^= pivots[top]
+    return len(pivots)
+
+
+def is_cm_by_reisner(masks) -> bool:
+    """Whether the complex with facet masks ``masks`` is Cohen-Macaulay over
+    GF(2), by Reisner's criterion: it is pure and, for every face F (the
+    empty one included), the reduced homology of lk F vanishes below the
+    dimension of lk F. Every face and link is listed as masks, and the
+    Betti numbers come from the ranks of the boundary maps, each row the
+    mask of a face's facets over an index of the faces one size down."""
+    if len({m.bit_count() for m in masks}) > 1:
+        return False
+    faces = set()
+    for f in masks:
+        sub = f
+        while True:  # every submask of f, f itself and 0 included
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & f
+    for face in faces:
+        by_size: dict[int, list[int]] = {}
+        for g in faces:
+            if g & face == face:
+                by_size.setdefault((g ^ face).bit_count(), []).append(g ^ face)
+        top = max(by_size)
+        ranks = [0] * (top + 2)  # ranks[k]: the boundary of the k-faces
+        for k in range(1, top + 1):
+            index = {g: r for r, g in enumerate(by_size[k - 1])}
+            rows = []
+            for g in by_size[k]:
+                row, rest = 0, g
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    row |= 1 << index[g ^ low]
+                rows.append(row)
+            ranks[k] = _rank_gf2(rows)
+        for k in range(top):  # reduced homology in dimension k - 1
+            if len(by_size[k]) - ranks[k] - ranks[k + 1]:
+                return False
+    return True
 
 
 def shelling_by_pairs(d: SimplicialComplex, order):
@@ -1554,7 +1610,7 @@ def sides(facts: Analysis) -> tuple[Analysis, Analysis]:
     interiors = facts.interiors
     out = []
     for forest, layer in zip((interiors.blue, interiors.red), facts.interior_layers):
-        side = Analysis(forest, side=layer.side)
+        side = Analysis(forest)
         side._layer = layer
         side.height = list(compress(layer.height, layer.keep))
         out.append(side)

@@ -416,18 +416,26 @@ def test_shelling_command(capsys, p6_file):
     assert len(report["facets"]) == 3
 
 
+def count_witness_builds(monkeypatch) -> list:
+    """Count the witness lists built through either binding of the builder:
+    ``complexes._witnesses`` and the name ``cli`` imports."""
+    built = []
+    original = complexes._witnesses
+
+    def counted(masks):
+        built.append(len(masks))
+        return original(masks)
+
+    for module in (complexes, cli):
+        monkeypatch.setattr(module, "_witnesses", counted)
+    return built
+
+
 def test_only_shelling_json_builds_per_pair_witnesses(capsys, tmp_path, monkeypatch):
     t, _ = generate(3, 4)
     path = tmp_path / "gen.edges"
     path.write_text(render_edge_list(t.graph))
-    built = []
-    original = complexes._witnesses
-
-    def counted(ground, order):
-        built.append(len(order))
-        return original(ground, order)
-
-    monkeypatch.setattr(complexes, "_witnesses", counted)
+    built = count_witness_builds(monkeypatch)
     order = complexes.stable_shelling(t)
     assert order.check.ok and built == []
     report = run_json(capsys, ["analyze", str(path), "--json"])
@@ -442,14 +450,7 @@ def test_shelling_text_builds_no_witnesses(capsys, tmp_path, monkeypatch):
     t, _ = generate(3, 4)
     path = tmp_path / "gen.edges"
     path.write_text(render_edge_list(t.graph))
-    calls = []
-    original = complexes._witnesses
-
-    def counted(ground, order):
-        calls.append(len(order))
-        return original(ground, order)
-
-    monkeypatch.setattr(complexes, "_witnesses", counted)
+    calls = count_witness_builds(monkeypatch)
     assert main(["shelling", str(path)]) == 0
     text = capsys.readouterr().out
     assert calls == []
@@ -470,8 +471,7 @@ def test_shelling_json_witnesses_honour_max_sets(capsys, tmp_path, monkeypatch):
     n = len(full["facets"])
     pairs = n * (n - 1) // 2
     assert n < pairs  # the facets fit under a cap that the witnesses exceed
-    calls = []
-    monkeypatch.setattr(complexes, "_witnesses", lambda ground, order: calls.append(1))
+    calls = count_witness_builds(monkeypatch)
     assert main(["shelling", str(path), "--json", "--max-sets", str(pairs - 1)]) == 2
     captured = capsys.readouterr()
     assert captured.err == (

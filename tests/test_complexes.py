@@ -17,6 +17,7 @@ from oracles import (
     Monomial,
     faces_by_divisibility,
     facet_vector,
+    is_cm_by_reisner,
     is_pure,
     join_by_labels,
     labelled_order,
@@ -29,7 +30,7 @@ from oracles import (
     vector_facet,
     verify_labelled,
 )
-from totaldom import complexes, verify
+from totaldom import cli, complexes, verify
 from totaldom.complexes import (
     SimplicialComplex,
     even_stable_complex,
@@ -53,7 +54,7 @@ from totaldom.errors import (
 )
 from totaldom.graphs import Graph, path_graph, star_graph, vset
 from totaldom.ideals import open_neighborhood_ideal
-from totaldom.treegen import Lcg64
+from totaldom.treegen import Lcg64, trees_up_to
 from totaldom.unmixed import Analysis, interior_graphs, is_balanced, is_unmixed_fast
 
 
@@ -344,7 +345,7 @@ def test_witnesses_certify_condition():
     check = order.check
     assert check.ok
     facets = d.facets
-    witnesses = order.to_json_dict()["witnesses"]
+    witnesses = cli._shelling_report(order)["witnesses"]
     assert len(witnesses) == check.witness_count == 3
     for w in witnesses:
         diff = set(facets[w["j"]]) - set(facets[w["k"]])
@@ -359,7 +360,7 @@ def assert_matches_pairwise_scan(d, order):
     check = labelled.check
     ok, pure, failure_pair, witnesses = shelling_by_pairs(d, order)
     assert (check.ok, check.pure, check.failure_pair) == (ok, pure, failure_pair)
-    emitted = labelled.to_json_dict()
+    emitted = cli._shelling_report(labelled)
     assert emitted["check"]["reformulation_agrees"] is True
     assert emitted["witnesses"] == witnesses
     assert emitted["check"]["witness_count"] == len(witnesses)
@@ -415,7 +416,7 @@ def test_stable_shelling_witnesses_match_pairwise_scan(trees8):
             continue
         order = stable_shelling(t)
         want = shelling_by_pairs(stable_complex(t), order.facets)[3]
-        assert order.to_json_dict()["witnesses"] == want
+        assert cli._shelling_report(order)["witnesses"] == want
         checked += 1
     assert checked
 
@@ -478,6 +479,29 @@ def test_brute_force_cap():
     d = cx(tuple("abcdefghijklmn"), [(c,) for c in "abcdefghijklmn"])
     with pytest.raises(EnumerationCapExceeded):
         brute_force_shellable(d, max_facets=5)
+
+
+def test_reisner_criterion_on_small_complexes():
+    # two disjoint edges are disconnected, the boundary of a triangle and
+    # the 4-cycle are circles, and two triangles on one vertex have a
+    # disconnected link there
+    assert not is_cm_by_reisner([0b0011, 0b1100])
+    assert is_cm_by_reisner([0b011, 0b110, 0b101])
+    assert is_cm_by_reisner([0b0011, 0b0110, 0b1100, 0b1001])
+    assert not is_cm_by_reisner([0b00111, 0b11100])
+    assert not is_cm_by_reisner([0b0111, 0b1100])  # not pure
+
+
+def test_reisner_criterion_agrees_with_unmixedness_on_small_trees():
+    # the main theorem with neither the shelling nor the characterization:
+    # the stable complex of a tree with an edge is Cohen-Macaulay exactly
+    # when the tree is unmixed
+    checked = 0
+    for t in trees_up_to(10):
+        if t.graph.n > 1:
+            assert is_cm_by_reisner(stable_complex(t.graph).masks) == is_unmixed_fast(t).unmixed
+            checked += 1
+    assert checked == 200
 
 
 # ---------------------------------------------------------------------------
@@ -631,19 +655,21 @@ def test_stable_shelling_rejects_a_failing_component_order(monkeypatch):
     # reverse the blue component's facet-vector order of path_graph(9); the
     # red component keeps its order, and the composed check must fail
     vector_order = complexes._facet_vector_order
+    tree = Analysis(path_graph(9))
+    blue, red = tree.interior_layers
     patched = []
 
     def reversed_once(facts, cap):
         d, facets, vectors = vector_order(facts, cap)
         if patched:
             return d, facets, vectors
-        patched.append(facts.side)
+        patched.append("blue" if facts in blue.component_facts() else "red")
         assert not verify_shelling(d, facets[::-1]).ok
         return d, facets[::-1], vectors[::-1]
 
     monkeypatch.setattr(complexes, "_facet_vector_order", reversed_once)
     with pytest.raises(TheoremViolation, match="composed join order"):
-        stable_shelling(path_graph(9))
+        stable_shelling(tree)
     assert patched == ["blue"]
 
 

@@ -62,10 +62,11 @@ def assert_matches_oracle(t: Tree) -> None:
     assert facts.balanced == balanced_by_criteria(t)
     assert dict(zip(t.labels, facts.height)) == heights(t)
     assert facts._layer.checks() == (check_component_by_tree(t, "self"),)
-    # the side and component objects built later carry the same facts
+    # the side and component objects built later carry the same facts; a
+    # component's own layer labels its check "self"
     for side in sides(facts):
         for comp, check in zip(component_facts(side), side._layer.checks()):
-            assert comp._layer.checks() == (check,)
+            assert comp._layer.checks() == (check._replace(side="self"),)
             assert dict(zip(comp.forest.labels, comp.height)) == heights(comp.forest)
 
 
@@ -230,7 +231,8 @@ def test_certificate_is_immutable_and_compares_by_value():
     cert, oracle = is_unmixed_fast(t), certificate_by_component_trees(t)
     assert cert == oracle and hash(cert) == hash(oracle)
     assert cert != unmixed.UnmixedCertificate(not cert.unmixed, oracle.checks)
-    assert cert.to_json_dict() == oracle.to_json_dict()
+    # the checklists as the analyze report writes them
+    assert [c._asdict() for c in cert.checks] == [c._asdict() for c in oracle.checks]
     assert repr(cert) == repr(oracle)
     for target, name in ((cert, "unmixed"), (cert, "checks"), (cert.checks[0], "height")):
         with pytest.raises(AttributeError):
@@ -247,7 +249,8 @@ def test_certificate_pickles_and_copies(make):
         cert = make()
         got = roundtrip(cert)
         assert type(got) is unmixed.UnmixedCertificate
-        assert got == cert and got.to_json_dict() == cert.to_json_dict()
+        assert got == cert and got.unmixed == cert.unmixed
+        assert [c._asdict() for c in got.checks] == [c._asdict() for c in cert.checks]
 
 
 def test_certificate_builds_no_trees(monkeypatch):

@@ -12,7 +12,6 @@ import os
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
-from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -22,7 +21,7 @@ from totaldom.algebra import ArtinianReduction, TypeReport
 from totaldom.complexes import ShellingCheck, ShellingOrder
 from totaldom.construct import ConstructionTrace, TraceStep
 from totaldom.domination import MinimalSetFamily
-from totaldom.graphs import Classification, Forest, Graph, Ground, path_graph
+from totaldom.graphs import Classification, Forest, Graph, Ground, _fact, path_graph
 from totaldom.unmixed import ComponentCheck, InteriorGraphs, UnmixedCertificate
 from totaldom.verify import CheckResult
 
@@ -53,7 +52,7 @@ REDUCTION = ArtinianReduction(labels=("1", "2", "3"), rows=((0, 1), (2,)), masks
 CHECK = ShellingCheck(True, True, 1)
 
 # (class, constructor arguments in field order, repr, fields that == and
-# hash compare, cached properties)
+# hash compare, lazily computed attributes)
 RECORDS = [
     (ArtinianReduction, {"labels": ("1", "2", "3"), "rows": ((0, 1), (2,)), "masks": (3,)},
      "ArtinianReduction(labels=('1', '2', '3'), rows=((0, 1), (2,)), masks=(3,))",
@@ -121,10 +120,10 @@ def test_record_matches_its_dataclass(cls, kwargs, shown, compared, cached, monk
     assert [getattr(r, f) for f in kwargs] == list(kwargs.values())
     for name in cached:
         prop = cls.__dict__[name]
-        assert isinstance(prop, cached_property)
+        assert isinstance(prop, _fact)
         calls = []
-        monkeypatch.setattr(prop, "func", lambda self, f=prop.func, calls=calls: calls.append(1)
-                            or f(self))
+        monkeypatch.setattr(prop, "compute", lambda self, f=prop.compute, calls=calls:
+                            calls.append(1) or f(self))
         fresh = cls(**kwargs)
         first = getattr(fresh, name)
         assert getattr(fresh, name) is first and calls == [1]
@@ -159,7 +158,7 @@ def test_shelling_order_matches_its_dataclass():
             delattr(r, name)
     assert [getattr(r, f) for f in SHELLING] == list(SHELLING.values())
     for name in ("ground", "facets"):
-        assert isinstance(ShellingOrder.__dict__[name], cached_property)
+        assert isinstance(ShellingOrder.__dict__[name], _fact)
         assert getattr(r, name) is getattr(r, name)
 
 

@@ -1,16 +1,30 @@
 from __future__ import annotations
 
 from oracles import label_edges, random_tree_by_edges, label_components
+from totaldom.domination import is_unmixed_bruteforce
 from totaldom.graphs import canonical_form
 from totaldom.treegen import Lcg64, _parent_arrays, all_trees, random_tree
+from totaldom.unmixed import is_unmixed_fast
 
-# free trees up to isomorphism, n = 1..10 (OEIS A000055)
-FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
+# free trees up to isomorphism, n = 1..11 (OEIS A000055)
+FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235}
+# the unmixed ones among them, by the interior-graph test
+UNMIXED_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 5, 7: 8, 8: 17, 9: 31, 10: 69, 11: 143}
 
 
 def test_exhaustive_counts():
     for n, expected in FREE_TREE_COUNTS.items():
         assert len(all_trees(n)) == expected
+
+
+def test_unmixed_class_counts():
+    for n, expected in UNMIXED_TREE_COUNTS.items():
+        assert sum(is_unmixed_fast(t).unmixed for t in all_trees(n)) == expected
+
+
+def test_unmixed_class_counts_by_enumeration():
+    for n in range(1, 11):
+        assert sum(map(is_unmixed_bruteforce, all_trees(n))) == UNMIXED_TREE_COUNTS[n]
 
 
 def test_exhaustive_distinct_classes():
