@@ -283,8 +283,8 @@ def cm_type(t: Tree | Analysis, cap: int | None = None) -> TypeReport:
     blue, red = facts.interior_layers
     blue_family = _v3_family(g, blue.nbrs, blue.height, cap)
     red_family = _v3_family(g, red.nbrs, red.height, cap)
-    socle_blue, depth_blue, blue_reductions = _forest_side(blue.component_facts())
-    socle_red, depth_red, red_reductions = _forest_side(red.component_facts())
+    socle_blue, depth_blue, blue_reductions = _forest_side(blue.component_facts)
+    socle_red, depth_red, red_reductions = _forest_side(red.component_facts)
     m_blue, m_red = len(blue_family), len(red_family)
     if (m_blue, m_red) != (socle_blue, socle_red):
         raise TheoremViolation(

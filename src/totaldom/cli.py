@@ -35,7 +35,7 @@ from itertools import compress
 from operator import not_
 
 from .algebra import cm_type, parametric_decomposition
-from .complexes import _witnesses, stable_shelling
+from .complexes import _restrictions, stable_shelling
 from .construct import deconstruct, generate
 from .domination import minimal_td_sets
 from .errors import EnumerationCapExceeded, InputError, TheoremViolation, TotaldomError
@@ -194,7 +194,7 @@ def _analyze_report(g: Graph, cap: int | None, with_witness: bool, timings: bool
         report["interiors"] = {
             layer.side: {
                 "vertices": codec.items(compress(range(n), layer.keep)),
-                "components": codec.rows(layer.components()),
+                "components": codec.rows(layer.components),
                 "deleted": codec.items(compress(range(n), map(not_, layer.keep))),
             }
             for layer in facts.interior_layers
@@ -333,6 +333,21 @@ def cmd_ideal(args) -> int:
     return 0
 
 
+def _witnesses(masks) -> list[tuple[int, int, int, int]]:
+    """For each pair i < j of a shelling order of facet masks, ``(i, j, k,
+    v)`` with v the index of the vertex in F_j - F_i and k < j the first
+    facet with F_j - F_k = {v}: the smallest first index over v in R_j - F_i.
+    Distinct v in R_j have distinct first indices, since a facet holding
+    F_j - v and F_j - v' would hold F_j."""
+    restrictions = _restrictions(masks)
+    out = []
+    for j in range(1, len(masks)):
+        for i in range(j):
+            k, vbit = min((k, v) for v, k in restrictions[j].items() if v & ~masks[i])
+            out.append((i, j, k, vbit.bit_length() - 1))
+    return out
+
+
 def _shelling_report(order) -> dict:
     """The shelling report of a verified order: its vertex sets are
     ``jsontext`` fragments, and an order that shells has one witness per
@@ -389,8 +404,7 @@ def cmd_type(args) -> int:
             facts.interior_layers, (type_report.blue_reductions, type_report.red_reductions)
         ):
             comps = []
-            for indices, comp, red in zip(layer.components(), layer.component_facts(),
-                                          reductions):
+            for indices, comp, red in zip(layer.components, layer.component_facts, reductions):
                 pdec = parametric_decomposition(red, comp)
                 comps.append({
                     "vertices": codec.items(indices),

@@ -44,7 +44,7 @@ from .unmixed import Analysis
 _COLUMNS_FROM = 64
 
 
-class SimplicialComplex:
+class SimplicialComplex(_Record):
     """Ground set plus the pairwise-incomparable facet list, held as masks.
 
     ``codec`` is a ``Ground`` whose labels are the ground set, and ``masks``
@@ -56,8 +56,12 @@ class SimplicialComplex:
     """
 
     def __init__(self, codec: Ground, masks: tuple[int, ...]):
-        self.codec = codec
-        self.masks = masks
+        d = self.__dict__
+        d["codec"] = codec
+        d["masks"] = masks
+
+    def _key(self) -> tuple:
+        return self.codec.labels, self.masks
 
     @property
     def ground(self) -> tuple[str, ...]:
@@ -75,14 +79,6 @@ class SimplicialComplex:
     def dim(self) -> int:
         """Dimension; the void complex reports -2 by convention."""
         return max(map(int.bit_count, self.masks)) - 1 if self.masks else -2
-
-    def __eq__(self, other):
-        if not isinstance(other, SimplicialComplex):
-            return NotImplemented
-        return self.codec.labels == other.codec.labels and self.masks == other.masks
-
-    def __hash__(self):
-        return hash((self.codec.labels, self.masks))
 
     def __repr__(self):
         return f"SimplicialComplex({len(self.codec.labels)} vertices, {len(self.masks)} facets)"
@@ -271,7 +267,7 @@ def verify_shelling(ground: int, order: list[int]) -> ShellingCheck:
     facets before j: the lowest bit left is the first i with R_j inside
     F_i, so both find the same failure pair with O(F * s) ANDs of F-bit
     ints for the second. Per-pair witnesses are built only by
-    ``shelling --json`` (``_witnesses``), and a passing check counts
+    ``shelling --json`` (``cli._witnesses``), and a passing check counts
     F(F-1)/2.
     """
     if any(m & ~ground for m in order):
@@ -298,21 +294,6 @@ def verify_shelling(ground: int, order: list[int]) -> ShellingCheck:
                 i = (cover & -cover).bit_length() - 1
                 return ShellingCheck(ok=False, pure=True, failure_pair=(i, j))
     return ShellingCheck(ok=True, pure=True, witness_count=n * (n - 1) // 2)
-
-
-def _witnesses(masks) -> list[tuple[int, int, int, int]]:
-    """For each pair i < j of a shelling order of facet masks, ``(i, j, k,
-    v)`` with v the index of the vertex in F_j - F_i and k < j the first
-    facet with F_j - F_k = {v}: the smallest first index over v in R_j - F_i.
-    Distinct v in R_j have distinct first indices, since a facet holding
-    F_j - v and F_j - v' would hold F_j."""
-    restrictions = _restrictions(masks)
-    out = []
-    for j in range(1, len(masks)):
-        for i in range(j):
-            k, vbit = min((k, v) for v, k in restrictions[j].items() if v & ~masks[i])
-            out.append((i, j, k, vbit.bit_length() - 1))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +417,7 @@ def _composed_order(layers, cap: int | None = None) -> tuple[int, list[int], She
     ground = 0
     facets = [0]
     for layer in layers:
-        for c, lift in zip(layer.component_facts(), layer.components()):
+        for c, lift in zip(layer.component_facts, layer.components):
             even, order, _ = _facet_vector_order(c, cap)
             if lift[-1] != len(lift) - 1:  # else the lift is the identity
                 even = _lift(even, lift)

@@ -34,9 +34,9 @@ class _Record:
     in constructor order, and ``==`` and ``hash`` compare them as a tuple
     (``_key``); a field left out of ``_fields`` is left out of all three
     unless ``_key`` names it. A subclass writes its fields into its
-    ``__dict__`` (or its slots through ``object.__setattr__``) in
-    ``__init__``; assignment and deletion raise ``FrozenInstanceError``,
-    whose module is imported on that error path only."""
+    ``__dict__`` in ``__init__``; assignment and deletion raise
+    ``FrozenInstanceError``, whose module is imported on that error path
+    only."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -479,27 +479,22 @@ def classify_vertices(f: Forest) -> Classification:
 # 2-colorings
 # ---------------------------------------------------------------------------
 
-class Coloring:
+class Coloring(_Record):
     """A proper 2-coloring, stored as the two color classes, each a sorted
     label tuple as given."""
 
-    __slots__ = ("blue", "red")
+    _fields = ("blue", "red")
 
     def __init__(self, blue: VertexSet, red: VertexSet):
-        self.blue = blue
-        self.red = red
+        d = self.__dict__
+        d["blue"] = blue
+        d["red"] = red
 
     @classmethod
     def of_flags(cls, labels, blue) -> Coloring:
         """Blue the labels whose flag in ``blue`` is set, red the rest,
         both in the order of ``labels``."""
         return cls(tuple(compress(labels, blue)), tuple(compress(labels, map(not_, blue))))
-
-    def __eq__(self, other):
-        return isinstance(other, Coloring) and (self.blue, self.red) == (other.blue, other.red)
-
-    def __repr__(self):
-        return f"Coloring(blue={self.blue}, red={self.red})"
 
 
 def _blue_flags(f: Forest) -> list[bool]:

@@ -28,7 +28,17 @@ from __future__ import annotations
 
 from .domination import MinimalSetFamily, minimal_transversal_masks
 from .errors import NotSquareFreeError, TheoremViolation
-from .graphs import Ground, VertexSet, _bit_indices, _columns, _fact, _graph_of, _lift, vset
+from .graphs import (
+    Ground,
+    VertexSet,
+    _bit_indices,
+    _columns,
+    _fact,
+    _graph_of,
+    _lift,
+    _Record,
+    vset,
+)
 
 # Decompositions of at least this many supports are tested for
 # irredundancy column-wise (``_has_comparable_pair``); below it the pair
@@ -37,7 +47,7 @@ from .graphs import Ground, VertexSet, _bit_indices, _columns, _fact, _graph_of,
 _COLUMNS_FROM = 64
 
 
-class MonomialIdeal:
+class MonomialIdeal(_Record):
     """A square-free monomial ideal over the labels of ``ground``, a
     ``Ground`` whose labels are the variables. ``rows`` holds the minimal
     generators as sorted index tuples over it, in grlex order (size, then
@@ -45,11 +55,13 @@ class MonomialIdeal:
     zero ideal. Two ideals are equal when their variables and rows are.
     """
 
-    __slots__ = ("ground", "rows")
-
     def __init__(self, ground: Ground, rows: tuple[tuple[int, ...], ...]):
-        self.ground = ground
-        self.rows = rows
+        d = self.__dict__
+        d["ground"] = ground
+        d["rows"] = rows
+
+    def _key(self) -> tuple:
+        return self.ground.labels, self.rows
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -74,14 +86,6 @@ class MonomialIdeal:
         if self.is_zero:
             return "0"
         return ", ".join(self.generator_strings())
-
-    def __eq__(self, other):
-        if not isinstance(other, MonomialIdeal):
-            return NotImplemented
-        return self.ground.labels == other.ground.labels and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.ground.labels, self.rows))
 
     def __repr__(self):
         return f"MonomialIdeal<{self.render()}>"
@@ -177,7 +181,7 @@ def open_neighborhood_ideal(g, s=None) -> MonomialIdeal:
 # Decomposition
 # ---------------------------------------------------------------------------
 
-class PrimeDecomposition:
+class PrimeDecomposition(_Record):
     """Irredundant intersection of variable primes, optionally shifted by a
     shared pure-power ideal (the parametric form).
 
@@ -190,11 +194,17 @@ class PrimeDecomposition:
     are.
     """
 
+    _fields = ("variables", "supports", "pure_powers")
+
     def __init__(self, ground: Ground, masks: tuple[int, ...],
                  pure_powers: tuple[int, ...] | None = None):
-        self.ground = ground
-        self.masks = masks
-        self.pure_powers = pure_powers
+        d = self.__dict__
+        d["ground"] = ground
+        d["masks"] = masks
+        d["pure_powers"] = pure_powers
+
+    def _key(self) -> tuple:
+        return self.ground.labels, self.masks, self.pure_powers
 
     @classmethod
     def from_family(cls, family: MinimalSetFamily) -> PrimeDecomposition:
@@ -212,19 +222,6 @@ class PrimeDecomposition:
 
     def __len__(self):
         return len(self.masks)
-
-    def __eq__(self, other):
-        if not isinstance(other, PrimeDecomposition):
-            return NotImplemented
-        return (self.ground.labels == other.ground.labels and self.masks == other.masks
-                and self.pure_powers == other.pure_powers)
-
-    def __hash__(self):
-        return hash((self.ground.labels, self.masks, self.pure_powers))
-
-    def __repr__(self):
-        return (f"PrimeDecomposition(variables={self.variables!r}, "
-                f"supports={self.supports!r}, pure_powers={self.pure_powers!r})")
 
     def to_ideal(self) -> MonomialIdeal:
         """The intersection of the primes, re-expanded by pairwise lcms on

@@ -96,29 +96,26 @@ class UnmixedCertificate(_Record):
     equal when verdict and checklists are.
 
     ``checks`` may also be given as a function that returns the tuple; it
-    runs on the first read of ``checks`` (or of ``==``).
-    ``Analysis`` does so, so reading the verdict alone builds no
-    ComponentCheck."""
+    runs when ``checks`` (or ``==``) is first read. ``Analysis`` does so,
+    so reading the verdict alone builds no ComponentCheck."""
 
-    __slots__ = ("unmixed", "_checks")
     _fields = ("unmixed", "checks")
 
     def __init__(self, unmixed: bool, checks: tuple[ComponentCheck, ...]):
-        object.__setattr__(self, "unmixed", unmixed)
-        object.__setattr__(self, "_checks", checks)
+        d = self.__dict__
+        d["unmixed"] = unmixed
+        d["_build" if callable(checks) else "checks"] = checks
 
-    @property
+    @_fact
     def checks(self) -> tuple[ComponentCheck, ...]:
-        checks = self._checks
-        if callable(checks):
-            checks = checks()
-            object.__setattr__(self, "_checks", checks)
+        checks = self._build()
+        del self.__dict__["_build"]  # it holds the layers that it reads
         return checks
 
     def __reduce__(self):
         # pickle and copy rebuild through __init__, which the frozen
         # __setattr__ leaves as the only way in; reading ``checks`` resolves
-        # a lazy tuple, whose function could not be pickled
+        # a pending function, which could not be pickled
         return self.__class__, (self.unmixed, self.checks)
 
 
@@ -249,7 +246,7 @@ class _Layer:
     must agree) and leaves the component's marks. The unmixed verdict is
     read off the marks; the components as sorted index lists (index order
     is label order, so these come in ``Forest.component_indices`` order)
-    and their checklists are built on first use.
+    and their checklists are built when first read.
 
     ``blue`` flags the blue vertices of a 2-coloring of ``graph`` and
     ``side`` labels the checks. A layer of a tree serves its interior side
@@ -259,9 +256,6 @@ class _Layer:
     indices as its map into ``graph``. The forest of the kept vertices
     (``forest``) is built only for the label view, ``Analysis.interiors``.
     """
-
-    __slots__ = ("graph", "side", "blue", "keep", "nbrs", "height", "parts",
-                 "marks", "balanced", "_sorted", "_checks", "_facts")
 
     def __init__(self, graph: Graph, blue: list[bool], side: str, dropped: list[int]):
         adj = graph.adj
@@ -285,8 +279,6 @@ class _Layer:
         self.height = leaf_distances(nbrs, kept)
         self.parts = []
         self.marks = []
-        self._sorted = False
-        self._checks = self._facts = None
         c1, c2, c3 = _walk(self, kept)
         if not (c1 == c2 == c3):
             raise TheoremViolation(
@@ -298,46 +290,43 @@ class _Layer:
         """Every component has height at most 3 and no bad vertex."""
         return all(top <= 3 and bad2 is None and bad1 is None for top, bad2, bad1 in self.marks)
 
+    @_fact
     def components(self) -> list[list[int]]:
         """The components as sorted index lists, in the order of their
         smallest indices."""
-        if not self._sorted:
-            for part in self.parts:
-                part.sort()
-            self._sorted = True
+        for part in self.parts:
+            part.sort()
         return self.parts
 
+    @_fact
     def checks(self) -> tuple[ComponentCheck, ...]:
-        """The checklist of each component, built on the first call."""
-        if self._checks is None:
-            self._checks = tuple([_check_component(self, comp, marks)
-                                  for comp, marks in zip(self.components(), self.marks)])
-        return self._checks
+        """The checklist of each component."""
+        return tuple([_check_component(self, comp, marks)
+                      for comp, marks in zip(self.components, self.marks)])
 
+    @_fact
     def component_facts(self) -> tuple[Analysis, ...]:
-        """Analyses of the component trees, built on the first call. The
-        tree of a component is ``graph.subgraph`` of its sorted indices (or
-        ``graph`` itself when it holds every vertex), so vertex k of the
-        tree is vertex ``components()[k]`` of ``graph``. A height is the
-        distance to the nearest leaf of the vertex's own component, so each
-        component's heights and checklist are the layer's restricted to it;
-        the criteria hold per component, so those of a balanced layer are
-        balanced, and their characterization is read off their checklist
-        with no layer of their own."""
-        if self._facts is None:
-            graph, height = self.graph, self.height
-            balanced = bool(self.parts) and self.balanced
-            facts = []
-            for comp, check in zip(self.components(), self.checks()):
-                sub = graph if len(comp) == graph.n else graph.subgraph(comp)
-                c = Analysis(Tree.with_components(sub, [list(range(sub.n))]))
-                c.height = [height[i] for i in comp]
-                if balanced:
-                    c.balanced = True
-                    c.characterization = UnmixedCertificate(check.ok, (check,))
-                facts.append(c)
-            self._facts = tuple(facts)
-        return self._facts
+        """Analyses of the component trees. The tree of a component is
+        ``graph.subgraph`` of its sorted indices (or ``graph`` itself when
+        it holds every vertex), so vertex k of the tree is vertex
+        ``components[k]`` of ``graph``. A height is the distance to the
+        nearest leaf of the vertex's own component, so each component's
+        heights and checklist are the layer's restricted to it; the criteria
+        hold per component, so those of a balanced layer are balanced, and
+        their characterization is read off their checklist with no layer of
+        their own."""
+        graph, height = self.graph, self.height
+        balanced = bool(self.parts) and self.balanced
+        facts = []
+        for comp, check in zip(self.components, self.checks):
+            sub = graph if len(comp) == graph.n else graph.subgraph(comp)
+            c = Analysis(Tree.with_components(sub, [list(range(sub.n))]))
+            c.height = [height[i] for i in comp]
+            if balanced:
+                c.balanced = True
+                c.characterization = UnmixedCertificate(check.ok, (check,))
+            facts.append(c)
+        return tuple(facts)
 
     def dropped(self) -> VertexSet:
         """The dropped vertices, as a sorted label tuple."""
@@ -348,7 +337,7 @@ class _Layer:
         vertex is the count of kept vertices before it."""
         kept = list(compress(range(self.graph.n), self.keep))
         rank = list(accumulate(self.keep))
-        components = [[rank[i] - 1 for i in comp] for comp in self.components()]
+        components = [[rank[i] - 1 for i in comp] for comp in self.components]
         return Forest.with_components(self.graph.subgraph(kept), components)
 
 
@@ -466,7 +455,7 @@ class Analysis:
         """The interior-graph unmixedness test (``is_unmixed_fast``)."""
         blue, red = self.interior_layers
         return UnmixedCertificate(blue.unmixed() and red.unmixed(),
-                                  lambda: blue.checks() + red.checks())
+                                  lambda: blue.checks + red.checks)
 
     @_fact
     def characterization(self) -> UnmixedCertificate:
@@ -474,7 +463,7 @@ class Analysis:
         if not self.balanced:
             raise NotBalancedError("characterization requires a balanced tree")
         layer = self._tree_layer()
-        return UnmixedCertificate(layer.unmixed(), layer.checks)
+        return UnmixedCertificate(layer.unmixed(), lambda: layer.checks)
 
     @_fact
     def support_rows(self) -> tuple[tuple[int, ...], ...]:

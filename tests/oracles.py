@@ -20,7 +20,8 @@ the interior forests, the join order
 of ``stable_shelling`` lifted from interior forests through labels,
 parametric supports, edge and odd neighborhood ideals) that the package itself does
 not need, the pairwise shelling scan that restriction sets replaced,
-Reisner's criterion for Cohen-Macaulayness over GF(2) on facet masks, and
+Reisner's criterion for Cohen-Macaulayness over GF(2) on facet masks, the
+h-vector of a complex and the Hilbert function of an Artinian reduction, and
 the label-form complex builder (deduplication, ground check and pairwise
 maximality filter), shelling check and purity test of a complex, and the
 label-tuple builds of the even-stable complex and of a join, which the
@@ -58,7 +59,7 @@ import json
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, compress, product
-from math import prod
+from math import comb, prod
 
 from totaldom.complexes import (
     ShellingCheck,
@@ -633,7 +634,7 @@ def component_facts(facts: Analysis) -> tuple[Analysis, ...]:
     """The Analyses of the component trees of ``facts``, those of its layer
     (``_Layer.component_facts``): an interior side's (``sides``) are the
     very objects that the shelling and the type read."""
-    return facts._layer.component_facts()
+    return facts._layer.component_facts
 
 
 def is_pure(d: SimplicialComplex) -> bool:
@@ -726,6 +727,20 @@ def _rank_gf2(rows) -> int:
     return len(pivots)
 
 
+def _faces(masks) -> set[int]:
+    """Every face of the complex that the facet masks generate: each
+    submask of a facet, the facet itself and 0 included."""
+    faces = set()
+    for f in masks:
+        sub = f
+        while True:
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & f
+    return faces
+
+
 def is_cm_by_reisner(masks) -> bool:
     """Whether the complex with facet masks ``masks`` is Cohen-Macaulay over
     GF(2), by Reisner's criterion: it is pure and, for every face F (the
@@ -735,14 +750,7 @@ def is_cm_by_reisner(masks) -> bool:
     mask of a face's facets over an index of the faces one size down."""
     if len({m.bit_count() for m in masks}) > 1:
         return False
-    faces = set()
-    for f in masks:
-        sub = f
-        while True:  # every submask of f, f itself and 0 included
-            faces.add(sub)
-            if not sub:
-                break
-            sub = (sub - 1) & f
+    faces = _faces(masks)
     for face in faces:
         by_size: dict[int, list[int]] = {}
         for g in faces:
@@ -765,6 +773,46 @@ def is_cm_by_reisner(masks) -> bool:
             if len(by_size[k]) - ranks[k] - ranks[k + 1]:
                 return False
     return True
+
+
+def h_vector(masks) -> list[int]:
+    """The h-vector of the complex that the facet masks generate, from its
+    f-vector by h_k = sum over i <= k of (-1)^(k-i) C(d-i, k-i) f_i, with
+    f_i the number of faces of i vertices (f_0 = 1, the empty face) and d
+    the size of the largest facet."""
+    f = [0] * (max(m.bit_count() for m in masks) + 1)
+    for face in _faces(masks):
+        f[face.bit_count()] += 1
+    d = len(f) - 1
+    return [sum((-1) ** (k - i) * comb(d - i, k - i) * f[i] for i in range(k + 1))
+            for k in range(d + 1)]
+
+
+def hilbert_function(powers, masks) -> list[int]:
+    """The Hilbert function of the quotient by the pure powers
+    x_k^powers[k] and the square-free monomials ``masks`` (bit k for
+    variable k), up to its last nonzero value: by degree, the number of
+    monomials x^a with 0 <= a_k < powers[k] whose support contains no mask.
+    Each allowed support S adds the product over k in S of
+    t + t^2 + ... + t^(powers[k] - 1)."""
+    out = []
+    for support in range(1 << len(powers)):
+        if any(m & support == m for m in masks):
+            continue
+        counts = [1]
+        for k in range(len(powers)):
+            if support >> k & 1:
+                grown = [0] * (len(counts) + powers[k] - 1)
+                for i, c in enumerate(counts):
+                    for e in range(1, powers[k]):
+                        grown[i + e] += c
+                counts = grown
+        out += [0] * (len(counts) - len(out))
+        for i, c in enumerate(counts):
+            out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def shelling_by_pairs(d: SimplicialComplex, order):

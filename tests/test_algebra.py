@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     even_heights,
+    h_vector,
+    hilbert_function,
     level,
     odd_heights,
     parametric_supports_from_ideal,
@@ -34,7 +36,7 @@ from totaldom.algebra import (
 )
 from totaldom.construct import generate
 from totaldom.domination import minimal_td_sets
-from totaldom.complexes import stable_shelling
+from totaldom.complexes import even_stable_complex, stable_shelling
 from totaldom.errors import (
     EnumerationCapExceeded,
     MixedTreeError,
@@ -324,8 +326,31 @@ def _reductions_for_the_renderer():
         if facts.balanced:
             yield artinian_reduction(facts), facts
         for layer in facts.interior_layers:
-            for comp in layer.component_facts():
+            for comp in layer.component_facts:
                 yield artinian_reduction(comp), comp
+
+
+def test_hilbert_function_of_the_reduction_is_the_h_vector():
+    # for a Cohen-Macaulay complex the Artinian reduction by a linear system
+    # of parameters has the h-vector as its Hilbert function (Stanley,
+    # Combinatorics and Commutative Algebra, II); this ties the rows and the
+    # masks of the reduction to the complex with no shelling in between
+    assert h_vector([0b011, 0b110, 0b101]) == [1, 1, 1]  # the triangle's boundary
+    assert h_vector([0b0011, 0b1100]) == [1, 2, -1]  # two disjoint edges, not CM
+    assert hilbert_function((2, 3), (0b11,)) == [1, 2, 1]  # 1; x, y; y^2
+    trees = [*unmixed_corpus(5, 25), *unmixed_corpus(424242, 100)]
+    trees += [t for t, _ in balanced_corpus(7, 40)]
+    checked = 0
+    for t in trees:
+        for layer in Analysis(t).interior_layers:
+            for comp in layer.component_facts:
+                red = artinian_reduction(comp)
+                h = h_vector(even_stable_complex(comp).masks)
+                while h and not h[-1]:
+                    h.pop()
+                assert hilbert_function(red.powers, red.masks) == h
+                checked += 1
+    assert checked >= 500
 
 
 def test_reduction_texts_and_supports_match_the_label_twins():

@@ -417,17 +417,16 @@ def test_shelling_command(capsys, p6_file):
 
 
 def count_witness_builds(monkeypatch) -> list:
-    """Count the witness lists built through either binding of the builder:
-    ``complexes._witnesses`` and the name ``cli`` imports."""
+    """Count the witness lists built through ``cli._witnesses``, the one
+    binding of the builder."""
     built = []
-    original = complexes._witnesses
+    original = cli._witnesses
 
     def counted(masks):
         built.append(len(masks))
         return original(masks)
 
-    for module in (complexes, cli):
-        monkeypatch.setattr(module, "_witnesses", counted)
+    monkeypatch.setattr(cli, "_witnesses", counted)
     return built
 
 

@@ -663,7 +663,7 @@ def test_stable_shelling_rejects_a_failing_component_order(monkeypatch):
         d, facets, vectors = vector_order(facts, cap)
         if patched:
             return d, facets, vectors
-        patched.append("blue" if facts in blue.component_facts() else "red")
+        patched.append("blue" if facts in blue.component_facts else "red")
         assert not verify_shelling(d, facets[::-1]).ok
         return d, facets[::-1], vectors[::-1]
 

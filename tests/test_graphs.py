@@ -341,7 +341,7 @@ def test_component_trees_and_interiors_never_scan_all_edges(monkeypatch):
         assert calls == [interiors.blue.graph.n, interiors.red.graph.n]
         for layer, side in zip(Analysis(t).interior_layers, (interiors.blue, interiors.red)):
             calls.clear()
-            comps = [c.forest for c in layer.component_facts()]
+            comps = [c.forest for c in layer.component_facts]
             assert calls == [comp.graph.n for comp in comps if comp.graph.n < t.graph.n]
             for comp in comps:
                 assert set(comp.graph.labels) <= set(side.labels)

@@ -461,7 +461,7 @@ def test_parametric_mask_check_rejects_each_corruption():
     seen = set()
     for t in trees:
         for layer in Analysis(t).interior_layers:
-            for comp in layer.component_facts():
+            for comp in layer.component_facts:
                 red = artinian_reduction(comp)
                 dec = parametric_decomposition(red, comp)
                 validate_decomposition(dec, red)

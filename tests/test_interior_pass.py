@@ -61,12 +61,12 @@ def assert_matches_oracle(t: Tree) -> None:
     assert interiors_key(facts.interiors) == interiors_key(interiors_by_forests(t))
     assert facts.balanced == balanced_by_criteria(t)
     assert dict(zip(t.labels, facts.height)) == heights(t)
-    assert facts._layer.checks() == (check_component_by_tree(t, "self"),)
+    assert facts._layer.checks == (check_component_by_tree(t, "self"),)
     # the side and component objects built later carry the same facts; a
     # component's own layer labels its check "self"
     for side in sides(facts):
-        for comp, check in zip(component_facts(side), side._layer.checks()):
-            assert comp._layer.checks() == (check._replace(side="self"),)
+        for comp, check in zip(component_facts(side), side._layer.checks):
+            assert comp._layer.checks == (check._replace(side="self"),)
             assert dict(zip(comp.forest.labels, comp.height)) == heights(comp.forest)
 
 

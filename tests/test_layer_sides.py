@@ -123,8 +123,8 @@ def test_sides_hold_the_components_of_their_layers():
     t = graphs.path_graph(9)
     facts = Analysis(t)
     for side, layer in zip(sides(facts), facts.interior_layers):
-        assert component_facts(side) is layer.component_facts()
-        for comp, lift in zip(component_facts(side), layer.components()):
+        assert component_facts(side) is layer.component_facts
+        for comp, lift in zip(component_facts(side), layer.components):
             assert comp.forest.labels == tuple([t.graph.labels[i] for i in lift])
 
 
@@ -145,7 +145,7 @@ def test_shelling_type_and_report_build_no_interior_forest(monkeypatch):
     monkeypatch.setattr(graphs.Graph, "subgraph", counted)
     for seed, steps in ((0, 0), (1, 2), (3, 4), (11, 6)):
         t = generate(seed, steps)[0]
-        components = [c for layer in Analysis(t).interior_layers for c in layer.components()
+        components = [c for layer in Analysis(t).interior_layers for c in layer.components
                       if len(c) < t.graph.n]
         induced.clear()
         report = json.loads(_run(["analyze", "-", "--json"], t))

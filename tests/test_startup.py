@@ -18,11 +18,19 @@ import pytest
 
 from oracles import Monomial
 from totaldom.algebra import ArtinianReduction, TypeReport
-from totaldom.complexes import ShellingCheck, ShellingOrder
+from totaldom.complexes import ShellingCheck, ShellingOrder, SimplicialComplex
 from totaldom.construct import ConstructionTrace, TraceStep
 from totaldom.domination import MinimalSetFamily
-from totaldom.graphs import Classification, Forest, Graph, Ground, _fact, path_graph
-from totaldom.unmixed import ComponentCheck, InteriorGraphs, UnmixedCertificate
+from totaldom.graphs import Classification, Coloring, Forest, Graph, Ground, _fact, path_graph
+from totaldom.ideals import MonomialIdeal, PrimeDecomposition
+from totaldom.unmixed import (
+    Analysis,
+    ComponentCheck,
+    InteriorGraphs,
+    UnmixedCertificate,
+    _Layer,
+    is_unmixed_fast,
+)
 from totaldom.verify import CheckResult
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -160,6 +168,72 @@ def test_shelling_order_matches_its_dataclass():
     for name in ("ground", "facets"):
         assert isinstance(ShellingOrder.__dict__[name], _fact)
         assert getattr(r, name) is getattr(r, name)
+
+
+# (class, constructor over a ground, repr, what == and hash compare or None
+# for a class that was not hashable before it became a record, variants that
+# differ, fields); a Coloring holds no ground and ignores it
+INDEX_RECORDS = [
+    (Coloring, lambda g: Coloring(("a",), ("b", "c")),
+     "Coloring(blue=('a',), red=('b', 'c'))", None,
+     [Coloring(("b", "c"), ("a",)), Coloring(("a",), ("b",))], ("blue", "red")),
+    (MonomialIdeal, lambda g: MonomialIdeal(g, ((0, 1), (2,))),
+     "MonomialIdeal<a*b, c>", (("a", "b", "c"), ((0, 1), (2,))),
+     [MonomialIdeal(Ground("abd"), ((0, 1), (2,))), MonomialIdeal(Ground("abc"), ((0, 1),))],
+     ("ground", "rows")),
+    (PrimeDecomposition, lambda g: PrimeDecomposition(g, (3, 4), (2, 1, 3)),
+     "PrimeDecomposition(variables=('a', 'b', 'c'), supports=(('a', 'b'), ('c',)), "
+     "pure_powers=(2, 1, 3))", (("a", "b", "c"), (3, 4), (2, 1, 3)),
+     [PrimeDecomposition(Ground("abc"), (3, 4)), PrimeDecomposition(Ground("abc"), (3,), (2, 1, 3)),
+      PrimeDecomposition(Ground("abd"), (3, 4), (2, 1, 3))],
+     ("ground", "masks", "pure_powers", "supports")),
+    (SimplicialComplex, lambda g: SimplicialComplex(g, (3, 4)),
+     "SimplicialComplex(3 vertices, 2 facets)", (("a", "b", "c"), (3, 4)),
+     [SimplicialComplex(Ground("abc"), (3,)), SimplicialComplex(Ground("xyz"), (3, 4))],
+     ("codec", "masks", "facets")),
+]
+
+
+@pytest.mark.parametrize("cls, make, shown, key, others, fields", INDEX_RECORDS,
+                         ids=[r[0].__name__ for r in INDEX_RECORDS])
+def test_index_record_compares_the_labels_of_its_ground(cls, make, shown, key, others, fields):
+    # two equal but distinct grounds: the records compare and hash the
+    # labels, never the Ground object
+    one, two = Ground("abc"), Ground("cba")
+    assert one is not two and one.labels == two.labels
+    r, same = make(one), make(two)
+    assert repr(r) == repr(same) == shown
+    assert r == same and not r != same and hash(r) == hash(same)
+    if key is not None:
+        assert hash(r) == hash(key)  # the value that the hand-written __hash__ gave
+    assert r.__eq__(key) is NotImplemented and r != key
+    for other in others:
+        assert r != other and not r == other
+    for name in (*fields, "other"):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(r, name, 1)
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(r, name)
+    assert r == same
+
+
+def test_layer_and_certificate_facts_are_read_once():
+    for cls, names in ((_Layer, ("components", "checks", "component_facts")),
+                       (UnmixedCertificate, ("checks",))):
+        assert "__slots__" not in cls.__dict__
+        for name in names:
+            assert isinstance(cls.__dict__[name], _fact)
+    calls = []
+    cert = UnmixedCertificate(True, lambda: calls.append(1) or ())
+    assert cert.unmixed and calls == []
+    assert cert.checks == () and cert.checks is cert.checks and calls == [1]
+    assert cert == UnmixedCertificate(True, ()) and "_build" not in cert.__dict__
+    facts = Analysis(path_graph(4))
+    layer = facts._layer
+    assert layer.components is layer.components == [[0, 1, 2, 3, 4]]  # path_graph(4) has 5 vertices
+    assert layer.checks is layer.checks and len(layer.checks) == 1
+    assert layer.component_facts is layer.component_facts
+    assert is_unmixed_fast(facts).checks is is_unmixed_fast(facts).checks
 
 
 def test_check_result_stays_mutable_and_unhashable():
