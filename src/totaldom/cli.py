@@ -516,7 +516,10 @@ def _add_common(p, max_sets=True):
     p.add_argument("--json", action="store_true", help="emit the JSON report")
     if max_sets:
         p.add_argument("--max-sets", type=_int_at_least(1), default=None,
-                       help="cap on enumerated set families (error when exceeded)")
+                       help="cap on the working family of each set enumeration, which "
+                            "can outgrow the answer, so a family of MAX_SETS sets or fewer can "
+                            "still exceed it; analyze reports an exceeded cap and exits 0, "
+                            "the other commands exit 2")
 
 
 @functools.cache

@@ -122,14 +122,24 @@ def _columns(masks, width: int) -> list[int]:
 
 class Ground:
     """A sorted, duplicate-free label tuple and its index dict: the codec
-    between label sets and bitmasks, with label ``labels[i]`` as bit i."""
+    between label sets and bitmasks, with label ``labels[i]`` as bit i.
+    The index dict is built on its first read, so a ground that is only
+    walked by index never holds one."""
 
-    __slots__ = ("labels", "index")
+    __slots__ = ("labels", "_index")
 
     def __init__(self, labels):
-        labs = tuple(sorted(set(labels)))
-        self.labels = labs
-        self.index = dict(zip(labs, range(len(labs))))
+        self.labels = tuple(sorted(set(labels)))
+        self._index = None
+
+    @property
+    def index(self) -> dict[str, int]:
+        """Each label's position in ``labels``."""
+        index = self._index
+        if index is None:
+            labels = self.labels
+            index = self._index = dict(zip(labels, range(len(labels))))
+        return index
 
     def mask_of(self, labels) -> int:
         """The bitmask of ``labels``; KeyError on a label outside the ground."""
@@ -160,14 +170,16 @@ class Graph(Ground):
 
     Labels are stored sorted; ``adj[i]`` lists the neighbor indices of the
     i-th label in increasing order, and that is all the graph keeps beside
-    its labels and index. No self-loops, adjacency symmetric by construction.
+    its labels: the index dict is built on its first read. No self-loops,
+    adjacency symmetric by construction.
     """
 
     __slots__ = ("adj",)
 
     def __init__(self, labels, edges):
         super().__init__(labels)
-        labs, index = self.labels, self.index
+        labs = self.labels
+        index = dict(zip(labs, range(len(labs))))  # the edges' codec only
         nbrs = [[] for _ in labs]
         for a, b in edges:
             if a == b:
@@ -187,11 +199,13 @@ class Graph(Ground):
                         break
                     prev = j
             adj.append(tuple(nb))
-        self._set(labs, index, tuple(adj))
+        self.adj = tuple(adj)
 
     def _set(self, labels, index, adj) -> None:
+        """Fill a graph made by ``__new__``; ``index`` is the label index
+        dict, or None to build it on its first read."""
         self.labels = labels
-        self.index = index
+        self._index = index
         self.adj = adj
 
     @classmethod
@@ -223,20 +237,19 @@ class Graph(Ground):
         labels and the neighbor lists stay sorted with no sort and no label
         lookup."""
         labels, adj = self.labels, self.adj
-        vertex = list(range(len(kept)))
-        new_of = dict(zip(kept, vertex))
-        labs = tuple([labels[i] for i in kept])
+        new_of = dict(zip(kept, range(len(kept))))
         sub = Graph.__new__(Graph)
-        sub._set(labs, dict(zip(labs, vertex)), tuple([
+        sub._set(tuple([labels[i] for i in kept]), None, tuple([
             tuple([new_of[j] for j in adj[i] if j in new_of]) for i in kept
         ]))
         return sub
 
     def distances_from(self, v: str) -> dict[str, int]:
         """BFS distances from ``v``; unreachable vertices are absent."""
+        i = self.index[v]
         dist = {v: 0}
-        q = deque([self.index[v]])
-        di = {self.index[v]: 0}
+        q = deque([i])
+        di = {i: 0}
         while q:
             i = q.popleft()
             for j in self.adj[i]:
@@ -372,10 +385,10 @@ def _created(labels, nbrs, tree: bool = True) -> Tree | Graph:
     the positions ``nbrs[p]``, with no repeated edge and no self-loop.
 
     The labels are sorted once and each position is mapped to its rank, so
-    the neighbor lists come out as sorted tuples of the int objects that the
-    index dict holds. With ``tree`` the caller built a tree, which is
-    returned through ``Tree.with_components`` with no search; else the
-    graph itself.
+    the neighbor lists come out as sorted tuples of one int object per
+    vertex, and no index dict is built. With ``tree`` the caller built a
+    tree, which is returned through ``Tree.with_components`` with no
+    search; else the graph itself.
     """
     if tree and not labels:
         raise NotATreeError("expected a tree, got 0 components")
@@ -391,7 +404,7 @@ def _created(labels, nbrs, tree: bool = True) -> Tree | Graph:
         nb.sort()
         adj.append(tuple(nb))
     g = Graph.__new__(Graph)
-    g._set(labs, dict(zip(labs, vertex)), tuple(adj))
+    g._set(labs, None, tuple(adj))
     return Tree.with_components(g, [vertex]) if tree else g
 
 
@@ -588,6 +601,14 @@ def _ahu(adj, root: int, parent: int) -> str:
     grows while it is walked (breadth-first), so the children of
     ``order[k]`` are the slice ``order[first[k]:first[k + 1]]``, and walking
     it backwards finishes every child before its parent.
+
+    The codes list is cut as it is read: when ``order[k]`` comes up, every
+    code from ``first[k + 1]`` on has been read by a later vertex and taken
+    off, so the list ends with the codes of its children, which are taken
+    off to build its own. The list thus holds only codes not yet read, and
+    memory is linear in n; a path would otherwise hold codes of every
+    length up to 2n. Two children, common in random trees, are ordered by
+    one comparison instead of a sort and a join.
     """
     order = [root]
     up = [parent]  # up[k] is the parent of order[k]
@@ -601,14 +622,19 @@ def _ahu(adj, root: int, parent: int) -> str:
                 up.append(v)
     first.append(len(order))
     codes = [""] * len(order)
-    for k in range(len(order) - 1, -1, -1):
-        lo, hi = first[k], first[k + 1]
+    pop = codes.pop
+    for k, lo, hi in zip(range(len(order) - 1, -1, -1), reversed(first[:-1]), reversed(first)):
         if lo == hi:  # a leaf
             codes[k] = "()"
         elif hi - lo == 1:  # one child: nothing to sort
-            codes[k] = "(" + codes[lo] + ")"
+            codes[k] = "(" + pop() + ")"
+        elif hi - lo == 2:
+            b = pop()
+            a = pop()
+            codes[k] = "(" + a + b + ")" if a <= b else "(" + b + a + ")"
         else:
-            kids = codes[lo:hi]
+            kids = codes[lo:]
+            del codes[lo:]
             kids.sort()
             codes[k] = "(" + "".join(kids) + ")"
     return codes[0]

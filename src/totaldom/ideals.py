@@ -161,7 +161,11 @@ def open_neighborhood_ideal(g, s=None) -> MonomialIdeal:
     divides every later one.
     """
     g = _graph_of(g)
-    targets = range(g.n) if s is None else [g.index[v] for v in vset(s)]
+    if s is None:
+        targets = range(g.n)
+    else:
+        index = g.index
+        targets = [index[v] for v in vset(s)]
     adj = g.adj
     supports = {adj[i] for i in targets}
     by_low: dict[int, list[tuple[int, ...]]] = {}

@@ -99,13 +99,13 @@ def random_tree(rng: Lcg64, n: int) -> Tree:
     the smallest current leaf, in one forward scan for the next leaf. The
     labels of ``_tree_labels`` are in index order and the decoded graph is a
     tree, so the graph is built as ``Graph.subgraph`` builds its result, with
-    no label sort, index lookups or cycle check.
+    no label sort, index dict or cycle check.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     labels = tuple(_tree_labels(n))
-    # one int object per index, shared by the neighbor lists and the index
-    # dict as in a parsed graph; a fresh int per entry would take 32 bytes
+    # one int object per index, shared by the neighbor lists as in a parsed
+    # graph; a fresh int per entry would take 32 bytes
     vertex = list(range(n))
     nbrs = [[] for _ in labels]
     if n > 1:
@@ -131,5 +131,5 @@ def random_tree(rng: Lcg64, n: int) -> Tree:
     for nb in nbrs:
         nb.sort()
     g = Graph.__new__(Graph)
-    g._set(labels, dict(zip(labels, vertex)), tuple([tuple(nb) for nb in nbrs]))
+    g._set(labels, None, tuple([tuple(nb) for nb in nbrs]))
     return Tree.with_components(g, [vertex])

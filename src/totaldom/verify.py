@@ -286,7 +286,8 @@ def check_join_theorem(seed: int = 424242, count: int = 100) -> CheckResult:
         joined = join(
             even_stable_complex(interiors.blue), even_stable_complex(interiors.red)
         )
-        lift = [t.graph.index[v] for v in joined.ground]
+        index = t.graph.index
+        lift = [index[v] for v in joined.ground]
         if tuple(sorted([_lift(m, lift) for m in joined.masks])) != stable_complex(t.graph).masks:
             failures.append(f"facet mismatch on {canonical_form(t)}")
     return _result("join-theorem", start, failures, len(corpus), "facet sets equal")

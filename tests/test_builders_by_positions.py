@@ -36,7 +36,15 @@ from totaldom.construct import (
     replay,
     suspension,
 )
-from totaldom.graphs import Forest, Graph, Tree, path_graph, star_graph
+from totaldom.graphs import (
+    Forest,
+    Graph,
+    Tree,
+    parse_graph,
+    path_graph,
+    render_edge_list,
+    star_graph,
+)
 from totaldom.treegen import Lcg64, random_tree, trees_up_to
 from totaldom.unmixed import Analysis, interior_graphs
 from totaldom.verify import unmixed_corpus
@@ -125,8 +133,17 @@ def test_subgraph_matches_the_label_induced_graph():
                 assert _outcome(lambda: tree) == _outcome(Tree, induced_by_labels(sub, labels))
 
 
-def test_built_adjacency_shares_the_index_ints():
-    # one int object per index, as in a parsed graph
-    for t in (path_graph(600), generate(3, 200)[0], suspension(random_tree(Lcg64(1), 300))):
-        g = t.graph
-        assert all(j is g.index[g.labels[j]] for nb in g.adj for j in nb)
+def test_built_graphs_hold_one_int_per_vertex_and_no_index_until_read():
+    built = [t.graph for t in (path_graph(600), generate(3, 200)[0],
+                               suspension(random_tree(Lcg64(1), 300)),
+                               random_tree(Lcg64(2), 700))]
+    parsed = parse_graph(render_edge_list(built[1]))
+    for g in built + [parsed, parsed.subgraph(list(range(0, parsed.n, 2)))]:
+        assert g._index is None
+        # one int object per vertex: a fresh int per entry would take 32 bytes
+        first = {}
+        assert all(first.setdefault(j, j) is j for nb in g.adj for j in nb)
+        assert sorted(first) == [j for j in range(g.n) if g.adj[j]]
+        index = g.index
+        assert index == dict(zip(g.labels, range(g.n)))
+        assert g.index is index

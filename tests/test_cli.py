@@ -164,6 +164,37 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(analyzed.stdout)["minimal_td_sets"]["count"] == 3
 
 
+# the spider with three legs of length 3: exactly 7 minimal TD-sets
+SPIDER_TEXT = "t0 t1\nt0 t2\nt0 t3\nt1 t4\nt2 t5\nt3 t6\nt4 t7\nt5 t8\nt6 t9\n"
+
+
+def _analyze_spider(cap: int) -> str:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "totaldom", "analyze", "-", "--max-sets", str(cap)],
+        input=SPIDER_TEXT, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    # analyze reports an exceeded cap in its report, with no error exit
+    assert (done.returncode, done.stderr) == (0, "")
+    return done.stdout
+
+
+def test_spider_family_above_the_cap_is_reported_exceeded():
+    assert len(domination.minimal_td_sets(parse_graph(SPIDER_TEXT))) == 7
+    out = _analyze_spider(6)
+    assert "minimal TD-sets: enumeration cap exceeded" in out
+    assert "decomposition: enumeration cap exceeded" in out
+
+
+@pytest.mark.xfail(strict=True, reason="the cap bounds the engine's working family, "
+                   "which peaks above the spider's 7 sets (ROADMAP item 18)")
+def test_spider_family_at_the_cap_is_reported_in_full():
+    out = _analyze_spider(7)
+    assert "minimal TD-sets (7, sizes [6]):" in out
+    assert "cap exceeded" not in out
+
+
 def test_analyze_shares_one_analysis_on_unmixed_trees(capsys, tmp_path, monkeypatch):
     # shelling and type read the facts the report already computed: one
     # fast test, one interior split, one component check per interior

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -295,11 +296,12 @@ def test_iterative_ahu_matches_recursive():
 
 
 def test_canonical_form_of_long_path():
-    # 10^4 vertices, far beyond the default recursion limit; bicentral, so
-    # the code is "E" plus the two equal halves (nested 5000 deep)
+    # 10^4 and 10^5 vertices, far beyond the default recursion limit;
+    # bicentral, so the code is "E" plus the two equal halves (nested n/2 deep)
+    for n in (10_000, 10**5):
+        half = "(" * (n // 2) + ")" * (n // 2)
+        assert canonical_form(path_graph(n - 1)) == "[E" + half + half + "]"
     n = 10_000
-    half = "(" * (n // 2) + ")" * (n // 2)
-    assert canonical_form(path_graph(n - 1)) == "[E" + half + half + "]"
     labels = [f"p{(i * 7919) % n}" for i in range(n)]
     shuffled = Tree.from_edges(zip(labels, labels[1:]))
     assert is_isomorphic(shuffled, path_graph(n - 1))
@@ -317,6 +319,31 @@ def test_canonical_form_of_long_caterpillar():
     assert canonical_form(relabeled) == canonical_form(t)
     moved = Tree.from_edges(list(zip(spine, spine[1:])) + legs[1:] + [(spine[10], "extra")])
     assert canonical_form(moved) != canonical_form(t)
+
+
+def _peak_bytes(call, *args) -> int:
+    """The tracemalloc peak of ``call(*args)``."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _spine_caterpillar(m: int) -> Tree:
+    spine = [f"c{i}" for i in range(m)]
+    return Tree.from_edges(list(zip(spine, spine[1:])) + [(v, f"{v}x") for v in spine[9:-1:9]])
+
+
+@pytest.mark.parametrize("shape", [lambda n: path_graph(n - 1), _spine_caterpillar],
+                         ids=["path", "caterpillar"])
+def test_canonical_form_memory_is_linear(shape):
+    # a child's code is freed once its parent's code is built, so the peak
+    # grows as n; keeping every code to the end made it grow as n^2 on long
+    # paths (a ratio of about 16 between these two sizes)
+    small, large = (_peak_bytes(canonical_form, shape(n)) for n in (10_000, 40_000))
+    assert large <= 6 * small
 
 
 def test_component_trees_and_interiors_never_scan_all_edges(monkeypatch):
