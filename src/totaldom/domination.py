@@ -306,29 +306,46 @@ def _minimal_s_td_family(g: Graph, target, cap: int | None, adj=None) -> Minimal
     sets are then found in the tree's indices."""
     if adj is None:
         adj = g.adj
-    # N(v) as a bitmask per vertex: O(n^2) bits, so built here, not kept
-    masks = []
-    for nb in adj:
-        m = 0
-        for j in nb:
-            m |= 1 << j
-        masks.append(m)
+    masks = _neighbor_masks(adj)
     edges = []
     smask = 0
     for i in target:
         edges.append(masks[i])
         smask |= 1 << i
     found = minimal_transversal_masks(edges, cap=cap)
-    if len(found) < _COLUMNS_FROM:
-        failed = next((m for m in found if not _is_minimal_s_td(masks, m, smask)), None)
-    else:
-        bad = _failing_members(adj, found, target)
-        failed = found[(bad & -bad).bit_length() - 1] if bad else None
+    failed = _first_failing(adj, found, target, smask, masks)
     if failed is not None:
         raise TheoremViolation(
             f"transversal {g.labels_of(failed)} is not a verified minimal S-TD-set"
         )
     return MinimalSetFamily(graph=g, masks=tuple(found))
+
+
+def _neighbor_masks(adj) -> list[int]:
+    """N(v) as a bitmask per vertex: O(n^2) bits, so built per call, not
+    kept."""
+    masks = []
+    for nb in adj:
+        m = 0
+        for j in nb:
+            m |= 1 << j
+        masks.append(m)
+    return masks
+
+
+def _first_failing(adj, found, target, smask: int, masks=None) -> int | None:
+    """The first member of ``found``, in its order, that is not a minimal
+    S-TD-set for the vertex indices ``target`` (the bits of ``smask``), or
+    None. Below ``_COLUMNS_FROM`` members each is tested by
+    ``_is_minimal_s_td`` over the neighbor masks ``masks``, built from
+    ``adj`` when not given; from there the family is tested whole on the
+    neighbor lists ``adj`` (``_failing_members``)."""
+    if len(found) < _COLUMNS_FROM:
+        if masks is None:
+            masks = _neighbor_masks(adj)
+        return next((m for m in found if not _is_minimal_s_td(masks, m, smask)), None)
+    bad = _failing_members(adj, found, target)
+    return found[(bad & -bad).bit_length() - 1] if bad else None
 
 
 def _failing_members(adj, family: list[int], target) -> int:
@@ -363,6 +380,105 @@ def _failing_members(adj, family: list[int], target) -> int:
                 private |= exact[u]
             bad |= c & ~private
     return bad
+
+
+# The running counts of ``_count_minimal_s_td`` for a vertex with no child
+# folded in: z0, z1, z1e, zall, then a0..aall and n0..nall
+_NO_CHILD = (1, 0, 0, 1) * 3
+
+
+def _count_minimal_s_td(adj, target) -> int | None:
+    """The number of minimal S-TD-sets of the forest with neighbor lists
+    ``adj`` by index, for the vertex indices ``target``; None when the graph
+    has a cycle. No enumeration, no recursion and no labels: one search and
+    one pass over the vertices, children before parents, with a product
+    over the components.
+
+    D is a minimal S-TD-set when every u in S has a neighbor in D and every
+    v in D has a private neighbor: some u in S with N(u) & D = {v}. On a
+    rooted tree that u is v's parent or one of its children. Once its
+    children are folded in, a vertex v sends its parent p the number of ways
+    to choose D inside its subtree with every condition settled except those
+    that wait on p, in three kinds:
+    - ``a``: v is not in D;
+    - ``b``: v is in D and has a private child, a child in S with no child
+      in D;
+    - ``e``: v is in D with no private child, so it needs p as its private
+      neighbor: p in S, with v its only neighbor in D.
+    It sends one table for p out of D (``out_``) and one for p in D
+    (``in_``). With p out of D, v in S needs a child in D. With p in D, the
+    ways in which v, in S with no child in D, is a private child of p are
+    counted apart (``in_give_``).
+
+    A vertex folds its children's tables into four running counts for each
+    of its own choices: no child in D (``z0``), one child in D that does not
+    need it (``z1``) or does (``z1e``), and no child needing it (``zall``,
+    so ``zall - z0 - z1`` ways have two or more children in D). The ``z``
+    counts are for v out of D, the ``a`` counts for v in D, and the ``n``
+    counts for v in D over the ways with no private child. A child may need
+    v only when v is in S and that child is its one neighbor in D, so those
+    ways reach the table for p out of D only.
+    """
+    n = len(adj)
+    in_s = [False] * n
+    for u in target:
+        in_s[u] = True
+    parent = [-1] * n
+    seen = [False] * n
+    acc: list = [None] * n
+    total = 1
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order = [root]
+        for v in order:  # grows while it is walked
+            p = parent[v]
+            for w in adj[v]:
+                if w != p:
+                    if seen[w]:
+                        return None
+                    seen[w] = True
+                    parent[w] = v
+                    order.append(w)
+        for v in reversed(order):
+            z0, z1, z1e, zall, a0, a1, a1e, aall, n0, n1, n1e, nall = acc[v] or _NO_CHILD
+            z2 = zall - z0 - z1
+            a2 = aall - a0 - a1
+            n2 = nall - n0 - n1
+            if in_s[v]:
+                # out of D: needs a child in D or p in D; private to p alone
+                out_a = z1 + z1e + z2
+                in_give_a, in_a = z0, z1 + z2
+                # in D: a child needing v needs p out of D
+                every, none = a1 + a1e + a2, n1 + n1e + n2
+                out_b, out_e = every - none, none
+                in_give_b, in_give_e = a0 - n0, n0
+                in_b, in_e = a1 + a2 - n1 - n2, n1 + n2
+            else:
+                # no child in D may need v
+                out_a = z0 + z1 + z2
+                in_give_a, in_a = 0, out_a
+                every, none = a0 + a1 + a2, n0 + n1 + n2
+                out_b, out_e = every - none, none
+                in_give_b = in_give_e = 0
+                in_b, in_e = out_b, out_e
+            p = parent[v]
+            if p < 0:
+                # a root in D needs a private neighbor below it
+                total *= out_a + out_b
+                continue
+            z0, z1, z1e, zall, a0, a1, a1e, aall, n0, n1, n1e, nall = acc[p] or _NO_CHILD
+            all_a, all_b, all_e = in_a + in_give_a, in_b + in_give_b, in_e + in_give_e
+            acc[p] = (
+                z0 * out_a, z1 * out_a + z0 * out_b, z1e * out_a + z0 * out_e,
+                zall * (out_a + out_b),
+                a0 * all_a, a1 * all_a + a0 * all_b, a1e * all_a + a0 * all_e,
+                aall * (all_a + all_b),
+                n0 * in_a, n1 * in_a + n0 * in_b, n1e * in_a + n0 * in_e,
+                nall * (in_a + in_b),
+            )
+    return total
 
 
 def is_unmixed_bruteforce(g) -> bool:

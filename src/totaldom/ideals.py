@@ -15,7 +15,12 @@ Square-free decomposition goes through minimal transversals of the
 generator supports. A decomposition is checked by Berge duality on masks:
 the minimal transversals of its prime supports, with the pure powers of a
 parametric one, must give back the generators, so the check never
-re-expands the intersection. ``PrimeDecomposition.to_ideal`` does re-expand
+re-expands the intersection. On a forest the generators are neighborhoods
+and their minimal transversals are minimal S-TD-sets, so there a
+square-free decomposition of a few supports or more is proved by counting
+instead: its supports are distinct minimal S-TD-sets, as many as the tree
+count ``domination._count_minimal_s_td`` gives, and the dual family is
+never enumerated. ``PrimeDecomposition.to_ideal`` does re-expand
 a square-free one, as the independent oracle of ``verify``: a fold of
 pairwise lcms on masks. An ideal of pure powers and square-free monomials,
 as an Artinian reduction is, is minimalized and rendered straight from its
@@ -26,9 +31,15 @@ intersections, as twins of these.
 
 from __future__ import annotations
 
-from .domination import MinimalSetFamily, minimal_transversal_masks
+from .domination import (
+    MinimalSetFamily,
+    _count_minimal_s_td,
+    _first_failing,
+    minimal_transversal_masks,
+)
 from .errors import NotSquareFreeError, TheoremViolation
 from .graphs import (
+    Graph,
     Ground,
     VertexSet,
     _bit_indices,
@@ -45,6 +56,14 @@ from .graphs import (
 # test is cheaper. Taken from timings on subfamilies of the minimal TD-sets
 # of ``generate(7, 16)``.
 _COLUMNS_FROM = 64
+
+# Square-free decompositions of a forest's neighborhoods with at least this
+# many supports are checked by the count certificate (``_counted``); below
+# it the duality check is cheaper. Taken from timings of both on trees drawn
+# as the analyze benchmark draws them: they break even at 4 supports, and at
+# 5-8 the count takes about 0.8 of the duality check's time, at 17-32 about
+# 0.3.
+_COUNT_FROM = 5
 
 
 class MonomialIdeal(_Record):
@@ -291,8 +310,62 @@ def validate_decomposition(dec: PrimeDecomposition, ideal) -> None:
     P_S + Q is (intersection of the P_S) + Q, compared with the ideal as
     minimal generators (``_minimal_generators``). The transversals are
     enumerated without a cap, so an enumeration cap never changes the
-    verdict.
+    verdict (``_check_by_duality``).
+
+    A square-free decomposition of a forest's neighborhoods, as N(G) and
+    N_S(G) of a forest are, is proved first by a count instead
+    (``_counted``): its supports are distinct minimal transversals of the
+    generators, as many as a tree count of them gives. That proves them to
+    be exactly the minimal transversals, which is the duality verdict on a
+    valid decomposition. Whatever the count does not prove goes through the
+    duality check, so the verdict and its message are the same on every
+    input.
     """
+    if not _counted(dec, ideal):
+        _check_by_duality(dec, ideal)
+
+
+def _counted(dec: PrimeDecomposition, ideal) -> bool:
+    """Whether the count certificate proves ``dec`` to be the decomposition
+    of ``ideal``; False sends the pair to ``_check_by_duality``, which gives
+    the verdict. It applies to a square-free ``dec`` of at least
+    ``_COUNT_FROM`` supports, when the ground of ``ideal`` is a forest
+    ``Graph`` and every generator is the neighborhood N(u) of some vertex u.
+
+    With S the vertices whose neighborhoods are generators, the minimal
+    transversals of the generators are the minimal S-TD-sets. The
+    certificate holds when the supports are strictly increasing masks over
+    the variables, each is a minimal S-TD-set (``domination._first_failing``)
+    and there are as many as the tree count gives
+    (``domination._count_minimal_s_td``): then they are all of them, by
+    duality the primes of exactly that ideal, and pairwise incomparable.
+    """
+    masks = dec.masks
+    if (len(masks) < _COUNT_FROM or dec.pure_powers is not None
+            or not isinstance(ideal, MonomialIdeal)):
+        return False
+    g = ideal.ground
+    if not isinstance(g, Graph) or dec.variables != g.labels:
+        return False
+    adj = g.adj
+    rows = set(ideal.rows)
+    target = [u for u, nb in enumerate(adj) if nb in rows]
+    if len({adj[u] for u in target}) != len(rows):
+        return False
+    if masks[-1] >> len(adj) or any(a >= b for a, b in zip(masks, masks[1:])):
+        return False
+    if _count_minimal_s_td(adj, target) != len(masks):
+        return False
+    smask = 0
+    for u in target:
+        smask |= 1 << u
+    return _first_failing(adj, masks, target, smask) is None
+
+
+def _check_by_duality(dec: PrimeDecomposition, ideal) -> None:
+    """``validate_decomposition`` by irredundancy and Berge duality, on any
+    input: the minimal transversals of the supports are enumerated and
+    compared with the generators."""
     parametric = dec.pure_powers is not None
     masks = dec.masks
     if _has_comparable_pair(masks, len(dec.variables)):

@@ -7,7 +7,7 @@ and keep their member-by-member or pairwise loop below it:
 - the S-TD recheck (``domination._failing_members``, from
   ``domination._COLUMNS_FROM`` members) against ``_is_minimal_s_td`` per
   member;
-- irredundancy in ``ideals.validate_decomposition``
+- irredundancy in the duality check of ``ideals.validate_decomposition``
   (``ideals._has_comparable_pair``, from ``ideals._COLUMNS_FROM``
   supports) against the test on every pair;
 - the R_j test of ``complexes.verify_shelling`` (from
@@ -212,19 +212,29 @@ def test_column_irredundancy_matches_pairs(case):
 
 
 def test_irredundancy_of_decompositions_on_both_sides_of_the_threshold():
+    # each family is past ideals._COUNT_FROM, so a true decomposition is
+    # proved by the count certificate and a corrupted one goes on to the
+    # duality check, which must say the same when called directly
     sizes = set()
     for t in GENERATED:
         family = minimal_td_sets(t)
         ideal = open_neighborhood_ideal(t.graph)
         dec = PrimeDecomposition.from_family(family)
+        assert len(dec) >= ideals._COUNT_FROM
         validate_decomposition(dec, ideal)
+        ideals._check_by_duality(dec, ideal)
         sizes.add(len(family) >= IRREDUNDANCY_FROM)
         masks = family.masks
-        for extra in (masks[len(masks) // 2], masks[-1] | 1 << (t.graph.n - 1)):
-            bad = PrimeDecomposition(t.graph, tuple(sorted(masks + (extra,))))
-            assert _comparable_by_pairs(bad.masks)
-            with pytest.raises(TheoremViolation, match="^decomposition is not irredundant$"):
-                validate_decomposition(bad, ideal)
+        middle = len(masks) // 2
+        for extra in (masks[middle], masks[-1] | 1 << (t.graph.n - 1)):
+            # the repeated or superset support added, and in place of another
+            for kept in (masks, masks[:middle - 1] + masks[middle:]):
+                bad = PrimeDecomposition(t.graph, tuple(sorted(kept + (extra,))))
+                assert _comparable_by_pairs(bad.masks)
+                for check in (validate_decomposition, ideals._check_by_duality):
+                    with pytest.raises(TheoremViolation,
+                                       match="^decomposition is not irredundant$"):
+                        check(bad, ideal)
     assert sizes == {False, True}
 
 

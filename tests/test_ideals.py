@@ -30,6 +30,7 @@ from oracles import (
     to_ideal_by_lcm,
     variable_ideal,
 )
+from totaldom import ideals
 from totaldom.algebra import ArtinianReduction, artinian_reduction, parametric_decomposition
 from totaldom.construct import generate
 from totaldom.domination import minimal_td_sets
@@ -324,18 +325,25 @@ def _decomposition_cases(trees8):
 
 def _corruptions(dec: PrimeDecomposition, rng: Lcg64):
     """``dec`` with one support dropped, one non-minimal superset added, and
-    one spurious support added."""
+    one spurious support added; and, keeping the number of supports, one
+    support replaced by a copy of another, by that superset and by that
+    spurious support."""
     sups = dec.supports
     out = [sups[1:]]
+    if len(sups) > 1:
+        out.append(sups[1:] + sups[1:2])
     for s in sups:
         extra = [v for v in dec.variables if v not in s]
         if extra:
-            out.append(sups + (tuple(sorted(s + (extra[0],))),))
+            bigger = tuple(sorted(s + (extra[0],)))
+            out.append(sups + (bigger,))
+            out.append(tuple(b for b in sups if b != s) + (bigger,))
             break
     while True:
         spurious = tuple(v for v in dec.variables if rng.randrange(2))
         if spurious not in sups:
             out.append(sups + (spurious,))
+            out.append(sups[:-1] + (spurious,))
             break
     return [_with_supports(dec, tuple(sorted(c))) for c in out]
 
@@ -378,12 +386,24 @@ def _oracle_holds(dec: PrimeDecomposition, ideal) -> bool:
     return not redundant and to_ideal_by_lcm(dec) == _as_labels(ideal)
 
 
-def _duality_holds(dec: PrimeDecomposition, ideal) -> bool:
+def _verdict(check, dec: PrimeDecomposition, ideal) -> str | None:
+    """The message of the TheoremViolation that ``check`` raises, or None."""
     try:
-        validate_decomposition(dec, ideal)
-    except TheoremViolation:
-        return False
-    return True
+        check(dec, ideal)
+    except TheoremViolation as e:
+        return str(e)
+    return None
+
+
+def _duality_holds(dec: PrimeDecomposition, ideal) -> bool:
+    """``validate_decomposition``'s verdict. From ``ideals._COUNT_FROM``
+    supports a forest's decomposition may be proved by the count
+    certificate instead: the duality check, called directly, must then give
+    the same verdict with the same message."""
+    got = _verdict(validate_decomposition, dec, ideal)
+    if len(dec) >= ideals._COUNT_FROM:
+        assert _verdict(ideals._check_by_duality, dec, ideal) == got, (dec, got)
+    return got is None
 
 
 def test_duality_check_agrees_with_reexpansion(trees8):
@@ -405,6 +425,39 @@ def test_duality_check_agrees_with_reexpansion(trees8):
             assert not _oracle_holds(dec, other)
             assert not _duality_holds(dec, other)
     assert grown
+
+
+def test_count_certificate_and_duality_agree_on_forest_corruptions(monkeypatch, trees8):
+    # every corruption of a counted decomposition keeps the verdict and
+    # message of the duality check, and a true one never reaches it
+    rng = Lcg64(23)
+    trees = [t for t in trees8 if t.graph.n >= 6] + [generate(s, s % 4)[0] for s in range(16)]
+    duality = ideals._check_by_duality
+    calls = []
+
+    def traced(dec, ideal):
+        calls.append(dec)
+        duality(dec, ideal)
+
+    monkeypatch.setattr(ideals, "_check_by_duality", traced)
+    kinds = set()
+    for t in trees:
+        labs = t.graph.labels
+        target = tuple(v for v in labs if rng.randrange(3)) or labs[:1]
+        for ideal in (open_neighborhood_ideal(t), open_neighborhood_ideal(t, target)):
+            dec = decompose_squarefree(ideal)
+            if len(dec) < ideals._COUNT_FROM:
+                continue
+            assert dec not in calls
+            for bad in _corruptions(dec, rng):
+                got = _verdict(validate_decomposition, bad, ideal)
+                assert got is not None, bad
+                assert got == _verdict(duality, bad, ideal)
+                kinds.add((got.split()[-1], len(bad) - len(dec)))
+    assert kinds == {
+        ("irredundant", 0), ("irredundant", 1),
+        ("input", -1), ("input", 0), ("input", 1),
+    }
 
 
 def test_duality_check_rejects_a_repeated_prime():

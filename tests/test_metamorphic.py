@@ -11,9 +11,14 @@ reports:
   label order, is left out;
 - input order: shuffling the edge lines and writing some edges backwards
   leaves the output of ``analyze --json``, ``ideal --json``, ``shelling``,
-  ``type --json --reduction`` and ``deconstruct --json`` byte-identical.
+  ``type --json --reduction`` and ``deconstruct --json`` byte-identical;
+- disjoint union: for two trees relabelled apart, the ``analyze`` report of
+  their union counts count1 * count2 minimal TD-sets, and they are the
+  unions of one set of each tree, as its decomposition's components are;
+  the decomposition check proves a large union's family by the tree count,
+  which is a product over the components.
 
-Neither relation needs an oracle.
+No relation needs an oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from contextlib import redirect_stdout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from totaldom import ideals
 from totaldom.cli import main
 from totaldom.construct import generate
 from totaldom.graphs import render_edge_list
@@ -153,3 +159,39 @@ def test_outputs_are_invariant_under_edge_line_order(text, rng):
     moved = "\n".join(lines) + "\n"
     for argv in COMMANDS:
         assert _run(argv, moved) == _run(argv, text), argv
+
+
+# twelve small trees and two whisker trees
+SMALL = TREES[:95:8] + [_edges(generate(s, 2)[0]) for s in (1, 2)]
+
+
+def _analyze(edges) -> dict:
+    return json.loads(_run(["analyze", "-", "--json"], "".join(f"{a} {b}\n" for a, b in edges)))
+
+
+def test_analyze_of_a_disjoint_union_multiplies_the_families(monkeypatch):
+    # a union's family past ideals._COUNT_FROM is proved by the tree count,
+    # a product over the components, and never reaches the duality check
+    duality = ideals._check_by_duality
+    checked = []
+
+    def traced(dec, ideal):
+        checked.append(len(dec))
+        duality(dec, ideal)
+
+    monkeypatch.setattr(ideals, "_check_by_duality", traced)
+    families = [(edges, _analyze(edges)["minimal_td_sets"]) for edges in SMALL]
+    past = 0
+    for e1, r1 in families:
+        for e2, r2 in families:
+            union = _analyze([("x" + a, "x" + b) for a, b in e1]
+                             + [("y" + a, "y" + b) for a, b in e2])
+            got = union["minimal_td_sets"]
+            assert got["count"] == r1["count"] * r2["count"]
+            want = {frozenset(["x" + v for v in d1] + ["y" + v for v in d2])
+                    for d1 in r1["sets"] for d2 in r2["sets"]}
+            assert set(map(frozenset, got["sets"])) == want
+            assert union["ideal"]["decomposition"]["components"] == got["sets"]
+            past += got["count"] >= 5
+    assert past > 50
+    assert all(k < ideals._COUNT_FROM for k in checked)
