@@ -333,7 +333,9 @@ class ShellingOrder(_Record):
 
     @_fact
     def facets(self) -> tuple[VertexSet, ...]:
-        return tuple(map(self.codec.labels_of, self.masks))
+        """The facets as label tuples, in shelling order, in a tuple built
+        at its final size (see ``graphs.classify_vertices``)."""
+        return tuple(list(map(self.codec.labels_of, self.masks)))
 
 
 def _facet_vector_order(facts: Analysis, cap: int | None):

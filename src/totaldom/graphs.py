@@ -224,7 +224,8 @@ class Graph(Ground):
         return len(self.labels)
 
     def neighbors(self, v: str) -> VertexSet:
-        return tuple(self.labels[j] for j in self.adj[self.index[v]])
+        labels = self.labels
+        return tuple([labels[j] for j in self.adj[self.index[v]]])
 
     # -- structure --------------------------------------------------------
 
@@ -271,24 +272,26 @@ class Graph(Ground):
         return f"Graph({self.n} vertices, {self.num_edges()} edges)"
 
 
-def index_components(nbrs, kept) -> list[list[int]]:
-    """The components of the indices in ``kept`` (in increasing order) under
-    the neighbor lists ``nbrs``, as sorted index lists. A component is found
-    from its smallest index, so they come in the order of their smallest
-    indices, which is label order."""
-    seen = [False] * len(nbrs)
+def index_components(nbrs) -> list[list[int]]:
+    """The components of the index graph with neighbor lists ``nbrs``, as
+    sorted index lists. A component is found from its smallest index, so
+    they come in the order of their smallest indices, which is label order.
+    Every entry past a component's first is the int object that the
+    neighbor lists hold, so a tree's one component shares the graph's
+    index ints and holds no second int per vertex."""
+    seen = [None] * len(nbrs)  # per index, its int once reached
     components = []
-    for s in kept:
-        if not seen[s]:
-            seen[s] = True
+    for s in range(len(nbrs)):
+        if seen[s] is None:
+            seen[s] = s
             reached = [s]
             for i in reached:  # grows while it is walked
                 for j in nbrs[i]:
-                    if not seen[j]:
-                        seen[j] = True
+                    if seen[j] is None:
+                        seen[j] = j
                         reached.append(j)
-            if len(reached) == len(kept):
-                return [list(kept)]
+            if len(reached) == len(nbrs):
+                return [seen]
             reached.sort()
             components.append(reached)
     return components
@@ -301,7 +304,7 @@ class Forest:
     __slots__ = ("graph", "ncomponents", "component_indices")
 
     def __init__(self, graph: Graph):
-        comps = index_components(graph.adj, range(graph.n))
+        comps = index_components(graph.adj)
         if graph.num_edges() != graph.n - len(comps):
             raise NotAForestError("graph contains a cycle")
         self._set(graph, comps)
@@ -467,7 +470,13 @@ class Classification(_Record):
 def classify_vertices(f: Forest) -> Classification:
     """Leaves by degree, supports by adjacency-to-leaf (not by height).
     Each class is marked on an index array and read off in index order,
-    which is label order, so no label is sorted."""
+    which is label order, so no label is sorted.
+
+    Each class is read into a list before it becomes a tuple, so the tuple
+    is allocated at its final size. ``tuple()`` of an iterator with no
+    length allocates a guessed size and resizes it, and CPython keeps the
+    dead resized tuples in its per-size free lists until a full garbage
+    collection: memory that grows with every request."""
     g = f.graph
     adj = g.adj
     degree = list(map(len, adj))
@@ -482,8 +491,8 @@ def classify_vertices(f: Forest) -> Classification:
     lab = g.labels
     return Classification(
         leaves=tuple([v for v, d in zip(lab, degree) if d == 1]),
-        supports=tuple(compress(lab, support)),
-        supported=tuple(compress(lab, supported)),
+        supports=tuple(list(compress(lab, support))),
+        supported=tuple(list(compress(lab, supported))),
         isolated=tuple([v for v, d in zip(lab, degree) if d == 0]),
     )
 
@@ -506,8 +515,10 @@ class Coloring(_Record):
     @classmethod
     def of_flags(cls, labels, blue) -> Coloring:
         """Blue the labels whose flag in ``blue`` is set, red the rest,
-        both in the order of ``labels``."""
-        return cls(tuple(compress(labels, blue)), tuple(compress(labels, map(not_, blue))))
+        both in the order of ``labels`` and each built at its final size
+        (see ``classify_vertices``)."""
+        return cls(tuple(list(compress(labels, blue))),
+                   tuple(list(compress(labels, map(not_, blue)))))
 
 
 def _blue_flags(f: Forest) -> list[bool]:

@@ -329,8 +329,9 @@ class _Layer:
         return tuple(facts)
 
     def dropped(self) -> VertexSet:
-        """The dropped vertices, as a sorted label tuple."""
-        return tuple(compress(self.graph.labels, map(not_, self.keep)))
+        """The dropped vertices, as a sorted label tuple built at its final
+        size (see ``graphs.classify_vertices``)."""
+        return tuple(list(compress(self.graph.labels, map(not_, self.keep))))
 
     def forest(self) -> Forest:
         """The induced forest on the kept vertices, whose index of a kept

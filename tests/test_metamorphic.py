@@ -16,7 +16,10 @@ reports:
   their union counts count1 * count2 minimal TD-sets, and they are the
   unions of one set of each tree, as its decomposition's components are;
   the decomposition check proves a large union's family by the tree count,
-  which is a product over the components.
+  which is a product over the components;
+- operation o: attaching its whisker at a support vertex of an unmixed tree
+  (a leaf, as the vertex has height 1) keeps the tree unmixed, by the
+  polynomial test and by enumeration.
 
 No relation needs an oracle.
 """
@@ -34,9 +37,11 @@ from hypothesis import strategies as st
 
 from totaldom import ideals
 from totaldom.cli import main
-from totaldom.construct import generate
-from totaldom.graphs import render_edge_list
+from totaldom.construct import apply_o, generate
+from totaldom.domination import is_unmixed_bruteforce
+from totaldom.graphs import classify_vertices, render_edge_list
 from totaldom.treegen import trees_up_to
+from totaldom.unmixed import is_unmixed_fast
 from totaldom.verify import balanced_corpus, unmixed_corpus
 
 TIER1 = settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -195,3 +200,18 @@ def test_analyze_of_a_disjoint_union_multiplies_the_families(monkeypatch):
             past += got["count"] >= 5
     assert past > 50
     assert all(k < ideals._COUNT_FROM for k in checked)
+
+
+def test_operation_o_at_a_support_keeps_a_tree_unmixed():
+    # on the 2-vertex tree both ends are supports of height 0, where o is
+    # not defined
+    pairs = [
+        (t, v) for t in unmixed_corpus(424242, 100) if t.graph.n > 2
+        for v in classify_vertices(t).supports
+    ]
+    assert len(pairs) == 320
+    for t, v in pairs:
+        grown = apply_o(t, v)
+        assert grown.graph.n == t.graph.n + 1
+        assert is_unmixed_fast(grown).unmixed, (render_edge_list(t.graph), v)
+        assert is_unmixed_bruteforce(grown), (render_edge_list(t.graph), v)
